@@ -1,10 +1,10 @@
 """Reference lazy policies: LazySP on the full graph, LazySP restricted to
 the path library, and a seeded random-edge sanity floor.
 
-Grid edge lengths are 1 or sqrt(2), so path lengths are represented exactly
-as integer pairs (a, b) meaning a + b*sqrt(2); comparisons and the
-lexicographic shortest-path tie-break are then exact.  Graphs with other
-lengths fall back to floats with a small equality tolerance.
+Edge lengths are integers or integer multiples of sqrt(2) (dataset
+validation enforces it), so path lengths are represented exactly as integer
+pairs (a, b) meaning a + b*sqrt(2); comparisons and the lexicographic
+shortest-path tie-break are then exact.
 """
 
 from __future__ import annotations
@@ -14,28 +14,8 @@ import heapq
 import numpy as np
 
 from . import rng as _rng
-from .model import ExplicitGraph, Path
+from .model import SQRT2, ExplicitGraph, Path, exact_lengths
 from .traces import AllRegionsDead, Infeasible, RunTrace, Solved
-
-_FLOAT_EQ_TOL = 1e-9
-
-
-def _exact_lengths(lengths: np.ndarray) -> list[tuple[int, int]] | None:
-    """Each length as (a, b) with value a + b*sqrt(2), or None if any length
-    is not an integer multiple of 1 or sqrt(2)."""
-    out: list[tuple[int, int]] = []
-    for w in lengths:
-        a = round(float(w))
-        if abs(w - a) < 1e-12:
-            out.append((a, 0))
-            continue
-        b = round(float(w) / np.sqrt(2.0))
-        if abs(w - b * np.sqrt(2.0)) < 1e-12:
-            out.append((0, b))
-            continue
-        return None
-    return out
-
 
 def _lt(x: tuple[int, int], y: tuple[int, int]) -> bool:
     """Exact a1 + b1*sqrt2 < a2 + b2*sqrt2 for integer pairs."""
@@ -52,35 +32,19 @@ def _lt(x: tuple[int, int], y: tuple[int, int]) -> bool:
 
 
 class _Metric:
-    """Edge weights with exact or float arithmetic behind one interface."""
+    """Edge lengths as exact integer pairs; sums of pairs stay exact."""
+
+    zero = (0, 0)
 
     def __init__(self, lengths: np.ndarray):
-        exact = _exact_lengths(lengths)
-        self.exact = exact is not None
-        self.w = exact if self.exact else [float(x) for x in lengths]
-        self.zero = (0, 0) if self.exact else 0.0
+        self.w = exact_lengths(lengths)
+        if self.w is None:
+            raise ValueError("edge lengths must be integers or integer multiples of sqrt(2)")
 
     def add(self, x, e: int):
-        if self.exact:
-            return (x[0] + self.w[e][0], x[1] + self.w[e][1])
-        return x + self.w[e]
+        return (x[0] + self.w[e][0], x[1] + self.w[e][1])
 
-    def less(self, x, y) -> bool:
-        if self.exact:
-            return _lt(x, y)
-        return x < y - _FLOAT_EQ_TOL
-
-    def equal(self, x, y) -> bool:
-        if self.exact:
-            return x == y
-        return abs(x - y) <= _FLOAT_EQ_TOL
-
-    def as_float(self, x) -> float:
-        if self.exact:
-            return x[0] + x[1] * float(np.sqrt(2.0))
-        return x
-
-    def path_length(self, edge_ids) -> object:
+    def path_length(self, edge_ids) -> tuple[int, int]:
         total = self.zero
         for e in edge_ids:
             total = self.add(total, e)
@@ -105,10 +69,10 @@ def _dijkstra(graph: ExplicitGraph, metric: _Metric, source: int, usable: np.nda
             if not usable[e] or done[v]:
                 continue
             nd = metric.add(dist[u], e)
-            if dist[v] is None or metric.less(nd, dist[v]):
+            if dist[v] is None or _lt(nd, dist[v]):
                 dist[v] = nd
                 counter += 1
-                heapq.heappush(heap, (metric.as_float(nd), counter, v))
+                heapq.heappush(heap, (nd[0] + nd[1] * SQRT2, counter, v))
     return dist
 
 
@@ -135,15 +99,10 @@ def shortest_path_edges(
                 continue
             # length via u -> e -> v then optimal to goal
             via = metric.add(acc, e)
-            via_total = (
-                (via[0] + dist_g[v][0], via[1] + dist_g[v][1])
-                if metric.exact
-                else via + dist_g[v]
-            )
-            if metric.equal(via_total, total):
+            if (via[0] + dist_g[v][0], via[1] + dist_g[v][1]) == total:
                 best = (v, e)
                 break
-        if best is None:  # numerical fallback; should not happen in exact mode
+        if best is None:  # cannot happen: exact distances always continue
             return None
         v, e = best
         acc = metric.add(acc, e)
@@ -201,7 +160,7 @@ def lazysp_set(
         for r, p in enumerate(library):
             if any(status[e] == -1 for e in p.edge_ids):
                 continue
-            if best is None or metric.less(lengths[r], lengths[best]):
+            if best is None or _lt(lengths[r], lengths[best]):
                 best = r
         if best is None:
             trace.terminal = AllRegionsDead()

@@ -2,8 +2,11 @@
 cost, and reduce per-world costs to normalized-cost confidence intervals
 and training-size ablation curves.
 
-Policy ids: lazysp-graph, lazysp-set, random, bisect, direct+bisect,
-direct-only.  The last two require a compiled decision tree whose recorded
+``POLICIES`` is the one table of policy ids: lazysp-graph, lazysp-set,
+random, bisect, direct+bisect, direct-only.  Each id maps to a per-run
+function that checks its inputs, builds what every world of the run shares
+(bias vector, region list, training rows) and returns the episode for one
+world.  The last two ids require a compiled decision tree whose recorded
 dataset hash matches the dataset.
 """
 
@@ -19,20 +22,15 @@ from .io import atomic_write_bytes, dataset_hash
 from .model import Dataset
 from .traces import AllRegionsDead, Infeasible, RunTrace, Solved
 
-POLICY_IDS = (
-    "lazysp-graph",
-    "lazysp-set",
-    "random",
-    "bisect",
-    "direct+bisect",
-    "direct-only",
-)
-
 RUNS_SCHEMA_VERSION = 1
 
 
 class ContractError(RuntimeError):
     """Inputs violate a cross-artifact contract (e.g. tree/dataset hash)."""
+
+
+class RunsFormatError(ValueError):
+    """Malformed or wrong-version run file."""
 
 
 def _world_oracle(dataset: Dataset, h: int):
@@ -44,137 +42,156 @@ def _world_oracle(dataset: Dataset, h: int):
     return oracle
 
 
-def _replay_surviving(dataset: Dataset, train_idx: np.ndarray, observed: dict) -> np.ndarray:
-    """Mask over train_idx of worlds consistent with the observations."""
-    th = dataset.theta[train_idx]
-    mask = np.ones(len(train_idx), dtype=bool)
+def _surviving(train_theta: np.ndarray, observed: dict) -> np.ndarray:
+    """Mask over the training rows of worlds consistent with the observations."""
+    mask = np.ones(len(train_theta), dtype=bool)
     for e, o in observed.items():
-        mask &= th[:, e] == o
+        mask &= train_theta[:, e] == o
     return mask
 
 
-def _fallback_bias(
-    dataset: Dataset, train_idx: np.ndarray, observed: dict, alpha: float
-) -> np.ndarray:
-    """Bias for continuations the tree did not anticipate: empirical edge
-    fractions over the observation-consistent training worlds (or the whole
-    training set if none survive), with observed edges pinned."""
-    th = dataset.theta[train_idx]
-    mask = _replay_surviving(dataset, train_idx, observed)
-    base = th[mask] if mask.any() else th
-    frac = base.mean(axis=0).astype(np.float64)
-    theta = alpha * frac + (1.0 - alpha) * 0.5
-    for e, o in observed.items():
-        theta[e] = alpha * float(o) + (1.0 - alpha) * 0.5
-    return theta
+def _checked_tree(dataset: Dataset, tree: trees.DecisionTree | None, policy: str):
+    """The tree, once its recorded dataset hash matches the dataset."""
+    if tree is None:
+        raise ContractError(f"policy {policy} requires a compiled tree")
+    want = tree.params.get("dataset_hash")
+    if want is None:
+        raise ContractError("tree records no dataset hash")
+    have = dataset_hash(dataset)
+    if want != have:
+        raise ContractError(
+            f"tree was compiled for dataset {want[:12]}..., got {have[:12]}..."
+        )
+    return tree
 
 
-def _continue_with_bisect(
-    dataset: Dataset, trace: RunTrace, bias: np.ndarray, alpha: float, oracle, h: int
-) -> RunTrace:
-    belief = bernoulli.BernoulliBelief(
-        beta=bernoulli.clamp_bias(bias, alpha), observed=trace.evaluated
+# Each policy id maps to a per-run function of (dataset, tree, train_idx,
+# seed, alpha) that returns the per-world episode, h -> RunTrace.
+
+
+def _lazysp_graph(dataset, tree, train_idx, seed, alpha):
+    return lambda h: baselines.lazysp_graph(
+        dataset.graph, _world_oracle(dataset, h), world_index=h
     )
+
+
+def _lazysp_set(dataset, tree, train_idx, seed, alpha):
+    return lambda h: baselines.lazysp_set(
+        dataset.paths, dataset.graph, _world_oracle(dataset, h), world_index=h
+    )
+
+
+def _random(dataset, tree, train_idx, seed, alpha):
+    return lambda h: baselines.random_policy(
+        dataset.paths, dataset.graph, _world_oracle(dataset, h), seed, world_index=h
+    )
+
+
+def _bisect(dataset, tree, train_idx, seed, alpha):
+    # Standalone baseline: training column means, clipped, as bias.
+    beta = bernoulli.clamp_bias(dataset.theta[train_idx].mean(axis=0), alpha)
     regions = [tuple(p.edge_ids) for p in dataset.paths]
-    sub = bernoulli.bisect_policy(
-        belief, regions, dataset.graph.eval_cost, oracle, trace.policy, h
-    )
-    trace.records.extend(sub.records)
-    trace.terminal = sub.terminal
-    trace.path_edges = sub.path_edges
-    return trace
 
-
-def _run_direct_bisect(dataset: Dataset, tree: trees.DecisionTree, train_idx, h: int) -> RunTrace:
-    oracle = _world_oracle(dataset, h)
-    alpha = float(tree.params["alpha"])
-    leaf, trace = trees.execute_tree(
-        tree, oracle, dataset.graph.eval_cost, "direct+bisect", h
-    )
-    if isinstance(leaf, trees.SolvedLeaf):
-        # Off-database safety: prove the named path against the live world.
-        path = dataset.paths[leaf.region].edge_ids
-        evaluated = trace.evaluated
-        valid = all(evaluated.get(e, 1) == 1 for e in path)
-        if valid:
-            for e in path:
-                if e not in evaluated:
-                    outcome = oracle(e)
-                    trace.record(e, outcome, float(dataset.graph.eval_cost[e]))
-                    if not outcome:
-                        valid = False
-                        break
-        if valid:
-            trace.terminal = Solved(leaf.region)
-            trace.path_edges = tuple(path)
-            return trace
-        bias = _fallback_bias(dataset, train_idx, trace.evaluated, alpha)
-        return _continue_with_bisect(dataset, trace, bias, alpha, oracle, h)
-    if isinstance(leaf, trees.HandoffLeaf):
-        return _continue_with_bisect(
-            dataset, trace, np.asarray(leaf.bias), alpha, oracle, h
-        )
-    # DeadLeaf: the training database says no path survives, but the verdict
-    # must be witnessed on the live world; the completion policy does that.
-    bias = _fallback_bias(dataset, train_idx, trace.evaluated, alpha)
-    return _continue_with_bisect(dataset, trace, bias, alpha, oracle, h)
-
-
-def _run_direct_only(dataset: Dataset, tree: trees.DecisionTree, train_idx, h: int) -> RunTrace:
-    oracle = _world_oracle(dataset, h)
-    leaf, trace = trees.execute_tree(
-        tree, oracle, dataset.graph.eval_cost, "direct-only", h
-    )
-    world = dataset.theta[h]
-    if isinstance(leaf, trees.SolvedLeaf):
-        region = leaf.region
-    elif isinstance(leaf, trees.HandoffLeaf):
-        mask = _replay_surviving(dataset, train_idx, trace.evaluated)
-        memb = dataset.membership[train_idx][mask]
-        plausible = np.nonzero(memb.any(axis=0))[0] if mask.any() else np.empty(0, int)
-        region = int(plausible[0]) if plausible.size else None
-    else:  # DeadLeaf
-        region = None
-    if region is None:
-        trace.terminal = AllRegionsDead()
-        trace.verified = not dataset.membership[h].any()
-        return trace
-    path = dataset.paths[region].edge_ids
-    trace.terminal = Solved(region)
-    trace.path_edges = tuple(path)
-    trace.verified = bool(world[list(path)].all())
-    return trace
-
-
-def _run_one(policy: str, dataset: Dataset, tree, train_idx, seed: int, alpha: float, h: int) -> RunTrace:
-    oracle = _world_oracle(dataset, h)
-    if policy == "lazysp-graph":
-        return baselines.lazysp_graph(dataset.graph, oracle, world_index=h)
-    if policy == "lazysp-set":
-        return baselines.lazysp_set(dataset.paths, dataset.graph, oracle, world_index=h)
-    if policy == "random":
-        return baselines.random_policy(dataset.paths, dataset.graph, oracle, seed, world_index=h)
-    if policy == "bisect":
-        # Standalone baseline: training column means as bias.
-        frac = dataset.theta[train_idx].mean(axis=0)
-        belief = bernoulli.BernoulliBelief(beta=bernoulli.clamp_bias(frac, alpha))
-        regions = [tuple(p.edge_ids) for p in dataset.paths]
+    def episode(h: int) -> RunTrace:
         return bernoulli.bisect_policy(
-            belief, regions, dataset.graph.eval_cost, oracle, "bisect", h
+            bernoulli.BernoulliBelief(beta=beta), regions, dataset.graph.eval_cost,
+            _world_oracle(dataset, h), "bisect", h,
         )
-    if policy == "direct+bisect":
-        return _run_direct_bisect(dataset, tree, train_idx, h)
-    if policy == "direct-only":
-        return _run_direct_only(dataset, tree, train_idx, h)
-    raise ValueError(f"unknown policy id {policy!r}")
+
+    return episode
 
 
-_POOL_STATE: dict = {}
+def _direct_bisect(dataset, tree, train_idx, seed, alpha):
+    tree = _checked_tree(dataset, tree, "direct+bisect")
+    alpha = float(tree.params["alpha"])
+    train_theta = dataset.theta[train_idx]
+    regions = [tuple(p.edge_ids) for p in dataset.paths]
+    eval_cost = dataset.graph.eval_cost
+
+    def episode(h: int) -> RunTrace:
+        oracle = _world_oracle(dataset, h)
+        leaf, trace = trees.execute_tree(tree, oracle, eval_cost, "direct+bisect", h)
+        if isinstance(leaf, trees.HandoffLeaf):
+            bias = np.asarray(leaf.bias)
+        else:
+            if isinstance(leaf, trees.SolvedLeaf):
+                # Off-database safety: prove the named path against the live world.
+                path = dataset.paths[leaf.region].edge_ids
+                evaluated = trace.evaluated
+                valid = all(evaluated.get(e, 1) == 1 for e in path)
+                for e in path:
+                    if valid and e not in evaluated:
+                        valid = bool(oracle(e))
+                        trace.record(e, int(valid), float(eval_cost[e]))
+                if valid:
+                    trace.terminal = Solved(leaf.region)
+                    trace.path_edges = tuple(path)
+                    return trace
+            # A refuted solved leaf, or a dead leaf whose verdict must be
+            # witnessed on the live world: bias from the training worlds
+            # consistent with what was seen (all of them if none is).
+            observed = trace.evaluated
+            mask = _surviving(train_theta, observed)
+            rows = train_theta[mask] if mask.any() else train_theta
+            bias = trees.bias_vector(rows, observed, alpha)
+        belief = bernoulli.BernoulliBelief(
+            beta=bernoulli.clamp_bias(bias, alpha), observed=trace.evaluated
+        )
+        sub = bernoulli.bisect_policy(belief, regions, eval_cost, oracle, trace.policy, h)
+        trace.records.extend(sub.records)
+        trace.terminal = sub.terminal
+        trace.path_edges = sub.path_edges
+        return trace
+
+    return episode
+
+
+def _direct_only(dataset, tree, train_idx, seed, alpha):
+    tree = _checked_tree(dataset, tree, "direct-only")
+    train_theta = dataset.theta[train_idx]
+    train_memb = dataset.membership[train_idx]
+
+    def episode(h: int) -> RunTrace:
+        leaf, trace = trees.execute_tree(
+            tree, _world_oracle(dataset, h), dataset.graph.eval_cost, "direct-only", h
+        )
+        region = None
+        if isinstance(leaf, trees.SolvedLeaf):
+            region = leaf.region
+        elif isinstance(leaf, trees.HandoffLeaf):
+            plausible = np.nonzero(
+                train_memb[_surviving(train_theta, trace.evaluated)].any(axis=0)
+            )[0]
+            region = int(plausible[0]) if plausible.size else None
+        if region is None:
+            trace.terminal = AllRegionsDead()
+            trace.verified = not dataset.membership[h].any()
+            return trace
+        path = dataset.paths[region].edge_ids
+        trace.terminal = Solved(region)
+        trace.path_edges = tuple(path)
+        trace.verified = bool(dataset.theta[h][list(path)].all())
+        return trace
+
+    return episode
+
+
+POLICIES = {
+    "lazysp-graph": _lazysp_graph,
+    "lazysp-set": _lazysp_set,
+    "random": _random,
+    "bisect": _bisect,
+    "direct+bisect": _direct_bisect,
+    "direct-only": _direct_only,
+}
+POLICY_IDS = tuple(POLICIES)
+
+# The episode of the run in progress, inherited by forked pool workers.
+_POOL_EPISODE = None
 
 
 def _pool_run(h: int) -> RunTrace:
-    s = _POOL_STATE
-    return _run_one(s["policy"], s["dataset"], s["tree"], s["train_idx"], s["seed"], s["alpha"], h)
+    return _POOL_EPISODE(h)
 
 
 def run_policy(
@@ -188,37 +205,25 @@ def run_policy(
     train_idx: np.ndarray | None = None,
 ) -> list[RunTrace]:
     """Run one policy over every world of the chosen split."""
-    if policy not in POLICY_IDS:
+    global _POOL_EPISODE
+    if policy not in POLICIES:
         raise ValueError(f"unknown policy id {policy!r}")
-    needs_tree = policy in ("direct+bisect", "direct-only")
-    if needs_tree:
-        if tree is None:
-            raise ContractError(f"policy {policy} requires a compiled tree")
-        want = tree.params.get("dataset_hash")
-        have = dataset_hash(dataset)
-        if want is not None and want != have:
-            raise ContractError(
-                f"tree was compiled for dataset {want[:12]}..., got {have[:12]}..."
-            )
-        alpha = float(tree.params.get("alpha", alpha))
     if train_idx is None:
-        prefix = tree.params.get("train_prefix") if tree is not None else None
-        train_idx = dataset.train[:prefix] if prefix else dataset.train
+        train_idx = dataset.train
+    episode = POLICIES[policy](dataset, tree, train_idx, seed, alpha)
     worlds = {"test": dataset.test, "train": dataset.train}.get(split)
     if worlds is None:
         worlds = np.arange(dataset.num_worlds)
 
     if jobs <= 1:
-        return [_run_one(policy, dataset, tree, train_idx, seed, alpha, int(h)) for h in worlds]
+        return [episode(int(h)) for h in worlds]
 
-    _POOL_STATE.update(
-        policy=policy, dataset=dataset, tree=tree, train_idx=train_idx, seed=seed, alpha=alpha
-    )
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(jobs) as pool:
-        results = pool.map(_pool_run, [int(h) for h in worlds])
-    _POOL_STATE.clear()
-    return results
+    _POOL_EPISODE = episode
+    try:
+        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+            return pool.map(_pool_run, [int(h) for h in worlds])
+    finally:
+        _POOL_EPISODE = None
 
 
 def normalized_cost(
@@ -252,17 +257,6 @@ def trace_success(trace: RunTrace, dataset: Dataset) -> bool:
     return bool(world[list(trace.path_edges)].all()) if trace.path_edges else False
 
 
-def summarize(traces: list[RunTrace], dataset: Dataset) -> dict:
-    """Per-policy reduction: cost and success keyed by world index."""
-    feasible = {int(h): bool(dataset.membership[h].any()) for h in dataset.test}
-    out = {
-        "costs": {int(t.world_index): t.total_cost for t in traces},
-        "success": {int(t.world_index): trace_success(t, dataset) for t in traces},
-        "feasible": {int(t.world_index): feasible.get(int(t.world_index), bool(dataset.membership[t.world_index].any())) for t in traces},
-    }
-    return out
-
-
 def sweep_training_size(
     dataset: Dataset,
     sizes,
@@ -287,7 +281,7 @@ def sweep_training_size(
         problem = ec2.problem_from_dataset(dataset, sub)
         tree = trees.compile_tree(
             problem, eta, alpha, max_nodes,
-            params={"dataset_hash": ds_hash, "train_prefix": int(size)},
+            params={"dataset_hash": ds_hash},
         )
         combined = run_policy("direct+bisect", dataset, "test", tree, jobs=jobs, train_idx=sub)
         tree_only = run_policy("direct-only", dataset, "test", tree, jobs=jobs, train_idx=sub)
@@ -383,9 +377,13 @@ def save_runs(
 
 def load_runs(path: str) -> dict:
     with open(path, "rb") as f:
-        doc = json.loads(f.read().decode())
-    if doc.get("schema_version") != RUNS_SCHEMA_VERSION:
-        raise ValueError(f"unsupported runs schema in {path}")
+        data = f.read()
+    try:
+        doc = json.loads(data.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise RunsFormatError(f"bad run file {path}: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("schema_version") != RUNS_SCHEMA_VERSION:
+        raise RunsFormatError(f"unsupported runs schema in {path}")
     return doc
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ec2 import SCORE_TOL
+from .ec2 import best_test
 from .traces import AllRegionsDead, RunTrace, Solved
 
 
@@ -77,34 +77,27 @@ def regions_matrix(regions: list[tuple[int, ...]], n_edges: int) -> np.ndarray:
     return mat
 
 
-def region_prob(belief: BernoulliBelief, edges) -> float:
-    """Probability that every edge of the region is valid."""
-    theta = belief.theta_eff
-    return float(np.prod(theta[list(edges)]))
-
-
 def _state(belief: BernoulliBelief, inR: np.ndarray):
     """Per-region products used by the closed-form weight.
 
-    Returns (theta, s, mass, p_r, prod_theta2_r, prod_s_r, S) where
+    Returns (theta, p_r, prod_theta2_r, prod_s_r, S) where
     s_e = theta_e^2 + (1-theta_e)^2 and S = prod of all s_e.
     """
     theta = belief.theta_eff
     s = theta * theta + (1.0 - theta) * (1.0 - theta)
-    mass = belief.observation_mass()
     th2 = theta * theta
     p_r = np.array([np.prod(theta[row]) for row in inR])
     pt2_r = np.array([np.prod(th2[row]) for row in inR])
     ps_r = np.array([np.prod(s[row]) for row in inR])
     S = float(np.prod(s))
-    return theta, s, mass, p_r, pt2_r, ps_r, S
+    return theta, p_r, pt2_r, ps_r, S
 
 
 def conditional_region_weights(belief: BernoulliBelief, inR: np.ndarray) -> np.ndarray:
     """Per-region weight with the squared observation mass divided out:
     (1 - p_r^2 - (S - S_r)) / 2, an O(1) quantity however long the
     observation history is.  Same zero set as the full weight."""
-    _, _, _, p_r, pt2_r, ps_r, S = _state(belief, inR)
+    _, p_r, pt2_r, ps_r, S = _state(belief, inR)
     S_r = pt2_r * (S / ps_r)
     return np.maximum(0.5 * (1.0 - p_r * p_r - (S - S_r)), 0.0)
 
@@ -125,16 +118,6 @@ def weight_bernoulli(belief: BernoulliBelief, edges) -> float:
     """Scalar one-region weight (see region_weights_bernoulli)."""
     inR = regions_matrix([tuple(edges)], belief.num_edges)
     return float(region_weights_bernoulli(belief, inR)[0])
-
-
-def residual_bernoulli(
-    belief: BernoulliBelief, inR: np.ndarray, root_weights: np.ndarray
-) -> float:
-    mask = root_weights > 0
-    if not mask.any():
-        return 0.0
-    w = region_weights_bernoulli(belief, inR)
-    return float(np.prod(w[mask] / root_weights[mask]))
 
 
 def select_test_bernoulli(
@@ -164,7 +147,7 @@ def select_test_bernoulli(
     if any(int(e) in belief.observed for e in cand):
         raise ValueError("candidates must be unobserved edges")
 
-    theta, s, _, p_r, pt2_r, ps_r, S = _state(belief, inR)
+    theta, p_r, pt2_r, ps_r, S = _state(belief, inR)
     K = S - pt2_r * (S / ps_r)
     w_now = 0.5 * (1.0 - p_r * p_r - K)
     mask = (np.asarray(root_weights) > 0) & (p_r > 0) & (w_now > 0)
@@ -187,18 +170,7 @@ def select_test_bernoulli(
     with np.errstate(divide="ignore"):
         term1 = np.log(th_c) + lf1
         term0 = np.log(1.0 - th_c) + l0
-    log_expected = np.logaddexp(term1, term0)
-    cost = eval_cost[cand]
-    scores = (1.0 - np.exp(log_expected)) / cost
-    scores = np.where(scores > SCORE_TOL, scores, 0.0)
-    if not np.any(scores > 0.0):
-        return None
-    # Same real-arithmetic argmax as the enumeration engine: the float score
-    # saturates at 1/c once the expected residual is tiny, so ties are
-    # broken by the log-domain expectation per cost, then lowest edge id.
-    tie_key = log_expected + np.log(cost)
-    best = min(range(len(cand)), key=lambda i: (-scores[i], tie_key[i]))
-    return int(cand[best]), float(scores[best])
+    return best_test(cand, np.logaddexp(term1, term0), eval_cost[cand])
 
 
 def solved_region(belief: BernoulliBelief, regions: list[tuple[int, ...]]) -> int | None:

@@ -64,10 +64,6 @@ class DrdProblem:
         return self.outcomes.shape[0]
 
     @property
-    def num_regions(self) -> int:
-        return self.membership.shape[1]
-
-    @property
     def num_tests(self) -> int:
         return self.outcomes.shape[1]
 
@@ -192,8 +188,15 @@ def select_test(
     with np.errstate(divide="ignore"):
         term1 = np.where(ok1, np.log(np.where(ok1, tot1, 1.0) / tot) + l1, -np.inf)
         term0 = np.where(ok0, np.log(np.where(ok0, tot0, 1.0) / tot) + l0, -np.inf)
-    log_expected = np.logaddexp(term1, term0)
-    cost = problem.eval_cost[cand]
+    return best_test(cand, np.logaddexp(term1, term0), problem.eval_cost[cand])
+
+
+def best_test(
+    cand: np.ndarray, log_expected: np.ndarray, cost: np.ndarray
+) -> tuple[int, float] | None:
+    """The greedy choice shared by both engines: argmax over the sorted
+    candidates of (1 - E[residual after] / residual now) / cost, given the
+    log of that expectation; None when nothing scores above SCORE_TOL."""
     scores = (1.0 - np.exp(log_expected)) / cost
     scores = np.where(scores > SCORE_TOL, scores, 0.0)
     if not np.any(scores > 0.0):

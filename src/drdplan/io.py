@@ -90,7 +90,7 @@ def dataset_to_bytes(ds: Dataset) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def dataset_from_bytes(data: bytes, validate: bool = True) -> Dataset:
+def dataset_from_bytes(data: bytes) -> Dataset:
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -102,33 +102,37 @@ def dataset_from_bytes(data: bytes, validate: bool = True) -> Dataset:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"bad JSON header: {exc}") from exc
-    version = header.get("schema_version")
+    version = header.get("schema_version") if isinstance(header, dict) else None
     if version != SCHEMA_VERSION:
         raise DatasetFormatError(
             f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
         )
-    n, e, m = header["n_worlds"], header["n_edges"], header["n_paths"]
     try:
         theta_blob = base64.b64decode(lines[1], validate=True)
         memb_blob = base64.b64decode(lines[2], validate=True)
     except Exception as exc:
         raise DatasetFormatError(f"bad base64 payload: {exc}") from exc
 
-    ds = Dataset(
-        graph=_graph_from_json(header["graph"]),
-        theta=_unpack_bits(theta_blob, n, e),
-        paths=[Path(tuple(ids)) for ids in header["paths"]],
-        membership=_unpack_bits(memb_blob, n, m),
-        train=np.asarray(header["split"]["train"], dtype=np.int64),
-        test=np.asarray(header["split"]["test"], dtype=np.int64),
-        provenance=header.get("provenance", {}),
-    )
-    if validate:
-        violations = validate_dataset(ds)
-        if violations:
-            raise DatasetFormatError(
-                "dataset fails validation: " + "; ".join(violations[:5])
-            )
+    try:
+        n, e, m = header["n_worlds"], header["n_edges"], header["n_paths"]
+        ds = Dataset(
+            graph=_graph_from_json(header["graph"]),
+            theta=_unpack_bits(theta_blob, n, e),
+            paths=[Path(tuple(ids)) for ids in header["paths"]],
+            membership=_unpack_bits(memb_blob, n, m),
+            train=np.asarray(header["split"]["train"], dtype=np.int64),
+            test=np.asarray(header["split"]["test"], dtype=np.int64),
+            provenance=header.get("provenance", {}),
+        )
+    except DatasetFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"bad dataset header: {exc!r}") from exc
+    violations = validate_dataset(ds)
+    if violations:
+        raise DatasetFormatError(
+            "dataset fails validation: " + "; ".join(violations[:5])
+        )
     return ds
 
 
@@ -155,6 +159,6 @@ def save_dataset(ds: Dataset, path: str) -> None:
     atomic_write_bytes(path, dataset_to_bytes(ds))
 
 
-def load_dataset(path: str, validate: bool = True) -> Dataset:
+def load_dataset(path: str) -> Dataset:
     with open(path, "rb") as f:
-        return dataset_from_bytes(f.read(), validate=validate)
+        return dataset_from_bytes(f.read())

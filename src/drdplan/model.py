@@ -55,13 +55,6 @@ class Path:
 
     edge_ids: tuple[int, ...]
 
-    @property
-    def edge_set(self) -> frozenset[int]:
-        return frozenset(self.edge_ids)
-
-    def __len__(self) -> int:
-        return len(self.edge_ids)
-
 
 @dataclass
 class Dataset:
@@ -121,8 +114,33 @@ def path_is_connected(graph: ExplicitGraph, path: Path) -> bool:
     return cur == graph.goal
 
 
+def exact_lengths(lengths) -> list[tuple[int, int]] | None:
+    """Each length as an integer pair (a, b) with value a + b*sqrt(2), or
+    None if some length is neither an integer nor an integer multiple of
+    sqrt(2)."""
+    if not np.all(np.isfinite(lengths)):
+        return None
+    out: list[tuple[int, int]] = []
+    for w in lengths:
+        a = round(float(w))
+        if abs(w - a) < 1e-12:
+            out.append((a, 0))
+            continue
+        b = round(float(w) / SQRT2)
+        if abs(w - b * SQRT2) < 1e-12:
+            out.append((0, b))
+            continue
+        return None
+    return out
+
+
 def validate_dataset(ds: Dataset) -> list[str]:
-    """All invariant violations as human-readable strings; [] when clean."""
+    """All invariant violations as human-readable strings; [] when clean.
+
+    Edge lengths must be integers or integer multiples of sqrt(2), as on
+    the 8-connected grid: path lengths are then exact pairs a + b*sqrt(2),
+    so every comparison between them, and every tie, is decided exactly.
+    """
     out: list[str] = []
     g = ds.graph
     E, V = g.num_edges, g.num_vertices
@@ -137,6 +155,8 @@ def validate_dataset(ds: Dataset) -> list[str]:
         out.append("nonpositive eval_cost")
     if np.any(g.length < 0):
         out.append("negative edge length")
+    if exact_lengths(g.length) is None:
+        out.append("edge length not an integer or an integer multiple of sqrt(2)")
     seen = set()
     for u, v in map(tuple, np.sort(g.endpoints, axis=1)):
         if (u, v) in seen:

@@ -10,7 +10,6 @@ fraction of the surviving training worlds with an uninformed 0.5 term.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,14 +55,14 @@ class DecisionTree:
     params: dict = field(default_factory=dict)
 
     def depth(self) -> int:
-        def walk(i: int) -> int:
-            node = self.nodes[i]
+        # Post-order: both children of a node come before it in the list.
+        depths: list[int] = []
+        for node in self.nodes:
             if isinstance(node, InternalNode):
-                return 1 + max(walk(node.child0), walk(node.child1))
-            return 0
-
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * len(self.nodes) + 100))
-        return walk(self.root)
+                depths.append(1 + max(depths[node.child0], depths[node.child1]))
+            else:
+                depths.append(0)
+        return depths[self.root]
 
     def leaf_counts(self) -> dict:
         counts = {"internal": 0, "solved": 0, "dead": 0, "handoff": 0}
@@ -79,25 +78,18 @@ class DecisionTree:
         return counts
 
 
-def bias_vector(
-    vs: ec2.VersionSpace, problem: ec2.DrdProblem, alpha: float
-) -> np.ndarray:
-    """Per-edge validity bias: alpha * empirical fraction over the active
-    hypotheses + (1 - alpha) * 0.5; observed edges use the outcome instead
-    of the fraction.  Entries stay inside [(1-a)/2, 1-(1-a)/2]."""
+def bias_vector(rows: np.ndarray, observed: dict, alpha: float) -> np.ndarray:
+    """Per-edge validity bias: alpha * empirical fraction over the outcome
+    rows + (1 - alpha) * 0.5; observed edges use the outcome instead of the
+    fraction.  Entries stay inside [(1-a)/2, 1-(1-a)/2]."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if not vs.active.any():
-        raise ValueError("bias_vector needs a nonempty active set")
-    frac = problem.outcomes[vs.active].mean(axis=0).astype(np.float64)
-    theta = alpha * frac + (1.0 - alpha) * 0.5
-    for e, o in vs.observed.items():
-        theta[e] = alpha * float(o) + (1.0 - alpha) * 0.5
-    return theta
-
-
-def _observed_bias(alpha: float, outcome: int) -> float:
-    return alpha * float(outcome) + (1.0 - alpha) * 0.5
+    if len(rows) == 0:
+        raise ValueError("bias_vector needs at least one outcome row")
+    theta = rows.mean(axis=0).astype(np.float64)
+    for e, o in observed.items():
+        theta[e] = float(o)
+    return alpha * theta + (1.0 - alpha) * 0.5
 
 
 def compile_tree(
@@ -120,7 +112,6 @@ def compile_tree(
     nodes: list = []
     root_weight = float(problem.prior.sum())
     all_edges = range(problem.num_tests)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 8 * problem.num_tests + 1000))
 
     def emit(node) -> int:
         if len(nodes) >= max_nodes:
@@ -128,34 +119,49 @@ def compile_tree(
         nodes.append(node)
         return len(nodes) - 1
 
-    def build(vs: ec2.VersionSpace) -> int:
+    def handoff(vs: ec2.VersionSpace, worlds: np.ndarray) -> HandoffLeaf:
+        bias = bias_vector(problem.outcomes[worlds], vs.observed, alpha)
+        return HandoffLeaf(tuple(bias), vs.active_count)
+
+    def leaf_or_edge(vs: ec2.VersionSpace):
+        """The leaf that ends this branch, or the edge to split it on."""
         status = ec2.is_solved(vs, problem)
         if isinstance(status, Solved):
-            return emit(SolvedLeaf(status.path_index))
+            return SolvedLeaf(status.path_index)
         if isinstance(status, AllRegionsDead):
-            return emit(DeadLeaf())
-        bias = bias_vector(vs, problem, alpha)
-        if vs.active_weight() <= eta * root_weight:
-            return emit(HandoffLeaf(tuple(bias), vs.active_count))
-        candidates = [e for e in all_edges if e not in vs.observed]
-        sel = ec2.select_test(vs, problem, candidates) if candidates else None
-        if sel is None:
-            return emit(HandoffLeaf(tuple(bias), vs.active_count))
-        edge, _ = sel
-        children = []
-        for outcome in (0, 1):
-            child_vs = ec2.observe(vs, problem, edge, outcome)
-            if not child_vs.active.any():
-                # Training never realizes this outcome here: fall back to the
-                # parent's bias with the branching edge pinned to the outcome.
-                fallback = bias.copy()
-                fallback[edge] = _observed_bias(alpha, outcome)
-                children.append(emit(HandoffLeaf(tuple(fallback), 0)))
-            else:
-                children.append(build(child_vs))
-        return emit(InternalNode(edge, children[0], children[1]))
+            return DeadLeaf()
+        if vs.active_weight() > eta * root_weight:
+            candidates = [e for e in all_edges if e not in vs.observed]
+            sel = ec2.select_test(vs, problem, candidates) if candidates else None
+            if sel is not None:
+                return sel[0]
+        return handoff(vs, vs.active)
 
-    root = build(problem.root_version_space())
+    # An explicit stack in place of recursion.  Its items are a version space
+    # still to expand, a leaf to emit, or the edge of a split whose two
+    # subtrees are done; their indices are then the last two in `finished`.
+    todo: list = [problem.root_version_space()]
+    finished: list[int] = []
+    while todo:
+        item = todo.pop()
+        if isinstance(item, ec2.VersionSpace):
+            vs = item
+            item = leaf_or_edge(vs)
+            if isinstance(item, int):
+                todo.append(item)
+                for outcome in (1, 0):  # reversed, so child0 is built first
+                    child = ec2.observe(vs, problem, item, outcome)
+                    # Training never realizes this outcome here: hand off with
+                    # the parent's fractions and the branching edge pinned.
+                    todo.append(child if child.active.any() else handoff(child, vs.active))
+                continue
+        if isinstance(item, int):
+            child1 = finished.pop()
+            finished.append(emit(InternalNode(item, finished.pop(), child1)))
+        else:
+            finished.append(emit(item))
+
+    (root,) = finished
     tree = DecisionTree(nodes=nodes, root=root, params=dict(params or {}))
     tree.params.update({"eta": float(eta), "alpha": float(alpha), "max_nodes": int(max_nodes)})
     tree.params["stats"] = {**tree.leaf_counts(), "depth": tree.depth()}
@@ -227,24 +233,29 @@ def tree_from_bytes(data: bytes) -> DecisionTree:
         doc = json.loads(data.decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TreeFormatError(f"bad tree file: {exc}") from exc
-    if doc.get("schema_version") != TREE_SCHEMA_VERSION:
-        raise TreeFormatError(
-            f"unsupported tree schema_version {doc.get('schema_version')!r}"
-        )
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != TREE_SCHEMA_VERSION:
+        raise TreeFormatError(f"unsupported tree schema_version {version!r}")
     nodes: list = []
-    for rec in doc["nodes"]:
-        t = rec["type"]
-        if t == "internal":
-            nodes.append(InternalNode(rec["edge"], rec["child"][0], rec["child"][1]))
-        elif t == "solved":
-            nodes.append(SolvedLeaf(rec["region"]))
-        elif t == "dead":
-            nodes.append(DeadLeaf())
-        elif t == "handoff":
-            nodes.append(HandoffLeaf(tuple(rec["bias"]), rec["active_count"]))
-        else:
-            raise TreeFormatError(f"unknown node type {t!r}")
-    return DecisionTree(nodes=nodes, root=doc["root"], params=doc["params"])
+    try:
+        for rec in doc["nodes"]:
+            t = rec["type"]
+            if t == "internal":
+                nodes.append(InternalNode(rec["edge"], rec["child"][0], rec["child"][1]))
+            elif t == "solved":
+                nodes.append(SolvedLeaf(rec["region"]))
+            elif t == "dead":
+                nodes.append(DeadLeaf())
+            elif t == "handoff":
+                nodes.append(HandoffLeaf(tuple(rec["bias"]), rec["active_count"]))
+            else:
+                raise TreeFormatError(f"unknown node type {t!r}")
+        root, params = doc["root"], doc["params"]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise TreeFormatError(f"bad tree file: {exc!r}") from exc
+    if not isinstance(params, dict):
+        raise TreeFormatError("tree params must be a JSON object")
+    return DecisionTree(nodes=nodes, root=root, params=params)
 
 
 def save_tree(tree: DecisionTree, path: str) -> None:

@@ -1,9 +1,11 @@
 """Lazy baselines: full-graph LazySP, library LazySP, random floor."""
 
 import numpy as np
+import pytest
 
 from drdplan.baselines import (
     _Metric,
+    _lt,
     lazysp_graph,
     lazysp_set,
     random_policy,
@@ -22,12 +24,16 @@ def grid_and_library():
 
 def test_exact_metric_comparisons():
     m = _Metric(np.array([1.0, np.sqrt(2.0)]))
-    assert m.exact
+    assert m.w == [(1, 0), (0, 1)]
     # 3 < 2*sqrt(2) < 3.0000001 territory: exact integer-pair comparison.
-    assert m.less((0, 2), (3, 0))  # 2.828 < 3
-    assert m.less((1, 1), (0, 2))  # 2.414 < 2.828
-    assert not m.less((3, 0), (0, 2))
-    assert m.equal((2, 1), (2, 1)) and not m.equal((2, 1), (1, 2))
+    assert _lt((0, 2), (3, 0))  # 2.828 < 3
+    assert _lt((1, 1), (0, 2))  # 2.414 < 2.828
+    assert not _lt((3, 0), (0, 2))
+    # Equality is exact pair equality.
+    assert m.path_length([0, 1, 0]) == (2, 1)
+    assert m.path_length([1, 0, 1]) == (1, 2) != (2, 1)
+    with pytest.raises(ValueError):
+        _Metric(np.array([1.0, 0.5]))
 
 
 def test_shortest_path_is_lexicographically_smallest():

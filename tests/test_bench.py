@@ -1,5 +1,8 @@
 """Benchmark harness: policy runs, normalized costs, sweep, report files."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,6 @@ from drdplan.bench import (
     report_to_csv,
     run_policy,
     save_runs,
-    summarize,
     sweep_to_csv,
     sweep_training_size,
     trace_success,
@@ -92,6 +94,28 @@ def test_jobs_parallelism_agrees(ds, tree):
     parallel = run_policy("direct+bisect", ds, "test", tree, jobs=4)
     assert [t.records for t in serial] == [t.records for t in parallel]
     assert [t.terminal for t in serial] == [t.terminal for t in parallel]
+
+
+# sha256 of the compiled tree and of every policy's canonical traces on the
+# fixture above.  Refactors must leave these bytes alone.
+PINNED = {
+    "tree": "6d47786cb356a4c6ec04645f5b4c87434bdb20db71f837a219c51ce660738cbf",
+    "lazysp-graph": "74c40618a9fe11503cc84f5b67f77f8363ba2da4d89648c7f9b9c9a6239ff806",
+    "lazysp-set": "802e31005fa50aeb5819293094bc52559714342d9ee5cd0a0b6d7719c4a9d21d",
+    "random": "2ca28a2881696ab9120215440db9db403b4d15b4872aafd7925aaa47059a3d76",
+    "bisect": "e5f19b30f123657ccb106ed9c13ebb5d42aac9f353340073c916b0e36124c5b6",
+    "direct+bisect": "d42e9d291f0178841986ae60e1e86d81148b2ae0371d9db77c61fb2ab5b26c27",
+    "direct-only": "100124745f443682d72e7a4e7374bc0592ca897571dfa2a0f269d652cd436a12",
+}
+
+
+def test_artifact_bytes_pinned(ds, tree):
+    got = {"tree": hashlib.sha256(trees.tree_to_bytes(tree)).hexdigest()}
+    for policy in bench.POLICY_IDS:
+        docs = bench.traces_to_json(run_policy(policy, ds, "test", tree, seed=0))
+        blob = json.dumps(docs, sort_keys=True, separators=(",", ":")).encode()
+        got[policy] = hashlib.sha256(blob).hexdigest()
+    assert got == PINNED
 
 
 # --- normalized_cost -------------------------------------------------------
@@ -178,10 +202,3 @@ def test_report_requires_reference(ds, tree, tmp_path):
     save_runs(path, "lazysp-set", ds, traces, seed=0)
     with pytest.raises(ValueError, match="reference"):
         build_report([load_runs(path)], "direct+bisect", 100, 0)
-
-
-def test_summarize_keys(ds, tree):
-    traces = run_policy("direct+bisect", ds, "test", tree)
-    out = summarize(traces, ds)
-    assert set(out) == {"costs", "success", "feasible"}
-    assert set(out["costs"]) == {int(h) for h in ds.test}

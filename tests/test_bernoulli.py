@@ -10,7 +10,6 @@ from drdplan.bernoulli import (
     bisect_policy,
     clamp_bias,
     conditional_region_weights,
-    region_prob,
     region_weights_bernoulli,
     regions_matrix,
     select_test_bernoulli,
@@ -48,43 +47,6 @@ def test_clamp_bias_bounds():
 def test_regions_matrix_rejects_empty_region():
     with pytest.raises(ValueError):
         regions_matrix([()], 3)
-
-
-# --- region_prob -----------------------------------------------------------
-
-def test_region_prob_product():
-    b = BernoulliBelief(beta=np.array([0.5, 0.5, 0.9]))
-    assert region_prob(b, (0, 1)) == 0.25
-
-
-def test_region_prob_observed_invalid_is_zero():
-    b = BernoulliBelief(beta=np.array([0.5, 0.5]))
-    b.observe(0, 0)
-    assert region_prob(b, (0, 1)) == 0.0
-
-
-def test_region_prob_all_observed_valid_is_one():
-    b = BernoulliBelief(beta=np.array([0.5, 0.5]))
-    b.observe(0, 1)
-    b.observe(1, 1)
-    assert region_prob(b, (0, 1)) == 1.0
-
-
-def test_region_prob_monotone_under_observation():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        e = int(rng.integers(2, 8))
-        b = BernoulliBelief(beta=rng.uniform(0.2, 0.8, e))
-        region = tuple(sorted(rng.choice(e, size=int(rng.integers(1, e + 1)), replace=False)))
-        before = region_prob(b, region)
-        edge = int(rng.integers(e))
-        outcome = int(rng.integers(2))
-        b.observe(edge, outcome)
-        after = region_prob(b, region)
-        if outcome == 1:
-            assert after >= before - 1e-15
-        else:
-            assert after <= before + 1e-15
 
 
 # --- weights ---------------------------------------------------------------

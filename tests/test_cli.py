@@ -150,3 +150,58 @@ def test_gen_deterministic_bytes(tmp_path, capsys, monkeypatch):
     with open(tmp_path / "a" / "d.bin", "rb") as fa, \
             open(tmp_path / "b" / "d.bin", "rb") as fb:
         assert fa.read() == fb.read()
+
+
+def test_hashless_tree_is_contract_error(pipeline, tmp_path, capsys):
+    with open(pipeline["tree"]) as f:
+        doc = json.load(f)
+    del doc["params"]["dataset_hash"]
+    tree = tmp_path / "hashless.json"
+    tree.write_text(json.dumps(doc))
+    code = run([
+        "run", "--dataset", pipeline["ds"], "--policy", "direct+bisect",
+        "--tree", str(tree), "--out", str(tmp_path / "runs"),
+    ])
+    assert code == EXIT_CONTRACT
+
+
+def _edit_header(src, dst, edit):
+    """Copy a dataset file with its JSON header changed by edit(header)."""
+    with open(src) as f:
+        lines = f.read().splitlines()
+    header = json.loads(lines[0])
+    edit(header)
+    dst.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    return str(dst)
+
+
+@pytest.mark.parametrize("bad", ["tree", "dataset", "runs"])
+def test_parse_faults_exit_3_without_traceback(pipeline, tmp_path, capsys, bad):
+    ds, tree, runs = pipeline["ds"], pipeline["tree"], tmp_path / "runs"
+    runs.mkdir()
+    argv = ["run", "--policy", "direct+bisect", "--out", str(runs)]
+    if bad == "tree":
+        tree = tmp_path / "t.json"
+        tree.write_text('{"schema_version":1}')
+    elif bad == "dataset":
+        ds = _edit_header(ds, tmp_path / "d.bin", lambda h: h.pop("n_worlds"))
+    else:
+        (runs / "r.json").write_text("not json")
+        argv = ["report", "--runs", str(runs), "--out", str(tmp_path / "t.csv")]
+    if argv[0] == "run":
+        argv += ["--dataset", str(ds), "--tree", str(tree)]
+    assert run(argv) == EXIT_DATA
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_inexact_edge_length_is_data_error(pipeline, tmp_path, capsys):
+    ds = _edit_header(
+        pipeline["ds"], tmp_path / "d.bin",
+        lambda h: h["graph"]["length"].__setitem__(0, 0.5),
+    )
+    code = run([
+        "run", "--dataset", ds, "--policy", "lazysp-graph",
+        "--out", str(tmp_path / "runs"),
+    ])
+    assert code == EXIT_DATA
+    assert "sqrt(2)" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Decision-tree compilation, execution and serialization."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -35,25 +37,20 @@ def small_dataset():
 
 def test_bias_vector_values():
     outcomes = np.array([[1, 0, 1], [1, 1, 0]], dtype=np.uint8)
-    membership = np.ones((2, 1), dtype=np.uint8)
-    prob = ec2.DrdProblem(membership, outcomes, np.ones(3), np.full(2, 0.5))
-    vs = prob.root_version_space()
-    theta = bias_vector(vs, prob, alpha=0.9)
+    theta = bias_vector(outcomes, {}, alpha=0.9)
     assert abs(theta[0] - 0.95) <= 1e-12  # both worlds valid at edge 0
     assert abs(theta[1] - 0.5) <= 1e-12  # fraction 0.5 is the fixed point
     # Observed edges pin the mixture to the outcome.
-    vs0 = ec2.observe(vs, prob, 2, 0)
-    theta0 = bias_vector(vs0, prob, alpha=0.9)
+    theta0 = bias_vector(outcomes[1:], {2: 0}, alpha=0.9)
     assert abs(theta0[2] - 0.05) <= 1e-12
 
 
 def test_bias_vector_rejects_bad_inputs():
     prob = make_worked_problem()
     with pytest.raises(ValueError):
-        bias_vector(prob.root_version_space(), prob, alpha=1.0)
-    empty = ec2.VersionSpace(active=np.zeros(3, dtype=bool), prior=prob.prior)
+        bias_vector(prob.outcomes, {}, alpha=1.0)
     with pytest.raises(ValueError):
-        bias_vector(empty, prob, alpha=0.9)
+        bias_vector(prob.outcomes[:0], {}, alpha=0.9)
 
 
 # --- compile_tree ----------------------------------------------------------
@@ -154,6 +151,24 @@ def test_training_worlds_reach_consistent_leaves():
             vs = prob.root_version_space()
             cand = [e for e in range(ds.graph.num_edges) if e not in trace.evaluated]
             assert ec2.select_test(vs, prob, cand) is None
+
+
+def test_compile_and_depth_leave_recursion_limit_alone():
+    ds = small_dataset()
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        tree = compile_from_dataset(ds, 0.0, 0.9)
+        assert tree.depth() == tree.params["stats"]["depth"]
+        # A chain deeper than the recursion limit: depth is one pass over
+        # the post-order node list.
+        nodes = [DeadLeaf()]
+        for i in range(3000):
+            nodes += [DeadLeaf(), InternalNode(0, 2 * i, 2 * i + 1)]
+        assert DecisionTree(nodes=nodes, root=len(nodes) - 1).depth() == 3000
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 # --- execute_tree ----------------------------------------------------------
