@@ -51,7 +51,7 @@ class _Metric:
         return total
 
 
-def _dijkstra(graph: ExplicitGraph, metric: _Metric, source: int, usable: np.ndarray):
+def _dijkstra(graph: ExplicitGraph, metric: _Metric, source: int, usable: list[bool]):
     """Exact-weight Dijkstra over edges where usable[e]; returns dist list
     (None = unreachable)."""
     adj = graph.adjacency()
@@ -82,6 +82,7 @@ def shortest_path_edges(
     """Lexicographically-smallest-edge-id shortest start-goal path over the
     usable edges, or None when disconnected."""
     metric = metric or _Metric(graph.length)
+    usable = np.asarray(usable, dtype=bool).tolist()
     dist_s = _dijkstra(graph, metric, graph.start, usable)
     if dist_s[graph.goal] is None:
         return None
@@ -94,7 +95,7 @@ def shortest_path_edges(
     acc = metric.zero
     while u != graph.goal:
         best = None
-        for v, e in sorted(adj[u], key=lambda ve: ve[1]):
+        for v, e in adj[u]:  # ascending edge id
             if not usable[e] or dist_g[v] is None:
                 continue
             # length via u -> e -> v then optimal to goal

@@ -33,6 +33,10 @@ class RunsFormatError(ValueError):
     """Malformed or wrong-version run file."""
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _world_oracle(dataset: Dataset, h: int):
     row = dataset.theta[h]
 
@@ -51,7 +55,9 @@ def _surviving(train_theta: np.ndarray, observed: dict) -> np.ndarray:
 
 
 def _checked_tree(dataset: Dataset, tree: trees.DecisionTree | None, policy: str):
-    """The tree, once its recorded dataset hash matches the dataset."""
+    """The tree, once its recorded dataset hash matches the dataset and its
+    nodes fit it: edges and regions in range, and each handoff bias a
+    length-|E| vector of probabilities strictly inside (0, 1)."""
     if tree is None:
         raise ContractError(f"policy {policy} requires a compiled tree")
     want = tree.params.get("dataset_hash")
@@ -62,6 +68,20 @@ def _checked_tree(dataset: Dataset, tree: trees.DecisionTree | None, policy: str
         raise ContractError(
             f"tree was compiled for dataset {want[:12]}..., got {have[:12]}..."
         )
+    n_edges, n_paths = dataset.graph.num_edges, dataset.num_paths
+    for i, node in enumerate(tree.nodes):
+        if isinstance(node, trees.InternalNode) and node.edge >= n_edges:
+            fault = f"names edge {node.edge} of {n_edges}"
+        elif isinstance(node, trees.SolvedLeaf) and node.region >= n_paths:
+            fault = f"names path {node.region} of {n_paths}"
+        elif isinstance(node, trees.HandoffLeaf) and not (
+            len(node.bias) == n_edges
+            and all(_is_number(b) and 0.0 < b < 1.0 for b in node.bias)
+        ):
+            fault = f"has a bias that is not {n_edges} values inside (0, 1)"
+        else:
+            continue
+        raise trees.TreeFormatError(f"tree node {i} {fault}")
     return tree
 
 
@@ -103,7 +123,10 @@ def _bisect(dataset, tree, train_idx, seed, alpha):
 
 def _direct_bisect(dataset, tree, train_idx, seed, alpha):
     tree = _checked_tree(dataset, tree, "direct+bisect")
-    alpha = float(tree.params["alpha"])
+    alpha = tree.params.get("alpha")
+    if not (_is_number(alpha) and 0.0 < alpha < 1.0):
+        raise trees.TreeFormatError(f"tree alpha {alpha!r} is not inside (0, 1)")
+    alpha = float(alpha)
     train_theta = dataset.theta[train_idx]
     regions = [tuple(p.edge_ids) for p in dataset.paths]
     eval_cost = dataset.graph.eval_cost
@@ -384,7 +407,36 @@ def load_runs(path: str) -> dict:
         raise RunsFormatError(f"bad run file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema_version") != RUNS_SCHEMA_VERSION:
         raise RunsFormatError(f"unsupported runs schema in {path}")
+    fault = _runs_fault(doc)
+    if fault:
+        raise RunsFormatError(f"bad run file {path}: {fault}")
     return doc
+
+
+def _runs_fault(doc: dict) -> str | None:
+    """What build_report would trip on in a run file, or None."""
+    for key, kind in (("policy", str), ("dataset_hash", str), ("dataset_label", str),
+                      ("feasible", dict), ("traces", list)):
+        if not isinstance(doc.get(key), kind):
+            return f"{key!r} is missing or not a {kind.__name__}"
+    for h, ok in doc["feasible"].items():
+        if not (h.isdigit() and isinstance(ok, bool)):
+            return f"feasible entry {h!r}: {ok!r} is not world index: bool"
+    for i, t in enumerate(doc["traces"]):
+        if not isinstance(t, dict):
+            return f"trace {i} is not an object"
+        h, records, terminal = t.get("world_index"), t.get("records"), t.get("terminal")
+        if isinstance(h, bool) or not isinstance(h, int):
+            return f"trace {i} has no integer world_index"
+        if not isinstance(records, list) or not all(
+            isinstance(r, list) and len(r) == 3 and _is_number(r[2]) for r in records
+        ):
+            return f"trace {i} records are not [edge, outcome, cost] triples"
+        if not (isinstance(terminal, dict) and isinstance(terminal.get("kind"), str)):
+            return f"trace {i} has no terminal kind"
+        if not isinstance(t.get("verified", True), bool):
+            return f"trace {i} verified is not a bool"
+    return None
 
 
 def build_report(

@@ -40,12 +40,18 @@ class ExplicitGraph:
     def num_edges(self) -> int:
         return self.endpoints.shape[0]
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (neighbor vertex id, edge id)."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vertices)]
-        for e, (u, v) in enumerate(self.endpoints):
-            adj[int(u)].append((int(v), e))
-            adj[int(v)].append((int(u), e))
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per-vertex tuple of (neighbor vertex id, edge id), each in
+        ascending edge-id order.  Built on the first call and cached; the
+        graph's arrays are treated as immutable from then on."""
+        adj = self.__dict__.get("_adjacency")
+        if adj is None:
+            lists: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vertices)]
+            for e, (u, v) in enumerate(self.endpoints.tolist()):
+                lists[u].append((v, e))
+                lists[v].append((u, e))
+            adj = tuple(map(tuple, lists))
+            object.__setattr__(self, "_adjacency", adj)
         return adj
 
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, asdict
-from itertools import islice
+from heapq import heappop, heappush
+from itertools import count, islice
 
-import networkx as nx
 import numpy as np
 
 from . import rng as _rng
@@ -226,6 +226,114 @@ class LibraryTruncated(UserWarning):
     """Fewer distinct simple paths exist than the requested library size."""
 
 
+def _bidirectional_dijkstra(adj, source, target, ignore_nodes, ignore_edges):
+    """(length, vertex path) of a shortest source-target path that avoids
+    the flagged vertices and edges, or None when there is none.
+
+    A port of networkx 3.6.1's ``simple_paths._bidirectional_dijkstra`` that
+    makes the same choices on ties: the two directions alternate (a stale
+    heap entry uses up its direction's turn), heap entries are (distance,
+    counter, vertex) off one shared counter, neighbors are scanned in
+    adjacency order, distances are summed in the same order, and the best
+    meeting point is replaced only by a strictly shorter one.  Paths are
+    kept as predecessor links instead of copied lists; a meeting records
+    its vertex's two predecessors, whose chains no later step can change.
+    """
+    if source == target:
+        return 0, [source]
+    n = len(adj)
+    dists = ([None] * n, [None] * n)
+    seen = ([None] * n, [None] * n)
+    pred = ([None] * n, [None] * n)
+    seen[0][source] = seen[1][target] = 0
+    c = count()
+    fringe = ([(0, next(c), source)], [(0, next(c), target)])
+    finaldist = meet = None
+    dir = 1
+    while fringe[0] and fringe[1]:
+        dir = 1 - dir
+        dist, _, v = heappop(fringe[dir])
+        done = dists[dir]
+        if done[v] is not None:
+            continue
+        done[v] = dist
+        if dists[1 - dir][v] is not None:
+            w, p0, p1 = meet
+            path = [w]
+            while p0 is not None:
+                path.append(p0)
+                p0 = pred[0][p0]
+            path.reverse()
+            while p1 is not None:
+                path.append(p1)
+                p1 = pred[1][p1]
+            return finaldist, path
+        near, other, back, heap = seen[dir], seen[1 - dir], pred[dir], fringe[dir]
+        for w, length, e in adj[v]:
+            if ignore_nodes[w] or ignore_edges[e] or done[w] is not None:
+                continue
+            vw_length = dist + length
+            if near[w] is None or vw_length < near[w]:
+                near[w] = vw_length
+                heappush(heap, (vw_length, next(c), w))
+                back[w] = v
+                if other[w] is not None:
+                    totaldist = seen[0][w] + seen[1][w]
+                    if meet is None or finaldist > totaldist:
+                        finaldist = totaldist
+                        meet = (w, pred[0][w], pred[1][w])
+    return None
+
+
+def _shortest_simple_paths(graph: ExplicitGraph, edge_id: dict):
+    """Loopless start-goal vertex paths in nondecreasing length (Yen).
+
+    A port of weighted ``networkx.shortest_simple_paths`` (3.6.1) on a
+    simple graph that yields the same sequence, repeats included: the
+    candidate buffer drops a path only while an equal one is pending and
+    forgets it once popped, and a spur's cost is root length + spur length.
+    The scan of every accepted path for one sharing the spur root becomes a
+    trie of the accepted paths keyed by edge id, and the ignored vertices
+    and edges become flag arrays.
+    """
+    weight = graph.length.tolist()
+    adj = [tuple((w, weight[e], e) for w, e in nbrs) for nbrs in graph.adjacency()]
+    n, target = len(adj), graph.goal
+    found = _bidirectional_dijkstra(
+        adj, graph.start, target, bytearray(n), bytearray(graph.num_edges)
+    )
+    if found is None:
+        raise ValueError("start and goal are not connected")
+    heap: list = [(found[0], 0, found[1])]
+    pending = {tuple(found[1])}
+    counter = count(1)
+    accepted: dict = {}  # trie: edge id -> subtrie of the accepted paths
+    while heap:
+        _, _, path = heappop(heap)
+        pending.remove(tuple(path))
+        yield path
+        edges = [edge_id[u, v] for u, v in zip(path, path[1:])]
+        node = accepted
+        for e in edges:
+            node = node.setdefault(e, {})
+        ignore_nodes, ignore_edges = bytearray(n), bytearray(graph.num_edges)
+        node = accepted
+        for i in range(1, len(path)):
+            # sum() as networkx calls it: CPython 3.12+ compensates float sums
+            root_length = sum([weight[e] for e in edges[: i - 1]])
+            for e in node:  # edges leaving this root on an accepted path
+                ignore_edges[e] = 1
+            spur = _bidirectional_dijkstra(adj, path[i - 1], target, ignore_nodes, ignore_edges)
+            if spur is not None:
+                candidate = path[: i - 1] + spur[1]
+                key = tuple(candidate)
+                if key not in pending:
+                    heappush(heap, (root_length + spur[0], next(counter), candidate))
+                    pending.add(key)
+            ignore_nodes[path[i - 1]] = 1
+            node = node[edges[i - 1]]
+
+
 def build_path_library(
     graph: ExplicitGraph, k: int, m: int, seed: int
 ) -> tuple[list[Path], bool]:
@@ -237,20 +345,10 @@ def build_path_library(
     """
     if not k >= m >= 1:
         raise ValueError("need k >= m >= 1")
-    G = nx.Graph()
-    G.add_nodes_from(range(graph.num_vertices))
     edge_id = {}
-    for e, (u, v) in enumerate(graph.endpoints):
-        G.add_edge(int(u), int(v), weight=float(graph.length[e]))
-        edge_id[(int(u), int(v))] = e
-        edge_id[(int(v), int(u))] = e
-
-    try:
-        vertex_paths = list(islice(
-            nx.shortest_simple_paths(G, graph.start, graph.goal, weight="weight"), k
-        ))
-    except nx.NetworkXNoPath as exc:
-        raise ValueError("start and goal are not connected") from exc
+    for e, (u, v) in enumerate(graph.endpoints.tolist()):
+        edge_id[u, v] = edge_id[v, u] = e
+    vertex_paths = list(islice(_shortest_simple_paths(graph, edge_id), k))
 
     seen = set()
     candidates: list[Path] = []

@@ -106,6 +106,8 @@ def compile_tree(
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must be in [0, 1]")
+    if not 0.0 < alpha < 1.0:  # checked here too: a tree may have no handoff leaf
+        raise ValueError("alpha must be in (0, 1)")
     if problem.num_hypotheses == 0:
         raise ValueError("training set is empty")
 
@@ -228,7 +230,32 @@ class TreeFormatError(ValueError):
     """Malformed or wrong-version tree file."""
 
 
+def _index(value) -> int:
+    """A JSON integer >= 0 (not a bool), else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise TypeError(f"expected an integer >= 0, got {value!r}")
+    return value
+
+
+def _node_from_json(rec, i: int):
+    t = rec["type"]
+    if t == "internal":
+        child0, child1 = (_index(c) for c in rec["child"])
+        if not (child0 < i and child1 < i):
+            raise TreeFormatError(f"node {i} has a child that does not precede it")
+        return InternalNode(_index(rec["edge"]), child0, child1)
+    if t == "solved":
+        return SolvedLeaf(_index(rec["region"]))
+    if t == "dead":
+        return DeadLeaf()
+    if t == "handoff":
+        return HandoffLeaf(tuple(rec["bias"]), _index(rec["active_count"]))
+    raise TreeFormatError(f"unknown node type {t!r}")
+
+
 def tree_from_bytes(data: bytes) -> DecisionTree:
+    """Parse a tree file.  Its nodes must be in post-order: each child
+    precedes its parent and the root is the last node."""
     try:
         doc = json.loads(data.decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -236,23 +263,15 @@ def tree_from_bytes(data: bytes) -> DecisionTree:
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != TREE_SCHEMA_VERSION:
         raise TreeFormatError(f"unsupported tree schema_version {version!r}")
-    nodes: list = []
     try:
-        for rec in doc["nodes"]:
-            t = rec["type"]
-            if t == "internal":
-                nodes.append(InternalNode(rec["edge"], rec["child"][0], rec["child"][1]))
-            elif t == "solved":
-                nodes.append(SolvedLeaf(rec["region"]))
-            elif t == "dead":
-                nodes.append(DeadLeaf())
-            elif t == "handoff":
-                nodes.append(HandoffLeaf(tuple(rec["bias"]), rec["active_count"]))
-            else:
-                raise TreeFormatError(f"unknown node type {t!r}")
-        root, params = doc["root"], doc["params"]
-    except (KeyError, IndexError, TypeError) as exc:
+        nodes = [_node_from_json(rec, i) for i, rec in enumerate(doc["nodes"])]
+        root, params = _index(doc["root"]), doc["params"]
+    except TreeFormatError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise TreeFormatError(f"bad tree file: {exc!r}") from exc
+    if root != len(nodes) - 1:
+        raise TreeFormatError(f"tree root {root!r} is not its last node")
     if not isinstance(params, dict):
         raise TreeFormatError("tree params must be a JSON object")
     return DecisionTree(nodes=nodes, root=root, params=params)

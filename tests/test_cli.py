@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import drdplan
 from drdplan.cli import (
     EXIT_CONTRACT,
     EXIT_DATA,
@@ -175,7 +178,30 @@ def _edit_header(src, dst, edit):
     return str(dst)
 
 
-@pytest.mark.parametrize("bad", ["tree", "dataset", "runs"])
+def _edited_run_file(pipeline, edit):
+    """A valid run file's JSON text after edit(doc)."""
+    with open(os.path.join(pipeline["runs"], "random.json")) as f:
+        doc = json.load(f)
+    edit(doc)
+    return json.dumps(doc)
+
+
+# Run files that parse but that the report cannot read.
+_BAD_RUNS = {
+    "runs": lambda p: "not json",
+    "runs-keys": lambda p: '{"schema_version":1,"policy":"x"}',
+    "runs-feasible": lambda p: _edited_run_file(p, lambda d: d["feasible"].update(x=True)),
+    "runs-world": lambda p: _edited_run_file(
+        p, lambda d: d["traces"][0].__setitem__("world_index", "3")),
+    "runs-records": lambda p: _edited_run_file(
+        p, lambda d: d["traces"][0]["records"].append([1, 1])),
+    "runs-terminal": lambda p: _edited_run_file(p, lambda d: d["traces"][0].pop("terminal")),
+    "runs-verified": lambda p: _edited_run_file(
+        p, lambda d: d["traces"][0].__setitem__("verified", "yes")),
+}
+
+
+@pytest.mark.parametrize("bad", ["tree", "dataset", *_BAD_RUNS])
 def test_parse_faults_exit_3_without_traceback(pipeline, tmp_path, capsys, bad):
     ds, tree, runs = pipeline["ds"], pipeline["tree"], tmp_path / "runs"
     runs.mkdir()
@@ -186,7 +212,7 @@ def test_parse_faults_exit_3_without_traceback(pipeline, tmp_path, capsys, bad):
     elif bad == "dataset":
         ds = _edit_header(ds, tmp_path / "d.bin", lambda h: h.pop("n_worlds"))
     else:
-        (runs / "r.json").write_text("not json")
+        (runs / "r.json").write_text(_BAD_RUNS[bad](pipeline))
         argv = ["report", "--runs", str(runs), "--out", str(tmp_path / "t.csv")]
     if argv[0] == "run":
         argv += ["--dataset", str(ds), "--tree", str(tree)]
@@ -205,3 +231,55 @@ def test_inexact_edge_length_is_data_error(pipeline, tmp_path, capsys):
     ])
     assert code == EXIT_DATA
     assert "sqrt(2)" in capsys.readouterr().err
+
+
+def _handoff(bias):
+    return {"type": "handoff", "bias": bias, "active_count": 1}
+
+
+def _set_root(doc, root):
+    doc["root"] = root
+
+
+# Tree files that parse as JSON but do not fit the 6x6 dataset (|E| = 110,
+# m = 10) or break the post-order layout; the fixture's tree is
+# [solved, solved, internal(child 0, child 1)].
+_BAD_TREES = {
+    "edge": lambda d: d["nodes"][-1].__setitem__("edge", 99999),
+    "negative-edge": lambda d: d["nodes"][-1].__setitem__("edge", -1),
+    "region": lambda d: d["nodes"][0].__setitem__("region", 10),
+    "child-range": lambda d: d["nodes"][-1].__setitem__("child", [0, 99]),
+    "child-order": lambda d: d["nodes"][-1].__setitem__("child", [0, 2]),
+    "root": lambda d: _set_root(d, 0),
+    "bias-length": lambda d: d["nodes"].__setitem__(0, _handoff([0.5] * 109)),
+    "bias-range": lambda d: d["nodes"].__setitem__(0, _handoff([0.5] * 109 + [1.0])),
+    "bias-type": lambda d: d["nodes"].__setitem__(0, _handoff([0.5] * 109 + ["0.5"])),
+    "alpha": lambda d: d["params"].pop("alpha"),
+}
+
+
+@pytest.mark.parametrize("bad", [*_BAD_TREES, "none"])
+def test_tree_faults_exit_3_without_traceback(pipeline, tmp_path, capsys, bad):
+    with open(pipeline["tree"]) as f:
+        doc = json.load(f)
+    if bad == "none":  # the control: a well-formed handoff leaf runs
+        doc["nodes"][0] = _handoff([0.5] * 110)
+    else:
+        _BAD_TREES[bad](doc)
+    tree = tmp_path / "t.json"
+    tree.write_text(json.dumps(doc))
+    code = run([
+        "run", "--dataset", pipeline["ds"], "--policy", "direct+bisect",
+        "--tree", str(tree), "--out", str(tmp_path / "runs"),
+    ])
+    assert code == (EXIT_OK if bad == "none" else EXIT_DATA)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_import_leaves_networkx_out():
+    src = os.path.dirname(os.path.dirname(drdplan.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, drdplan.cli; print('networkx' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

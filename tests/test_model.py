@@ -130,3 +130,21 @@ def test_split_rejects_bad_fraction():
         split_dataset(ds, 0.0, seed=0)
     with pytest.raises(ValueError):
         split_dataset(ds, 1.0, seed=0)
+
+
+def test_adjacency_is_built_once_in_edge_id_order():
+    graph = build_grid_graph(4, 5)
+    adj = graph.adjacency()
+    assert adj is graph.adjacency()
+    assert isinstance(adj, tuple) and all(isinstance(nbrs, tuple) for nbrs in adj)
+    for nbrs in adj:
+        ids = [e for _, e in nbrs]
+        assert ids == sorted(ids)
+    fresh = [[] for _ in range(graph.num_vertices)]
+    for e, (u, v) in enumerate(graph.endpoints):
+        fresh[int(u)].append((int(v), e))
+        fresh[int(v)].append((int(u), e))
+    assert [list(nbrs) for nbrs in adj] == fresh
+    # A second graph with the same arrays builds its own, equal adjacency.
+    again = build_grid_graph(4, 5)
+    assert again.adjacency() == adj and again.adjacency() is not adj

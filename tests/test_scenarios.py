@@ -1,10 +1,15 @@
-"""Scenario generation: grids, obstacle worlds, path libraries, datasets."""
+"""Scenario generation: grids, obstacle worlds, path libraries, datasets.
+
+networkx is the test-only reference for the k-shortest-path library."""
+
+from itertools import islice
 
 import numpy as np
 import networkx as nx
 import pytest
 
-from drdplan.model import SQRT2, validate_dataset
+from drdplan import scenarios
+from drdplan.model import SQRT2, Path, validate_dataset
 from drdplan.scenarios import (
     KINDS,
     LibraryTruncated,
@@ -156,3 +161,68 @@ def test_too_few_worlds_rejected():
     spec = ScenarioSpec(kind="forest", rows=5, cols=5)
     with pytest.raises(ValueError):
         generate_dataset(spec, 5, 10, 4)
+
+
+def _nx_graph(g):
+    G = nx.Graph()
+    G.add_nodes_from(range(g.num_vertices))
+    for e, (u, v) in enumerate(g.endpoints):
+        G.add_edge(int(u), int(v), weight=float(g.length[e]))
+    return G
+
+
+def _nx_paths(g, k):
+    """The first k paths of weighted nx.shortest_simple_paths, repeats kept."""
+    paths = nx.shortest_simple_paths(_nx_graph(g), g.start, g.goal, weight="weight")
+    return list(islice(paths, k))
+
+
+def _port_paths(g, k):
+    edge_id = {}
+    for e, (u, v) in enumerate(g.endpoints.tolist()):
+        edge_id[u, v] = edge_id[v, u] = e
+    return list(islice(scenarios._shortest_simple_paths(g, edge_id), k))
+
+
+@pytest.fixture(scope="module")
+def nx_paths_11x11():
+    """The acceptance-criteria library input: 11x11, k=2000 (one nx run)."""
+    return _nx_paths(build_grid_graph(11, 11), 2000)
+
+
+@pytest.mark.parametrize(
+    "rows,cols,k", [(2, 2, 10), (3, 3, 300), (4, 4, 400), (5, 9, 300), (6, 6, 60)]
+)
+def test_yen_port_matches_networkx(rows, cols, k):
+    g = build_grid_graph(rows, cols)
+    want = _nx_paths(g, k)
+    assert _port_paths(g, k) == want
+    if (rows, cols) in ((2, 2), (3, 3)):
+        assert len(want) < k  # every simple path, then exhausted
+
+
+def test_yen_port_matches_networkx_11x11_k2000(nx_paths_11x11):
+    assert _port_paths(build_grid_graph(11, 11), 2000) == nx_paths_11x11
+
+
+@pytest.mark.parametrize("seed", [42, 5, 7])
+def test_library_matches_networkx_library(nx_paths_11x11, monkeypatch, seed):
+    # The library as the acceptance tests build it (11x11, k=2000, m=100),
+    # with the port and with networkx's paths fed to the same subsampling.
+    g = build_grid_graph(11, 11)
+    ported = build_path_library(g, 2000, 100, seed)
+    monkeypatch.setattr(scenarios, "_shortest_simple_paths", lambda *a: iter(nx_paths_11x11))
+    assert build_path_library(g, 2000, 100, seed) == ported
+    assert all(isinstance(p, Path) for p in ported[0])
+
+
+def test_library_disconnected_raises():
+    g = build_grid_graph(3, 3)
+    cut = [e for e, (u, v) in enumerate(g.endpoints) if g.start in (u, v)]
+    keep = np.setdiff1d(np.arange(g.num_edges), cut)
+    g = scenarios.ExplicitGraph(
+        positions=g.positions, endpoints=g.endpoints[keep], eval_cost=g.eval_cost[keep],
+        length=g.length[keep], start=g.start, goal=g.goal,
+    )
+    with pytest.raises(ValueError, match="start and goal are not connected"):
+        build_path_library(g, 5, 2, seed=0)

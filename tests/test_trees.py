@@ -94,6 +94,14 @@ def test_max_nodes_exceeded():
         compile_tree(prob, eta=0.0, alpha=0.9, max_nodes=1)
 
 
+def test_compile_rejects_alpha_outside_unit_interval():
+    # The worked problem compiles to a tree without handoff leaves, so only
+    # the up-front check sees alpha; a run would reject the tree file.
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValueError, match="alpha"):
+            compile_tree(make_worked_problem(), 0.05, alpha)
+
+
 def test_compile_rejects_empty_training():
     ds = small_dataset()
     ds.train = ds.train[:0]
