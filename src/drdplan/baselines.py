@@ -14,8 +14,9 @@ import heapq
 import numpy as np
 
 from . import rng as _rng
-from .model import SQRT2, ExplicitGraph, Path, exact_lengths
+from .model import SQRT2, ExplicitGraph, Path
 from .traces import AllRegionsDead, Infeasible, RunTrace, Solved
+
 
 def _lt(x: tuple[int, int], y: tuple[int, int]) -> bool:
     """Exact a1 + b1*sqrt2 < a2 + b2*sqrt2 for integer pairs."""
@@ -31,34 +32,26 @@ def _lt(x: tuple[int, int], y: tuple[int, int]) -> bool:
     return da * da > 2 * db * db  # da < 0, db > 0
 
 
-class _Metric:
-    """Edge lengths as exact integer pairs; sums of pairs stay exact."""
-
-    zero = (0, 0)
-
-    def __init__(self, lengths: np.ndarray):
-        self.w = exact_lengths(lengths)
-        if self.w is None:
-            raise ValueError("edge lengths must be integers or integer multiples of sqrt(2)")
-
-    def add(self, x, e: int):
-        return (x[0] + self.w[e][0], x[1] + self.w[e][1])
-
-    def path_length(self, edge_ids) -> tuple[int, int]:
-        total = self.zero
-        for e in edge_ids:
-            total = self.add(total, e)
-        return total
+def _path_length(graph: ExplicitGraph, edge_ids) -> tuple[int, int]:
+    """Exact length of an edge sequence as an integer pair."""
+    w = graph.exact_length()
+    return (sum(w[e][0] for e in edge_ids), sum(w[e][1] for e in edge_ids))
 
 
-def _dijkstra(graph: ExplicitGraph, metric: _Metric, source: int, usable: list[bool]):
-    """Exact-weight Dijkstra over edges where usable[e]; returns dist list
-    (None = unreachable)."""
+def shortest_path_edges(graph: ExplicitGraph, usable: np.ndarray) -> list[int] | None:
+    """Lexicographically-smallest-edge-id shortest start-goal path over the
+    usable edges, or None when disconnected.
+
+    One exact Dijkstra from the goal gives every vertex's distance to it;
+    the walk from the start then takes, at each vertex, the lowest-id
+    usable edge that stays on a shortest path."""
+    w = graph.exact_length()
     adj = graph.adjacency()
-    dist: list = [None] * graph.num_vertices
-    dist[source] = metric.zero
+    usable = np.asarray(usable, dtype=bool).tolist()
+    dist: list = [None] * graph.num_vertices  # exact distance to the goal
+    dist[graph.goal] = (0, 0)
     counter = 0
-    heap = [(0.0, counter, source)]
+    heap = [(0.0, counter, graph.goal)]
     done = [False] * graph.num_vertices
     while heap:
         _, _, u = heapq.heappop(heap)
@@ -68,45 +61,24 @@ def _dijkstra(graph: ExplicitGraph, metric: _Metric, source: int, usable: list[b
         for v, e in adj[u]:
             if not usable[e] or done[v]:
                 continue
-            nd = metric.add(dist[u], e)
+            nd = (dist[u][0] + w[e][0], dist[u][1] + w[e][1])
             if dist[v] is None or _lt(nd, dist[v]):
                 dist[v] = nd
                 counter += 1
                 heapq.heappush(heap, (nd[0] + nd[1] * SQRT2, counter, v))
-    return dist
-
-
-def shortest_path_edges(
-    graph: ExplicitGraph, usable: np.ndarray, metric: _Metric | None = None
-) -> list[int] | None:
-    """Lexicographically-smallest-edge-id shortest start-goal path over the
-    usable edges, or None when disconnected."""
-    metric = metric or _Metric(graph.length)
-    usable = np.asarray(usable, dtype=bool).tolist()
-    dist_s = _dijkstra(graph, metric, graph.start, usable)
-    if dist_s[graph.goal] is None:
+    if dist[graph.start] is None:
         return None
-    dist_g = _dijkstra(graph, metric, graph.goal, usable)
-    total = dist_s[graph.goal]
-    adj = graph.adjacency()
 
     path: list[int] = []
     u = graph.start
-    acc = metric.zero
     while u != graph.goal:
-        best = None
         for v, e in adj[u]:  # ascending edge id
-            if not usable[e] or dist_g[v] is None:
-                continue
-            # length via u -> e -> v then optimal to goal
-            via = metric.add(acc, e)
-            if (via[0] + dist_g[v][0], via[1] + dist_g[v][1]) == total:
-                best = (v, e)
+            if usable[e] and dist[v] is not None and (
+                dist[v][0] + w[e][0], dist[v][1] + w[e][1]
+            ) == dist[u]:
                 break
-        if best is None:  # cannot happen: exact distances always continue
+        else:  # cannot happen: exact distances always continue
             return None
-        v, e = best
-        acc = metric.add(acc, e)
         path.append(e)
         u = v
     return path
@@ -117,12 +89,11 @@ def lazysp_graph(
 ) -> RunTrace:
     """LazySP on the full graph: evaluate the optimistic shortest path's
     unknown edges start-to-goal, restart on the first invalid edge."""
-    metric = _Metric(graph.length)
     status = np.zeros(graph.num_edges, dtype=np.int8)  # 0 unknown, 1 valid, -1 invalid
     trace = RunTrace(policy=policy_name, world_index=world_index)
     while True:
         usable = status >= 0
-        path = shortest_path_edges(graph, usable, metric)
+        path = shortest_path_edges(graph, usable)
         if path is None:
             trace.terminal = Infeasible()
             return trace
@@ -152,8 +123,7 @@ def lazysp_set(
     library path (ties to the lowest index)."""
     if not library:
         raise ValueError("library must be nonempty")
-    metric = _Metric(graph.length)
-    lengths = [metric.path_length(p.edge_ids) for p in library]
+    lengths = [_path_length(graph, p.edge_ids) for p in library]
     status = np.zeros(graph.num_edges, dtype=np.int8)
     trace = RunTrace(policy=policy_name, world_index=world_index)
     while True:

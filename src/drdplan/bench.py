@@ -263,6 +263,8 @@ def normalized_cost(
         raise ValueError("need paired cost vectors of equal length >= 2")
     if np.any(r == 0):
         raise ValueError("reference costs must be nonzero (filter zero pairs first)")
+    if bootstrap_n < 1:
+        raise ValueError("bootstrap_n must be at least 1")
     ratios = a / r - 1.0
     gen = _rng.substream(seed, _rng.STREAM_BOOTSTRAP)
     idx = gen.integers(0, len(ratios), size=(bootstrap_n, len(ratios)))
@@ -341,13 +343,13 @@ def _terminal_to_json(t) -> dict:
 
 def _terminal_from_json(d: dict):
     kind = d["kind"]
-    if kind == "solved":
+    if kind == "solved" and (d["path_index"] is None or type(d["path_index"]) is int):
         return Solved(d["path_index"])
-    if kind == "dead":
-        return AllRegionsDead(d.get("off_database", False))
+    if kind == "dead" and type(off := d.get("off_database", False)) is bool:
+        return AllRegionsDead(off)
     if kind == "infeasible":
         return Infeasible()
-    raise ValueError(f"unknown terminal kind {kind!r}")
+    raise ValueError(f"bad terminal {d!r}")
 
 
 def traces_to_json(traces: list[RunTrace]) -> list[dict]:
@@ -364,15 +366,30 @@ def traces_to_json(traces: list[RunTrace]) -> list[dict]:
     ]
 
 
+def _trace_from_json(d: dict) -> RunTrace:
+    policy, h, verified = d["policy"], d["world_index"], d.get("verified", True)
+    records = [(e, o, c) for e, o, c in d["records"]]
+    path_edges = tuple(d["path_edges"])
+    if not (isinstance(policy, str) and type(h) is int and type(verified) is bool):
+        raise TypeError("policy, world_index or verified has the wrong type")
+    if not all(type(e) is int and type(o) is int and type(c) is float for e, o, c in records):
+        raise TypeError("records are not [edge, outcome, cost] triples")
+    if not all(type(e) is int for e in path_edges):
+        raise TypeError("path_edges are not edge ids")
+    return RunTrace(policy=policy, world_index=h, records=records,
+                    terminal=_terminal_from_json(d["terminal"]),
+                    path_edges=path_edges, verified=verified)
+
+
 def traces_from_json(docs: list[dict]) -> list[RunTrace]:
+    """The traces of a run file, checked strictly: RunsFormatError names
+    the first trace with a missing key or a value of the wrong type."""
     out = []
-    for d in docs:
-        t = RunTrace(policy=d["policy"], world_index=d["world_index"])
-        t.records = [(int(e), int(o), float(c)) for e, o, c in d["records"]]
-        t.terminal = _terminal_from_json(d["terminal"])
-        t.path_edges = tuple(d["path_edges"])
-        t.verified = bool(d.get("verified", True))
-        out.append(t)
+    for i, d in enumerate(docs):
+        try:
+            out.append(_trace_from_json(d))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise RunsFormatError(f"trace {i}: {exc!r}") from exc
     return out
 
 
@@ -399,6 +416,9 @@ def save_runs(
 
 
 def load_runs(path: str) -> dict:
+    """A run file parsed once: its header keys as written, ``feasible``
+    keyed by world index and ``traces`` as RunTraces.  RunsFormatError
+    for bad JSON, a wrong schema, or anything build_report cannot read."""
     with open(path, "rb") as f:
         data = f.read()
     try:
@@ -407,36 +427,19 @@ def load_runs(path: str) -> dict:
         raise RunsFormatError(f"bad run file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema_version") != RUNS_SCHEMA_VERSION:
         raise RunsFormatError(f"unsupported runs schema in {path}")
-    fault = _runs_fault(doc)
-    if fault:
-        raise RunsFormatError(f"bad run file {path}: {fault}")
-    return doc
-
-
-def _runs_fault(doc: dict) -> str | None:
-    """What build_report would trip on in a run file, or None."""
     for key, kind in (("policy", str), ("dataset_hash", str), ("dataset_label", str),
                       ("feasible", dict), ("traces", list)):
         if not isinstance(doc.get(key), kind):
-            return f"{key!r} is missing or not a {kind.__name__}"
-    for h, ok in doc["feasible"].items():
-        if not (h.isdigit() and isinstance(ok, bool)):
-            return f"feasible entry {h!r}: {ok!r} is not world index: bool"
-    for i, t in enumerate(doc["traces"]):
-        if not isinstance(t, dict):
-            return f"trace {i} is not an object"
-        h, records, terminal = t.get("world_index"), t.get("records"), t.get("terminal")
-        if isinstance(h, bool) or not isinstance(h, int):
-            return f"trace {i} has no integer world_index"
-        if not isinstance(records, list) or not all(
-            isinstance(r, list) and len(r) == 3 and _is_number(r[2]) for r in records
-        ):
-            return f"trace {i} records are not [edge, outcome, cost] triples"
-        if not (isinstance(terminal, dict) and isinstance(terminal.get("kind"), str)):
-            return f"trace {i} has no terminal kind"
-        if not isinstance(t.get("verified", True), bool):
-            return f"trace {i} verified is not a bool"
-    return None
+            raise RunsFormatError(f"bad run file {path}: {key!r} is missing or not a {kind.__name__}")
+    feasible = doc["feasible"]
+    if not all(h.isdecimal() and type(ok) is bool for h, ok in feasible.items()):
+        raise RunsFormatError(f"bad run file {path}: feasible is not world index: bool")
+    doc["feasible"] = {int(h): ok for h, ok in feasible.items()}
+    try:
+        doc["traces"] = traces_from_json(doc["traces"])
+    except RunsFormatError as exc:
+        raise RunsFormatError(f"bad run file {path}: {exc}") from exc
+    return doc
 
 
 def build_report(
@@ -466,18 +469,13 @@ def build_report(
         if reference not in policies:
             raise ValueError(f"reference policy {reference!r} missing for dataset {labels[key]}")
         ref_doc = policies[reference]
-        ref_costs = {
-            t["world_index"]: sum(c for _, _, c in t["records"])
-            for t in ref_doc["traces"]
-        }
-        feasible = {int(k): v for k, v in ref_doc["feasible"].items()}
+        ref_costs = {t.world_index: t.total_cost for t in ref_doc["traces"]}
+        feasible = ref_doc["feasible"]
         entry = {"label": labels[key], "policies": {}}
         for name, doc in sorted(policies.items()):
-            costs = {
-                t["world_index"]: sum(c for _, _, c in t["records"]) for t in doc["traces"]
-            }
+            costs = {t.world_index: t.total_cost for t in doc["traces"]}
             succ = {
-                t["world_index"]: t["terminal"]["kind"] == "solved" and t.get("verified", True)
+                t.world_index: isinstance(t.terminal, Solved) and t.verified
                 for t in doc["traces"]
             }
             common = sorted(
@@ -490,7 +488,7 @@ def build_report(
                 "success_rate": float(np.mean([succ[h] for h in common])) if common else None,
                 "n_paired": len(common),
                 "n_excluded_zero_ref": len(excluded),
-                "infeasible_rate": float(np.mean([not feasible.get(t["world_index"], False) for t in doc["traces"]])),
+                "infeasible_rate": float(np.mean([not feasible.get(t.world_index, False) for t in doc["traces"]])),
             }
             if len(common) >= 2:
                 lo, hi = normalized_cost(

@@ -47,6 +47,12 @@ def _parse_sizes(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"sizes must be comma-separated ints: {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="drdplan", epilog=_EPILOG)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -98,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="normalized-cost table from run files", epilog=_EPILOG)
     p.add_argument("--runs", required=True, help="directory of run JSON files")
     p.add_argument("--reference", default="direct+bisect")
-    p.add_argument("--bootstrap", type=int, default=10_000)
+    p.add_argument("--bootstrap", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="CSV table output path")
     p.add_argument("--json", default=None, help="optional full-report JSON path")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .traces import AllRegionsDead, RunTrace, Solved, Unsolved
+from .traces import AllRegionsDead, Handoff, RunTrace, Solved, Unsolved
 
 # Scores at or below this are treated as "no useful test": a test that
 # neither splits nor prunes the active set reduces nothing, and floating
@@ -237,6 +237,22 @@ def is_solved(vs: VersionSpace, problem: DrdProblem):
     return Unsolved()
 
 
+def direct_step(vs: VersionSpace, problem: DrdProblem, eta: float):
+    """The DIRECT decision at a version space: Solved or AllRegionsDead
+    per is_solved; Handoff() when the active weight is at or below eta
+    times the prior sum, or no unobserved test scores; else the edge id of
+    the next test."""
+    status = is_solved(vs, problem)
+    if isinstance(status, (Solved, AllRegionsDead)):
+        return status
+    if vs.active_weight() > eta * float(problem.prior.sum()):
+        candidates = [e for e in range(problem.num_tests) if e not in vs.observed]
+        sel = select_test(vs, problem, candidates) if candidates else None
+        if sel is not None:
+            return sel[0]
+    return Handoff()
+
+
 def direct_policy(
     problem: DrdProblem,
     oracle,
@@ -244,40 +260,19 @@ def direct_policy(
     policy_name: str = "direct",
     world_index: int = -1,
 ) -> tuple[RunTrace, VersionSpace]:
-    """Greedy explicit-database policy loop.
-
-    Stops Solved/AllRegionsDead per is_solved; otherwise hands off (terminal
-    Handoff marker left as None on the trace, caller decides) when the
-    active-weight fraction drops to eta or below, or no test has positive
-    gain.  Returns the trace and the final version space.
+    """Greedy explicit-database policy loop: direct_step until it returns
+    a terminal (Solved, AllRegionsDead or Handoff; the caller decides what
+    a handoff leads to).  Returns the trace and the final version space.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must be in [0, 1]")
-    from .traces import Handoff
-
     vs = problem.root_version_space()
-    root_weight = vs.active_weight()
     trace = RunTrace(policy=policy_name, world_index=world_index)
     while True:
-        status = is_solved(vs, problem)
-        if isinstance(status, (Solved, AllRegionsDead)):
-            if isinstance(status, Solved):
-                trace.terminal = Solved(status.path_index)
-            else:
-                trace.terminal = status
+        step = direct_step(vs, problem, eta)
+        if not isinstance(step, int):
+            trace.terminal = step
             return trace, vs
-        if vs.active_weight() <= eta * root_weight:
-            trace.terminal = Handoff()
-            return trace, vs
-        candidates = [e for e in range(problem.num_tests) if e not in vs.observed]
-        if not candidates:
-            trace.terminal = Handoff()
-            return trace, vs
-        sel = select_test(vs, problem, candidates)
-        if sel is None:
-            trace.terminal = Handoff()
-            return trace, vs
-        edge, _ = sel
-        outcome = int(oracle(edge))
-        trace.record(edge, outcome, float(problem.eval_cost[edge]))
-        vs = observe(vs, problem, edge, outcome)
+        outcome = int(oracle(step))
+        trace.record(step, outcome, float(problem.eval_cost[step]))
+        vs = observe(vs, problem, step, outcome)

@@ -54,6 +54,20 @@ class ExplicitGraph:
             object.__setattr__(self, "_adjacency", adj)
         return adj
 
+    def exact_length(self) -> tuple[tuple[int, int], ...]:
+        """Each edge's length as an exact integer pair (a, b), value
+        a + b*sqrt(2); built on the first call and cached like adjacency().
+        ValueError if some length is neither an integer nor an integer
+        multiple of sqrt(2)."""
+        pairs = self.__dict__.get("_exact_length")
+        if pairs is None:
+            pairs = exact_lengths(self.length)
+            if pairs is None:
+                raise ValueError("edge lengths must be integers or integer multiples of sqrt(2)")
+            pairs = tuple(pairs)
+            object.__setattr__(self, "_exact_length", pairs)
+        return pairs
+
 
 @dataclass(frozen=True)
 class Path:

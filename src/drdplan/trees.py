@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ec2
 from .io import atomic_write_bytes
-from .traces import AllRegionsDead, RunTrace, Solved
+from .traces import AllRegionsDead, Handoff, RunTrace, Solved
 
 TREE_SCHEMA_VERSION = 1
 
@@ -112,8 +112,6 @@ def compile_tree(
         raise ValueError("training set is empty")
 
     nodes: list = []
-    root_weight = float(problem.prior.sum())
-    all_edges = range(problem.num_tests)
 
     def emit(node) -> int:
         if len(nodes) >= max_nodes:
@@ -127,17 +125,14 @@ def compile_tree(
 
     def leaf_or_edge(vs: ec2.VersionSpace):
         """The leaf that ends this branch, or the edge to split it on."""
-        status = ec2.is_solved(vs, problem)
-        if isinstance(status, Solved):
-            return SolvedLeaf(status.path_index)
-        if isinstance(status, AllRegionsDead):
+        step = ec2.direct_step(vs, problem, eta)
+        if isinstance(step, Solved):
+            return SolvedLeaf(step.path_index)
+        if isinstance(step, AllRegionsDead):
             return DeadLeaf()
-        if vs.active_weight() > eta * root_weight:
-            candidates = [e for e in all_edges if e not in vs.observed]
-            sel = ec2.select_test(vs, problem, candidates) if candidates else None
-            if sel is not None:
-                return sel[0]
-        return handoff(vs, vs.active)
+        if isinstance(step, Handoff):
+            return handoff(vs, vs.active)
+        return step
 
     # An explicit stack in place of recursion.  Its items are a version space
     # still to expand, a leaf to emit, or the edge of a split whose two

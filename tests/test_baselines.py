@@ -1,17 +1,20 @@
 """Lazy baselines: full-graph LazySP, library LazySP, random floor."""
 
+from dataclasses import replace
+
+import networkx as nx
 import numpy as np
 import pytest
 
 from drdplan.baselines import (
-    _Metric,
     _lt,
+    _path_length,
     lazysp_graph,
     lazysp_set,
     random_policy,
     shortest_path_edges,
 )
-from drdplan.model import Path
+from drdplan.model import ExplicitGraph, Path, path_is_connected
 from drdplan.scenarios import build_grid_graph, build_path_library
 from drdplan.traces import AllRegionsDead, Infeasible, Solved
 
@@ -23,17 +26,21 @@ def grid_and_library():
 
 
 def test_exact_metric_comparisons():
-    m = _Metric(np.array([1.0, np.sqrt(2.0)]))
-    assert m.w == [(1, 0), (0, 1)]
+    # The chain 0 - 1 - 2 with edge lengths 1 and sqrt(2).
+    graph = ExplicitGraph(
+        positions=np.zeros((3, 2)), endpoints=np.array([[0, 1], [1, 2]]),
+        eval_cost=np.ones(2), length=np.array([1.0, np.sqrt(2.0)]), start=0, goal=2,
+    )
+    assert graph.exact_length() == ((1, 0), (0, 1))
     # 3 < 2*sqrt(2) < 3.0000001 territory: exact integer-pair comparison.
     assert _lt((0, 2), (3, 0))  # 2.828 < 3
     assert _lt((1, 1), (0, 2))  # 2.414 < 2.828
     assert not _lt((3, 0), (0, 2))
     # Equality is exact pair equality.
-    assert m.path_length([0, 1, 0]) == (2, 1)
-    assert m.path_length([1, 0, 1]) == (1, 2) != (2, 1)
+    assert _path_length(graph, [0, 1, 0]) == (2, 1)
+    assert _path_length(graph, [1, 0, 1]) == (1, 2) != (2, 1)
     with pytest.raises(ValueError):
-        _Metric(np.array([1.0, 0.5]))
+        replace(graph, length=np.array([1.0, 0.5])).exact_length()
 
 
 def test_shortest_path_is_lexicographically_smallest():
@@ -45,6 +52,29 @@ def test_shortest_path_is_lexicographically_smallest():
     assert abs(length - 2 * np.sqrt(2.0)) < 1e-12
     # Deterministic: repeated calls agree.
     assert path == shortest_path_edges(graph, usable)
+
+
+def test_shortest_path_matches_networkx_on_random_masks():
+    graph = build_grid_graph(6, 6)
+    rng = np.random.default_rng(0)
+    outcomes = {True: 0, False: 0}
+    for _ in range(80):
+        usable = rng.random(graph.num_edges) < rng.uniform(0.2, 0.9)
+        g = nx.Graph()
+        g.add_nodes_from(range(graph.num_vertices))
+        for e in np.nonzero(usable)[0]:
+            u, v = (int(x) for x in graph.endpoints[e])
+            g.add_edge(u, v, weight=float(graph.length[e]))
+        path = shortest_path_edges(graph, usable)
+        connected = nx.has_path(g, graph.start, graph.goal)
+        outcomes[connected] += 1
+        assert (path is None) == (not connected)
+        if connected:
+            assert all(usable[e] for e in path)
+            assert path_is_connected(graph, Path(tuple(path)))
+            want = nx.shortest_path_length(g, graph.start, graph.goal, weight="weight")
+            assert abs(graph.length[path].sum() - want) < 1e-9
+    assert min(outcomes.values()) > 0  # both branches were exercised
 
 
 def test_lazysp_graph_all_valid():

@@ -143,6 +143,9 @@ def test_normalized_cost_rejects_bad_input():
         normalized_cost([1.0], [1.0], 100, 0)  # too short
     with pytest.raises(ValueError):
         normalized_cost([1.0, 2.0], [1.0, 0.0], 100, 0)  # zero reference
+    for n in (0, -5):  # no resamples
+        with pytest.raises(ValueError, match="bootstrap"):
+            normalized_cost([1.0, 2.0], [1.0, 1.0], n, 0)
 
 
 # --- sweep -----------------------------------------------------------------
@@ -177,7 +180,7 @@ def test_runs_roundtrip_and_report(ds, tree, tmp_path):
         path = str(tmp_path / f"{policy}.json")
         save_runs(path, policy, ds, traces, seed=0)
         doc = load_runs(path)
-        back = bench.traces_from_json(doc["traces"])
+        back = doc["traces"]
         assert [t.records for t in back] == [t.records for t in traces]
         assert [t.terminal for t in back] == [t.terminal for t in traces]
         docs.append(doc)

@@ -220,6 +220,15 @@ def test_parse_faults_exit_3_without_traceback(pipeline, tmp_path, capsys, bad):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_bootstrap_must_be_positive(pipeline, tmp_path, capsys, n):
+    with pytest.raises(SystemExit) as exc:
+        run(["report", "--runs", pipeline["runs"], "--bootstrap", n,
+             "--out", str(tmp_path / "t.csv")])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_inexact_edge_length_is_data_error(pipeline, tmp_path, capsys):
     ds = _edit_header(
         pipeline["ds"], tmp_path / "d.bin",

@@ -1,10 +1,13 @@
 """Domain model: membership computation, validation, splitting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from drdplan.model import (
+    SQRT2,
     Dataset,
     Path,
     compute_membership,
@@ -148,3 +151,19 @@ def test_adjacency_is_built_once_in_edge_id_order():
     # A second graph with the same arrays builds its own, equal adjacency.
     again = build_grid_graph(4, 5)
     assert again.adjacency() == adj and again.adjacency() is not adj
+
+
+def test_exact_length_is_built_once():
+    graph = build_grid_graph(4, 5)
+    pairs = graph.exact_length()
+    assert pairs is graph.exact_length()
+    assert isinstance(pairs, tuple) and len(pairs) == graph.num_edges
+    for (a, b), w in zip(pairs, graph.length):
+        assert (a, b) in ((1, 0), (0, 1))  # axis step or diagonal
+        assert abs(a + b * SQRT2 - w) < 1e-12
+    # A second graph with the same arrays builds its own, equal pairs.
+    again = build_grid_graph(4, 5)
+    assert again.exact_length() == pairs and again.exact_length() is not pairs
+    half = replace(graph, length=np.full(graph.num_edges, 0.5))
+    with pytest.raises(ValueError, match="sqrt"):
+        half.exact_length()

@@ -24,8 +24,9 @@ from drdplan.trees import (
     tree_from_bytes,
     tree_to_bytes,
 )
+from drdplan.traces import AllRegionsDead, Handoff, Solved
 
-from conftest import make_worked_problem
+from conftest import make_worked_problem, random_regions, regions_membership
 
 
 def small_dataset():
@@ -228,3 +229,33 @@ def test_tree_format_errors():
         tree_from_bytes(
             b'{"schema_version": 1, "nodes": [{"type": "mystery"}], "root": 0, "params": {}}'
         )
+
+
+def test_direct_policy_matches_compiled_tree():
+    """DIRECT run online and DIRECT compiled offline are one policy: on
+    every database world they evaluate the same edges and end alike."""
+    leaf_kind = {SolvedLeaf: Solved, DeadLeaf: AllRegionsDead, HandoffLeaf: Handoff}
+    rng = np.random.default_rng(23)
+    episodes = 0
+    for _ in range(120):
+        n, e = int(rng.integers(1, 25)), int(rng.integers(1, 8))
+        outcomes = (rng.random((n, e)) < rng.uniform(0.2, 0.9)).astype(np.uint8)
+        regions = random_regions(rng, e, int(rng.integers(1, 6)))
+        problem = ec2.DrdProblem(
+            membership=regions_membership(outcomes, regions),
+            outcomes=outcomes,
+            eval_cost=rng.integers(1, 3, e).astype(np.float64),  # integer costs tie often
+            prior=rng.uniform(0.1, 1.0, n),
+        )
+        for eta in (0.0, 0.05, 0.3, 1.0):
+            tree = compile_tree(problem, eta, 0.9)
+            for h in range(n):
+                oracle = lambda edge, row=outcomes[h]: int(row[edge])
+                trace, _ = ec2.direct_policy(problem, oracle, eta)
+                leaf, tree_trace = execute_tree(tree, oracle, problem.eval_cost)
+                assert trace.records == tree_trace.records
+                assert type(trace.terminal) is leaf_kind[type(leaf)]
+                if isinstance(leaf, SolvedLeaf):
+                    assert trace.terminal.path_index == leaf.region
+                episodes += 1
+    assert episodes > 1000
