@@ -17,9 +17,9 @@ from drdplan.bernoulli import (
     BernoulliBelief,
     bisect_policy,
     conditional_region_weights,
-    regions_matrix,
     select_test_bernoulli,
 )
+from drdplan.model import regions_matrix
 
 
 def part1_explicit_database() -> None:

@@ -14,7 +14,7 @@ import heapq
 import numpy as np
 
 from . import rng as _rng
-from .model import SQRT2, ExplicitGraph, Path
+from .model import SQRT2, ExplicitGraph, Path, library_status, regions_matrix
 from .traces import AllRegionsDead, Infeasible, RunTrace, Solved
 
 
@@ -84,6 +84,24 @@ def shortest_path_edges(graph: ExplicitGraph, usable: np.ndarray) -> list[int] |
     return path
 
 
+def check_path(edges, status, oracle, eval_cost, trace: RunTrace) -> bool:
+    """Lazily check one path against the world.  status holds one int8 per
+    edge (0 unknown, 1 valid, -1 invalid).  False at once if an edge of the
+    path is known invalid; otherwise evaluate its unknown edges in path
+    order, recording each in the trace and in status, until one fails.
+    True when every edge of the path is valid."""
+    if (status[list(edges)] == -1).any():
+        return False
+    for e in edges:
+        if status[e] == 0:
+            outcome = int(oracle(e))
+            trace.record(e, outcome, float(eval_cost[e]))
+            status[e] = 1 if outcome else -1
+            if not outcome:
+                return False
+    return True
+
+
 def lazysp_graph(
     graph: ExplicitGraph, oracle, policy_name: str = "lazysp-graph", world_index: int = -1
 ) -> RunTrace:
@@ -92,21 +110,11 @@ def lazysp_graph(
     status = np.zeros(graph.num_edges, dtype=np.int8)  # 0 unknown, 1 valid, -1 invalid
     trace = RunTrace(policy=policy_name, world_index=world_index)
     while True:
-        usable = status >= 0
-        path = shortest_path_edges(graph, usable)
+        path = shortest_path_edges(graph, status >= 0)
         if path is None:
             trace.terminal = Infeasible()
             return trace
-        failed = False
-        for e in path:
-            if status[e] == 0:
-                outcome = int(oracle(e))
-                trace.record(e, outcome, float(graph.eval_cost[e]))
-                status[e] = 1 if outcome else -1
-                if not outcome:
-                    failed = True
-                    break
-        if not failed:
+        if check_path(path, status, oracle, graph.eval_cost, trace):
             trace.terminal = Solved(None)
             trace.path_edges = tuple(path)
             return trace
@@ -123,31 +131,23 @@ def lazysp_set(
     library path (ties to the lowest index)."""
     if not library:
         raise ValueError("library must be nonempty")
-    lengths = [_path_length(graph, p.edge_ids) for p in library]
+    paths = [p.edge_ids for p in library]
+    inR = regions_matrix(paths, graph.num_edges)
+    lengths = [_path_length(graph, p) for p in paths]
     status = np.zeros(graph.num_edges, dtype=np.int8)
     trace = RunTrace(policy=policy_name, world_index=world_index)
     while True:
+        _, live, _ = library_status(inR, status == 1, status == -1)
         best = None
-        for r, p in enumerate(library):
-            if any(status[e] == -1 for e in p.edge_ids):
-                continue
+        for r in np.flatnonzero(live).tolist():
             if best is None or _lt(lengths[r], lengths[best]):
                 best = r
         if best is None:
             trace.terminal = AllRegionsDead()
             return trace
-        failed = False
-        for e in library[best].edge_ids:
-            if status[e] == 0:
-                outcome = int(oracle(e))
-                trace.record(e, outcome, float(graph.eval_cost[e]))
-                status[e] = 1 if outcome else -1
-                if not outcome:
-                    failed = True
-                    break
-        if not failed:
+        if check_path(paths[best], status, oracle, graph.eval_cost, trace):
             trace.terminal = Solved(best)
-            trace.path_edges = tuple(library[best].edge_ids)
+            trace.path_edges = tuple(paths[best])
             return trace
 
 
@@ -163,21 +163,19 @@ def random_policy(
     if not library:
         raise ValueError("library must be nonempty")
     gen = _rng.substream(seed, _rng.STREAM_RANDOM_POLICY, max(world_index, 0))
+    inR = regions_matrix([p.edge_ids for p in library], graph.num_edges)
     status = np.zeros(graph.num_edges, dtype=np.int8)
     trace = RunTrace(policy=policy_name, world_index=world_index)
     while True:
-        plausible = [
-            p for p in library if not any(status[e] == -1 for e in p.edge_ids)
-        ]
-        if not plausible:
+        solved, live, open_edges = library_status(inR, status == 1, status == -1)
+        if not live.any():
             trace.terminal = AllRegionsDead()
             return trace
-        for r, p in enumerate(library):
-            if all(status[e] == 1 for e in p.edge_ids):
-                trace.terminal = Solved(r)
-                trace.path_edges = tuple(p.edge_ids)
-                return trace
-        pool = sorted({e for p in plausible for e in p.edge_ids if status[e] == 0})
+        if solved is not None:
+            trace.terminal = Solved(solved)
+            trace.path_edges = tuple(library[solved].edge_ids)
+            return trace
+        pool = np.flatnonzero(open_edges)
         edge = int(pool[gen.integers(len(pool))])
         outcome = int(oracle(edge))
         trace.record(edge, outcome, float(graph.eval_cost[edge]))

@@ -140,13 +140,10 @@ def _direct_bisect(dataset, tree, train_idx, seed, alpha):
             if isinstance(leaf, trees.SolvedLeaf):
                 # Off-database safety: prove the named path against the live world.
                 path = dataset.paths[leaf.region].edge_ids
-                evaluated = trace.evaluated
-                valid = all(evaluated.get(e, 1) == 1 for e in path)
-                for e in path:
-                    if valid and e not in evaluated:
-                        valid = bool(oracle(e))
-                        trace.record(e, int(valid), float(eval_cost[e]))
-                if valid:
+                status = np.zeros(len(eval_cost), dtype=np.int8)
+                for e, o in trace.evaluated.items():
+                    status[e] = 1 if o else -1
+                if baselines.check_path(path, status, oracle, eval_cost, trace):
                     trace.terminal = Solved(leaf.region)
                     trace.path_edges = tuple(path)
                     return trace

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ec2 import best_test
+from .model import library_status, regions_matrix
 from .traces import AllRegionsDead, RunTrace, Solved
 
 
@@ -32,7 +33,7 @@ class BernoulliBelief:
 
     def __post_init__(self) -> None:
         self.beta = np.asarray(self.beta, dtype=np.float64)
-        if np.any(self.beta <= 0) or np.any(self.beta >= 1):
+        if not np.all((self.beta > 0) & (self.beta < 1)):
             raise ValueError("bias entries must lie strictly in (0, 1)")
         self.observed = {int(e): int(o) for e, o in self.observed.items()}
 
@@ -62,19 +63,12 @@ class BernoulliBelief:
 
 def clamp_bias(beta: np.ndarray, alpha: float) -> np.ndarray:
     """Clip a bias vector into [(1-alpha)/2, 1-(1-alpha)/2] so both outcome
-    branches of every edge keep positive probability."""
+    branches of every edge keep positive probability.  alpha must lie in
+    (0, 1), as in trees.bias_vector."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
     lo = (1.0 - alpha) / 2.0
     return np.clip(np.asarray(beta, dtype=np.float64), lo, 1.0 - lo)
-
-
-def regions_matrix(regions: list[tuple[int, ...]], n_edges: int) -> np.ndarray:
-    """(m, E) boolean incidence matrix of path edge sets."""
-    mat = np.zeros((len(regions), n_edges), dtype=bool)
-    for r, edges in enumerate(regions):
-        if len(edges) == 0:
-            raise ValueError(f"region {r} has no edges")
-        mat[r, list(edges)] = True
-    return mat
 
 
 def _state(belief: BernoulliBelief, inR: np.ndarray):
@@ -173,21 +167,6 @@ def select_test_bernoulli(
     return best_test(cand, np.logaddexp(term1, term0), eval_cost[cand])
 
 
-def solved_region(belief: BernoulliBelief, regions: list[tuple[int, ...]]) -> int | None:
-    """Lowest region with every edge observed valid, else None."""
-    for r, edges in enumerate(regions):
-        if all(belief.observed.get(e) == 1 for e in edges):
-            return r
-    return None
-
-
-def all_regions_dead(belief: BernoulliBelief, regions: list[tuple[int, ...]]) -> bool:
-    """True when every region holds an observed-invalid edge."""
-    return all(
-        any(belief.observed.get(e) == 0 for e in edges) for edges in regions
-    )
-
-
 def bisect_policy(
     belief: BernoulliBelief,
     regions: list[tuple[int, ...]],
@@ -199,10 +178,12 @@ def bisect_policy(
     """Select/query/observe until one region is proven valid or all are
     refuted.  Mutates the belief.  At most |E| evaluations.
 
-    Root weights for the residual are frozen at entry.  If the greedy score
-    degenerates (numerical underflow of the residual product), the policy
-    falls back to the lowest-id unobserved edge of a still-plausible region,
-    which preserves the termination bound.
+    Root weights for the residual are frozen at entry.  When no candidate
+    scores above ec2.SCORE_TOL (a residual product that underflows, or
+    evaluation costs so large that every score rounds away), the policy
+    falls back to the first open edge on a live region, the lowest-id
+    unobserved edge of a region with no observed-invalid edge, which
+    preserves the termination bound.
     """
     inR = regions_matrix(regions, belief.num_edges)
     # Only the positivity mask of the frozen root weights matters to the
@@ -212,35 +193,21 @@ def bisect_policy(
     trace = RunTrace(policy=policy_name, world_index=world_index)
 
     while True:
-        r = solved_region(belief, regions)
+        # Exact: beta lies strictly inside (0, 1), so only observed edges
+        # sit at 0 or 1.
+        theta = belief.theta_eff
+        r, live, open_edges = library_status(inR, theta == 1.0, theta == 0.0)
         if r is not None:
             trace.terminal = Solved(r)
             trace.path_edges = tuple(regions[r])
             return trace
-        if all_regions_dead(belief, regions):
+        if not live.any():
             trace.terminal = AllRegionsDead()
             return trace
 
         candidates = [e for e in range(belief.num_edges) if e not in belief.observed]
         sel = select_test_bernoulli(belief, inR, eval_cost, candidates, root_weights)
-        if sel is not None:
-            edge = sel[0]
-        else:
-            edge = _fallback_edge(belief, regions)
+        edge = sel[0] if sel is not None else int(np.flatnonzero(open_edges)[0])
         outcome = int(oracle(edge))
         trace.record(edge, outcome, float(eval_cost[edge]))
         belief.observe(edge, outcome)
-
-
-def _fallback_edge(belief: BernoulliBelief, regions: list[tuple[int, ...]]) -> int:
-    plausible = [
-        edges
-        for edges in regions
-        if not any(belief.observed.get(e) == 0 for e in edges)
-    ]
-    open_edges = [
-        e for edges in plausible for e in edges if e not in belief.observed
-    ]
-    if not open_edges:
-        raise RuntimeError("no open edge on any plausible region; termination bug")
-    return min(open_edges)

@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="handoff threshold on the surviving training fraction (default 0.05)")
     c.add_argument("--alpha", type=float, default=0.9,
                    help="bias mixture weight on the empirical fraction (default 0.9)")
-    c.add_argument("--max-nodes", type=int, default=200_000)
+    c.add_argument("--max-nodes", type=_positive_int, default=200_000)
     c.add_argument("--out", required=True)
 
     r = sub.add_parser("run", help="run a policy over a dataset split", epilog=_EPILOG)
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--tree", default=None)
     r.add_argument("--split", default="test", choices=("test", "train", "all"))
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--jobs", type=int, default=1)
+    r.add_argument("--jobs", type=_positive_int, default=1)
     r.add_argument("--alpha", type=float, default=0.9,
                    help="bias clamp/mixture for tree-less bisect (default 0.9)")
     r.add_argument("--out", required=True, help="output directory for run files")
@@ -96,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sizes", required=True, type=_parse_sizes, help="e.g. 100,300,1000")
     s.add_argument("--eta", type=float, default=0.05)
     s.add_argument("--alpha", type=float, default=0.9)
-    s.add_argument("--max-nodes", type=int, default=200_000)
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--max-nodes", type=_positive_int, default=200_000)
+    s.add_argument("--jobs", type=_positive_int, default=1)
     s.add_argument("--out", required=True, help="curve CSV output path")
     s.add_argument("--json", default=None, help="optional full-result JSON path")
 
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DatasetFormatError, TreeFormatError, RunsFormatError, FileNotFoundError) as exc:
+    except (DatasetFormatError, TreeFormatError, RunsFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TreeSizeExceeded as exc:

@@ -116,6 +116,33 @@ def compute_membership(theta: np.ndarray, paths: list[Path]) -> np.ndarray:
     return np.stack(cols, axis=1).astype(np.uint8)
 
 
+def regions_matrix(regions: list[tuple[int, ...]], n_edges: int) -> np.ndarray:
+    """(m, E) boolean incidence matrix of path edge sets."""
+    sizes = [len(edges) for edges in regions]
+    if 0 in sizes:
+        raise ValueError(f"region {sizes.index(0)} has no edges")
+    mat = np.zeros((len(regions), n_edges), dtype=bool)
+    mat[np.repeat(np.arange(len(regions)), sizes), [e for edges in regions for e in edges]] = True
+    return mat
+
+
+def library_status(
+    inR: np.ndarray, valid: np.ndarray, invalid: np.ndarray
+) -> tuple[int | None, np.ndarray, np.ndarray]:
+    """Where a path library stands, given (E,) masks of the edges known
+    valid and known invalid: (solved, live, open_edges).
+
+    solved is the lowest path whose edges are all known valid, or None;
+    live masks the paths with no known-invalid edge; open_edges masks the
+    unknown edges of live paths.  A live unsolved path always has an open
+    edge, so open_edges is empty only when the library is solved or dead.
+    """
+    proven = np.flatnonzero(~(inR & ~valid).any(axis=1))
+    live = ~(inR & invalid).any(axis=1)
+    open_edges = inR[live].any(axis=0) & ~(valid | invalid)
+    return (int(proven[0]) if proven.size else None), live, open_edges
+
+
 def path_is_connected(graph: ExplicitGraph, path: Path) -> bool:
     """True iff the edge sequence chains start -> goal without edge reuse."""
     if len(path.edge_ids) != len(set(path.edge_ids)):

@@ -59,8 +59,8 @@ class ScenarioSpec:
         if self.connectivity != 8:
             raise ValueError("only 8-connected grids are supported")
         if self.kind == "forest":
-            if self.n_discs < 0 or self.disc_radius <= 0:
-                raise ValueError("forest needs n_discs >= 0 and disc_radius > 0")
+            if self.n_discs < 0 or not (np.isfinite(self.disc_radius) and self.disc_radius > 0):
+                raise ValueError("forest needs n_discs >= 0 and a finite disc_radius > 0")
             return
         gw = self.gap_width_eff()
         if gw < 1:

@@ -9,6 +9,7 @@ import pytest
 from drdplan.baselines import (
     _lt,
     _path_length,
+    check_path,
     lazysp_graph,
     lazysp_set,
     random_policy,
@@ -16,7 +17,7 @@ from drdplan.baselines import (
 )
 from drdplan.model import ExplicitGraph, Path, path_is_connected
 from drdplan.scenarios import build_grid_graph, build_path_library
-from drdplan.traces import AllRegionsDead, Infeasible, Solved
+from drdplan.traces import AllRegionsDead, Infeasible, RunTrace, Solved
 
 
 def grid_and_library():
@@ -75,6 +76,31 @@ def test_shortest_path_matches_networkx_on_random_masks():
             want = nx.shortest_path_length(g, graph.start, graph.goal, weight="weight")
             assert abs(graph.length[path].sum() - want) < 1e-9
     assert min(outcomes.values()) > 0  # both branches were exercised
+
+
+def test_check_path_stops_at_known_or_first_invalid_edge():
+    status = np.array([1, 0, -1, 0, 0], dtype=np.int8)  # edge 2 known invalid
+    world = [1, 1, 0, 0, 1]
+    asked = []
+
+    def oracle(e):
+        asked.append(e)
+        return world[e]
+
+    cost = np.arange(1.0, 6.0)
+    trace = RunTrace(policy="check")
+    # A known-invalid edge refutes the path before any evaluation, even one
+    # listed after unknown edges (a solved leaf refuted by the tree's walk).
+    assert not check_path((1, 4, 2), status, oracle, cost, trace)
+    assert asked == [] and trace.records == []
+    # Unknown edges are evaluated in path order up to the first invalid one.
+    assert not check_path((4, 0, 3, 1), status, oracle, cost, trace)
+    assert asked == [4, 3]
+    assert trace.records == [(4, 1, 5.0), (3, 0, 4.0)]
+    assert status.tolist() == [1, 0, -1, -1, 1]
+    # A path of valid edges passes, evaluating only its unknown ones.
+    assert check_path((0, 4, 1), status, oracle, cost, trace)
+    assert asked == [4, 3, 1] and status.tolist() == [1, 1, -1, -1, 1]
 
 
 def test_lazysp_graph_all_valid():

@@ -6,16 +6,14 @@ import pytest
 from drdplan import bernoulli, ec2
 from drdplan.bernoulli import (
     BernoulliBelief,
-    all_regions_dead,
     bisect_policy,
     clamp_bias,
     conditional_region_weights,
     region_weights_bernoulli,
-    regions_matrix,
     select_test_bernoulli,
-    solved_region,
     weight_bernoulli,
 )
+from drdplan.model import library_status, regions_matrix
 from drdplan.traces import AllRegionsDead, Solved
 
 from conftest import enumerate_worlds, enumeration_problem, random_regions
@@ -28,6 +26,9 @@ def test_belief_rejects_degenerate_bias():
         BernoulliBelief(beta=np.array([0.5, 0.0]))
     with pytest.raises(ValueError):
         BernoulliBelief(beta=np.array([1.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            BernoulliBelief(beta=np.array([0.5, bad]))
 
 
 def test_belief_observe_and_theta_eff():
@@ -42,6 +43,9 @@ def test_belief_observe_and_theta_eff():
 def test_clamp_bias_bounds():
     clamped = clamp_bias(np.array([0.0, 0.5, 1.0]), alpha=0.9)
     assert np.allclose(clamped, [0.05, 0.5, 0.95])
+    for alpha in (np.nan, 0.0, 1.0, 2.0, -0.5):  # the range trees.bias_vector takes
+        with pytest.raises(ValueError):
+            clamp_bias(np.array([0.0, 0.5, 1.0]), alpha)
 
 
 def test_regions_matrix_rejects_empty_region():
@@ -146,19 +150,25 @@ def test_select_rejects_observed_candidates():
 
 # --- termination predicates ------------------------------------------------
 
+def belief_status(belief, regions):
+    theta = belief.theta_eff
+    inR = regions_matrix(regions, theta.size)
+    return library_status(inR, theta == 1.0, theta == 0.0)
+
+
 def test_solved_region_lowest_index():
     belief = BernoulliBelief(beta=np.full(3, 0.5))
     belief.observe(0, 1)
     belief.observe(1, 1)
-    assert solved_region(belief, [(2,), (0,), (0, 1)]) == 1
+    assert belief_status(belief, [(2,), (0,), (0, 1)])[0] == 1
 
 
 def test_all_regions_dead_predicate():
     belief = BernoulliBelief(beta=np.full(3, 0.5))
     belief.observe(0, 0)
-    assert not all_regions_dead(belief, [(0,), (1, 2)])
+    assert belief_status(belief, [(0,), (1, 2)])[1].any()
     belief.observe(2, 0)
-    assert all_regions_dead(belief, [(0,), (1, 2)])
+    assert not belief_status(belief, [(0,), (1, 2)])[1].any()
 
 
 # --- bisect_policy ---------------------------------------------------------
@@ -204,6 +214,28 @@ def test_bisect_exhaustive_termination_bound():
                 )
 
 
+def test_bisect_fallback_takes_first_open_edge(monkeypatch):
+    # At an evaluation cost of 1e13 every score falls under SCORE_TOL, so
+    # each step takes the fallback: the lowest-id unobserved edge of a
+    # region with no observed-invalid edge.
+    picks = []
+
+    def spy(*args, select=bernoulli.select_test_bernoulli):
+        picks.append(select(*args))
+        return picks[-1]
+
+    monkeypatch.setattr(bernoulli, "select_test_bernoulli", spy)
+    world = [1, 0, 1, 1, 1]
+    trace = bisect_policy(
+        BernoulliBelief(np.full(5, 0.5)), [(0, 1), (2, 3), (1, 4)],
+        np.full(5, 1e13), lambda e: world[e],
+    )
+    assert [r[0] for r in trace.records] == [0, 1, 2, 3]
+    assert trace.terminal == Solved(1)
+    assert trace.path_edges == (2, 3)
+    assert picks == [None] * 4
+
+
 # --- oracle equivalence (small sample; the full suite is in acceptance) ----
 
 def run_equivalence_instance(rng, n_edges, n_regions):
@@ -220,8 +252,9 @@ def run_equivalence_instance(rng, n_edges, n_regions):
     steps = 0
     while True:
         st_e = ec2.is_solved(vs, prob)
-        r_b = solved_region(belief, regions)
-        dead_b = all_regions_dead(belief, regions)
+        theta = belief.theta_eff
+        r_b, live_b, _ = library_status(inR, theta == 1.0, theta == 0.0)
+        dead_b = not live_b.any()
         if isinstance(st_e, Solved):
             assert r_b == st_e.path_index
             return steps

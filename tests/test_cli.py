@@ -229,6 +229,52 @@ def test_bootstrap_must_be_positive(pipeline, tmp_path, capsys, n):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--policy", "random", "--jobs", "-3"],
+    ["sweep", "--sizes", "10", "--jobs", "-3"],
+    ["compile-tree", "--max-nodes", "0"],
+    ["sweep", "--sizes", "10", "--max-nodes", "0"],
+], ids=["run-jobs", "sweep-jobs", "compile-max-nodes", "sweep-max-nodes"])
+def test_count_flags_must_be_positive(pipeline, tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--dataset", pipeline["ds"], "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["nan", "0", "1", "2"])
+def test_bisect_alpha_outside_unit_interval_is_contract_error(pipeline, tmp_path, capsys, alpha):
+    code = run([
+        "run", "--dataset", pipeline["ds"], "--policy", "bisect", "--alpha", alpha,
+        "--out", str(tmp_path / "runs"),
+    ])
+    assert code == EXIT_CONTRACT
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("bad", ["runs-is-file", "runs-subdir", "out-is-file"])
+def test_os_errors_exit_3_without_traceback(pipeline, tmp_path, capsys, bad):
+    table = str(tmp_path / "t.csv")
+    if bad == "runs-is-file":
+        argv = ["report", "--runs", pipeline["ds"], "--out", table]
+    elif bad == "runs-subdir":
+        (tmp_path / "runs" / "x.json").mkdir(parents=True)
+        argv = ["report", "--runs", str(tmp_path / "runs"), "--out", table]
+    else:
+        argv = ["run", "--dataset", pipeline["ds"], "--policy", "lazysp-set",
+                "--out", pipeline["ds"]]
+    assert run(argv) == EXIT_DATA
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", ["inf", "nan"])
+def test_disc_radius_must_be_finite(tmp_path, capsys, radius):
+    argv = gen_args(str(tmp_path / "d.bin"), scenario="forest") + ["--disc-radius", radius]
+    assert run(argv) == EXIT_CONTRACT
+    assert "finite disc_radius" in capsys.readouterr().err
+
+
 def test_inexact_edge_length_is_data_error(pipeline, tmp_path, capsys):
     ds = _edit_header(
         pipeline["ds"], tmp_path / "d.bin",

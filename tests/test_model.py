@@ -11,7 +11,9 @@ from drdplan.model import (
     Dataset,
     Path,
     compute_membership,
+    library_status,
     path_is_connected,
+    regions_matrix,
     split_dataset,
     validate_dataset,
 )
@@ -167,3 +169,45 @@ def test_exact_length_is_built_once():
     half = replace(graph, length=np.full(graph.num_edges, 0.5))
     with pytest.raises(ValueError, match="sqrt"):
         half.exact_length()
+
+
+def _status_by_definition(regions, observed):
+    """library_status written out per path over an {edge: outcome} dict."""
+    proven = [r for r, p in enumerate(regions) if all(observed.get(e) == 1 for e in p)]
+    live = [not any(observed.get(e) == 0 for e in p) for p in regions]
+    open_edges = {e for p, ok in zip(regions, live) if ok for e in p if e not in observed}
+    return (proven[0] if proven else None), live, sorted(open_edges)
+
+
+def test_library_status_matches_per_path_definitions():
+    # The hand cases: a solved library whose lowest proven path is not the
+    # first, then a library that is alive and then dead.
+    cases = [
+        ([(2,), (0,), (0, 1)], {0: 1, 1: 1}, 3),
+        ([(0,), (1, 2)], {0: 0}, 3),
+        ([(0,), (1, 2)], {0: 0, 2: 0}, 3),
+    ]
+    rng = np.random.default_rng(4)
+    for _ in range(500):
+        n = int(rng.integers(1, 9))
+        regions = [
+            tuple(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        seen = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        cases.append((regions, {int(e): int(rng.integers(2)) for e in seen}, n))
+
+    kinds, first_solved = [], []
+    for regions, observed, n in cases:
+        valid, invalid = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        for e, o in observed.items():
+            (valid if o else invalid)[e] = True
+        solved, live, open_edges = library_status(regions_matrix(regions, n), valid, invalid)
+        want = _status_by_definition(regions, observed)
+        assert (solved, live.tolist(), np.flatnonzero(open_edges).tolist()) == want
+        if solved is None and live.any():
+            assert open_edges.any()  # the BISECT fallback always has an edge
+        kinds.append("solved" if solved is not None else "open" if live.any() else "dead")
+        first_solved.append(solved)
+    assert kinds[:3] == ["solved", "open", "dead"] and first_solved[0] == 1
+    assert min(kinds.count(k) for k in ("solved", "open", "dead")) > 20
