@@ -19,7 +19,7 @@ from drdplan.bernoulli import (
     conditional_region_weights,
     select_test_bernoulli,
 )
-from drdplan.model import regions_matrix
+from drdplan.model import Library
 
 
 def part1_explicit_database() -> None:
@@ -57,15 +57,15 @@ def part2_bernoulli_vs_enumeration() -> None:
     prob = ec2.DrdProblem(membership, worlds, np.ones(n_edges), prior)
 
     belief = BernoulliBelief(beta=beta)
-    inR = regions_matrix(regions, n_edges)
-    roots = conditional_region_weights(belief, inR)
+    library = Library.build(regions, n_edges)
+    roots = conditional_region_weights(belief, library)
     vs = prob.root_version_space()
 
     world = np.array([1, 1, 0, 1])  # ground truth: path 0 is valid
     print(f"true world: {world.tolist()}  regions: {regions}")
     while True:
         cand = [e for e in range(n_edges) if e not in belief.observed]
-        sel_b = select_test_bernoulli(belief, inR, np.ones(n_edges), cand, roots)
+        sel_b = select_test_bernoulli(belief, library, np.ones(n_edges), cand, roots)
         sel_e = ec2.select_test(vs, prob, cand)
         if sel_b is None:
             break
@@ -83,7 +83,7 @@ def part2_bernoulli_vs_enumeration() -> None:
 
     # Full policy run on a fresh belief.
     trace = bisect_policy(
-        BernoulliBelief(beta=beta), regions, np.ones(n_edges),
+        BernoulliBelief(beta=beta), library, np.ones(n_edges),
         lambda e: int(world[e]),
     )
     print(f"bisect_policy trace: {[r[0] for r in trace.records]} "

@@ -10,6 +10,7 @@ resolve.
 from .model import (
     Dataset,
     ExplicitGraph,
+    Library,
     Path,
     compute_membership,
     split_dataset,
@@ -31,6 +32,7 @@ __all__ = [
     "DrdProblem",
     "ExplicitGraph",
     "Infeasible",
+    "Library",
     "Path",
     "RunTrace",
     "ScenarioSpec",

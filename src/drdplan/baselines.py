@@ -14,7 +14,7 @@ import heapq
 import numpy as np
 
 from . import rng as _rng
-from .model import SQRT2, ExplicitGraph, Path, library_status, regions_matrix
+from .model import SQRT2, ExplicitGraph, Library, library_status
 from .traces import AllRegionsDead, Infeasible, RunTrace, Solved
 
 
@@ -30,12 +30,6 @@ def _lt(x: tuple[int, int], y: tuple[int, int]) -> bool:
     if da > 0:  # db < 0: da vs -db*sqrt2
         return da * da < 2 * db * db
     return da * da > 2 * db * db  # da < 0, db > 0
-
-
-def _path_length(graph: ExplicitGraph, edge_ids) -> tuple[int, int]:
-    """Exact length of an edge sequence as an integer pair."""
-    w = graph.exact_length()
-    return (sum(w[e][0] for e in edge_ids), sum(w[e][1] for e in edge_ids))
 
 
 def shortest_path_edges(graph: ExplicitGraph, usable: np.ndarray) -> list[int] | None:
@@ -121,23 +115,24 @@ def lazysp_graph(
 
 
 def lazysp_set(
-    library: list[Path],
+    library: Library,
     graph: ExplicitGraph,
     oracle,
     policy_name: str = "lazysp-set",
     world_index: int = -1,
 ) -> RunTrace:
     """LazySP restricted to the library: candidate is the shortest surviving
-    library path (ties to the lowest index)."""
-    if not library:
+    library path (ties to the lowest index).  The library must carry its
+    exact path lengths."""
+    if not library.paths:
         raise ValueError("library must be nonempty")
-    paths = [p.edge_ids for p in library]
-    inR = regions_matrix(paths, graph.num_edges)
-    lengths = [_path_length(graph, p) for p in paths]
+    if library.lengths is None:
+        raise ValueError("library was built without edge lengths")
+    lengths = library.lengths
     status = np.zeros(graph.num_edges, dtype=np.int8)
     trace = RunTrace(policy=policy_name, world_index=world_index)
     while True:
-        _, live, _ = library_status(inR, status == 1, status == -1)
+        _, live, _ = library_status(library.inR, status == 1, status == -1)
         best = None
         for r in np.flatnonzero(live).tolist():
             if best is None or _lt(lengths[r], lengths[best]):
@@ -145,14 +140,14 @@ def lazysp_set(
         if best is None:
             trace.terminal = AllRegionsDead()
             return trace
-        if check_path(paths[best], status, oracle, graph.eval_cost, trace):
+        if check_path(library.paths[best], status, oracle, graph.eval_cost, trace):
             trace.terminal = Solved(best)
-            trace.path_edges = tuple(paths[best])
+            trace.path_edges = library.paths[best]
             return trace
 
 
 def random_policy(
-    library: list[Path],
+    library: Library,
     graph: ExplicitGraph,
     oracle,
     seed: int,
@@ -160,20 +155,19 @@ def random_policy(
     world_index: int = -1,
 ) -> RunTrace:
     """Evaluate uniformly random unknown edges on still-plausible paths."""
-    if not library:
+    if not library.paths:
         raise ValueError("library must be nonempty")
     gen = _rng.substream(seed, _rng.STREAM_RANDOM_POLICY, max(world_index, 0))
-    inR = regions_matrix([p.edge_ids for p in library], graph.num_edges)
     status = np.zeros(graph.num_edges, dtype=np.int8)
     trace = RunTrace(policy=policy_name, world_index=world_index)
     while True:
-        solved, live, open_edges = library_status(inR, status == 1, status == -1)
+        solved, live, open_edges = library_status(library.inR, status == 1, status == -1)
         if not live.any():
             trace.terminal = AllRegionsDead()
             return trace
         if solved is not None:
             trace.terminal = Solved(solved)
-            trace.path_edges = tuple(library[solved].edge_ids)
+            trace.path_edges = library.paths[solved]
             return trace
         pool = np.flatnonzero(open_edges)
         edge = int(pool[gen.integers(len(pool))])

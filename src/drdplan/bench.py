@@ -5,7 +5,7 @@ and training-size ablation curves.
 ``POLICIES`` is the one table of policy ids: lazysp-graph, lazysp-set,
 random, bisect, direct+bisect, direct-only.  Each id maps to a per-run
 function that checks its inputs, builds what every world of the run shares
-(bias vector, region list, training rows) and returns the episode for one
+(bias vector, path library, training rows) and returns the episode for one
 world.  The last two ids require a compiled decision tree whose recorded
 dataset hash matches the dataset.
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import baselines, bernoulli, ec2, rng as _rng, trees
 from .io import atomic_write_bytes, dataset_hash
-from .model import Dataset
+from .model import Dataset, Library
 from .traces import AllRegionsDead, Infeasible, RunTrace, Solved
 
 RUNS_SCHEMA_VERSION = 1
@@ -63,6 +63,8 @@ def _checked_tree(dataset: Dataset, tree: trees.DecisionTree | None, policy: str
     want = tree.params.get("dataset_hash")
     if want is None:
         raise ContractError("tree records no dataset hash")
+    if not isinstance(want, str):
+        raise trees.TreeFormatError(f"tree dataset_hash {want!r} is not a string")
     have = dataset_hash(dataset)
     if want != have:
         raise ContractError(
@@ -89,6 +91,12 @@ def _checked_tree(dataset: Dataset, tree: trees.DecisionTree | None, policy: str
 # seed, alpha) that returns the per-world episode, h -> RunTrace.
 
 
+def _library(dataset: Dataset, edge_lengths=None) -> Library:
+    return Library.build(
+        [p.edge_ids for p in dataset.paths], dataset.graph.num_edges, edge_lengths
+    )
+
+
 def _lazysp_graph(dataset, tree, train_idx, seed, alpha):
     return lambda h: baselines.lazysp_graph(
         dataset.graph, _world_oracle(dataset, h), world_index=h
@@ -96,25 +104,27 @@ def _lazysp_graph(dataset, tree, train_idx, seed, alpha):
 
 
 def _lazysp_set(dataset, tree, train_idx, seed, alpha):
+    library = _library(dataset, dataset.graph.exact_length())
     return lambda h: baselines.lazysp_set(
-        dataset.paths, dataset.graph, _world_oracle(dataset, h), world_index=h
+        library, dataset.graph, _world_oracle(dataset, h), world_index=h
     )
 
 
 def _random(dataset, tree, train_idx, seed, alpha):
+    library = _library(dataset)
     return lambda h: baselines.random_policy(
-        dataset.paths, dataset.graph, _world_oracle(dataset, h), seed, world_index=h
+        library, dataset.graph, _world_oracle(dataset, h), seed, world_index=h
     )
 
 
 def _bisect(dataset, tree, train_idx, seed, alpha):
     # Standalone baseline: training column means, clipped, as bias.
     beta = bernoulli.clamp_bias(dataset.theta[train_idx].mean(axis=0), alpha)
-    regions = [tuple(p.edge_ids) for p in dataset.paths]
+    library = _library(dataset)
 
     def episode(h: int) -> RunTrace:
         return bernoulli.bisect_policy(
-            bernoulli.BernoulliBelief(beta=beta), regions, dataset.graph.eval_cost,
+            bernoulli.BernoulliBelief(beta=beta), library, dataset.graph.eval_cost,
             _world_oracle(dataset, h), "bisect", h,
         )
 
@@ -128,7 +138,7 @@ def _direct_bisect(dataset, tree, train_idx, seed, alpha):
         raise trees.TreeFormatError(f"tree alpha {alpha!r} is not inside (0, 1)")
     alpha = float(alpha)
     train_theta = dataset.theta[train_idx]
-    regions = [tuple(p.edge_ids) for p in dataset.paths]
+    library = _library(dataset)
     eval_cost = dataset.graph.eval_cost
 
     def episode(h: int) -> RunTrace:
@@ -157,7 +167,7 @@ def _direct_bisect(dataset, tree, train_idx, seed, alpha):
         belief = bernoulli.BernoulliBelief(
             beta=bernoulli.clamp_bias(bias, alpha), observed=trace.evaluated
         )
-        sub = bernoulli.bisect_policy(belief, regions, eval_cost, oracle, trace.policy, h)
+        sub = bernoulli.bisect_policy(belief, library, eval_cost, oracle, trace.policy, h)
         trace.records.extend(sub.records)
         trace.terminal = sub.terminal
         trace.path_edges = sub.path_edges

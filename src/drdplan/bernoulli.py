@@ -3,10 +3,14 @@ edge outcomes.
 
 The hypothesis set is the implicit product of all 2^|E| outcome vectors
 weighted by a per-edge bias vector.  The one-vs-all pairwise weight of a
-region admits a product closed form, which makes every greedy step O(|E| m)
-instead of O(2^|E|).  The enumeration engine in :mod:`drdplan.ec2` run over
-the explicit 2^|E| world set with product-Bernoulli priors is the defining
-oracle for these formulas; the test suite pins them against it.
+region admits a product closed form over the region's own edges, which
+makes every greedy step O(|open edges| m) instead of O(2^|E|): the
+per-region products come from one gather through the library's padded edge
+index (model.Library), and only the open edges, the unknown edges of
+regions that are still live, are scored.  The enumeration engine in
+:mod:`drdplan.ec2` run over the explicit 2^|E| world set with
+product-Bernoulli priors is the defining oracle for these formulas; the
+test suite pins them against it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ec2 import best_test
-from .model import library_status, regions_matrix
+from .model import Library, library_status
 from .traces import AllRegionsDead, RunTrace, Solved
 
 
@@ -71,32 +75,36 @@ def clamp_bias(beta: np.ndarray, alpha: float) -> np.ndarray:
     return np.clip(np.asarray(beta, dtype=np.float64), lo, 1.0 - lo)
 
 
-def _state(belief: BernoulliBelief, inR: np.ndarray):
+def _state(belief: BernoulliBelief, library: Library):
     """Per-region products used by the closed-form weight.
 
     Returns (theta, p_r, prod_theta2_r, prod_s_r, S) where
-    s_e = theta_e^2 + (1-theta_e)^2 and S = prod of all s_e.
+    s_e = theta_e^2 + (1-theta_e)^2 and S = prod of all s_e.  Each region
+    product is one gather through library.index, whose pad entries read a
+    trailing 1.0, so every row multiplies its own edges in ascending id
+    order and the pad leaves the product unchanged.
     """
     theta = belief.theta_eff
     s = theta * theta + (1.0 - theta) * (1.0 - theta)
     th2 = theta * theta
-    p_r = np.array([np.prod(theta[row]) for row in inR])
-    pt2_r = np.array([np.prod(th2[row]) for row in inR])
-    ps_r = np.array([np.prod(s[row]) for row in inR])
+    idx = library.index
+    p_r = np.append(theta, 1.0)[idx].prod(axis=1)
+    pt2_r = np.append(th2, 1.0)[idx].prod(axis=1)
+    ps_r = np.append(s, 1.0)[idx].prod(axis=1)
     S = float(np.prod(s))
     return theta, p_r, pt2_r, ps_r, S
 
 
-def conditional_region_weights(belief: BernoulliBelief, inR: np.ndarray) -> np.ndarray:
+def conditional_region_weights(belief: BernoulliBelief, library: Library) -> np.ndarray:
     """Per-region weight with the squared observation mass divided out:
     (1 - p_r^2 - (S - S_r)) / 2, an O(1) quantity however long the
     observation history is.  Same zero set as the full weight."""
-    _, p_r, pt2_r, ps_r, S = _state(belief, inR)
+    _, p_r, pt2_r, ps_r, S = _state(belief, library)
     S_r = pt2_r * (S / ps_r)
     return np.maximum(0.5 * (1.0 - p_r * p_r - (S - S_r)), 0.0)
 
 
-def region_weights_bernoulli(belief: BernoulliBelief, inR: np.ndarray) -> np.ndarray:
+def region_weights_bernoulli(belief: BernoulliBelief, library: Library) -> np.ndarray:
     """One-vs-all pairwise weight of every region over the implicit
     product-Bernoulli hypothesis set, conditioned on the observations.
 
@@ -105,18 +113,18 @@ def region_weights_bernoulli(belief: BernoulliBelief, inR: np.ndarray) -> np.nda
     engine's weight of the surviving explicit version space exactly.
     """
     mass = belief.observation_mass()
-    return mass * mass * conditional_region_weights(belief, inR)
+    return mass * mass * conditional_region_weights(belief, library)
 
 
 def weight_bernoulli(belief: BernoulliBelief, edges) -> float:
     """Scalar one-region weight (see region_weights_bernoulli)."""
-    inR = regions_matrix([tuple(edges)], belief.num_edges)
-    return float(region_weights_bernoulli(belief, inR)[0])
+    library = Library.build([tuple(edges)], belief.num_edges)
+    return float(region_weights_bernoulli(belief, library)[0])
 
 
 def select_test_bernoulli(
     belief: BernoulliBelief,
-    inR: np.ndarray,
+    library: Library,
     eval_cost: np.ndarray,
     candidates,
     root_weights: np.ndarray,
@@ -124,8 +132,9 @@ def select_test_bernoulli(
     """Same selection contract as the enumeration engine: argmax of the
     expected reduction of the completion residual per unit cost,
     (1 - E[residual after] / residual now) / c, ties to the lowest edge
-    id, None when nothing scores above zero.  O(|candidates| * m) per
-    call.
+    id, None when nothing scores above zero.  Scores exactly the given
+    candidates, which must be unobserved: O(|candidates| * m) per call on
+    top of the region products.
 
     Region weights enter in conditional form, (1 - p_r^2 - K_r) / 2 with
     K_r = S - S_r the complement's squared-mass share; K_r is held at its
@@ -133,15 +142,20 @@ def select_test_bernoulli(
     drops to zero leave the product (see the enumeration engine's
     select_test for the rationale).  Under the independence prior an
     off-region candidate leaves every surviving factor at exactly 1, so
-    only edges of plausible regions can score.
+    it scores zero up to round-off, about 1e-16 / c.  The SCORE_TOL cut
+    removes that only while c is not tiny, so bisect_policy passes the
+    open edges alone: the unknown edges of live regions.
     """
-    cand = np.asarray(sorted(candidates), dtype=np.int64)
+    cand = np.sort(np.asarray(candidates, dtype=np.int64))
     if cand.size == 0:
         raise ValueError("candidates must be nonempty")
-    if any(int(e) in belief.observed for e in cand):
+    theta, p_r, pt2_r, ps_r, S = _state(belief, library)
+    th_c = theta[cand]
+    # Exact: beta lies strictly inside (0, 1), so only observed edges sit
+    # at 0 or 1.
+    if np.any((th_c == 0.0) | (th_c == 1.0)):
         raise ValueError("candidates must be unobserved edges")
 
-    theta, p_r, pt2_r, ps_r, S = _state(belief, inR)
     K = S - pt2_r * (S / ps_r)
     w_now = 0.5 * (1.0 - p_r * p_r - K)
     mask = (np.asarray(root_weights) > 0) & (p_r > 0) & (w_now > 0)
@@ -149,8 +163,7 @@ def select_test_bernoulli(
         return None
     pm, Km, wm = p_r[mask], K[mask], w_now[mask]
 
-    th_c = theta[cand]  # (C,) strictly inside (0, 1)
-    Rt = inR[np.ix_(mask, cand)]  # (live regions, C)
+    Rt = library.inR[np.ix_(mask, cand)]  # (live regions, C)
 
     # Outcome 1: on-region probabilities divide out the candidate's theta;
     # off-region factors are exactly 1.
@@ -169,7 +182,7 @@ def select_test_bernoulli(
 
 def bisect_policy(
     belief: BernoulliBelief,
-    regions: list[tuple[int, ...]],
+    library: Library,
     eval_cost: np.ndarray,
     oracle,
     policy_name: str = "bisect",
@@ -178,36 +191,38 @@ def bisect_policy(
     """Select/query/observe until one region is proven valid or all are
     refuted.  Mutates the belief.  At most |E| evaluations.
 
-    Root weights for the residual are frozen at entry.  When no candidate
-    scores above ec2.SCORE_TOL (a residual product that underflows, or
-    evaluation costs so large that every score rounds away), the policy
-    falls back to the first open edge on a live region, the lowest-id
-    unobserved edge of a region with no observed-invalid edge, which
+    Each step scores the open edges of model.library_status, the
+    unobserved edges of regions with no observed-invalid edge; any other
+    edge scores only round-off.  Root weights for the residual are frozen
+    at entry.  When no candidate scores above ec2.SCORE_TOL (a residual
+    product that underflows, or evaluation costs so large that every score
+    rounds away), the policy falls back to the first open edge, which
     preserves the termination bound.
     """
-    inR = regions_matrix(regions, belief.num_edges)
+    if library.num_edges != belief.num_edges:
+        raise ValueError("library and belief disagree on the number of edges")
     # Only the positivity mask of the frozen root weights matters to the
     # selection rule; the conditional form cannot underflow however many
     # observations the belief already carries.
-    root_weights = conditional_region_weights(belief, inR)
+    root_weights = conditional_region_weights(belief, library)
     trace = RunTrace(policy=policy_name, world_index=world_index)
 
     while True:
         # Exact: beta lies strictly inside (0, 1), so only observed edges
         # sit at 0 or 1.
         theta = belief.theta_eff
-        r, live, open_edges = library_status(inR, theta == 1.0, theta == 0.0)
+        r, live, open_edges = library_status(library.inR, theta == 1.0, theta == 0.0)
         if r is not None:
             trace.terminal = Solved(r)
-            trace.path_edges = tuple(regions[r])
+            trace.path_edges = library.paths[r]
             return trace
         if not live.any():
             trace.terminal = AllRegionsDead()
             return trace
 
-        candidates = [e for e in range(belief.num_edges) if e not in belief.observed]
-        sel = select_test_bernoulli(belief, inR, eval_cost, candidates, root_weights)
-        edge = sel[0] if sel is not None else int(np.flatnonzero(open_edges)[0])
+        candidates = np.flatnonzero(open_edges)
+        sel = select_test_bernoulli(belief, library, eval_cost, candidates, root_weights)
+        edge = sel[0] if sel is not None else int(candidates[0])
         outcome = int(oracle(edge))
         trace.record(edge, outcome, float(eval_cost[edge]))
         belief.observe(edge, outcome)

@@ -9,6 +9,7 @@ files are written to a temp file and renamed, never left partial.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -150,7 +151,18 @@ def _cmd_compile_tree(args) -> int:
     return EXIT_OK
 
 
+def _check_out_dir(path: str) -> None:
+    """NotADirectoryError now, before any world runs, when path or its
+    nearest existing ancestor is not a directory."""
+    p = os.path.abspath(path)
+    while not os.path.exists(p):
+        p = os.path.dirname(p)
+    if not os.path.isdir(p):
+        raise NotADirectoryError(errno.ENOTDIR, "not a directory", p)
+
+
 def _cmd_run(args) -> int:
+    _check_out_dir(args.out)
     ds = load_dataset(args.dataset)
     tree = trees.load_tree(args.tree) if args.tree else None
     traces = bench.run_policy(

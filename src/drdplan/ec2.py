@@ -203,9 +203,10 @@ def best_test(
         return None
     # Real-arithmetic argmax of (1 - E)/c: the float score saturates at 1/c
     # once E is tiny, so break float-score ties by the log-domain expected
-    # residual per cost, then by lowest edge id (cand is sorted).
+    # residual per cost, then by lowest edge id (cand is sorted and the
+    # sort is stable).
     tie_key = log_expected + np.log(cost)
-    best = min(range(len(cand)), key=lambda i: (-scores[i], tie_key[i]))
+    best = np.lexsort((tie_key, -scores))[0]
     return int(cand[best]), float(scores[best])
 
 

@@ -126,6 +126,52 @@ def regions_matrix(regions: list[tuple[int, ...]], n_edges: int) -> np.ndarray:
     return mat
 
 
+@dataclass(frozen=True)
+class Library:
+    """A path library in the forms its policies read, built once per run.
+
+    paths:   each path's edge ids, in path order.
+    inR:     (m, E) boolean incidence matrix (see regions_matrix).
+    index:   (m, Lmax) each path's distinct edge ids in ascending order,
+             padded with E: a gather from a length-(E+1) vector whose last
+             entry is 1.0 then multiplies each row in the same order as a
+             product over the path's own edges.
+    lengths: each path's exact length as an integer pair (a, b), value
+             a + b*sqrt(2), or None when built without edge lengths.
+    """
+
+    paths: tuple[tuple[int, ...], ...]
+    inR: np.ndarray
+    index: np.ndarray
+    lengths: tuple[tuple[int, int], ...] | None
+
+    @classmethod
+    def build(cls, paths, n_edges: int, edge_lengths=None) -> Library:
+        """The library of the given edge-id sequences over n_edges edges;
+        edge_lengths, when given, holds each edge's exact (a, b) length
+        (ExplicitGraph.exact_length)."""
+        paths = tuple(tuple(int(e) for e in p) for p in paths)
+        inR = regions_matrix(paths, n_edges)
+        rows, cols = np.nonzero(inR)  # row-major: ascending edge id per path
+        sizes = inR.sum(axis=1)
+        starts = np.cumsum(sizes) - sizes
+        index = np.full((len(paths), int(sizes.max(initial=0))), n_edges, dtype=np.intp)
+        index[rows, np.arange(rows.size) - starts[rows]] = cols
+        lengths = None
+        if edge_lengths is not None:
+            lengths = tuple(
+                (sum(edge_lengths[e][0] for e in p), sum(edge_lengths[e][1] for e in p))
+                for p in paths
+            )
+        inR.setflags(write=False)
+        index.setflags(write=False)
+        return cls(paths, inR, index, lengths)
+
+    @property
+    def num_edges(self) -> int:
+        return self.inR.shape[1]
+
+
 def library_status(
     inR: np.ndarray, valid: np.ndarray, invalid: np.ndarray
 ) -> tuple[int | None, np.ndarray, np.ndarray]:

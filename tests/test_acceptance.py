@@ -19,6 +19,7 @@ from drdplan import bench, ec2, trees
 from drdplan.bench import normalized_cost, run_policy, sweep_training_size, trace_success
 from drdplan.bernoulli import BernoulliBelief, bisect_policy
 from drdplan.cli import main as cli_main
+from drdplan.model import Library
 from drdplan.scenarios import KINDS, ScenarioSpec, generate_dataset
 from drdplan.traces import AllRegionsDead, Solved
 
@@ -163,7 +164,7 @@ def test_criterion_4_monotonicity_and_bound():
         regions = random_regions(rng, e, min(4, e))
         for world in enumerate_worlds(e):
             belief = BernoulliBelief(beta=beta.copy())
-            trace = bisect_policy(belief, regions, np.ones(e), lambda t: int(world[t]))
+            trace = bisect_policy(belief, Library.build(regions, e), np.ones(e), lambda t: int(world[t]))
             assert len(trace.records) <= e
             assert isinstance(trace.terminal, (Solved, AllRegionsDead))
 

@@ -8,14 +8,13 @@ import pytest
 
 from drdplan.baselines import (
     _lt,
-    _path_length,
     check_path,
     lazysp_graph,
     lazysp_set,
     random_policy,
     shortest_path_edges,
 )
-from drdplan.model import ExplicitGraph, Path, path_is_connected
+from drdplan.model import ExplicitGraph, Library, Path, path_is_connected
 from drdplan.scenarios import build_grid_graph, build_path_library
 from drdplan.traces import AllRegionsDead, Infeasible, RunTrace, Solved
 
@@ -24,6 +23,10 @@ def grid_and_library():
     graph = build_grid_graph(3, 3)
     paths, _ = build_path_library(graph, 12, 5, seed=0)
     return graph, paths
+
+
+def lib(paths, graph):
+    return Library.build([p.edge_ids for p in paths], graph.num_edges, graph.exact_length())
 
 
 def test_exact_metric_comparisons():
@@ -38,8 +41,8 @@ def test_exact_metric_comparisons():
     assert _lt((1, 1), (0, 2))  # 2.414 < 2.828
     assert not _lt((3, 0), (0, 2))
     # Equality is exact pair equality.
-    assert _path_length(graph, [0, 1, 0]) == (2, 1)
-    assert _path_length(graph, [1, 0, 1]) == (1, 2) != (2, 1)
+    assert Library.build([[0, 1, 0]], 2, graph.exact_length()).lengths[0] == (2, 1)
+    assert Library.build([[1, 0, 1]], 2, graph.exact_length()).lengths[0] == (1, 2) != (2, 1)
     with pytest.raises(ValueError):
         replace(graph, length=np.array([1.0, 0.5])).exact_length()
 
@@ -135,7 +138,7 @@ def test_lazysp_graph_detour():
 
 def test_lazysp_set_all_valid_uses_path_zero():
     graph, paths = grid_and_library()
-    trace = lazysp_set(paths, graph, lambda e: 1)
+    trace = lazysp_set(lib(paths, graph), graph, lambda e: 1)
     assert trace.terminal == Solved(0)
     assert [r[0] for r in trace.records] == list(paths[0].edge_ids)
 
@@ -145,7 +148,7 @@ def test_lazysp_set_moves_on_after_first_invalid():
     dead = paths[0].edge_ids[0]
     world = np.ones(graph.num_edges, dtype=np.uint8)
     world[dead] = 0
-    trace = lazysp_set(paths, graph, lambda e: int(world[e]))
+    trace = lazysp_set(lib(paths, graph), graph, lambda e: int(world[e]))
     assert trace.records[0] == (dead, 0, 1.0)
     assert isinstance(trace.terminal, Solved) and trace.terminal.path_index != 0
     assert all(world[e] == 1 for e in trace.path_edges)
@@ -153,7 +156,7 @@ def test_lazysp_set_moves_on_after_first_invalid():
 
 def test_lazysp_set_all_dead():
     graph, paths = grid_and_library()
-    trace = lazysp_set(paths, graph, lambda e: 0)
+    trace = lazysp_set(lib(paths, graph), graph, lambda e: 0)
     assert isinstance(trace.terminal, AllRegionsDead)
     evaluated = {e: o for e, o, _ in trace.records}
     for p in paths:
@@ -164,7 +167,7 @@ def test_random_policy_single_one_edge_path():
     graph = build_grid_graph(2, 2)
     # Edge 2 is the single diagonal start-goal edge.
     library = [Path((2,))]
-    trace = random_policy(library, graph, lambda e: 1, seed=0)
+    trace = random_policy(lib(library, graph), graph, lambda e: 1, seed=0)
     assert trace.terminal == Solved(0)
     assert len(trace.records) == 1 and trace.records[0][0] == 2
 
@@ -173,10 +176,10 @@ def test_random_policy_deterministic_per_seed():
     graph, paths = grid_and_library()
     rng = np.random.default_rng(4)
     world = rng.integers(0, 2, graph.num_edges).astype(np.uint8)
-    t1 = random_policy(paths, graph, lambda e: int(world[e]), seed=5, world_index=3)
-    t2 = random_policy(paths, graph, lambda e: int(world[e]), seed=5, world_index=3)
+    t1 = random_policy(lib(paths, graph), graph, lambda e: int(world[e]), seed=5, world_index=3)
+    t2 = random_policy(lib(paths, graph), graph, lambda e: int(world[e]), seed=5, world_index=3)
     assert t1.records == t2.records and t1.terminal == t2.terminal
-    t3 = random_policy(paths, graph, lambda e: int(world[e]), seed=6, world_index=3)
+    t3 = random_policy(lib(paths, graph), graph, lambda e: int(world[e]), seed=6, world_index=3)
     assert isinstance(t3.terminal, (Solved, AllRegionsDead))
 
 
@@ -185,7 +188,7 @@ def test_random_policy_terminates_soundly():
     rng = np.random.default_rng(7)
     for i in range(10):
         world = rng.integers(0, 2, graph.num_edges).astype(np.uint8)
-        trace = random_policy(paths, graph, lambda e: int(world[e]), seed=1, world_index=i)
+        trace = random_policy(lib(paths, graph), graph, lambda e: int(world[e]), seed=1, world_index=i)
         edges = [r[0] for r in trace.records]
         assert len(edges) == len(set(edges))
         if isinstance(trace.terminal, Solved):

@@ -13,7 +13,7 @@ from drdplan.bernoulli import (
     select_test_bernoulli,
     weight_bernoulli,
 )
-from drdplan.model import library_status, regions_matrix
+from drdplan.model import Library, library_status, regions_matrix
 from drdplan.traces import AllRegionsDead, Solved
 
 from conftest import enumerate_worlds, enumeration_problem, random_regions
@@ -81,9 +81,9 @@ def test_weight_matches_enumeration():
         regions = random_regions(rng, e, int(rng.integers(1, 4)))
         prob = enumeration_problem(beta, regions)
         belief = BernoulliBelief(beta=beta)
-        inR = regions_matrix(regions, e)
+        library = Library.build(regions, e)
         # Root weights agree.
-        got = region_weights_bernoulli(belief, inR)
+        got = region_weights_bernoulli(belief, library)
         assert np.allclose(got, prob.root_weights, atol=1e-12, rtol=0)
         # And after a couple of observations.
         vs = prob.root_version_space()
@@ -94,7 +94,7 @@ def test_weight_matches_enumeration():
             outcome = int(rng.integers(2))
             belief.observe(edge, outcome)
             vs = ec2.observe(vs, prob, edge, outcome)
-        got = region_weights_bernoulli(belief, inR)
+        got = region_weights_bernoulli(belief, library)
         want = ec2.region_weights(vs.active, vs.prior, prob.membership)
         assert np.allclose(got, want, atol=1e-12, rtol=0)
 
@@ -106,10 +106,10 @@ def test_conditional_weight_factorization():
     belief = BernoulliBelief(beta=beta)
     belief.observe(2, 1)
     belief.observe(4, 0)
-    inR = regions_matrix([(0, 1), (1, 3, 4)], e)
+    library = Library.build([(0, 1), (1, 3, 4)], e)
     mass = belief.observation_mass()
-    full = region_weights_bernoulli(belief, inR)
-    cond = conditional_region_weights(belief, inR)
+    full = region_weights_bernoulli(belief, library)
+    cond = conditional_region_weights(belief, library)
     assert np.allclose(full, mass * mass * cond, atol=1e-15, rtol=0)
 
 
@@ -119,10 +119,10 @@ def test_on_path_edge_beats_off_path():
     # Single region {0, 1} with a third off-path edge; uniform theta.
     beta = np.array([0.5, 0.5, 0.5])
     regions = [(0, 1)]
-    inR = regions_matrix(regions, 3)
+    library = Library.build(regions, 3)
     belief = BernoulliBelief(beta=beta)
-    roots = conditional_region_weights(belief, inR)
-    sel = select_test_bernoulli(belief, inR, np.ones(3), [0, 1, 2], roots)
+    roots = conditional_region_weights(belief, library)
+    sel = select_test_bernoulli(belief, library, np.ones(3), [0, 1, 2], roots)
     assert sel is not None and sel[0] in (0, 1)
     # The enumeration engine agrees.
     prob = enumeration_problem(beta, regions)
@@ -133,19 +133,19 @@ def test_on_path_edge_beats_off_path():
 
 def test_off_path_candidates_score_nothing():
     beta = np.array([0.5, 0.5, 0.5])
-    inR = regions_matrix([(0,)], 3)
+    library = Library.build([(0,)], 3)
     belief = BernoulliBelief(beta=beta)
-    roots = conditional_region_weights(belief, inR)
-    assert select_test_bernoulli(belief, inR, np.ones(3), [1, 2], roots) is None
+    roots = conditional_region_weights(belief, library)
+    assert select_test_bernoulli(belief, library, np.ones(3), [1, 2], roots) is None
 
 
 def test_select_rejects_observed_candidates():
     belief = BernoulliBelief(beta=np.array([0.5, 0.5]))
     belief.observe(0, 1)
-    inR = regions_matrix([(0, 1)], 2)
-    roots = conditional_region_weights(BernoulliBelief(beta=np.array([0.5, 0.5])), inR)
+    library = Library.build([(0, 1)], 2)
+    roots = conditional_region_weights(BernoulliBelief(beta=np.array([0.5, 0.5])), library)
     with pytest.raises(ValueError):
-        select_test_bernoulli(belief, inR, np.ones(2), [0, 1], roots)
+        select_test_bernoulli(belief, library, np.ones(2), [0, 1], roots)
 
 
 # --- termination predicates ------------------------------------------------
@@ -177,7 +177,7 @@ def test_bisect_all_valid_single_region_evaluates_path_only():
     beta = np.full(5, 0.5)
     regions = [(1, 3)]
     belief = BernoulliBelief(beta=beta)
-    trace = bisect_policy(belief, regions, np.ones(5), lambda e: 1)
+    trace = bisect_policy(belief, Library.build(regions, 5), np.ones(5), lambda e: 1)
     assert trace.terminal == Solved(0)
     assert sorted(t[0] for t in trace.records) == [1, 3]
 
@@ -186,7 +186,7 @@ def test_bisect_dead_world_witnesses_every_region():
     beta = np.full(4, 0.5)
     regions = [(0, 1), (2,), (1, 3)]
     belief = BernoulliBelief(beta=beta)
-    trace = bisect_policy(belief, regions, np.ones(4), lambda e: 0)
+    trace = bisect_policy(belief, Library.build(regions, 4), np.ones(4), lambda e: 0)
     assert isinstance(trace.terminal, AllRegionsDead)
     evaluated = {e: o for e, o, _ in trace.records}
     for region in regions:
@@ -201,7 +201,7 @@ def test_bisect_exhaustive_termination_bound():
         worlds = enumerate_worlds(e)
         for world in worlds:
             belief = BernoulliBelief(beta=beta.copy())
-            trace = bisect_policy(belief, regions, np.ones(e), lambda t: int(world[t]))
+            trace = bisect_policy(belief, Library.build(regions, e), np.ones(e), lambda t: int(world[t]))
             assert len(trace.records) <= e
             assert len({r[0] for r in trace.records}) == len(trace.records)
             assert isinstance(trace.terminal, (Solved, AllRegionsDead))
@@ -227,7 +227,7 @@ def test_bisect_fallback_takes_first_open_edge(monkeypatch):
     monkeypatch.setattr(bernoulli, "select_test_bernoulli", spy)
     world = [1, 0, 1, 1, 1]
     trace = bisect_policy(
-        BernoulliBelief(np.full(5, 0.5)), [(0, 1), (2, 3), (1, 4)],
+        BernoulliBelief(np.full(5, 0.5)), Library.build([(0, 1), (2, 3), (1, 4)], 5),
         np.full(5, 1e13), lambda e: world[e],
     )
     assert [r[0] for r in trace.records] == [0, 1, 2, 3]
@@ -243,9 +243,9 @@ def run_equivalence_instance(rng, n_edges, n_regions):
     regions = random_regions(rng, n_edges, n_regions)
     world = rng.integers(0, 2, n_edges)
     prob = enumeration_problem(beta, regions)
-    inR = regions_matrix(regions, n_edges)
+    library = Library.build(regions, n_edges)
     belief = BernoulliBelief(beta=beta)
-    roots_b = conditional_region_weights(belief, inR)
+    roots_b = conditional_region_weights(belief, library)
     vs = prob.root_version_space()
     cost = np.ones(n_edges)
 
@@ -253,7 +253,7 @@ def run_equivalence_instance(rng, n_edges, n_regions):
     while True:
         st_e = ec2.is_solved(vs, prob)
         theta = belief.theta_eff
-        r_b, live_b, _ = library_status(inR, theta == 1.0, theta == 0.0)
+        r_b, live_b, _ = library_status(library.inR, theta == 1.0, theta == 0.0)
         dead_b = not live_b.any()
         if isinstance(st_e, Solved):
             assert r_b == st_e.path_index
@@ -264,12 +264,12 @@ def run_equivalence_instance(rng, n_edges, n_regions):
         assert r_b is None and not dead_b
 
         w_e = ec2.region_weights(vs.active, vs.prior, prob.membership)
-        w_b = region_weights_bernoulli(belief, inR)
+        w_b = region_weights_bernoulli(belief, library)
         assert np.allclose(w_e, w_b, atol=1e-12, rtol=0)
 
         cand = [t for t in range(n_edges) if t not in belief.observed]
         sel_e = ec2.select_test(vs, prob, cand)
-        sel_b = select_test_bernoulli(belief, inR, cost, cand, roots_b)
+        sel_b = select_test_bernoulli(belief, library, cost, cand, roots_b)
         if sel_e is None or sel_b is None:
             assert sel_e is None and sel_b is None
             return steps
@@ -288,3 +288,59 @@ def test_engine_equivalence_sample():
         run_equivalence_instance(
             rng, int(rng.integers(2, 8)), int(rng.integers(1, 4))
         )
+
+
+# --- kernels against their per-row definitions ------------------------------
+
+def test_state_products_bitwise_equal_per_row_prod():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        n_edges = int(rng.integers(1, 120))
+        m = int(rng.integers(1, 12))
+        # Uneven lengths, from one edge to every edge.
+        regions = [
+            tuple(rng.choice(n_edges, size=int(rng.integers(1, n_edges + 1)), replace=False))
+            for _ in range(m)
+        ]
+        library = Library.build(regions, n_edges)
+        belief = BernoulliBelief(beta=rng.uniform(0.01, 0.99, n_edges))
+        for e in rng.choice(n_edges, size=int(rng.integers(0, n_edges + 1)), replace=False):
+            belief.observe(int(e), int(rng.integers(2)))
+        theta, p_r, pt2_r, ps_r, S = bernoulli._state(belief, library)
+        s = theta * theta + (1.0 - theta) * (1.0 - theta)
+        inR = regions_matrix(regions, n_edges)
+        assert np.array_equal(p_r, np.array([np.prod(theta[row]) for row in inR]))
+        assert np.array_equal(pt2_r, np.array([np.prod((theta * theta)[row]) for row in inR]))
+        assert np.array_equal(ps_r, np.array([np.prod(s[row]) for row in inR]))
+        assert S == float(np.prod(s))
+        assert [sorted(set(r)) for r in regions] == [
+            [e for e in row if e < n_edges] for row in library.index.tolist()
+        ]
+
+
+def _outside_live_regions(trace, regions):
+    """Evaluations of edges that lay on no live region when evaluated."""
+    invalid, out = set(), []
+    for e, o, _ in trace.records:
+        if not any(e in r for r in regions if not invalid & set(r)):
+            out.append(e)
+        if not o:
+            invalid.add(e)
+    return out
+
+
+def test_bisect_never_evaluates_outside_live_regions_at_tiny_cost():
+    # Two long regions of unlikely edges: their true scores, about
+    # 1e-20 / c, sit below the round-off score of the four off-library
+    # edges (16..19), about 1e-16 / c, and at c = 1e-8 both clear SCORE_TOL.
+    rng = np.random.default_rng(12)
+    regions = [tuple(range(8)), tuple(range(8, 16))]
+    library = Library.build(regions, 20)
+    for _ in range(30):
+        beta = np.concatenate([np.full(16, 0.05), rng.uniform(0.05, 0.95, 4)])
+        world = rng.integers(0, 2, 20)
+        trace = bisect_policy(
+            BernoulliBelief(beta=beta), library, np.full(20, 1e-8), lambda t: int(world[t])
+        )
+        assert isinstance(trace.terminal, (Solved, AllRegionsDead))
+        assert _outside_live_regions(trace, regions) == []

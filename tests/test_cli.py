@@ -268,6 +268,17 @@ def test_os_errors_exit_3_without_traceback(pipeline, tmp_path, capsys, bad):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_run_checks_out_before_any_world(pipeline, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("run_policy was called")
+
+    monkeypatch.setattr(drdplan.bench, "run_policy", never)
+    for out in (pipeline["ds"], os.path.join(pipeline["ds"], "runs")):
+        argv = ["run", "--dataset", pipeline["ds"], "--policy", "lazysp-set", "--out", out]
+        assert run(argv) == EXIT_DATA
+        assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("radius", ["inf", "nan"])
 def test_disc_radius_must_be_finite(tmp_path, capsys, radius):
     argv = gen_args(str(tmp_path / "d.bin"), scenario="forest") + ["--disc-radius", radius]
@@ -310,6 +321,7 @@ _BAD_TREES = {
     "bias-range": lambda d: d["nodes"].__setitem__(0, _handoff([0.5] * 109 + [1.0])),
     "bias-type": lambda d: d["nodes"].__setitem__(0, _handoff([0.5] * 109 + ["0.5"])),
     "alpha": lambda d: d["params"].pop("alpha"),
+    "hash-type": lambda d: d["params"].__setitem__("dataset_hash", 12345),
 }
 
 

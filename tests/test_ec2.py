@@ -229,3 +229,47 @@ def test_residual_nonincreasing_along_rollouts():
             cur = ec2.residual(vs, prob)
             assert cur <= last + 1e-12
             last = cur
+
+
+def _min_key_choice(cand, log_expected, cost):
+    """The argmax as a Python min over (-score, tie_key), lowest index first."""
+    scores = (1.0 - np.exp(log_expected)) / cost
+    scores = np.where(scores > ec2.SCORE_TOL, scores, 0.0)
+    if not np.any(scores > 0.0):
+        return None
+    tie_key = log_expected + np.log(cost)
+    best = min(range(len(cand)), key=lambda i: (-scores[i], tie_key[i]))
+    return int(cand[best]), float(scores[best])
+
+
+def test_best_test_matches_min_key_on_ties():
+    cand = np.arange(10, 16)
+    cases = [
+        # Saturated: exp underflows, every score is exactly 1/c; the tie
+        # key (log expected residual per cost) decides.
+        (np.array([-800.0, -900.0, -750.0, -900.0, -800.0, -760.0]), np.ones(6)),
+        (np.array([-800.0, -900.0, -750.0, -900.0, -800.0, -760.0]),
+         np.array([2.0, 1.0, 1.0, 1.0, 2.0, 4.0])),
+        # Equal tie keys: lowest index.
+        (np.full(6, np.log(0.25)), np.ones(6)),
+        # A -inf log expectation (the candidate resolves everything) ties
+        # with saturated finite ones on score and wins on the key.
+        (np.array([-800.0, -np.inf, -900.0, -np.inf, -800.0, -1.0]), np.ones(6)),
+        # Every score cut to zero: no choice.
+        (np.zeros(6), np.ones(6)),
+        (np.full(6, -1e-14), np.ones(6)),
+        (np.log(np.full(6, 0.5)), np.full(6, 1e13)),
+    ]
+    for le, cost in cases:
+        assert ec2.best_test(cand, le, cost) == _min_key_choice(cand, le, cost)
+    assert ec2.best_test(cand, np.zeros(6), np.ones(6)) is None
+    assert ec2.best_test(cand, *cases[0])[0] == 11
+    assert ec2.best_test(cand, *cases[2])[0] == 10
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        # Few distinct values so that exact ties are common.
+        le = rng.choice([-np.inf, -900.0, -800.0, -2.0, -0.5, 0.0], size=n)
+        cost = rng.choice([0.5, 1.0, 2.0], size=n)
+        cand = np.sort(rng.choice(50, size=n, replace=False))
+        assert ec2.best_test(cand, le, cost) == _min_key_choice(cand, le, cost)
