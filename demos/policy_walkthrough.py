@@ -20,6 +20,7 @@ from drdplan.bernoulli import (
     select_test_bernoulli,
 )
 from drdplan.model import Library
+from drdplan.traces import RunTrace
 
 
 def part1_explicit_database() -> None:
@@ -64,7 +65,7 @@ def part2_bernoulli_vs_enumeration() -> None:
     world = np.array([1, 1, 0, 1])  # ground truth: path 0 is valid
     print(f"true world: {world.tolist()}  regions: {regions}")
     while True:
-        cand = [e for e in range(n_edges) if e not in belief.observed]
+        cand = [e for e in range(n_edges) if belief.status[e] == 0]
         sel_b = select_test_bernoulli(belief, library, np.ones(n_edges), cand, roots)
         sel_e = ec2.select_test(vs, prob, cand)
         if sel_b is None:
@@ -84,7 +85,7 @@ def part2_bernoulli_vs_enumeration() -> None:
     # Full policy run on a fresh belief.
     trace = bisect_policy(
         BernoulliBelief(beta=beta), library, np.ones(n_edges),
-        lambda e: int(world[e]),
+        lambda e: int(world[e]), RunTrace("bisect"),
     )
     print(f"bisect_policy trace: {[r[0] for r in trace.records]} "
           f"-> {trace.terminal} (cost {trace.total_cost:.0f})")

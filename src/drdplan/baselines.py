@@ -79,20 +79,16 @@ def shortest_path_edges(graph: ExplicitGraph, usable: np.ndarray) -> list[int] |
 
 
 def check_path(edges, status, oracle, eval_cost, trace: RunTrace) -> bool:
-    """Lazily check one path against the world.  status holds one int8 per
-    edge (0 unknown, 1 valid, -1 invalid).  False at once if an edge of the
-    path is known invalid; otherwise evaluate its unknown edges in path
-    order, recording each in the trace and in status, until one fails.
-    True when every edge of the path is valid."""
+    """Lazily check one path against the world, given the episode's edge
+    status (see drdplan.traces).  False at once if an edge of the path is
+    known invalid; otherwise evaluate its unknown edges in path order,
+    extending the trace and status, until one fails.  True when every edge
+    of the path is valid."""
     if (status[list(edges)] == -1).any():
         return False
     for e in edges:
-        if status[e] == 0:
-            outcome = int(oracle(e))
-            trace.record(e, outcome, float(eval_cost[e]))
-            status[e] = 1 if outcome else -1
-            if not outcome:
-                return False
+        if status[e] == 0 and not trace.evaluate(e, oracle, eval_cost, status):
+            return False
     return True
 
 
@@ -101,7 +97,7 @@ def lazysp_graph(
 ) -> RunTrace:
     """LazySP on the full graph: evaluate the optimistic shortest path's
     unknown edges start-to-goal, restart on the first invalid edge."""
-    status = np.zeros(graph.num_edges, dtype=np.int8)  # 0 unknown, 1 valid, -1 invalid
+    status = np.zeros(graph.num_edges, dtype=np.int8)
     trace = RunTrace(policy=policy_name, world_index=world_index)
     while True:
         path = shortest_path_edges(graph, status >= 0)
@@ -132,7 +128,7 @@ def lazysp_set(
     status = np.zeros(graph.num_edges, dtype=np.int8)
     trace = RunTrace(policy=policy_name, world_index=world_index)
     while True:
-        _, live, _ = library_status(library.inR, status == 1, status == -1)
+        _, live, _ = library_status(library.inR, status)
         best = None
         for r in np.flatnonzero(live).tolist():
             if best is None or _lt(lengths[r], lengths[best]):
@@ -161,7 +157,7 @@ def random_policy(
     status = np.zeros(graph.num_edges, dtype=np.int8)
     trace = RunTrace(policy=policy_name, world_index=world_index)
     while True:
-        solved, live, open_edges = library_status(library.inR, status == 1, status == -1)
+        solved, live, open_edges = library_status(library.inR, status)
         if not live.any():
             trace.terminal = AllRegionsDead()
             return trace
@@ -170,7 +166,4 @@ def random_policy(
             trace.path_edges = library.paths[solved]
             return trace
         pool = np.flatnonzero(open_edges)
-        edge = int(pool[gen.integers(len(pool))])
-        outcome = int(oracle(edge))
-        trace.record(edge, outcome, float(graph.eval_cost[edge]))
-        status[edge] = 1 if outcome else -1
+        trace.evaluate(int(pool[gen.integers(len(pool))]), oracle, graph.eval_cost, status)

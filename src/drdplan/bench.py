@@ -46,12 +46,11 @@ def _world_oracle(dataset: Dataset, h: int):
     return oracle
 
 
-def _surviving(train_theta: np.ndarray, observed: dict) -> np.ndarray:
-    """Mask over the training rows of worlds consistent with the observations."""
-    mask = np.ones(len(train_theta), dtype=bool)
-    for e, o in observed.items():
-        mask &= train_theta[:, e] == o
-    return mask
+def _surviving(train_theta: np.ndarray, status: np.ndarray) -> np.ndarray:
+    """Mask over the training rows of worlds consistent with the edges
+    observed in an episode's status."""
+    seen = status != 0
+    return (train_theta[:, seen] == (status[seen] > 0)).all(axis=1)
 
 
 def _checked_tree(dataset: Dataset, tree: trees.DecisionTree | None, policy: str):
@@ -121,14 +120,10 @@ def _bisect(dataset, tree, train_idx, seed, alpha):
     # Standalone baseline: training column means, clipped, as bias.
     beta = bernoulli.clamp_bias(dataset.theta[train_idx].mean(axis=0), alpha)
     library = _library(dataset)
-
-    def episode(h: int) -> RunTrace:
-        return bernoulli.bisect_policy(
-            bernoulli.BernoulliBelief(beta=beta), library, dataset.graph.eval_cost,
-            _world_oracle(dataset, h), "bisect", h,
-        )
-
-    return episode
+    return lambda h: bernoulli.bisect_policy(
+        bernoulli.BernoulliBelief(beta), library, dataset.graph.eval_cost,
+        _world_oracle(dataset, h), RunTrace("bisect", h),
+    )
 
 
 def _direct_bisect(dataset, tree, train_idx, seed, alpha):
@@ -143,35 +138,27 @@ def _direct_bisect(dataset, tree, train_idx, seed, alpha):
 
     def episode(h: int) -> RunTrace:
         oracle = _world_oracle(dataset, h)
-        leaf, trace = trees.execute_tree(tree, oracle, eval_cost, "direct+bisect", h)
+        trace = RunTrace("direct+bisect", h)
+        status = np.zeros(len(eval_cost), dtype=np.int8)
+        leaf = trees.execute_tree(tree, oracle, eval_cost, trace, status)
         if isinstance(leaf, trees.HandoffLeaf):
             bias = np.asarray(leaf.bias)
         else:
             if isinstance(leaf, trees.SolvedLeaf):
                 # Off-database safety: prove the named path against the live world.
-                path = dataset.paths[leaf.region].edge_ids
-                status = np.zeros(len(eval_cost), dtype=np.int8)
-                for e, o in trace.evaluated.items():
-                    status[e] = 1 if o else -1
+                path = library.paths[leaf.region]
                 if baselines.check_path(path, status, oracle, eval_cost, trace):
                     trace.terminal = Solved(leaf.region)
-                    trace.path_edges = tuple(path)
+                    trace.path_edges = path
                     return trace
             # A refuted solved leaf, or a dead leaf whose verdict must be
             # witnessed on the live world: bias from the training worlds
             # consistent with what was seen (all of them if none is).
-            observed = trace.evaluated
-            mask = _surviving(train_theta, observed)
+            mask = _surviving(train_theta, status)
             rows = train_theta[mask] if mask.any() else train_theta
-            bias = trees.bias_vector(rows, observed, alpha)
-        belief = bernoulli.BernoulliBelief(
-            beta=bernoulli.clamp_bias(bias, alpha), observed=trace.evaluated
-        )
-        sub = bernoulli.bisect_policy(belief, library, eval_cost, oracle, trace.policy, h)
-        trace.records.extend(sub.records)
-        trace.terminal = sub.terminal
-        trace.path_edges = sub.path_edges
-        return trace
+            bias = trees.bias_vector(rows, status, alpha)
+        belief = bernoulli.BernoulliBelief(bernoulli.clamp_bias(bias, alpha), status)
+        return bernoulli.bisect_policy(belief, library, eval_cost, oracle, trace)
 
     return episode
 
@@ -180,18 +167,17 @@ def _direct_only(dataset, tree, train_idx, seed, alpha):
     tree = _checked_tree(dataset, tree, "direct-only")
     train_theta = dataset.theta[train_idx]
     train_memb = dataset.membership[train_idx]
+    eval_cost = dataset.graph.eval_cost
 
     def episode(h: int) -> RunTrace:
-        leaf, trace = trees.execute_tree(
-            tree, _world_oracle(dataset, h), dataset.graph.eval_cost, "direct-only", h
-        )
+        trace = RunTrace("direct-only", h)
+        status = np.zeros(len(eval_cost), dtype=np.int8)
+        leaf = trees.execute_tree(tree, _world_oracle(dataset, h), eval_cost, trace, status)
         region = None
         if isinstance(leaf, trees.SolvedLeaf):
             region = leaf.region
         elif isinstance(leaf, trees.HandoffLeaf):
-            plausible = np.nonzero(
-                train_memb[_surviving(train_theta, trace.evaluated)].any(axis=0)
-            )[0]
+            plausible = np.nonzero(train_memb[_surviving(train_theta, status)].any(axis=0))[0]
             region = int(plausible[0]) if plausible.size else None
         if region is None:
             trace.terminal = AllRegionsDead()
@@ -409,11 +395,13 @@ def save_runs(
     params: dict | None = None,
 ) -> None:
     feasible = {int(h): bool(dataset.membership[h].any()) for h in {t.world_index for t in traces}}
+    scenario = dataset.provenance.get("scenario")
+    label = scenario.get("kind") if isinstance(scenario, dict) else None
     doc = {
         "schema_version": RUNS_SCHEMA_VERSION,
         "policy": policy,
         "dataset_hash": dataset_hash(dataset),
-        "dataset_label": dataset.provenance.get("scenario", {}).get("kind", "dataset"),
+        "dataset_label": label if isinstance(label, str) else "dataset",
         "seed": int(seed),
         "params": params or {},
         "feasible": feasible,

@@ -15,7 +15,7 @@ test suite pins them against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,20 +26,23 @@ from .traces import AllRegionsDead, RunTrace, Solved
 
 @dataclass
 class BernoulliBelief:
-    """Per-edge validity probabilities plus observed outcomes.
+    """Per-edge validity probabilities over an episode's edge status.
 
-    beta holds the prior bias, strictly inside (0, 1); theta_eff is beta for
-    unobserved edges and the hard outcome for observed ones.
+    beta holds the prior bias, strictly inside (0, 1).  status is the
+    episode's edge status (drdplan.traces), held without copying, so what
+    the caller evaluates into it the belief has observed; all unknown when
+    None.  theta_eff is beta for unknown edges, the outcome for the rest.
     """
 
     beta: np.ndarray
-    observed: dict[int, int] = field(default_factory=dict)
+    status: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.beta = np.asarray(self.beta, dtype=np.float64)
         if not np.all((self.beta > 0) & (self.beta < 1)):
             raise ValueError("bias entries must lie strictly in (0, 1)")
-        self.observed = {int(e): int(o) for e, o in self.observed.items()}
+        if self.status is None:
+            self.status = np.zeros(self.beta.shape[0], dtype=np.int8)
 
     @property
     def num_edges(self) -> int:
@@ -47,22 +50,18 @@ class BernoulliBelief:
 
     @property
     def theta_eff(self) -> np.ndarray:
-        theta = self.beta.copy()
-        for e, o in self.observed.items():
-            theta[e] = float(o)
-        return theta
+        return np.where(self.status == 0, self.beta, self.status > 0)
 
     def observation_mass(self) -> float:
-        """Prior probability of everything observed so far."""
-        mass = 1.0
-        for e, o in self.observed.items():
-            mass *= self.beta[e] if o else 1.0 - self.beta[e]
-        return float(mass)
+        """Prior probability of everything observed: np.prod over the
+        observed edges, gathered in ascending edge-id order."""
+        obs = self.status != 0
+        return float(np.prod(np.where(self.status[obs] > 0, self.beta[obs], 1.0 - self.beta[obs])))
 
     def observe(self, edge: int, outcome: int) -> None:
-        if edge in self.observed:
+        if self.status[edge] != 0:
             raise ValueError(f"edge {edge} was already observed")
-        self.observed[int(edge)] = int(outcome)
+        self.status[edge] = 1 if outcome else -1
 
 
 def clamp_bias(beta: np.ndarray, alpha: float) -> np.ndarray:
@@ -150,11 +149,9 @@ def select_test_bernoulli(
     if cand.size == 0:
         raise ValueError("candidates must be nonempty")
     theta, p_r, pt2_r, ps_r, S = _state(belief, library)
-    th_c = theta[cand]
-    # Exact: beta lies strictly inside (0, 1), so only observed edges sit
-    # at 0 or 1.
-    if np.any((th_c == 0.0) | (th_c == 1.0)):
+    if np.any(belief.status[cand] != 0):
         raise ValueError("candidates must be unobserved edges")
+    th_c = theta[cand]
 
     K = S - pt2_r * (S / ps_r)
     w_now = 0.5 * (1.0 - p_r * p_r - K)
@@ -185,11 +182,13 @@ def bisect_policy(
     library: Library,
     eval_cost: np.ndarray,
     oracle,
-    policy_name: str = "bisect",
-    world_index: int = -1,
+    trace: RunTrace,
 ) -> RunTrace:
     """Select/query/observe until one region is proven valid or all are
-    refuted.  Mutates the belief.  At most |E| evaluations.
+    refuted.  Extends the caller's trace and the belief's status (the
+    episode state of drdplan.traces) and returns the trace with its
+    terminal set; edges already observed there are never evaluated again.
+    At most |E| evaluations.
 
     Each step scores the open edges of model.library_status, the
     unobserved edges of regions with no observed-invalid edge; any other
@@ -205,13 +204,9 @@ def bisect_policy(
     # selection rule; the conditional form cannot underflow however many
     # observations the belief already carries.
     root_weights = conditional_region_weights(belief, library)
-    trace = RunTrace(policy=policy_name, world_index=world_index)
 
     while True:
-        # Exact: beta lies strictly inside (0, 1), so only observed edges
-        # sit at 0 or 1.
-        theta = belief.theta_eff
-        r, live, open_edges = library_status(library.inR, theta == 1.0, theta == 0.0)
+        r, live, open_edges = library_status(library.inR, belief.status)
         if r is not None:
             trace.terminal = Solved(r)
             trace.path_edges = library.paths[r]
@@ -223,6 +218,4 @@ def bisect_policy(
         candidates = np.flatnonzero(open_edges)
         sel = select_test_bernoulli(belief, library, eval_cost, candidates, root_weights)
         edge = sel[0] if sel is not None else int(candidates[0])
-        outcome = int(oracle(edge))
-        trace.record(edge, outcome, float(eval_cost[edge]))
-        belief.observe(edge, outcome)
+        trace.evaluate(edge, oracle, eval_cost, belief.status)

@@ -11,7 +11,7 @@ version space shrinks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +25,13 @@ SCORE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class VersionSpace:
-    """Surviving hypotheses with their (fixed) prior weights."""
+    """Surviving hypotheses with their (fixed) prior weights, and the edge
+    status (drdplan.traces) of the tests observed on the way here; observe
+    gives each child its own copy, so sibling branches never share one."""
 
     active: np.ndarray  # bool, one flag per hypothesis
     prior: np.ndarray  # positive reals, never renormalized
-    observed: dict[int, int] = field(default_factory=dict)
+    status: np.ndarray  # int8, one entry per test
 
     @property
     def active_count(self) -> int:
@@ -68,9 +70,8 @@ class DrdProblem:
         return self.outcomes.shape[1]
 
     def root_version_space(self) -> VersionSpace:
-        return VersionSpace(
-            active=np.ones(self.num_hypotheses, dtype=bool), prior=self.prior
-        )
+        active = np.ones(self.num_hypotheses, dtype=bool)
+        return VersionSpace(active, self.prior, np.zeros(self.num_tests, dtype=np.int8))
 
 
 def problem_from_dataset(dataset, world_indices, prior=None) -> DrdProblem:
@@ -141,7 +142,7 @@ def select_test(
     An outcome with no plausible region left resolves everything and
     counts as zero residual.  Score = (1 - E[residual after] / residual
     now) / c, evaluated in log space."""
-    cand = np.asarray(sorted(candidates), dtype=np.int64)
+    cand = np.sort(np.asarray(candidates, dtype=np.int64))
     if cand.size == 0:
         raise ValueError("candidates must be nonempty")
 
@@ -213,13 +214,14 @@ def best_test(
 def observe(
     vs: VersionSpace, problem: DrdProblem, edge: int, outcome: int
 ) -> VersionSpace:
-    """Prune hypotheses inconsistent with the observed outcome."""
-    if edge in vs.observed:
+    """Prune hypotheses inconsistent with the observed outcome; the
+    returned version space marks the edge in a copy of vs.status."""
+    if vs.status[edge] != 0:
         raise ValueError(f"edge {edge} was already observed")
+    status = vs.status.copy()
+    status[edge] = 1 if outcome else -1
     new_active = vs.active & (problem.outcomes[:, edge] == outcome)
-    new_observed = dict(vs.observed)
-    new_observed[int(edge)] = int(outcome)
-    return VersionSpace(active=new_active, prior=vs.prior, observed=new_observed)
+    return VersionSpace(active=new_active, prior=vs.prior, status=status)
 
 
 def is_solved(vs: VersionSpace, problem: DrdProblem):
@@ -243,12 +245,12 @@ def direct_step(vs: VersionSpace, problem: DrdProblem, eta: float):
     per is_solved; Handoff() when the active weight is at or below eta
     times the prior sum, or no unobserved test scores; else the edge id of
     the next test."""
-    status = is_solved(vs, problem)
-    if isinstance(status, (Solved, AllRegionsDead)):
-        return status
+    verdict = is_solved(vs, problem)
+    if isinstance(verdict, (Solved, AllRegionsDead)):
+        return verdict
     if vs.active_weight() > eta * float(problem.prior.sum()):
-        candidates = [e for e in range(problem.num_tests) if e not in vs.observed]
-        sel = select_test(vs, problem, candidates) if candidates else None
+        candidates = np.flatnonzero(vs.status == 0)
+        sel = select_test(vs, problem, candidates) if candidates.size else None
         if sel is not None:
             return sel[0]
     return Handoff()

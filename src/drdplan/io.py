@@ -103,7 +103,7 @@ def dataset_from_bytes(data: bytes) -> Dataset:
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"bad JSON header: {exc}") from exc
     version = header.get("schema_version") if isinstance(header, dict) else None
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise DatasetFormatError(
             f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
         )
@@ -115,13 +115,24 @@ def dataset_from_bytes(data: bytes) -> Dataset:
 
     try:
         n, e, m = header["n_worlds"], header["n_edges"], header["n_paths"]
+        graph, split = header["graph"], header["split"]
+        # Exact types, so that a JSON true is neither an id nor a number.
+        ids = [*graph["endpoints"], *header["paths"], split["train"], split["test"],
+               [graph["start"], graph["goal"]]]
+        if not all(type(x) is int for row in ids for x in row):
+            raise DatasetFormatError("vertex, edge and world ids must be JSON integers")
+        numbers = [*graph["positions"], graph["eval_cost"], graph["length"]]
+        if not all(type(x) in (int, float) for row in numbers for x in row):
+            raise DatasetFormatError("positions, eval_cost and length must be JSON numbers")
+        if not isinstance(header.get("provenance", {}), dict):
+            raise DatasetFormatError("provenance must be a JSON object")
         ds = Dataset(
-            graph=_graph_from_json(header["graph"]),
+            graph=_graph_from_json(graph),
             theta=_unpack_bits(theta_blob, n, e),
-            paths=[Path(tuple(ids)) for ids in header["paths"]],
+            paths=[Path(tuple(p)) for p in header["paths"]],
             membership=_unpack_bits(memb_blob, n, m),
-            train=np.asarray(header["split"]["train"], dtype=np.int64),
-            test=np.asarray(header["split"]["test"], dtype=np.int64),
+            train=np.asarray(split["train"], dtype=np.int64),
+            test=np.asarray(split["test"], dtype=np.int64),
             provenance=header.get("provenance", {}),
         )
     except DatasetFormatError:

@@ -172,20 +172,18 @@ class Library:
         return self.inR.shape[1]
 
 
-def library_status(
-    inR: np.ndarray, valid: np.ndarray, invalid: np.ndarray
-) -> tuple[int | None, np.ndarray, np.ndarray]:
-    """Where a path library stands, given (E,) masks of the edges known
-    valid and known invalid: (solved, live, open_edges).
+def library_status(inR: np.ndarray, status: np.ndarray) -> tuple[int | None, np.ndarray, np.ndarray]:
+    """Where a path library stands, given an episode's (E,) edge status
+    (drdplan.traces): (solved, live, open_edges).
 
     solved is the lowest path whose edges are all known valid, or None;
     live masks the paths with no known-invalid edge; open_edges masks the
     unknown edges of live paths.  A live unsolved path always has an open
     edge, so open_edges is empty only when the library is solved or dead.
     """
-    proven = np.flatnonzero(~(inR & ~valid).any(axis=1))
-    live = ~(inR & invalid).any(axis=1)
-    open_edges = inR[live].any(axis=0) & ~(valid | invalid)
+    proven = np.flatnonzero(~(inR & (status != 1)).any(axis=1))
+    live = ~(inR & (status == -1)).any(axis=1)
+    open_edges = inR[live].any(axis=0) & (status == 0)
     return (int(proven[0]) if proven.size else None), live, open_edges
 
 
@@ -244,11 +242,15 @@ def validate_dataset(ds: Dataset) -> list[str]:
         out.append("start/goal vertex id out of range")
     if g.start == g.goal:
         out.append("start equals goal")
-    if np.any(g.eval_cost <= 0):
-        out.append("nonpositive eval_cost")
-    if np.any(g.length < 0):
+    if g.eval_cost.shape != (E,):
+        out.append(f"eval_cost has shape {g.eval_cost.shape}, expected ({E},)")
+    elif not np.all(np.isfinite(g.eval_cost) & (g.eval_cost > 0)):
+        out.append("eval_cost not finite and positive")
+    if g.length.shape != (E,):
+        out.append(f"edge length has shape {g.length.shape}, expected ({E},)")
+    elif np.any(g.length < 0):
         out.append("negative edge length")
-    if exact_lengths(g.length) is None:
+    elif exact_lengths(g.length) is None:
         out.append("edge length not an integer or an integer multiple of sqrt(2)")
     seen = set()
     for u, v in map(tuple, np.sort(g.endpoints, axis=1)):
@@ -261,23 +263,22 @@ def validate_dataset(ds: Dataset) -> list[str]:
     if ds.membership.shape != (ds.num_worlds, ds.num_paths):
         out.append("membership matrix shape mismatch")
 
+    paths_in_range = True
     for r, p in enumerate(ds.paths):
         if p.edge_ids and (min(p.edge_ids) < 0 or max(p.edge_ids) >= E):
             out.append(f"path {r} references edge id out of range")
+            paths_in_range = False
         elif not path_is_connected(g, p):
             out.append(f"path {r} is not a connected start-goal edge sequence")
 
-    if ds.membership.shape == (ds.num_worlds, ds.num_paths) and ds.theta.shape[1] == E:
-        ok = all(
-            not p.edge_ids or (0 <= min(p.edge_ids) and max(p.edge_ids) < E) for p in ds.paths
-        )
-        if ok and ds.paths:
-            recomputed = compute_membership(ds.theta, ds.paths)
-            bad = np.argwhere(recomputed != ds.membership)
-            for h, r in bad[:20]:
-                out.append(f"membership[{h}][{r}] inconsistent with world outcomes")
-            if len(bad) > 20:
-                out.append(f"... and {len(bad) - 20} more membership inconsistencies")
+    shapes_match = ds.membership.shape == (ds.num_worlds, ds.num_paths) and ds.theta.shape[1] == E
+    if shapes_match and paths_in_range and ds.paths:
+        recomputed = compute_membership(ds.theta, ds.paths)
+        bad = np.argwhere(recomputed != ds.membership)
+        for h, r in bad[:20]:
+            out.append(f"membership[{h}][{r}] inconsistent with world outcomes")
+        if len(bad) > 20:
+            out.append(f"... and {len(bad) - 20} more membership inconsistencies")
 
     split = np.concatenate([ds.train, ds.test])
     if len(np.intersect1d(ds.train, ds.test)):

@@ -1,8 +1,17 @@
-"""Run traces and terminal verdicts shared by every policy."""
+"""Run traces and terminal verdicts shared by every policy.
+
+An episode's state is one ``RunTrace`` and one edge-status vector: an
+(E,) int8 array with 0 for an edge not yet evaluated, 1 for an edge
+evaluated valid and -1 for one evaluated invalid.  Every phase of an
+episode (the tree, the check of a solved leaf, the completion) extends the
+same trace and the same status through ``RunTrace.evaluate``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -60,9 +69,13 @@ class RunTrace:
     def total_cost(self) -> float:
         return float(sum(c for _, _, c in self.records))
 
-    @property
-    def evaluated(self) -> dict[int, int]:
-        return {e: o for e, o, _ in self.records}
-
     def record(self, edge: int, outcome: int, cost: float) -> None:
         self.records.append((int(edge), int(outcome), float(cost)))
+
+    def evaluate(self, edge: int, oracle, eval_cost, status: np.ndarray) -> int:
+        """Query the oracle on one edge, record (edge, outcome, cost) and
+        mark the edge in status; returns the outcome."""
+        outcome = int(oracle(edge))
+        self.record(edge, outcome, eval_cost[edge])
+        status[edge] = 1 if outcome else -1
+        return outcome

@@ -78,18 +78,16 @@ class DecisionTree:
         return counts
 
 
-def bias_vector(rows: np.ndarray, observed: dict, alpha: float) -> np.ndarray:
+def bias_vector(rows: np.ndarray, status: np.ndarray, alpha: float) -> np.ndarray:
     """Per-edge validity bias: alpha * empirical fraction over the outcome
-    rows + (1 - alpha) * 0.5; observed edges use the outcome instead of the
+    rows + (1 - alpha) * 0.5; edges observed in status (the episode's
+    int8 edge status, see drdplan.traces) use their outcome instead of the
     fraction.  Entries stay inside [(1-a)/2, 1-(1-a)/2]."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     if len(rows) == 0:
         raise ValueError("bias_vector needs at least one outcome row")
-    theta = rows.mean(axis=0).astype(np.float64)
-    for e, o in observed.items():
-        theta[e] = float(o)
-    return alpha * theta + (1.0 - alpha) * 0.5
+    return alpha * np.where(status == 0, rows.mean(axis=0), status > 0) + (1.0 - alpha) * 0.5
 
 
 def compile_tree(
@@ -120,7 +118,7 @@ def compile_tree(
         return len(nodes) - 1
 
     def handoff(vs: ec2.VersionSpace, worlds: np.ndarray) -> HandoffLeaf:
-        bias = bias_vector(problem.outcomes[worlds], vs.observed, alpha)
+        bias = bias_vector(problem.outcomes[worlds], vs.status, alpha)
         return HandoffLeaf(tuple(bias), vs.active_count)
 
     def leaf_or_edge(vs: ec2.VersionSpace):
@@ -181,20 +179,16 @@ def compile_from_dataset(
 
 
 def execute_tree(
-    tree: DecisionTree,
-    oracle,
-    eval_cost: np.ndarray,
-    policy_name: str = "tree",
-    world_index: int = -1,
-) -> tuple[object, RunTrace]:
-    """Follow branches by querying the oracle; returns (leaf, trace)."""
-    trace = RunTrace(policy=policy_name, world_index=world_index)
+    tree: DecisionTree, oracle, eval_cost: np.ndarray, trace: RunTrace, status: np.ndarray
+) -> object:
+    """Follow branches by querying the oracle, recording each test in the
+    caller's trace and marking it in status (the episode state of
+    drdplan.traces); returns the leaf reached."""
     node = tree.nodes[tree.root]
     while isinstance(node, InternalNode):
-        outcome = int(oracle(node.edge))
-        trace.record(node.edge, outcome, float(eval_cost[node.edge]))
+        outcome = trace.evaluate(node.edge, oracle, eval_cost, status)
         node = tree.nodes[node.child1 if outcome else node.child0]
-    return node, trace
+    return node
 
 
 def tree_to_bytes(tree: DecisionTree) -> bytes:

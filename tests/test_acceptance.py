@@ -21,7 +21,7 @@ from drdplan.bernoulli import BernoulliBelief, bisect_policy
 from drdplan.cli import main as cli_main
 from drdplan.model import Library
 from drdplan.scenarios import KINDS, ScenarioSpec, generate_dataset
-from drdplan.traces import AllRegionsDead, Solved
+from drdplan.traces import AllRegionsDead, RunTrace, Solved
 
 from conftest import (
     enumerate_worlds,
@@ -92,7 +92,7 @@ def test_criterion_1_weight_oracle():
         if not active.any():
             active[int(rng.integers(n))] = True
         prob = ec2.DrdProblem(membership, np.zeros((n, 1), np.uint8), np.ones(1), prior)
-        vs = ec2.VersionSpace(active=active, prior=prior)
+        vs = ec2.VersionSpace(active=active, prior=prior, status=np.zeros(1, np.int8))
         for r in range(m):
             oracle = pairwise_weight_oracle(prior, active, membership[:, r].astype(bool))
             assert abs(ec2.weight_ec(vs, prob, r) - oracle) <= 1e-12
@@ -164,7 +164,9 @@ def test_criterion_4_monotonicity_and_bound():
         regions = random_regions(rng, e, min(4, e))
         for world in enumerate_worlds(e):
             belief = BernoulliBelief(beta=beta.copy())
-            trace = bisect_policy(belief, Library.build(regions, e), np.ones(e), lambda t: int(world[t]))
+            trace = bisect_policy(
+                belief, Library.build(regions, e), np.ones(e), lambda t: int(world[t]), RunTrace("bisect")
+            )
             assert len(trace.records) <= e
             assert isinstance(trace.terminal, (Solved, AllRegionsDead))
 
@@ -186,7 +188,7 @@ def test_criterion_5_end_to_end_soundness():
                 assert trace_success(t, ds), (kind, h)
             else:
                 assert isinstance(t.terminal, AllRegionsDead), (kind, h)
-                evaluated = t.evaluated
+                evaluated = {e: o for e, o, _ in t.records}
                 for p in ds.paths:
                     assert any(
                         evaluated.get(e) == 0 and ds.theta[h, e] == 0

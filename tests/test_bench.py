@@ -76,7 +76,7 @@ def test_direct_bisect_sound_on_every_test_world(ds, tree):
             assert trace_success(t, ds)
         else:
             assert isinstance(t.terminal, AllRegionsDead)
-            evaluated = t.evaluated
+            evaluated = {e: o for e, o, _ in t.records}
             for p in ds.paths:
                 assert any(
                     evaluated.get(e) == 0 and ds.theta[h, e] == 0 for e in p.edge_ids

@@ -14,7 +14,7 @@ from drdplan.bernoulli import (
     weight_bernoulli,
 )
 from drdplan.model import Library, library_status, regions_matrix
-from drdplan.traces import AllRegionsDead, Solved
+from drdplan.traces import AllRegionsDead, RunTrace, Solved
 
 from conftest import enumerate_worlds, enumeration_problem, random_regions
 
@@ -89,7 +89,7 @@ def test_weight_matches_enumeration():
         vs = prob.root_version_space()
         for _ in range(2):
             edge = int(rng.integers(e))
-            if edge in belief.observed:
+            if belief.status[edge] != 0:
                 continue
             outcome = int(rng.integers(2))
             belief.observe(edge, outcome)
@@ -151,9 +151,7 @@ def test_select_rejects_observed_candidates():
 # --- termination predicates ------------------------------------------------
 
 def belief_status(belief, regions):
-    theta = belief.theta_eff
-    inR = regions_matrix(regions, theta.size)
-    return library_status(inR, theta == 1.0, theta == 0.0)
+    return library_status(regions_matrix(regions, belief.num_edges), belief.status)
 
 
 def test_solved_region_lowest_index():
@@ -177,7 +175,7 @@ def test_bisect_all_valid_single_region_evaluates_path_only():
     beta = np.full(5, 0.5)
     regions = [(1, 3)]
     belief = BernoulliBelief(beta=beta)
-    trace = bisect_policy(belief, Library.build(regions, 5), np.ones(5), lambda e: 1)
+    trace = bisect_policy(belief, Library.build(regions, 5), np.ones(5), lambda e: 1, RunTrace("bisect"))
     assert trace.terminal == Solved(0)
     assert sorted(t[0] for t in trace.records) == [1, 3]
 
@@ -186,7 +184,7 @@ def test_bisect_dead_world_witnesses_every_region():
     beta = np.full(4, 0.5)
     regions = [(0, 1), (2,), (1, 3)]
     belief = BernoulliBelief(beta=beta)
-    trace = bisect_policy(belief, Library.build(regions, 4), np.ones(4), lambda e: 0)
+    trace = bisect_policy(belief, Library.build(regions, 4), np.ones(4), lambda e: 0, RunTrace("bisect"))
     assert isinstance(trace.terminal, AllRegionsDead)
     evaluated = {e: o for e, o, _ in trace.records}
     for region in regions:
@@ -201,7 +199,9 @@ def test_bisect_exhaustive_termination_bound():
         worlds = enumerate_worlds(e)
         for world in worlds:
             belief = BernoulliBelief(beta=beta.copy())
-            trace = bisect_policy(belief, Library.build(regions, e), np.ones(e), lambda t: int(world[t]))
+            trace = bisect_policy(
+                belief, Library.build(regions, e), np.ones(e), lambda t: int(world[t]), RunTrace("bisect")
+            )
             assert len(trace.records) <= e
             assert len({r[0] for r in trace.records}) == len(trace.records)
             assert isinstance(trace.terminal, (Solved, AllRegionsDead))
@@ -209,7 +209,7 @@ def test_bisect_exhaustive_termination_bound():
                 assert all(world[t] == 1 for t in regions[trace.terminal.path_index])
             else:
                 assert all(
-                    any(world[t] == 0 and t in belief.observed for t in reg)
+                    any(world[t] == 0 and belief.status[t] != 0 for t in reg)
                     for reg in regions
                 )
 
@@ -228,12 +228,40 @@ def test_bisect_fallback_takes_first_open_edge(monkeypatch):
     world = [1, 0, 1, 1, 1]
     trace = bisect_policy(
         BernoulliBelief(np.full(5, 0.5)), Library.build([(0, 1), (2, 3), (1, 4)], 5),
-        np.full(5, 1e13), lambda e: world[e],
+        np.full(5, 1e13), lambda e: world[e], RunTrace("bisect"),
     )
     assert [r[0] for r in trace.records] == [0, 1, 2, 3]
     assert trace.terminal == Solved(1)
     assert trace.path_edges == (2, 3)
     assert picks == [None] * 4
+
+
+def test_bisect_extends_the_callers_trace_and_status():
+    # A trace and status that already hold earlier evaluations, as after
+    # the tree: bisect_policy appends to that same trace object and never
+    # queries an edge the status already holds.
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n_edges = int(rng.integers(2, 9))
+        regions = random_regions(rng, n_edges, int(rng.integers(1, 4)))
+        world = rng.integers(0, 2, n_edges)
+        trace = RunTrace(policy="direct+bisect", world_index=0)
+        status = np.zeros(n_edges, np.int8)
+        for e in rng.choice(n_edges, size=int(rng.integers(0, n_edges)), replace=False):
+            trace.evaluate(int(e), lambda t: int(world[t]), np.ones(n_edges), status)
+        before, seen = list(trace.records), set(np.flatnonzero(status).tolist())
+
+        def oracle(t):
+            assert t not in seen, f"edge {t} evaluated again"
+            return int(world[t])
+
+        belief = BernoulliBelief(rng.uniform(0.2, 0.8, n_edges), status)
+        out = bisect_policy(belief, Library.build(regions, n_edges), np.ones(n_edges), oracle, trace)
+        assert out is trace and belief.status is status
+        assert trace.records[: len(before)] == before
+        assert len({r[0] for r in trace.records}) == len(trace.records)
+        assert isinstance(trace.terminal, (Solved, AllRegionsDead))
+        assert np.array_equal(np.flatnonzero(status), sorted(r[0] for r in trace.records))
 
 
 # --- oracle equivalence (small sample; the full suite is in acceptance) ----
@@ -252,8 +280,7 @@ def run_equivalence_instance(rng, n_edges, n_regions):
     steps = 0
     while True:
         st_e = ec2.is_solved(vs, prob)
-        theta = belief.theta_eff
-        r_b, live_b, _ = library_status(library.inR, theta == 1.0, theta == 0.0)
+        r_b, live_b, _ = library_status(library.inR, belief.status)
         dead_b = not live_b.any()
         if isinstance(st_e, Solved):
             assert r_b == st_e.path_index
@@ -267,7 +294,7 @@ def run_equivalence_instance(rng, n_edges, n_regions):
         w_b = region_weights_bernoulli(belief, library)
         assert np.allclose(w_e, w_b, atol=1e-12, rtol=0)
 
-        cand = [t for t in range(n_edges) if t not in belief.observed]
+        cand = [t for t in range(n_edges) if belief.status[t] == 0]
         sel_e = ec2.select_test(vs, prob, cand)
         sel_b = select_test_bernoulli(belief, library, cost, cand, roots_b)
         if sel_e is None or sel_b is None:
@@ -340,7 +367,8 @@ def test_bisect_never_evaluates_outside_live_regions_at_tiny_cost():
         beta = np.concatenate([np.full(16, 0.05), rng.uniform(0.05, 0.95, 4)])
         world = rng.integers(0, 2, 20)
         trace = bisect_policy(
-            BernoulliBelief(beta=beta), library, np.full(20, 1e-8), lambda t: int(world[t])
+            BernoulliBelief(beta=beta), library, np.full(20, 1e-8), lambda t: int(world[t]),
+            RunTrace("bisect"),
         )
         assert isinstance(trace.terminal, (Solved, AllRegionsDead))
         assert _outside_live_regions(trace, regions) == []

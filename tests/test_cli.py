@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import drdplan
 from drdplan.cli import (
@@ -350,3 +351,112 @@ def test_cli_import_leaves_networkx_out():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def _set_graph(key, value):
+    return lambda h: h["graph"].__setitem__(key, value)
+
+
+# Dataset headers that parse as JSON but break the format: each must exit 3
+# through every command that loads a dataset.
+_BAD_HEADERS = {
+    "path-id-null": lambda h: h["paths"][0].__setitem__(0, None),
+    "path-id-true": lambda h: h["paths"][0].__setitem__(0, True),
+    "path-id-list": lambda h: h["paths"][0].__setitem__(0, []),
+    "path-id-float": lambda h: h["paths"][0].__setitem__(0, 1.0),
+    "path-string": lambda h: h["paths"].__setitem__(0, "0,1"),
+    "length-scalar": _set_graph("length", 1.0),
+    "provenance-list": lambda h: h.__setitem__("provenance", []),
+    "eval-cost-short": lambda h: h["graph"]["eval_cost"].pop(),
+    "length-short": lambda h: h["graph"]["length"].pop(),
+    "eval-cost-nan": lambda h: h["graph"]["eval_cost"].__setitem__(0, float("nan")),
+    "eval-cost-inf": lambda h: h["graph"]["eval_cost"].__setitem__(0, float("inf")),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["compile-tree"],
+    ["run", "--policy", "lazysp-set"],
+    ["run", "--policy", "bisect"],
+], ids=["compile-tree", "run-lazysp-set", "run-bisect"])
+@pytest.mark.parametrize("bad", list(_BAD_HEADERS))
+def test_header_faults_exit_3_without_traceback(pipeline, tmp_path, capsys, bad, command):
+    ds = _edit_header(pipeline["ds"], tmp_path / "d.bin", _BAD_HEADERS[bad])
+    argv = [*command, "--dataset", ds, "--out", str(tmp_path / "out")]
+    assert run(argv) == EXIT_DATA
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# --- mutation fuzz ------------------------------------------------------------
+
+_REPLACEMENTS = [None, True, [], {}, "x", -1, 1.5, "truncate"]
+
+
+def _positions(doc, at=()):
+    """Key paths of doc's values: every object member, and the first,
+    second and last entry of every array."""
+    yield at
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _positions(v, at + (k,))
+    elif isinstance(doc, list):
+        for i in sorted({0, 1, len(doc) - 1} & set(range(len(doc)))):
+            yield from _positions(doc[i], at + (i,))
+
+
+def _mutate(doc, at, value):
+    """A copy of doc with the value at key path `at` replaced; "truncate"
+    drops the last entry of an array and leaves any other value as is."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for k in at[:-1]:
+        parent = parent[k]
+    old = parent[at[-1]] if at else doc
+    if value == "truncate":
+        value = old[:-1] if isinstance(old, list) else old
+    if not at:
+        return value
+    parent[at[-1]] = value
+    return doc
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_artifacts_exit_0_3_or_4(pipeline, tmp_path, capsys, data):
+    """One JSON value of the dataset header, the tree or a run file is
+    replaced (or an array truncated): every command that reads it exits 0,
+    3 or 4, never with a traceback."""
+    target = data.draw(st.sampled_from(["dataset", "tree", "runs"]))
+    work = tmp_path / f"case{len(os.listdir(tmp_path))}"
+    work.mkdir()
+    if target == "dataset":
+        with open(pipeline["ds"]) as f:
+            lines = f.read().splitlines()
+        doc = json.loads(lines[0])
+    else:
+        path = pipeline["tree"] if target == "tree" else os.path.join(pipeline["runs"], "random.json")
+        with open(path) as f:
+            doc = json.load(f)
+    at = data.draw(st.sampled_from(list(_positions(doc))))
+    text = json.dumps(_mutate(doc, at, data.draw(st.sampled_from(_REPLACEMENTS))))
+    if target == "dataset":
+        ds = work / "d.bin"
+        ds.write_text("\n".join([text] + lines[1:]) + "\n")
+        commands = [["compile-tree", "--dataset", str(ds), "--out", str(work / "t.json")],
+                    ["run", "--dataset", str(ds), "--policy", "bisect", "--out", str(work / "r")]]
+    elif target == "tree":
+        (work / "t.json").write_text(text)
+        commands = [["run", "--dataset", pipeline["ds"], "--policy", "direct+bisect",
+                     "--tree", str(work / "t.json"), "--out", str(work / "r")]]
+    else:
+        (work / "runs").mkdir()
+        (work / "runs" / "random.json").write_text(text)
+        with open(os.path.join(pipeline["runs"], "direct+bisect.json")) as f:
+            (work / "runs" / "direct+bisect.json").write_text(f.read())
+        commands = [["report", "--runs", str(work / "runs"), "--bootstrap", "50",
+                     "--out", str(work / "t.csv")]]
+    for argv in commands:
+        assert run(argv) in (EXIT_OK, EXIT_DATA, EXIT_CONTRACT)
+        assert "Traceback" not in capsys.readouterr().err

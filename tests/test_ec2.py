@@ -49,7 +49,7 @@ def test_weight_matches_pairwise_oracle_random():
         if not active.any():
             active[0] = True
         prob = ec2.DrdProblem(membership, np.zeros((n, 1), np.uint8), np.ones(1), prior)
-        vs = ec2.VersionSpace(active=active, prior=prior)
+        vs = ec2.VersionSpace(active=active, prior=prior, status=np.zeros(1, np.int8))
         for r in range(m):
             oracle = pairwise_weight_oracle(prior, active, membership[:, r].astype(bool))
             assert abs(ec2.weight_ec(vs, prob, r) - oracle) <= 1e-12
@@ -64,14 +64,18 @@ def test_residual_root_is_one():
 
 def test_residual_zero_when_inside_region():
     prob = make_worked_problem()
-    vs = ec2.VersionSpace(active=np.array([False, True, True]), prior=prob.prior)
+    vs = ec2.VersionSpace(
+        active=np.array([False, True, True]), prior=prob.prior, status=np.zeros(1, np.int8)
+    )
     assert ec2.residual(vs, prob) == 0.0
 
 
 def test_worked_instance_weights():
     prob = make_worked_problem()
     assert np.allclose(prob.root_weights, [2.0 / 9.0, 2.0 / 9.0], atol=1e-12, rtol=0)
-    vs = ec2.VersionSpace(active=np.array([False, True, True]), prior=prob.prior)
+    vs = ec2.VersionSpace(
+        active=np.array([False, True, True]), prior=prob.prior, status=np.zeros(1, np.int8)
+    )
     w = ec2.region_weights(vs.active, vs.prior, prob.membership)
     assert abs(w[0] - 1.0 / 9.0) <= 1e-12
     assert w[1] == 0.0
@@ -139,7 +143,16 @@ def test_observe_prunes_and_records():
     prob = make_worked_problem()
     vs = ec2.observe(prob.root_version_space(), prob, 0, 1)
     assert vs.active.tolist() == [True, False, False]
-    assert vs.observed == {0: 1}
+    assert vs.status.tolist() == [1]
+
+
+def test_observe_leaves_the_parent_status_unchanged():
+    prob = make_worked_problem()
+    root = prob.root_version_space()
+    for outcome in (1, 0):
+        child = ec2.observe(root, prob, 0, outcome)
+        assert child.status.tolist() == [1 if outcome else -1]
+        assert root.status.tolist() == [0]
 
 
 def test_observe_reobservation_is_error():

@@ -199,10 +199,10 @@ def test_library_status_matches_per_path_definitions():
 
     kinds, first_solved = [], []
     for regions, observed, n in cases:
-        valid, invalid = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        status = np.zeros(n, dtype=np.int8)
         for e, o in observed.items():
-            (valid if o else invalid)[e] = True
-        solved, live, open_edges = library_status(regions_matrix(regions, n), valid, invalid)
+            status[e] = 1 if o else -1
+        solved, live, open_edges = library_status(regions_matrix(regions, n), status)
         want = _status_by_definition(regions, observed)
         assert (solved, live.tolist(), np.flatnonzero(open_edges).tolist()) == want
         if solved is None and live.any():

@@ -24,9 +24,24 @@ from drdplan.trees import (
     tree_from_bytes,
     tree_to_bytes,
 )
-from drdplan.traces import AllRegionsDead, Handoff, Solved
+from drdplan.traces import AllRegionsDead, Handoff, RunTrace, Solved
 
 from conftest import make_worked_problem, random_regions, regions_membership
+
+
+def run_tree(tree, oracle, eval_cost):
+    """execute_tree on a fresh episode state; returns (leaf, trace)."""
+    trace = RunTrace(policy="tree")
+    leaf = execute_tree(tree, oracle, eval_cost, trace, np.zeros(len(eval_cost), np.int8))
+    return leaf, trace
+
+
+def status_of(n_edges, observed):
+    """An int8 edge status with the given {edge: outcome} observations."""
+    status = np.zeros(n_edges, np.int8)
+    for e, o in observed.items():
+        status[e] = 1 if o else -1
+    return status
 
 
 def small_dataset():
@@ -38,20 +53,20 @@ def small_dataset():
 
 def test_bias_vector_values():
     outcomes = np.array([[1, 0, 1], [1, 1, 0]], dtype=np.uint8)
-    theta = bias_vector(outcomes, {}, alpha=0.9)
+    theta = bias_vector(outcomes, status_of(3, {}), alpha=0.9)
     assert abs(theta[0] - 0.95) <= 1e-12  # both worlds valid at edge 0
     assert abs(theta[1] - 0.5) <= 1e-12  # fraction 0.5 is the fixed point
     # Observed edges pin the mixture to the outcome.
-    theta0 = bias_vector(outcomes[1:], {2: 0}, alpha=0.9)
+    theta0 = bias_vector(outcomes[1:], status_of(3, {2: 0}), alpha=0.9)
     assert abs(theta0[2] - 0.05) <= 1e-12
 
 
 def test_bias_vector_rejects_bad_inputs():
     prob = make_worked_problem()
     with pytest.raises(ValueError):
-        bias_vector(prob.outcomes, {}, alpha=1.0)
+        bias_vector(prob.outcomes, status_of(1, {}), alpha=1.0)
     with pytest.raises(ValueError):
-        bias_vector(prob.outcomes[:0], {}, alpha=0.9)
+        bias_vector(prob.outcomes[:0], status_of(1, {}), alpha=0.9)
 
 
 # --- compile_tree ----------------------------------------------------------
@@ -144,7 +159,7 @@ def test_training_worlds_reach_consistent_leaves():
     tree = compile_from_dataset(ds, 0.0, 0.9)
     for h in ds.train:
         oracle = lambda e: int(ds.theta[h, e])
-        leaf, trace = execute_tree(tree, oracle, ds.graph.eval_cost)
+        leaf, trace = run_tree(tree, oracle, ds.graph.eval_cost)
         if isinstance(leaf, SolvedLeaf):
             assert ds.membership[h, leaf.region] == 1
         elif isinstance(leaf, DeadLeaf):
@@ -158,7 +173,7 @@ def test_training_worlds_reach_consistent_leaves():
             assert survivors.any()
             prob = ec2.problem_from_dataset(ds, ds.train[survivors])
             vs = prob.root_version_space()
-            cand = [e for e in range(ds.graph.num_edges) if e not in trace.evaluated]
+            cand = [e for e in range(ds.graph.num_edges) if e not in {r[0] for r in trace.records}]
             assert ec2.select_test(vs, prob, cand) is None
 
 
@@ -184,7 +199,7 @@ def test_compile_and_depth_leave_recursion_limit_alone():
 
 def test_execute_single_leaf_no_evaluations():
     tree = DecisionTree(nodes=[SolvedLeaf(2)], root=0)
-    leaf, trace = execute_tree(tree, lambda e: 1, np.ones(3))
+    leaf, trace = run_tree(tree, lambda e: 1, np.ones(3))
     assert leaf == SolvedLeaf(2)
     assert trace.records == [] and trace.total_cost == 0.0
 
@@ -192,7 +207,7 @@ def test_execute_single_leaf_no_evaluations():
 def test_execute_accumulates_cost():
     prob = make_worked_problem()
     tree = compile_tree(prob, eta=0.0, alpha=0.9)
-    leaf, trace = execute_tree(tree, lambda e: 1, np.full(1, 2.5))
+    leaf, trace = run_tree(tree, lambda e: 1, np.full(1, 2.5))
     assert leaf == SolvedLeaf(0)
     assert trace.total_cost == 2.5
 
@@ -202,9 +217,22 @@ def test_execute_is_total_on_off_database_outcomes():
     # internal nodes always carry children for both outcomes.
     ds = small_dataset()
     tree = compile_from_dataset(ds, 0.0, 0.9)
-    leaf, trace = execute_tree(tree, lambda e: 0, ds.graph.eval_cost)
+    leaf, trace = run_tree(tree, lambda e: 0, ds.graph.eval_cost)
     assert leaf is not None
     assert len({r[0] for r in trace.records}) == len(trace.records)
+
+
+def test_execute_marks_status_at_exactly_the_recorded_edges():
+    ds = small_dataset()
+    tree = compile_from_dataset(ds, 0.0, 0.9)
+    for h in range(ds.num_worlds):
+        trace = RunTrace(policy="tree", world_index=h)
+        status = np.zeros(ds.graph.num_edges, np.int8)
+        execute_tree(tree, lambda e: int(ds.theta[h, e]), ds.graph.eval_cost, trace, status)
+        want = np.zeros_like(status)
+        for e, o, _ in trace.records:
+            want[e] = 1 if o else -1
+        assert np.array_equal(status, want)
 
 
 # --- serialization ---------------------------------------------------------
@@ -252,7 +280,7 @@ def test_direct_policy_matches_compiled_tree():
             for h in range(n):
                 oracle = lambda edge, row=outcomes[h]: int(row[edge])
                 trace, _ = ec2.direct_policy(problem, oracle, eta)
-                leaf, tree_trace = execute_tree(tree, oracle, problem.eval_cost)
+                leaf, tree_trace = run_tree(tree, oracle, problem.eval_cost)
                 assert trace.records == tree_trace.records
                 assert type(trace.terminal) is leaf_kind[type(leaf)]
                 if isinstance(leaf, SolvedLeaf):
