@@ -13,6 +13,7 @@ dataset hash matches the dataset.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 
 import numpy as np
@@ -23,6 +24,11 @@ from .model import Dataset, Library
 from .traces import AllRegionsDead, Infeasible, RunTrace, Solved
 
 RUNS_SCHEMA_VERSION = 1
+
+# Bootstrap resamples are drawn this many at a time from the one substream;
+# the draws and the CIs equal those of a single (bootstrap_n, n) draw, while
+# the index block stays BOOTSTRAP_BLOCK x n.
+BOOTSTRAP_BLOCK = 256
 
 
 class ContractError(RuntimeError):
@@ -35,6 +41,10 @@ class RunsFormatError(ValueError):
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_index(x) -> bool:
+    return type(x) is int and x >= 0
 
 
 def _world_oracle(dataset: Dataset, h: int):
@@ -260,8 +270,11 @@ def normalized_cost(
         raise ValueError("bootstrap_n must be at least 1")
     ratios = a / r - 1.0
     gen = _rng.substream(seed, _rng.STREAM_BOOTSTRAP)
-    idx = gen.integers(0, len(ratios), size=(bootstrap_n, len(ratios)))
-    means = ratios[idx].mean(axis=1)
+    means = np.empty(bootstrap_n)
+    for start in range(0, bootstrap_n, BOOTSTRAP_BLOCK):
+        rows = min(BOOTSTRAP_BLOCK, bootstrap_n - start)
+        idx = gen.integers(0, len(ratios), size=(rows, len(ratios)))
+        means[start:start + rows] = ratios[idx].mean(axis=1)
     return float(np.percentile(means, 2.5)), float(np.percentile(means, 97.5))
 
 
@@ -336,7 +349,7 @@ def _terminal_to_json(t) -> dict:
 
 def _terminal_from_json(d: dict):
     kind = d["kind"]
-    if kind == "solved" and (d["path_index"] is None or type(d["path_index"]) is int):
+    if kind == "solved" and (d["path_index"] is None or _is_index(d["path_index"])):
         return Solved(d["path_index"])
     if kind == "dead" and type(off := d.get("off_database", False)) is bool:
         return AllRegionsDead(off)
@@ -363,12 +376,13 @@ def _trace_from_json(d: dict) -> RunTrace:
     policy, h, verified = d["policy"], d["world_index"], d.get("verified", True)
     records = [(e, o, c) for e, o, c in d["records"]]
     path_edges = tuple(d["path_edges"])
-    if not (isinstance(policy, str) and type(h) is int and type(verified) is bool):
-        raise TypeError("policy, world_index or verified has the wrong type")
-    if not all(type(e) is int and type(o) is int and type(c) is float for e, o, c in records):
-        raise TypeError("records are not [edge, outcome, cost] triples")
-    if not all(type(e) is int for e in path_edges):
-        raise TypeError("path_edges are not edge ids")
+    if not (isinstance(policy, str) and _is_index(h) and type(verified) is bool):
+        raise ValueError("policy, world_index or verified has the wrong type or range")
+    if not all(_is_index(e) and type(o) is int and o in (0, 1)
+               and type(c) is float and math.isfinite(c) and c > 0 for e, o, c in records):
+        raise ValueError("records are not [edge >= 0, outcome 0 or 1, finite cost > 0]")
+    if not all(_is_index(e) for e in path_edges):
+        raise ValueError("path_edges are not edge ids >= 0")
     return RunTrace(policy=policy, world_index=h, records=records,
                     terminal=_terminal_from_json(d["terminal"]),
                     path_edges=path_edges, verified=verified)
@@ -376,7 +390,8 @@ def _trace_from_json(d: dict) -> RunTrace:
 
 def traces_from_json(docs: list[dict]) -> list[RunTrace]:
     """The traces of a run file, checked strictly: RunsFormatError names
-    the first trace with a missing key or a value of the wrong type."""
+    the first trace with a missing key or a value of the wrong type or
+    out of range."""
     out = []
     for i, d in enumerate(docs):
         try:

@@ -6,7 +6,13 @@ weight drives a Noisy-OR residual, and the greedy policy picks the test
 with the best expected residual reduction per unit cost.
 
 Weights are pairwise prior masses and are never renormalized as the
-version space shrinks.
+version space shrinks.  The DIRECT step (select_test and the eta handoff
+of direct_step) reads them through the unit weights: the prior rescaled so
+that its largest entry is 1.0.  Every quantity it compares is a ratio of
+masses, so the scale changes nothing in real arithmetic; under a uniform
+prior every mass becomes an integer count, exact in any summation order,
+so restricting the sums to the active worlds moves no bit and equal
+scores tie exactly.
 """
 
 from __future__ import annotations
@@ -37,8 +43,10 @@ class VersionSpace:
     def active_count(self) -> int:
         return int(self.active.sum())
 
-    def active_weight(self) -> float:
-        return float(self.prior[self.active].sum())
+    def unit_weights(self) -> np.ndarray:
+        """The prior rescaled so that its largest entry is 1.0 (all ones
+        under a uniform prior)."""
+        return self.prior / self.prior.max()
 
 
 @dataclass
@@ -141,20 +149,26 @@ def select_test(
     one-vs-all subproblem can then only be finished by identification.
     An outcome with no plausible region left resolves everything and
     counts as zero residual.  Score = (1 - E[residual after] / residual
-    now) / c, evaluated in log space."""
+    now) / c, evaluated in log space.
+
+    Masses are sums of the unit weights over the active worlds only.  Under
+    a uniform prior they are integer counts, so the scores are those of a
+    problem built from the active worlds alone, bit for bit, and tests with
+    equal counts tie exactly and go to the lowest edge id."""
     cand = np.sort(np.asarray(candidates, dtype=np.int64))
     if cand.size == 0:
         raise ValueError("candidates must be nonempty")
 
-    M = problem.membership
-    p = vs.prior * vs.active
-    psq = p * p
-    tot = p.sum()
-    if tot <= 0:
+    act = np.flatnonzero(vs.active)
+    if act.size == 0:
         return None
+    w = vs.unit_weights()[act]
+    M = problem.membership[act]
+    wsq = w * w
+    tot = w.sum()
 
-    a_all = p @ M
-    bsq_all = psq.sum() - psq @ M
+    a_all = w @ M
+    bsq_all = wsq.sum() - wsq @ M
     p_now = a_all / tot
     K = bsq_all / (tot * tot)
     w_now = 0.5 * (1.0 - p_now**2 - K)
@@ -162,16 +176,17 @@ def select_test(
     if not mask.any():
         return None
     Km, wm = K[mask], w_now[mask]
+    M = M[:, mask]
 
-    Th = problem.outcomes[:, cand].astype(np.float64)
-    X1 = Th * p[:, None]  # (N, C)
-    X0 = (1.0 - Th) * p[:, None]
+    Th = problem.outcomes[np.ix_(act, cand)]  # (n active, C) uint8
+    X1 = Th * w[:, None]
+    X0 = np.where(Th, 0.0, w[:, None])
     # branch masses computed directly (not by subtraction) so that a branch
     # with no surviving mass is an exact zero
     tot1 = X1.sum(axis=0)  # (C,)
     tot0 = X0.sum(axis=0)
-    a1 = (X1.T @ M)[:, mask]  # (C, live regions)
-    a0 = (X0.T @ M)[:, mask]
+    a1 = X1.T @ M  # (C, live regions)
+    a0 = X0.T @ M
 
     def _branch(tot_o, a_o):
         ok = tot_o > 0
@@ -243,12 +258,14 @@ def is_solved(vs: VersionSpace, problem: DrdProblem):
 def direct_step(vs: VersionSpace, problem: DrdProblem, eta: float):
     """The DIRECT decision at a version space: Solved or AllRegionsDead
     per is_solved; Handoff() when the active weight is at or below eta
-    times the prior sum, or no unobserved test scores; else the edge id of
-    the next test."""
+    times the prior sum, both in unit weights (under a uniform prior, at
+    most eta * N active worlds, decided exactly), or no unobserved test
+    scores; else the edge id of the next test."""
     verdict = is_solved(vs, problem)
     if isinstance(verdict, (Solved, AllRegionsDead)):
         return verdict
-    if vs.active_weight() > eta * float(problem.prior.sum()):
+    u = vs.unit_weights()
+    if u[vs.active].sum() > eta * u.sum():
         candidates = np.flatnonzero(vs.status == 0)
         sel = select_test(vs, problem, candidates) if candidates.size else None
         if sel is not None:

@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from drdplan import bench, trees
+from drdplan import bench, rng as rng_mod, trees
 from drdplan.bench import (
     ContractError,
     build_report,
@@ -146,6 +147,40 @@ def test_normalized_cost_rejects_bad_input():
     for n in (0, -5):  # no resamples
         with pytest.raises(ValueError, match="bootstrap"):
             normalized_cost([1.0, 2.0], [1.0, 1.0], n, 0)
+
+
+def _single_draw_ci(a, r, bootstrap_n, seed):
+    """normalized_cost's CI from one (bootstrap_n, n) index draw."""
+    ratios = np.asarray(a) / np.asarray(r) - 1.0
+    gen = rng_mod.substream(seed, rng_mod.STREAM_BOOTSTRAP)
+    idx = gen.integers(0, len(ratios), size=(bootstrap_n, len(ratios)))
+    # Row means do not depend on how the rows are sliced; slicing keeps the
+    # gather at n = 1000 to 8 MB.
+    means = np.concatenate([ratios[idx[i:i + 1000]].mean(axis=1)
+                            for i in range(0, bootstrap_n, 1000)])
+    return float(np.percentile(means, 2.5)), float(np.percentile(means, 97.5))
+
+
+@pytest.mark.parametrize("n", [2, 7, 163, 1000])
+@pytest.mark.parametrize("bootstrap_n", [1, 999, 10_000])
+def test_normalized_cost_blocks_equal_a_single_draw(n, bootstrap_n):
+    rng = np.random.default_rng(n)
+    a, r = rng.uniform(1, 10, n), rng.uniform(1, 10, n)
+    assert normalized_cost(a, r, bootstrap_n, seed=5) == _single_draw_ci(a, r, bootstrap_n, 5)
+
+
+def test_normalized_cost_memory_is_bounded():
+    # A single draw at n = 1000 holds an 80 MB index matrix and its 80 MB
+    # gather; the blocks hold two 2 MB ones.
+    rng = np.random.default_rng(0)
+    a, r = rng.uniform(1, 10, 1000), rng.uniform(1, 10, 1000)
+    tracemalloc.start()
+    try:
+        normalized_cost(a, r, 10_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # --- sweep -----------------------------------------------------------------

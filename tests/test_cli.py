@@ -187,6 +187,12 @@ def _edited_run_file(pipeline, edit):
     return json.dumps(doc)
 
 
+def _solved_trace(doc):
+    """The first trace of a run file that ends on a library path."""
+    return next(t for t in doc["traces"]
+                if t["terminal"]["kind"] == "solved" and t["path_edges"] and t["records"])
+
+
 # Run files that parse but that the report cannot read.
 _BAD_RUNS = {
     "runs": lambda p: "not json",
@@ -199,6 +205,20 @@ _BAD_RUNS = {
     "runs-terminal": lambda p: _edited_run_file(p, lambda d: d["traces"][0].pop("terminal")),
     "runs-verified": lambda p: _edited_run_file(
         p, lambda d: d["traces"][0].__setitem__("verified", "yes")),
+    "runs-edge-range": lambda p: _edited_run_file(
+        p, lambda d: _solved_trace(d)["records"][0].__setitem__(0, -1)),
+    "runs-outcome-range": lambda p: _edited_run_file(
+        p, lambda d: _solved_trace(d)["records"][0].__setitem__(1, -1)),
+    "runs-cost-nan": lambda p: _edited_run_file(
+        p, lambda d: _solved_trace(d)["records"][0].__setitem__(2, float("nan"))),
+    "runs-cost-zero": lambda p: _edited_run_file(
+        p, lambda d: _solved_trace(d)["records"][0].__setitem__(2, 0.0)),
+    "runs-world-range": lambda p: _edited_run_file(
+        p, lambda d: d["traces"][0].__setitem__("world_index", -1)),
+    "runs-path-edge-range": lambda p: _edited_run_file(
+        p, lambda d: _solved_trace(d)["path_edges"].__setitem__(0, -1)),
+    "runs-path-index-range": lambda p: _edited_run_file(
+        p, lambda d: _solved_trace(d)["terminal"].__setitem__("path_index", -1)),
 }
 
 

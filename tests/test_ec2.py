@@ -286,3 +286,60 @@ def test_best_test_matches_min_key_on_ties():
         cost = rng.choice([0.5, 1.0, 2.0], size=n)
         cand = np.sort(rng.choice(50, size=n, replace=False))
         assert ec2.best_test(cand, le, cost) == _min_key_choice(cand, le, cost)
+
+
+# --- unit weights ----------------------------------------------------------
+
+def test_exact_tie_goes_to_lowest_edge_id():
+    # Edges 0 and 1 each isolate one region-free world, so their branch
+    # counts are identical; only the row that holds the zero differs.
+    n = 100
+    membership = np.zeros((n, 1), np.uint8)
+    membership[:50, 0] = 1
+    outcomes = np.ones((n, 2), np.uint8)
+    outcomes[50, 0] = 0
+    outcomes[96, 1] = 0
+    prob = uniform_problem(membership, outcomes, n)
+    edge, score = ec2.select_test(prob.root_version_space(), prob, [0, 1])
+    assert edge == 0
+    assert ec2.select_test(prob.root_version_space(), prob, [1]) == (1, score)
+
+
+def test_select_on_active_worlds_equals_problem_of_those_worlds():
+    rng = np.random.default_rng(8)
+    chosen = 0
+    for _ in range(200):
+        n, e, m = int(rng.integers(2, 60)), int(rng.integers(1, 12)), int(rng.integers(1, 5))
+        membership = (rng.random((n, m)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+        outcomes = (rng.random((n, e)) < rng.uniform(0.2, 0.95)).astype(np.uint8)
+        cost = rng.choice([1.0, 2.0, 0.5], size=e)
+        active = rng.random(n) < rng.uniform(0.05, 1.0)
+        status = rng.choice(np.array([0, 0, 1, -1], np.int8), size=e)
+        cand = np.flatnonzero(status == 0)
+        if not active.any() or cand.size == 0:
+            continue
+        full = ec2.DrdProblem(membership, outcomes, cost, np.full(n, 1.0 / n))
+        k = int(active.sum())
+        sub = ec2.DrdProblem(membership[active], outcomes[active], cost, np.full(k, 1.0 / k))
+        got = ec2.select_test(ec2.VersionSpace(active, full.prior, status), full, cand)
+        want = ec2.select_test(
+            ec2.VersionSpace(np.ones(k, bool), sub.prior, status), sub, cand)
+        assert got == want
+        chosen += got is not None
+    assert chosen > 50
+
+
+@pytest.mark.parametrize("n, eta, k", [(100, 0.25, 25), (400, 0.05, 20)])
+def test_handoff_at_exactly_eta_times_n_active_worlds(n, eta, k):
+    # Worlds 0..n/2-1 lie in the one region; edge 0 tells the halves apart.
+    membership = np.zeros((n, 1), np.uint8)
+    membership[: n // 2, 0] = 1
+    outcomes = np.zeros((n, 1), np.uint8)
+    outcomes[: n // 2, 0] = 1
+    prob = uniform_problem(membership, outcomes, n)
+    for count, want_split in ((k, False), (k + 1, True)):
+        active = np.zeros(n, bool)
+        active[n // 2 - count // 2: n // 2 - count // 2 + count] = True
+        vs = ec2.VersionSpace(active, prob.prior, np.zeros(1, np.int8))
+        step = ec2.direct_step(vs, prob, eta)
+        assert step == (0 if want_split else Handoff())
