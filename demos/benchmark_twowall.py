@@ -7,8 +7,8 @@ This is a shrunken version of the acceptance benchmark (N=300 instead of
 
   drdplan gen --scenario twowall --grid 11x11 --worlds 1000 --paths 100 \
       --k 2000 --seed 42 --out twowall.bin
-  drdplan compile-tree --dataset twowall.bin --eta 0.05 --alpha 0.9 --out t.json
-  drdplan run --dataset twowall.bin --policy direct+bisect --tree t.json --out runs
+  drdplan compile-tree --dataset twowall.bin --eta 0.05 --out t.json
+  drdplan run --dataset twowall.bin --policy direct+bisect --tree t.json --alpha 0.9 --out runs
   drdplan run --dataset twowall.bin --policy lazysp-graph  --tree t.json --out runs
   drdplan report --runs runs --out table.csv
 """
@@ -24,15 +24,15 @@ def main() -> None:
     spec = ScenarioSpec(kind="twowall", rows=11, cols=11, seed=42)
     print("generating TwoWall dataset (N=300, m=100)...")
     ds = generate_dataset(spec, 300, 2000, 100, test_fraction=0.1, seed=42)
-    print("compiling decision tree (eta=0.05, alpha=0.9)...")
-    tree = trees.compile_from_dataset(ds, 0.05, 0.9)
+    print("compiling decision tree (eta=0.05)...")
+    tree = trees.compile_from_dataset(ds, 0.05)
     stats = tree.params["stats"]
     print(f"tree: {len(tree.nodes)} nodes, depth {stats['depth']}, "
           f"{stats['solved']} solved / {stats['handoff']} handoff leaves\n")
 
     costs = {}
     for policy in POLICY_IDS:
-        traces = run_policy(policy, ds, "test", tree, seed=0)
+        traces = run_policy(policy, ds, "test", tree, seed=0, alpha=0.9)
         costs[policy] = {t.world_index: t.total_cost for t in traces}
 
     ref = costs["direct+bisect"]

@@ -7,7 +7,8 @@ random, bisect, direct+bisect, direct-only.  Each id maps to a per-run
 function that checks its inputs, builds what every world of the run shares
 (bias vector, path library, training rows) and returns the episode for one
 world.  The last two ids require a compiled decision tree whose recorded
-dataset hash matches the dataset.
+dataset hash matches the dataset; direct+bisect builds each handoff bias
+at run time from the run's alpha.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ class RunsFormatError(ValueError):
     """Malformed or wrong-version run file."""
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _is_index(x) -> bool:
     return type(x) is int and x >= 0
 
@@ -65,8 +62,7 @@ def _surviving(train_theta: np.ndarray, status: np.ndarray) -> np.ndarray:
 
 def _checked_tree(dataset: Dataset, tree: trees.DecisionTree | None, policy: str):
     """The tree, once its recorded dataset hash matches the dataset and its
-    nodes fit it: edges and regions in range, and each handoff bias a
-    length-|E| vector of probabilities strictly inside (0, 1)."""
+    nodes fit it: every edge and region in range."""
     if tree is None:
         raise ContractError(f"policy {policy} requires a compiled tree")
     want = tree.params.get("dataset_hash")
@@ -85,11 +81,6 @@ def _checked_tree(dataset: Dataset, tree: trees.DecisionTree | None, policy: str
             fault = f"names edge {node.edge} of {n_edges}"
         elif isinstance(node, trees.SolvedLeaf) and node.region >= n_paths:
             fault = f"names path {node.region} of {n_paths}"
-        elif isinstance(node, trees.HandoffLeaf) and not (
-            len(node.bias) == n_edges
-            and all(_is_number(b) and 0.0 < b < 1.0 for b in node.bias)
-        ):
-            fault = f"has a bias that is not {n_edges} values inside (0, 1)"
         else:
             continue
         raise trees.TreeFormatError(f"tree node {i} {fault}")
@@ -138,10 +129,8 @@ def _bisect(dataset, tree, train_idx, seed, alpha):
 
 def _direct_bisect(dataset, tree, train_idx, seed, alpha):
     tree = _checked_tree(dataset, tree, "direct+bisect")
-    alpha = tree.params.get("alpha")
-    if not (_is_number(alpha) and 0.0 < alpha < 1.0):
-        raise trees.TreeFormatError(f"tree alpha {alpha!r} is not inside (0, 1)")
-    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:  # checked before any world: a run may never hand off
+        raise ValueError("alpha must be in (0, 1)")
     train_theta = dataset.theta[train_idx]
     library = _library(dataset)
     eval_cost = dataset.graph.eval_cost
@@ -151,22 +140,19 @@ def _direct_bisect(dataset, tree, train_idx, seed, alpha):
         trace = RunTrace("direct+bisect", h)
         status = np.zeros(len(eval_cost), dtype=np.int8)
         leaf = trees.execute_tree(tree, oracle, eval_cost, trace, status)
-        if isinstance(leaf, trees.HandoffLeaf):
-            bias = np.asarray(leaf.bias)
-        else:
-            if isinstance(leaf, trees.SolvedLeaf):
-                # Off-database safety: prove the named path against the live world.
-                path = library.paths[leaf.region]
-                if baselines.check_path(path, status, oracle, eval_cost, trace):
-                    trace.terminal = Solved(leaf.region)
-                    trace.path_edges = path
-                    return trace
-            # A refuted solved leaf, or a dead leaf whose verdict must be
-            # witnessed on the live world: bias from the training worlds
-            # consistent with what was seen (all of them if none is).
-            mask = _surviving(train_theta, status)
-            rows = train_theta[mask] if mask.any() else train_theta
-            bias = trees.bias_vector(rows, status, alpha)
+        if isinstance(leaf, trees.SolvedLeaf):
+            # Off-database safety: prove the named path against the live world.
+            path = library.paths[leaf.region]
+            if baselines.check_path(path, status, oracle, eval_cost, trace):
+                trace.terminal = Solved(leaf.region)
+                trace.path_edges = path
+                return trace
+        # A handoff, a refuted solved leaf, or a dead leaf whose verdict must
+        # be witnessed on the live world: bias from the training worlds
+        # consistent with what was seen (all of them if none is).
+        mask = _surviving(train_theta, status)
+        rows = train_theta[mask] if mask.any() else train_theta
+        bias = trees.bias_vector(rows, status, alpha)
         belief = bernoulli.BernoulliBelief(bernoulli.clamp_bias(bias, alpha), status)
         return bernoulli.bisect_policy(belief, library, eval_cost, oracle, trace)
 
@@ -311,10 +297,11 @@ def sweep_training_size(
         sub = dataset.train[:size]
         problem = ec2.problem_from_dataset(dataset, sub)
         tree = trees.compile_tree(
-            problem, eta, alpha, max_nodes,
-            params={"dataset_hash": ds_hash},
+            problem, eta, max_nodes=max_nodes, params={"dataset_hash": ds_hash}
         )
-        combined = run_policy("direct+bisect", dataset, "test", tree, jobs=jobs, train_idx=sub)
+        combined = run_policy(
+            "direct+bisect", dataset, "test", tree, jobs=jobs, alpha=alpha, train_idx=sub
+        )
         tree_only = run_policy("direct-only", dataset, "test", tree, jobs=jobs, train_idx=sub)
         costs = np.array([t.total_cost for t in combined])[feasible]
         ok_combined = np.array([trace_success(t, dataset) for t in combined])[feasible]

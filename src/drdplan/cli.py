@@ -41,17 +41,14 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"grid must look like 11x11, got {text!r}") from exc
 
 
-def _parse_sizes(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"sizes must be comma-separated ints: {text!r}") from exc
-
-
 def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def _parse_sizes(text: str) -> list[int]:
+    return [_positive_int(x.strip()) for x in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--dataset", required=True)
     c.add_argument("--eta", type=float, default=0.05,
                    help="handoff threshold on the surviving training fraction (default 0.05)")
-    c.add_argument("--alpha", type=float, default=0.9,
-                   help="bias mixture weight on the empirical fraction (default 0.9)")
     c.add_argument("--max-nodes", type=_positive_int, default=200_000)
     c.add_argument("--out", required=True)
 
@@ -89,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--jobs", type=_positive_int, default=1)
     r.add_argument("--alpha", type=float, default=0.9,
-                   help="bias clamp/mixture for tree-less bisect (default 0.9)")
+                   help="bias mixture weight on the empirical fraction, and its clamp, "
+                   "for bisect and direct+bisect (default 0.9)")
     r.add_argument("--out", required=True, help="output directory for run files")
 
     s = sub.add_parser("sweep", help="training-size ablation", epilog=_EPILOG)
@@ -142,7 +138,7 @@ def _cmd_compile_tree(args) -> int:
     ds = load_dataset(args.dataset)
     if len(ds.train) == 0:
         raise ContractError("dataset has no training split")
-    tree = trees.compile_from_dataset(ds, args.eta, args.alpha, args.max_nodes)
+    tree = trees.compile_from_dataset(ds, args.eta, max_nodes=args.max_nodes)
     tree.params["config"] = _config(args)
     trees.save_tree(tree, args.out)
     stats = tree.params["stats"]

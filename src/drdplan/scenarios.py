@@ -59,8 +59,11 @@ class ScenarioSpec:
         if self.connectivity != 8:
             raise ValueError("only 8-connected grids are supported")
         if self.kind == "forest":
-            if self.n_discs < 0 or not (np.isfinite(self.disc_radius) and self.disc_radius > 0):
-                raise ValueError("forest needs n_discs >= 0 and a finite disc_radius > 0")
+            # A disc wider than rows + cols already blocks every edge.
+            if self.n_discs < 0 or not 0 < self.disc_radius <= self.rows + self.cols:
+                raise ValueError(
+                    "forest needs n_discs >= 0 and a finite disc_radius in (0, rows + cols]"
+                )
             return
         gw = self.gap_width_eff()
         if gw < 1:

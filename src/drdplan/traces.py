@@ -38,8 +38,10 @@ class Infeasible:
 
 @dataclass(frozen=True)
 class Handoff:
-    """The explicit-database policy stopped below its confidence threshold;
-    payload is attached by the caller (version space or bias vector)."""
+    """The explicit-database policy stopped below its confidence threshold
+    or found no useful test.  It carries no payload: the completion builds
+    its bias from the training worlds consistent with the episode's edge
+    status (see drdplan.bench)."""
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Offline compilation of the explicit-database policy into a decision tree.
 
-Internal nodes name the edge to evaluate and branch on its outcome.  Leaves
-either name a proven-valid path (Solved), certify that no library path
+The tree holds the DIRECT decisions alone.  Internal nodes name the edge to
+evaluate and branch on its outcome.  Leaves either name a path that every
+surviving training world makes valid (Solved), certify that no library path
 survives the training database (Dead), or hand off to the Bernoulli
-completion policy with a bias vector mixing the empirical edge-validity
-fraction of the surviving training worlds with an uninformed 0.5 term.
+completion policy (Handoff, with the count of surviving training worlds).
+The completion's bias is built at run time by bias_vector, from the
+training worlds consistent with the episode's observations and the run's
+alpha.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from . import ec2
 from .io import atomic_write_bytes
 from .traces import AllRegionsDead, Handoff, RunTrace, Solved
 
-TREE_SCHEMA_VERSION = 1
+TREE_SCHEMA_VERSION = 2
 
 
 class TreeSizeExceeded(RuntimeError):
@@ -44,7 +47,6 @@ class DeadLeaf:
 
 @dataclass(frozen=True)
 class HandoffLeaf:
-    bias: tuple[float, ...]
     active_count: int
 
 
@@ -93,7 +95,7 @@ def bias_vector(rows: np.ndarray, status: np.ndarray, alpha: float) -> np.ndarra
 def compile_tree(
     problem: ec2.DrdProblem,
     eta: float,
-    alpha: float,
+    *,
     max_nodes: int = 200_000,
     params: dict | None = None,
 ) -> DecisionTree:
@@ -104,8 +106,6 @@ def compile_tree(
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must be in [0, 1]")
-    if not 0.0 < alpha < 1.0:  # checked here too: a tree may have no handoff leaf
-        raise ValueError("alpha must be in (0, 1)")
     if problem.num_hypotheses == 0:
         raise ValueError("training set is empty")
 
@@ -117,10 +117,6 @@ def compile_tree(
         nodes.append(node)
         return len(nodes) - 1
 
-    def handoff(vs: ec2.VersionSpace, worlds: np.ndarray) -> HandoffLeaf:
-        bias = bias_vector(problem.outcomes[worlds], vs.status, alpha)
-        return HandoffLeaf(tuple(bias), vs.active_count)
-
     def leaf_or_edge(vs: ec2.VersionSpace):
         """The leaf that ends this branch, or the edge to split it on."""
         step = ec2.direct_step(vs, problem, eta)
@@ -129,7 +125,7 @@ def compile_tree(
         if isinstance(step, AllRegionsDead):
             return DeadLeaf()
         if isinstance(step, Handoff):
-            return handoff(vs, vs.active)
+            return HandoffLeaf(vs.active_count)
         return step
 
     # An explicit stack in place of recursion.  Its items are a version space
@@ -145,10 +141,7 @@ def compile_tree(
             if isinstance(item, int):
                 todo.append(item)
                 for outcome in (1, 0):  # reversed, so child0 is built first
-                    child = ec2.observe(vs, problem, item, outcome)
-                    # Training never realizes this outcome here: hand off with
-                    # the parent's fractions and the branching edge pinned.
-                    todo.append(child if child.active.any() else handoff(child, vs.active))
+                    todo.append(ec2.observe(vs, problem, item, outcome))
                 continue
         if isinstance(item, int):
             child1 = finished.pop()
@@ -158,22 +151,19 @@ def compile_tree(
 
     (root,) = finished
     tree = DecisionTree(nodes=nodes, root=root, params=dict(params or {}))
-    tree.params.update({"eta": float(eta), "alpha": float(alpha), "max_nodes": int(max_nodes)})
+    tree.params.update({"eta": float(eta), "max_nodes": int(max_nodes)})
     tree.params["stats"] = {**tree.leaf_counts(), "depth": tree.depth()}
     return tree
 
 
-def compile_from_dataset(
-    dataset, eta: float, alpha: float, max_nodes: int = 200_000
-) -> DecisionTree:
+def compile_from_dataset(dataset, eta: float, *, max_nodes: int = 200_000) -> DecisionTree:
     from .io import dataset_hash
 
     problem = ec2.problem_from_dataset(dataset, dataset.train)
     return compile_tree(
         problem,
         eta,
-        alpha,
-        max_nodes,
+        max_nodes=max_nodes,
         params={"dataset_hash": dataset_hash(dataset), "n_train": int(len(dataset.train))},
     )
 
@@ -202,8 +192,7 @@ def tree_to_bytes(tree: DecisionTree) -> bytes:
         elif isinstance(node, DeadLeaf):
             records.append({"type": "dead"})
         elif isinstance(node, HandoffLeaf):
-            records.append({"type": "handoff", "bias": list(node.bias),
-                            "active_count": node.active_count})
+            records.append({"type": "handoff", "active_count": node.active_count})
         else:
             raise TypeError(f"unknown node type {type(node)!r}")
     doc = {
@@ -238,7 +227,7 @@ def _node_from_json(rec, i: int):
     if t == "dead":
         return DeadLeaf()
     if t == "handoff":
-        return HandoffLeaf(tuple(rec["bias"]), _index(rec["active_count"]))
+        return HandoffLeaf(_index(rec["active_count"]))
     raise TreeFormatError(f"unknown node type {t!r}")
 
 

@@ -74,7 +74,7 @@ def benchmark_dataset():
 
 @pytest.fixture(scope="module")
 def benchmark_tree(benchmark_dataset):
-    return trees.compile_from_dataset(benchmark_dataset, 0.05, 0.9)
+    return trees.compile_from_dataset(benchmark_dataset, 0.05)
 
 
 # --- criterion 1 -----------------------------------------------------------
@@ -178,7 +178,7 @@ def test_criterion_5_end_to_end_soundness():
     for kind in KINDS:
         spec = ScenarioSpec(kind=kind, rows=11, cols=11, seed=5)
         ds = generate_dataset(spec, 1000, 2000, 100, test_fraction=0.1, seed=5)
-        tree = trees.compile_from_dataset(ds, 0.05, 0.9)
+        tree = trees.compile_from_dataset(ds, 0.05)
         traces = run_policy("direct+bisect", ds, "test", tree)
         assert len(traces) == len(ds.test)
         for t in traces:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from drdplan import bench, rng as rng_mod, trees
+from drdplan import bench, ec2, rng as rng_mod, trees
 from drdplan.bench import (
     ContractError,
     build_report,
@@ -21,7 +21,9 @@ from drdplan.bench import (
     trace_success,
 )
 from drdplan.scenarios import ScenarioSpec, generate_dataset
-from drdplan.traces import AllRegionsDead, Solved
+from drdplan.traces import AllRegionsDead, RunTrace, Solved
+
+from conftest import random_regions, regions_membership
 
 
 def make_ds(kind="forest", seed=1, n=40):
@@ -36,7 +38,7 @@ def ds():
 
 @pytest.fixture(scope="module")
 def tree(ds):
-    return trees.compile_from_dataset(ds, 0.05, 0.9)
+    return trees.compile_from_dataset(ds, 0.05)
 
 
 def test_tree_policies_require_tree(ds):
@@ -46,7 +48,7 @@ def test_tree_policies_require_tree(ds):
 
 def test_dataset_hash_contract(ds):
     other = make_ds(seed=2)
-    wrong_tree = trees.compile_from_dataset(other, 0.05, 0.9)
+    wrong_tree = trees.compile_from_dataset(other, 0.05)
     with pytest.raises(ContractError):
         run_policy("direct+bisect", ds, "test", wrong_tree)
 
@@ -98,9 +100,10 @@ def test_jobs_parallelism_agrees(ds, tree):
 
 
 # sha256 of the compiled tree and of every policy's canonical traces on the
-# fixture above.  Refactors must leave these bytes alone.
+# fixture above, and of the two tree policies' traces on a fixture whose tree
+# has 4 handoff leaves.  Refactors must leave these bytes alone.
 PINNED = {
-    "tree": "6d47786cb356a4c6ec04645f5b4c87434bdb20db71f837a219c51ce660738cbf",
+    "tree": "438574b06d9947e55a6f94a1b7dc003e7a1b82fc58ae49e721795d794a390996",
     "lazysp-graph": "74c40618a9fe11503cc84f5b67f77f8363ba2da4d89648c7f9b9c9a6239ff806",
     "lazysp-set": "802e31005fa50aeb5819293094bc52559714342d9ee5cd0a0b6d7719c4a9d21d",
     "random": "2ca28a2881696ab9120215440db9db403b4d15b4872aafd7925aaa47059a3d76",
@@ -108,15 +111,60 @@ PINNED = {
     "direct+bisect": "d42e9d291f0178841986ae60e1e86d81148b2ae0371d9db77c61fb2ab5b26c27",
     "direct-only": "100124745f443682d72e7a4e7374bc0592ca897571dfa2a0f269d652cd436a12",
 }
+HANDOFF_PINNED = {
+    "direct+bisect": "990f2e4e7407303714dbbc5ef8607ab8ac4286e9282d482d6946a125afb42e82",
+    "direct-only": "44383ce63f63574dc5c5eaf6db56522c7239f1707857e20ac8837a1e48d844fd",
+}
+
+
+def _traces_sha256(policy, ds, tree):
+    docs = bench.traces_to_json(run_policy(policy, ds, "test", tree, seed=0))
+    blob = json.dumps(docs, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 def test_artifact_bytes_pinned(ds, tree):
     got = {"tree": hashlib.sha256(trees.tree_to_bytes(tree)).hexdigest()}
-    for policy in bench.POLICY_IDS:
-        docs = bench.traces_to_json(run_policy(policy, ds, "test", tree, seed=0))
-        blob = json.dumps(docs, sort_keys=True, separators=(",", ":")).encode()
-        got[policy] = hashlib.sha256(blob).hexdigest()
+    got.update({policy: _traces_sha256(policy, ds, tree) for policy in bench.POLICY_IDS})
     assert got == PINNED
+    handoff_ds = make_ds(seed=2, n=80)
+    handoff_tree = trees.compile_from_dataset(handoff_ds, 0.05)
+    assert handoff_tree.params["stats"]["handoff"] == 4
+    got = {policy: _traces_sha256(policy, handoff_ds, handoff_tree) for policy in HANDOFF_PINNED}
+    assert got == HANDOFF_PINNED
+
+
+def test_surviving_mask_is_the_set_routed_to_each_leaf():
+    """The training worlds consistent with what an episode saw on its way to
+    a leaf are exactly the training worlds the tree routes to that leaf, so
+    a bias built at run time from them is the one DIRECT hands off with."""
+    rng = np.random.default_rng(5)
+    handoffs = 0
+    for _ in range(60):
+        n, e = int(rng.integers(1, 40)), int(rng.integers(2, 10))
+        outcomes = (rng.random((n, e)) < rng.uniform(0.2, 0.9)).astype(np.uint8)
+        regions = random_regions(rng, e, int(rng.integers(1, 10)))
+        problem = ec2.DrdProblem(
+            membership=regions_membership(outcomes, regions),
+            outcomes=outcomes,
+            eval_cost=rng.integers(1, 3, e).astype(np.float64),
+            prior=np.full(n, 1.0 / n),
+        )
+        for eta in (0.0, 0.3, 0.6):
+            tree = trees.compile_tree(problem, eta)
+            handoffs += tree.leaf_counts()["handoff"]
+            leaf_of, status_of = [], []
+            for h in range(n):
+                status = np.zeros(e, np.int8)
+                leaf_of.append(id(trees.execute_tree(
+                    tree, lambda edge, row=outcomes[h]: int(row[edge]),
+                    problem.eval_cost, RunTrace("tree", h), status,
+                )))
+                status_of.append(status)
+            for h in range(n):
+                routed = np.array([leaf == leaf_of[h] for leaf in leaf_of])
+                assert np.array_equal(bench._surviving(outcomes, status_of[h]), routed)
+    assert handoffs >= 50
 
 
 # --- normalized_cost -------------------------------------------------------

@@ -91,6 +91,15 @@ def test_sweep_command(pipeline, tmp_path):
     assert [r["n_train"] for r in doc["results"]] == [10, 30]
 
 
+@pytest.mark.parametrize("sizes", ["--sizes=-5,10", "--sizes=0"])
+def test_sweep_sizes_must_be_positive(pipeline, tmp_path, capsys, sizes):
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--dataset", pipeline["ds"], sizes, "--out", str(tmp_path / "s.csv")])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["gen", "--scenario", "maze", "--grid", "6x6", "--worlds", "40",
@@ -135,12 +144,13 @@ def test_resource_error_exit_5(pipeline, tmp_path, capsys):
 
 
 def test_help_shows_defaults(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["compile-tree", "--help"])
-    assert exc.value.code == 0
-    text = capsys.readouterr().out
-    assert "0.05" in text and "0.9" in text
-    assert "exit codes" in text
+    for command, default in (("compile-tree", "0.05"), ("run", "0.9")):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert default in text
+        assert "exit codes" in text
 
 
 def test_gen_deterministic_bytes(tmp_path, capsys, monkeypatch):
@@ -264,14 +274,38 @@ def test_count_flags_must_be_positive(pipeline, tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("alpha", ["nan", "0", "1", "2"])
-def test_bisect_alpha_outside_unit_interval_is_contract_error(pipeline, tmp_path, capsys, alpha):
-    code = run([
-        "run", "--dataset", pipeline["ds"], "--policy", "bisect", "--alpha", alpha,
-        "--out", str(tmp_path / "runs"),
-    ])
-    assert code == EXIT_CONTRACT
-    assert "Traceback" not in capsys.readouterr().err
-    assert not (tmp_path / "runs").exists()
+def test_bisect_alpha_outside_unit_interval_is_contract_error(
+    pipeline, tmp_path, capsys, monkeypatch, alpha
+):
+    def never(*args, **kwargs):
+        raise AssertionError("a world ran")
+
+    monkeypatch.setattr(drdplan.bench, "_world_oracle", never)
+    for policy in ("bisect", "direct+bisect"):
+        code = run([
+            "run", "--dataset", pipeline["ds"], "--policy", policy, "--alpha", alpha,
+            "--tree", pipeline["tree"], "--out", str(tmp_path / "runs"),
+        ])
+        assert code == EXIT_CONTRACT
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+
+def test_run_alpha_sets_the_direct_bisect_bias(tmp_path, capsys):
+    # A forest dataset whose tree has three handoff leaves.
+    ds, tree = str(tmp_path / "d.bin"), str(tmp_path / "t.json")
+    assert run(gen_args(ds, scenario="forest", worlds=80)) == EXIT_OK
+    assert run(["compile-tree", "--dataset", ds, "--out", tree]) == EXIT_OK
+    traces = {}
+    for alpha in ("0.9", "0.5"):
+        out = tmp_path / alpha
+        assert run([
+            "run", "--dataset", ds, "--policy", "direct+bisect", "--alpha", alpha,
+            "--tree", tree, "--out", str(out),
+        ]) == EXIT_OK
+        with open(out / "direct+bisect.json") as f:
+            traces[alpha] = json.load(f)["traces"]
+    assert traces["0.9"] != traces["0.5"]
 
 
 @pytest.mark.parametrize("bad", ["runs-is-file", "runs-subdir", "out-is-file"])
@@ -300,7 +334,7 @@ def test_run_checks_out_before_any_world(pipeline, tmp_path, capsys, monkeypatch
         assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("radius", ["inf", "nan"])
+@pytest.mark.parametrize("radius", ["inf", "nan", "1e9", "1e300"])
 def test_disc_radius_must_be_finite(tmp_path, capsys, radius):
     argv = gen_args(str(tmp_path / "d.bin"), scenario="forest") + ["--disc-radius", radius]
     assert run(argv) == EXIT_CONTRACT
@@ -320,10 +354,6 @@ def test_inexact_edge_length_is_data_error(pipeline, tmp_path, capsys):
     assert "sqrt(2)" in capsys.readouterr().err
 
 
-def _handoff(bias):
-    return {"type": "handoff", "bias": bias, "active_count": 1}
-
-
 def _set_root(doc, root):
     doc["root"] = root
 
@@ -338,10 +368,6 @@ _BAD_TREES = {
     "child-range": lambda d: d["nodes"][-1].__setitem__("child", [0, 99]),
     "child-order": lambda d: d["nodes"][-1].__setitem__("child", [0, 2]),
     "root": lambda d: _set_root(d, 0),
-    "bias-length": lambda d: d["nodes"].__setitem__(0, _handoff([0.5] * 109)),
-    "bias-range": lambda d: d["nodes"].__setitem__(0, _handoff([0.5] * 109 + [1.0])),
-    "bias-type": lambda d: d["nodes"].__setitem__(0, _handoff([0.5] * 109 + ["0.5"])),
-    "alpha": lambda d: d["params"].pop("alpha"),
     "hash-type": lambda d: d["params"].__setitem__("dataset_hash", 12345),
 }
 
@@ -351,7 +377,7 @@ def test_tree_faults_exit_3_without_traceback(pipeline, tmp_path, capsys, bad):
     with open(pipeline["tree"]) as f:
         doc = json.load(f)
     if bad == "none":  # the control: a well-formed handoff leaf runs
-        doc["nodes"][0] = _handoff([0.5] * 110)
+        doc["nodes"][0] = {"type": "handoff", "active_count": 1}
     else:
         _BAD_TREES[bad](doc)
     tree = tmp_path / "t.json"

@@ -73,27 +73,25 @@ def test_bias_vector_rejects_bad_inputs():
 
 def test_eta_one_single_handoff_leaf():
     prob = make_worked_problem()
-    tree = compile_tree(prob, eta=1.0, alpha=0.9)
+    tree = compile_tree(prob, eta=1.0)
     assert len(tree.nodes) == 1
     leaf = tree.nodes[tree.root]
     assert isinstance(leaf, HandoffLeaf)
     assert leaf.active_count == 3
-    # Root bias of the single test: fraction 1/3 mixed with 0.5.
-    assert abs(leaf.bias[0] - (0.9 / 3.0 + 0.05)) <= 1e-12
 
 
 def test_single_region_everything_solved_leaf():
     membership = np.ones((4, 1), dtype=np.uint8)
     outcomes = np.random.default_rng(0).integers(0, 2, (4, 3)).astype(np.uint8)
     prob = ec2.DrdProblem(membership, outcomes, np.ones(3), np.full(4, 0.25))
-    tree = compile_tree(prob, eta=0.05, alpha=0.9)
+    tree = compile_tree(prob, eta=0.05)
     assert len(tree.nodes) == 1
     assert tree.nodes[tree.root] == SolvedLeaf(0)
 
 
 def test_worked_instance_tree_shape():
     prob = make_worked_problem()
-    tree = compile_tree(prob, eta=0.0, alpha=0.9)
+    tree = compile_tree(prob, eta=0.0)
     assert len(tree.nodes) == 3
     root = tree.nodes[tree.root]
     assert isinstance(root, InternalNode) and root.edge == 0
@@ -107,40 +105,32 @@ def test_worked_instance_tree_shape():
 def test_max_nodes_exceeded():
     prob = make_worked_problem()
     with pytest.raises(TreeSizeExceeded):
-        compile_tree(prob, eta=0.0, alpha=0.9, max_nodes=1)
-
-
-def test_compile_rejects_alpha_outside_unit_interval():
-    # The worked problem compiles to a tree without handoff leaves, so only
-    # the up-front check sees alpha; a run would reject the tree file.
-    for alpha in (0.0, 1.0):
-        with pytest.raises(ValueError, match="alpha"):
-            compile_tree(make_worked_problem(), 0.05, alpha)
+        compile_tree(prob, eta=0.0, max_nodes=1)
 
 
 def test_compile_rejects_empty_training():
     ds = small_dataset()
     ds.train = ds.train[:0]
     with pytest.raises(ValueError):
-        compile_from_dataset(ds, 0.05, 0.9)
+        compile_from_dataset(ds, 0.05)
 
 
 def test_compile_deterministic_bytes():
     ds = small_dataset()
-    t1 = compile_from_dataset(ds, 0.05, 0.9)
-    t2 = compile_from_dataset(ds, 0.05, 0.9)
+    t1 = compile_from_dataset(ds, 0.05)
+    t2 = compile_from_dataset(ds, 0.05)
     assert tree_to_bytes(t1) == tree_to_bytes(t2)
 
 
 def test_compiled_tree_invariants():
     ds = small_dataset()
-    tree = compile_from_dataset(ds, 0.05, 0.9)
+    tree = compile_from_dataset(ds, 0.05)
     n_edges = ds.graph.num_edges
     assert tree.params["stats"]["depth"] <= n_edges
     assert tree.params["n_train"] == len(ds.train)
 
-    # Edge ids along every root-to-leaf path are distinct; handoff bias
-    # entries stay inside the clamp band or at the observed-edge pins.
+    # Edge ids along every root-to-leaf path are distinct; every handoff
+    # leaf keeps at least one training world.
     def walk(i, seen):
         node = tree.nodes[i]
         if isinstance(node, InternalNode):
@@ -148,15 +138,14 @@ def test_compiled_tree_invariants():
             walk(node.child0, seen | {node.edge})
             walk(node.child1, seen | {node.edge})
         elif isinstance(node, HandoffLeaf):
-            for theta in node.bias:
-                assert 0.05 - 1e-12 <= theta <= 0.95 + 1e-12
+            assert node.active_count >= 1
 
     walk(tree.root, set())
 
 
 def test_training_worlds_reach_consistent_leaves():
     ds = small_dataset()
-    tree = compile_from_dataset(ds, 0.0, 0.9)
+    tree = compile_from_dataset(ds, 0.0)
     for h in ds.train:
         oracle = lambda e: int(ds.theta[h, e])
         leaf, trace = run_tree(tree, oracle, ds.graph.eval_cost)
@@ -182,7 +171,7 @@ def test_compile_and_depth_leave_recursion_limit_alone():
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        tree = compile_from_dataset(ds, 0.0, 0.9)
+        tree = compile_from_dataset(ds, 0.0)
         assert tree.depth() == tree.params["stats"]["depth"]
         # A chain deeper than the recursion limit: depth is one pass over
         # the post-order node list.
@@ -206,7 +195,7 @@ def test_execute_single_leaf_no_evaluations():
 
 def test_execute_accumulates_cost():
     prob = make_worked_problem()
-    tree = compile_tree(prob, eta=0.0, alpha=0.9)
+    tree = compile_tree(prob, eta=0.0)
     leaf, trace = run_tree(tree, lambda e: 1, np.full(1, 2.5))
     assert leaf == SolvedLeaf(0)
     assert trace.total_cost == 2.5
@@ -216,7 +205,7 @@ def test_execute_is_total_on_off_database_outcomes():
     # A world outside the training database still reaches some leaf, because
     # internal nodes always carry children for both outcomes.
     ds = small_dataset()
-    tree = compile_from_dataset(ds, 0.0, 0.9)
+    tree = compile_from_dataset(ds, 0.0)
     leaf, trace = run_tree(tree, lambda e: 0, ds.graph.eval_cost)
     assert leaf is not None
     assert len({r[0] for r in trace.records}) == len(trace.records)
@@ -224,7 +213,7 @@ def test_execute_is_total_on_off_database_outcomes():
 
 def test_execute_marks_status_at_exactly_the_recorded_edges():
     ds = small_dataset()
-    tree = compile_from_dataset(ds, 0.0, 0.9)
+    tree = compile_from_dataset(ds, 0.0)
     for h in range(ds.num_worlds):
         trace = RunTrace(policy="tree", world_index=h)
         status = np.zeros(ds.graph.num_edges, np.int8)
@@ -239,7 +228,7 @@ def test_execute_marks_status_at_exactly_the_recorded_edges():
 
 def test_tree_roundtrip(tmp_path):
     ds = small_dataset()
-    tree = compile_from_dataset(ds, 0.05, 0.9)
+    tree = compile_from_dataset(ds, 0.05)
     path = str(tmp_path / "t.json")
     save_tree(tree, path)
     back = load_tree(path)
@@ -255,7 +244,13 @@ def test_tree_format_errors():
         tree_from_bytes(b'{"schema_version": 42, "nodes": [], "root": 0, "params": {}}')
     with pytest.raises(TreeFormatError, match="node type"):
         tree_from_bytes(
-            b'{"schema_version": 1, "nodes": [{"type": "mystery"}], "root": 0, "params": {}}'
+            b'{"schema_version": 2, "nodes": [{"type": "mystery"}], "root": 0, "params": {}}'
+        )
+    # Schema 1 stored a bias vector in every handoff leaf; it is not read.
+    with pytest.raises(TreeFormatError, match="schema_version"):
+        tree_from_bytes(
+            b'{"schema_version": 1, "nodes": [{"type": "handoff", "bias": [0.5],'
+            b' "active_count": 1}], "root": 0, "params": {"alpha": 0.9}}'
         )
 
 
@@ -276,7 +271,7 @@ def test_direct_policy_matches_compiled_tree():
             prior=rng.uniform(0.1, 1.0, n),
         )
         for eta in (0.0, 0.05, 0.3, 1.0):
-            tree = compile_tree(problem, eta, 0.9)
+            tree = compile_tree(problem, eta)
             for h in range(n):
                 oracle = lambda edge, row=outcomes[h]: int(row[edge])
                 trace, _ = ec2.direct_policy(problem, oracle, eta)
