@@ -78,7 +78,7 @@ def part2_bernoulli_vs_enumeration() -> None:
         belief.observe(edge, outcome)
         vs = ec2.observe(vs, prob, edge, outcome)
         status = ec2.is_solved(vs, prob)
-        if not str(status).startswith("Unsolved"):
+        if status is not None:
             print(f"  -> {status}")
             break
 

@@ -1,5 +1,7 @@
 """Reference lazy policies: LazySP on the full graph, LazySP restricted to
-the path library, and a seeded random-edge sanity floor.
+the path library, and a seeded random-edge sanity floor.  Each extends the
+caller's trace and edge status (the episode state of drdplan.traces) and
+returns the trace with its terminal set.
 
 Edge lengths are integers or integer multiples of sqrt(2) (dataset
 validation enforces it), so path lengths are represented exactly as integer
@@ -93,12 +95,10 @@ def check_path(edges, status, oracle, eval_cost, trace: RunTrace) -> bool:
 
 
 def lazysp_graph(
-    graph: ExplicitGraph, oracle, policy_name: str = "lazysp-graph", world_index: int = -1
+    graph: ExplicitGraph, oracle, trace: RunTrace, status: np.ndarray
 ) -> RunTrace:
     """LazySP on the full graph: evaluate the optimistic shortest path's
     unknown edges start-to-goal, restart on the first invalid edge."""
-    status = np.zeros(graph.num_edges, dtype=np.int8)
-    trace = RunTrace(policy=policy_name, world_index=world_index)
     while True:
         path = shortest_path_edges(graph, status >= 0)
         if path is None:
@@ -111,11 +111,7 @@ def lazysp_graph(
 
 
 def lazysp_set(
-    library: Library,
-    graph: ExplicitGraph,
-    oracle,
-    policy_name: str = "lazysp-set",
-    world_index: int = -1,
+    library: Library, graph: ExplicitGraph, oracle, trace: RunTrace, status: np.ndarray
 ) -> RunTrace:
     """LazySP restricted to the library: candidate is the shortest surviving
     library path (ties to the lowest index).  The library must carry its
@@ -125,8 +121,6 @@ def lazysp_set(
     if library.lengths is None:
         raise ValueError("library was built without edge lengths")
     lengths = library.lengths
-    status = np.zeros(graph.num_edges, dtype=np.int8)
-    trace = RunTrace(policy=policy_name, world_index=world_index)
     while True:
         _, live, _ = library_status(library.inR, status)
         best = None
@@ -145,17 +139,16 @@ def lazysp_set(
 def random_policy(
     library: Library,
     graph: ExplicitGraph,
-    oracle,
     seed: int,
-    policy_name: str = "random",
-    world_index: int = -1,
+    oracle,
+    trace: RunTrace,
+    status: np.ndarray,
 ) -> RunTrace:
-    """Evaluate uniformly random unknown edges on still-plausible paths."""
+    """Evaluate uniformly random unknown edges on still-plausible paths,
+    drawn from the substream of the trace's world."""
     if not library.paths:
         raise ValueError("library must be nonempty")
-    gen = _rng.substream(seed, _rng.STREAM_RANDOM_POLICY, max(world_index, 0))
-    status = np.zeros(graph.num_edges, dtype=np.int8)
-    trace = RunTrace(policy=policy_name, world_index=world_index)
+    gen = _rng.substream(seed, _rng.STREAM_RANDOM_POLICY, max(trace.world_index, 0))
     while True:
         solved, live, open_edges = library_status(library.inR, status)
         if not live.any():

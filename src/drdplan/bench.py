@@ -5,10 +5,12 @@ and training-size ablation curves.
 ``POLICIES`` is the one table of policy ids: lazysp-graph, lazysp-set,
 random, bisect, direct+bisect, direct-only.  Each id maps to a per-run
 function that checks its inputs, builds what every world of the run shares
-(bias vector, path library, training rows) and returns the episode for one
-world.  The last two ids require a compiled decision tree whose recorded
-dataset hash matches the dataset; direct+bisect builds each handoff bias
-at run time from the run's alpha.
+(bias vector, path library, training rows) and returns the episode,
+``episode(oracle, trace, status) -> RunTrace``.  run_policy builds what one
+world needs (its oracle, a fresh trace and an all-unknown edge status) and
+the episode extends the trace and status.  The last two ids require a
+compiled decision tree whose recorded dataset hash matches the dataset;
+direct+bisect builds each handoff bias at run time from the run's alpha.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from . import baselines, bernoulli, ec2, rng as _rng, trees
 from .io import atomic_write_bytes, dataset_hash
 from .model import Dataset, Library
-from .traces import AllRegionsDead, Infeasible, RunTrace, Solved
+from .traces import AllRegionsDead, Handoff, Infeasible, RunTrace, Solved
 
 RUNS_SCHEMA_VERSION = 1
 
@@ -79,8 +81,8 @@ def _checked_tree(dataset: Dataset, tree: trees.DecisionTree | None, policy: str
     for i, node in enumerate(tree.nodes):
         if isinstance(node, trees.InternalNode) and node.edge >= n_edges:
             fault = f"names edge {node.edge} of {n_edges}"
-        elif isinstance(node, trees.SolvedLeaf) and node.region >= n_paths:
-            fault = f"names path {node.region} of {n_paths}"
+        elif isinstance(node, Solved) and node.path_index >= n_paths:
+            fault = f"names path {node.path_index} of {n_paths}"
         else:
             continue
         raise trees.TreeFormatError(f"tree node {i} {fault}")
@@ -88,7 +90,9 @@ def _checked_tree(dataset: Dataset, tree: trees.DecisionTree | None, policy: str
 
 
 # Each policy id maps to a per-run function of (dataset, tree, train_idx,
-# seed, alpha) that returns the per-world episode, h -> RunTrace.
+# seed, alpha) that returns the episode, (oracle, trace, status) -> RunTrace.
+# Episodes look up the functions they call through their modules at call
+# time, so that a wrapper installed on a module attribute sees every call.
 
 
 def _library(dataset: Dataset, edge_lengths=None) -> Library:
@@ -98,22 +102,22 @@ def _library(dataset: Dataset, edge_lengths=None) -> Library:
 
 
 def _lazysp_graph(dataset, tree, train_idx, seed, alpha):
-    return lambda h: baselines.lazysp_graph(
-        dataset.graph, _world_oracle(dataset, h), world_index=h
+    return lambda oracle, trace, status: baselines.lazysp_graph(
+        dataset.graph, oracle, trace, status
     )
 
 
 def _lazysp_set(dataset, tree, train_idx, seed, alpha):
     library = _library(dataset, dataset.graph.exact_length())
-    return lambda h: baselines.lazysp_set(
-        library, dataset.graph, _world_oracle(dataset, h), world_index=h
+    return lambda oracle, trace, status: baselines.lazysp_set(
+        library, dataset.graph, oracle, trace, status
     )
 
 
 def _random(dataset, tree, train_idx, seed, alpha):
     library = _library(dataset)
-    return lambda h: baselines.random_policy(
-        library, dataset.graph, _world_oracle(dataset, h), seed, world_index=h
+    return lambda oracle, trace, status: baselines.random_policy(
+        library, dataset.graph, seed, oracle, trace, status
     )
 
 
@@ -121,9 +125,9 @@ def _bisect(dataset, tree, train_idx, seed, alpha):
     # Standalone baseline: training column means, clipped, as bias.
     beta = bernoulli.clamp_bias(dataset.theta[train_idx].mean(axis=0), alpha)
     library = _library(dataset)
-    return lambda h: bernoulli.bisect_policy(
-        bernoulli.BernoulliBelief(beta), library, dataset.graph.eval_cost,
-        _world_oracle(dataset, h), RunTrace("bisect", h),
+    return lambda oracle, trace, status: bernoulli.bisect_policy(
+        bernoulli.BernoulliBelief(beta, status), library, dataset.graph.eval_cost,
+        oracle, trace,
     )
 
 
@@ -135,16 +139,13 @@ def _direct_bisect(dataset, tree, train_idx, seed, alpha):
     library = _library(dataset)
     eval_cost = dataset.graph.eval_cost
 
-    def episode(h: int) -> RunTrace:
-        oracle = _world_oracle(dataset, h)
-        trace = RunTrace("direct+bisect", h)
-        status = np.zeros(len(eval_cost), dtype=np.int8)
+    def episode(oracle, trace: RunTrace, status: np.ndarray) -> RunTrace:
         leaf = trees.execute_tree(tree, oracle, eval_cost, trace, status)
-        if isinstance(leaf, trees.SolvedLeaf):
+        if isinstance(leaf, Solved):
             # Off-database safety: prove the named path against the live world.
-            path = library.paths[leaf.region]
+            path = library.paths[leaf.path_index]
             if baselines.check_path(path, status, oracle, eval_cost, trace):
-                trace.terminal = Solved(leaf.region)
+                trace.terminal = leaf
                 trace.path_edges = path
                 return trace
         # A handoff, a refuted solved leaf, or a dead leaf whose verdict must
@@ -165,14 +166,13 @@ def _direct_only(dataset, tree, train_idx, seed, alpha):
     train_memb = dataset.membership[train_idx]
     eval_cost = dataset.graph.eval_cost
 
-    def episode(h: int) -> RunTrace:
-        trace = RunTrace("direct-only", h)
-        status = np.zeros(len(eval_cost), dtype=np.int8)
-        leaf = trees.execute_tree(tree, _world_oracle(dataset, h), eval_cost, trace, status)
+    def episode(oracle, trace: RunTrace, status: np.ndarray) -> RunTrace:
+        h = trace.world_index
+        leaf = trees.execute_tree(tree, oracle, eval_cost, trace, status)
         region = None
-        if isinstance(leaf, trees.SolvedLeaf):
-            region = leaf.region
-        elif isinstance(leaf, trees.HandoffLeaf):
+        if isinstance(leaf, Solved):
+            region = leaf.path_index
+        elif isinstance(leaf, Handoff):
             plausible = np.nonzero(train_memb[_surviving(train_theta, status)].any(axis=0))[0]
             region = int(plausible[0]) if plausible.size else None
         if region is None:
@@ -198,12 +198,12 @@ POLICIES = {
 }
 POLICY_IDS = tuple(POLICIES)
 
-# The episode of the run in progress, inherited by forked pool workers.
-_POOL_EPISODE = None
+# The per-world run in progress, inherited by forked pool workers.
+_POOL_WORLD = None
 
 
 def _pool_run(h: int) -> RunTrace:
-    return _POOL_EPISODE(h)
+    return _POOL_WORLD(h)
 
 
 def run_policy(
@@ -216,26 +216,34 @@ def run_policy(
     alpha: float = 0.9,
     train_idx: np.ndarray | None = None,
 ) -> list[RunTrace]:
-    """Run one policy over every world of the chosen split."""
-    global _POOL_EPISODE
+    """Run one policy over every world of the chosen split.  Each world gets
+    its oracle, a fresh RunTrace and an all-unknown int8 edge status, which
+    the policy's episode extends."""
+    global _POOL_WORLD
     if policy not in POLICIES:
         raise ValueError(f"unknown policy id {policy!r}")
     if train_idx is None:
         train_idx = dataset.train
     episode = POLICIES[policy](dataset, tree, train_idx, seed, alpha)
+    n_edges = dataset.graph.num_edges
+
+    def world(h: int) -> RunTrace:
+        status = np.zeros(n_edges, dtype=np.int8)
+        return episode(_world_oracle(dataset, h), RunTrace(policy, h), status)
+
     worlds = {"test": dataset.test, "train": dataset.train}.get(split)
     if worlds is None:
         worlds = np.arange(dataset.num_worlds)
 
     if jobs <= 1:
-        return [episode(int(h)) for h in worlds]
+        return [world(int(h)) for h in worlds]
 
-    _POOL_EPISODE = episode
+    _POOL_WORLD = world
     try:
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
             return pool.map(_pool_run, [int(h) for h in worlds])
     finally:
-        _POOL_EPISODE = None
+        _POOL_WORLD = None
 
 
 def normalized_cost(
@@ -286,8 +294,8 @@ def sweep_training_size(
     mean/variance of the combined policy's cost and both failure rates on
     the fixed test split (feasible worlds only for cost and failure)."""
     sizes = list(sizes)
-    if sizes != sorted(sizes):
-        raise ValueError("sizes must be increasing")
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"sizes must strictly increase, got {sizes}")
     if sizes[-1] > len(dataset.train):
         raise ValueError("largest size exceeds the training split")
     ds_hash = dataset_hash(dataset)
@@ -446,13 +454,19 @@ def build_report(
     seed: int = 0,
 ) -> dict:
     """Normalized-cost CIs of every policy against the reference, per
-    dataset, paired on the feasible worlds both policies ran."""
+    dataset, paired on the feasible worlds both policies ran.
+    ContractError when two run files hold one policy for one dataset."""
     by_ds: dict[str, dict[str, dict]] = {}
     labels: dict[str, str] = {}
     for doc in run_docs:
-        key = doc["dataset_hash"]
+        key, policy = doc["dataset_hash"], doc["policy"]
         labels[key] = doc["dataset_label"]
-        by_ds.setdefault(key, {})[doc["policy"]] = doc
+        policies = by_ds.setdefault(key, {})
+        if policy in policies:
+            raise ContractError(
+                f"two run files of policy {policy!r} for dataset {labels[key]}"
+            )
+        policies[policy] = doc
 
     report = {
         "reference": reference,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import AllRegionsDead, Handoff, RunTrace, Solved, Unsolved
+from .traces import AllRegionsDead, Handoff, RunTrace, Solved
 
 # Scores at or below this are treated as "no useful test": a test that
 # neither splits nor prunes the active set reduces nothing, and floating
@@ -241,7 +241,8 @@ def observe(
 
 def is_solved(vs: VersionSpace, problem: DrdProblem):
     """Solved(lowest region containing all active hypotheses),
-    AllRegionsDead when every region lost all active mass, else Unsolved."""
+    AllRegionsDead when every region lost all active mass, else None while
+    uncertainty still spans several regions."""
     act = vs.active
     n_act = int(act.sum())
     if n_act == 0:
@@ -252,17 +253,18 @@ def is_solved(vs: VersionSpace, problem: DrdProblem):
         return Solved(int(full[0]))
     if not (counts > 0).any():
         return AllRegionsDead()
-    return Unsolved()
+    return None
 
 
 def direct_step(vs: VersionSpace, problem: DrdProblem, eta: float):
     """The DIRECT decision at a version space: Solved or AllRegionsDead
-    per is_solved; Handoff() when the active weight is at or below eta
-    times the prior sum, both in unit weights (under a uniform prior, at
-    most eta * N active worlds, decided exactly), or no unobserved test
-    scores; else the edge id of the next test."""
+    per is_solved; Handoff(active count) when the active weight is at or
+    below eta times the prior sum, both in unit weights (under a uniform
+    prior, at most eta * N active worlds, decided exactly), or no
+    unobserved test scores; else the edge id of the next test.  The
+    compiled tree's leaves are these verdicts."""
     verdict = is_solved(vs, problem)
-    if isinstance(verdict, (Solved, AllRegionsDead)):
+    if verdict is not None:
         return verdict
     u = vs.unit_weights()
     if u[vs.active].sum() > eta * u.sum():
@@ -270,15 +272,11 @@ def direct_step(vs: VersionSpace, problem: DrdProblem, eta: float):
         sel = select_test(vs, problem, candidates) if candidates.size else None
         if sel is not None:
             return sel[0]
-    return Handoff()
+    return Handoff(vs.active_count)
 
 
 def direct_policy(
-    problem: DrdProblem,
-    oracle,
-    eta: float,
-    policy_name: str = "direct",
-    world_index: int = -1,
+    problem: DrdProblem, oracle, eta: float
 ) -> tuple[RunTrace, VersionSpace]:
     """Greedy explicit-database policy loop: direct_step until it returns
     a terminal (Solved, AllRegionsDead or Handoff; the caller decides what
@@ -287,7 +285,7 @@ def direct_policy(
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must be in [0, 1]")
     vs = problem.root_version_space()
-    trace = RunTrace(policy=policy_name, world_index=world_index)
+    trace = RunTrace(policy="direct")
     while True:
         step = direct_step(vs, problem, eta)
         if not isinstance(step, int):

@@ -390,10 +390,12 @@ def generate_dataset(
     test_fraction: float = 0.1,
     seed: int | None = None,
 ) -> Dataset:
-    """Full dataset: graph, sampled worlds, library, membership and split.
+    """Full dataset: graph, library, split, sampled worlds and membership.
 
     Worlds draw from per-index substreams (stream id = world index) so the
-    output is identical however sampling is parallelized.
+    output is identical however sampling is parallelized.  The split and
+    the library each draw from their own substream, so they come first: a
+    bad test_fraction, k or m fails before any world is sampled.
     """
     spec.validate()
     if n_worlds < 10:
@@ -401,31 +403,20 @@ def generate_dataset(
     root_seed = spec.seed if seed is None else seed
 
     graph = build_grid_graph(spec.rows, spec.cols, spec.connectivity)
+    theta = np.empty((n_worlds, graph.num_edges), dtype=np.uint8)
+    ds = split_dataset(Dataset(graph, theta, [], membership=None), test_fraction, root_seed)
+    ds.paths, truncated = build_path_library(graph, k, m, root_seed)
     segments = edge_segments(graph.positions, graph.endpoints)
-    theta = np.stack(
-        [
-            sample_world(spec, _rng.substream(root_seed, _rng.STREAM_WORLDS, i), segments)
-            for i in range(n_worlds)
-        ]
-    )
-    paths, truncated = build_path_library(graph, k, m, root_seed)
-    membership = compute_membership(theta, paths)
-
-    ds = Dataset(
-        graph=graph,
-        theta=theta,
-        paths=paths,
-        membership=membership,
-        provenance={},
-    )
-    split_dataset(ds, test_fraction, root_seed)
-    coverage = float(membership[ds.train].any(axis=1).mean())
+    for i in range(n_worlds):
+        theta[i] = sample_world(spec, _rng.substream(root_seed, _rng.STREAM_WORLDS, i), segments)
+    ds.membership = compute_membership(theta, ds.paths)
+    coverage = float(ds.membership[ds.train].any(axis=1).mean())
     ds.provenance = {
         "generator": "drdplan.scenarios",
         "scenario": {k_: v for k_, v in asdict(spec).items() if v is not None},
         "n_worlds": int(n_worlds),
         "k_shortest": int(k),
-        "library_size": len(paths),
+        "library_size": ds.num_paths,
         "library_truncated": bool(truncated),
         "test_fraction": float(test_fraction),
         "seed": int(root_seed),

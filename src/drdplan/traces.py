@@ -2,9 +2,15 @@
 
 An episode's state is one ``RunTrace`` and one edge-status vector: an
 (E,) int8 array with 0 for an edge not yet evaluated, 1 for an edge
-evaluated valid and -1 for one evaluated invalid.  Every phase of an
-episode (the tree, the check of a solved leaf, the completion) extends the
-same trace and the same status through ``RunTrace.evaluate``.
+evaluated valid and -1 for one evaluated invalid.  ``bench.run_policy``
+creates both for each world, with the world's oracle, and every policy
+extends them: each phase of an episode (the tree, the check of a solved
+leaf, the completion, a baseline's whole run) adds its evaluations through
+``RunTrace.evaluate``.
+
+The verdicts are also the leaves of the compiled tree (drdplan.trees):
+ec2.direct_step returns Solved, AllRegionsDead or Handoff, and the tree
+stores what it returned.
 """
 
 from __future__ import annotations
@@ -39,14 +45,11 @@ class Infeasible:
 @dataclass(frozen=True)
 class Handoff:
     """The explicit-database policy stopped below its confidence threshold
-    or found no useful test.  It carries no payload: the completion builds
-    its bias from the training worlds consistent with the episode's edge
-    status (see drdplan.bench)."""
+    or found no useful test, with ``active_count`` training worlds still
+    consistent.  The completion builds its bias from those worlds at run
+    time (see drdplan.bench)."""
 
-
-@dataclass(frozen=True)
-class Unsolved:
-    """Intermediate status: uncertainty still spans multiple regions."""
+    active_count: int
 
 
 @dataclass

@@ -1,13 +1,13 @@
 """Offline compilation of the explicit-database policy into a decision tree.
 
 The tree holds the DIRECT decisions alone.  Internal nodes name the edge to
-evaluate and branch on its outcome.  Leaves either name a path that every
-surviving training world makes valid (Solved), certify that no library path
-survives the training database (Dead), or hand off to the Bernoulli
-completion policy (Handoff, with the count of surviving training worlds).
-The completion's bias is built at run time by bias_vector, from the
-training worlds consistent with the episode's observations and the run's
-alpha.
+evaluate and branch on its outcome.  Leaves are the verdicts ec2.direct_step
+returns: Solved names a path that every surviving training world makes
+valid, AllRegionsDead certifies that no library path survives the training
+database, and Handoff passes control to the Bernoulli completion policy
+with the count of surviving training worlds.  The completion's bias is
+built at run time by bias_vector, from the training worlds consistent with
+the episode's observations and the run's alpha.
 """
 
 from __future__ import annotations
@@ -35,21 +35,6 @@ class InternalNode:
     child1: int  # followed when the edge evaluates valid
 
 
-@dataclass(frozen=True)
-class SolvedLeaf:
-    region: int
-
-
-@dataclass(frozen=True)
-class DeadLeaf:
-    pass
-
-
-@dataclass(frozen=True)
-class HandoffLeaf:
-    active_count: int
-
-
 @dataclass
 class DecisionTree:
     nodes: list
@@ -71,9 +56,9 @@ class DecisionTree:
         for node in self.nodes:
             if isinstance(node, InternalNode):
                 counts["internal"] += 1
-            elif isinstance(node, SolvedLeaf):
+            elif isinstance(node, Solved):
                 counts["solved"] += 1
-            elif isinstance(node, DeadLeaf):
+            elif isinstance(node, AllRegionsDead):
                 counts["dead"] += 1
             else:
                 counts["handoff"] += 1
@@ -117,27 +102,17 @@ def compile_tree(
         nodes.append(node)
         return len(nodes) - 1
 
-    def leaf_or_edge(vs: ec2.VersionSpace):
-        """The leaf that ends this branch, or the edge to split it on."""
-        step = ec2.direct_step(vs, problem, eta)
-        if isinstance(step, Solved):
-            return SolvedLeaf(step.path_index)
-        if isinstance(step, AllRegionsDead):
-            return DeadLeaf()
-        if isinstance(step, Handoff):
-            return HandoffLeaf(vs.active_count)
-        return step
-
     # An explicit stack in place of recursion.  Its items are a version space
-    # still to expand, a leaf to emit, or the edge of a split whose two
-    # subtrees are done; their indices are then the last two in `finished`.
+    # still to expand, a leaf (the verdict direct_step returned) to emit, or
+    # the edge of a split whose two subtrees are done; their indices are then
+    # the last two in `finished`.
     todo: list = [problem.root_version_space()]
     finished: list[int] = []
     while todo:
         item = todo.pop()
         if isinstance(item, ec2.VersionSpace):
             vs = item
-            item = leaf_or_edge(vs)
+            item = ec2.direct_step(vs, problem, eta)
             if isinstance(item, int):
                 todo.append(item)
                 for outcome in (1, 0):  # reversed, so child0 is built first
@@ -187,11 +162,11 @@ def tree_to_bytes(tree: DecisionTree) -> bytes:
         if isinstance(node, InternalNode):
             records.append({"type": "internal", "edge": node.edge,
                             "child": [node.child0, node.child1]})
-        elif isinstance(node, SolvedLeaf):
-            records.append({"type": "solved", "region": node.region})
-        elif isinstance(node, DeadLeaf):
+        elif isinstance(node, Solved):
+            records.append({"type": "solved", "region": node.path_index})
+        elif isinstance(node, AllRegionsDead):
             records.append({"type": "dead"})
-        elif isinstance(node, HandoffLeaf):
+        elif isinstance(node, Handoff):
             records.append({"type": "handoff", "active_count": node.active_count})
         else:
             raise TypeError(f"unknown node type {type(node)!r}")
@@ -223,11 +198,11 @@ def _node_from_json(rec, i: int):
             raise TreeFormatError(f"node {i} has a child that does not precede it")
         return InternalNode(_index(rec["edge"]), child0, child1)
     if t == "solved":
-        return SolvedLeaf(_index(rec["region"]))
+        return Solved(_index(rec["region"]))
     if t == "dead":
-        return DeadLeaf()
+        return AllRegionsDead()
     if t == "handoff":
-        return HandoffLeaf(_index(rec["active_count"]))
+        return Handoff(_index(rec["active_count"]))
     raise TreeFormatError(f"unknown node type {t!r}")
 
 

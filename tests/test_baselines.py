@@ -29,6 +29,11 @@ def lib(paths, graph):
     return Library.build([p.edge_ids for p in paths], graph.num_edges, graph.exact_length())
 
 
+def fresh(graph, world_index=-1):
+    """A new episode's trace and all-unknown edge status."""
+    return RunTrace("test", world_index), np.zeros(graph.num_edges, dtype=np.int8)
+
+
 def test_exact_metric_comparisons():
     # The chain 0 - 1 - 2 with edge lengths 1 and sqrt(2).
     graph = ExplicitGraph(
@@ -110,7 +115,7 @@ def test_lazysp_graph_all_valid():
     graph, _ = grid_and_library()
     usable = np.ones(graph.num_edges, dtype=bool)
     optimal = shortest_path_edges(graph, usable)
-    trace = lazysp_graph(graph, lambda e: 1)
+    trace = lazysp_graph(graph, lambda e: 1, *fresh(graph))
     assert trace.terminal == Solved(None)
     assert [r[0] for r in trace.records] == optimal
     assert trace.path_edges == tuple(optimal)
@@ -118,7 +123,7 @@ def test_lazysp_graph_all_valid():
 
 def test_lazysp_graph_infeasible():
     graph, _ = grid_and_library()
-    trace = lazysp_graph(graph, lambda e: 0)
+    trace = lazysp_graph(graph, lambda e: 0, *fresh(graph))
     assert isinstance(trace.terminal, Infeasible)
     edges = [r[0] for r in trace.records]
     assert len(edges) == len(set(edges))  # never evaluates an edge twice
@@ -130,7 +135,7 @@ def test_lazysp_graph_detour():
     first = shortest_path_edges(graph, usable)[0]
     world = np.ones(graph.num_edges, dtype=np.uint8)
     world[first] = 0
-    trace = lazysp_graph(graph, lambda e: int(world[e]))
+    trace = lazysp_graph(graph, lambda e: int(world[e]), *fresh(graph))
     assert trace.terminal == Solved(None)
     assert trace.records[0] == (first, 0, 1.0)
     assert all(world[e] == 1 for e in trace.path_edges)
@@ -138,7 +143,7 @@ def test_lazysp_graph_detour():
 
 def test_lazysp_set_all_valid_uses_path_zero():
     graph, paths = grid_and_library()
-    trace = lazysp_set(lib(paths, graph), graph, lambda e: 1)
+    trace = lazysp_set(lib(paths, graph), graph, lambda e: 1, *fresh(graph))
     assert trace.terminal == Solved(0)
     assert [r[0] for r in trace.records] == list(paths[0].edge_ids)
 
@@ -148,7 +153,7 @@ def test_lazysp_set_moves_on_after_first_invalid():
     dead = paths[0].edge_ids[0]
     world = np.ones(graph.num_edges, dtype=np.uint8)
     world[dead] = 0
-    trace = lazysp_set(lib(paths, graph), graph, lambda e: int(world[e]))
+    trace = lazysp_set(lib(paths, graph), graph, lambda e: int(world[e]), *fresh(graph))
     assert trace.records[0] == (dead, 0, 1.0)
     assert isinstance(trace.terminal, Solved) and trace.terminal.path_index != 0
     assert all(world[e] == 1 for e in trace.path_edges)
@@ -156,7 +161,7 @@ def test_lazysp_set_moves_on_after_first_invalid():
 
 def test_lazysp_set_all_dead():
     graph, paths = grid_and_library()
-    trace = lazysp_set(lib(paths, graph), graph, lambda e: 0)
+    trace = lazysp_set(lib(paths, graph), graph, lambda e: 0, *fresh(graph))
     assert isinstance(trace.terminal, AllRegionsDead)
     evaluated = {e: o for e, o, _ in trace.records}
     for p in paths:
@@ -167,7 +172,7 @@ def test_random_policy_single_one_edge_path():
     graph = build_grid_graph(2, 2)
     # Edge 2 is the single diagonal start-goal edge.
     library = [Path((2,))]
-    trace = random_policy(lib(library, graph), graph, lambda e: 1, seed=0)
+    trace = random_policy(lib(library, graph), graph, 0, lambda e: 1, *fresh(graph))
     assert trace.terminal == Solved(0)
     assert len(trace.records) == 1 and trace.records[0][0] == 2
 
@@ -176,10 +181,11 @@ def test_random_policy_deterministic_per_seed():
     graph, paths = grid_and_library()
     rng = np.random.default_rng(4)
     world = rng.integers(0, 2, graph.num_edges).astype(np.uint8)
-    t1 = random_policy(lib(paths, graph), graph, lambda e: int(world[e]), seed=5, world_index=3)
-    t2 = random_policy(lib(paths, graph), graph, lambda e: int(world[e]), seed=5, world_index=3)
+    oracle = lambda e: int(world[e])  # noqa: E731
+    t1 = random_policy(lib(paths, graph), graph, 5, oracle, *fresh(graph, 3))
+    t2 = random_policy(lib(paths, graph), graph, 5, oracle, *fresh(graph, 3))
     assert t1.records == t2.records and t1.terminal == t2.terminal
-    t3 = random_policy(lib(paths, graph), graph, lambda e: int(world[e]), seed=6, world_index=3)
+    t3 = random_policy(lib(paths, graph), graph, 6, oracle, *fresh(graph, 3))
     assert isinstance(t3.terminal, (Solved, AllRegionsDead))
 
 
@@ -188,7 +194,7 @@ def test_random_policy_terminates_soundly():
     rng = np.random.default_rng(7)
     for i in range(10):
         world = rng.integers(0, 2, graph.num_edges).astype(np.uint8)
-        trace = random_policy(lib(paths, graph), graph, lambda e: int(world[e]), seed=1, world_index=i)
+        trace = random_policy(lib(paths, graph), graph, 1, lambda e: int(world[e]), *fresh(graph, i))
         edges = [r[0] for r in trace.records]
         assert len(edges) == len(set(edges))
         if isinstance(trace.terminal, Solved):

@@ -1,7 +1,9 @@
 """CLI pipeline, exit codes, determinism."""
 
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -98,6 +100,60 @@ def test_sweep_sizes_must_be_positive(pipeline, tmp_path, capsys, sizes):
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_sizes_must_strictly_increase(pipeline, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a tree was compiled")
+
+    monkeypatch.setattr(drdplan.trees, "compile_tree", never)
+    for sizes in ("10,10", "20,10"):
+        out = tmp_path / "s.csv"
+        code = run(["sweep", "--dataset", pipeline["ds"], "--sizes", sizes, "--out", str(out)])
+        assert code == EXIT_CONTRACT
+        assert "strictly increase" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_report_refuses_two_run_files_of_one_policy(pipeline, tmp_path, capsys):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    for name in ("direct+bisect.json", "random.json"):
+        shutil.copy(os.path.join(pipeline["runs"], name), runs)
+    assert run([
+        "run", "--dataset", pipeline["ds"], "--policy", "random", "--seed", "7",
+        "--out", str(tmp_path / "seed7"),
+    ]) == EXIT_OK
+    os.rename(tmp_path / "seed7" / "random.json", runs / "zz-random-seed7.json")
+    capsys.readouterr()
+    out = tmp_path / "t.csv"
+    assert run(["report", "--runs", str(runs), "--out", str(out)]) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert "'random'" in err and "onewall" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# gen_args("d.bin") output, pinned: sampling the worlds after the split and
+# the library draws them from the same substreams as before.
+GEN_SHA256 = "4b68a318b2319c4acbfe9fd8e8af9516fe94691c33e187b21e9a06fe8bc33509"
+
+
+def test_gen_checks_its_arguments_before_sampling_a_world(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(gen_args("d.bin")) == EXIT_OK
+    assert hashlib.sha256((tmp_path / "d.bin").read_bytes()).hexdigest() == GEN_SHA256
+
+    def never(*args, **kwargs):
+        raise AssertionError("a world was sampled")
+
+    monkeypatch.setattr(drdplan.scenarios, "sample_world", never)
+    base = gen_args("bad.bin")
+    for flag, value in (("--test-fraction", "0"), ("--k", "5")):
+        argv = list(base)
+        argv[argv.index(flag) + 1] = value
+        assert run(argv) == EXIT_CONTRACT
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "bad.bin").exists()
 
 
 def test_usage_errors_exit_2(capsys):

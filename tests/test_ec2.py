@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from drdplan import ec2
-from drdplan.traces import AllRegionsDead, Handoff, Solved, Unsolved
+from drdplan.traces import AllRegionsDead, Handoff, Solved
 
 from conftest import make_worked_problem, pairwise_weight_oracle
 
@@ -179,7 +179,7 @@ def test_is_solved_lowest_region():
 
 def test_is_solved_unsolved_and_dead():
     prob = make_worked_problem()
-    assert isinstance(ec2.is_solved(prob.root_version_space(), prob), Unsolved)
+    assert ec2.is_solved(prob.root_version_space(), prob) is None
     membership = np.array([[0], [0]], dtype=np.uint8)
     dead = uniform_problem(membership, [[0], [1]], 2)
     assert isinstance(ec2.is_solved(dead.root_version_space(), dead), AllRegionsDead)
@@ -342,4 +342,4 @@ def test_handoff_at_exactly_eta_times_n_active_worlds(n, eta, k):
         active[n // 2 - count // 2: n // 2 - count // 2 + count] = True
         vs = ec2.VersionSpace(active, prob.prior, np.zeros(1, np.int8))
         step = ec2.direct_step(vs, prob, eta)
-        assert step == (0 if want_split else Handoff())
+        assert step == (0 if want_split else Handoff(count))

@@ -8,11 +8,8 @@ import pytest
 from drdplan import ec2, trees
 from drdplan.scenarios import ScenarioSpec, generate_dataset
 from drdplan.trees import (
-    DeadLeaf,
     DecisionTree,
-    HandoffLeaf,
     InternalNode,
-    SolvedLeaf,
     TreeFormatError,
     TreeSizeExceeded,
     bias_vector,
@@ -76,8 +73,7 @@ def test_eta_one_single_handoff_leaf():
     tree = compile_tree(prob, eta=1.0)
     assert len(tree.nodes) == 1
     leaf = tree.nodes[tree.root]
-    assert isinstance(leaf, HandoffLeaf)
-    assert leaf.active_count == 3
+    assert leaf == Handoff(3)
 
 
 def test_single_region_everything_solved_leaf():
@@ -86,7 +82,7 @@ def test_single_region_everything_solved_leaf():
     prob = ec2.DrdProblem(membership, outcomes, np.ones(3), np.full(4, 0.25))
     tree = compile_tree(prob, eta=0.05)
     assert len(tree.nodes) == 1
-    assert tree.nodes[tree.root] == SolvedLeaf(0)
+    assert tree.nodes[tree.root] == Solved(0)
 
 
 def test_worked_instance_tree_shape():
@@ -95,8 +91,8 @@ def test_worked_instance_tree_shape():
     assert len(tree.nodes) == 3
     root = tree.nodes[tree.root]
     assert isinstance(root, InternalNode) and root.edge == 0
-    assert tree.nodes[root.child0] == SolvedLeaf(1)  # outcome 0 leaves {h2, h3}
-    assert tree.nodes[root.child1] == SolvedLeaf(0)  # outcome 1 isolates h1
+    assert tree.nodes[root.child0] == Solved(1)  # outcome 0 leaves {h2, h3}
+    assert tree.nodes[root.child1] == Solved(0)  # outcome 1 isolates h1
     assert tree.params["stats"] == {
         "internal": 1, "solved": 2, "dead": 0, "handoff": 0, "depth": 1,
     }
@@ -137,7 +133,7 @@ def test_compiled_tree_invariants():
             assert node.edge not in seen
             walk(node.child0, seen | {node.edge})
             walk(node.child1, seen | {node.edge})
-        elif isinstance(node, HandoffLeaf):
+        elif isinstance(node, Handoff):
             assert node.active_count >= 1
 
     walk(tree.root, set())
@@ -149,9 +145,9 @@ def test_training_worlds_reach_consistent_leaves():
     for h in ds.train:
         oracle = lambda e: int(ds.theta[h, e])
         leaf, trace = run_tree(tree, oracle, ds.graph.eval_cost)
-        if isinstance(leaf, SolvedLeaf):
-            assert ds.membership[h, leaf.region] == 1
-        elif isinstance(leaf, DeadLeaf):
+        if isinstance(leaf, Solved):
+            assert ds.membership[h, leaf.path_index] == 1
+        elif isinstance(leaf, AllRegionsDead):
             assert ds.membership[h].sum() == 0
         else:
             # eta = 0: a handoff can only come from NoUsefulTest on the
@@ -175,9 +171,9 @@ def test_compile_and_depth_leave_recursion_limit_alone():
         assert tree.depth() == tree.params["stats"]["depth"]
         # A chain deeper than the recursion limit: depth is one pass over
         # the post-order node list.
-        nodes = [DeadLeaf()]
+        nodes = [AllRegionsDead()]
         for i in range(3000):
-            nodes += [DeadLeaf(), InternalNode(0, 2 * i, 2 * i + 1)]
+            nodes += [AllRegionsDead(), InternalNode(0, 2 * i, 2 * i + 1)]
         assert DecisionTree(nodes=nodes, root=len(nodes) - 1).depth() == 3000
         assert sys.getrecursionlimit() == 1000
     finally:
@@ -187,9 +183,9 @@ def test_compile_and_depth_leave_recursion_limit_alone():
 # --- execute_tree ----------------------------------------------------------
 
 def test_execute_single_leaf_no_evaluations():
-    tree = DecisionTree(nodes=[SolvedLeaf(2)], root=0)
+    tree = DecisionTree(nodes=[Solved(2)], root=0)
     leaf, trace = run_tree(tree, lambda e: 1, np.ones(3))
-    assert leaf == SolvedLeaf(2)
+    assert leaf == Solved(2)
     assert trace.records == [] and trace.total_cost == 0.0
 
 
@@ -197,7 +193,7 @@ def test_execute_accumulates_cost():
     prob = make_worked_problem()
     tree = compile_tree(prob, eta=0.0)
     leaf, trace = run_tree(tree, lambda e: 1, np.full(1, 2.5))
-    assert leaf == SolvedLeaf(0)
+    assert leaf == Solved(0)
     assert trace.total_cost == 2.5
 
 
@@ -257,7 +253,6 @@ def test_tree_format_errors():
 def test_direct_policy_matches_compiled_tree():
     """DIRECT run online and DIRECT compiled offline are one policy: on
     every database world they evaluate the same edges and end alike."""
-    leaf_kind = {SolvedLeaf: Solved, DeadLeaf: AllRegionsDead, HandoffLeaf: Handoff}
     rng = np.random.default_rng(23)
     episodes = 0
     for _ in range(120):
@@ -277,8 +272,6 @@ def test_direct_policy_matches_compiled_tree():
                 trace, _ = ec2.direct_policy(problem, oracle, eta)
                 leaf, tree_trace = run_tree(tree, oracle, problem.eval_cost)
                 assert trace.records == tree_trace.records
-                assert type(trace.terminal) is leaf_kind[type(leaf)]
-                if isinstance(leaf, SolvedLeaf):
-                    assert trace.terminal.path_index == leaf.region
+                assert trace.terminal == leaf
                 episodes += 1
     assert episodes > 1000
