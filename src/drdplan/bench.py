@@ -216,12 +216,16 @@ def run_policy(
     alpha: float = 0.9,
     train_idx: np.ndarray | None = None,
 ) -> list[RunTrace]:
-    """Run one policy over every world of the chosen split.  Each world gets
-    its oracle, a fresh RunTrace and an all-unknown int8 edge status, which
-    the policy's episode extends."""
+    """Run one policy over every world of the split: test, train or all.
+    Each world gets its oracle, a fresh RunTrace and an all-unknown int8
+    edge status, which the policy's episode extends."""
     global _POOL_WORLD
     if policy not in POLICIES:
         raise ValueError(f"unknown policy id {policy!r}")
+    splits = {"test": dataset.test, "train": dataset.train, "all": np.arange(dataset.num_worlds)}
+    if split not in splits:
+        raise ValueError(f"unknown split {split!r}: expected test, train or all")
+    worlds = splits[split]
     if train_idx is None:
         train_idx = dataset.train
     episode = POLICIES[policy](dataset, tree, train_idx, seed, alpha)
@@ -231,10 +235,7 @@ def run_policy(
         status = np.zeros(n_edges, dtype=np.int8)
         return episode(_world_oracle(dataset, h), RunTrace(policy, h), status)
 
-    worlds = {"test": dataset.test, "train": dataset.train}.get(split)
-    if worlds is None:
-        worlds = np.arange(dataset.num_worlds)
-
+    jobs = min(jobs, len(worlds))
     if jobs <= 1:
         return [world(int(h)) for h in worlds]
 
@@ -298,8 +299,10 @@ def sweep_training_size(
         raise ValueError(f"sizes must strictly increase, got {sizes}")
     if sizes[-1] > len(dataset.train):
         raise ValueError("largest size exceeds the training split")
-    ds_hash = dataset_hash(dataset)
     feasible = dataset.membership[dataset.test].any(axis=1)
+    if not feasible.any():
+        raise ValueError("the test split has no feasible world to average over")
+    ds_hash = dataset_hash(dataset)
     results = []
     for size in sizes:
         sub = dataset.train[:size]

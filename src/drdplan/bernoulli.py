@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ec2 import best_test
+from .ec2 import best_test, conditional_weight, live_regions, log_residual_ratio
 from .model import Library, library_status
 from .traces import AllRegionsDead, RunTrace, Solved
 
@@ -96,11 +96,10 @@ def _state(belief: BernoulliBelief, library: Library):
 
 def conditional_region_weights(belief: BernoulliBelief, library: Library) -> np.ndarray:
     """Per-region weight with the squared observation mass divided out:
-    (1 - p_r^2 - (S - S_r)) / 2, an O(1) quantity however long the
-    observation history is.  Same zero set as the full weight."""
+    ec2.conditional_weight(p_r, S - S_r), an O(1) quantity however long
+    the observation history is.  Same zero set as the full weight."""
     _, p_r, pt2_r, ps_r, S = _state(belief, library)
-    S_r = pt2_r * (S / ps_r)
-    return np.maximum(0.5 * (1.0 - p_r * p_r - (S - S_r)), 0.0)
+    return conditional_weight(p_r, S - pt2_r * (S / ps_r))
 
 
 def region_weights_bernoulli(belief: BernoulliBelief, library: Library) -> np.ndarray:
@@ -135,15 +134,13 @@ def select_test_bernoulli(
     candidates, which must be unobserved: O(|candidates| * m) per call on
     top of the region products.
 
-    Region weights enter in conditional form, (1 - p_r^2 - K_r) / 2 with
-    K_r = S - S_r the complement's squared-mass share; K_r is held at its
-    current value when projecting an outcome and regions whose posterior
-    drops to zero leave the product (see the enumeration engine's
-    select_test for the rationale).  Under the independence prior an
-    off-region candidate leaves every surviving factor at exactly 1, so
-    it scores zero up to round-off, about 1e-16 / c.  The SCORE_TOL cut
-    removes that only while c is not tiny, so bisect_policy passes the
-    open edges alone: the unknown edges of live regions.
+    The objective is the enumeration engine's, ec2.log_residual_ratio,
+    with K_r = S - S_r the complement's squared-mass share; only the
+    branch posteriors are this engine's own.  Under the independence
+    prior an off-region candidate leaves every surviving factor at
+    exactly 1, so it scores zero up to round-off, about 1e-16 / c.  The
+    SCORE_TOL cut removes that only while c is not tiny, so bisect_policy
+    passes the open edges alone: the unknown edges of live regions.
     """
     cand = np.sort(np.asarray(candidates, dtype=np.int64))
     if cand.size == 0:
@@ -153,26 +150,22 @@ def select_test_bernoulli(
         raise ValueError("candidates must be unobserved edges")
     th_c = theta[cand]
 
-    K = S - pt2_r * (S / ps_r)
-    w_now = 0.5 * (1.0 - p_r * p_r - K)
-    mask = (np.asarray(root_weights) > 0) & (p_r > 0) & (w_now > 0)
+    mask, Km, wm = live_regions(p_r, S - pt2_r * (S / ps_r), root_weights)
     if not mask.any():
         return None
-    pm, Km, wm = p_r[mask], K[mask], w_now[mask]
+    pm = p_r[mask]
 
-    Rt = library.inR[np.ix_(mask, cand)]  # (live regions, C)
+    Rt = library.inR[np.ix_(mask, cand)].T  # (C, live regions)
 
-    # Outcome 1: on-region probabilities divide out the candidate's theta;
+    # Outcome 1: on-region posteriors divide out the candidate's theta;
     # off-region factors are exactly 1.
-    p1 = np.where(Rt, pm[:, None] / th_c[None, :], pm[:, None])
-    w1 = np.maximum(0.5 * (1.0 - p1 * p1 - Km[:, None]), 0.0)
+    l1 = log_residual_ratio(np.where(Rt, pm / th_c[:, None], pm), Km, wm)
+    # Outcome 0, log_residual_ratio in closed form (no log pass): on-region
+    # regions die and leave the product, the others keep factor 1, and a
+    # candidate covering every live region resolves the instance outright.
+    l0 = np.where((~Rt).any(axis=1), 0.0, -np.inf)
     with np.errstate(divide="ignore"):
-        lf1 = (np.log(w1) - np.log(wm)[:, None]).sum(axis=0)
-    # Outcome 0: on-region regions die and leave the product; a candidate
-    # covering every live region resolves the instance outright.
-    l0 = np.where((~Rt).any(axis=0), 0.0, -np.inf)
-    with np.errstate(divide="ignore"):
-        term1 = np.log(th_c) + lf1
+        term1 = np.log(th_c) + l1
         term0 = np.log(1.0 - th_c) + l0
     return best_test(cand, np.logaddexp(term1, term0), eval_cost[cand])
 

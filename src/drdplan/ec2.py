@@ -132,24 +132,48 @@ def residual(vs: VersionSpace, problem: DrdProblem) -> float:
     return residual_from_weights(w, problem.root_weights)
 
 
+def conditional_weight(p: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """One-vs-all region weight with the squared active mass divided out:
+    max((1 - p^2 - K) / 2, 0), with p the region's posterior probability
+    and K its complement's squared-mass share."""
+    return np.maximum(0.5 * (1.0 - p * p - K), 0.0)
+
+
+def live_regions(p: np.ndarray, K: np.ndarray, root_weights: np.ndarray):
+    """The regions the residual product runs over: positive root weight,
+    positive posterior and positive conditional weight now.  Returns
+    (mask, K[mask], conditional weight[mask])."""
+    w = conditional_weight(p, K)
+    mask = (np.asarray(root_weights) > 0) & (p > 0) & (w > 0)
+    return mask, K[mask], w[mask]
+
+
+def log_residual_ratio(p_o: np.ndarray, Km: np.ndarray, wm: np.ndarray) -> np.ndarray:
+    """log(residual after an outcome / residual now), summed over the live
+    regions on the last axis of p_o, the regions' posteriors given the
+    outcome; Km and wm are what live_regions returns.
+
+    This is the objective both engines optimise, DiRECt's Noisy-OR over
+    one-vs-all subproblems, with two adjustments that keep the greedy
+    aimed at resolving a region instead of identifying the world: K is
+    held at its current value when projecting an outcome (the
+    complement-identification share of the weight never pays off here),
+    and a region whose posterior drops to zero leaves the product -- its
+    one-vs-all subproblem can then only be finished by identification.
+    An outcome with no region left resolves everything: -inf."""
+    alive = p_o > 0
+    with np.errstate(divide="ignore"):
+        lf = np.where(alive, np.log(conditional_weight(p_o, Km)) - np.log(wm), 0.0)
+    return np.where(alive.any(axis=-1), lf.sum(axis=-1), -np.inf)
+
+
 def select_test(
     vs: VersionSpace, problem: DrdProblem, candidates
 ) -> tuple[int, float] | None:
     """Greedy test choice: argmax of the expected reduction of the
     completion residual per unit cost, ties to the lowest edge id.  None
-    when nothing scores > 0.
-
-    Scores use conditional region weights, w_r / (active mass)^2 =
-    (1 - p_r^2 - K_r) / 2 with p_r the region's posterior probability and
-    K_r its complement's squared-mass share.  Two adjustments keep the
-    greedy aimed at resolving a region instead of identifying the world:
-    K_r is held at its current value when projecting an outcome (the
-    complement-identification share of the weight never pays off here),
-    and a region whose posterior drops to zero leaves the product -- its
-    one-vs-all subproblem can then only be finished by identification.
-    An outcome with no plausible region left resolves everything and
-    counts as zero residual.  Score = (1 - E[residual after] / residual
-    now) / c, evaluated in log space.
+    when nothing scores > 0.  Each outcome's residual ratio is
+    log_residual_ratio of the regions' posteriors in that branch.
 
     Masses are sums of the unit weights over the active worlds only.  Under
     a uniform prior they are integer counts, so the scores are those of a
@@ -167,44 +191,23 @@ def select_test(
     wsq = w * w
     tot = w.sum()
 
-    a_all = w @ M
-    bsq_all = wsq.sum() - wsq @ M
-    p_now = a_all / tot
-    K = bsq_all / (tot * tot)
-    w_now = 0.5 * (1.0 - p_now**2 - K)
-    mask = (problem.root_weights > 0) & (a_all > 0) & (w_now > 0)
+    K = (wsq.sum() - wsq @ M) / (tot * tot)
+    mask, Km, wm = live_regions((w @ M) / tot, K, problem.root_weights)
     if not mask.any():
         return None
-    Km, wm = K[mask], w_now[mask]
     M = M[:, mask]
 
     Th = problem.outcomes[np.ix_(act, cand)]  # (n active, C) uint8
-    X1 = Th * w[:, None]
-    X0 = np.where(Th, 0.0, w[:, None])
+    terms = []
     # branch masses computed directly (not by subtraction) so that a branch
     # with no surviving mass is an exact zero
-    tot1 = X1.sum(axis=0)  # (C,)
-    tot0 = X0.sum(axis=0)
-    a1 = X1.T @ M  # (C, live regions)
-    a0 = X0.T @ M
-
-    def _branch(tot_o, a_o):
+    for X in (Th * w[:, None], np.where(Th, 0.0, w[:, None])):
+        tot_o = X.sum(axis=0)  # (C,)
         ok = tot_o > 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            p_o = np.where(ok[:, None], a_o / np.where(ok, tot_o, 1.0)[:, None], 0.0)
-        w_o = np.maximum(0.5 * (1.0 - p_o**2 - Km[None, :]), 0.0)
-        alive = a_o > 0
-        with np.errstate(divide="ignore"):
-            lf = np.where(alive, np.log(w_o) - np.log(wm)[None, :], 0.0)
-        lprod = lf.sum(axis=1)
-        return ok, np.where(alive.any(axis=1), lprod, -np.inf)
-
-    ok1, l1 = _branch(tot1, a1)
-    ok0, l0 = _branch(tot0, a0)
-    with np.errstate(divide="ignore"):
-        term1 = np.where(ok1, np.log(np.where(ok1, tot1, 1.0) / tot) + l1, -np.inf)
-        term0 = np.where(ok0, np.log(np.where(ok0, tot0, 1.0) / tot) + l0, -np.inf)
-    return best_test(cand, np.logaddexp(term1, term0), problem.eval_cost[cand])
+            p_o = np.where(ok[:, None], (X.T @ M) / np.where(ok, tot_o, 1.0)[:, None], 0.0)
+            terms.append(np.log(tot_o / tot) + log_residual_ratio(p_o, Km, wm))
+    return best_test(cand, np.logaddexp(*terms), problem.eval_cost[cand])
 
 
 def best_test(

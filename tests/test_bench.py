@@ -99,6 +99,46 @@ def test_jobs_parallelism_agrees(ds, tree):
     assert [t.terminal for t in serial] == [t.terminal for t in parallel]
 
 
+def test_unknown_split_rejected(ds, monkeypatch):
+    def never(*args):
+        raise AssertionError("a world ran")
+
+    monkeypatch.setattr(bench, "_world_oracle", never)
+    for split in ("tset", "", "ALL"):
+        with pytest.raises(ValueError, match="split"):
+            run_policy("lazysp-set", ds, split)
+
+
+def test_pool_never_has_more_workers_than_worlds(ds, tree, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    class Fork:
+        Pool = SerialPool
+
+    serial = run_policy("direct+bisect", ds, "test", tree, jobs=1)
+    monkeypatch.setattr(bench.multiprocessing, "get_context", lambda method: Fork)
+    n = len(ds.test)
+    for jobs, want in ((n + 30, [n]), (n, [n]), (2, [2])):
+        sizes.clear()
+        traces = run_policy("direct+bisect", ds, "test", tree, jobs=jobs)
+        assert sizes == want
+        assert [t.records for t in traces] == [t.records for t in serial]
+        assert [t.terminal for t in traces] == [t.terminal for t in serial]
+
+
 # sha256 of the compiled tree and of every policy's canonical traces on the
 # fixture above, and of the two tree policies' traces on a fixture whose tree
 # has 4 handoff leaves.  Refactors must leave these bytes alone.

@@ -317,6 +317,31 @@ def test_engine_equivalence_sample():
         )
 
 
+def test_closed_form_outcome_zero_is_the_shared_rule():
+    # BISECT's outcome-0 term is ec2.log_residual_ratio with every region
+    # the candidate lies on at posterior 0, bit for bit.
+    rng = np.random.default_rng(57)
+    seen = set()
+    for _ in range(300):
+        n_edges = int(rng.integers(1, 40))
+        library = Library.build(random_regions(rng, n_edges, int(rng.integers(1, 20))), n_edges)
+        belief = BernoulliBelief(beta=rng.uniform(0.05, 0.95, n_edges))
+        roots = conditional_region_weights(belief, library)
+        for e in rng.choice(n_edges, size=int(rng.integers(0, n_edges)), replace=False):
+            belief.observe(int(e), int(rng.random() < 0.8))
+        _, p_r, pt2_r, ps_r, S = bernoulli._state(belief, library)
+        mask, Km, wm = ec2.live_regions(p_r, S - pt2_r * (S / ps_r), roots)
+        cand = np.flatnonzero(belief.status == 0)
+        if not mask.any() or cand.size == 0:
+            continue
+        Rt = library.inR[np.ix_(mask, cand)].T
+        closed = np.where((~Rt).any(axis=1), 0.0, -np.inf)
+        general = ec2.log_residual_ratio(np.where(Rt, 0.0, p_r[mask]), Km, wm)
+        assert closed.tobytes() == general.tobytes()
+        seen.update(closed.tolist())
+    assert seen == {0.0, -np.inf}
+
+
 # --- kernels against their per-row definitions ------------------------------
 
 def test_state_products_bitwise_equal_per_row_prod():

@@ -115,6 +115,24 @@ def test_sweep_sizes_must_strictly_increase(pipeline, tmp_path, capsys, monkeypa
         assert not out.exists()
 
 
+def test_sweep_needs_a_feasible_test_world(pipeline, tmp_path, capsys, monkeypatch):
+    ds = drdplan.io.load_dataset(pipeline["ds"])
+    ds.theta[ds.test] = 0
+    ds.membership[ds.test] = 0
+    path = str(tmp_path / "no-feasible-test.bin")
+    drdplan.io.save_dataset(ds, path)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a tree was compiled")
+
+    monkeypatch.setattr(drdplan.trees, "compile_tree", never)
+    out = tmp_path / "s.csv"
+    code = run(["sweep", "--dataset", path, "--sizes", "10,30", "--out", str(out)])
+    assert code == EXIT_CONTRACT
+    assert "no feasible world" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_refuses_two_run_files_of_one_policy(pipeline, tmp_path, capsys):
     runs = tmp_path / "runs"
     runs.mkdir()

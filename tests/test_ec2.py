@@ -91,6 +91,37 @@ def test_zero_root_weight_region_excluded():
     assert ec2.residual(prob.root_version_space(), prob) == 1.0
 
 
+# --- the shared per-outcome objective --------------------------------------
+
+def test_log_residual_ratio_hand_worked():
+    # Three regions, each at posterior 1/2 now, with K = 1/4, 1/2, 1/4:
+    # conditional weights (1 - 1/4 - K) / 2 = 1/4, 1/8, 1/4.
+    mask, Km, wm = ec2.live_regions(np.full(3, 0.5), np.array([0.25, 0.5, 0.25]), np.ones(3))
+    assert mask.all() and wm.tolist() == [0.25, 0.125, 0.25]
+    p_o = np.array([
+        [0.0, 0.5, 0.25],  # region 0 dead; region 1 keeps weight 1/8 under
+                           # its held K; region 2: (1 - 1/16 - 1/4) / 2 = 11/32
+        [0.75, 0.0, 0.0],  # (1 - 9/16 - 1/4) / 2 = 3/32 against 1/4
+        [0.0, 0.0, 0.0],   # no region left
+        [1.0, 0.5, 0.5],   # region 0's weight clamps at 0
+    ])
+    got = ec2.log_residual_ratio(p_o, Km, wm)
+    assert got[0] == pytest.approx(np.log(11 / 8))
+    assert got[1] == pytest.approx(np.log(3 / 8))
+    assert got[2] == -np.inf and got[3] == -np.inf
+    # Kept in the product, dead region 0 would have added a factor 3/2.
+    assert ec2.conditional_weight(np.zeros(1), Km[:1])[0] / wm[0] == 1.5
+
+
+def test_live_regions_mask():
+    p = np.array([0.5, 0.0, 0.5, 1.0])
+    K = np.array([0.25, 0.25, 0.25, 0.0])
+    mask, Km, wm = ec2.live_regions(p, K, np.array([1.0, 1.0, 0.0, 1.0]))
+    # dead now, zero root weight, and zero weight now each leave the product
+    assert mask.tolist() == [True, False, False, False]
+    assert Km.tolist() == [0.25] and wm.tolist() == [0.25]
+
+
 # --- select_test -----------------------------------------------------------
 
 def test_worked_instance_selection():
