@@ -518,9 +518,11 @@ def build_report(
 
 def report_to_csv(report: dict) -> str:
     """Wide table mirroring the benchmark table layout: one row per policy,
-    one (low, high) column pair per dataset."""
+    one (low, high) column pair per dataset.  A label that two datasets
+    share gets its dataset-hash prefix, so no column name repeats."""
     keys = sorted(report["datasets"])
     labels = [report["datasets"][k]["label"] for k in keys]
+    labels = [f"{l}-{k[:12]}" if labels.count(l) > 1 else l for l, k in zip(labels, keys)]
     policies = sorted({p for k in keys for p in report["datasets"][k]["policies"]})
     lines = ["policy," + ",".join(f"{l}_ci_low,{l}_ci_high" for l in labels)]
     for pol in policies:

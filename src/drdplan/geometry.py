@@ -22,8 +22,9 @@ def edge_segments(positions: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
     return np.concatenate([u, v], axis=1)
 
 
-def segments_hit_disc(segments: np.ndarray, cx: int, cy: int, r: int) -> np.ndarray:
-    """Boolean mask: segment within distance r of (cx, cy), all scaled ints."""
+def segments_hit_disc(segments: np.ndarray, cx, cy, r) -> np.ndarray:
+    """Boolean mask: segment within distance r of (cx, cy), all scaled ints;
+    (E,) for scalars, (k, E) for (k, 1) arrays that give k discs at once."""
     x1, y1, x2, y2 = (segments[:, i] for i in range(4))
     dx, dy = x2 - x1, y2 - y1
     fx, fy = cx - x1, cy - y1
@@ -39,26 +40,24 @@ def segments_hit_disc(segments: np.ndarray, cx: int, cy: int, r: int) -> np.ndar
     return near_a | near_b | interior
 
 
-def segments_hit_rect(
-    segments: np.ndarray, xlo: int, xhi: int, ylo: int, yhi: int
-) -> np.ndarray:
+def segments_hit_rect(segments: np.ndarray, xlo, xhi, ylo, yhi) -> np.ndarray:
     """Boolean mask: segment meets the closed axis-aligned rectangle.
 
     Exact Liang-Barsky clip specialized to lattice steps: requires every
     segment component delta in {0, +-SCALE}, which makes the clip parameters
-    exact multiples of 1/SCALE.
+    exact multiples of 1/SCALE.  (E,) for scalar bounds, (k, E) for (k, 1)
+    arrays of k rectangles; an empty one (xlo > xhi or ylo > yhi) hits none.
     """
-    if xlo > xhi or ylo > yhi:
-        return np.zeros(segments.shape[0], dtype=bool)
     x1, y1, x2, y2 = (segments[:, i].astype(np.int64) for i in range(4))
     dx, dy = x2 - x1, y2 - y1
-    if not np.all(np.isin(np.abs(dx), (0, SCALE)) & np.isin(np.abs(dy), (0, SCALE))):
+    steps = np.abs(np.stack([dx, dy]))
+    if not np.all((steps == 0) | (steps == SCALE)):
         raise ValueError("segments_hit_rect requires unit lattice steps")
 
     # Clip parameter t in [0, 1] scaled by SCALE -> integer interval [0, SCALE].
     lo = np.zeros_like(x1)
     hi = np.full_like(x1, SCALE)
-    feasible = np.ones(segments.shape[0], dtype=bool)
+    feasible = np.ones(segments.shape[0], dtype=bool) & (xlo <= xhi) & (ylo <= yhi)
 
     for p, q in (
         (-dx, x1 - xlo),

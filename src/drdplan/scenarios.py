@@ -215,13 +215,13 @@ def sample_world(
     spec: ScenarioSpec, rng: np.random.Generator, segments: np.ndarray
 ) -> np.ndarray:
     """Validity bit vector: an edge is invalid iff its segment meets any
-    sampled obstacle region (exact integer tests)."""
+    sampled obstacle region (exact integer tests, one per obstacle kind)."""
     obstacles = _sample_obstacles(spec, rng)
     blocked = np.zeros(segments.shape[0], dtype=bool)
-    for cx, cy, r in obstacles["discs"]:
-        blocked |= segments_hit_disc(segments, cx, cy, r)
-    for xlo, xhi, ylo, yhi in obstacles["rects"]:
-        blocked |= segments_hit_rect(segments, xlo, xhi, ylo, yhi)
+    for hit, params in ((segments_hit_disc, obstacles["discs"]),
+                        (segments_hit_rect, obstacles["rects"])):
+        if params:  # one (k, 1) column per parameter: one call tests all k obstacles
+            blocked |= hit(segments, *np.array(params, dtype=np.int64).T[:, :, None]).any(axis=0)
     return (~blocked).astype(np.uint8)
 
 
@@ -298,6 +298,15 @@ def _shortest_simple_paths(graph: ExplicitGraph, edge_id: dict):
     The scan of every accepted path for one sharing the spur root becomes a
     trie of the accepted paths keyed by edge id, and the ignored vertices
     and edges become flag arrays.
+
+    A spur search is skipped, exactly, while its trie node has as many
+    children as at its last search.  The search depends only on the root
+    prefix and those children (edges ignored at earlier roots all touch an
+    ignored prefix vertex), and children only grow, so it would find the
+    same candidate.  That candidate was pending after the last search and
+    leaves the buffer only when popped, which adds its first spur edge
+    (excluded from that search) as a new child.  So it is still pending and
+    networkx would find it only to drop it (Lawler 1972).
     """
     weight = graph.length.tolist()
     adj = [tuple((w, weight[e], e) for w, e in nbrs) for nbrs in graph.adjacency()]
@@ -311,6 +320,7 @@ def _shortest_simple_paths(graph: ExplicitGraph, edge_id: dict):
     pending = {tuple(found[1])}
     counter = count(1)
     accepted: dict = {}  # trie: edge id -> subtrie of the accepted paths
+    searched: dict = {}  # id(trie node) -> its child count at its last spur search
     while heap:
         _, _, path = heappop(heap)
         pending.remove(tuple(path))
@@ -322,17 +332,21 @@ def _shortest_simple_paths(graph: ExplicitGraph, edge_id: dict):
         ignore_nodes, ignore_edges = bytearray(n), bytearray(graph.num_edges)
         node = accepted
         for i in range(1, len(path)):
-            # sum() as networkx calls it: CPython 3.12+ compensates float sums
-            root_length = sum([weight[e] for e in edges[: i - 1]])
-            for e in node:  # edges leaving this root on an accepted path
-                ignore_edges[e] = 1
-            spur = _bidirectional_dijkstra(adj, path[i - 1], target, ignore_nodes, ignore_edges)
-            if spur is not None:
-                candidate = path[: i - 1] + spur[1]
-                key = tuple(candidate)
-                if key not in pending:
-                    heappush(heap, (root_length + spur[0], next(counter), candidate))
-                    pending.add(key)
+            if searched.get(id(node)) != len(node):
+                searched[id(node)] = len(node)
+                # sum() as networkx calls it: CPython 3.12+ compensates float sums
+                root_length = sum([weight[e] for e in edges[: i - 1]])
+                for e in node:  # edges leaving this root on an accepted path
+                    ignore_edges[e] = 1
+                spur = _bidirectional_dijkstra(
+                    adj, path[i - 1], target, ignore_nodes, ignore_edges
+                )
+                if spur is not None:
+                    candidate = path[: i - 1] + spur[1]
+                    key = tuple(candidate)
+                    if key not in pending:
+                        heappush(heap, (root_length + spur[0], next(counter), candidate))
+                        pending.add(key)
             ignore_nodes[path[i - 1]] = 1
             node = node[edges[i - 1]]
 

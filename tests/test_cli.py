@@ -18,6 +18,7 @@ from drdplan.cli import (
     EXIT_RESOURCE,
     main,
 )
+from drdplan.io import dataset_hash, load_dataset
 
 
 def run(argv):
@@ -149,6 +150,25 @@ def test_report_refuses_two_run_files_of_one_policy(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'random'" in err and "onewall" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_report_columns_of_two_datasets_of_one_kind_differ(tmp_path):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    hashes = []
+    for seed in (3, 4):
+        ds = str(tmp_path / f"d{seed}.bin")
+        assert run(gen_args(ds, seed=seed, scenario="forest")) == EXIT_OK
+        out = tmp_path / f"runs{seed}"
+        assert run(["run", "--dataset", ds, "--policy", "bisect", "--out", str(out)]) == EXIT_OK
+        os.rename(out / "bisect.json", runs / f"bisect-{seed}.json")
+        hashes.append(dataset_hash(load_dataset(ds))[:12])
+    table = tmp_path / "t.csv"
+    assert run(["report", "--runs", str(runs), "--reference", "bisect", "--out", str(table)]) == EXIT_OK
+    header = table.read_text().splitlines()[0]
+    assert header == "policy," + ",".join(
+        f"forest-{h}_ci_low,forest-{h}_ci_high" for h in sorted(hashes)
+    )
 
 
 # gen_args("d.bin") output, pinned: sampling the worlds after the split and

@@ -79,3 +79,59 @@ def test_rect_diagonal_clip():
     assert segments_hit_rect(s, -half, 2 * SCALE, half, half + 1)[0]
     # Slab strictly above the segment's span.
     assert not segments_hit_rect(s, -half, 2 * SCALE, 2 * SCALE, 3 * SCALE)[0]
+
+
+def _lattice_segments():
+    """Every edge of an 8-connected 5x5 lattice: all the segment shapes the
+    scenarios test."""
+    r, c = np.divmod(np.arange(25), 5)
+    positions = np.stack([c, r], axis=1).astype(np.float64)
+    endpoints = [
+        (i, j) for i in range(25) for j in range(i + 1, 25)
+        if max(abs(positions[i] - positions[j])) == 1
+    ]
+    return edge_segments(positions, np.array(endpoints))
+
+
+def test_disc_columns_equal_stacked_scalar_calls():
+    # Centres and radii on a coarse grid of half-cells, so that many discs
+    # exactly touch a segment or an endpoint.
+    segments = _lattice_segments()
+    rng = np.random.default_rng(0)
+    half = SCALE // 2
+    discs = np.concatenate([
+        rng.integers(-2, 11, size=(300, 2)) * half,
+        rng.integers(0, 4, size=(300, 1)) * half,
+    ], axis=1)
+    discs = np.concatenate([discs, rng.integers(0, 320, size=(300, 3))])
+    want = np.stack([segments_hit_disc(segments, int(x), int(y), int(r)) for x, y, r in discs])
+    got = segments_hit_disc(segments, *discs.T[:, :, None])
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert want.any() and not want.all()
+
+
+def test_rect_columns_equal_stacked_scalar_calls():
+    # Bounds on a grid of half-cells (touching everywhere), then arbitrary
+    # integers; many have xlo > xhi or ylo > yhi (empty).
+    segments = _lattice_segments()
+    rng = np.random.default_rng(1)
+    half = SCALE // 2
+    rects = np.concatenate([
+        rng.integers(-2, 11, size=(400, 4)) * half,
+        rng.integers(-64, 320, size=(400, 4)),
+    ])
+    want = np.stack([segments_hit_rect(segments, *map(int, b)) for b in rects])
+    got = segments_hit_rect(segments, *rects.T[:, :, None])
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    empty = (rects[:, 0] > rects[:, 1]) | (rects[:, 2] > rects[:, 3])
+    assert empty.sum() > 100 and not got[empty].any()
+    assert got[~empty].any() and not got[~empty].all()
+
+
+def test_no_obstacles_hit_nothing():
+    segments = _lattice_segments()
+    none = np.zeros((0, 1), dtype=np.int64)
+    assert segments_hit_disc(segments, none, none, none).shape == (0, len(segments))
+    assert segments_hit_rect(segments, none, none, none, none).shape == (0, len(segments))

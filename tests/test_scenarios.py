@@ -2,6 +2,7 @@
 
 networkx is the test-only reference for the k-shortest-path library."""
 
+import hashlib
 from itertools import islice
 
 import numpy as np
@@ -157,6 +158,23 @@ def test_dataset_provenance_fields():
     assert "streams" in prov
 
 
+# sha256 of generate_dataset(ScenarioSpec(kind, 7, 7, seed=11), 40, 60, 12,
+# test_fraction=0.25) bytes, pinned before the obstacle tests were broadcast.
+DATASET_SHA256 = {
+    "forest": "821ea11e675b37ae911ef7855e4ff677bb66ce396041d809faf8a0db9344fcf6",
+    "onewall": "caa063576b8b475ac6dd904e378969eb436f1d0b00dd6bd6b3c3e32b601de989",
+    "twowall": "95d4c3d7a88a10bd843e4ffcc6927347d51344aabb572efc6bb89ffbcf6021e2",
+    "baffle": "0b273954ee35d9c28b1516f2dfd4cd85fc72d0e676fe2afbdbe4ca173fb18067",
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_dataset_bytes_pinned(kind):
+    ds = generate_dataset(ScenarioSpec(kind=kind, rows=7, cols=7, seed=11), 40, 60, 12,
+                          test_fraction=0.25)
+    assert hashlib.sha256(dataset_to_bytes(ds)).hexdigest() == DATASET_SHA256[kind]
+
+
 def test_too_few_worlds_rejected():
     spec = ScenarioSpec(kind="forest", rows=5, cols=5)
     with pytest.raises(ValueError):
@@ -226,3 +244,48 @@ def test_library_disconnected_raises():
     )
     with pytest.raises(ValueError, match="start and goal are not connected"):
         build_path_library(g, 5, 2, seed=0)
+
+
+def _random_graph(seed):
+    """A connected simple graph on 4-11 vertices, edges in random order with
+    lengths 1 and sqrt(2), start 0 and goal n - 1: ties everywhere."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    while True:
+        keep = [pairs[i] for i in rng.permutation(len(pairs)) if rng.random() < 0.45]
+        G = nx.Graph(keep)
+        if G.has_node(0) and G.has_node(n - 1) and nx.has_path(G, 0, n - 1):
+            break
+    flip = rng.random(len(keep)) < 0.5
+    endpoints = np.array([(v, u) if f else (u, v) for (u, v), f in zip(keep, flip)])
+    return scenarios.ExplicitGraph(
+        positions=np.zeros((n, 2)), endpoints=endpoints,
+        eval_cost=np.ones(len(keep)), length=np.where(rng.random(len(keep)) < 0.5, 1.0, SQRT2),
+        start=0, goal=n - 1,
+    )
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_yen_port_matches_networkx_on_random_graphs(seed):
+    g = _random_graph(seed)
+    want = _nx_paths(g, 150)
+    assert _port_paths(g, 150) == want
+
+
+def test_random_graphs_cut_and_exhausted():
+    # k cuts some of the graphs above; others have fewer simple paths than k.
+    sizes = [len(_nx_paths(_random_graph(s), 150)) for s in range(60)]
+    assert 10 <= sizes.count(150) <= 50
+
+
+def test_spur_searches_skipped_while_candidate_pending(monkeypatch):
+    # Every spur search the skip rule drops would find a pending path: at
+    # 11x11, k=2000 that is 23,877 - 9,166 of networkx's searches.
+    calls = []
+    search = scenarios._bidirectional_dijkstra
+    monkeypatch.setattr(
+        scenarios, "_bidirectional_dijkstra", lambda *a: calls.append(1) or search(*a)
+    )
+    _port_paths(build_grid_graph(11, 11), 2000)
+    assert len(calls) == 9166
