@@ -95,12 +95,18 @@ def check_path(edges, status, oracle, eval_cost, trace: RunTrace) -> bool:
 
 
 def lazysp_graph(
-    graph: ExplicitGraph, oracle, trace: RunTrace, status: np.ndarray
+    graph: ExplicitGraph, oracle, trace: RunTrace, status: np.ndarray, memo: dict | None = None
 ) -> RunTrace:
     """LazySP on the full graph: evaluate the optimistic shortest path's
-    unknown edges start-to-goal, restart on the first invalid edge."""
+    unknown edges start-to-goal, restart on the first invalid edge.  memo
+    maps invalid edge ids to the optimistic shortest path, a pure function
+    of them and the graph, so episodes on one graph may share it."""
+    memo = {} if memo is None else memo
     while True:
-        path = shortest_path_edges(graph, status >= 0)
+        invalid = tuple(np.flatnonzero(status < 0).tolist())
+        if invalid not in memo:
+            memo[invalid] = shortest_path_edges(graph, status >= 0)
+        path = memo[invalid]
         if path is None:
             trace.terminal = Infeasible()
             return trace

@@ -11,6 +11,8 @@ world needs (its oracle, a fresh trace and an all-unknown edge status) and
 the episode extends the trace and status.  The last two ids require a
 compiled decision tree whose recorded dataset hash matches the dataset;
 direct+bisect builds each handoff bias at run time from the run's alpha.
+bisect, direct+bisect and lazysp-graph memoize their decisions per run (see
+bisect_policy, lazysp_graph); each forked --jobs worker fills its own copy.
 """
 
 from __future__ import annotations
@@ -102,8 +104,9 @@ def _library(dataset: Dataset, edge_lengths=None) -> Library:
 
 
 def _lazysp_graph(dataset, tree, train_idx, seed, alpha):
+    paths = {}  # invalid edges -> optimistic shortest path
     return lambda oracle, trace, status: baselines.lazysp_graph(
-        dataset.graph, oracle, trace, status
+        dataset.graph, oracle, trace, status, paths
     )
 
 
@@ -123,11 +126,14 @@ def _random(dataset, tree, train_idx, seed, alpha):
 
 def _bisect(dataset, tree, train_idx, seed, alpha):
     # Standalone baseline: training column means, clipped, as bias.
+    if len(train_idx) == 0:
+        raise ValueError("dataset has no training split")
     beta = bernoulli.clamp_bias(dataset.theta[train_idx].mean(axis=0), alpha)
     library = _library(dataset)
+    trie = {}  # one per run: every episode starts all unknown
     return lambda oracle, trace, status: bernoulli.bisect_policy(
         bernoulli.BernoulliBelief(beta, status), library, dataset.graph.eval_cost,
-        oracle, trace,
+        oracle, trace, trie,
     )
 
 
@@ -138,6 +144,7 @@ def _direct_bisect(dataset, tree, train_idx, seed, alpha):
     train_theta = dataset.theta[train_idx]
     library = _library(dataset)
     eval_cost = dataset.graph.eval_cost
+    completions = {}  # status when BISECT takes over -> (bias, trie)
 
     def episode(oracle, trace: RunTrace, status: np.ndarray) -> RunTrace:
         leaf = trees.execute_tree(tree, oracle, eval_cost, trace, status)
@@ -151,11 +158,14 @@ def _direct_bisect(dataset, tree, train_idx, seed, alpha):
         # A handoff, a refuted solved leaf, or a dead leaf whose verdict must
         # be witnessed on the live world: bias from the training worlds
         # consistent with what was seen (all of them if none is).
-        mask = _surviving(train_theta, status)
-        rows = train_theta[mask] if mask.any() else train_theta
-        bias = trees.bias_vector(rows, status, alpha)
-        belief = bernoulli.BernoulliBelief(bernoulli.clamp_bias(bias, alpha), status)
-        return bernoulli.bisect_policy(belief, library, eval_cost, oracle, trace)
+        if (key := status.tobytes()) not in completions:
+            mask = _surviving(train_theta, status)
+            rows = train_theta[mask] if mask.any() else train_theta
+            bias = trees.bias_vector(rows, status, alpha)
+            completions[key] = (bernoulli.clamp_bias(bias, alpha), {})
+        beta, trie = completions[key]
+        belief = bernoulli.BernoulliBelief(beta, status)
+        return bernoulli.bisect_policy(belief, library, eval_cost, oracle, trace, trie)
 
     return episode
 
@@ -226,6 +236,8 @@ def run_policy(
     if split not in splits:
         raise ValueError(f"unknown split {split!r}: expected test, train or all")
     worlds = splits[split]
+    if len(worlds) == 0:
+        raise ValueError(f"the {split} split has no worlds")
     if train_idx is None:
         train_idx = dataset.train
     episode = POLICIES[policy](dataset, tree, train_idx, seed, alpha)

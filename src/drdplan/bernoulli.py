@@ -176,6 +176,7 @@ def bisect_policy(
     eval_cost: np.ndarray,
     oracle,
     trace: RunTrace,
+    memo: dict | None = None,
 ) -> RunTrace:
     """Select/query/observe until one region is proven valid or all are
     refuted.  Extends the caller's trace and the belief's status (the
@@ -190,25 +191,40 @@ def bisect_policy(
     product that underflows, or evaluation costs so large that every score
     rounds away), the policy falls back to the first open edge, which
     preserves the termination bound.
+
+    memo is the root of a decision trie that the episodes entering with one
+    belief (bias and status) share; None gives a private one.  A node maps
+    "step" to its step once computed (Solved, AllRegionsDead or an edge id)
+    and each outcome, 0 or 1, to a child; the root also maps "root_weights"
+    to the frozen root weights.  A step depends only on that belief, the
+    library, eval_cost and the outcomes on the way to its node, so each
+    node's step is computed once.
     """
     if library.num_edges != belief.num_edges:
         raise ValueError("library and belief disagree on the number of edges")
-    # Only the positivity mask of the frozen root weights matters to the
-    # selection rule; the conditional form cannot underflow however many
-    # observations the belief already carries.
-    root_weights = conditional_region_weights(belief, library)
+    root = node = {} if memo is None else memo
+    if "root_weights" not in root:
+        # Only the positivity mask of the frozen root weights matters to the
+        # selection rule; the conditional form cannot underflow however many
+        # observations the belief already carries.
+        root["root_weights"] = conditional_region_weights(belief, library)
 
     while True:
-        r, live, open_edges = library_status(library.inR, belief.status)
-        if r is not None:
-            trace.terminal = Solved(r)
-            trace.path_edges = library.paths[r]
+        if "step" not in node:
+            r, live, open_edges = library_status(library.inR, belief.status)
+            if r is not None:
+                node["step"] = Solved(r)
+            elif not live.any():
+                node["step"] = AllRegionsDead()
+            else:
+                cand = np.flatnonzero(open_edges)
+                sel = select_test_bernoulli(belief, library, eval_cost, cand, root["root_weights"])
+                node["step"] = sel[0] if sel is not None else int(cand[0])
+        step = node["step"]
+        if not isinstance(step, int):  # a verdict
+            trace.terminal = step
+            if isinstance(step, Solved):
+                trace.path_edges = library.paths[step.path_index]
             return trace
-        if not live.any():
-            trace.terminal = AllRegionsDead()
-            return trace
-
-        candidates = np.flatnonzero(open_edges)
-        sel = select_test_bernoulli(belief, library, eval_cost, candidates, root_weights)
-        edge = sel[0] if sel is not None else int(candidates[0])
-        trace.evaluate(edge, oracle, eval_cost, belief.status)
+        outcome = trace.evaluate(step, oracle, eval_cost, belief.status)
+        node = node.setdefault(outcome, {})

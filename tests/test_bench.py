@@ -3,11 +3,12 @@
 import hashlib
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from drdplan import bench, ec2, rng as rng_mod, trees
+from drdplan import baselines, bench, bernoulli, ec2, rng as rng_mod, trees
 from drdplan.bench import (
     ContractError,
     build_report,
@@ -92,11 +93,89 @@ def test_direct_only_never_evaluates_after_leaf(ds, tree):
         assert len(t.records) <= depth
 
 
-def test_jobs_parallelism_agrees(ds, tree):
-    serial = run_policy("direct+bisect", ds, "test", tree, jobs=1)
-    parallel = run_policy("direct+bisect", ds, "test", tree, jobs=4)
-    assert [t.records for t in serial] == [t.records for t in parallel]
-    assert [t.terminal for t in serial] == [t.terminal for t in parallel]
+# The deterministic policies, which keep a per-run memo of their decisions.
+MEMOIZED = ["bisect", "direct+bisect", "lazysp-graph"]
+
+
+@pytest.mark.parametrize("policy", MEMOIZED)
+def test_jobs_parallelism_agrees(ds, tree, policy):
+    # Each forked worker fills its own copy of the run's memo.
+    serial = run_policy(policy, ds, "test", tree, jobs=1)
+    parallel = run_policy(policy, ds, "test", tree, jobs=4)
+    assert serial == parallel
+
+
+@pytest.fixture(scope="module", params=["forest", "twowall"])
+def memo_case(request):
+    case = make_ds(request.param, seed=3, n=60)
+    return case, trees.compile_from_dataset(case, 0.05)
+
+
+def _fresh_memo_per_world(policy, case, tree):
+    """The run's traces with a new per-run memo for every world."""
+    out = []
+    for h in range(case.num_worlds):
+        episode = bench.POLICIES[policy](case, tree, case.train, 0, 0.9)
+        status = np.zeros(case.graph.num_edges, dtype=np.int8)
+        out.append(episode(bench._world_oracle(case, h), RunTrace(policy, h), status))
+    return out
+
+
+@pytest.mark.parametrize("policy", MEMOIZED)
+def test_shared_memo_traces_equal_fresh_memo_traces(memo_case, policy):
+    case, tree = memo_case
+    shared = run_policy(policy, case, "all", tree)
+    assert shared == _fresh_memo_per_world(policy, case, tree)
+
+
+def _spy(monkeypatch, module, name, key_of):
+    """Record key_of(args) of every call of module.name."""
+    keys = []
+    original = getattr(module, name)
+
+    def spy(*args):
+        keys.append(key_of(*args))
+        return original(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return keys
+
+
+@pytest.mark.parametrize("policy", ["bisect", "direct+bisect"])
+def test_bisect_selects_once_per_decision_state(memo_case, policy, monkeypatch):
+    # A decision state is the bias BISECT entered with and the status now.
+    case, tree = memo_case
+    keys = _spy(monkeypatch, bernoulli, "select_test_bernoulli",
+                lambda belief, *rest: (belief.beta.tobytes(), belief.status.tobytes()))
+    run_policy(policy, case, "all", tree)
+    assert len(keys) == len(set(keys))
+    shared = len(keys)
+    keys.clear()
+    _fresh_memo_per_world(policy, case, tree)
+    assert shared < len(keys)
+
+
+def test_lazysp_graph_searches_once_per_invalid_set(memo_case, monkeypatch):
+    case, tree = memo_case
+    keys = _spy(monkeypatch, baselines, "shortest_path_edges",
+                lambda graph, usable: tuple(np.flatnonzero(~usable)))
+    run_policy("lazysp-graph", case, "all", tree)
+    assert len(keys) == len(set(keys))
+    shared = len(keys)
+    keys.clear()
+    _fresh_memo_per_world("lazysp-graph", case, tree)
+    assert shared < len(keys)
+
+
+def test_empty_split_rejected_before_any_world(ds, monkeypatch):
+    def never(*args):
+        raise AssertionError("a world ran")
+
+    monkeypatch.setattr(bench, "_world_oracle", never)
+    empty = replace(ds, train=np.arange(ds.num_worlds), test=ds.test[:0])
+    for policy in bench.POLICY_IDS:
+        with pytest.raises(ValueError, match="test split has no worlds"):
+            run_policy(policy, empty, "test")
 
 
 def test_unknown_split_rejected(ds, monkeypatch):

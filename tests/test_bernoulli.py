@@ -214,6 +214,37 @@ def test_bisect_exhaustive_termination_bound():
                 )
 
 
+def test_shared_trie_walks_like_a_private_one(monkeypatch):
+    # Every world of an exhaustive enumeration walks one trie.  Each trace
+    # equals a private trie's, and once the trie is built a second pass
+    # computes no step: neither library_status nor the selection runs.
+    rng = np.random.default_rng(29)
+    for e in (3, 5, 8):
+        beta = rng.uniform(0.2, 0.8, e)
+        cost = rng.integers(1, 4, e).astype(np.float64)
+        library = Library.build(random_regions(rng, e, min(4, e)), e)
+        trie = {}
+        worlds = enumerate_worlds(e)
+
+        def run(world, memo=None):
+            return bisect_policy(BernoulliBelief(beta), library, cost,
+                                 lambda t: int(world[t]), RunTrace("bisect"), memo)
+
+        for world in worlds:
+            assert run(world, trie) == run(world)
+        with monkeypatch.context() as m:
+            for name in ("library_status", "select_test_bernoulli"):
+                m.setattr(bernoulli, name, lambda *args: pytest.fail("a step was recomputed"))
+            for world in worlds:
+                run(world, trie)
+        # Children are keyed by outcome alone; only the root holds an array.
+        assert isinstance(trie.pop("root_weights"), np.ndarray)
+        nodes = [trie]
+        for node in nodes:
+            assert "step" in node and set(node) <= {"step", 0, 1}
+            nodes.extend(node[o] for o in (0, 1) if o in node)
+
+
 def test_bisect_fallback_takes_first_open_edge(monkeypatch):
     # At an evaluation cost of 1e13 every score falls under SCORE_TOL, so
     # each step takes the fallback: the lowest-id unobserved edge of a

@@ -6,7 +6,9 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -131,6 +133,26 @@ def test_sweep_needs_a_feasible_test_world(pipeline, tmp_path, capsys, monkeypat
     code = run(["sweep", "--dataset", path, "--sizes", "10,30", "--out", str(out)])
     assert code == EXIT_CONTRACT
     assert "no feasible world" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("emptied, message", [
+    ("test", "the test split has no worlds"),
+    ("train", "dataset has no training split"),
+])
+def test_bisect_over_an_empty_split_is_contract_error(pipeline, tmp_path, capsys, emptied, message):
+    # The other split takes every world, so the dataset stays valid.
+    ds = drdplan.io.load_dataset(pipeline["ds"])
+    everything, nothing = np.arange(ds.num_worlds), np.arange(0)
+    ds.train, ds.test = (everything, nothing) if emptied == "test" else (nothing, everything)
+    path = str(tmp_path / f"no-{emptied}.bin")
+    drdplan.io.save_dataset(ds, path)
+    out = tmp_path / "runs"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["run", "--dataset", path, "--policy", "bisect", "--out", str(out)])
+    assert code == EXIT_CONTRACT
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
