@@ -16,7 +16,7 @@ import heapq
 import numpy as np
 
 from . import rng as _rng
-from .model import SQRT2, ExplicitGraph, Library, library_status
+from .model import SQRT2, ExplicitGraph, Library, LibraryStatus
 from .traces import AllRegionsDead, Infeasible, RunTrace, Solved
 
 
@@ -121,14 +121,19 @@ def lazysp_set(
 ) -> RunTrace:
     """LazySP restricted to the library: candidate is the shortest surviving
     library path (ties to the lowest index).  The library must carry its
-    exact path lengths."""
+    exact path lengths.
+
+    The live paths come from a model.LibraryStatus built afresh after each
+    refuted candidate: a check evaluates several edges between two reads,
+    so keeping one status current at every evaluation would cost more
+    than it saves."""
     if not library.paths:
         raise ValueError("library must be nonempty")
     if library.lengths is None:
         raise ValueError("library was built without edge lengths")
     lengths = library.lengths
     while True:
-        _, live, _ = library_status(library.inR, status)
+        live = LibraryStatus(library, status).live
         best = None
         for r in np.flatnonzero(live).tolist():
             if best is None or _lt(lengths[r], lengths[best]):
@@ -151,18 +156,26 @@ def random_policy(
     status: np.ndarray,
 ) -> RunTrace:
     """Evaluate uniformly random unknown edges on still-plausible paths,
-    drawn from the substream of the trace's world."""
+    drawn from the substream of the trace's world.
+
+    One model.LibraryStatus per episode holds each path's count of edges
+    not yet known valid, the live paths and the open edges; each evaluation
+    updates only the paths through its edge.  The counts are integers, so
+    the pool of each draw, the open edges in ascending id order, is the
+    one a status built from scratch gives, and so is every draw."""
     if not library.paths:
         raise ValueError("library must be nonempty")
     gen = _rng.substream(seed, _rng.STREAM_RANDOM_POLICY, max(trace.world_index, 0))
+    paths = LibraryStatus(library, status)
     while True:
-        solved, live, open_edges = library_status(library.inR, status)
-        if not live.any():
+        if not paths.live.any():
             trace.terminal = AllRegionsDead()
             return trace
+        solved = paths.solved
         if solved is not None:
             trace.terminal = Solved(solved)
             trace.path_edges = library.paths[solved]
             return trace
-        pool = np.flatnonzero(open_edges)
-        trace.evaluate(int(pool[gen.integers(len(pool))]), oracle, graph.eval_cost, status)
+        pool = paths.open.nonzero()[0]
+        edge = int(pool[gen.integers(len(pool))])
+        paths.observe(edge, trace.evaluate(edge, oracle, graph.eval_cost, status))

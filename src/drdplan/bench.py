@@ -470,7 +470,9 @@ def build_report(
 ) -> dict:
     """Normalized-cost CIs of every policy against the reference, per
     dataset, paired on the feasible worlds both policies ran.
-    ContractError when two run files hold one policy for one dataset."""
+    ContractError when two run files hold one policy for one dataset, or
+    when a policy pairs with the reference on fewer than two worlds, where
+    no CI exists."""
     by_ds: dict[str, dict[str, dict]] = {}
     labels: dict[str, str] = {}
     for doc in run_docs:
@@ -509,21 +511,21 @@ def build_report(
                 if h in ref_costs and feasible.get(h, False) and ref_costs[h] > 0
             )
             excluded = sorted(h for h in costs if h in ref_costs and feasible.get(h, False) and ref_costs[h] == 0)
-            pol = {
-                "mean_cost": float(np.mean([costs[h] for h in common])) if common else None,
-                "success_rate": float(np.mean([succ[h] for h in common])) if common else None,
+            if len(common) < 2:
+                raise ContractError(
+                    f"dataset {labels[key]}: policy {name!r} pairs with the reference on "
+                    f"{len(common)} feasible world(s), fewer than the 2 a CI needs"
+                )
+            entry["policies"][name] = {
+                "mean_cost": float(np.mean([costs[h] for h in common])),
+                "success_rate": float(np.mean([succ[h] for h in common])),
                 "n_paired": len(common),
                 "n_excluded_zero_ref": len(excluded),
                 "infeasible_rate": float(np.mean([not feasible.get(t.world_index, False) for t in doc["traces"]])),
-            }
-            if len(common) >= 2:
-                lo, hi = normalized_cost(
+                "ci": list(normalized_cost(
                     [costs[h] for h in common], [ref_costs[h] for h in common], bootstrap_n, seed
-                )
-                pol["ci"] = [lo, hi]
-            else:
-                pol["ci"] = None
-            entry["policies"][name] = pol
+                )),
+            }
         report["datasets"][key] = entry
     return report
 
@@ -541,11 +543,10 @@ def report_to_csv(report: dict) -> str:
         cells = [pol]
         for k in keys:
             entry = report["datasets"][k]["policies"].get(pol)
-            ci = entry["ci"] if entry else None
-            if ci is None:
+            if entry is None:  # the policy has no run file for this dataset
                 cells += ["", ""]
             else:
-                cells += [f"{ci[0]:.6f}", f"{ci[1]:.6f}"]
+                cells += [f"{entry['ci'][0]:.6f}", f"{entry['ci'][1]:.6f}"]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ec2 import best_test, conditional_weight, live_regions, log_residual_ratio
-from .model import Library, library_status
+from .model import Library, LibraryStatus
 from .traces import AllRegionsDead, RunTrace, Solved
 
 
@@ -184,9 +184,11 @@ def bisect_policy(
     terminal set; edges already observed there are never evaluated again.
     At most |E| evaluations.
 
-    Each step scores the open edges of model.library_status, the
-    unobserved edges of regions with no observed-invalid edge; any other
-    edge scores only round-off.  Root weights for the residual are frozen
+    Each step scores the open edges of a model.LibraryStatus built from
+    the belief's status: the unobserved edges of regions with no
+    observed-invalid edge; any other edge scores only round-off.  The
+    status is built only when a trie node's step is first computed, so no
+    evaluation updates one.  Root weights for the residual are frozen
     at entry.  When no candidate scores above ec2.SCORE_TOL (a residual
     product that underflows, or evaluation costs so large that every score
     rounds away), the policy falls back to the first open edge, which
@@ -211,13 +213,14 @@ def bisect_policy(
 
     while True:
         if "step" not in node:
-            r, live, open_edges = library_status(library.inR, belief.status)
+            paths = LibraryStatus(library, belief.status)
+            r = paths.solved
             if r is not None:
                 node["step"] = Solved(r)
-            elif not live.any():
+            elif not paths.live.any():
                 node["step"] = AllRegionsDead()
             else:
-                cand = np.flatnonzero(open_edges)
+                cand = np.flatnonzero(paths.open)
                 sel = select_test_bernoulli(belief, library, eval_cost, cand, root["root_weights"])
                 node["step"] = sel[0] if sel is not None else int(cand[0])
         step = node["step"]

@@ -138,12 +138,14 @@ class Library:
              product over the path's own edges.
     lengths: each path's exact length as an integer pair (a, b), value
              a + b*sqrt(2), or None when built without edge lengths.
+    through: for each edge, the ascending ids of the paths that use it.
     """
 
     paths: tuple[tuple[int, ...], ...]
     inR: np.ndarray
     index: np.ndarray
     lengths: tuple[tuple[int, int], ...] | None
+    through: tuple[np.ndarray, ...]
 
     @classmethod
     def build(cls, paths, n_edges: int, edge_lengths=None) -> Library:
@@ -157,6 +159,10 @@ class Library:
         starts = np.cumsum(sizes) - sizes
         index = np.full((len(paths), int(sizes.max(initial=0))), n_edges, dtype=np.intp)
         index[rows, np.arange(rows.size) - starts[rows]] = cols
+        users = np.nonzero(inR.T)[1]  # edge-major: ascending path id per edge
+        users.setflags(write=False)
+        ends = np.cumsum(inR.sum(axis=0)).tolist()
+        through = tuple(users[a:b] for a, b in zip([0] + ends[:-1], ends))
         lengths = None
         if edge_lengths is not None:
             lengths = tuple(
@@ -165,26 +171,63 @@ class Library:
             )
         inR.setflags(write=False)
         index.setflags(write=False)
-        return cls(paths, inR, index, lengths)
+        return cls(paths, inR, index, lengths, through)
 
     @property
     def num_edges(self) -> int:
         return self.inR.shape[1]
 
 
-def library_status(inR: np.ndarray, status: np.ndarray) -> tuple[int | None, np.ndarray, np.ndarray]:
-    """Where a path library stands, given an episode's (E,) edge status
-    (drdplan.traces): (solved, live, open_edges).
+class LibraryStatus:
+    """Where a path library stands in one episode, built from the
+    episode's (E,) edge status (drdplan.traces) and kept current by
+    observe() as the episode evaluates edges.
 
-    solved is the lowest path whose edges are all known valid, or None;
-    live masks the paths with no known-invalid edge; open_edges masks the
-    unknown edges of live paths.  A live unsolved path always has an open
-    edge, so open_edges is empty only when the library is solved or dead.
+    remaining: (m,) per path, the count of its edges not yet known valid.
+    live:      (m,) bool, the paths with no known-invalid edge.
+    cover:     (E+1,) per edge, the count of live paths that use it; the
+               last entry counts the pads of Library.index.
+    open:      (E,) bool, the unknown edges that some live path uses.  A
+               live unsolved path always has an open edge, so open is empty
+               only when the library is solved or dead.
+
+    Every field is an integer count or a mask, so the state observe()
+    reaches equals, bit for bit, the state built from scratch on the same
+    status.
     """
-    proven = np.flatnonzero(~(inR & (status != 1)).any(axis=1))
-    live = ~(inR & (status == -1)).any(axis=1)
-    open_edges = inR[live].any(axis=0) & (status == 0)
-    return (int(proven[0]) if proven.size else None), live, open_edges
+
+    def __init__(self, library: Library, status: np.ndarray) -> None:
+        self.library = library
+        known = np.append(status, np.int8(1))[library.index]  # pads read valid
+        self.remaining = (known != 1).sum(axis=1)
+        self.live = ~(known == -1).any(axis=1)
+        self.cover = np.bincount(library.index[self.live].ravel(), minlength=library.num_edges + 1)
+        self.open = (self.cover[:-1] > 0) & (status == 0)
+
+    @property
+    def solved(self) -> int | None:
+        """The lowest path whose edges are all known valid, or None."""
+        if self.remaining.size:
+            r = int(self.remaining.argmin())  # the first of the lowest counts
+            if self.remaining[r] == 0:
+                return r
+        return None
+
+    def observe(self, edge: int, outcome: int) -> None:
+        """Account for one evaluation of an edge that was unknown until
+        now.  Touches only the paths through the edge: a valid outcome
+        lowers their remaining counts; an invalid one kills the live ones
+        and lowers the cover of their edges."""
+        through = self.library.through[edge]
+        self.open[edge] = False
+        if outcome:
+            self.remaining[through] -= 1
+            return
+        dying = through[self.live[through]]
+        if dying.size:
+            self.live[dying] = False
+            self.cover -= np.bincount(self.library.index[dying].ravel(), minlength=self.cover.size)
+            self.open &= self.cover[:-1] > 0
 
 
 def path_is_connected(graph: ExplicitGraph, path: Path) -> bool:

@@ -6,6 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from drdplan import baselines
 from drdplan.baselines import (
     _lt,
     check_path,
@@ -203,3 +204,27 @@ def test_random_policy_terminates_soundly():
             evaluated = {e: o for e, o, _ in trace.records}
             for p in paths:
                 assert any(evaluated.get(e) == 0 for e in p.edge_ids)
+
+
+def test_random_policy_builds_one_status_per_episode(monkeypatch):
+    # The status is built from scratch once, then kept current by observe()
+    # at every evaluation; the episodes still end soundly.
+    graph, paths = grid_and_library()
+    built = []
+
+    class Spy(baselines.LibraryStatus):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(baselines, "LibraryStatus", Spy)
+    rng = np.random.default_rng(8)
+    steps = 0
+    for i in range(10):
+        world = rng.integers(0, 2, graph.num_edges).astype(np.uint8)
+        trace = random_policy(lib(paths, graph), graph, 1, lambda e: int(world[e]), *fresh(graph, i))
+        assert len(built) == i + 1
+        steps += len(trace.records)
+        if isinstance(trace.terminal, Solved):
+            assert all(world[e] == 1 for e in trace.path_edges)
+    assert steps > 2 * len(built)

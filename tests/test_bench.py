@@ -97,9 +97,10 @@ def test_direct_only_never_evaluates_after_leaf(ds, tree):
 MEMOIZED = ["bisect", "direct+bisect", "lazysp-graph"]
 
 
-@pytest.mark.parametrize("policy", MEMOIZED)
+@pytest.mark.parametrize("policy", bench.POLICY_IDS)
 def test_jobs_parallelism_agrees(ds, tree, policy):
-    # Each forked worker fills its own copy of the run's memo.
+    # Each forked worker fills its own copy of the run's memo, and each
+    # episode builds its own library status.
     serial = run_policy(policy, ds, "test", tree, jobs=1)
     parallel = run_policy(policy, ds, "test", tree, jobs=4)
     assert serial == parallel
@@ -236,8 +237,8 @@ HANDOFF_PINNED = {
 }
 
 
-def _traces_sha256(policy, ds, tree):
-    docs = bench.traces_to_json(run_policy(policy, ds, "test", tree, seed=0))
+def _traces_sha256(policy, ds, tree, split="test"):
+    docs = bench.traces_to_json(run_policy(policy, ds, split, tree, seed=0))
     blob = json.dumps(docs, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -251,6 +252,31 @@ def test_artifact_bytes_pinned(ds, tree):
     assert handoff_tree.params["stats"]["handoff"] == 4
     got = {policy: _traces_sha256(policy, handoff_ds, handoff_tree) for policy in HANDOFF_PINNED}
     assert got == HANDOFF_PINNED
+
+
+# sha256 of the canonical traces of the two library-status baselines over
+# every world of generate_dataset(ScenarioSpec(kind, size, size, seed=11),
+# 40, 60, 12, test_fraction=0.25), pinned before LibraryStatus replaced the
+# per-step rescan of the (m, E) incidence matrix.
+LIBRARY_STATUS_PINNED = {
+    ("forest", 6, "random"): "f90069e283a6d17c5da4af5f373f3071f73bc0a8782663e0a5bcf196269bab98",
+    ("forest", 6, "lazysp-set"): "3ca2132c0bd43e73ba4472551108dcfa7c2337c9240a2d4b532317860bf5f4e6",
+    ("forest", 7, "random"): "9f95cf814f73a5f8edc06ef93b9d34e6c38a352f082abe9c60729de52a18e73c",
+    ("forest", 7, "lazysp-set"): "480d8a36ca4461b7f8b4a9b692678d52cc486908702bc8b10e58b500fdb653d0",
+    ("twowall", 6, "random"): "fe2e7c07e466e0b81b9fa6a4108c62309be8408e5dd99e065ce039bf525ad8f8",
+    ("twowall", 6, "lazysp-set"): "36382bb00370d6e83428c5fc5fc76fc78ef535c728885f29b48f35f7d5aaeefd",
+    ("twowall", 7, "random"): "ab2455b1f9e7e99e9c9e6d853375d939557c34e06747cafe065ec50e2b52dc91",
+    ("twowall", 7, "lazysp-set"): "a383bc20162890f3094d79c9da8537cf6354120272c69fc1f1fe526da45d7342",
+}
+
+
+@pytest.mark.parametrize("kind,size", [("forest", 6), ("forest", 7), ("twowall", 6), ("twowall", 7)])
+def test_library_status_traces_pinned(kind, size):
+    case = generate_dataset(ScenarioSpec(kind=kind, rows=size, cols=size, seed=11), 40, 60, 12,
+                            test_fraction=0.25)
+    for policy in ("random", "lazysp-set"):
+        got = _traces_sha256(policy, case, None, split="all")
+        assert got == LIBRARY_STATUS_PINNED[kind, size, policy], policy
 
 
 def test_surviving_mask_is_the_set_routed_to_each_leaf():

@@ -13,7 +13,7 @@ from drdplan.bernoulli import (
     select_test_bernoulli,
     weight_bernoulli,
 )
-from drdplan.model import Library, library_status, regions_matrix
+from drdplan.model import Library, LibraryStatus, regions_matrix
 from drdplan.traces import AllRegionsDead, RunTrace, Solved
 
 from conftest import enumerate_worlds, enumeration_problem, random_regions
@@ -151,22 +151,22 @@ def test_select_rejects_observed_candidates():
 # --- termination predicates ------------------------------------------------
 
 def belief_status(belief, regions):
-    return library_status(regions_matrix(regions, belief.num_edges), belief.status)
+    return LibraryStatus(Library.build(regions, belief.num_edges), belief.status)
 
 
 def test_solved_region_lowest_index():
     belief = BernoulliBelief(beta=np.full(3, 0.5))
     belief.observe(0, 1)
     belief.observe(1, 1)
-    assert belief_status(belief, [(2,), (0,), (0, 1)])[0] == 1
+    assert belief_status(belief, [(2,), (0,), (0, 1)]).solved == 1
 
 
 def test_all_regions_dead_predicate():
     belief = BernoulliBelief(beta=np.full(3, 0.5))
     belief.observe(0, 0)
-    assert belief_status(belief, [(0,), (1, 2)])[1].any()
+    assert belief_status(belief, [(0,), (1, 2)]).live.any()
     belief.observe(2, 0)
-    assert not belief_status(belief, [(0,), (1, 2)])[1].any()
+    assert not belief_status(belief, [(0,), (1, 2)]).live.any()
 
 
 # --- bisect_policy ---------------------------------------------------------
@@ -217,7 +217,7 @@ def test_bisect_exhaustive_termination_bound():
 def test_shared_trie_walks_like_a_private_one(monkeypatch):
     # Every world of an exhaustive enumeration walks one trie.  Each trace
     # equals a private trie's, and once the trie is built a second pass
-    # computes no step: neither library_status nor the selection runs.
+    # computes no step: neither LibraryStatus nor the selection runs.
     rng = np.random.default_rng(29)
     for e in (3, 5, 8):
         beta = rng.uniform(0.2, 0.8, e)
@@ -233,7 +233,7 @@ def test_shared_trie_walks_like_a_private_one(monkeypatch):
         for world in worlds:
             assert run(world, trie) == run(world)
         with monkeypatch.context() as m:
-            for name in ("library_status", "select_test_bernoulli"):
+            for name in ("LibraryStatus", "select_test_bernoulli"):
                 m.setattr(bernoulli, name, lambda *args: pytest.fail("a step was recomputed"))
             for world in worlds:
                 run(world, trie)
@@ -311,8 +311,8 @@ def run_equivalence_instance(rng, n_edges, n_regions):
     steps = 0
     while True:
         st_e = ec2.is_solved(vs, prob)
-        r_b, live_b, _ = library_status(library.inR, belief.status)
-        dead_b = not live_b.any()
+        paths = LibraryStatus(library, belief.status)
+        r_b, dead_b = paths.solved, not paths.live.any()
         if isinstance(st_e, Solved):
             assert r_b == st_e.path_index
             return steps

@@ -174,23 +174,51 @@ def test_report_refuses_two_run_files_of_one_policy(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_report_refuses_a_table_with_no_ci(tmp_path, capsys):
+    # A 12-world dataset with a one-world test split: no policy pairs with
+    # the reference on the two worlds a CI needs.
+    ds, tree, runs = str(tmp_path / "d.bin"), str(tmp_path / "t.json"), str(tmp_path / "runs")
+    argv = gen_args(ds, worlds=12)
+    argv[argv.index("--test-fraction") + 1] = "0.09"
+    assert run(argv) == EXIT_OK
+    assert run(["compile-tree", "--dataset", ds, "--out", tree]) == EXIT_OK
+    for policy in ("bisect", "direct+bisect", "random"):
+        assert run(["run", "--dataset", ds, "--policy", policy, "--tree", tree, "--out", runs]) == EXIT_OK
+    capsys.readouterr()
+    table = tmp_path / "t.csv"
+    assert run(["report", "--runs", runs, "--out", str(table)]) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert "onewall" in err and "'bisect'" in err and "on 1 feasible world" in err
+    assert "Traceback" not in err
+    assert not table.exists()
+
+
 def test_report_columns_of_two_datasets_of_one_kind_differ(tmp_path):
+    # 80 worlds give each test split at least two feasible worlds, so every
+    # cell of a policy with a run file has a CI; random runs on the first
+    # dataset alone and keeps blank cells for the second.
     runs = tmp_path / "runs"
     runs.mkdir()
     hashes = []
     for seed in (3, 4):
         ds = str(tmp_path / f"d{seed}.bin")
-        assert run(gen_args(ds, seed=seed, scenario="forest")) == EXIT_OK
+        assert run(gen_args(ds, seed=seed, scenario="forest", worlds=80)) == EXIT_OK
         out = tmp_path / f"runs{seed}"
-        assert run(["run", "--dataset", ds, "--policy", "bisect", "--out", str(out)]) == EXIT_OK
-        os.rename(out / "bisect.json", runs / f"bisect-{seed}.json")
+        for policy in ("bisect", "random") if seed == 3 else ("bisect",):
+            assert run(["run", "--dataset", ds, "--policy", policy, "--out", str(out)]) == EXIT_OK
+            os.rename(out / f"{policy}.json", runs / f"{policy}-{seed}.json")
         hashes.append(dataset_hash(load_dataset(ds))[:12])
     table = tmp_path / "t.csv"
     assert run(["report", "--runs", str(runs), "--reference", "bisect", "--out", str(table)]) == EXIT_OK
-    header = table.read_text().splitlines()[0]
+    header, bisect_row, random_row = table.read_text().splitlines()
     assert header == "policy," + ",".join(
         f"forest-{h}_ci_low,forest-{h}_ci_high" for h in sorted(hashes)
     )
+    assert bisect_row == "bisect," + ",".join(["0.000000"] * 4)
+    blank = 1 if hashes[1] < hashes[0] else 3  # the second dataset's column pair
+    cells = random_row.split(",")
+    assert cells[0] == "random" and cells[blank:blank + 2] == ["", ""]
+    assert all(cells[i] for i in {1, 2, 3, 4} - {blank, blank + 1})
 
 
 # gen_args("d.bin") output, pinned: sampling the worlds after the split and

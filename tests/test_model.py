@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from drdplan.model import (
     SQRT2,
     Dataset,
+    Library,
+    LibraryStatus,
     Path,
     compute_membership,
-    library_status,
     path_is_connected,
-    regions_matrix,
     split_dataset,
     validate_dataset,
 )
@@ -172,11 +172,19 @@ def test_exact_length_is_built_once():
 
 
 def _status_by_definition(regions, observed):
-    """library_status written out per path over an {edge: outcome} dict."""
+    """LibraryStatus written out per path over an {edge: outcome} dict."""
     proven = [r for r, p in enumerate(regions) if all(observed.get(e) == 1 for e in p)]
     live = [not any(observed.get(e) == 0 for e in p) for p in regions]
     open_edges = {e for p, ok in zip(regions, live) if ok for e in p if e not in observed}
     return (proven[0] if proven else None), live, sorted(open_edges)
+
+
+def _summary(paths):
+    return paths.solved, paths.live.tolist(), np.flatnonzero(paths.open).tolist()
+
+
+def _fields(paths):
+    return [paths.remaining.tolist(), paths.live.tolist(), paths.cover.tolist(), paths.open.tolist()]
 
 
 def test_library_status_matches_per_path_definitions():
@@ -199,15 +207,27 @@ def test_library_status_matches_per_path_definitions():
 
     kinds, first_solved = [], []
     for regions, observed, n in cases:
+        library = Library.build(regions, n)
         status = np.zeros(n, dtype=np.int8)
         for e, o in observed.items():
             status[e] = 1 if o else -1
-        solved, live, open_edges = library_status(regions_matrix(regions, n), status)
-        want = _status_by_definition(regions, observed)
-        assert (solved, live.tolist(), np.flatnonzero(open_edges).tolist()) == want
-        if solved is None and live.any():
-            assert open_edges.any()  # the BISECT fallback always has an edge
-        kinds.append("solved" if solved is not None else "open" if live.any() else "dead")
-        first_solved.append(solved)
+        paths = LibraryStatus(library, status)
+        assert _summary(paths) == _status_by_definition(regions, observed)
+        if paths.solved is None and paths.live.any():
+            assert paths.open.any()  # the BISECT fallback always has an edge
+        kinds.append("solved" if paths.solved is not None else "open" if paths.live.any() else "dead")
+        first_solved.append(paths.solved)
+
+        # The same status reached from all-unknown by observe() in a random
+        # order: after every call, the per-path definitions hold and every
+        # field equals the from-scratch status's.
+        status[:] = 0
+        walked, so_far = LibraryStatus(library, status), {}
+        for e in rng.permutation(list(observed)).tolist():
+            so_far[e] = observed[e]
+            status[e] = 1 if observed[e] else -1
+            walked.observe(e, observed[e])
+            assert _summary(walked) == _status_by_definition(regions, so_far)
+            assert _fields(walked) == _fields(LibraryStatus(library, status))
     assert kinds[:3] == ["solved", "open", "dead"] and first_solved[0] == 1
     assert min(kinds.count(k) for k in ("solved", "open", "dead")) > 20
