@@ -123,28 +123,32 @@ def lazysp_set(
     library path (ties to the lowest index).  The library must carry its
     exact path lengths.
 
-    The live paths come from a model.LibraryStatus built afresh after each
-    refuted candidate: a check evaluates several edges between two reads,
-    so keeping one status current at every evaluation would cost more
-    than it saves."""
+    The live paths come from one model.LibraryStatus per episode.  After
+    each refuted candidate it observes the evaluations that check added,
+    each of which touches only the paths through its edge; the counts are
+    integers, so the live paths are those a status built from scratch
+    gives."""
     if not library.paths:
         raise ValueError("library must be nonempty")
     if library.lengths is None:
         raise ValueError("library was built without edge lengths")
     lengths = library.lengths
+    paths = LibraryStatus(library, status)
     while True:
-        live = LibraryStatus(library, status).live
         best = None
-        for r in np.flatnonzero(live).tolist():
+        for r in np.flatnonzero(paths.live).tolist():
             if best is None or _lt(lengths[r], lengths[best]):
                 best = r
         if best is None:
             trace.terminal = AllRegionsDead()
             return trace
+        seen = len(trace.records)
         if check_path(library.paths[best], status, oracle, graph.eval_cost, trace):
             trace.terminal = Solved(best)
             trace.path_edges = library.paths[best]
             return trace
+        for edge, outcome, _ in trace.records[seen:]:
+            paths.observe(edge, outcome)
 
 
 def random_policy(

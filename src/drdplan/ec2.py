@@ -13,6 +13,15 @@ masses, so the scale changes nothing in real arithmetic; under a uniform
 prior every mass becomes an integer count, exact in any summation order,
 so restricting the sums to the active worlds moves no bit and equal
 scores tie exactly.
+
+select_test scores from a split table (split_table): every test's branch
+masses, in total and per region, over a set of worlds.  Each entry is a
+sum over worlds, so the table of a set is the table of any superset minus
+the table of the rest -- exactly, when every unit weight is an integer (a
+sum of integers below 2**53 has no rounding error in any order).  That is
+why the uniform prior lets a tree node take its table from its parent's
+(drdplan.trees); under any other prior a table is built from its own
+worlds, where a branch that no world reaches is a sum of exact zeros.
 """
 
 from __future__ import annotations
@@ -136,7 +145,9 @@ def conditional_weight(p: np.ndarray, K: np.ndarray) -> np.ndarray:
     """One-vs-all region weight with the squared active mass divided out:
     max((1 - p^2 - K) / 2, 0), with p the region's posterior probability
     and K its complement's squared-mass share."""
-    return np.maximum(0.5 * (1.0 - p * p - K), 0.0)
+    w = 1.0 - p * p - K
+    w *= 0.5
+    return np.maximum(w, 0.0, out=w)
 
 
 def live_regions(p: np.ndarray, K: np.ndarray, root_weights: np.ndarray):
@@ -162,23 +173,49 @@ def log_residual_ratio(p_o: np.ndarray, Km: np.ndarray, wm: np.ndarray) -> np.nd
     one-vs-all subproblem can then only be finished by identification.
     An outcome with no region left resolves everything: -inf."""
     alive = p_o > 0
+    lf = conditional_weight(p_o, Km)
     with np.errstate(divide="ignore"):
-        lf = np.where(alive, np.log(conditional_weight(p_o, Km)) - np.log(wm), 0.0)
+        np.log(lf, out=lf, where=alive)
+    lf -= np.log(wm)
+    lf[~alive] = 0.0
     return np.where(alive.any(axis=-1), lf.sum(axis=-1), -np.inf)
 
 
+def split_table(problem: DrdProblem, worlds) -> np.ndarray:
+    """The branch sums of every test over the given worlds, in unit
+    weights: table[o, e, 0] is the mass of the worlds where edge e has
+    outcome o, and table[o, e, 1 + r] is that branch's mass in region r.
+    Shape (2, E, 1 + m), regions on the last, contiguous axis.  Each
+    outcome is one product over the worlds, so a branch that no world
+    reaches is a sum of exact zeros, an exact zero under any prior."""
+    idx = np.asarray(worlds, dtype=np.int64)
+    u = problem.prior[idx] / problem.prior.max()
+    X = np.empty((idx.size, 1 + problem.membership.shape[1]))
+    X[:, 0] = u
+    np.multiply(problem.membership[idx], u[:, None], out=X[:, 1:])
+    th = problem.outcomes[idx].astype(np.float64)  # (n, E)
+    table = np.empty((2, problem.num_tests, X.shape[1]))
+    np.matmul(th.T, X, out=table[1])
+    np.subtract(1.0, th, out=th)
+    np.matmul(th.T, X, out=table[0])
+    return table
+
+
 def select_test(
-    vs: VersionSpace, problem: DrdProblem, candidates
+    vs: VersionSpace, problem: DrdProblem, candidates, table: np.ndarray | None = None
 ) -> tuple[int, float] | None:
     """Greedy test choice: argmax of the expected reduction of the
     completion residual per unit cost, ties to the lowest edge id.  None
     when nothing scores > 0.  Each outcome's residual ratio is
     log_residual_ratio of the regions' posteriors in that branch.
 
-    Masses are sums of the unit weights over the active worlds only.  Under
-    a uniform prior they are integer counts, so the scores are those of a
-    problem built from the active worlds alone, bit for bit, and tests with
-    equal counts tie exactly and go to the lowest edge id."""
+    The branch masses are read from table, split_table of the active
+    worlds (built here when not given), at the candidates' rows and the
+    live regions' columns.  Masses are sums of the unit weights over the
+    active worlds only.  Under a uniform prior they are integer counts, so
+    the scores are those of a problem built from the active worlds alone,
+    bit for bit, and tests with equal counts tie exactly and go to the
+    lowest edge id."""
     cand = np.sort(np.asarray(candidates, dtype=np.int64))
     if cand.size == 0:
         raise ValueError("candidates must be nonempty")
@@ -195,17 +232,17 @@ def select_test(
     mask, Km, wm = live_regions((w @ M) / tot, K, problem.root_weights)
     if not mask.any():
         return None
-    M = M[:, mask]
-
-    Th = problem.outcomes[np.ix_(act, cand)]  # (n active, C) uint8
+    if table is None:
+        table = split_table(problem, act)
+    cols = np.concatenate(([0], 1 + np.flatnonzero(mask)))
     terms = []
-    # branch masses computed directly (not by subtraction) so that a branch
-    # with no surviving mass is an exact zero
-    for X in (Th * w[:, None], np.where(Th, 0.0, w[:, None])):
-        tot_o = X.sum(axis=0)  # (C,)
-        ok = tot_o > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p_o = np.where(ok[:, None], (X.T @ M) / np.where(ok, tot_o, 1.0)[:, None], 0.0)
+    for o in (1, 0):
+        T = table[o].take(cand, axis=0).take(cols, axis=1)  # (C, 1 + live)
+        tot_o = T[:, 0]
+        # The row of a branch that no world reaches is all zeros (a sum of
+        # exact zeros, or a difference of equal integer counts): p_o = 0.
+        p_o = T[:, 1:] / np.where(tot_o > 0, tot_o, 1.0)[:, None]
+        with np.errstate(divide="ignore"):
             terms.append(np.log(tot_o / tot) + log_residual_ratio(p_o, Km, wm))
     return best_test(cand, np.logaddexp(*terms), problem.eval_cost[cand])
 
@@ -259,20 +296,26 @@ def is_solved(vs: VersionSpace, problem: DrdProblem):
     return None
 
 
-def direct_step(vs: VersionSpace, problem: DrdProblem, eta: float):
+def direct_step(vs: VersionSpace, problem: DrdProblem, eta: float, table=None):
     """The DIRECT decision at a version space: Solved or AllRegionsDead
     per is_solved; Handoff(active count) when the active weight is at or
     below eta times the prior sum, both in unit weights (under a uniform
     prior, at most eta * N active worlds, decided exactly), or no
     unobserved test scores; else the edge id of the next test.  The
-    compiled tree's leaves are these verdicts."""
+    compiled tree's leaves are these verdicts.
+
+    table, when given, is a function of no arguments that returns the
+    split_table of the active worlds; it is called only when the step
+    scores tests."""
     verdict = is_solved(vs, problem)
     if verdict is not None:
         return verdict
     u = vs.unit_weights()
     if u[vs.active].sum() > eta * u.sum():
         candidates = np.flatnonzero(vs.status == 0)
-        sel = select_test(vs, problem, candidates) if candidates.size else None
+        sel = None
+        if candidates.size:
+            sel = select_test(vs, problem, candidates, None if table is None else table())
         if sel is not None:
             return sel[0]
     return Handoff(vs.active_count)

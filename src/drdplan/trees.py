@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -88,6 +89,14 @@ def compile_tree(
 
     Node indices are assigned post-order (children before parents), so the
     serialized bytes do not depend on how sibling subtrees are scheduled.
+
+    Each node scores its tests from its split table (ec2.split_table),
+    built on first use, only when ec2.direct_step scores tests.  When every
+    unit weight is an integer (the uniform training prior), the smaller
+    child of a split builds its table from its own worlds and the larger
+    one takes its parent's table minus the smaller sibling's; the counts
+    are integers, so the difference is the table of its own worlds, bit
+    for bit.  Under any other prior every table comes from its own worlds.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must be in [0, 1]")
@@ -102,21 +111,42 @@ def compile_tree(
         nodes.append(node)
         return len(nodes) - 1
 
+    unit = problem.prior / problem.prior.max()
+    subtract = bool(np.all(unit == np.round(unit)))
+
+    def own(vs) -> np.ndarray:
+        return ec2.split_table(problem, np.flatnonzero(vs.active))
+
+    def child_tables(parent: np.ndarray, children: list) -> list:
+        """The children's table functions, each built on its first call.
+        The larger child builds the smaller one's table again instead of
+        sharing it: a shared table would stay alive while its owner waits
+        on the stack."""
+        if not subtract:
+            return [cache(lambda c=c: own(c)) for c in children]
+        small = int(children[1].active_count < children[0].active_count)
+        sibling = children[small]
+        tables = [cache(lambda: own(sibling)), cache(lambda: parent - own(sibling))]
+        return tables if small == 0 else tables[::-1]
+
     # An explicit stack in place of recursion.  Its items are a version space
-    # still to expand, a leaf (the verdict direct_step returned) to emit, or
-    # the edge of a split whose two subtrees are done; their indices are then
-    # the last two in `finished`.
-    todo: list = [problem.root_version_space()]
+    # still to expand with its table function, a leaf (the verdict
+    # direct_step returned) to emit, or the edge of a split whose two
+    # subtrees are done; their indices are then the last two in `finished`.
+    start = problem.root_version_space()
+    todo: list = [(start, cache(lambda: own(start)))]
     finished: list[int] = []
     while todo:
         item = todo.pop()
-        if isinstance(item, ec2.VersionSpace):
-            vs = item
-            item = ec2.direct_step(vs, problem, eta)
+        if isinstance(item, tuple):
+            vs, table = item
+            item = ec2.direct_step(vs, problem, eta, table)
             if isinstance(item, int):
+                children = [ec2.observe(vs, problem, item, outcome) for outcome in (0, 1)]
+                tables = child_tables(table(), children)
                 todo.append(item)
                 for outcome in (1, 0):  # reversed, so child0 is built first
-                    todo.append(ec2.observe(vs, problem, item, outcome))
+                    todo.append((children[outcome], tables[outcome]))
                 continue
         if isinstance(item, int):
             child1 = finished.pop()

@@ -228,3 +228,48 @@ def test_random_policy_builds_one_status_per_episode(monkeypatch):
         if isinstance(trace.terminal, Solved):
             assert all(world[e] == 1 for e in trace.path_edges)
     assert steps > 2 * len(built)
+
+
+def lazysp_set_rebuilding(library, graph, oracle, trace, status):
+    """Reference: lazysp_set with a status built from scratch before each
+    candidate."""
+    while True:
+        live = baselines.LibraryStatus(library, status).live
+        best = None
+        for r in np.flatnonzero(live).tolist():
+            if best is None or _lt(library.lengths[r], library.lengths[best]):
+                best = r
+        if best is None:
+            trace.terminal = AllRegionsDead()
+            return trace
+        if check_path(library.paths[best], status, oracle, graph.eval_cost, trace):
+            trace.terminal = Solved(best)
+            trace.path_edges = library.paths[best]
+            return trace
+
+
+def test_lazysp_set_builds_one_status_per_episode(monkeypatch):
+    # The status is built once per episode and then observes each refuted
+    # check's evaluations; the traces are those of a status rebuilt before
+    # every candidate.
+    graph = build_grid_graph(5, 5)
+    paths, _ = build_path_library(graph, 80, 30, seed=2)
+    library = lib(paths, graph)
+    rng = np.random.default_rng(9)
+    worlds = (rng.random((40, graph.num_edges)) < 0.85).astype(np.uint8)
+    want = [lazysp_set_rebuilding(library, graph, lambda e, w=w: int(w[e]), *fresh(graph))
+            for w in worlds]
+    built = []
+
+    class Spy(baselines.LibraryStatus):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(baselines, "LibraryStatus", Spy)
+    got = [lazysp_set(library, graph, lambda e, w=w: int(w[e]), *fresh(graph)) for w in worlds]
+    assert len(built) == len(worlds)
+    assert [t.records for t in got] == [t.records for t in want]
+    assert [t.terminal for t in got] == [t.terminal for t in want]
+    assert sum(len(t.records) for t in got) > 3 * len(worlds)
+    assert len({t.terminal for t in got}) > 3

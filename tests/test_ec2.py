@@ -374,3 +374,83 @@ def test_handoff_at_exactly_eta_times_n_active_worlds(n, eta, k):
         vs = ec2.VersionSpace(active, prob.prior, np.zeros(1, np.int8))
         step = ec2.direct_step(vs, prob, eta)
         assert step == (0 if want_split else Handoff(count))
+
+
+# --- split tables ----------------------------------------------------------
+
+def random_problem(rng, prior=None):
+    n, e, m = int(rng.integers(2, 60)), int(rng.integers(1, 12)), int(rng.integers(1, 5))
+    return ec2.DrdProblem(
+        (rng.random((n, m)) < rng.uniform(0.1, 0.9)).astype(np.uint8),
+        (rng.random((n, e)) < rng.uniform(0.2, 0.95)).astype(np.uint8),
+        rng.choice([1.0, 2.0, 0.5], size=e),
+        np.full(n, 1.0 / n) if prior is None else prior(n),
+    )
+
+
+def test_split_table_hand_worked():
+    # Worlds 0 and 1 make edge 0 valid; world 1 alone lies in the region.
+    prob = uniform_problem([[0], [1], [0]], [[1, 0], [1, 0], [0, 0]], 3)
+    table = ec2.split_table(prob, [0, 1, 2])
+    assert table.shape == (2, 2, 2)
+    assert table[1].tolist() == [[2.0, 1.0], [0.0, 0.0]]
+    assert table[0].tolist() == [[1.0, 0.0], [3.0, 1.0]]
+    assert ec2.split_table(prob, [2]).tolist() == [[[1.0, 0.0], [1.0, 0.0]],
+                                                   [[0.0, 0.0], [0.0, 0.0]]]
+
+
+def test_split_table_branch_without_worlds_is_exactly_zero():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        prob = random_problem(rng, prior=lambda n: rng.uniform(0.1, 1.0, n))
+        worlds = np.flatnonzero(rng.random(prob.num_hypotheses) < 0.5)
+        table = ec2.split_table(prob, worlds)
+        theta = prob.outcomes[worlds]
+        for o in (0, 1):
+            empty = ~(theta == o).any(axis=0)
+            assert not table[o, empty].any()
+            assert (table[o, ~empty, 0] > 0).all()
+
+
+def test_parent_table_minus_sibling_is_child_table():
+    rng = np.random.default_rng(21)
+    checked = 0
+    for _ in range(200):
+        prob = random_problem(rng)
+        parent = np.flatnonzero(rng.random(prob.num_hypotheses) < rng.uniform(0.3, 1.0))
+        edge = int(rng.integers(prob.num_tests))
+        for outcome in (0, 1):
+            child = parent[prob.outcomes[parent, edge] == outcome]
+            sibling = parent[prob.outcomes[parent, edge] != outcome]
+            got = ec2.split_table(prob, parent) - ec2.split_table(prob, sibling)
+            assert np.array_equal(got, ec2.split_table(prob, child))
+            checked += 1
+    assert checked == 400
+
+
+def test_select_with_carried_table_equals_without():
+    rng = np.random.default_rng(12)
+    chosen = 0
+    for trial in range(200):
+        uniform = trial % 2 == 0
+        prob = random_problem(rng, None if uniform else (lambda n: rng.uniform(0.1, 1.0, n)))
+        n, e = prob.num_hypotheses, prob.num_tests
+        parent = rng.random(n) < rng.uniform(0.3, 1.0)
+        status = rng.choice(np.array([0, 0, 1, -1], np.int8), size=e)
+        cand = np.flatnonzero(status == 0)
+        if not parent.any() or cand.size == 0:
+            continue
+        vs = ec2.VersionSpace(parent, prob.prior, status)
+        want = ec2.select_test(vs, prob, cand)
+        table = ec2.split_table(prob, np.flatnonzero(parent))
+        assert ec2.select_test(vs, prob, cand, table) == want
+        chosen += want is not None
+        if uniform:
+            # A child's table carried down by subtraction scores alike.
+            edge = int(rng.integers(e))
+            child = parent & (prob.outcomes[:, edge] == 1)
+            if child.any():
+                carried = table - ec2.split_table(prob, np.flatnonzero(parent & ~child))
+                vs = ec2.VersionSpace(child, prob.prior, status)
+                assert ec2.select_test(vs, prob, cand, carried) == ec2.select_test(vs, prob, cand)
+    assert chosen > 50

@@ -275,3 +275,57 @@ def test_direct_policy_matches_compiled_tree():
                 assert trace.terminal == leaf
                 episodes += 1
     assert episodes > 1000
+
+
+def test_direct_policy_matches_compiled_tree_uniform_prior():
+    """The twin of the test above under the uniform prior, where the
+    compiled tree carries each larger child's split table down as its
+    parent's minus its sibling's; direct_policy builds every table from
+    the active worlds, so equal traces show that the carried tables score
+    alike."""
+    rng = np.random.default_rng(29)
+    episodes = 0
+    for _ in range(120):
+        n, e = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+        outcomes = (rng.random((n, e)) < rng.uniform(0.2, 0.9)).astype(np.uint8)
+        regions = random_regions(rng, e, int(rng.integers(1, 6)))
+        problem = ec2.DrdProblem(
+            membership=regions_membership(outcomes, regions),
+            outcomes=outcomes,
+            eval_cost=rng.integers(1, 3, e).astype(np.float64),
+            prior=np.full(n, 1.0 / n),
+        )
+        for eta in (0.0, 0.05, 0.3):
+            tree = compile_tree(problem, eta)
+            for h in range(n):
+                oracle = lambda edge, row=outcomes[h]: int(row[edge])
+                trace, _ = ec2.direct_policy(problem, oracle, eta)
+                leaf, tree_trace = run_tree(tree, oracle, problem.eval_cost)
+                assert trace.records == tree_trace.records
+                assert trace.terminal == leaf
+                episodes += 1
+    assert episodes > 1000
+
+
+def test_carried_tables_equal_tables_of_own_worlds(monkeypatch):
+    """Every table compile_tree hands to select_test under the uniform
+    prior is, bit for bit, the split table of the node's active worlds."""
+    select = ec2.select_test
+    seen = []
+
+    def spy(vs, problem, candidates, table=None):
+        assert np.array_equal(table, ec2.split_table(problem, np.flatnonzero(vs.active)))
+        seen.append(int(vs.active.sum()))
+        return select(vs, problem, candidates, table)
+
+    monkeypatch.setattr(ec2, "select_test", spy)
+    ds = small_dataset()
+    compile_from_dataset(ds, 0.0)
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        n, e = int(rng.integers(2, 40)), int(rng.integers(1, 8))
+        outcomes = (rng.random((n, e)) < rng.uniform(0.2, 0.9)).astype(np.uint8)
+        regions = random_regions(rng, e, int(rng.integers(1, 6)))
+        compile_tree(ec2.DrdProblem(regions_membership(outcomes, regions), outcomes,
+                                    np.ones(e), np.full(n, 1.0 / n)), 0.0)
+    assert len(seen) > 100 and len(set(seen)) > 10
