@@ -123,20 +123,20 @@ def lazysp_set(
     library path (ties to the lowest index).  The library must carry its
     exact path lengths.
 
-    The live paths come from one model.LibraryStatus per episode.  After
-    each refuted candidate it observes the evaluations that check added,
-    each of which touches only the paths through its edge; the counts are
-    integers, so the live paths are those a status built from scratch
-    gives."""
+    It reads only the live paths (no known-invalid edge), so it keeps only
+    the live mask of the model.LibraryStatus built at the start of the
+    episode.  After each refuted candidate, each invalid outcome that check
+    recorded kills the paths through its edge; valid outcomes never change
+    the mask.  So it is the mask a status built from scratch gives."""
     if not library.paths:
         raise ValueError("library must be nonempty")
     if library.lengths is None:
         raise ValueError("library was built without edge lengths")
     lengths = library.lengths
-    paths = LibraryStatus(library, status)
+    live = LibraryStatus(library, status).live
     while True:
         best = None
-        for r in np.flatnonzero(paths.live).tolist():
+        for r in np.flatnonzero(live).tolist():
             if best is None or _lt(lengths[r], lengths[best]):
                 best = r
         if best is None:
@@ -148,7 +148,8 @@ def lazysp_set(
             trace.path_edges = library.paths[best]
             return trace
         for edge, outcome, _ in trace.records[seen:]:
-            paths.observe(edge, outcome)
+            if not outcome:
+                live[library.through[edge]] = False
 
 
 def random_policy(

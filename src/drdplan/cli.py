@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 data error (unreadable or malformed
 input files), 4 contract error (inputs that do not belong together, illegal
-parameter combinations), 5 resource error (node budget exceeded).  Output
+parameter combinations), 5 resource error (node budget exceeded, or out of
+memory).  Output
 files are written to a temp file and renamed, never left partial.
 """
 
@@ -29,7 +30,7 @@ EXIT_RESOURCE = 5
 
 _EPILOG = (
     "exit codes: 0 ok, 2 usage, 3 data (bad input file), "
-    "4 contract (mismatched inputs), 5 resource (budget exceeded)"
+    "4 contract (mismatched inputs), 5 resource (node budget exceeded, out of memory)"
 )
 
 
@@ -222,8 +223,8 @@ def main(argv=None) -> int:
     except (DatasetFormatError, TreeFormatError, RunsFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except TreeSizeExceeded as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
+    except (TreeSizeExceeded, MemoryError) as exc:
+        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ContractError, ValueError) as exc:
         print(f"contract error: {exc}", file=sys.stderr)

@@ -40,38 +40,58 @@ def segments_hit_disc(segments: np.ndarray, cx, cy, r) -> np.ndarray:
     return near_a | near_b | interior
 
 
-def segments_hit_rect(segments: np.ndarray, xlo, xhi, ylo, yhi) -> np.ndarray:
+def rect_constants(segments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The world-independent part of segments_hit_rect: four (2, E) arrays,
+    one row per axis, computed once per segment set.
+
+    Raises ValueError unless every segment component delta is in
+    {0, +-SCALE}, which makes the clip parameters exact multiples of
+    1/SCALE.
+    """
+    segments = np.asarray(segments, dtype=np.int64)
+    start = segments[:, :2].T
+    delta = segments[:, 2:].T - start
+    if not np.all((delta == 0) | (np.abs(delta) == SCALE)):
+        raise ValueError("segments_hit_rect requires unit lattice steps")
+    neg = delta < 0
+    mult = np.where(delta == 0, SCALE + 1, 1)
+    enter = mult * np.where(neg, start, -start)
+    return neg, mult, enter, enter + mult - 1
+
+
+def segments_hit_rect(segments: np.ndarray, xlo, xhi, ylo, yhi, constants=None) -> np.ndarray:
     """Boolean mask: segment meets the closed axis-aligned rectangle.
 
-    Exact Liang-Barsky clip specialized to lattice steps: requires every
-    segment component delta in {0, +-SCALE}, which makes the clip parameters
-    exact multiples of 1/SCALE.  (E,) for scalar bounds, (k, E) for (k, 1)
-    arrays of k rectangles; an empty one (xlo > xhi or ylo > yhi) hits none.
+    Exact Liang-Barsky clip specialized to lattice steps; ``constants`` is
+    rect_constants(segments), computed here when not given.  With the clip
+    parameter t scaled to [0, S] (S = SCALE), a segment from a1 with step
+    delta on axis a stays in [alo, ahi] for t in [lo_a, hi_a]:
+
+      delta > 0:  [alo - a1, ahi - a1]
+      delta < 0:  [a1 - ahi, a1 - alo]
+      delta = 0:  [(S+1)(alo - a1), (S+1)(ahi - a1) + S]
+
+    The parallel row holds the clause pair alo <= a1 <= ahi: it contains
+    [0, S] when the pair holds and misses it otherwise.  The segment hits
+    iff max(lo_x, lo_y, 0) <= min(hi_x, hi_y, S).  Only the selected
+    bounds depend on the rectangle.  (E,) for scalar bounds, (k, E) for
+    (k, 1) arrays of k rectangles; an empty one (xlo > xhi or ylo > yhi)
+    hits none, since lo_a > hi_a on its axis.
     """
-    x1, y1, x2, y2 = (segments[:, i].astype(np.int64) for i in range(4))
-    dx, dy = x2 - x1, y2 - y1
-    steps = np.abs(np.stack([dx, dy]))
-    if not np.all((steps == 0) | (steps == SCALE)):
-        raise ValueError("segments_hit_rect requires unit lattice steps")
-
-    # Clip parameter t in [0, 1] scaled by SCALE -> integer interval [0, SCALE].
-    lo = np.zeros_like(x1)
-    hi = np.full_like(x1, SCALE)
-    feasible = np.ones(segments.shape[0], dtype=bool) & (xlo <= xhi) & (ylo <= yhi)
-
-    for p, q in (
-        (-dx, x1 - xlo),
-        (dx, xhi - x1),
-        (-dy, y1 - ylo),
-        (dy, yhi - y1),
-    ):
-        par = p == 0
-        feasible &= ~(par & (q < 0))
-        # |p| == SCALE where p != 0, so t*SCALE bound is q * SCALE / p = +-q.
-        entering = p < 0
-        leaving = p > 0
-        bound = np.where(p != 0, q * np.sign(p), 0)
-        lo = np.where(entering, np.maximum(lo, bound), lo)
-        hi = np.where(leaving, np.minimum(hi, bound), hi)
-
-    return feasible & (lo <= hi)
+    neg, mult, enter_off, leave_off = rect_constants(segments) if constants is None else constants
+    bounds = []
+    for a, (alo, ahi) in enumerate(((xlo, xhi), (ylo, yhi))):
+        alo, ahi = np.asarray(alo, dtype=np.int64), np.asarray(ahi, dtype=np.int64)
+        enter = np.where(neg[a], -ahi, alo)
+        enter *= mult[a]
+        enter += enter_off[a]
+        leave = np.where(neg[a], -alo, ahi)
+        leave *= mult[a]
+        leave += leave_off[a]
+        bounds.append((enter, leave))
+    (lo, hi), (lo_y, hi_y) = bounds
+    np.maximum(lo, lo_y, out=lo)
+    np.maximum(lo, 0, out=lo)
+    np.minimum(hi, hi_y, out=hi)
+    np.minimum(hi, SCALE, out=hi)
+    return lo <= hi

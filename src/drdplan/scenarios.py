@@ -14,20 +14,33 @@ correlated (twowall, baffle) spectrum:
 from __future__ import annotations
 
 import warnings
+from bisect import insort
 from dataclasses import dataclass, asdict
+from functools import partial
 from heapq import heappop, heappush
-from itertools import count, islice
+from itertools import count
+from math import inf
 
 import numpy as np
 
 from . import rng as _rng
-from .geometry import SCALE, edge_segments, segments_hit_disc, segments_hit_rect
+from .geometry import SCALE, edge_segments, rect_constants, segments_hit_disc, segments_hit_rect
 from .model import Dataset, ExplicitGraph, Path, SQRT2, compute_membership, split_dataset
 
 KINDS = ("forest", "onewall", "twowall", "baffle")
 
 # Neighbor offsets (drow, dcol) covering each undirected edge once.
 _OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
+
+# sample_world tests a block of worlds at once.  Its temporaries,
+# (worlds x obstacles, E) int64, hold at most about this many elements
+# (64 KB; at least one world): the disc test keeps about a dozen alive,
+# which then stay near 1 MB and in cache.  Twice as many elements made the
+# disc test slower per world than one world per call.  A world has at most
+# _MAX_RECTS rects (twowall: two walls of two pieces) and spec.n_discs discs.
+_BLOCK_ELEMENTS = 1 << 13
+_MAX_RECTS = 4
+_EMPTY_RECT = (1, 0, 0, 0)  # xlo > xhi
 
 
 @dataclass
@@ -212,16 +225,25 @@ def _sample_obstacles(spec: ScenarioSpec, rng: np.random.Generator) -> dict:
 
 
 def sample_world(
-    spec: ScenarioSpec, rng: np.random.Generator, segments: np.ndarray
+    spec: ScenarioSpec, rngs: list[np.random.Generator], segments: np.ndarray, constants: tuple
 ) -> np.ndarray:
-    """Validity bit vector: an edge is invalid iff its segment meets any
-    sampled obstacle region (exact integer tests, one per obstacle kind)."""
-    obstacles = _sample_obstacles(spec, rng)
-    blocked = np.zeros(segments.shape[0], dtype=bool)
-    for hit, params in ((segments_hit_disc, obstacles["discs"]),
-                        (segments_hit_rect, obstacles["rects"])):
-        if params:  # one (k, 1) column per parameter: one call tests all k obstacles
-            blocked |= hit(segments, *np.array(params, dtype=np.int64).T[:, :, None]).any(axis=0)
+    """Validity bits of a block of worlds, one row per generator: an edge is
+    invalid iff its segment meets any obstacle region sampled from that
+    world's generator.  Exact integer tests, one broadcast per obstacle kind
+    for the whole block; constants is geometry.rect_constants(segments),
+    computed once per dataset.  Rect lists are padded to the block's longest
+    with the empty rect, which hits nothing; every world of a spec has the
+    same number of discs."""
+    worlds = [_sample_obstacles(spec, g) for g in rngs]
+    width = max(len(w["rects"]) for w in worlds)
+    rects = [w["rects"] + [_EMPTY_RECT] * (width - len(w["rects"])) for w in worlds]
+    rect_test = partial(segments_hit_rect, constants=constants)
+    blocked = np.zeros((len(worlds), segments.shape[0]), dtype=bool)
+    for hit, params in ((segments_hit_disc, [w["discs"] for w in worlds]), (rect_test, rects)):
+        if params[0]:  # one (worlds * obstacles, 1) column per parameter
+            columns = np.array(params, dtype=np.int64).reshape(-1, len(params[0][0])).T
+            hits = hit(segments, *columns[:, :, None])
+            blocked |= hits.reshape(len(worlds), len(params[0]), -1).any(axis=1)
     return (~blocked).astype(np.uint8)
 
 
@@ -229,9 +251,10 @@ class LibraryTruncated(UserWarning):
     """Fewer distinct simple paths exist than the requested library size."""
 
 
-def _bidirectional_dijkstra(adj, source, target, ignore_nodes, ignore_edges):
+def _bidirectional_dijkstra(adj, source, target, ignore_nodes, ignore_edges, cutoff=inf):
     """(length, vertex path) of a shortest source-target path that avoids
-    the flagged vertices and edges, or None when there is none.
+    the flagged vertices and edges, or None when there is none, or when
+    every such path is longer than cutoff.
 
     A port of networkx 3.6.1's ``simple_paths._bidirectional_dijkstra`` that
     makes the same choices on ties: the two directions alternate (a stale
@@ -241,6 +264,10 @@ def _bidirectional_dijkstra(adj, source, target, ignore_nodes, ignore_edges):
     meeting point is replaced only by a strictly shorter one.  Paths are
     kept as predecessor links instead of copied lists; a meeting records
     its vertex's two predecessors, whose chains no later step can change.
+
+    The search gives up once the two fringe tops sum past cutoff and no
+    meeting within it is known: every path not yet met is at least that
+    long.  Until then it runs unchanged, so it breaks ties as before.
     """
     if source == target:
         return 0, [source]
@@ -254,6 +281,8 @@ def _bidirectional_dijkstra(adj, source, target, ignore_nodes, ignore_edges):
     finaldist = meet = None
     dir = 1
     while fringe[0] and fringe[1]:
+        if fringe[0][0][0] + fringe[1][0][0] > cutoff and (meet is None or finaldist > cutoff):
+            return None
         dir = 1 - dir
         dist, _, v = heappop(fringe[dir])
         done = dists[dir]
@@ -288,11 +317,29 @@ def _bidirectional_dijkstra(adj, source, target, ignore_nodes, ignore_edges):
     return None
 
 
-def _shortest_simple_paths(graph: ExplicitGraph, edge_id: dict):
-    """Loopless start-goal vertex paths in nondecreasing length (Yen).
+def _distances_to(adj, target) -> list:
+    """Float length of a shortest path from each vertex to target on the
+    whole graph (inf where there is none)."""
+    dist = [inf] * len(adj)
+    dist[target] = 0.0
+    heap = [(0.0, target)]
+    while heap:
+        d, v = heappop(heap)
+        if d > dist[v]:
+            continue
+        for w, length, _ in adj[v]:
+            if d + length < dist[w]:
+                dist[w] = d + length
+                heappush(heap, (d + length, w))
+    return dist
+
+
+def _shortest_simple_paths(graph: ExplicitGraph, edge_id: dict, k: int):
+    """The first k loopless start-goal vertex paths in nondecreasing
+    length (Yen).
 
     A port of weighted ``networkx.shortest_simple_paths`` (3.6.1) on a
-    simple graph that yields the same sequence, repeats included: the
+    simple graph that yields the same first k paths, repeats included: the
     candidate buffer drops a path only while an equal one is pending and
     forgets it once popped, and a spur's cost is root length + spur length.
     The scan of every accepted path for one sharing the spur root becomes a
@@ -306,7 +353,21 @@ def _shortest_simple_paths(graph: ExplicitGraph, edge_id: dict):
     same candidate.  That candidate was pending after the last search and
     leaves the buffer only when popped, which adds its first spur edge
     (excluded from that search) as a new child.  So it is still pending and
-    networkx would find it only to drop it (Lawler 1972).
+    networkx would find it only to drop it (Lawler 1972), or it was cut by
+    the bound below, which cuts it again.
+
+    A spur search is also cut when its candidate cannot be among the first
+    k.  With ``need`` paths still to yield, let U be the need-th smallest
+    pending length (inf when fewer are pending).  A candidate longer than U
+    sorts after need pending entries, whatever its counter.  U never rises:
+    a pop removes the smallest entry and lowers need by one, a push can
+    only lower it, and nothing else leaves the buffer.  So such a
+    candidate, and any later duplicate of it, is never yielded.  The
+    search is skipped when root length + min over the spur vertex's usable
+    edges (v, w) of len(v, w) + dist(w, goal) exceeds U, with dist from
+    one search on the whole graph, and otherwise runs with U as its
+    cutoff.  Both tests add a 1e-9 margin to U, which only makes a cut
+    rarer, so float round-off never decides one.
     """
     weight = graph.length.tolist()
     adj = [tuple((w, weight[e], e) for w, e in nbrs) for nbrs in graph.adjacency()]
@@ -316,15 +377,22 @@ def _shortest_simple_paths(graph: ExplicitGraph, edge_id: dict):
     )
     if found is None:
         raise ValueError("start and goal are not connected")
+    to_goal = _distances_to(adj, target)
     heap: list = [(found[0], 0, found[1])]
     pending = {tuple(found[1])}
+    lengths = [found[0]]  # the pending candidates' lengths, ascending
     counter = count(1)
     accepted: dict = {}  # trie: edge id -> subtrie of the accepted paths
     searched: dict = {}  # id(trie node) -> its child count at its last spur search
-    while heap:
+    need = k
+    while heap and need:
         _, _, path = heappop(heap)
         pending.remove(tuple(path))
+        del lengths[0]  # the popped entry is a shortest one
         yield path
+        need -= 1
+        if not need:
+            return
         edges = [edge_id[u, v] for u, v in zip(path, path[1:])]
         node = accepted
         for e in edges:
@@ -338,14 +406,23 @@ def _shortest_simple_paths(graph: ExplicitGraph, edge_id: dict):
                 root_length = sum([weight[e] for e in edges[: i - 1]])
                 for e in node:  # edges leaving this root on an accepted path
                     ignore_edges[e] = 1
-                spur = _bidirectional_dijkstra(
-                    adj, path[i - 1], target, ignore_nodes, ignore_edges
+                v = path[i - 1]
+                cutoff = (lengths[need - 1] if len(lengths) >= need else inf) + 1e-9 - root_length
+                bound = min(
+                    (length + to_goal[w] for w, length, e in adj[v]
+                     if not ignore_nodes[w] and not ignore_edges[e]),
+                    default=inf,
+                )
+                spur = None if bound > cutoff else _bidirectional_dijkstra(
+                    adj, v, target, ignore_nodes, ignore_edges, cutoff
                 )
                 if spur is not None:
                     candidate = path[: i - 1] + spur[1]
                     key = tuple(candidate)
                     if key not in pending:
-                        heappush(heap, (root_length + spur[0], next(counter), candidate))
+                        cost = root_length + spur[0]
+                        heappush(heap, (cost, next(counter), candidate))
+                        insort(lengths, cost)
                         pending.add(key)
             ignore_nodes[path[i - 1]] = 1
             node = node[edges[i - 1]]
@@ -365,7 +442,7 @@ def build_path_library(
     edge_id = {}
     for e, (u, v) in enumerate(graph.endpoints.tolist()):
         edge_id[u, v] = edge_id[v, u] = e
-    vertex_paths = list(islice(_shortest_simple_paths(graph, edge_id), k))
+    vertex_paths = list(_shortest_simple_paths(graph, edge_id, k))
 
     seen = set()
     candidates: list[Path] = []
@@ -421,8 +498,13 @@ def generate_dataset(
     ds = split_dataset(Dataset(graph, theta, [], membership=None), test_fraction, root_seed)
     ds.paths, truncated = build_path_library(graph, k, m, root_seed)
     segments = edge_segments(graph.positions, graph.endpoints)
-    for i in range(n_worlds):
-        theta[i] = sample_world(spec, _rng.substream(root_seed, _rng.STREAM_WORLDS, i), segments)
+    constants = rect_constants(segments)
+    per_world = spec.n_discs if spec.kind == "forest" else _MAX_RECTS
+    block = max(1, _BLOCK_ELEMENTS // (max(1, per_world) * graph.num_edges))
+    for lo in range(0, n_worlds, block):
+        rngs = [_rng.substream(root_seed, _rng.STREAM_WORLDS, i)
+                for i in range(lo, min(lo + block, n_worlds))]
+        theta[lo : lo + block] = sample_world(spec, rngs, segments, constants)
     ds.membership = compute_membership(theta, ds.paths)
     coverage = float(ds.membership[ds.train].any(axis=1).mean())
     ds.provenance = {

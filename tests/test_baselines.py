@@ -249,9 +249,9 @@ def lazysp_set_rebuilding(library, graph, oracle, trace, status):
 
 
 def test_lazysp_set_builds_one_status_per_episode(monkeypatch):
-    # The status is built once per episode and then observes each refuted
-    # check's evaluations; the traces are those of a status rebuilt before
-    # every candidate.
+    # The status is built once per episode, and its live mask then loses
+    # the paths through each invalid edge a refuted check found; the traces
+    # are those of a status rebuilt before every candidate.
     graph = build_grid_graph(5, 5)
     paths, _ = build_path_library(graph, 80, 30, seed=2)
     library = lib(paths, graph)

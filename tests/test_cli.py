@@ -287,6 +287,22 @@ def test_resource_error_exit_5(pipeline, tmp_path, capsys):
     assert code == EXIT_RESOURCE
 
 
+@pytest.mark.parametrize("exc,message", [
+    # numpy's allocation failure is a MemoryError subclass with this text
+    (MemoryError("Unable to allocate 9.09 TiB for an array"), "Unable to allocate 9.09 TiB for an array"),
+    (MemoryError(), "out of memory"),
+])
+def test_gen_out_of_memory_exits_5(tmp_path, capsys, monkeypatch, exc, message):
+    # Something gen calls fails to allocate; nothing large is really allocated.
+    def out_of_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(drdplan.scenarios, "build_grid_graph", out_of_memory)
+    assert run(gen_args(str(tmp_path / "d.bin"))) == EXIT_RESOURCE
+    assert capsys.readouterr().err == f"resource error: {message}\n"
+    assert not (tmp_path / "d.bin").exists()
+
+
 def test_help_shows_defaults(capsys):
     for command, default in (("compile-tree", "0.05"), ("run", "0.9")):
         with pytest.raises(SystemExit) as exc:

@@ -19,7 +19,9 @@ from drdplan.scenarios import (
     build_path_library,
     generate_dataset,
 )
+from drdplan.geometry import edge_segments, segments_hit_disc, segments_hit_rect
 from drdplan.io import dataset_to_bytes
+from drdplan.rng import STREAM_WORLDS, substream
 
 
 def test_grid_2x2_counts():
@@ -129,6 +131,43 @@ def test_onewall_blocks_outside_gap():
             assert world[e] == (1 if 2 <= c1 <= 4 else 0)
 
 
+def _per_world_theta(spec, n_worlds, seed, segments):
+    """Each world's validity bits from one scalar predicate call per
+    obstacle, on the world's own substream."""
+    theta = np.ones((n_worlds, len(segments)), dtype=np.uint8)
+    counts = set()
+    for i in range(n_worlds):
+        obstacles = scenarios._sample_obstacles(spec, substream(seed, STREAM_WORLDS, i))
+        counts.add(len(obstacles["rects"]))
+        for hit, params in ((segments_hit_disc, obstacles["discs"]),
+                            (segments_hit_rect, obstacles["rects"])):
+            for p in params:
+                theta[i][hit(segments, *p)] = 0
+    return theta, counts
+
+
+@pytest.mark.parametrize("spec", [
+    ScenarioSpec(kind="forest", rows=7, cols=7, seed=3, n_discs=4, disc_radius=0.9),
+    # Gap columns 0..4 of a 7-wide grid: a gap at either border leaves one
+    # rect, so the worlds of a block have different rect counts.
+    ScenarioSpec(kind="onewall", rows=7, cols=7, seed=3, gap_col_lo=0, gap_col_hi=4),
+    ScenarioSpec(kind="twowall", rows=7, cols=7, seed=3),
+    ScenarioSpec(kind="baffle", rows=7, cols=7, seed=3),
+], ids=KINDS)
+@pytest.mark.parametrize("block_elements", [None, 2_000])
+def test_blocked_sampling_equals_per_world_calls(monkeypatch, spec, block_elements):
+    if block_elements is not None:  # blocks of 2-3 worlds
+        monkeypatch.setattr(scenarios, "_BLOCK_ELEMENTS", block_elements)
+    n_worlds = 61  # a multiple of no block size above
+    ds = generate_dataset(spec, n_worlds, 20, 6, test_fraction=0.2)
+    g = ds.graph
+    want, counts = _per_world_theta(spec, n_worlds, spec.seed, edge_segments(g.positions, g.endpoints))
+    assert np.array_equal(ds.theta, want)
+    assert (want == 0).any() and (want == 1).any()
+    if spec.kind in ("onewall", "twowall"):
+        assert len(counts) > 1
+
+
 def test_dataset_validates_for_all_kinds():
     for kind in KINDS:
         spec = ScenarioSpec(kind=kind, rows=7, cols=7, seed=2)
@@ -199,7 +238,7 @@ def _port_paths(g, k):
     edge_id = {}
     for e, (u, v) in enumerate(g.endpoints.tolist()):
         edge_id[u, v] = edge_id[v, u] = e
-    return list(islice(scenarios._shortest_simple_paths(g, edge_id), k))
+    return list(scenarios._shortest_simple_paths(g, edge_id, k))
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +260,13 @@ def test_yen_port_matches_networkx(rows, cols, k):
 
 def test_yen_port_matches_networkx_11x11_k2000(nx_paths_11x11):
     assert _port_paths(build_grid_graph(11, 11), 2000) == nx_paths_11x11
+
+
+@pytest.mark.parametrize("k", [1, 2, 100, 200, 1000, 1999])
+def test_yen_port_matches_networkx_11x11_prefix(nx_paths_11x11, k):
+    # Which spur searches the port cuts depends on k, so each k is its own
+    # run; networkx's first k paths are a prefix of its first 2000.
+    assert _port_paths(build_grid_graph(11, 11), k) == nx_paths_11x11[:k]
 
 
 @pytest.mark.parametrize("seed", [42, 5, 7])
@@ -270,7 +316,8 @@ def _random_graph(seed):
 def test_yen_port_matches_networkx_on_random_graphs(seed):
     g = _random_graph(seed)
     want = _nx_paths(g, 150)
-    assert _port_paths(g, 150) == want
+    for k in (1, 2, 3, 5, 10, 40, 149, 150):
+        assert _port_paths(g, k) == want[:k]
 
 
 def test_random_graphs_cut_and_exhausted():
@@ -279,13 +326,24 @@ def test_random_graphs_cut_and_exhausted():
     assert 10 <= sizes.count(150) <= 50
 
 
-def test_spur_searches_skipped_while_candidate_pending(monkeypatch):
-    # Every spur search the skip rule drops would find a pending path: at
-    # 11x11, k=2000 that is 23,877 - 9,166 of networkx's searches.
+def _spur_searches(monkeypatch, rows, k):
     calls = []
     search = scenarios._bidirectional_dijkstra
     monkeypatch.setattr(
         scenarios, "_bidirectional_dijkstra", lambda *a: calls.append(1) or search(*a)
     )
-    _port_paths(build_grid_graph(11, 11), 2000)
-    assert len(calls) == 9166
+    _port_paths(build_grid_graph(rows, rows), k)
+    return len(calls)
+
+
+def test_spur_searches_skipped_while_candidate_pending(monkeypatch):
+    # Of networkx's 23,877 searches at 11x11, k=2000, the pending rule drops
+    # those that would find a pending path (9,166 are left), and the bound
+    # those whose candidate cannot be among the first k.  The tests above
+    # pin the paths; this pins how many searches it takes to find them.
+    assert _spur_searches(monkeypatch, 11, 2000) == 4417
+
+
+def test_spur_searches_cut_by_bound_21x21_k200(monkeypatch):
+    # 1,955 searches without the bound.
+    assert _spur_searches(monkeypatch, 21, 200) == 860
