@@ -94,6 +94,22 @@ def _state(belief: BernoulliBelief, library: Library):
     return theta, p_r, pt2_r, ps_r, S
 
 
+def _observed_state(state, library: Library, edge: int, outcome: int):
+    """The _state of a belief after it observed edge, from its _state
+    before, which it updates in place.  Only the products of the paths
+    through the edge change.  Their rows are gathered again through
+    library.index and multiplied in the same order, so every product
+    keeps the bits _state would give it."""
+    theta, p_r, pt2_r, ps_r, _ = state
+    theta[edge] = 1.0 if outcome else 0.0
+    rows = library.through[edge]
+    t = np.append(theta, 1.0)[library.index[rows]]
+    t2 = t * t
+    p_r[rows], pt2_r[rows] = t.prod(axis=1), t2.prod(axis=1)
+    ps_r[rows] = (t2 + (1.0 - t) * (1.0 - t)).prod(axis=1)
+    return theta, p_r, pt2_r, ps_r, float(np.prod(theta * theta + (1.0 - theta) * (1.0 - theta)))
+
+
 def conditional_region_weights(belief: BernoulliBelief, library: Library) -> np.ndarray:
     """Per-region weight with the squared observation mass divided out:
     ec2.conditional_weight(p_r, S - S_r), an O(1) quantity however long
@@ -126,6 +142,7 @@ def select_test_bernoulli(
     eval_cost: np.ndarray,
     candidates,
     root_weights: np.ndarray,
+    state=None,
 ) -> tuple[int, float] | None:
     """Same selection contract as the enumeration engine: argmax of the
     expected reduction of the completion residual per unit cost,
@@ -141,11 +158,14 @@ def select_test_bernoulli(
     exactly 1, so it scores zero up to round-off, about 1e-16 / c.  The
     SCORE_TOL cut removes that only while c is not tiny, so bisect_policy
     passes the open edges alone: the unknown edges of live regions.
+
+    state, when given, is the belief's _state, carried by the caller; None
+    builds it from the belief.
     """
     cand = np.sort(np.asarray(candidates, dtype=np.int64))
     if cand.size == 0:
         raise ValueError("candidates must be nonempty")
-    theta, p_r, pt2_r, ps_r, S = _state(belief, library)
+    theta, p_r, pt2_r, ps_r, S = _state(belief, library) if state is None else state
     if np.any(belief.status[cand] != 0):
         raise ValueError("candidates must be unobserved edges")
     th_c = theta[cand]
@@ -184,15 +204,19 @@ def bisect_policy(
     terminal set; edges already observed there are never evaluated again.
     At most |E| evaluations.
 
-    Each step scores the open edges of a model.LibraryStatus built from
-    the belief's status: the unobserved edges of regions with no
+    Each step scores the open edges of a model.LibraryStatus of the
+    belief's status: the unobserved edges of regions with no
     observed-invalid edge; any other edge scores only round-off.  The
-    status is built only when a trie node's step is first computed, so no
-    evaluation updates one.  Root weights for the residual are frozen
-    at entry.  When no candidate scores above ec2.SCORE_TOL (a residual
-    product that underflows, or evaluation costs so large that every score
-    rounds away), the policy falls back to the first open edge, which
-    preserves the termination bound.
+    status and the region products (_state) are built at the episode's
+    first trie node with no step yet.  That node has no children, so every
+    later node of the episode is new too: after each evaluation the status
+    observes the edge and the products of the paths through it are
+    gathered again (_observed_state), bit for bit the state built from
+    scratch.  Root weights for the residual are frozen at entry.  When no
+    candidate scores above ec2.SCORE_TOL (a residual product that
+    underflows, or evaluation costs so large that every score rounds
+    away), the policy falls back to the first open edge, which preserves
+    the termination bound.
 
     memo is the root of a decision trie that the episodes entering with one
     belief (bias and status) share; None gives a private one.  A node maps
@@ -211,9 +235,12 @@ def bisect_policy(
         # observations the belief already carries.
         root["root_weights"] = conditional_region_weights(belief, library)
 
+    paths = state = None  # built at the first node with no step
     while True:
         if "step" not in node:
-            paths = LibraryStatus(library, belief.status)
+            if paths is None:
+                paths = LibraryStatus(library, belief.status)
+                state = _state(belief, library)
             r = paths.solved
             if r is not None:
                 node["step"] = Solved(r)
@@ -221,7 +248,9 @@ def bisect_policy(
                 node["step"] = AllRegionsDead()
             else:
                 cand = np.flatnonzero(paths.open)
-                sel = select_test_bernoulli(belief, library, eval_cost, cand, root["root_weights"])
+                sel = select_test_bernoulli(
+                    belief, library, eval_cost, cand, root["root_weights"], state
+                )
                 node["step"] = sel[0] if sel is not None else int(cand[0])
         step = node["step"]
         if not isinstance(step, int):  # a verdict
@@ -230,4 +259,7 @@ def bisect_policy(
                 trace.path_edges = library.paths[step.path_index]
             return trace
         outcome = trace.evaluate(step, oracle, eval_cost, belief.status)
+        if paths is not None:
+            paths.observe(step, outcome)
+            state = _observed_state(state, library, step, outcome)
         node = node.setdefault(outcome, {})

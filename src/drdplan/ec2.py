@@ -22,6 +22,12 @@ sum of integers below 2**53 has no rounding error in any order).  That is
 why the uniform prior lets a tree node take its table from its parent's
 (drdplan.trees); under any other prior a table is built from its own
 worlds, where a branch that no world reaches is a sum of exact zeros.
+
+Both functions work over fixed blocks of rows, worlds or candidates, so
+their float64 scratch stays near BLOCK_ELEMENTS entries however many
+worlds a problem holds.  A split table is the sum of its blocks' tables,
+exact in integer unit weights; scores are computed row by row, so a
+block of candidates scores as it would among all of them.
 """
 
 from __future__ import annotations
@@ -36,6 +42,18 @@ from .traces import AllRegionsDead, Handoff, RunTrace, Solved
 # neither splits nor prunes the active set reduces nothing, and floating
 # point must not promote it to a positive gain.
 SCORE_TOL = 1e-12
+
+# Float64 entries in one block of split_table's cast outcomes or of
+# select_test's gathered rows (1 MB): the working memory of a DIRECT step
+# depends on this, |E| and m, not on the number of worlds.
+BLOCK_ELEMENTS = 2**17
+
+
+def _blocks(n: int, width: int):
+    """Slices cutting range(n) into blocks of rows width entries wide,
+    each holding at most BLOCK_ELEMENTS entries (one row at least)."""
+    rows = max(1, BLOCK_ELEMENTS // max(width, 1))
+    return [slice(start, start + rows) for start in range(0, n, rows)]
 
 
 @dataclass(frozen=True)
@@ -74,6 +92,10 @@ class DrdProblem:
         self.prior = np.asarray(self.prior, dtype=np.float64)
         if np.any(self.prior <= 0):
             raise ValueError("prior weights must be strictly positive")
+        unit = self.prior / self.prior.max()
+        # Every branch and region mass is then an integer count, exact in
+        # any summation order (the uniform prior: all ones).
+        self.integer_weights = bool(np.all(unit == np.round(unit)))
         self.root_weights = region_weights(
             np.ones(self.outcomes.shape[0], dtype=bool), self.prior, self.membership
         )
@@ -185,19 +207,41 @@ def split_table(problem: DrdProblem, worlds) -> np.ndarray:
     """The branch sums of every test over the given worlds, in unit
     weights: table[o, e, 0] is the mass of the worlds where edge e has
     outcome o, and table[o, e, 1 + r] is that branch's mass in region r.
-    Shape (2, E, 1 + m), regions on the last, contiguous axis.  Each
-    outcome is one product over the worlds, so a branch that no world
-    reaches is a sum of exact zeros, an exact zero under any prior."""
+    Shape (2, E, 1 + m), regions on the last, contiguous axis.
+
+    The worlds are added up in blocks (see _blocks), each cast from the
+    uint8 outcomes on its own and multiplied into one reused partial, so
+    the scratch is a block and a table, whatever the number of worlds.
+    Under integer unit weights every block sum is an exact count, so the
+    table does not depend on the block size, and the invalid branch is the
+    worlds' total minus the valid one, exactly.  Under any other prior each
+    outcome of a block is one product over its worlds, so a branch that
+    no world reaches is a sum of exact zeros, an exact zero."""
     idx = np.asarray(worlds, dtype=np.int64)
-    u = problem.prior[idx] / problem.prior.max()
-    X = np.empty((idx.size, 1 + problem.membership.shape[1]))
-    X[:, 0] = u
-    np.multiply(problem.membership[idx], u[:, None], out=X[:, 1:])
-    th = problem.outcomes[idx].astype(np.float64)  # (n, E)
-    table = np.empty((2, problem.num_tests, X.shape[1]))
-    np.matmul(th.T, X, out=table[1])
-    np.subtract(1.0, th, out=th)
-    np.matmul(th.T, X, out=table[0])
+    E, width = problem.num_tests, 1 + problem.membership.shape[1]
+    top = problem.prior.max()
+    branches = (1,) if problem.integer_weights else (1, 0)
+    table = np.empty((2, E, width))
+    partial = np.empty((E, width))
+    total = np.zeros(width)
+    # No worlds make one empty block, whose products are zero tables.
+    for i, block in enumerate(_blocks(idx.size, max(E, width)) or [slice(0)]):
+        rows = idx[block]
+        u = problem.prior[rows] / top
+        X = np.empty((rows.size, width))
+        X[:, 0] = u
+        np.multiply(problem.membership[rows], u[:, None], out=X[:, 1:])
+        total += X.sum(axis=0)
+        th = problem.outcomes[rows].astype(np.float64)  # (block, E)
+        for o in branches:
+            if o == 0:
+                np.subtract(1.0, th, out=th)
+            if i == 0:  # the first block writes the table, the others add
+                np.matmul(th.T, X, out=table[o])
+            else:
+                table[o] += np.matmul(th.T, X, out=partial)
+    if problem.integer_weights:
+        np.subtract(total, table[1], out=table[0])
     return table
 
 
@@ -215,7 +259,8 @@ def select_test(
     active worlds only.  Under a uniform prior they are integer counts, so
     the scores are those of a problem built from the active worlds alone,
     bit for bit, and tests with equal counts tie exactly and go to the
-    lowest edge id."""
+    lowest edge id.  The active rows of membership and the candidates'
+    rows of the table are read in blocks (see _blocks)."""
     cand = np.sort(np.asarray(candidates, dtype=np.int64))
     if cand.size == 0:
         raise ValueError("candidates must be nonempty")
@@ -224,27 +269,35 @@ def select_test(
     if act.size == 0:
         return None
     w = vs.unit_weights()[act]
-    M = problem.membership[act]
     wsq = w * w
     tot = w.sum()
+    m = problem.membership.shape[1]
+    a, b = np.zeros(m), np.zeros(m)  # w @ M and wsq @ M over the active rows
+    for block in _blocks(act.size, m):
+        M = problem.membership[act[block]]
+        a += w[block] @ M
+        b += wsq[block] @ M
 
-    K = (wsq.sum() - wsq @ M) / (tot * tot)
-    mask, Km, wm = live_regions((w @ M) / tot, K, problem.root_weights)
+    K = (wsq.sum() - b) / (tot * tot)
+    mask, Km, wm = live_regions(a / tot, K, problem.root_weights)
     if not mask.any():
         return None
     if table is None:
         table = split_table(problem, act)
     cols = np.concatenate(([0], 1 + np.flatnonzero(mask)))
-    terms = []
-    for o in (1, 0):
-        T = table[o].take(cand, axis=0).take(cols, axis=1)  # (C, 1 + live)
-        tot_o = T[:, 0]
-        # The row of a branch that no world reaches is all zeros (a sum of
-        # exact zeros, or a difference of equal integer counts): p_o = 0.
-        p_o = T[:, 1:] / np.where(tot_o > 0, tot_o, 1.0)[:, None]
-        with np.errstate(divide="ignore"):
-            terms.append(np.log(tot_o / tot) + log_residual_ratio(p_o, Km, wm))
-    return best_test(cand, np.logaddexp(*terms), problem.eval_cost[cand])
+    log_expected = np.empty(cand.size)
+    for block in _blocks(cand.size, table.shape[2]):
+        terms = []
+        for o in (1, 0):
+            T = table[o].take(cand[block], axis=0).take(cols, axis=1)  # (C, 1 + live)
+            tot_o = T[:, 0]
+            # The row of a branch that no world reaches is all zeros (a sum
+            # of exact zeros, or a difference of equal integer counts): p_o = 0.
+            p_o = T[:, 1:] / np.where(tot_o > 0, tot_o, 1.0)[:, None]
+            with np.errstate(divide="ignore"):
+                terms.append(np.log(tot_o / tot) + log_residual_ratio(p_o, Km, wm))
+        np.logaddexp(*terms, out=log_expected[block])
+    return best_test(cand, log_expected, problem.eval_cost[cand])
 
 
 def best_test(

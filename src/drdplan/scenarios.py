@@ -251,10 +251,9 @@ class LibraryTruncated(UserWarning):
     """Fewer distinct simple paths exist than the requested library size."""
 
 
-def _bidirectional_dijkstra(adj, source, target, ignore_nodes, ignore_edges, cutoff=inf):
+def _bidirectional_dijkstra(adj, source, target, ignore_nodes, ignore_edges):
     """(length, vertex path) of a shortest source-target path that avoids
-    the flagged vertices and edges, or None when there is none, or when
-    every such path is longer than cutoff.
+    the flagged vertices and edges, or None when there is none.
 
     A port of networkx 3.6.1's ``simple_paths._bidirectional_dijkstra`` that
     makes the same choices on ties: the two directions alternate (a stale
@@ -264,10 +263,6 @@ def _bidirectional_dijkstra(adj, source, target, ignore_nodes, ignore_edges, cut
     meeting point is replaced only by a strictly shorter one.  Paths are
     kept as predecessor links instead of copied lists; a meeting records
     its vertex's two predecessors, whose chains no later step can change.
-
-    The search gives up once the two fringe tops sum past cutoff and no
-    meeting within it is known: every path not yet met is at least that
-    long.  Until then it runs unchanged, so it breaks ties as before.
     """
     if source == target:
         return 0, [source]
@@ -281,8 +276,6 @@ def _bidirectional_dijkstra(adj, source, target, ignore_nodes, ignore_edges, cut
     finaldist = meet = None
     dir = 1
     while fringe[0] and fringe[1]:
-        if fringe[0][0][0] + fringe[1][0][0] > cutoff and (meet is None or finaldist > cutoff):
-            return None
         dir = 1 - dir
         dist, _, v = heappop(fringe[dir])
         done = dists[dir]
@@ -365,9 +358,11 @@ def _shortest_simple_paths(graph: ExplicitGraph, edge_id: dict, k: int):
     candidate, and any later duplicate of it, is never yielded.  The
     search is skipped when root length + min over the spur vertex's usable
     edges (v, w) of len(v, w) + dist(w, goal) exceeds U, with dist from
-    one search on the whole graph, and otherwise runs with U as its
-    cutoff.  Both tests add a 1e-9 margin to U, which only makes a cut
-    rarer, so float round-off never decides one.
+    one search on the whole graph.  The test adds a 1e-9 margin to U,
+    which only makes a cut rarer, so float round-off never decides one.
+    A search that runs may still find a candidate longer than U.  It is
+    pushed and, by the same argument, never yielded; it leaves the need-th
+    smallest pending length as it was.
     """
     weight = graph.length.tolist()
     adj = [tuple((w, weight[e], e) for w, e in nbrs) for nbrs in graph.adjacency()]
@@ -414,7 +409,7 @@ def _shortest_simple_paths(graph: ExplicitGraph, edge_id: dict, k: int):
                     default=inf,
                 )
                 spur = None if bound > cutoff else _bidirectional_dijkstra(
-                    adj, v, target, ignore_nodes, ignore_edges, cutoff
+                    adj, v, target, ignore_nodes, ignore_edges
                 )
                 if spur is not None:
                     candidate = path[: i - 1] + spur[1]

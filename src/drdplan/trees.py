@@ -94,9 +94,18 @@ def compile_tree(
     built on first use, only when ec2.direct_step scores tests.  When every
     unit weight is an integer (the uniform training prior), the smaller
     child of a split builds its table from its own worlds and the larger
-    one takes its parent's table minus the smaller sibling's; the counts
-    are integers, so the difference is the table of its own worlds, bit
-    for bit.  Under any other prior every table comes from its own worlds.
+    one takes its parent's table minus the smaller sibling's, in place;
+    the counts are integers, so the difference is the table of its own
+    worlds, bit for bit.  Under any other prior every table comes from its
+    own worlds.
+
+    Tables are built over fixed blocks of worlds and scored over fixed
+    blocks of candidates (ec2._blocks), so the working memory beside the
+    problem's own arrays is a block of ec2.BLOCK_ELEMENTS float64 entries
+    plus the (2, E, 1 + m) tables held along the path being expanded; it
+    does not grow with the number of worlds, except by the few bytes per
+    world of each active mask and index.  Block sums of integer counts are
+    exact, so the tree does not depend on the block size.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must be in [0, 1]")
@@ -111,9 +120,6 @@ def compile_tree(
         nodes.append(node)
         return len(nodes) - 1
 
-    unit = problem.prior / problem.prior.max()
-    subtract = bool(np.all(unit == np.round(unit)))
-
     def own(vs) -> np.ndarray:
         return ec2.split_table(problem, np.flatnonzero(vs.active))
 
@@ -121,12 +127,17 @@ def compile_tree(
         """The children's table functions, each built on its first call.
         The larger child builds the smaller one's table again instead of
         sharing it: a shared table would stay alive while its owner waits
-        on the stack."""
-        if not subtract:
+        on the stack.  It subtracts that table from its parent's in place:
+        the parent has scored its tests, and nothing else reads its
+        table."""
+        if not problem.integer_weights:
             return [cache(lambda c=c: own(c)) for c in children]
         small = int(children[1].active_count < children[0].active_count)
         sibling = children[small]
-        tables = [cache(lambda: own(sibling)), cache(lambda: parent - own(sibling))]
+        tables = [
+            cache(lambda: own(sibling)),
+            cache(lambda: np.subtract(parent, own(sibling), out=parent)),
+        ]
         return tables if small == 0 else tables[::-1]
 
     # An explicit stack in place of recursion.  Its items are a version space

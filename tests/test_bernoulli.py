@@ -401,6 +401,29 @@ def test_state_products_bitwise_equal_per_row_prod():
         ]
 
 
+def test_carried_state_equals_state_from_scratch_after_every_observe():
+    # bisect_policy carries the region products through an episode; after
+    # every observation they are, bit for bit, the products _state builds
+    # from the belief.
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        n_edges = int(rng.integers(1, 120))
+        regions = [
+            tuple(rng.choice(n_edges, size=int(rng.integers(1, n_edges + 1)), replace=False))
+            for _ in range(int(rng.integers(1, 12)))
+        ]
+        library = Library.build(regions, n_edges)
+        belief = BernoulliBelief(beta=rng.uniform(0.01, 0.99, n_edges))
+        state = bernoulli._state(belief, library)
+        for e in rng.choice(n_edges, size=int(rng.integers(1, n_edges + 1)), replace=False):
+            outcome = int(rng.integers(2))
+            belief.observe(int(e), outcome)
+            state = bernoulli._observed_state(state, library, int(e), outcome)
+            want = bernoulli._state(belief, library)
+            for got, fresh in zip(state, want):
+                assert np.asarray(got).tobytes() == np.asarray(fresh).tobytes()
+
+
 def _outside_live_regions(trace, regions):
     """Evaluations of edges that lay on no live region when evaluated."""
     invalid, out = set(), []

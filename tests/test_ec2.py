@@ -428,6 +428,45 @@ def test_parent_table_minus_sibling_is_child_table():
     assert checked == 400
 
 
+def test_blocked_split_table_equals_one_block(monkeypatch):
+    # Under the uniform prior every block sum is an integer count, so the
+    # table does not depend on how the worlds are cut into blocks: one world
+    # per block, three worlds per block (an N the block rarely divides) and
+    # one block for all.
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        prob = random_problem(rng)
+        worlds = np.flatnonzero(rng.random(prob.num_hypotheses) < rng.uniform(0.3, 1.0))
+        width = max(prob.num_tests, 1 + prob.membership.shape[1])
+        tables = []
+        for budget in (2**40, 3 * width, 1):
+            monkeypatch.setattr(ec2, "BLOCK_ELEMENTS", budget)
+            tables.append(ec2.split_table(prob, worlds))
+        assert tables[0].tobytes() == tables[1].tobytes() == tables[2].tobytes()
+
+
+def test_blocked_select_test_equals_one_block(monkeypatch):
+    # Worlds, membership rows and candidates in blocks of one row choose the
+    # same test with the same score as one block for each.
+    rng = np.random.default_rng(19)
+    chosen = 0
+    for _ in range(200):
+        prob = random_problem(rng)
+        active = rng.random(prob.num_hypotheses) < rng.uniform(0.3, 1.0)
+        status = rng.choice(np.array([0, 0, 1, -1], np.int8), size=prob.num_tests)
+        cand = np.flatnonzero(status == 0)
+        if not active.any() or cand.size == 0:
+            continue
+        vs = ec2.VersionSpace(active, prob.prior, status)
+        picks = []
+        for budget in (2**40, 1):
+            monkeypatch.setattr(ec2, "BLOCK_ELEMENTS", budget)
+            picks.append(ec2.select_test(vs, prob, cand))
+        assert picks[0] == picks[1]
+        chosen += picks[0] is not None
+    assert chosen > 50
+
+
 def test_select_with_carried_table_equals_without():
     rng = np.random.default_rng(12)
     chosen = 0

@@ -1,6 +1,7 @@
 """Decision-tree compilation, execution and serialization."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +306,39 @@ def test_direct_policy_matches_compiled_tree_uniform_prior():
                 assert trace.terminal == leaf
                 episodes += 1
     assert episodes > 1000
+
+
+def test_compile_memory_does_not_grow_with_worlds():
+    """The memory compile_tree allocates beside the problem's own arrays,
+    at N and 4N worlds of one 7x7 forest (|E| = 156, m = 20).  A split
+    table cast from all the worlds at once takes 8 bytes per world and
+    edge, 9 MB at 7,200 training worlds.  Built over blocks, the peak is a
+    block of float64 scratch (8 * BLOCK_ELEMENTS bytes, 1 MB) with its
+    uint8 gather and weighted regions, the 52 KB tables held along the
+    expanded path, and the tree's own objects: under three blocks at either
+    size.  What still grows is the active masks and indices, a few dozen
+    bytes per world."""
+    spec = ScenarioSpec(kind="forest", rows=7, cols=7, seed=3)
+    peaks = []
+    for n in (2000, 8000):
+        ds = generate_dataset(spec, n, 60, 20, seed=3)
+        problem = ec2.problem_from_dataset(ds, ds.train)
+        tracemalloc.start()
+        try:
+            compile_tree(problem, 0.05)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    block = 8 * ec2.BLOCK_ELEMENTS
+    assert max(peaks) < 3 * block
+    assert peaks[1] - peaks[0] < 80 * 6000  # bytes per added world
+
+
+def test_compile_tree_bytes_do_not_depend_on_the_block(monkeypatch):
+    ds = small_dataset()
+    want = tree_to_bytes(compile_from_dataset(ds, 0.0))
+    monkeypatch.setattr(ec2, "BLOCK_ELEMENTS", 1)
+    assert tree_to_bytes(compile_from_dataset(ds, 0.0)) == want
 
 
 def test_carried_tables_equal_tables_of_own_worlds(monkeypatch):
