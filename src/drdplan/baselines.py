@@ -34,17 +34,13 @@ def _lt(x: tuple[int, int], y: tuple[int, int]) -> bool:
     return da * da > 2 * db * db  # da < 0, db > 0
 
 
-def shortest_path_edges(graph: ExplicitGraph, usable: np.ndarray) -> list[int] | None:
-    """Lexicographically-smallest-edge-id shortest start-goal path over the
-    usable edges, or None when disconnected.
-
-    One exact Dijkstra from the goal gives every vertex's distance to it;
-    the walk from the start then takes, at each vertex, the lowest-id
-    usable edge that stays on a shortest path."""
+def goal_distances(graph: ExplicitGraph, usable: list) -> list:
+    """Exact distance (a, b), value a + b*sqrt(2), from each vertex to the
+    goal over the usable edges (a list of bools by edge id), or None where
+    the goal is out of reach: one Dijkstra from the goal."""
     w = graph.exact_length()
     adj = graph.adjacency()
-    usable = np.asarray(usable, dtype=bool).tolist()
-    dist: list = [None] * graph.num_vertices  # exact distance to the goal
+    dist: list = [None] * graph.num_vertices
     dist[graph.goal] = (0, 0)
     counter = 0
     heap = [(0.0, counter, graph.goal)]
@@ -62,6 +58,20 @@ def shortest_path_edges(graph: ExplicitGraph, usable: np.ndarray) -> list[int] |
                 dist[v] = nd
                 counter += 1
                 heapq.heappush(heap, (nd[0] + nd[1] * SQRT2, counter, v))
+    return dist
+
+
+def shortest_path_edges(graph: ExplicitGraph, usable: np.ndarray) -> list[int] | None:
+    """Lexicographically-smallest-edge-id shortest start-goal path over the
+    usable edges, or None when disconnected.
+
+    goal_distances gives every vertex's exact distance to the goal; the
+    walk from the start then takes, at each vertex, the lowest-id usable
+    edge that stays on a shortest path."""
+    w = graph.exact_length()
+    adj = graph.adjacency()
+    usable = np.asarray(usable, dtype=bool).tolist()
+    dist = goal_distances(graph, usable)
     if dist[graph.start] is None:
         return None
 

@@ -17,16 +17,14 @@ bisect_policy, lazysp_graph); each forked --jobs worker fills its own copy.
 
 from __future__ import annotations
 
-import json
-import math
 import multiprocessing
 
 import numpy as np
 
 from . import baselines, bernoulli, ec2, rng as _rng, trees
-from .io import atomic_write_bytes, dataset_hash
+from .io import FormatError, atomic_write_bytes, dataset_hash, read_json, reading, to_json_bytes
 from .model import Dataset, Library
-from .traces import AllRegionsDead, Handoff, Infeasible, RunTrace, Solved
+from .traces import AllRegionsDead, Handoff, RunTrace, Solved, traces_from_json, traces_to_json
 
 RUNS_SCHEMA_VERSION = 1
 
@@ -38,14 +36,6 @@ BOOTSTRAP_BLOCK = 256
 
 class ContractError(RuntimeError):
     """Inputs violate a cross-artifact contract (e.g. tree/dataset hash)."""
-
-
-class RunsFormatError(ValueError):
-    """Malformed or wrong-version run file."""
-
-
-def _is_index(x) -> bool:
-    return type(x) is int and x >= 0
 
 
 def _world_oracle(dataset: Dataset, h: int):
@@ -73,7 +63,7 @@ def _checked_tree(dataset: Dataset, tree: trees.DecisionTree | None, policy: str
     if want is None:
         raise ContractError("tree records no dataset hash")
     if not isinstance(want, str):
-        raise trees.TreeFormatError(f"tree dataset_hash {want!r} is not a string")
+        raise FormatError(f"tree dataset_hash {want!r} is not a string")
     have = dataset_hash(dataset)
     if want != have:
         raise ContractError(
@@ -87,7 +77,7 @@ def _checked_tree(dataset: Dataset, tree: trees.DecisionTree | None, policy: str
             fault = f"names path {node.path_index} of {n_paths}"
         else:
             continue
-        raise trees.TreeFormatError(f"tree node {i} {fault}")
+        raise FormatError(f"tree node {i} {fault}")
     return tree
 
 
@@ -347,70 +337,6 @@ def sweep_training_size(
 # Run-file persistence and report assembly
 
 
-def _terminal_to_json(t) -> dict:
-    if isinstance(t, Solved):
-        return {"kind": "solved", "path_index": t.path_index}
-    if isinstance(t, AllRegionsDead):
-        return {"kind": "dead", "off_database": t.off_database}
-    if isinstance(t, Infeasible):
-        return {"kind": "infeasible"}
-    raise TypeError(f"cannot serialize terminal {t!r}")
-
-
-def _terminal_from_json(d: dict):
-    kind = d["kind"]
-    if kind == "solved" and (d["path_index"] is None or _is_index(d["path_index"])):
-        return Solved(d["path_index"])
-    if kind == "dead" and type(off := d.get("off_database", False)) is bool:
-        return AllRegionsDead(off)
-    if kind == "infeasible":
-        return Infeasible()
-    raise ValueError(f"bad terminal {d!r}")
-
-
-def traces_to_json(traces: list[RunTrace]) -> list[dict]:
-    return [
-        {
-            "policy": t.policy,
-            "world_index": t.world_index,
-            "records": [[e, o, c] for e, o, c in t.records],
-            "terminal": _terminal_to_json(t.terminal),
-            "path_edges": list(t.path_edges),
-            "verified": t.verified,
-        }
-        for t in traces
-    ]
-
-
-def _trace_from_json(d: dict) -> RunTrace:
-    policy, h, verified = d["policy"], d["world_index"], d.get("verified", True)
-    records = [(e, o, c) for e, o, c in d["records"]]
-    path_edges = tuple(d["path_edges"])
-    if not (isinstance(policy, str) and _is_index(h) and type(verified) is bool):
-        raise ValueError("policy, world_index or verified has the wrong type or range")
-    if not all(_is_index(e) and type(o) is int and o in (0, 1)
-               and type(c) is float and math.isfinite(c) and c > 0 for e, o, c in records):
-        raise ValueError("records are not [edge >= 0, outcome 0 or 1, finite cost > 0]")
-    if not all(_is_index(e) for e in path_edges):
-        raise ValueError("path_edges are not edge ids >= 0")
-    return RunTrace(policy=policy, world_index=h, records=records,
-                    terminal=_terminal_from_json(d["terminal"]),
-                    path_edges=path_edges, verified=verified)
-
-
-def traces_from_json(docs: list[dict]) -> list[RunTrace]:
-    """The traces of a run file, checked strictly: RunsFormatError names
-    the first trace with a missing key or a value of the wrong type or
-    out of range."""
-    out = []
-    for i, d in enumerate(docs):
-        try:
-            out.append(_trace_from_json(d))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise RunsFormatError(f"trace {i}: {exc!r}") from exc
-    return out
-
-
 def save_runs(
     path: str,
     policy: str,
@@ -432,33 +358,26 @@ def save_runs(
         "feasible": feasible,
         "traces": traces_to_json(traces),
     }
-    atomic_write_bytes(path, (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode())
+    atomic_write_bytes(path, to_json_bytes(doc))
 
 
 def load_runs(path: str) -> dict:
     """A run file parsed once: its header keys as written, ``feasible``
-    keyed by world index and ``traces`` as RunTraces.  RunsFormatError
-    for bad JSON, a wrong schema, or anything build_report cannot read."""
+    keyed by world index and ``traces`` as RunTraces.  FormatError for bad
+    JSON, a wrong schema, or anything build_report cannot read."""
     with open(path, "rb") as f:
-        data = f.read()
-    try:
-        doc = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise RunsFormatError(f"bad run file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema_version") != RUNS_SCHEMA_VERSION:
-        raise RunsFormatError(f"unsupported runs schema in {path}")
+        doc = read_json(f.read(), f"run file {path}", RUNS_SCHEMA_VERSION)
     for key, kind in (("policy", str), ("dataset_hash", str), ("dataset_label", str),
                       ("feasible", dict), ("traces", list)):
         if not isinstance(doc.get(key), kind):
-            raise RunsFormatError(f"bad run file {path}: {key!r} is missing or not a {kind.__name__}")
-    feasible = doc["feasible"]
-    if not all(h.isdecimal() and type(ok) is bool for h, ok in feasible.items()):
-        raise RunsFormatError(f"bad run file {path}: feasible is not world index: bool")
-    doc["feasible"] = {int(h): ok for h, ok in feasible.items()}
-    try:
-        doc["traces"] = traces_from_json(doc["traces"])
-    except RunsFormatError as exc:
-        raise RunsFormatError(f"bad run file {path}: {exc}") from exc
+            raise FormatError(f"bad run file {path}: {key!r} is missing or not a {kind.__name__}")
+    with reading(f"bad run file {path}"):
+        # Keys are canonical decimal world indices: no two name one world.
+        feasible = {int(h): ok for h, ok in doc["feasible"].items()
+                    if str(int(h)) == h and type(ok) is bool}
+        if len(feasible) != len(doc["feasible"]):
+            raise FormatError("feasible is not canonical world index: bool")
+        doc["feasible"], doc["traces"] = feasible, traces_from_json(doc["traces"])
     return doc
 
 

@@ -18,9 +18,9 @@ import sys
 import numpy as np
 
 from . import bench, scenarios, trees
-from .bench import ContractError, RunsFormatError
-from .io import DatasetFormatError, atomic_write_bytes, dataset_hash, load_dataset, save_dataset
-from .trees import TreeFormatError, TreeSizeExceeded
+from .bench import ContractError
+from .io import FormatError, atomic_write_bytes, dataset_hash, load_dataset, save_dataset
+from .trees import TreeSizeExceeded
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -195,7 +195,7 @@ def _cmd_report(args) -> int:
         os.path.join(args.runs, f) for f in os.listdir(args.runs) if f.endswith(".json")
     )
     if not paths:
-        raise DatasetFormatError(f"no run files in {args.runs}")
+        raise FormatError(f"no run files in {args.runs}")
     docs = [bench.load_runs(p) for p in paths]
     report = bench.build_report(docs, args.reference, args.bootstrap, args.seed)
     report["config"] = _config(args)
@@ -220,7 +220,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DatasetFormatError, TreeFormatError, RunsFormatError, OSError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TreeSizeExceeded, MemoryError) as exc:

@@ -1,6 +1,11 @@
-"""Dataset container persistence.
+"""Artifact codec and dataset container persistence.
 
-File layout (text, three lines):
+Every artifact (dataset, tree, run file) is written by to_json_bytes and
+read by read_json and reading.  FormatError is the one error for a
+malformed or wrong-version artifact (exit 3); is_index is the one test of
+an index field.
+
+Dataset file layout (text, three lines):
 
   line 1: JSON header {schema_version, n_worlds, n_edges, n_paths, graph,
           paths, split, provenance}
@@ -19,6 +24,7 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -27,8 +33,43 @@ from .model import Dataset, ExplicitGraph, Path, validate_dataset
 SCHEMA_VERSION = 1
 
 
-class DatasetFormatError(ValueError):
-    """Malformed or wrong-version dataset file."""
+class FormatError(ValueError):
+    """Malformed or wrong-version artifact: a dataset, tree or run file."""
+
+
+def is_index(x) -> bool:
+    """A JSON integer >= 0; a JSON true is not one."""
+    return type(x) is int and x >= 0
+
+
+def to_json_bytes(doc) -> bytes:
+    """The canonical serialization: sorted keys, no spaces, ASCII, one line
+    ending in a newline."""
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+
+
+@contextmanager
+def reading(what: str):
+    """Raise what goes wrong while reading `what` as a FormatError that
+    names it: a missing key, a value of the wrong type or out of range, or
+    a FormatError from within."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{what}: {exc if isinstance(exc, FormatError) else repr(exc)}") from exc
+
+
+def read_json(data: bytes | str, what: str, version: int) -> dict:
+    """A JSON object decoded from ASCII whose schema_version is the JSON
+    integer version; FormatError naming what otherwise."""
+    try:
+        doc = json.loads(data.decode("ascii") if isinstance(data, bytes) else data)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"bad {what}: {exc}") from exc
+    got = doc.get("schema_version") if isinstance(doc, dict) else None
+    if type(got) is not int or got != version:
+        raise FormatError(f"unsupported {what} schema_version {got!r} (expected {version})")
+    return doc
 
 
 def _pack_bits(mat: np.ndarray) -> bytes:
@@ -39,7 +80,7 @@ def _pack_bits(mat: np.ndarray) -> bytes:
 def _unpack_bits(blob: bytes, rows: int, cols: int) -> np.ndarray:
     stride = (cols + 7) // 8
     if len(blob) != rows * stride:
-        raise DatasetFormatError(
+        raise FormatError(
             f"bit matrix payload is {len(blob)} bytes, expected {rows * stride}"
         )
     packed = np.frombuffer(blob, dtype=np.uint8).reshape(rows, stride)
@@ -82,50 +123,33 @@ def dataset_to_bytes(ds: Dataset) -> bytes:
         },
         "provenance": ds.provenance,
     }
-    lines = [
-        json.dumps(header, sort_keys=True, separators=(",", ":")),
-        base64.b64encode(_pack_bits(ds.theta)).decode("ascii"),
-        base64.b64encode(_pack_bits(ds.membership)).decode("ascii"),
-    ]
-    return ("\n".join(lines) + "\n").encode("ascii")
+    payload = (base64.b64encode(_pack_bits(m)) + b"\n" for m in (ds.theta, ds.membership))
+    return to_json_bytes(header) + b"".join(payload)
 
 
 def dataset_from_bytes(data: bytes) -> Dataset:
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
-        raise DatasetFormatError("dataset file is not ascii text") from exc
+        raise FormatError("dataset file is not ascii text") from exc
     lines = text.splitlines()
     if len(lines) < 3:
-        raise DatasetFormatError("truncated dataset file (expected 3 lines)")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"bad JSON header: {exc}") from exc
-    version = header.get("schema_version") if isinstance(header, dict) else None
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise DatasetFormatError(
-            f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
-        )
-    try:
-        theta_blob = base64.b64decode(lines[1], validate=True)
-        memb_blob = base64.b64decode(lines[2], validate=True)
-    except Exception as exc:
-        raise DatasetFormatError(f"bad base64 payload: {exc}") from exc
-
-    try:
+        raise FormatError("truncated dataset file (expected 3 lines)")
+    header = read_json(lines[0], "dataset header", SCHEMA_VERSION)
+    with reading("bad dataset file"):
+        theta_blob, memb_blob = (base64.b64decode(line, validate=True) for line in lines[1:3])
         n, e, m = header["n_worlds"], header["n_edges"], header["n_paths"]
         graph, split = header["graph"], header["split"]
         # Exact types, so that a JSON true is neither an id nor a number.
-        ids = [*graph["endpoints"], *header["paths"], split["train"], split["test"],
-               [graph["start"], graph["goal"]]]
-        if not all(type(x) is int for row in ids for x in row):
-            raise DatasetFormatError("vertex, edge and world ids must be JSON integers")
+        ids = [[n, e, m], *graph["endpoints"], *header["paths"], split["train"],
+               split["test"], [graph["start"], graph["goal"]]]
+        if not all(is_index(x) for row in ids for x in row):
+            raise FormatError("counts and vertex, edge and world ids must be JSON integers >= 0")
         numbers = [*graph["positions"], graph["eval_cost"], graph["length"]]
         if not all(type(x) in (int, float) for row in numbers for x in row):
-            raise DatasetFormatError("positions, eval_cost and length must be JSON numbers")
+            raise FormatError("positions, eval_cost and length must be JSON numbers")
         if not isinstance(header.get("provenance", {}), dict):
-            raise DatasetFormatError("provenance must be a JSON object")
+            raise FormatError("provenance must be a JSON object")
         ds = Dataset(
             graph=_graph_from_json(graph),
             theta=_unpack_bits(theta_blob, n, e),
@@ -135,13 +159,9 @@ def dataset_from_bytes(data: bytes) -> Dataset:
             test=np.asarray(split["test"], dtype=np.int64),
             provenance=header.get("provenance", {}),
         )
-    except DatasetFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"bad dataset header: {exc!r}") from exc
     violations = validate_dataset(ds)
     if violations:
-        raise DatasetFormatError(
+        raise FormatError(
             "dataset fails validation: " + "; ".join(violations[:5])
         )
     return ds

@@ -24,6 +24,7 @@ from math import inf
 import numpy as np
 
 from . import rng as _rng
+from .baselines import goal_distances
 from .geometry import SCALE, edge_segments, rect_constants, segments_hit_disc, segments_hit_rect
 from .model import Dataset, ExplicitGraph, Path, SQRT2, compute_membership, split_dataset
 
@@ -310,23 +311,6 @@ def _bidirectional_dijkstra(adj, source, target, ignore_nodes, ignore_edges):
     return None
 
 
-def _distances_to(adj, target) -> list:
-    """Float length of a shortest path from each vertex to target on the
-    whole graph (inf where there is none)."""
-    dist = [inf] * len(adj)
-    dist[target] = 0.0
-    heap = [(0.0, target)]
-    while heap:
-        d, v = heappop(heap)
-        if d > dist[v]:
-            continue
-        for w, length, _ in adj[v]:
-            if d + length < dist[w]:
-                dist[w] = d + length
-                heappush(heap, (d + length, w))
-    return dist
-
-
 def _shortest_simple_paths(graph: ExplicitGraph, edge_id: dict, k: int):
     """The first k loopless start-goal vertex paths in nondecreasing
     length (Yen).
@@ -357,9 +341,11 @@ def _shortest_simple_paths(graph: ExplicitGraph, edge_id: dict, k: int):
     only lower it, and nothing else leaves the buffer.  So such a
     candidate, and any later duplicate of it, is never yielded.  The
     search is skipped when root length + min over the spur vertex's usable
-    edges (v, w) of len(v, w) + dist(w, goal) exceeds U, with dist from
-    one search on the whole graph.  The test adds a 1e-9 margin to U,
-    which only makes a cut rarer, so float round-off never decides one.
+    edges (v, w) of len(v, w) + dist(w, goal) exceeds U, with dist the
+    exact distances of baselines.goal_distances on the whole graph, read
+    as floats.  The test adds a 1e-9 margin to U, which only makes a cut
+    rarer and covers the round-off of reading them, so float round-off
+    never decides one.
     A search that runs may still find a candidate longer than U.  It is
     pushed and, by the same argument, never yielded; it leaves the need-th
     smallest pending length as it was.
@@ -372,7 +358,8 @@ def _shortest_simple_paths(graph: ExplicitGraph, edge_id: dict, k: int):
     )
     if found is None:
         raise ValueError("start and goal are not connected")
-    to_goal = _distances_to(adj, target)
+    to_goal = [inf if d is None else d[0] + d[1] * SQRT2
+               for d in goal_distances(graph, [True] * graph.num_edges)]
     heap: list = [(found[0], 0, found[1])]
     pending = {tuple(found[1])}
     lengths = [found[0]]  # the pending candidates' lengths, ascending

@@ -11,13 +11,19 @@ leaf, the completion, a baseline's whole run) adds its evaluations through
 The verdicts are also the leaves of the compiled tree (drdplan.trees):
 ec2.direct_step returns Solved, AllRegionsDead or Handoff, and the tree
 stores what it returned.
+
+traces_to_json and traces_from_json are the codec of the traces in a run
+file (drdplan.bench writes and reads the file's header).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .io import is_index, reading
 
 
 @dataclass(frozen=True)
@@ -84,3 +90,67 @@ class RunTrace:
         self.record(edge, outcome, eval_cost[edge])
         status[edge] = 1 if outcome else -1
         return outcome
+
+
+def _terminal_to_json(t) -> dict:
+    if isinstance(t, Solved):
+        return {"kind": "solved", "path_index": t.path_index}
+    if isinstance(t, AllRegionsDead):
+        return {"kind": "dead", "off_database": t.off_database}
+    if isinstance(t, Infeasible):
+        return {"kind": "infeasible"}
+    raise TypeError(f"cannot serialize terminal {t!r}")
+
+
+def _terminal_from_json(d: dict):
+    kind = d["kind"]
+    if kind == "solved" and (d["path_index"] is None or is_index(d["path_index"])):
+        return Solved(d["path_index"])
+    if kind == "dead" and type(off := d.get("off_database", False)) is bool:
+        return AllRegionsDead(off)
+    if kind == "infeasible":
+        return Infeasible()
+    raise ValueError(f"bad terminal {d!r}")
+
+
+def traces_to_json(traces: list[RunTrace]) -> list[dict]:
+    """The traces as run-file JSON values.  Each holds its trace's own
+    records and path_edges, which JSON writes as arrays."""
+    return [
+        {
+            "policy": t.policy,
+            "world_index": t.world_index,
+            "records": t.records,
+            "terminal": _terminal_to_json(t.terminal),
+            "path_edges": t.path_edges,
+            "verified": t.verified,
+        }
+        for t in traces
+    ]
+
+
+def _trace_from_json(d: dict) -> RunTrace:
+    policy, h, verified = d["policy"], d["world_index"], d.get("verified", True)
+    records = [(e, o, c) for e, o, c in d["records"]]
+    path_edges = tuple(d["path_edges"])
+    if not (isinstance(policy, str) and is_index(h) and type(verified) is bool):
+        raise ValueError("policy, world_index or verified has the wrong type or range")
+    if not all(is_index(e) and type(o) is int and o in (0, 1)
+               and type(c) is float and math.isfinite(c) and c > 0 for e, o, c in records):
+        raise ValueError("records are not [edge >= 0, outcome 0 or 1, finite cost > 0]")
+    if not all(is_index(e) for e in path_edges):
+        raise ValueError("path_edges are not edge ids >= 0")
+    return RunTrace(policy=policy, world_index=h, records=records,
+                    terminal=_terminal_from_json(d["terminal"]),
+                    path_edges=path_edges, verified=verified)
+
+
+def traces_from_json(docs: list[dict]) -> list[RunTrace]:
+    """The traces of a run file, checked strictly: FormatError names the
+    first trace with a missing key or a value of the wrong type or out of
+    range."""
+    out = []
+    for i, d in enumerate(docs):
+        with reading(f"trace {i}"):
+            out.append(_trace_from_json(d))
+    return out

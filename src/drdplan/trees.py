@@ -12,14 +12,13 @@ the episode's observations and the run's alpha.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
 from . import ec2
-from .io import atomic_write_bytes
+from .io import FormatError, atomic_write_bytes, is_index, read_json, reading, to_json_bytes
 from .traces import AllRegionsDead, Handoff, RunTrace, Solved
 
 TREE_SCHEMA_VERSION = 2
@@ -217,57 +216,39 @@ def tree_to_bytes(tree: DecisionTree) -> bytes:
         "root": tree.root,
         "nodes": records,
     }
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
-
-
-class TreeFormatError(ValueError):
-    """Malformed or wrong-version tree file."""
-
-
-def _index(value) -> int:
-    """A JSON integer >= 0 (not a bool), else TypeError."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise TypeError(f"expected an integer >= 0, got {value!r}")
-    return value
+    return to_json_bytes(doc)
 
 
 def _node_from_json(rec, i: int):
     t = rec["type"]
-    if t == "internal":
-        child0, child1 = (_index(c) for c in rec["child"])
-        if not (child0 < i and child1 < i):
-            raise TreeFormatError(f"node {i} has a child that does not precede it")
-        return InternalNode(_index(rec["edge"]), child0, child1)
-    if t == "solved":
-        return Solved(_index(rec["region"]))
     if t == "dead":
         return AllRegionsDead()
-    if t == "handoff":
-        return Handoff(_index(rec["active_count"]))
-    raise TreeFormatError(f"unknown node type {t!r}")
+    if t == "internal":
+        node = InternalNode(rec["edge"], *rec["child"])
+    elif t == "solved":
+        node = Solved(rec["region"])
+    elif t == "handoff":
+        node = Handoff(rec["active_count"])
+    else:
+        raise FormatError(f"unknown node type {t!r}")
+    if not all(map(is_index, vars(node).values())):
+        raise FormatError(f"node {i} has a field that is not an integer >= 0")
+    if t == "internal" and not (node.child0 < i and node.child1 < i):
+        raise FormatError(f"node {i} has a child that does not precede it")
+    return node
 
 
 def tree_from_bytes(data: bytes) -> DecisionTree:
     """Parse a tree file.  Its nodes must be in post-order: each child
     precedes its parent and the root is the last node."""
-    try:
-        doc = json.loads(data.decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise TreeFormatError(f"bad tree file: {exc}") from exc
-    version = doc.get("schema_version") if isinstance(doc, dict) else None
-    if version != TREE_SCHEMA_VERSION:
-        raise TreeFormatError(f"unsupported tree schema_version {version!r}")
-    try:
+    doc = read_json(data, "tree file", TREE_SCHEMA_VERSION)
+    with reading("bad tree file"):
         nodes = [_node_from_json(rec, i) for i, rec in enumerate(doc["nodes"])]
-        root, params = _index(doc["root"]), doc["params"]
-    except TreeFormatError:
-        raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise TreeFormatError(f"bad tree file: {exc!r}") from exc
-    if root != len(nodes) - 1:
-        raise TreeFormatError(f"tree root {root!r} is not its last node")
+        root, params = doc["root"], doc["params"]
+    if not is_index(root) or root != len(nodes) - 1:
+        raise FormatError(f"tree root {root!r} is not its last node")
     if not isinstance(params, dict):
-        raise TreeFormatError("tree params must be a JSON object")
+        raise FormatError("tree params must be a JSON object")
     return DecisionTree(nodes=nodes, root=root, params=params)
 
 

@@ -254,6 +254,21 @@ def test_artifact_bytes_pinned(ds, tree):
     assert got == HANDOFF_PINNED
 
 
+# sha256 of a whole run file, header and traces, of the fixture above; its
+# worlds end solved and dead.  Recorded before the run-file codec moved
+# into drdplan.traces and the canonical writer into drdplan.io.
+RUN_FILE_PINNED = "f9bc33caeec8ba3c66a271383a21ee420bf90a21cfcf76bdbc16877efaca6d9b"
+
+
+def test_run_file_bytes_pinned(ds, tree, tmp_path):
+    path = str(tmp_path / "direct+bisect.json")
+    traces = run_policy("direct+bisect", ds, "test", tree, seed=0)
+    save_runs(path, "direct+bisect", ds, traces, seed=0,
+              params={"alpha": 0.9, "policy": "direct+bisect"})
+    with open(path, "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == RUN_FILE_PINNED
+
+
 # sha256 of the canonical traces of the two library-status baselines over
 # every world of generate_dataset(ScenarioSpec(kind, size, size, seed=11),
 # 40, 60, 12, test_fraction=0.25), pinned before LibraryStatus replaced the

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import drdplan
+from drdplan import bench, io, trees
 from drdplan.cli import (
     EXIT_CONTRACT,
     EXIT_DATA,
@@ -20,7 +21,7 @@ from drdplan.cli import (
     EXIT_RESOURCE,
     main,
 )
-from drdplan.io import dataset_hash, load_dataset
+from drdplan.io import FormatError, dataset_hash, load_dataset
 
 
 def run(argv):
@@ -407,6 +408,73 @@ def test_parse_faults_exit_3_without_traceback(pipeline, tmp_path, capsys, bad):
         argv = ["report", "--runs", str(runs), "--out", str(tmp_path / "t.csv")]
     if argv[0] == "run":
         argv += ["--dataset", str(ds), "--tree", str(tree)]
+    assert run(argv) == EXIT_DATA
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _report_argv(pipeline, tmp_path, random_json):
+    """A report over a run directory holding the pipeline's direct+bisect
+    run file and random_json as the random policy's."""
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    shutil.copy(os.path.join(pipeline["runs"], "direct+bisect.json"), runs)
+    (runs / "random.json").write_text(random_json)
+    return ["report", "--runs", str(runs), "--bootstrap", "50", "--out", str(tmp_path / "t.csv")]
+
+
+# What a file's schema_version becomes, from the version it was written with.
+_NOT_THE_INTEGER = {"true": lambda v: True, "float": float, "string": str, "missing": None}
+
+
+@pytest.mark.parametrize("value", list(_NOT_THE_INTEGER))
+@pytest.mark.parametrize("artifact", ["dataset", "tree", "runs"])
+def test_schema_version_must_be_an_exact_integer(pipeline, tmp_path, capsys, artifact, value):
+    """Every reader takes only the JSON integer of its schema version: true,
+    the equal float, the version as a string and a missing key are format
+    errors (exit 3)."""
+    def edit(doc):
+        version = doc.pop("schema_version")
+        if _NOT_THE_INTEGER[value]:
+            doc["schema_version"] = _NOT_THE_INTEGER[value](version)
+
+    if artifact == "dataset":
+        path = _edit_header(pipeline["ds"], tmp_path / "d.bin", edit)
+        load, argv = io.load_dataset, ["compile-tree", "--dataset", path,
+                                       "--out", str(tmp_path / "t.json")]
+    else:
+        source = pipeline["tree"] if artifact == "tree" else os.path.join(pipeline["runs"], "random.json")
+        with open(source) as f:
+            doc = json.load(f)
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        if artifact == "tree":
+            load, argv = trees.load_tree, ["run", "--dataset", pipeline["ds"], "--policy",
+                                           "direct+bisect", "--tree", str(path),
+                                           "--out", str(tmp_path / "r")]
+        else:
+            load, argv = bench.load_runs, _report_argv(pipeline, tmp_path, path.read_text())
+    with pytest.raises(FormatError, match="schema_version"):
+        load(str(path))
+    assert run(argv) == EXIT_DATA
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("renamed", [False, True], ids=["added", "renamed"])
+@pytest.mark.parametrize("alias", ["leading-zero", "arabic-indic"])
+def test_feasible_keys_must_be_canonical_world_indices(pipeline, tmp_path, capsys, alias, renamed):
+    """A run file names a world in feasible by its canonical ASCII decimal
+    index.  A key with a leading zero or in Arabic-Indic digits is a format
+    error (exit 3), whether it is added beside a feasible world's key (it
+    must not overwrite that world's flag) or renames it."""
+    def edit(doc):
+        h = next(h for h, ok in doc["feasible"].items() if ok)
+        key = "0" + h if alias == "leading-zero" else "".join(chr(0x660 + int(c)) for c in h)
+        doc["feasible"][key] = doc["feasible"].pop(h) if renamed else False
+
+    argv = _report_argv(pipeline, tmp_path, _edited_run_file(pipeline, edit))
+    with pytest.raises(FormatError, match="feasible"):
+        bench.load_runs(str(tmp_path / "runs" / "random.json"))
     assert run(argv) == EXIT_DATA
     assert "Traceback" not in capsys.readouterr().err
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drdplan.io import (
-    DatasetFormatError,
+    FormatError,
     _pack_bits,
     _unpack_bits,
     atomic_write_bytes,
@@ -42,7 +42,7 @@ def test_pack_bit_order_contract():
 
 
 def test_unpack_rejects_wrong_payload_size():
-    with pytest.raises(DatasetFormatError):
+    with pytest.raises(FormatError):
         _unpack_bits(b"\x00", 2, 9)
 
 
@@ -68,12 +68,12 @@ def test_roundtrip_identity(tmp_path):
 def test_truncated_file_rejected():
     data = dataset_to_bytes(make_ds())
     lines = data.decode().splitlines()
-    with pytest.raises(DatasetFormatError):
+    with pytest.raises(FormatError):
         dataset_from_bytes("\n".join(lines[:2]).encode())
 
 
 def test_bad_header_rejected():
-    with pytest.raises(DatasetFormatError):
+    with pytest.raises(FormatError):
         dataset_from_bytes(b"not json\nAAAA\nAAAA\n")
 
 
@@ -83,7 +83,7 @@ def test_wrong_schema_version_rejected():
     header = json.loads(lines[0])
     header["schema_version"] = 99
     lines[0] = json.dumps(header)
-    with pytest.raises(DatasetFormatError, match="schema_version"):
+    with pytest.raises(FormatError, match="schema_version"):
         dataset_from_bytes("\n".join(lines).encode())
 
 
@@ -91,7 +91,7 @@ def test_bad_base64_rejected():
     data = dataset_to_bytes(make_ds()).decode()
     lines = data.splitlines()
     lines[1] = "!!!not-base64!!!"
-    with pytest.raises(DatasetFormatError):
+    with pytest.raises(FormatError):
         dataset_from_bytes("\n".join(lines).encode())
 
 
@@ -100,7 +100,7 @@ def test_validation_on_load(tmp_path):
     ds.membership = ds.membership.copy()
     ds.membership[0, 0] ^= 1
     data = dataset_to_bytes(ds)
-    with pytest.raises(DatasetFormatError, match="validation"):
+    with pytest.raises(FormatError, match="validation"):
         dataset_from_bytes(data)
 
 

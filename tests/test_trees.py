@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from drdplan import ec2, trees
+from drdplan.io import FormatError
 from drdplan.scenarios import ScenarioSpec, generate_dataset
 from drdplan.trees import (
     DecisionTree,
     InternalNode,
-    TreeFormatError,
     TreeSizeExceeded,
     bias_vector,
     compile_from_dataset,
@@ -235,16 +235,16 @@ def test_tree_roundtrip(tmp_path):
 
 
 def test_tree_format_errors():
-    with pytest.raises(TreeFormatError):
+    with pytest.raises(FormatError):
         tree_from_bytes(b"not json")
-    with pytest.raises(TreeFormatError, match="schema_version"):
+    with pytest.raises(FormatError, match="schema_version"):
         tree_from_bytes(b'{"schema_version": 42, "nodes": [], "root": 0, "params": {}}')
-    with pytest.raises(TreeFormatError, match="node type"):
+    with pytest.raises(FormatError, match="node type"):
         tree_from_bytes(
             b'{"schema_version": 2, "nodes": [{"type": "mystery"}], "root": 0, "params": {}}'
         )
     # Schema 1 stored a bias vector in every handoff leaf; it is not read.
-    with pytest.raises(TreeFormatError, match="schema_version"):
+    with pytest.raises(FormatError, match="schema_version"):
         tree_from_bytes(
             b'{"schema_version": 1, "nodes": [{"type": "handoff", "bias": [0.5],'
             b' "active_count": 1}], "root": 0, "params": {"alpha": 0.9}}'
