@@ -151,8 +151,7 @@ def _direct_bisect(dataset, tree, train_idx, seed, alpha):
         if (key := status.tobytes()) not in completions:
             mask = _surviving(train_theta, status)
             rows = train_theta[mask] if mask.any() else train_theta
-            bias = trees.bias_vector(rows, status, alpha)
-            completions[key] = (bernoulli.clamp_bias(bias, alpha), {})
+            completions[key] = (trees.bias_vector(rows, status, alpha), {})
         beta, trie = completions[key]
         belief = bernoulli.BernoulliBelief(beta, status)
         return bernoulli.bisect_policy(belief, library, eval_cost, oracle, trace, trie)
@@ -378,6 +377,8 @@ def load_runs(path: str) -> dict:
         if len(feasible) != len(doc["feasible"]):
             raise FormatError("feasible is not canonical world index: bool")
         doc["feasible"], doc["traces"] = feasible, traces_from_json(doc["traces"])
+    if len({t.world_index for t in doc["traces"]}) != len(doc["traces"]):
+        raise FormatError(f"bad run file {path}: two traces name one world_index")
     return doc
 
 

@@ -109,11 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args) -> dict:
-    """The parsed command line, echoed into the artifacts it produces."""
-    return {k: v for k, v in vars(args).items() if k not in ("command", "func")}
-
-
 def _cmd_gen(args) -> int:
     spec = scenarios.ScenarioSpec(
         kind=args.scenario,
@@ -127,7 +122,6 @@ def _cmd_gen(args) -> int:
     ds = scenarios.generate_dataset(
         spec, args.worlds, args.k, args.paths, args.test_fraction, args.seed
     )
-    ds.provenance["cli_config"] = _config(args)
     save_dataset(ds, args.out)
     print(f"wrote {args.out}: N={ds.num_worlds} |E|={ds.graph.num_edges} "
           f"m={ds.num_paths} coverage={ds.provenance['train_coverage']:.3f} "
@@ -140,7 +134,6 @@ def _cmd_compile_tree(args) -> int:
     if len(ds.train) == 0:
         raise ContractError("dataset has no training split")
     tree = trees.compile_from_dataset(ds, args.eta, max_nodes=args.max_nodes)
-    tree.params["config"] = _config(args)
     trees.save_tree(tree, args.out)
     stats = tree.params["stats"]
     print(f"wrote {args.out}: nodes={len(tree.nodes)} depth={stats['depth']} "
@@ -167,7 +160,8 @@ def _cmd_run(args) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{args.policy}.json")
-    bench.save_runs(out_path, args.policy, ds, traces, args.seed, params=_config(args))
+    params = {"alpha": args.alpha, "split": args.split}
+    bench.save_runs(out_path, args.policy, ds, traces, args.seed, params=params)
     costs = [t.total_cost for t in traces]
     print(f"wrote {out_path}: {len(traces)} worlds, mean cost {np.mean(costs):.2f}")
     return EXIT_OK
@@ -180,7 +174,8 @@ def _cmd_sweep(args) -> int:
     )
     atomic_write_bytes(args.out, bench.sweep_to_csv(results).encode())
     if args.json:
-        doc = {"config": _config(args), "dataset_hash": dataset_hash(ds), "results": results}
+        doc = {"eta": args.eta, "alpha": args.alpha, "dataset_hash": dataset_hash(ds),
+               "results": results}
         atomic_write_bytes(args.json, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
     for row in results:
         print(f"n_train={row['n_train']}: mean={row['mean_cost']:.2f} "
@@ -198,7 +193,6 @@ def _cmd_report(args) -> int:
         raise FormatError(f"no run files in {args.runs}")
     docs = [bench.load_runs(p) for p in paths]
     report = bench.build_report(docs, args.reference, args.bootstrap, args.seed)
-    report["config"] = _config(args)
     atomic_write_bytes(args.out, bench.report_to_csv(report).encode())
     if args.json:
         atomic_write_bytes(args.json, (json.dumps(report, sort_keys=True, indent=2) + "\n").encode())

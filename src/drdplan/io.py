@@ -5,12 +5,14 @@ read by read_json and reading.  FormatError is the one error for a
 malformed or wrong-version artifact (exit 3); is_index is the one test of
 an index field.
 
-Dataset file layout (text, three lines):
+Dataset file layout (text, two lines):
 
-  line 1: JSON header {schema_version, n_worlds, n_edges, n_paths, graph,
-          paths, split, provenance}
+  line 1: JSON header {schema_version, n_worlds, n_edges, graph, paths,
+          split, provenance}
   line 2: base64 of the bit-packed world-outcome matrix
-  line 3: base64 of the bit-packed membership matrix
+
+The membership matrix is not stored: the loader derives it from the
+worlds and the library (model.compute_membership).
 
 Bit packing is row-major with each row padded to a byte boundary;
 within a byte the least-significant bit is the lowest column index.
@@ -28,9 +30,10 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from . import model
 from .model import Dataset, ExplicitGraph, Path, validate_dataset
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class FormatError(ValueError):
@@ -114,7 +117,6 @@ def dataset_to_bytes(ds: Dataset) -> bytes:
         "schema_version": SCHEMA_VERSION,
         "n_worlds": int(ds.num_worlds),
         "n_edges": int(ds.graph.num_edges),
-        "n_paths": int(ds.num_paths),
         "graph": _graph_to_json(ds.graph),
         "paths": [list(map(int, p.edge_ids)) for p in ds.paths],
         "split": {
@@ -123,8 +125,7 @@ def dataset_to_bytes(ds: Dataset) -> bytes:
         },
         "provenance": ds.provenance,
     }
-    payload = (base64.b64encode(_pack_bits(m)) + b"\n" for m in (ds.theta, ds.membership))
-    return to_json_bytes(header) + b"".join(payload)
+    return to_json_bytes(header) + base64.b64encode(_pack_bits(ds.theta)) + b"\n"
 
 
 def dataset_from_bytes(data: bytes) -> Dataset:
@@ -133,15 +134,15 @@ def dataset_from_bytes(data: bytes) -> Dataset:
     except UnicodeDecodeError as exc:
         raise FormatError("dataset file is not ascii text") from exc
     lines = text.splitlines()
-    if len(lines) < 3:
-        raise FormatError("truncated dataset file (expected 3 lines)")
-    header = read_json(lines[0], "dataset header", SCHEMA_VERSION)
+    header = read_json(lines[0] if lines else "", "dataset header", SCHEMA_VERSION)
+    if len(lines) != 2:
+        raise FormatError(f"dataset file has {len(lines)} lines, expected 2")
     with reading("bad dataset file"):
-        theta_blob, memb_blob = (base64.b64decode(line, validate=True) for line in lines[1:3])
-        n, e, m = header["n_worlds"], header["n_edges"], header["n_paths"]
+        theta_blob = base64.b64decode(lines[1], validate=True)
+        n, e = header["n_worlds"], header["n_edges"]
         graph, split = header["graph"], header["split"]
         # Exact types, so that a JSON true is neither an id nor a number.
-        ids = [[n, e, m], *graph["endpoints"], *header["paths"], split["train"],
+        ids = [[n, e], *graph["endpoints"], *header["paths"], split["train"],
                split["test"], [graph["start"], graph["goal"]]]
         if not all(is_index(x) for row in ids for x in row):
             raise FormatError("counts and vertex, edge and world ids must be JSON integers >= 0")
@@ -154,7 +155,7 @@ def dataset_from_bytes(data: bytes) -> Dataset:
             graph=_graph_from_json(graph),
             theta=_unpack_bits(theta_blob, n, e),
             paths=[Path(tuple(p)) for p in header["paths"]],
-            membership=_unpack_bits(memb_blob, n, m),
+            membership=None,
             train=np.asarray(split["train"], dtype=np.int64),
             test=np.asarray(split["test"], dtype=np.int64),
             provenance=header.get("provenance", {}),
@@ -164,6 +165,7 @@ def dataset_from_bytes(data: bytes) -> Dataset:
         raise FormatError(
             "dataset fails validation: " + "; ".join(violations[:5])
         )
+    ds.membership = model.compute_membership(ds.theta, ds.paths)
     return ds
 
 

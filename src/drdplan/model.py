@@ -81,7 +81,8 @@ class Dataset:
     """Graph + sampled worlds + path library + membership + split.
 
     theta:      (N, E) uint8 world-outcome matrix, 1 = edge valid.
-    membership: (N, m) uint8, 1 = path fully valid in that world.
+    membership: (N, m) uint8, 1 = path fully valid in that world; always
+                compute_membership(theta, paths), so the file omits it.
     train / test: disjoint world-index arrays covering 0..N-1.
     provenance: generator name, seed and parameters (free-form JSON dict).
     """
@@ -106,14 +107,13 @@ class Dataset:
 def compute_membership(theta: np.ndarray, paths: list[Path]) -> np.ndarray:
     """Membership matrix: M[h, r] = 1 iff every edge of path r is valid in
     world h (bitwise AND over the path's columns of theta)."""
-    theta = np.asarray(theta)
     n_edges = theta.shape[1]
+    out = np.empty((len(theta), len(paths)), dtype=np.uint8)
     for r, p in enumerate(paths):
-        ids = np.asarray(p.edge_ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= n_edges):
+        if not all(0 <= e < n_edges for e in p.edge_ids):
             raise ValueError(f"path {r} references edge id outside 0..{n_edges - 1}")
-    cols = [theta[:, list(p.edge_ids)].all(axis=1) for p in paths]
-    return np.stack(cols, axis=1).astype(np.uint8)
+        out[:, r] = theta[:, list(p.edge_ids)].all(axis=1)
+    return out
 
 
 def regions_matrix(regions: list[tuple[int, ...]], n_edges: int) -> np.ndarray:
@@ -303,25 +303,12 @@ def validate_dataset(ds: Dataset) -> list[str]:
 
     if ds.theta.shape[1] != E:
         out.append(f"world matrix has {ds.theta.shape[1]} columns, expected {E}")
-    if ds.membership.shape != (ds.num_worlds, ds.num_paths):
-        out.append("membership matrix shape mismatch")
 
-    paths_in_range = True
     for r, p in enumerate(ds.paths):
         if p.edge_ids and (min(p.edge_ids) < 0 or max(p.edge_ids) >= E):
             out.append(f"path {r} references edge id out of range")
-            paths_in_range = False
         elif not path_is_connected(g, p):
             out.append(f"path {r} is not a connected start-goal edge sequence")
-
-    shapes_match = ds.membership.shape == (ds.num_worlds, ds.num_paths) and ds.theta.shape[1] == E
-    if shapes_match and paths_in_range and ds.paths:
-        recomputed = compute_membership(ds.theta, ds.paths)
-        bad = np.argwhere(recomputed != ds.membership)
-        for h, r in bad[:20]:
-            out.append(f"membership[{h}][{r}] inconsistent with world outcomes")
-        if len(bad) > 20:
-            out.append(f"... and {len(bad) - 20} more membership inconsistencies")
 
     split = np.concatenate([ds.train, ds.test])
     if len(np.intersect1d(ds.train, ds.test)):

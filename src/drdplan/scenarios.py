@@ -51,7 +51,6 @@ class ScenarioSpec:
     kind: str
     rows: int
     cols: int
-    connectivity: int = 8
     seed: int = 0
     # forest
     n_discs: int = 6
@@ -70,8 +69,6 @@ class ScenarioSpec:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.rows < 5 or self.cols < 5:
             raise ValueError("grid must be at least 5x5")
-        if self.connectivity != 8:
-            raise ValueError("only 8-connected grids are supported")
         if self.kind == "forest":
             # A disc wider than rows + cols already blocks every edge.
             if self.n_discs < 0 or not 0 < self.disc_radius <= self.rows + self.cols:
@@ -135,7 +132,7 @@ class ScenarioSpec:
         return lo, hi
 
 
-def build_grid_graph(rows: int, cols: int, connectivity: int = 8) -> ExplicitGraph:
+def build_grid_graph(rows: int, cols: int) -> ExplicitGraph:
     """8-connected integer lattice; unit evaluation cost, Euclidean lengths.
 
     Vertex (r, c) has id r * cols + c and position (x=c, y=r).  Start is the
@@ -143,8 +140,6 @@ def build_grid_graph(rows: int, cols: int, connectivity: int = 8) -> ExplicitGra
     """
     if rows < 2 or cols < 2:
         raise ValueError("grid must be at least 2x2")
-    if connectivity != 8:
-        raise ValueError("only 8-connected grids are supported")
     positions = np.array(
         [(c, r) for r in range(rows) for c in range(cols)], dtype=np.float64
     )
@@ -475,7 +470,7 @@ def generate_dataset(
         raise ValueError("need at least 10 worlds")
     root_seed = spec.seed if seed is None else seed
 
-    graph = build_grid_graph(spec.rows, spec.cols, spec.connectivity)
+    graph = build_grid_graph(spec.rows, spec.cols)
     theta = np.empty((n_worlds, graph.num_edges), dtype=np.uint8)
     ds = split_dataset(Dataset(graph, theta, [], membership=None), test_fraction, root_seed)
     ds.paths, truncated = build_path_library(graph, k, m, root_seed)

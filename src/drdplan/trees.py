@@ -69,7 +69,8 @@ def bias_vector(rows: np.ndarray, status: np.ndarray, alpha: float) -> np.ndarra
     """Per-edge validity bias: alpha * empirical fraction over the outcome
     rows + (1 - alpha) * 0.5; edges observed in status (the episode's
     int8 edge status, see drdplan.traces) use their outcome instead of the
-    fraction.  Entries stay inside [(1-a)/2, 1-(1-a)/2]."""
+    fraction.  Entries stay inside [(1-a)/2, (1+a)/2] (the upper end up to
+    one rounding when a < 0.5): both outcomes keep positive probability."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     if len(rows) == 0:

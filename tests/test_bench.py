@@ -221,9 +221,10 @@ def test_pool_never_has_more_workers_than_worlds(ds, tree, monkeypatch):
 
 # sha256 of the compiled tree and of every policy's canonical traces on the
 # fixture above, and of the two tree policies' traces on a fixture whose tree
-# has 4 handoff leaves.  Refactors must leave these bytes alone.
+# has 4 handoff leaves.  Refactors must leave these bytes alone.  The tree
+# was re-pinned at dataset schema 2, whose dataset hash it records.
 PINNED = {
-    "tree": "438574b06d9947e55a6f94a1b7dc003e7a1b82fc58ae49e721795d794a390996",
+    "tree": "3af994a8a3a5f75707125a271fbc938dd8d289d54729dcd604e312ced0ed3d1c",
     "lazysp-graph": "74c40618a9fe11503cc84f5b67f77f8363ba2da4d89648c7f9b9c9a6239ff806",
     "lazysp-set": "802e31005fa50aeb5819293094bc52559714342d9ee5cd0a0b6d7719c4a9d21d",
     "random": "2ca28a2881696ab9120215440db9db403b4d15b4872aafd7925aaa47059a3d76",
@@ -256,15 +257,16 @@ def test_artifact_bytes_pinned(ds, tree):
 
 # sha256 of a whole run file, header and traces, of the fixture above; its
 # worlds end solved and dead.  Recorded before the run-file codec moved
-# into drdplan.traces and the canonical writer into drdplan.io.
-RUN_FILE_PINNED = "f9bc33caeec8ba3c66a271383a21ee420bf90a21cfcf76bdbc16877efaca6d9b"
+# into drdplan.traces and the canonical writer into drdplan.io, and
+# re-pinned at dataset schema 2 with the params that run writes.
+RUN_FILE_PINNED = "9af92f8cf7f9ae52ade286cc82fba859df69292a833756aee241012a0e16b309"
 
 
 def test_run_file_bytes_pinned(ds, tree, tmp_path):
     path = str(tmp_path / "direct+bisect.json")
     traces = run_policy("direct+bisect", ds, "test", tree, seed=0)
     save_runs(path, "direct+bisect", ds, traces, seed=0,
-              params={"alpha": 0.9, "policy": "direct+bisect"})
+              params={"alpha": 0.9, "split": "test"})
     with open(path, "rb") as f:
         assert hashlib.sha256(f.read()).hexdigest() == RUN_FILE_PINNED
 

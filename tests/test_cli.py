@@ -78,7 +78,7 @@ def test_run_file_carries_config(pipeline):
     with open(os.path.join(pipeline["runs"], "random.json")) as f:
         doc = json.load(f)
     assert doc["policy"] == "random"
-    assert doc["params"]["policy"] == "random"
+    assert doc["params"] == {"alpha": 0.9, "split": "test"}
     assert doc["dataset_hash"]
 
 
@@ -223,8 +223,10 @@ def test_report_columns_of_two_datasets_of_one_kind_differ(tmp_path):
 
 
 # gen_args("d.bin") output, pinned: sampling the worlds after the split and
-# the library draws them from the same substreams as before.
-GEN_SHA256 = "4b68a318b2319c4acbfe9fd8e8af9516fe94691c33e187b21e9a06fe8bc33509"
+# the library draws them from the same substreams as before.  Re-pinned at
+# dataset schema 2, which keeps the schema-1 bytes but for the membership
+# line, n_paths, the scenario's connectivity and the echoed command line.
+GEN_SHA256 = "5ae330a10ebc0be751b51c4dcbb36b4324448fbf7fee3d7506d41316a5e5937e"
 
 
 def test_gen_checks_its_arguments_before_sampling_a_world(tmp_path, capsys, monkeypatch):
@@ -315,8 +317,6 @@ def test_help_shows_defaults(capsys):
 
 
 def test_gen_deterministic_bytes(tmp_path, capsys, monkeypatch):
-    # The full CLI config (including --out) is echoed into provenance, so
-    # byte-identity needs identical relative paths from different cwds.
     for sub in ("a", "b"):
         d = tmp_path / sub
         d.mkdir()
@@ -325,6 +325,36 @@ def test_gen_deterministic_bytes(tmp_path, capsys, monkeypatch):
     with open(tmp_path / "a" / "d.bin", "rb") as fa, \
             open(tmp_path / "b" / "d.bin", "rb") as fb:
         assert fa.read() == fb.read()
+
+
+# An artifact records only the settings that shape its contents: no file
+# name and no --jobs.
+
+
+def test_gen_bytes_do_not_depend_on_the_out_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert run(gen_args("a.bin")) == EXIT_OK
+    assert run(gen_args(os.path.join("sub", "b.bin"))) == EXIT_OK
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "sub" / "b.bin").read_bytes()
+
+
+def test_tree_bytes_do_not_depend_on_file_names(pipeline, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(pipeline["ds"], "a.bin")
+    assert run(["compile-tree", "--dataset", "a.bin", "--out", "t1.json"]) == EXIT_OK
+    assert run(["compile-tree", "--dataset", "./a.bin", "--out", "t2.json"]) == EXIT_OK
+    assert (tmp_path / "t1.json").read_bytes() == (tmp_path / "t2.json").read_bytes()
+
+
+def test_run_file_does_not_depend_on_jobs(pipeline, tmp_path):
+    files = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert run(["run", "--dataset", pipeline["ds"], "--policy", "direct+bisect",
+                    "--tree", pipeline["tree"], "--jobs", jobs, "--out", str(out)]) == EXIT_OK
+        files.append((out / "direct+bisect.json").read_bytes())
+    assert files[0] == files[1]
 
 
 def test_hashless_tree_is_contract_error(pipeline, tmp_path, capsys):
@@ -390,6 +420,9 @@ _BAD_RUNS = {
         p, lambda d: _solved_trace(d)["path_edges"].__setitem__(0, -1)),
     "runs-path-index-range": lambda p: _edited_run_file(
         p, lambda d: _solved_trace(d)["terminal"].__setitem__("path_index", -1)),
+    # The reference alone, so that only the repeated world can fail the report.
+    "runs-repeat": lambda p: _edited_run_file(
+        p, lambda d: d.update(policy="direct+bisect", traces=d["traces"] + d["traces"][:1])),
 }
 
 

@@ -88,14 +88,6 @@ def test_validate_clean_dataset():
     assert validate_dataset(small_dataset()) == []
 
 
-def test_validate_catches_flipped_membership():
-    ds = small_dataset()
-    ds.membership = ds.membership.copy()
-    ds.membership[0, 0] ^= 1
-    violations = validate_dataset(ds)
-    assert any("membership" in v for v in violations)
-
-
 def test_validate_catches_disconnected_path():
     ds = small_dataset()
     ds.paths[0] = Path((0, 0))  # repeated edge cannot chain start -> goal

@@ -198,12 +198,14 @@ def test_dataset_provenance_fields():
 
 
 # sha256 of generate_dataset(ScenarioSpec(kind, 7, 7, seed=11), 40, 60, 12,
-# test_fraction=0.25) bytes, pinned before the obstacle tests were broadcast.
+# test_fraction=0.25) bytes, pinned before the obstacle tests were broadcast
+# and re-pinned at dataset schema 2: the schema-1 bytes without the
+# membership line, n_paths and the scenario's connectivity.
 DATASET_SHA256 = {
-    "forest": "821ea11e675b37ae911ef7855e4ff677bb66ce396041d809faf8a0db9344fcf6",
-    "onewall": "caa063576b8b475ac6dd904e378969eb436f1d0b00dd6bd6b3c3e32b601de989",
-    "twowall": "95d4c3d7a88a10bd843e4ffcc6927347d51344aabb572efc6bb89ffbcf6021e2",
-    "baffle": "0b273954ee35d9c28b1516f2dfd4cd85fc72d0e676fe2afbdbe4ca173fb18067",
+    "forest": "5750f7a4a73073ec546a63d851bc746b0e3082ea6542c67adf121933de8c6809",
+    "onewall": "213562a2aab136b9efe59dc4728bec332dc443b37514c82014b856c69e015761",
+    "twowall": "7cc7d52fbd0cfc500419099cced0368d884c5ebd51ba6e91553c22f65154cd9f",
+    "baffle": "345088b58cd88d9f655d61c1a21ef6dabaf99c800fdf343549d2cc4f456eb9ba",
 }
 
 
