@@ -16,7 +16,6 @@ from drdplan import ec2
 from drdplan.bernoulli import (
     BernoulliBelief,
     bisect_policy,
-    conditional_region_weights,
     select_test_bernoulli,
 )
 from drdplan.model import Library
@@ -59,14 +58,13 @@ def part2_bernoulli_vs_enumeration() -> None:
 
     belief = BernoulliBelief(beta=beta)
     library = Library.build(regions, n_edges)
-    roots = conditional_region_weights(belief, library)
     vs = prob.root_version_space()
 
     world = np.array([1, 1, 0, 1])  # ground truth: path 0 is valid
     print(f"true world: {world.tolist()}  regions: {regions}")
     while True:
         cand = [e for e in range(n_edges) if belief.status[e] == 0]
-        sel_b = select_test_bernoulli(belief, library, np.ones(n_edges), cand, roots)
+        sel_b = select_test_bernoulli(belief, library, np.ones(n_edges), cand)
         sel_e = ec2.select_test(vs, prob, cand)
         if sel_b is None:
             break

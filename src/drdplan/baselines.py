@@ -12,6 +12,7 @@ shortest-path tie-break are then exact.
 from __future__ import annotations
 
 import heapq
+from functools import cmp_to_key
 
 import numpy as np
 
@@ -126,40 +127,45 @@ def lazysp_graph(
             return trace
 
 
+def shortest_first(library: Library, graph: ExplicitGraph) -> list[int]:
+    """The library's path indices by exact length, shortest first, ties to
+    the lowest index (sorted is stable): lazysp_set's candidate order."""
+    w = graph.exact_length()
+    length = [(sum(w[e][0] for e in p), sum(w[e][1] for e in p)) for p in library.paths]
+    by_length = cmp_to_key(lambda r, s: _lt(length[s], length[r]) - _lt(length[r], length[s]))
+    return sorted(range(len(length)), key=by_length)
+
+
 def lazysp_set(
-    library: Library, graph: ExplicitGraph, oracle, trace: RunTrace, status: np.ndarray
+    library: Library, order, graph: ExplicitGraph, oracle, trace: RunTrace, status: np.ndarray
 ) -> RunTrace:
     """LazySP restricted to the library: candidate is the shortest surviving
-    library path (ties to the lowest index).  The library must carry its
-    exact path lengths.
+    library path (ties to the lowest index).  order is the library's
+    shortest_first, computed once per run.
 
     It reads only the live paths (no known-invalid edge), so it keeps only
     the live mask of the model.LibraryStatus built at the start of the
     episode.  After each refuted candidate, each invalid outcome that check
     recorded kills the paths through its edge; valid outcomes never change
-    the mask.  So it is the mask a status built from scratch gives."""
+    the mask.  So it is the mask a status built from scratch gives.  A
+    refuted candidate is dead, so the walk down the order never turns back:
+    the next candidate is the next live path in the order."""
     if not library.paths:
         raise ValueError("library must be nonempty")
-    if library.lengths is None:
-        raise ValueError("library was built without edge lengths")
-    lengths = library.lengths
     live = LibraryStatus(library, status).live
-    while True:
-        best = None
-        for r in np.flatnonzero(live).tolist():
-            if best is None or _lt(lengths[r], lengths[best]):
-                best = r
-        if best is None:
-            trace.terminal = AllRegionsDead()
-            return trace
+    for r in order:
+        if not live[r]:
+            continue
         seen = len(trace.records)
-        if check_path(library.paths[best], status, oracle, graph.eval_cost, trace):
-            trace.terminal = Solved(best)
-            trace.path_edges = library.paths[best]
+        if check_path(library.paths[r], status, oracle, graph.eval_cost, trace):
+            trace.terminal = Solved(r)
+            trace.path_edges = library.paths[r]
             return trace
         for edge, outcome, _ in trace.records[seen:]:
             if not outcome:
                 live[library.through[edge]] = False
+    trace.terminal = AllRegionsDead()
+    return trace
 
 
 def random_policy(

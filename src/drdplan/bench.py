@@ -87,10 +87,8 @@ def _checked_tree(dataset: Dataset, tree: trees.DecisionTree | None, policy: str
 # time, so that a wrapper installed on a module attribute sees every call.
 
 
-def _library(dataset: Dataset, edge_lengths=None) -> Library:
-    return Library.build(
-        [p.edge_ids for p in dataset.paths], dataset.graph.num_edges, edge_lengths
-    )
+def _library(dataset: Dataset) -> Library:
+    return Library.build([p.edge_ids for p in dataset.paths], dataset.graph.num_edges)
 
 
 def _lazysp_graph(dataset, tree, train_idx, seed, alpha):
@@ -101,9 +99,10 @@ def _lazysp_graph(dataset, tree, train_idx, seed, alpha):
 
 
 def _lazysp_set(dataset, tree, train_idx, seed, alpha):
-    library = _library(dataset, dataset.graph.exact_length())
+    library = _library(dataset)
+    order = baselines.shortest_first(library, dataset.graph)
     return lambda oracle, trace, status: baselines.lazysp_set(
-        library, dataset.graph, oracle, trace, status
+        library, order, dataset.graph, oracle, trace, status
     )
 
 

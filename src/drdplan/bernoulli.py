@@ -74,7 +74,7 @@ def clamp_bias(beta: np.ndarray, alpha: float) -> np.ndarray:
     return np.clip(np.asarray(beta, dtype=np.float64), lo, 1.0 - lo)
 
 
-def _state(belief: BernoulliBelief, library: Library):
+def _state(belief: BernoulliBelief, library: Library, state=None, edge: int | None = None):
     """Per-region products used by the closed-form weight.
 
     Returns (theta, p_r, prod_theta2_r, prod_s_r, S) where
@@ -82,27 +82,20 @@ def _state(belief: BernoulliBelief, library: Library):
     product is one gather through library.index, whose pad entries read a
     trailing 1.0, so every row multiplies its own edges in ascending id
     order and the pad leaves the product unchanged.
+
+    Built over every row when state is None.  Given the state from before
+    the belief observed edge, updates it in place over the rows of the
+    paths through the edge, library.through[edge], multiplied in the same
+    order: every product keeps the bits a state from scratch gives it.
     """
-    theta = belief.theta_eff
-    s = theta * theta + (1.0 - theta) * (1.0 - theta)
-    th2 = theta * theta
-    idx = library.index
-    p_r = np.append(theta, 1.0)[idx].prod(axis=1)
-    pt2_r = np.append(th2, 1.0)[idx].prod(axis=1)
-    ps_r = np.append(s, 1.0)[idx].prod(axis=1)
-    S = float(np.prod(s))
-    return theta, p_r, pt2_r, ps_r, S
-
-
-def _observed_state(state, library: Library, edge: int, outcome: int):
-    """The _state of a belief after it observed edge, from its _state
-    before, which it updates in place.  Only the products of the paths
-    through the edge change.  Their rows are gathered again through
-    library.index and multiplied in the same order, so every product
-    keeps the bits _state would give it."""
-    theta, p_r, pt2_r, ps_r, _ = state
-    theta[edge] = 1.0 if outcome else 0.0
-    rows = library.through[edge]
+    if state is None:
+        theta = belief.theta_eff
+        p_r, pt2_r, ps_r = np.empty((3, library.index.shape[0]))
+        rows = slice(None)
+    else:
+        theta, p_r, pt2_r, ps_r, _ = state
+        theta[edge] = belief.status[edge] > 0
+        rows = library.through[edge]
     t = np.append(theta, 1.0)[library.index[rows]]
     t2 = t * t
     p_r[rows], pt2_r[rows] = t.prod(axis=1), t2.prod(axis=1)
@@ -141,7 +134,6 @@ def select_test_bernoulli(
     library: Library,
     eval_cost: np.ndarray,
     candidates,
-    root_weights: np.ndarray,
     state=None,
 ) -> tuple[int, float] | None:
     """Same selection contract as the enumeration engine: argmax of the
@@ -170,7 +162,7 @@ def select_test_bernoulli(
         raise ValueError("candidates must be unobserved edges")
     th_c = theta[cand]
 
-    mask, Km, wm = live_regions(p_r, S - pt2_r * (S / ps_r), root_weights)
+    mask, Km, wm = live_regions(p_r, S - pt2_r * (S / ps_r))
     if not mask.any():
         return None
     pm = p_r[mask]
@@ -211,8 +203,9 @@ def bisect_policy(
     first trie node with no step yet.  That node has no children, so every
     later node of the episode is new too: after each evaluation the status
     observes the edge and the products of the paths through it are
-    gathered again (_observed_state), bit for bit the state built from
-    scratch.  Root weights for the residual are frozen at entry.  When no
+    gathered again (_state given the state before), bit for bit the state
+    built from scratch.  No root weight is read: the score is a ratio of
+    residuals, and a region with weight now had weight at entry.  When no
     candidate scores above ec2.SCORE_TOL (a residual product that
     underflows, or evaluation costs so large that every score rounds
     away), the policy falls back to the first open edge, which preserves
@@ -221,20 +214,14 @@ def bisect_policy(
     memo is the root of a decision trie that the episodes entering with one
     belief (bias and status) share; None gives a private one.  A node maps
     "step" to its step once computed (Solved, AllRegionsDead or an edge id)
-    and each outcome, 0 or 1, to a child; the root also maps "root_weights"
-    to the frozen root weights.  A step depends only on that belief, the
-    library, eval_cost and the outcomes on the way to its node, so each
-    node's step is computed once.
+    and each outcome, 0 or 1, to a child; the root is a node like any
+    other.  A step depends only on that belief, the library, eval_cost and
+    the outcomes on the way to its node, so each node's step is computed
+    once.
     """
     if library.num_edges != belief.num_edges:
         raise ValueError("library and belief disagree on the number of edges")
-    root = node = {} if memo is None else memo
-    if "root_weights" not in root:
-        # Only the positivity mask of the frozen root weights matters to the
-        # selection rule; the conditional form cannot underflow however many
-        # observations the belief already carries.
-        root["root_weights"] = conditional_region_weights(belief, library)
-
+    node = {} if memo is None else memo
     paths = state = None  # built at the first node with no step
     while True:
         if "step" not in node:
@@ -248,9 +235,7 @@ def bisect_policy(
                 node["step"] = AllRegionsDead()
             else:
                 cand = np.flatnonzero(paths.open)
-                sel = select_test_bernoulli(
-                    belief, library, eval_cost, cand, root["root_weights"], state
-                )
+                sel = select_test_bernoulli(belief, library, eval_cost, cand, state)
                 node["step"] = sel[0] if sel is not None else int(cand[0])
         step = node["step"]
         if not isinstance(step, int):  # a verdict
@@ -261,5 +246,5 @@ def bisect_policy(
         outcome = trace.evaluate(step, oracle, eval_cost, belief.status)
         if paths is not None:
             paths.observe(step, outcome)
-            state = _observed_state(state, library, step, outcome)
+            state = _state(belief, library, state, step)
         node = node.setdefault(outcome, {})

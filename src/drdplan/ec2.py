@@ -7,12 +7,16 @@ with the best expected residual reduction per unit cost.
 
 Weights are pairwise prior masses and are never renormalized as the
 version space shrinks.  The DIRECT step (select_test and the eta handoff
-of direct_step) reads them through the unit weights: the prior rescaled so
-that its largest entry is 1.0.  Every quantity it compares is a ratio of
-masses, so the scale changes nothing in real arithmetic; under a uniform
-prior every mass becomes an integer count, exact in any summation order,
-so restricting the sums to the active worlds moves no bit and equal
-scores tie exactly.
+of direct_step) reads them through the unit weights, DrdProblem.unit: the
+prior rescaled so that its largest entry is 1.0.  Every quantity it
+compares is a ratio of masses, so the scale changes nothing in real
+arithmetic; under a uniform prior every mass becomes an integer count,
+exact in any summation order, so restricting the sums to the active
+worlds moves no bit and equal scores tie exactly.
+
+No step reads a root weight: a score is a ratio of residuals, where it
+cancels, and a region weight only falls as the version space shrinks, so
+a region with weight at an unsolved node had weight at the root.
 
 select_test scores from a split table (split_table): every test's branch
 masses, in total and per region, over a set of worlds.  Each entry is a
@@ -58,27 +62,22 @@ def _blocks(n: int, width: int):
 
 @dataclass(frozen=True)
 class VersionSpace:
-    """Surviving hypotheses with their (fixed) prior weights, and the edge
-    status (drdplan.traces) of the tests observed on the way here; observe
-    gives each child its own copy, so sibling branches never share one."""
+    """Surviving hypotheses, and the edge status (drdplan.traces) of the
+    tests observed on the way here; observe gives each child its own copy,
+    so sibling branches never share one."""
 
     active: np.ndarray  # bool, one flag per hypothesis
-    prior: np.ndarray  # positive reals, never renormalized
     status: np.ndarray  # int8, one entry per test
 
     @property
     def active_count(self) -> int:
         return int(self.active.sum())
 
-    def unit_weights(self) -> np.ndarray:
-        """The prior rescaled so that its largest entry is 1.0 (all ones
-        under a uniform prior)."""
-        return self.prior / self.prior.max()
-
 
 @dataclass
 class DrdProblem:
-    """Shared read-only matrices plus cached root-region weights."""
+    """Shared read-only matrices plus the cached root-region weights and
+    unit weights (the prior over its largest entry)."""
 
     membership: np.ndarray  # (N, m) 0/1
     outcomes: np.ndarray  # (N, E) 0/1
@@ -92,10 +91,10 @@ class DrdProblem:
         self.prior = np.asarray(self.prior, dtype=np.float64)
         if np.any(self.prior <= 0):
             raise ValueError("prior weights must be strictly positive")
-        unit = self.prior / self.prior.max()
+        self.unit = self.prior / self.prior.max()
         # Every branch and region mass is then an integer count, exact in
         # any summation order (the uniform prior: all ones).
-        self.integer_weights = bool(np.all(unit == np.round(unit)))
+        self.integer_weights = bool(np.all(self.unit == np.round(self.unit)))
         self.root_weights = region_weights(
             np.ones(self.outcomes.shape[0], dtype=bool), self.prior, self.membership
         )
@@ -110,22 +109,20 @@ class DrdProblem:
 
     def root_version_space(self) -> VersionSpace:
         active = np.ones(self.num_hypotheses, dtype=bool)
-        return VersionSpace(active, self.prior, np.zeros(self.num_tests, dtype=np.int8))
+        return VersionSpace(active, np.zeros(self.num_tests, dtype=np.int8))
 
 
-def problem_from_dataset(dataset, world_indices, prior=None) -> DrdProblem:
-    """DrdProblem over a subset of dataset worlds (uniform prior default)."""
+def problem_from_dataset(dataset, world_indices) -> DrdProblem:
+    """DrdProblem over a subset of dataset worlds, under the uniform prior."""
     idx = np.asarray(world_indices, dtype=np.int64)
     n = len(idx)
     if n == 0:
         raise ValueError("world_indices must be nonempty")
-    if prior is None:
-        prior = np.full(n, 1.0 / n)
     return DrdProblem(
         membership=dataset.membership[idx],
         outcomes=dataset.theta[idx],
         eval_cost=dataset.graph.eval_cost,
-        prior=prior,
+        prior=np.full(n, 1.0 / n),
     )
 
 
@@ -146,7 +143,7 @@ def region_weights(active: np.ndarray, prior: np.ndarray, membership: np.ndarray
 
 def weight_ec(vs: VersionSpace, problem: DrdProblem, r: int) -> float:
     """Weight of the r-th one-vs-all subproblem on the current version space."""
-    return float(region_weights(vs.active, vs.prior, problem.membership)[r])
+    return float(region_weights(vs.active, problem.prior, problem.membership)[r])
 
 
 def residual_from_weights(weights: np.ndarray, root_weights: np.ndarray) -> float:
@@ -159,7 +156,7 @@ def residual_from_weights(weights: np.ndarray, root_weights: np.ndarray) -> floa
 
 
 def residual(vs: VersionSpace, problem: DrdProblem) -> float:
-    w = region_weights(vs.active, vs.prior, problem.membership)
+    w = region_weights(vs.active, problem.prior, problem.membership)
     return residual_from_weights(w, problem.root_weights)
 
 
@@ -172,12 +169,12 @@ def conditional_weight(p: np.ndarray, K: np.ndarray) -> np.ndarray:
     return np.maximum(w, 0.0, out=w)
 
 
-def live_regions(p: np.ndarray, K: np.ndarray, root_weights: np.ndarray):
-    """The regions the residual product runs over: positive root weight,
-    positive posterior and positive conditional weight now.  Returns
-    (mask, K[mask], conditional weight[mask])."""
+def live_regions(p: np.ndarray, K: np.ndarray):
+    """The regions the residual product runs over: positive posterior and
+    positive conditional weight now; no root weight is read (see the
+    module docstring).  Returns (mask, K[mask], conditional weight[mask])."""
     w = conditional_weight(p, K)
-    mask = (np.asarray(root_weights) > 0) & (p > 0) & (w > 0)
+    mask = (p > 0) & (w > 0)
     return mask, K[mask], w[mask]
 
 
@@ -219,7 +216,6 @@ def split_table(problem: DrdProblem, worlds) -> np.ndarray:
     no world reaches is a sum of exact zeros, an exact zero."""
     idx = np.asarray(worlds, dtype=np.int64)
     E, width = problem.num_tests, 1 + problem.membership.shape[1]
-    top = problem.prior.max()
     branches = (1,) if problem.integer_weights else (1, 0)
     table = np.empty((2, E, width))
     partial = np.empty((E, width))
@@ -227,7 +223,7 @@ def split_table(problem: DrdProblem, worlds) -> np.ndarray:
     # No worlds make one empty block, whose products are zero tables.
     for i, block in enumerate(_blocks(idx.size, max(E, width)) or [slice(0)]):
         rows = idx[block]
-        u = problem.prior[rows] / top
+        u = problem.unit[rows]
         X = np.empty((rows.size, width))
         X[:, 0] = u
         np.multiply(problem.membership[rows], u[:, None], out=X[:, 1:])
@@ -268,7 +264,7 @@ def select_test(
     act = np.flatnonzero(vs.active)
     if act.size == 0:
         return None
-    w = vs.unit_weights()[act]
+    w = problem.unit[act]
     wsq = w * w
     tot = w.sum()
     m = problem.membership.shape[1]
@@ -279,7 +275,7 @@ def select_test(
         b += wsq[block] @ M
 
     K = (wsq.sum() - b) / (tot * tot)
-    mask, Km, wm = live_regions(a / tot, K, problem.root_weights)
+    mask, Km, wm = live_regions(a / tot, K)
     if not mask.any():
         return None
     if table is None:
@@ -329,7 +325,7 @@ def observe(
     status = vs.status.copy()
     status[edge] = 1 if outcome else -1
     new_active = vs.active & (problem.outcomes[:, edge] == outcome)
-    return VersionSpace(active=new_active, prior=vs.prior, status=status)
+    return VersionSpace(active=new_active, status=status)
 
 
 def is_solved(vs: VersionSpace, problem: DrdProblem):
@@ -363,8 +359,7 @@ def direct_step(vs: VersionSpace, problem: DrdProblem, eta: float, table=None):
     verdict = is_solved(vs, problem)
     if verdict is not None:
         return verdict
-    u = vs.unit_weights()
-    if u[vs.active].sum() > eta * u.sum():
+    if problem.unit[vs.active].sum() > eta * problem.unit.sum():
         candidates = np.flatnonzero(vs.status == 0)
         sel = None
         if candidates.size:

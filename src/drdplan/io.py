@@ -87,7 +87,7 @@ def _unpack_bits(blob: bytes, rows: int, cols: int) -> np.ndarray:
             f"bit matrix payload is {len(blob)} bytes, expected {rows * stride}"
         )
     packed = np.frombuffer(blob, dtype=np.uint8).reshape(rows, stride)
-    return np.unpackbits(packed, axis=1, bitorder="little")[:, :cols].copy()
+    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
 
 
 def _graph_to_json(g: ExplicitGraph) -> dict:

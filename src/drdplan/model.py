@@ -136,22 +136,17 @@ class Library:
              padded with E: a gather from a length-(E+1) vector whose last
              entry is 1.0 then multiplies each row in the same order as a
              product over the path's own edges.
-    lengths: each path's exact length as an integer pair (a, b), value
-             a + b*sqrt(2), or None when built without edge lengths.
     through: for each edge, the ascending ids of the paths that use it.
     """
 
     paths: tuple[tuple[int, ...], ...]
     inR: np.ndarray
     index: np.ndarray
-    lengths: tuple[tuple[int, int], ...] | None
     through: tuple[np.ndarray, ...]
 
     @classmethod
-    def build(cls, paths, n_edges: int, edge_lengths=None) -> Library:
-        """The library of the given edge-id sequences over n_edges edges;
-        edge_lengths, when given, holds each edge's exact (a, b) length
-        (ExplicitGraph.exact_length)."""
+    def build(cls, paths, n_edges: int) -> Library:
+        """The library of the given edge-id sequences over n_edges edges."""
         paths = tuple(tuple(int(e) for e in p) for p in paths)
         inR = regions_matrix(paths, n_edges)
         rows, cols = np.nonzero(inR)  # row-major: ascending edge id per path
@@ -163,15 +158,9 @@ class Library:
         users.setflags(write=False)
         ends = np.cumsum(inR.sum(axis=0)).tolist()
         through = tuple(users[a:b] for a, b in zip([0] + ends[:-1], ends))
-        lengths = None
-        if edge_lengths is not None:
-            lengths = tuple(
-                (sum(edge_lengths[e][0] for e in p), sum(edge_lengths[e][1] for e in p))
-                for p in paths
-            )
         inR.setflags(write=False)
         index.setflags(write=False)
-        return cls(paths, inR, index, lengths, through)
+        return cls(paths, inR, index, through)
 
     @property
     def num_edges(self) -> int:

@@ -92,7 +92,7 @@ def test_criterion_1_weight_oracle():
         if not active.any():
             active[int(rng.integers(n))] = True
         prob = ec2.DrdProblem(membership, np.zeros((n, 1), np.uint8), np.ones(1), prior)
-        vs = ec2.VersionSpace(active=active, prior=prior, status=np.zeros(1, np.int8))
+        vs = ec2.VersionSpace(active=active, status=np.zeros(1, np.int8))
         for r in range(m):
             oracle = pairwise_weight_oracle(prior, active, membership[:, r].astype(bool))
             assert abs(ec2.weight_ec(vs, prob, r) - oracle) <= 1e-12

@@ -13,6 +13,7 @@ from drdplan.baselines import (
     lazysp_graph,
     lazysp_set,
     random_policy,
+    shortest_first,
     shortest_path_edges,
 )
 from drdplan.model import ExplicitGraph, Library, Path, path_is_connected
@@ -27,7 +28,7 @@ def grid_and_library():
 
 
 def lib(paths, graph):
-    return Library.build([p.edge_ids for p in paths], graph.num_edges, graph.exact_length())
+    return Library.build([p.edge_ids for p in paths], graph.num_edges)
 
 
 def fresh(graph, world_index=-1):
@@ -46,9 +47,10 @@ def test_exact_metric_comparisons():
     assert _lt((0, 2), (3, 0))  # 2.828 < 3
     assert _lt((1, 1), (0, 2))  # 2.414 < 2.828
     assert not _lt((3, 0), (0, 2))
-    # Equality is exact pair equality.
-    assert Library.build([[0, 1, 0]], 2, graph.exact_length()).lengths[0] == (2, 1)
-    assert Library.build([[1, 0, 1]], 2, graph.exact_length()).lengths[0] == (1, 2) != (2, 1)
+    # Paths sort by exact length, and equality is exact pair equality: paths
+    # 1 and 2 are both 2 + sqrt(2) and keep their index order, path 0 is
+    # 1 + 2*sqrt(2).
+    assert shortest_first(Library.build([[1, 0, 1], [0, 1, 0], [0, 0, 1]], 2), graph) == [1, 2, 0]
     with pytest.raises(ValueError):
         replace(graph, length=np.array([1.0, 0.5])).exact_length()
 
@@ -144,7 +146,8 @@ def test_lazysp_graph_detour():
 
 def test_lazysp_set_all_valid_uses_path_zero():
     graph, paths = grid_and_library()
-    trace = lazysp_set(lib(paths, graph), graph, lambda e: 1, *fresh(graph))
+    library = lib(paths, graph)
+    trace = lazysp_set(library, shortest_first(library, graph), graph, lambda e: 1, *fresh(graph))
     assert trace.terminal == Solved(0)
     assert [r[0] for r in trace.records] == list(paths[0].edge_ids)
 
@@ -154,7 +157,9 @@ def test_lazysp_set_moves_on_after_first_invalid():
     dead = paths[0].edge_ids[0]
     world = np.ones(graph.num_edges, dtype=np.uint8)
     world[dead] = 0
-    trace = lazysp_set(lib(paths, graph), graph, lambda e: int(world[e]), *fresh(graph))
+    library = lib(paths, graph)
+    order = shortest_first(library, graph)
+    trace = lazysp_set(library, order, graph, lambda e: int(world[e]), *fresh(graph))
     assert trace.records[0] == (dead, 0, 1.0)
     assert isinstance(trace.terminal, Solved) and trace.terminal.path_index != 0
     assert all(world[e] == 1 for e in trace.path_edges)
@@ -162,7 +167,8 @@ def test_lazysp_set_moves_on_after_first_invalid():
 
 def test_lazysp_set_all_dead():
     graph, paths = grid_and_library()
-    trace = lazysp_set(lib(paths, graph), graph, lambda e: 0, *fresh(graph))
+    library = lib(paths, graph)
+    trace = lazysp_set(library, shortest_first(library, graph), graph, lambda e: 0, *fresh(graph))
     assert isinstance(trace.terminal, AllRegionsDead)
     evaluated = {e: o for e, o, _ in trace.records}
     for p in paths:
@@ -233,11 +239,13 @@ def test_random_policy_builds_one_status_per_episode(monkeypatch):
 def lazysp_set_rebuilding(library, graph, oracle, trace, status):
     """Reference: lazysp_set with a status built from scratch before each
     candidate."""
+    w = graph.exact_length()
+    lengths = [(sum(w[e][0] for e in p), sum(w[e][1] for e in p)) for p in library.paths]
     while True:
         live = baselines.LibraryStatus(library, status).live
         best = None
         for r in np.flatnonzero(live).tolist():
-            if best is None or _lt(library.lengths[r], library.lengths[best]):
+            if best is None or _lt(lengths[r], lengths[best]):
                 best = r
         if best is None:
             trace.terminal = AllRegionsDead()
@@ -267,7 +275,9 @@ def test_lazysp_set_builds_one_status_per_episode(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(baselines, "LibraryStatus", Spy)
-    got = [lazysp_set(library, graph, lambda e, w=w: int(w[e]), *fresh(graph)) for w in worlds]
+    order = shortest_first(library, graph)
+    got = [lazysp_set(library, order, graph, lambda e, w=w: int(w[e]), *fresh(graph))
+           for w in worlds]
     assert len(built) == len(worlds)
     assert [t.records for t in got] == [t.records for t in want]
     assert [t.terminal for t in got] == [t.terminal for t in want]

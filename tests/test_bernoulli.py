@@ -95,7 +95,7 @@ def test_weight_matches_enumeration():
             belief.observe(edge, outcome)
             vs = ec2.observe(vs, prob, edge, outcome)
         got = region_weights_bernoulli(belief, library)
-        want = ec2.region_weights(vs.active, vs.prior, prob.membership)
+        want = ec2.region_weights(vs.active, prob.prior, prob.membership)
         assert np.allclose(got, want, atol=1e-12, rtol=0)
 
 
@@ -113,6 +113,26 @@ def test_conditional_weight_factorization():
     assert np.allclose(full, mass * mass * cond, atol=1e-15, rtol=0)
 
 
+def test_region_with_weight_had_weight_at_entry():
+    # BISECT reads no root weight: after any observations, a region whose
+    # conditional weight is positive had a positive one when the episode
+    # entered, so masking by the entry weights would change nothing.
+    rng = np.random.default_rng(61)
+    nodes = 0
+    for _ in range(300):
+        n_edges = int(rng.integers(1, 40))
+        library = Library.build(random_regions(rng, n_edges, int(rng.integers(1, 20))), n_edges)
+        belief = BernoulliBelief(beta=rng.uniform(0.01, 0.99, n_edges))
+        for e in rng.choice(n_edges, size=int(rng.integers(0, n_edges)), replace=False):
+            belief.observe(int(e), int(rng.random() < 0.8))
+        at_entry = conditional_region_weights(belief, library) > 0
+        for e in rng.permutation(np.flatnonzero(belief.status == 0)).tolist():
+            belief.observe(e, int(rng.random() < 0.8))
+            assert not (conditional_region_weights(belief, library) > 0)[~at_entry].any()
+            nodes += 1
+    assert nodes > 1000
+
+
 # --- selection -------------------------------------------------------------
 
 def test_on_path_edge_beats_off_path():
@@ -121,8 +141,7 @@ def test_on_path_edge_beats_off_path():
     regions = [(0, 1)]
     library = Library.build(regions, 3)
     belief = BernoulliBelief(beta=beta)
-    roots = conditional_region_weights(belief, library)
-    sel = select_test_bernoulli(belief, library, np.ones(3), [0, 1, 2], roots)
+    sel = select_test_bernoulli(belief, library, np.ones(3), [0, 1, 2])
     assert sel is not None and sel[0] in (0, 1)
     # The enumeration engine agrees.
     prob = enumeration_problem(beta, regions)
@@ -135,17 +154,15 @@ def test_off_path_candidates_score_nothing():
     beta = np.array([0.5, 0.5, 0.5])
     library = Library.build([(0,)], 3)
     belief = BernoulliBelief(beta=beta)
-    roots = conditional_region_weights(belief, library)
-    assert select_test_bernoulli(belief, library, np.ones(3), [1, 2], roots) is None
+    assert select_test_bernoulli(belief, library, np.ones(3), [1, 2]) is None
 
 
 def test_select_rejects_observed_candidates():
     belief = BernoulliBelief(beta=np.array([0.5, 0.5]))
     belief.observe(0, 1)
     library = Library.build([(0, 1)], 2)
-    roots = conditional_region_weights(BernoulliBelief(beta=np.array([0.5, 0.5])), library)
     with pytest.raises(ValueError):
-        select_test_bernoulli(belief, library, np.ones(2), [0, 1], roots)
+        select_test_bernoulli(belief, library, np.ones(2), [0, 1])
 
 
 # --- termination predicates ------------------------------------------------
@@ -237,8 +254,7 @@ def test_shared_trie_walks_like_a_private_one(monkeypatch):
                 m.setattr(bernoulli, name, lambda *args: pytest.fail("a step was recomputed"))
             for world in worlds:
                 run(world, trie)
-        # Children are keyed by outcome alone; only the root holds an array.
-        assert isinstance(trie.pop("root_weights"), np.ndarray)
+        # Every node, the root included, is keyed by outcome alone.
         nodes = [trie]
         for node in nodes:
             assert "step" in node and set(node) <= {"step", 0, 1}
@@ -304,7 +320,6 @@ def run_equivalence_instance(rng, n_edges, n_regions):
     prob = enumeration_problem(beta, regions)
     library = Library.build(regions, n_edges)
     belief = BernoulliBelief(beta=beta)
-    roots_b = conditional_region_weights(belief, library)
     vs = prob.root_version_space()
     cost = np.ones(n_edges)
 
@@ -321,13 +336,13 @@ def run_equivalence_instance(rng, n_edges, n_regions):
             return steps
         assert r_b is None and not dead_b
 
-        w_e = ec2.region_weights(vs.active, vs.prior, prob.membership)
+        w_e = ec2.region_weights(vs.active, prob.prior, prob.membership)
         w_b = region_weights_bernoulli(belief, library)
         assert np.allclose(w_e, w_b, atol=1e-12, rtol=0)
 
         cand = [t for t in range(n_edges) if belief.status[t] == 0]
         sel_e = ec2.select_test(vs, prob, cand)
-        sel_b = select_test_bernoulli(belief, library, cost, cand, roots_b)
+        sel_b = select_test_bernoulli(belief, library, cost, cand)
         if sel_e is None or sel_b is None:
             assert sel_e is None and sel_b is None
             return steps
@@ -357,11 +372,10 @@ def test_closed_form_outcome_zero_is_the_shared_rule():
         n_edges = int(rng.integers(1, 40))
         library = Library.build(random_regions(rng, n_edges, int(rng.integers(1, 20))), n_edges)
         belief = BernoulliBelief(beta=rng.uniform(0.05, 0.95, n_edges))
-        roots = conditional_region_weights(belief, library)
         for e in rng.choice(n_edges, size=int(rng.integers(0, n_edges)), replace=False):
             belief.observe(int(e), int(rng.random() < 0.8))
         _, p_r, pt2_r, ps_r, S = bernoulli._state(belief, library)
-        mask, Km, wm = ec2.live_regions(p_r, S - pt2_r * (S / ps_r), roots)
+        mask, Km, wm = ec2.live_regions(p_r, S - pt2_r * (S / ps_r))
         cand = np.flatnonzero(belief.status == 0)
         if not mask.any() or cand.size == 0:
             continue
@@ -416,9 +430,8 @@ def test_carried_state_equals_state_from_scratch_after_every_observe():
         belief = BernoulliBelief(beta=rng.uniform(0.01, 0.99, n_edges))
         state = bernoulli._state(belief, library)
         for e in rng.choice(n_edges, size=int(rng.integers(1, n_edges + 1)), replace=False):
-            outcome = int(rng.integers(2))
-            belief.observe(int(e), outcome)
-            state = bernoulli._observed_state(state, library, int(e), outcome)
+            belief.observe(int(e), int(rng.integers(2)))
+            state = bernoulli._state(belief, library, state, int(e))
             want = bernoulli._state(belief, library)
             for got, fresh in zip(state, want):
                 assert np.asarray(got).tobytes() == np.asarray(fresh).tobytes()

@@ -49,7 +49,7 @@ def test_weight_matches_pairwise_oracle_random():
         if not active.any():
             active[0] = True
         prob = ec2.DrdProblem(membership, np.zeros((n, 1), np.uint8), np.ones(1), prior)
-        vs = ec2.VersionSpace(active=active, prior=prior, status=np.zeros(1, np.int8))
+        vs = ec2.VersionSpace(active=active, status=np.zeros(1, np.int8))
         for r in range(m):
             oracle = pairwise_weight_oracle(prior, active, membership[:, r].astype(bool))
             assert abs(ec2.weight_ec(vs, prob, r) - oracle) <= 1e-12
@@ -65,7 +65,7 @@ def test_residual_root_is_one():
 def test_residual_zero_when_inside_region():
     prob = make_worked_problem()
     vs = ec2.VersionSpace(
-        active=np.array([False, True, True]), prior=prob.prior, status=np.zeros(1, np.int8)
+        active=np.array([False, True, True]), status=np.zeros(1, np.int8)
     )
     assert ec2.residual(vs, prob) == 0.0
 
@@ -74,9 +74,9 @@ def test_worked_instance_weights():
     prob = make_worked_problem()
     assert np.allclose(prob.root_weights, [2.0 / 9.0, 2.0 / 9.0], atol=1e-12, rtol=0)
     vs = ec2.VersionSpace(
-        active=np.array([False, True, True]), prior=prob.prior, status=np.zeros(1, np.int8)
+        active=np.array([False, True, True]), status=np.zeros(1, np.int8)
     )
-    w = ec2.region_weights(vs.active, vs.prior, prob.membership)
+    w = ec2.region_weights(vs.active, prob.prior, prob.membership)
     assert abs(w[0] - 1.0 / 9.0) <= 1e-12
     assert w[1] == 0.0
 
@@ -96,7 +96,7 @@ def test_zero_root_weight_region_excluded():
 def test_log_residual_ratio_hand_worked():
     # Three regions, each at posterior 1/2 now, with K = 1/4, 1/2, 1/4:
     # conditional weights (1 - 1/4 - K) / 2 = 1/4, 1/8, 1/4.
-    mask, Km, wm = ec2.live_regions(np.full(3, 0.5), np.array([0.25, 0.5, 0.25]), np.ones(3))
+    mask, Km, wm = ec2.live_regions(np.full(3, 0.5), np.array([0.25, 0.5, 0.25]))
     assert mask.all() and wm.tolist() == [0.25, 0.125, 0.25]
     p_o = np.array([
         [0.0, 0.5, 0.25],  # region 0 dead; region 1 keeps weight 1/8 under
@@ -114,12 +114,46 @@ def test_log_residual_ratio_hand_worked():
 
 
 def test_live_regions_mask():
-    p = np.array([0.5, 0.0, 0.5, 1.0])
-    K = np.array([0.25, 0.25, 0.25, 0.0])
-    mask, Km, wm = ec2.live_regions(p, K, np.array([1.0, 1.0, 0.0, 1.0]))
-    # dead now, zero root weight, and zero weight now each leave the product
-    assert mask.tolist() == [True, False, False, False]
+    p = np.array([0.5, 0.0, 1.0])
+    K = np.array([0.25, 0.25, 0.0])
+    mask, Km, wm = ec2.live_regions(p, K)
+    # dead now and zero weight now each leave the product
+    assert mask.tolist() == [True, False, False]
     assert Km.tolist() == [0.25] and wm.tolist() == [0.25]
+
+
+def test_region_with_weight_had_root_weight(monkeypatch):
+    # A pairwise region weight only falls as the version space shrinks, so
+    # live_regions needs no root-weight mask: along random observation
+    # paths, under uniform and random priors, every region with weight at a
+    # node that DIRECT scores (an unsolved one), and every region
+    # select_test keeps live there, has root weight.  (At a solved node, a
+    # region holding every world can show a round-off weight under a
+    # non-uniform prior; direct_step never scores there.)
+    masks, original = [], ec2.live_regions
+
+    def spy(p, K):
+        out = original(p, K)
+        masks.append(out[0])
+        return out
+
+    monkeypatch.setattr(ec2, "live_regions", spy)
+    rng = np.random.default_rng(23)
+    nodes = 0
+    for trial in range(200):
+        prob = random_problem(rng, None if trial % 2 else (lambda n: rng.uniform(0.1, 1.0, n)))
+        world = prob.outcomes[rng.integers(prob.num_hypotheses)]
+        vs = prob.root_version_space()
+        for edge in rng.permutation(prob.num_tests).tolist():
+            if ec2.is_solved(vs, prob) is None:
+                has_weight = ec2.region_weights(vs.active, prob.prior, prob.membership) > 0
+                assert (prob.root_weights[has_weight] > 0).all()
+                masks.clear()
+                ec2.select_test(vs, prob, np.flatnonzero(vs.status == 0))
+                assert all((prob.root_weights[mask] > 0).all() for mask in masks)
+                nodes += 1
+            vs = ec2.observe(vs, prob, edge, int(world[edge]))
+    assert nodes > 500
 
 
 # --- select_test -----------------------------------------------------------
@@ -352,9 +386,9 @@ def test_select_on_active_worlds_equals_problem_of_those_worlds():
         full = ec2.DrdProblem(membership, outcomes, cost, np.full(n, 1.0 / n))
         k = int(active.sum())
         sub = ec2.DrdProblem(membership[active], outcomes[active], cost, np.full(k, 1.0 / k))
-        got = ec2.select_test(ec2.VersionSpace(active, full.prior, status), full, cand)
+        got = ec2.select_test(ec2.VersionSpace(active, status), full, cand)
         want = ec2.select_test(
-            ec2.VersionSpace(np.ones(k, bool), sub.prior, status), sub, cand)
+            ec2.VersionSpace(np.ones(k, bool), status), sub, cand)
         assert got == want
         chosen += got is not None
     assert chosen > 50
@@ -371,7 +405,7 @@ def test_handoff_at_exactly_eta_times_n_active_worlds(n, eta, k):
     for count, want_split in ((k, False), (k + 1, True)):
         active = np.zeros(n, bool)
         active[n // 2 - count // 2: n // 2 - count // 2 + count] = True
-        vs = ec2.VersionSpace(active, prob.prior, np.zeros(1, np.int8))
+        vs = ec2.VersionSpace(active, np.zeros(1, np.int8))
         step = ec2.direct_step(vs, prob, eta)
         assert step == (0 if want_split else Handoff(count))
 
@@ -457,7 +491,7 @@ def test_blocked_select_test_equals_one_block(monkeypatch):
         cand = np.flatnonzero(status == 0)
         if not active.any() or cand.size == 0:
             continue
-        vs = ec2.VersionSpace(active, prob.prior, status)
+        vs = ec2.VersionSpace(active, status)
         picks = []
         for budget in (2**40, 1):
             monkeypatch.setattr(ec2, "BLOCK_ELEMENTS", budget)
@@ -479,7 +513,7 @@ def test_select_with_carried_table_equals_without():
         cand = np.flatnonzero(status == 0)
         if not parent.any() or cand.size == 0:
             continue
-        vs = ec2.VersionSpace(parent, prob.prior, status)
+        vs = ec2.VersionSpace(parent, status)
         want = ec2.select_test(vs, prob, cand)
         table = ec2.split_table(prob, np.flatnonzero(parent))
         assert ec2.select_test(vs, prob, cand, table) == want
@@ -490,6 +524,6 @@ def test_select_with_carried_table_equals_without():
             child = parent & (prob.outcomes[:, edge] == 1)
             if child.any():
                 carried = table - ec2.split_table(prob, np.flatnonzero(parent & ~child))
-                vs = ec2.VersionSpace(child, prob.prior, status)
+                vs = ec2.VersionSpace(child, status)
                 assert ec2.select_test(vs, prob, cand, carried) == ec2.select_test(vs, prob, cand)
     assert chosen > 50

@@ -3,6 +3,7 @@
 import base64
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,23 @@ def test_pack_bit_order_contract():
 def test_unpack_rejects_wrong_payload_size():
     with pytest.raises(FormatError):
         _unpack_bits(b"\x00", 2, 9)
+
+
+def test_unpack_decodes_into_the_final_array():
+    # The world matrix of 8,000 worlds on the 21x21 grid's 1,640 edges is
+    # decoded with no full-width intermediate: the traced peak is the
+    # result itself, not twice it.
+    rows, cols = 8000, 1640
+    mat = (np.random.default_rng(0).random((rows, cols)) < 0.5).astype(np.uint8)
+    blob = _pack_bits(mat)
+    tracemalloc.start()
+    try:
+        out = _unpack_bits(blob, rows, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, mat) and out.flags.c_contiguous and out.flags.writeable
+    assert peak <= 1.1 * mat.nbytes
 
 
 def test_roundtrip_identity(tmp_path):
