@@ -23,7 +23,7 @@ from drdplan.scenarios import ScenarioSpec, generate_dataset
 def main() -> None:
     spec = ScenarioSpec(kind="twowall", rows=11, cols=11, seed=42)
     print("generating TwoWall dataset (N=300, m=100)...")
-    ds = generate_dataset(spec, 300, 2000, 100, test_fraction=0.1, seed=42)
+    ds = generate_dataset(spec, 300, 2000, 100, test_fraction=0.1)
     print("compiling decision tree (eta=0.05)...")
     tree = trees.compile_from_dataset(ds, 0.05)
     stats = tree.params["stats"]

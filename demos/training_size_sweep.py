@@ -23,7 +23,7 @@ def main() -> None:
         gap_width=2, wall_row_lo=4, wall_row_hi=6, gap_col_lo=1, gap_col_hi=7,
     )
     print("generating dataset (N=500, m=100)...")
-    ds = generate_dataset(spec, 500, 2000, 100, test_fraction=0.1, seed=7)
+    ds = generate_dataset(spec, 500, 2000, 100, test_fraction=0.1)
     sizes = [50, 150, 400]
     print(f"sweeping training sizes {sizes}...\n")
     results = sweep_training_size(ds, sizes, eta=0.05, alpha=0.9)

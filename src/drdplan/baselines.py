@@ -1,94 +1,20 @@
 """Reference lazy policies: LazySP on the full graph, LazySP restricted to
 the path library, and a seeded random-edge sanity floor.  Each extends the
 caller's trace and edge status (the episode state of drdplan.traces) and
-returns the trace with its terminal set.
-
-Edge lengths are integers or integer multiples of sqrt(2) (dataset
-validation enforces it), so path lengths are represented exactly as integer
-pairs (a, b) meaning a + b*sqrt(2); comparisons and the lexicographic
-shortest-path tie-break are then exact.
+returns the trace with its terminal set.  Path lengths, and every
+comparison between them, are exact (see drdplan.graph).
 """
 
 from __future__ import annotations
 
-import heapq
 from functools import cmp_to_key
 
 import numpy as np
 
 from . import rng as _rng
-from .model import SQRT2, ExplicitGraph, Library, LibraryStatus
+from .graph import _lt, shortest_path_edges
+from .model import ExplicitGraph, Library, LibraryStatus
 from .traces import AllRegionsDead, Infeasible, RunTrace, Solved
-
-
-def _lt(x: tuple[int, int], y: tuple[int, int]) -> bool:
-    """Exact a1 + b1*sqrt2 < a2 + b2*sqrt2 for integer pairs."""
-    da, db = x[0] - y[0], x[1] - y[1]
-    if da == 0 and db == 0:
-        return False
-    if da <= 0 and db <= 0:
-        return True
-    if da >= 0 and db >= 0:
-        return False
-    if da > 0:  # db < 0: da vs -db*sqrt2
-        return da * da < 2 * db * db
-    return da * da > 2 * db * db  # da < 0, db > 0
-
-
-def goal_distances(graph: ExplicitGraph, usable: list) -> list:
-    """Exact distance (a, b), value a + b*sqrt(2), from each vertex to the
-    goal over the usable edges (a list of bools by edge id), or None where
-    the goal is out of reach: one Dijkstra from the goal."""
-    w = graph.exact_length()
-    adj = graph.adjacency()
-    dist: list = [None] * graph.num_vertices
-    dist[graph.goal] = (0, 0)
-    counter = 0
-    heap = [(0.0, counter, graph.goal)]
-    done = [False] * graph.num_vertices
-    while heap:
-        _, _, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, e in adj[u]:
-            if not usable[e] or done[v]:
-                continue
-            nd = (dist[u][0] + w[e][0], dist[u][1] + w[e][1])
-            if dist[v] is None or _lt(nd, dist[v]):
-                dist[v] = nd
-                counter += 1
-                heapq.heappush(heap, (nd[0] + nd[1] * SQRT2, counter, v))
-    return dist
-
-
-def shortest_path_edges(graph: ExplicitGraph, usable: np.ndarray) -> list[int] | None:
-    """Lexicographically-smallest-edge-id shortest start-goal path over the
-    usable edges, or None when disconnected.
-
-    goal_distances gives every vertex's exact distance to the goal; the
-    walk from the start then takes, at each vertex, the lowest-id usable
-    edge that stays on a shortest path."""
-    w = graph.exact_length()
-    adj = graph.adjacency()
-    usable = np.asarray(usable, dtype=bool).tolist()
-    dist = goal_distances(graph, usable)
-    if dist[graph.start] is None:
-        return None
-
-    path: list[int] = []
-    u = graph.start
-    while u != graph.goal:
-        for v, e in adj[u]:  # ascending edge id
-            if usable[e] and dist[v] is not None and (
-                dist[v][0] + w[e][0], dist[v][1] + w[e][1]
-            ) == dist[u]:
-                break
-        else:  # cannot happen: exact distances always continue
-            return None
-        path.append(e)
-        u = v
-    return path
 
 
 def check_path(edges, status, oracle, eval_cost, trace: RunTrace) -> bool:
@@ -130,7 +56,7 @@ def lazysp_graph(
 def shortest_first(library: Library, graph: ExplicitGraph) -> list[int]:
     """The library's path indices by exact length, shortest first, ties to
     the lowest index (sorted is stable): lazysp_set's candidate order."""
-    w = graph.exact_length()
+    w = graph.exact_length
     length = [(sum(w[e][0] for e in p), sum(w[e][1] for e in p)) for p in library.paths]
     by_length = cmp_to_key(lambda r, s: _lt(length[s], length[r]) - _lt(length[r], length[s]))
     return sorted(range(len(length)), key=by_length)

@@ -37,6 +37,7 @@ block of candidates scores as it would among all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,8 +77,9 @@ class VersionSpace:
 
 @dataclass
 class DrdProblem:
-    """Shared read-only matrices plus the cached root-region weights and
-    unit weights (the prior over its largest entry)."""
+    """Shared read-only matrices plus the unit weights (the prior over its
+    largest entry).  Both 0/1 matrices stay uint8; the steps that need
+    floats cast one block of rows at a time."""
 
     membership: np.ndarray  # (N, m) 0/1
     outcomes: np.ndarray  # (N, E) 0/1
@@ -85,7 +87,7 @@ class DrdProblem:
     prior: np.ndarray  # (N,) positive
 
     def __post_init__(self) -> None:
-        self.membership = np.ascontiguousarray(self.membership, dtype=np.float64)
+        self.membership = np.ascontiguousarray(self.membership, dtype=np.uint8)
         self.outcomes = np.ascontiguousarray(self.outcomes, dtype=np.uint8)
         self.eval_cost = np.asarray(self.eval_cost, dtype=np.float64)
         self.prior = np.asarray(self.prior, dtype=np.float64)
@@ -95,9 +97,12 @@ class DrdProblem:
         # Every branch and region mass is then an integer count, exact in
         # any summation order (the uniform prior: all ones).
         self.integer_weights = bool(np.all(self.unit == np.round(self.unit)))
-        self.root_weights = region_weights(
-            np.ones(self.outcomes.shape[0], dtype=bool), self.prior, self.membership
-        )
+
+    @cached_property
+    def root_weights(self) -> np.ndarray:
+        """Every region's weight over all worlds, for residual; no greedy
+        step reads it."""
+        return region_weights(np.ones(self.num_hypotheses, bool), self.prior, self.membership)
 
     @property
     def num_hypotheses(self) -> int:
@@ -146,18 +151,12 @@ def weight_ec(vs: VersionSpace, problem: DrdProblem, r: int) -> float:
     return float(region_weights(vs.active, problem.prior, problem.membership)[r])
 
 
-def residual_from_weights(weights: np.ndarray, root_weights: np.ndarray) -> float:
+def residual(vs: VersionSpace, problem: DrdProblem) -> float:
     """Product of surviving weight fractions over regions with nonzero root
     weight; 1 means untouched, 0 means some subproblem is solved."""
-    mask = root_weights > 0
-    if not mask.any():
-        return 0.0
-    return float(np.prod(weights[mask] / root_weights[mask]))
-
-
-def residual(vs: VersionSpace, problem: DrdProblem) -> float:
-    w = region_weights(vs.active, problem.prior, problem.membership)
-    return residual_from_weights(w, problem.root_weights)
+    w, root = region_weights(vs.active, problem.prior, problem.membership), problem.root_weights
+    mask = root > 0
+    return float(np.prod(w[mask] / root[mask])) if mask.any() else 0.0
 
 
 def conditional_weight(p: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -269,13 +268,18 @@ def select_test(
     tot = w.sum()
     m = problem.membership.shape[1]
     a, b = np.zeros(m), np.zeros(m)  # w @ M and wsq @ M over the active rows
+    count = np.zeros(m)  # active worlds in each region: sums of 0/1, exact
     for block in _blocks(act.size, m):
-        M = problem.membership[act[block]]
+        M = problem.membership[act[block]].astype(np.float64)
         a += w[block] @ M
         b += wsq[block] @ M
+        count += np.ones(len(M)) @ M
 
-    K = (wsq.sum() - b) / (tot * tot)
-    mask, Km, wm = live_regions(a / tot, K)
+    # A region holding every active world has weight 0, as in the Bernoulli
+    # engine (p = 1, K = 0), though float sums can leave it a round-off one.
+    full = count == act.size
+    K = np.where(full, 0.0, (wsq.sum() - b) / (tot * tot))
+    mask, Km, wm = live_regions(np.where(full, 1.0, a / tot), K)
     if not mask.any():
         return None
     if table is None:
@@ -336,7 +340,7 @@ def is_solved(vs: VersionSpace, problem: DrdProblem):
     n_act = int(act.sum())
     if n_act == 0:
         return AllRegionsDead(off_database=True)
-    counts = act.astype(np.float64) @ problem.membership
+    counts = problem.membership[act].sum(axis=0)
     full = np.nonzero(counts >= n_act)[0]
     if full.size:
         return Solved(int(full[0]))

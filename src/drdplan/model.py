@@ -9,10 +9,11 @@ fully valid in which worlds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-SQRT2 = float(np.sqrt(2.0))
+from .graph import exact_lengths, path_is_connected
 
 
 @dataclass(frozen=True)
@@ -40,33 +41,21 @@ class ExplicitGraph:
     def num_edges(self) -> int:
         return self.endpoints.shape[0]
 
+    @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-vertex tuple of (neighbor vertex id, edge id), each in
-        ascending edge-id order.  Built on the first call and cached; the
+        ascending edge-id order.  Built on first use and cached; the
         graph's arrays are treated as immutable from then on."""
-        adj = self.__dict__.get("_adjacency")
-        if adj is None:
-            lists: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vertices)]
-            for e, (u, v) in enumerate(self.endpoints.tolist()):
-                lists[u].append((v, e))
-                lists[v].append((u, e))
-            adj = tuple(map(tuple, lists))
-            object.__setattr__(self, "_adjacency", adj)
-        return adj
+        lists: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vertices)]
+        for e, (u, v) in enumerate(self.endpoints.tolist()):
+            lists[u].append((v, e))
+            lists[v].append((u, e))
+        return tuple(map(tuple, lists))
 
+    @cached_property
     def exact_length(self) -> tuple[tuple[int, int], ...]:
-        """Each edge's length as an exact integer pair (a, b), value
-        a + b*sqrt(2); built on the first call and cached like adjacency().
-        ValueError if some length is neither an integer nor an integer
-        multiple of sqrt(2)."""
-        pairs = self.__dict__.get("_exact_length")
-        if pairs is None:
-            pairs = exact_lengths(self.length)
-            if pairs is None:
-                raise ValueError("edge lengths must be integers or integer multiples of sqrt(2)")
-            pairs = tuple(pairs)
-            object.__setattr__(self, "_exact_length", pairs)
-        return pairs
+        """Each edge's exact length (graph.exact_lengths), cached."""
+        return exact_lengths(self.length)
 
 
 @dataclass(frozen=True)
@@ -219,51 +208,9 @@ class LibraryStatus:
             self.open &= self.cover[:-1] > 0
 
 
-def path_is_connected(graph: ExplicitGraph, path: Path) -> bool:
-    """True iff the edge sequence chains start -> goal without edge reuse."""
-    if len(path.edge_ids) != len(set(path.edge_ids)):
-        return False
-    if not path.edge_ids:
-        return False
-    cur = graph.start
-    for e in path.edge_ids:
-        u, v = (int(x) for x in graph.endpoints[e])
-        if cur == u:
-            cur = v
-        elif cur == v:
-            cur = u
-        else:
-            return False
-    return cur == graph.goal
-
-
-def exact_lengths(lengths) -> list[tuple[int, int]] | None:
-    """Each length as an integer pair (a, b) with value a + b*sqrt(2), or
-    None if some length is neither an integer nor an integer multiple of
-    sqrt(2)."""
-    if not np.all(np.isfinite(lengths)):
-        return None
-    out: list[tuple[int, int]] = []
-    for w in lengths:
-        a = round(float(w))
-        if abs(w - a) < 1e-12:
-            out.append((a, 0))
-            continue
-        b = round(float(w) / SQRT2)
-        if abs(w - b * SQRT2) < 1e-12:
-            out.append((0, b))
-            continue
-        return None
-    return out
-
-
 def validate_dataset(ds: Dataset) -> list[str]:
     """All invariant violations as human-readable strings; [] when clean.
-
-    Edge lengths must be integers or integer multiples of sqrt(2), as on
-    the 8-connected grid: path lengths are then exact pairs a + b*sqrt(2),
-    so every comparison between them, and every tie, is decided exactly.
-    """
+    Edge lengths must be exact (see drdplan.graph)."""
     out: list[str] = []
     g = ds.graph
     E, V = g.num_edges, g.num_vertices
@@ -282,8 +229,11 @@ def validate_dataset(ds: Dataset) -> list[str]:
         out.append(f"edge length has shape {g.length.shape}, expected ({E},)")
     elif np.any(g.length < 0):
         out.append("negative edge length")
-    elif exact_lengths(g.length) is None:
-        out.append("edge length not an integer or an integer multiple of sqrt(2)")
+    else:
+        try:
+            exact_lengths(g.length)
+        except ValueError:
+            out.append("edge length not an integer or an integer multiple of sqrt(2)")
     seen = set()
     for u, v in map(tuple, np.sort(g.endpoints, axis=1)):
         if (u, v) in seen:

@@ -14,19 +14,15 @@ correlated (twowall, baffle) spectrum:
 from __future__ import annotations
 
 import warnings
-from bisect import insort
 from dataclasses import dataclass, asdict
 from functools import partial
-from heapq import heappop, heappush
-from itertools import count
-from math import inf
 
 import numpy as np
 
 from . import rng as _rng
-from .baselines import goal_distances
 from .geometry import SCALE, edge_segments, rect_constants, segments_hit_disc, segments_hit_rect
-from .model import Dataset, ExplicitGraph, Path, SQRT2, compute_membership, split_dataset
+from .graph import SQRT2, shortest_simple_paths
+from .model import Dataset, ExplicitGraph, Path, compute_membership, split_dataset
 
 KINDS = ("forest", "onewall", "twowall", "baffle")
 
@@ -247,187 +243,24 @@ class LibraryTruncated(UserWarning):
     """Fewer distinct simple paths exist than the requested library size."""
 
 
-def _bidirectional_dijkstra(adj, source, target, ignore_nodes, ignore_edges):
-    """(length, vertex path) of a shortest source-target path that avoids
-    the flagged vertices and edges, or None when there is none.
-
-    A port of networkx 3.6.1's ``simple_paths._bidirectional_dijkstra`` that
-    makes the same choices on ties: the two directions alternate (a stale
-    heap entry uses up its direction's turn), heap entries are (distance,
-    counter, vertex) off one shared counter, neighbors are scanned in
-    adjacency order, distances are summed in the same order, and the best
-    meeting point is replaced only by a strictly shorter one.  Paths are
-    kept as predecessor links instead of copied lists; a meeting records
-    its vertex's two predecessors, whose chains no later step can change.
-    """
-    if source == target:
-        return 0, [source]
-    n = len(adj)
-    dists = ([None] * n, [None] * n)
-    seen = ([None] * n, [None] * n)
-    pred = ([None] * n, [None] * n)
-    seen[0][source] = seen[1][target] = 0
-    c = count()
-    fringe = ([(0, next(c), source)], [(0, next(c), target)])
-    finaldist = meet = None
-    dir = 1
-    while fringe[0] and fringe[1]:
-        dir = 1 - dir
-        dist, _, v = heappop(fringe[dir])
-        done = dists[dir]
-        if done[v] is not None:
-            continue
-        done[v] = dist
-        if dists[1 - dir][v] is not None:
-            w, p0, p1 = meet
-            path = [w]
-            while p0 is not None:
-                path.append(p0)
-                p0 = pred[0][p0]
-            path.reverse()
-            while p1 is not None:
-                path.append(p1)
-                p1 = pred[1][p1]
-            return finaldist, path
-        near, other, back, heap = seen[dir], seen[1 - dir], pred[dir], fringe[dir]
-        for w, length, e in adj[v]:
-            if ignore_nodes[w] or ignore_edges[e] or done[w] is not None:
-                continue
-            vw_length = dist + length
-            if near[w] is None or vw_length < near[w]:
-                near[w] = vw_length
-                heappush(heap, (vw_length, next(c), w))
-                back[w] = v
-                if other[w] is not None:
-                    totaldist = seen[0][w] + seen[1][w]
-                    if meet is None or finaldist > totaldist:
-                        finaldist = totaldist
-                        meet = (w, pred[0][w], pred[1][w])
-    return None
-
-
-def _shortest_simple_paths(graph: ExplicitGraph, edge_id: dict, k: int):
-    """The first k loopless start-goal vertex paths in nondecreasing
-    length (Yen).
-
-    A port of weighted ``networkx.shortest_simple_paths`` (3.6.1) on a
-    simple graph that yields the same first k paths, repeats included: the
-    candidate buffer drops a path only while an equal one is pending and
-    forgets it once popped, and a spur's cost is root length + spur length.
-    The scan of every accepted path for one sharing the spur root becomes a
-    trie of the accepted paths keyed by edge id, and the ignored vertices
-    and edges become flag arrays.
-
-    A spur search is skipped, exactly, while its trie node has as many
-    children as at its last search.  The search depends only on the root
-    prefix and those children (edges ignored at earlier roots all touch an
-    ignored prefix vertex), and children only grow, so it would find the
-    same candidate.  That candidate was pending after the last search and
-    leaves the buffer only when popped, which adds its first spur edge
-    (excluded from that search) as a new child.  So it is still pending and
-    networkx would find it only to drop it (Lawler 1972), or it was cut by
-    the bound below, which cuts it again.
-
-    A spur search is also cut when its candidate cannot be among the first
-    k.  With ``need`` paths still to yield, let U be the need-th smallest
-    pending length (inf when fewer are pending).  A candidate longer than U
-    sorts after need pending entries, whatever its counter.  U never rises:
-    a pop removes the smallest entry and lowers need by one, a push can
-    only lower it, and nothing else leaves the buffer.  So such a
-    candidate, and any later duplicate of it, is never yielded.  The
-    search is skipped when root length + min over the spur vertex's usable
-    edges (v, w) of len(v, w) + dist(w, goal) exceeds U, with dist the
-    exact distances of baselines.goal_distances on the whole graph, read
-    as floats.  The test adds a 1e-9 margin to U, which only makes a cut
-    rarer and covers the round-off of reading them, so float round-off
-    never decides one.
-    A search that runs may still find a candidate longer than U.  It is
-    pushed and, by the same argument, never yielded; it leaves the need-th
-    smallest pending length as it was.
-    """
-    weight = graph.length.tolist()
-    adj = [tuple((w, weight[e], e) for w, e in nbrs) for nbrs in graph.adjacency()]
-    n, target = len(adj), graph.goal
-    found = _bidirectional_dijkstra(
-        adj, graph.start, target, bytearray(n), bytearray(graph.num_edges)
-    )
-    if found is None:
-        raise ValueError("start and goal are not connected")
-    to_goal = [inf if d is None else d[0] + d[1] * SQRT2
-               for d in goal_distances(graph, [True] * graph.num_edges)]
-    heap: list = [(found[0], 0, found[1])]
-    pending = {tuple(found[1])}
-    lengths = [found[0]]  # the pending candidates' lengths, ascending
-    counter = count(1)
-    accepted: dict = {}  # trie: edge id -> subtrie of the accepted paths
-    searched: dict = {}  # id(trie node) -> its child count at its last spur search
-    need = k
-    while heap and need:
-        _, _, path = heappop(heap)
-        pending.remove(tuple(path))
-        del lengths[0]  # the popped entry is a shortest one
-        yield path
-        need -= 1
-        if not need:
-            return
-        edges = [edge_id[u, v] for u, v in zip(path, path[1:])]
-        node = accepted
-        for e in edges:
-            node = node.setdefault(e, {})
-        ignore_nodes, ignore_edges = bytearray(n), bytearray(graph.num_edges)
-        node = accepted
-        for i in range(1, len(path)):
-            if searched.get(id(node)) != len(node):
-                searched[id(node)] = len(node)
-                # sum() as networkx calls it: CPython 3.12+ compensates float sums
-                root_length = sum([weight[e] for e in edges[: i - 1]])
-                for e in node:  # edges leaving this root on an accepted path
-                    ignore_edges[e] = 1
-                v = path[i - 1]
-                cutoff = (lengths[need - 1] if len(lengths) >= need else inf) + 1e-9 - root_length
-                bound = min(
-                    (length + to_goal[w] for w, length, e in adj[v]
-                     if not ignore_nodes[w] and not ignore_edges[e]),
-                    default=inf,
-                )
-                spur = None if bound > cutoff else _bidirectional_dijkstra(
-                    adj, v, target, ignore_nodes, ignore_edges
-                )
-                if spur is not None:
-                    candidate = path[: i - 1] + spur[1]
-                    key = tuple(candidate)
-                    if key not in pending:
-                        cost = root_length + spur[0]
-                        heappush(heap, (cost, next(counter), candidate))
-                        insort(lengths, cost)
-                        pending.add(key)
-            ignore_nodes[path[i - 1]] = 1
-            node = node[edges[i - 1]]
-
-
 def build_path_library(
     graph: ExplicitGraph, k: int, m: int, seed: int
 ) -> tuple[list[Path], bool]:
     """k shortest loopless start-goal paths on the obstacle-free graph,
-    subsampled uniformly to m (shortest always kept), re-sorted by length.
+    subsampled uniformly to m (shortest always kept), re-sorted by float
+    length (see drdplan.graph).
 
     Returns (paths, truncated) where truncated flags that fewer than m
     distinct paths exist.
     """
     if not k >= m >= 1:
         raise ValueError("need k >= m >= 1")
-    edge_id = {}
-    for e, (u, v) in enumerate(graph.endpoints.tolist()):
-        edge_id[u, v] = edge_id[v, u] = e
-    vertex_paths = list(_shortest_simple_paths(graph, edge_id, k))
-
-    seen = set()
-    candidates: list[Path] = []
-    for vp in vertex_paths:
-        ids = tuple(edge_id[(vp[i], vp[i + 1])] for i in range(len(vp) - 1))
-        if ids not in seen:
-            seen.add(ids)
-            candidates.append(Path(ids))
+    edge_id = {(u, v): e for u, nbrs in enumerate(graph.adjacency) for v, e in nbrs}
+    distinct = dict.fromkeys(  # the enumeration can repeat a path
+        tuple(edge_id[u, v] for u, v in zip(vp, vp[1:]))
+        for vp in shortest_simple_paths(graph, edge_id, k)
+    )
+    candidates = [Path(ids) for ids in distinct]
 
     truncated = len(candidates) < m
     if truncated:
@@ -435,18 +268,13 @@ def build_path_library(
             f"only {len(candidates)} distinct simple paths found (wanted {m})",
             LibraryTruncated,
         )
+    if len(candidates) <= m:
         chosen = list(range(len(candidates)))
-    elif len(candidates) == m:
-        chosen = list(range(m))
     else:
         gen = _rng.substream(seed, _rng.STREAM_SUBSAMPLE)
         rest = gen.choice(np.arange(1, len(candidates)), size=m - 1, replace=False)
         chosen = [0] + sorted(int(i) for i in rest)
-
-    def total_length(p: Path) -> float:
-        return float(graph.length[list(p.edge_ids)].sum())
-
-    chosen.sort(key=lambda i: (total_length(candidates[i]), i))
+    chosen.sort(key=lambda i: (float(graph.length[list(candidates[i].edge_ids)].sum()), i))
     return [candidates[i] for i in chosen], truncated
 
 
@@ -456,30 +284,29 @@ def generate_dataset(
     k: int,
     m: int,
     test_fraction: float = 0.1,
-    seed: int | None = None,
 ) -> Dataset:
     """Full dataset: graph, library, split, sampled worlds and membership.
 
     Worlds draw from per-index substreams (stream id = world index) so the
     output is identical however sampling is parallelized.  The split and
     the library each draw from their own substream, so they come first: a
-    bad test_fraction, k or m fails before any world is sampled.
+    bad test_fraction, k or m fails before any world is sampled.  Every
+    substream descends from spec.seed.
     """
     spec.validate()
     if n_worlds < 10:
         raise ValueError("need at least 10 worlds")
-    root_seed = spec.seed if seed is None else seed
 
     graph = build_grid_graph(spec.rows, spec.cols)
     theta = np.empty((n_worlds, graph.num_edges), dtype=np.uint8)
-    ds = split_dataset(Dataset(graph, theta, [], membership=None), test_fraction, root_seed)
-    ds.paths, truncated = build_path_library(graph, k, m, root_seed)
+    ds = split_dataset(Dataset(graph, theta, [], membership=None), test_fraction, spec.seed)
+    ds.paths, truncated = build_path_library(graph, k, m, spec.seed)
     segments = edge_segments(graph.positions, graph.endpoints)
     constants = rect_constants(segments)
     per_world = spec.n_discs if spec.kind == "forest" else _MAX_RECTS
     block = max(1, _BLOCK_ELEMENTS // (max(1, per_world) * graph.num_edges))
     for lo in range(0, n_worlds, block):
-        rngs = [_rng.substream(root_seed, _rng.STREAM_WORLDS, i)
+        rngs = [_rng.substream(spec.seed, _rng.STREAM_WORLDS, i)
                 for i in range(lo, min(lo + block, n_worlds))]
         theta[lo : lo + block] = sample_world(spec, rngs, segments, constants)
     ds.membership = compute_membership(theta, ds.paths)
@@ -492,7 +319,7 @@ def generate_dataset(
         "library_size": ds.num_paths,
         "library_truncated": bool(truncated),
         "test_fraction": float(test_fraction),
-        "seed": int(root_seed),
+        "seed": int(spec.seed),
         "train_coverage": coverage,
         "streams": dict(_rng.STREAM_NAMES),
     }

@@ -69,7 +69,7 @@ def criterion(n, label):
 def benchmark_dataset():
     """TwoWall 11x11, N=1000, m=100: the directional-reproduction dataset."""
     spec = ScenarioSpec(kind="twowall", rows=11, cols=11, seed=42)
-    return generate_dataset(spec, 1000, 2000, 100, test_fraction=0.1, seed=42)
+    return generate_dataset(spec, 1000, 2000, 100, test_fraction=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +177,7 @@ def test_criterion_4_monotonicity_and_bound():
 def test_criterion_5_end_to_end_soundness():
     for kind in KINDS:
         spec = ScenarioSpec(kind=kind, rows=11, cols=11, seed=5)
-        ds = generate_dataset(spec, 1000, 2000, 100, test_fraction=0.1, seed=5)
+        ds = generate_dataset(spec, 1000, 2000, 100, test_fraction=0.1)
         tree = trees.compile_from_dataset(ds, 0.05)
         traces = run_policy("direct+bisect", ds, "test", tree)
         assert len(traces) == len(ds.test)
@@ -234,7 +234,7 @@ def test_criterion_7_training_size_ablation():
         kind="twowall", rows=11, cols=11, seed=7,
         gap_width=2, wall_row_lo=4, wall_row_hi=6, gap_col_lo=1, gap_col_hi=7,
     )
-    ds = generate_dataset(spec, 1112, 2000, 100, test_fraction=0.1, seed=7)
+    ds = generate_dataset(spec, 1112, 2000, 100, test_fraction=0.1)
     assert len(ds.train) >= 1000
     results = sweep_training_size(ds, [100, 300, 1000], eta=0.05, alpha=0.9)
     means = [r["mean_cost"] for r in results]

@@ -8,15 +8,14 @@ import pytest
 
 from drdplan import baselines
 from drdplan.baselines import (
-    _lt,
     check_path,
     lazysp_graph,
     lazysp_set,
     random_policy,
     shortest_first,
-    shortest_path_edges,
 )
-from drdplan.model import ExplicitGraph, Library, Path, path_is_connected
+from drdplan.graph import _lt, path_is_connected, shortest_path_edges
+from drdplan.model import ExplicitGraph, Library, Path
 from drdplan.scenarios import build_grid_graph, build_path_library
 from drdplan.traces import AllRegionsDead, Infeasible, RunTrace, Solved
 
@@ -42,7 +41,7 @@ def test_exact_metric_comparisons():
         positions=np.zeros((3, 2)), endpoints=np.array([[0, 1], [1, 2]]),
         eval_cost=np.ones(2), length=np.array([1.0, np.sqrt(2.0)]), start=0, goal=2,
     )
-    assert graph.exact_length() == ((1, 0), (0, 1))
+    assert graph.exact_length == ((1, 0), (0, 1))
     # 3 < 2*sqrt(2) < 3.0000001 territory: exact integer-pair comparison.
     assert _lt((0, 2), (3, 0))  # 2.828 < 3
     assert _lt((1, 1), (0, 2))  # 2.414 < 2.828
@@ -52,7 +51,7 @@ def test_exact_metric_comparisons():
     # 1 + 2*sqrt(2).
     assert shortest_first(Library.build([[1, 0, 1], [0, 1, 0], [0, 0, 1]], 2), graph) == [1, 2, 0]
     with pytest.raises(ValueError):
-        replace(graph, length=np.array([1.0, 0.5])).exact_length()
+        replace(graph, length=np.array([1.0, 0.5])).exact_length
 
 
 def test_shortest_path_is_lexicographically_smallest():
@@ -239,7 +238,7 @@ def test_random_policy_builds_one_status_per_episode(monkeypatch):
 def lazysp_set_rebuilding(library, graph, oracle, trace, status):
     """Reference: lazysp_set with a status built from scratch before each
     candidate."""
-    w = graph.exact_length()
+    w = graph.exact_length
     lengths = [(sum(w[e][0] for e in p), sum(w[e][1] for e in p)) for p in library.paths]
     while True:
         live = baselines.LibraryStatus(library, status).live

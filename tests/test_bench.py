@@ -29,7 +29,7 @@ from conftest import random_regions, regions_membership
 
 def make_ds(kind="forest", seed=1, n=40):
     spec = ScenarioSpec(kind=kind, rows=6, cols=6, seed=seed, n_discs=4)
-    return generate_dataset(spec, n, 60, 10, test_fraction=0.25, seed=seed)
+    return generate_dataset(spec, n, 60, 10, test_fraction=0.25)
 
 
 @pytest.fixture(scope="module")

@@ -676,6 +676,8 @@ _BAD_HEADERS = {
     "provenance-list": lambda h: h.__setitem__("provenance", []),
     "eval-cost-short": lambda h: h["graph"]["eval_cost"].pop(),
     "length-short": lambda h: h["graph"]["length"].pop(),
+    "length-inexact": lambda h: h["graph"]["length"].__setitem__(0, 0.5),
+    "length-nan": lambda h: h["graph"]["length"].__setitem__(0, float("nan")),
     "eval-cost-nan": lambda h: h["graph"]["eval_cost"].__setitem__(0, float("nan")),
     "eval-cost-inf": lambda h: h["graph"]["eval_cost"].__setitem__(0, float("inf")),
 }

@@ -127,9 +127,7 @@ def test_region_with_weight_had_root_weight(monkeypatch):
     # live_regions needs no root-weight mask: along random observation
     # paths, under uniform and random priors, every region with weight at a
     # node that DIRECT scores (an unsolved one), and every region
-    # select_test keeps live there, has root weight.  (At a solved node, a
-    # region holding every world can show a round-off weight under a
-    # non-uniform prior; direct_step never scores there.)
+    # select_test keeps live there, has root weight.
     masks, original = [], ec2.live_regions
 
     def spy(p, K):
@@ -151,6 +149,36 @@ def test_region_with_weight_had_root_weight(monkeypatch):
                 masks.clear()
                 ec2.select_test(vs, prob, np.flatnonzero(vs.status == 0))
                 assert all((prob.root_weights[mask] > 0).all() for mask in masks)
+                nodes += 1
+            vs = ec2.observe(vs, prob, edge, int(world[edge]))
+    assert nodes > 500
+
+
+def test_region_holding_every_active_world_is_not_live(monkeypatch):
+    # Its weight is exactly 0 (as in the Bernoulli engine, p = 1 and K = 0),
+    # though under a non-uniform prior its float sums can leave it a
+    # round-off weight.  Only a solved node has such a region, so random
+    # problems are followed to their solved nodes and scored there.
+    masks, original = [], ec2.live_regions
+
+    def spy(p, K):
+        out = original(p, K)
+        masks.append(out[0])
+        return out
+
+    monkeypatch.setattr(ec2, "live_regions", spy)
+    rng = np.random.default_rng(29)
+    nodes = 0
+    for _ in range(400):
+        prob = random_problem(rng, lambda n: rng.uniform(0.1, 1.0, n))
+        world = prob.outcomes[rng.integers(prob.num_hypotheses)]
+        vs = prob.root_version_space()
+        for edge in rng.permutation(prob.num_tests).tolist():
+            if isinstance(ec2.is_solved(vs, prob), Solved):
+                full = prob.membership[vs.active].all(axis=0)
+                masks.clear()
+                ec2.select_test(vs, prob, np.flatnonzero(vs.status == 0))
+                assert not any((mask & full).any() for mask in masks)
                 nodes += 1
             vs = ec2.observe(vs, prob, edge, int(world[edge]))
     assert nodes > 500

@@ -28,7 +28,7 @@ from drdplan.scenarios import ScenarioSpec, generate_dataset
 
 def make_ds():
     spec = ScenarioSpec(kind="forest", rows=5, cols=5, seed=3, n_discs=3)
-    return generate_dataset(spec, 20, 30, 8, test_fraction=0.2, seed=3)
+    return generate_dataset(spec, 20, 30, 8, test_fraction=0.2)
 
 
 @settings(max_examples=50, deadline=None)

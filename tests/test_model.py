@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drdplan.graph import SQRT2, path_is_connected
 from drdplan.model import (
-    SQRT2,
     Dataset,
     Library,
     LibraryStatus,
     Path,
     compute_membership,
-    path_is_connected,
     split_dataset,
     validate_dataset,
 )
@@ -131,8 +130,8 @@ def test_split_rejects_bad_fraction():
 
 def test_adjacency_is_built_once_in_edge_id_order():
     graph = build_grid_graph(4, 5)
-    adj = graph.adjacency()
-    assert adj is graph.adjacency()
+    adj = graph.adjacency
+    assert adj is graph.adjacency
     assert isinstance(adj, tuple) and all(isinstance(nbrs, tuple) for nbrs in adj)
     for nbrs in adj:
         ids = [e for _, e in nbrs]
@@ -144,23 +143,23 @@ def test_adjacency_is_built_once_in_edge_id_order():
     assert [list(nbrs) for nbrs in adj] == fresh
     # A second graph with the same arrays builds its own, equal adjacency.
     again = build_grid_graph(4, 5)
-    assert again.adjacency() == adj and again.adjacency() is not adj
+    assert again.adjacency == adj and again.adjacency is not adj
 
 
 def test_exact_length_is_built_once():
     graph = build_grid_graph(4, 5)
-    pairs = graph.exact_length()
-    assert pairs is graph.exact_length()
+    pairs = graph.exact_length
+    assert pairs is graph.exact_length
     assert isinstance(pairs, tuple) and len(pairs) == graph.num_edges
     for (a, b), w in zip(pairs, graph.length):
         assert (a, b) in ((1, 0), (0, 1))  # axis step or diagonal
         assert abs(a + b * SQRT2 - w) < 1e-12
     # A second graph with the same arrays builds its own, equal pairs.
     again = build_grid_graph(4, 5)
-    assert again.exact_length() == pairs and again.exact_length() is not pairs
+    assert again.exact_length == pairs and again.exact_length is not pairs
     half = replace(graph, length=np.full(graph.num_edges, 0.5))
     with pytest.raises(ValueError, match="sqrt"):
-        half.exact_length()
+        half.exact_length
 
 
 def _status_by_definition(regions, observed):

@@ -9,8 +9,10 @@ import numpy as np
 import networkx as nx
 import pytest
 
+import drdplan.graph
 from drdplan import scenarios
-from drdplan.model import SQRT2, Path, validate_dataset
+from drdplan.graph import SQRT2
+from drdplan.model import Path, validate_dataset
 from drdplan.scenarios import (
     KINDS,
     LibraryTruncated,
@@ -240,7 +242,7 @@ def _port_paths(g, k):
     edge_id = {}
     for e, (u, v) in enumerate(g.endpoints.tolist()):
         edge_id[u, v] = edge_id[v, u] = e
-    return list(scenarios._shortest_simple_paths(g, edge_id, k))
+    return list(drdplan.graph.shortest_simple_paths(g, edge_id, k))
 
 
 @pytest.fixture(scope="module")
@@ -277,7 +279,7 @@ def test_library_matches_networkx_library(nx_paths_11x11, monkeypatch, seed):
     # with the port and with networkx's paths fed to the same subsampling.
     g = build_grid_graph(11, 11)
     ported = build_path_library(g, 2000, 100, seed)
-    monkeypatch.setattr(scenarios, "_shortest_simple_paths", lambda *a: iter(nx_paths_11x11))
+    monkeypatch.setattr(scenarios, "shortest_simple_paths", lambda *a: iter(nx_paths_11x11))
     assert build_path_library(g, 2000, 100, seed) == ported
     assert all(isinstance(p, Path) for p in ported[0])
 
@@ -330,9 +332,9 @@ def test_random_graphs_cut_and_exhausted():
 
 def _spur_searches(monkeypatch, rows, k):
     calls = []
-    search = scenarios._bidirectional_dijkstra
+    search = drdplan.graph._bidirectional_dijkstra
     monkeypatch.setattr(
-        scenarios, "_bidirectional_dijkstra", lambda *a: calls.append(1) or search(*a)
+        drdplan.graph, "_bidirectional_dijkstra", lambda *a: calls.append(1) or search(*a)
     )
     _port_paths(build_grid_graph(rows, rows), k)
     return len(calls)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from drdplan import ec2, trees
-from drdplan.io import FormatError
+from drdplan.io import FormatError, load_dataset, save_dataset
 from drdplan.scenarios import ScenarioSpec, generate_dataset
 from drdplan.trees import (
     DecisionTree,
@@ -44,7 +44,7 @@ def status_of(n_edges, observed):
 
 def small_dataset():
     spec = ScenarioSpec(kind="forest", rows=6, cols=6, seed=1, n_discs=4)
-    return generate_dataset(spec, 40, 60, 10, test_fraction=0.2, seed=1)
+    return generate_dataset(spec, 40, 60, 10, test_fraction=0.2)
 
 
 # --- bias_vector -----------------------------------------------------------
@@ -308,6 +308,30 @@ def test_direct_policy_matches_compiled_tree_uniform_prior():
     assert episodes > 1000
 
 
+def test_load_and_problem_memory_per_world(tmp_path):
+    """The traced peak of load_dataset plus problem_from_dataset per world,
+    at N and 4N worlds of one 7x7 forest (|E| = 156, m = 20).  Both 0/1
+    matrices stay uint8, so the loaded rows and the problem's copy of the
+    training rows take under 2 * (|E| + m) = 352 bytes per world; the bound
+    leaves 64 more for decoding and fixed costs.  A float64 copy of the
+    membership would add 7 bytes per training world and path, 126 here."""
+    spec = ScenarioSpec(kind="forest", rows=7, cols=7, seed=3)
+    paths = {}
+    for n in (10, 2000, 8000):
+        paths[n] = str(tmp_path / f"{n}.bin")
+        save_dataset(generate_dataset(spec, n, 60, 20), paths[n])
+    load_dataset(paths[10])  # the first load imports numpy modules (numpy.ma)
+    for n in (2000, 8000):
+        tracemalloc.start()
+        try:
+            ds = load_dataset(paths[n])
+            ec2.problem_from_dataset(ds, ds.train)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * (2 * (156 + 20) + 64), n
+
+
 def test_compile_memory_does_not_grow_with_worlds():
     """The memory compile_tree allocates beside the problem's own arrays,
     at N and 4N worlds of one 7x7 forest (|E| = 156, m = 20).  A split
@@ -321,7 +345,7 @@ def test_compile_memory_does_not_grow_with_worlds():
     spec = ScenarioSpec(kind="forest", rows=7, cols=7, seed=3)
     peaks = []
     for n in (2000, 8000):
-        ds = generate_dataset(spec, n, 60, 20, seed=3)
+        ds = generate_dataset(spec, n, 60, 20)
         problem = ec2.problem_from_dataset(ds, ds.train)
         tracemalloc.start()
         try:
