@@ -24,8 +24,8 @@ def edge_segments(positions: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
 
 def segments_hit_disc(segments: np.ndarray, cx, cy, r) -> np.ndarray:
     """Boolean mask: segment within distance r of (cx, cy), all scaled ints;
-    (E,) for scalars, (k, E) for (k, 1) arrays that give k discs at once."""
-    x1, y1, x2, y2 = (segments[:, i] for i in range(4))
+    (E,) for scalars, (k, E) for (k, 1) arrays of k discs, (k, C) with (k, C, 4) segments."""
+    x1, y1, x2, y2 = (segments[..., i] for i in range(4))
     dx, dy = x2 - x1, y2 - y1
     fx, fy = cx - x1, cy - y1
     gx, gy = cx - x2, cy - y2
@@ -38,6 +38,24 @@ def segments_hit_disc(segments: np.ndarray, cx, cy, r) -> np.ndarray:
     cross = fx * dy - fy * dx
     interior = (dotfd > 0) & (dotfd < dd) & (cross * cross <= r2 * dd)
     return near_a | near_b | interior
+
+
+def disc_cells(segments: np.ndarray, rows: int, cols: int, r: int) -> np.ndarray:
+    """(rows * cols, C) candidate segments for a disc of scaled radius r
+    centred in [0, (cols - 1) S] x [0, (rows - 1) S] (S = SCALE): row
+    j * cols + i, for j = cy // S and i = cx // S, lists in ascending order
+    the segments whose bounding box grown by r meets the closed cell
+    [i S, (i + 1) S] x [j S, (j + 1) S].  A disc meets only segments whose
+    grown box holds its centre, so the row holds every segment it can hit.
+    Shorter rows repeat their own entries up to C, the longest, so each
+    entry is a real segment that the exact predicate decides."""
+    lo = np.minimum(segments[:, :2], segments[:, 2:]) - r
+    hi = np.maximum(segments[:, :2], segments[:, 2:]) + r
+    x, y = ((cell_lo[:, None] <= hi[:, a]) & (cell_lo[:, None] + SCALE >= lo[:, a])
+            for a, cell_lo in enumerate((np.arange(cols) * SCALE, np.arange(rows) * SCALE)))
+    cells = [np.flatnonzero(y[j] & x[i]) for j in range(rows) for i in range(cols)]
+    width = max(map(len, cells))
+    return np.array([np.resize(ids, width) for ids in cells])
 
 
 def rect_constants(segments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

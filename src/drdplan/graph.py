@@ -34,13 +34,13 @@ def exact_lengths(lengths) -> tuple[tuple[int, int], ...]:
     ValueError if some length is neither an integer nor an integer
     multiple of sqrt(2)."""
     out: list[tuple[int, int]] = []
-    for w in lengths:
+    for w in np.asarray(lengths, dtype=np.float64).tolist():  # Python floats, not numpy scalars
         if isfinite(w):
-            a = round(float(w))
+            a = round(w)
             if abs(w - a) < 1e-12:
                 out.append((a, 0))
                 continue
-            b = round(float(w) / SQRT2)
+            b = round(w / SQRT2)
             if abs(w - b * SQRT2) < 1e-12:
                 out.append((0, b))
                 continue
@@ -125,8 +125,7 @@ def path_is_connected(graph: ExplicitGraph, path: Path) -> bool:
     if not path.edge_ids:
         return False
     cur = graph.start
-    for e in path.edge_ids:
-        u, v = (int(x) for x in graph.endpoints[e])
+    for u, v in graph.endpoints[list(path.edge_ids)].tolist():
         if cur == u:
             cur = v
         elif cur == v:

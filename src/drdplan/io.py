@@ -91,11 +91,11 @@ def _unpack_bits(blob: bytes, rows: int, cols: int) -> np.ndarray:
 
 
 def _graph_to_json(g: ExplicitGraph) -> dict:
-    return {
-        "positions": [[float(x), float(y)] for x, y in g.positions],
-        "endpoints": [[int(u), int(v)] for u, v in g.endpoints],
-        "eval_cost": [float(c) for c in g.eval_cost],
-        "length": [float(w) for w in g.length],
+    return {  # tolist() makes Python ints and floats without numpy scalars
+        "positions": np.asarray(g.positions, dtype=np.float64).tolist(),
+        "endpoints": np.asarray(g.endpoints, dtype=np.int64).tolist(),
+        "eval_cost": np.asarray(g.eval_cost, dtype=np.float64).tolist(),
+        "length": np.asarray(g.length, dtype=np.float64).tolist(),
         "start": int(g.start),
         "goal": int(g.goal),
     }
@@ -119,10 +119,7 @@ def dataset_to_bytes(ds: Dataset) -> bytes:
         "n_edges": int(ds.graph.num_edges),
         "graph": _graph_to_json(ds.graph),
         "paths": [list(map(int, p.edge_ids)) for p in ds.paths],
-        "split": {
-            "train": [int(i) for i in ds.train],
-            "test": [int(i) for i in ds.test],
-        },
+        "split": {k: np.asarray(getattr(ds, k), dtype=np.int64).tolist() for k in ("train", "test")},
         "provenance": ds.provenance,
     }
     return to_json_bytes(header) + base64.b64encode(_pack_bits(ds.theta)) + b"\n"

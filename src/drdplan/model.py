@@ -235,7 +235,7 @@ def validate_dataset(ds: Dataset) -> list[str]:
         except ValueError:
             out.append("edge length not an integer or an integer multiple of sqrt(2)")
     seen = set()
-    for u, v in map(tuple, np.sort(g.endpoints, axis=1)):
+    for u, v in np.sort(g.endpoints, axis=1).tolist():
         if (u, v) in seen:
             out.append(f"duplicate edge between vertices {u} and {v}")
         seen.add((u, v))
@@ -250,7 +250,9 @@ def validate_dataset(ds: Dataset) -> list[str]:
             out.append(f"path {r} is not a connected start-goal edge sequence")
 
     split = np.concatenate([ds.train, ds.test])
-    if len(np.intersect1d(ds.train, ds.test)):
+    train = np.sort(ds.train)  # not np.intersect1d, whose np.unique imports numpy.ma
+    at = np.searchsorted(train, ds.test).clip(max=len(train) - 1)
+    if len(train) and (train[at] == ds.test).any():
         out.append("train and test splits overlap")
     if not np.array_equal(np.sort(split), np.arange(ds.num_worlds)):
         out.append("train/test split does not partition the worlds")

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, asdict
-from functools import partial
 
 import numpy as np
 
 from . import rng as _rng
-from .geometry import SCALE, edge_segments, rect_constants, segments_hit_disc, segments_hit_rect
+from .geometry import (
+    SCALE, disc_cells, edge_segments, rect_constants, segments_hit_disc, segments_hit_rect,
+)
 from .graph import SQRT2, shortest_simple_paths
 from .model import Dataset, ExplicitGraph, Path, compute_membership, split_dataset
 
@@ -29,12 +30,12 @@ KINDS = ("forest", "onewall", "twowall", "baffle")
 # Neighbor offsets (drow, dcol) covering each undirected edge once.
 _OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
 
-# sample_world tests a block of worlds at once.  Its temporaries,
-# (worlds x obstacles, E) int64, hold at most about this many elements
-# (64 KB; at least one world): the disc test keeps about a dozen alive,
-# which then stay near 1 MB and in cache.  Twice as many elements made the
-# disc test slower per world than one world per call.  A world has at most
-# _MAX_RECTS rects (twowall: two walls of two pieces) and spec.n_discs discs.
+# sample_world tests a block of worlds at once.  Its int64 temporaries,
+# (worlds x discs, C) for C candidate edges per disc (geometry.disc_cells;
+# the gathered segments take four such) or (worlds x rects, E), hold at
+# most about this many elements (64 KB; at least one world): a test keeps
+# about a dozen alive, which then stay near 1 MB and in cache.  A world
+# has at most _MAX_RECTS rects (twowall: two walls of two pieces).
 _BLOCK_ELEMENTS = 1 << 13
 _MAX_RECTS = 4
 _EMPTY_RECT = (1, 0, 0, 0)  # xlo > xhi
@@ -216,26 +217,30 @@ def _sample_obstacles(spec: ScenarioSpec, rng: np.random.Generator) -> dict:
     return {"discs": [], "rects": half_rects}
 
 
-def sample_world(
-    spec: ScenarioSpec, rngs: list[np.random.Generator], segments: np.ndarray, constants: tuple
-) -> np.ndarray:
+def sample_world(spec: ScenarioSpec, rngs: list[np.random.Generator], segments: np.ndarray,
+                 constants: tuple, cells: np.ndarray | None) -> np.ndarray:
     """Validity bits of a block of worlds, one row per generator: an edge is
     invalid iff its segment meets any obstacle region sampled from that
-    world's generator.  Exact integer tests, one broadcast per obstacle kind
-    for the whole block; constants is geometry.rect_constants(segments),
-    computed once per dataset.  Rect lists are padded to the block's longest
-    with the empty rect, which hits nothing; every world of a spec has the
-    same number of discs."""
+    world's generator.  Exact integer tests for the whole block, from
+    tables computed once per dataset: constants is rect_constants(segments)
+    and cells is a forest's disc_cells table (None for walls).  A disc is
+    tested only against its centre cell's row, which holds every edge it can
+    hit.  Rect lists are padded to the block's longest with the empty rect,
+    which hits nothing; every world of a spec has the same number of discs."""
     worlds = [_sample_obstacles(spec, g) for g in rngs]
-    width = max(len(w["rects"]) for w in worlds)
-    rects = [w["rects"] + [_EMPTY_RECT] * (width - len(w["rects"])) for w in worlds]
-    rect_test = partial(segments_hit_rect, constants=constants)
     blocked = np.zeros((len(worlds), segments.shape[0]), dtype=bool)
-    for hit, params in ((segments_hit_disc, [w["discs"] for w in worlds]), (rect_test, rects)):
-        if params[0]:  # one (worlds * obstacles, 1) column per parameter
-            columns = np.array(params, dtype=np.int64).reshape(-1, len(params[0][0])).T
-            hits = hit(segments, *columns[:, :, None])
-            blocked |= hits.reshape(len(worlds), len(params[0]), -1).any(axis=1)
+    if cells is not None:  # one (worlds * discs, 1) column per parameter
+        discs = np.array([w["discs"] for w in worlds], dtype=np.int64).reshape(-1, 3)
+        cx, cy, r = discs.T[:, :, None]
+        ids = cells[(cy // SCALE * spec.cols + cx // SCALE)[:, 0]]
+        disc, hit = np.nonzero(segments_hit_disc(segments[ids], cx, cy, r))
+        blocked[disc // spec.n_discs, ids[disc, hit]] = True
+    width = max(len(w["rects"]) for w in worlds)
+    if width:  # one (worlds * rects, 1) column per bound
+        rects = [w["rects"] + [_EMPTY_RECT] * (width - len(w["rects"])) for w in worlds]
+        columns = np.array(rects, dtype=np.int64).reshape(-1, 4).T[:, :, None]
+        hits = segments_hit_rect(segments, *columns, constants=constants)
+        blocked |= hits.reshape(len(worlds), width, -1).any(axis=1)
     return (~blocked).astype(np.uint8)
 
 
@@ -291,7 +296,8 @@ def generate_dataset(
     output is identical however sampling is parallelized.  The split and
     the library each draw from their own substream, so they come first: a
     bad test_fraction, k or m fails before any world is sampled.  Every
-    substream descends from spec.seed.
+    substream descends from spec.seed.  Sampling's tables are built once
+    here; a forest's disc_cells rows keep every edge each disc can hit.
     """
     spec.validate()
     if n_worlds < 10:
@@ -303,12 +309,14 @@ def generate_dataset(
     ds.paths, truncated = build_path_library(graph, k, m, spec.seed)
     segments = edge_segments(graph.positions, graph.endpoints)
     constants = rect_constants(segments)
-    per_world = spec.n_discs if spec.kind == "forest" else _MAX_RECTS
-    block = max(1, _BLOCK_ELEMENTS // (max(1, per_world) * graph.num_edges))
+    r = round(spec.disc_radius * SCALE)
+    cells = disc_cells(segments, spec.rows, spec.cols, r) if spec.kind == "forest" else None
+    per_world = _MAX_RECTS * graph.num_edges if cells is None else spec.n_discs * cells.shape[1]
+    block = max(1, _BLOCK_ELEMENTS // max(1, per_world))
     for lo in range(0, n_worlds, block):
         rngs = [_rng.substream(spec.seed, _rng.STREAM_WORLDS, i)
                 for i in range(lo, min(lo + block, n_worlds))]
-        theta[lo : lo + block] = sample_world(spec, rngs, segments, constants)
+        theta[lo : lo + block] = sample_world(spec, rngs, segments, constants, cells)
     ds.membership = compute_membership(theta, ds.paths)
     coverage = float(ds.membership[ds.train].any(axis=1).mean())
     ds.provenance = {

@@ -3,12 +3,15 @@
 import base64
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import drdplan
 from drdplan import model
 from drdplan.cli import EXIT_DATA, main
 from drdplan.io import (
@@ -29,6 +32,19 @@ from drdplan.scenarios import ScenarioSpec, generate_dataset
 def make_ds():
     spec = ScenarioSpec(kind="forest", rows=5, cols=5, seed=3, n_discs=3)
     return generate_dataset(spec, 20, 30, 8, test_fraction=0.2)
+
+
+def test_load_leaves_numpy_ma_out(tmp_path):
+    # The split overlap check needs no np.unique, whose first call imports
+    # numpy.ma: loading a dataset does not pay for that import.
+    path = str(tmp_path / "d.bin")
+    save_dataset(make_ds(), path)
+    src = os.path.dirname(os.path.dirname(drdplan.__file__))
+    code = ("import sys; from drdplan.io import load_dataset; "
+            "load_dataset(sys.argv[1]); print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, path], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @settings(max_examples=50, deadline=None)

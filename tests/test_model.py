@@ -102,6 +102,20 @@ def test_validate_catches_broken_split():
     assert any("split" in v or "overlap" in v for v in violations)
 
 
+ids = st.lists(st.integers(min_value=-5, max_value=12), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids, ids)
+def test_overlap_violation_matches_intersect1d(train, test):
+    # Any ids, negative and repeated ones included: the overlap message
+    # appears exactly when numpy's set intersection is non-empty.
+    ds = replace(small_dataset(), train=np.array(train, dtype=np.int64),
+                 test=np.array(test, dtype=np.int64))
+    overlap = "train and test splits overlap" in validate_dataset(ds)
+    assert overlap == bool(len(np.intersect1d(ds.train, ds.test)))
+
+
 def test_split_sizes():
     ds = small_dataset()  # N = 12
     split_dataset(ds, 0.5, seed=1)

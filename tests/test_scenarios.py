@@ -8,6 +8,7 @@ from itertools import islice
 import numpy as np
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import drdplan.graph
 from drdplan import scenarios
@@ -21,7 +22,9 @@ from drdplan.scenarios import (
     build_path_library,
     generate_dataset,
 )
-from drdplan.geometry import edge_segments, segments_hit_disc, segments_hit_rect
+from drdplan.geometry import (
+    SCALE, disc_cells, edge_segments, rect_constants, segments_hit_disc, segments_hit_rect,
+)
 from drdplan.io import dataset_to_bytes
 from drdplan.rng import STREAM_WORLDS, substream
 
@@ -155,10 +158,13 @@ def _per_world_theta(spec, n_worlds, seed, segments):
     ScenarioSpec(kind="onewall", rows=7, cols=7, seed=3, gap_col_lo=0, gap_col_hi=4),
     ScenarioSpec(kind="twowall", rows=7, cols=7, seed=3),
     ScenarioSpec(kind="baffle", rows=7, cols=7, seed=3),
-], ids=KINDS)
+    # Wider than tall, with discs that reach across cells: 90 candidates per
+    # disc against 173 edges.
+    ScenarioSpec(kind="forest", rows=6, cols=9, seed=3, n_discs=3, disc_radius=1.6),
+], ids=[*KINDS, "forest-6x9"])
 @pytest.mark.parametrize("block_elements", [None, 2_000])
 def test_blocked_sampling_equals_per_world_calls(monkeypatch, spec, block_elements):
-    if block_elements is not None:  # blocks of 2-3 worlds
+    if block_elements is not None:  # blocks of 2-3 rect worlds, 7-16 disc worlds
         monkeypatch.setattr(scenarios, "_BLOCK_ELEMENTS", block_elements)
     n_worlds = 61  # a multiple of no block size above
     ds = generate_dataset(spec, n_worlds, 20, 6, test_fraction=0.2)
@@ -168,6 +174,45 @@ def test_blocked_sampling_equals_per_world_calls(monkeypatch, spec, block_elemen
     assert (want == 0).any() and (want == 1).any()
     if spec.kind in ("onewall", "twowall"):
         assert len(counts) > 1
+
+
+@st.composite
+def disc_worlds(draw):
+    """A grid of 2-9 rows and columns, one radius from 1 to (rows + cols) S,
+    and 1-4 worlds of 1-3 discs whose centres are often on cell borders or
+    at the grid's far edges.  A radius that is a multiple of S puts a grown
+    box's edge on a cell border, where a disc centred there touches."""
+    rows, cols = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    r = draw(st.one_of(st.integers(1, SCALE), st.integers(1, (rows + cols) * SCALE),
+                       st.integers(1, rows + cols).map(lambda k: k * SCALE)))
+
+    def coord(n):
+        return st.one_of(st.integers(0, n - 1).map(lambda i: i * SCALE),
+                         st.integers(0, (n - 1) * SCALE))
+
+    centre = st.tuples(coord(cols), coord(rows), st.just(r))
+    n = draw(st.integers(1, 3))
+    worlds = draw(st.lists(st.lists(centre, min_size=n, max_size=n), min_size=1, max_size=4))
+    return rows, cols, r, worlds
+
+
+@settings(max_examples=300, deadline=None)
+@given(disc_worlds())
+def test_disc_cells_sampling_equals_all_edge_test(world_discs):
+    # sample_world through the candidate table marks exactly the edges that
+    # the all-edge predicate finds for some disc of the world.
+    rows, cols, r, worlds = world_discs
+    g = build_grid_graph(rows, cols)
+    segments = edge_segments(g.positions, g.endpoints)
+    cells = disc_cells(segments, rows, cols, r)
+    if r == (rows + cols) * SCALE:
+        assert cells.shape[1] == g.num_edges
+    spec = ScenarioSpec(kind="forest", rows=rows, cols=cols, n_discs=len(worlds[0]))
+    with pytest.MonkeyPatch.context() as mp:  # each world's generator is its discs
+        mp.setattr(scenarios, "_sample_obstacles", lambda spec, discs: {"discs": discs, "rects": []})
+        got = scenarios.sample_world(spec, worlds, segments, rect_constants(segments), cells)
+    want = [~np.any([segments_hit_disc(segments, *d) for d in discs], axis=0) for discs in worlds]
+    assert np.array_equal(got, np.array(want, dtype=np.uint8))
 
 
 def test_dataset_validates_for_all_kinds():

@@ -320,7 +320,7 @@ def test_load_and_problem_memory_per_world(tmp_path):
     for n in (10, 2000, 8000):
         paths[n] = str(tmp_path / f"{n}.bin")
         save_dataset(generate_dataset(spec, n, 60, 20), paths[n])
-    load_dataset(paths[10])  # the first load imports numpy modules (numpy.ma)
+    load_dataset(paths[10])  # one-time costs of a first load stay out of the peaks
     for n in (2000, 8000):
         tracemalloc.start()
         try:
