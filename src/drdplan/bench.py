@@ -18,6 +18,7 @@ bisect_policy, lazysp_graph); each forked --jobs worker fills its own copy.
 from __future__ import annotations
 
 import multiprocessing
+import os
 
 import numpy as np
 
@@ -235,7 +236,8 @@ def run_policy(
         status = np.zeros(n_edges, dtype=np.int8)
         return episode(_world_oracle(dataset, h), RunTrace(policy, h), status)
 
-    jobs = min(jobs, len(worlds))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    jobs = min(jobs, len(worlds), cpus)
     if jobs <= 1:
         return [world(int(h)) for h in worlds]
 

@@ -120,10 +120,10 @@ def _cmd_gen(args) -> int:
         gap_width=args.gap_width,
     )
     ds = scenarios.generate_dataset(spec, args.worlds, args.k, args.paths, args.test_fraction)
-    save_dataset(ds, args.out)
+    digest = save_dataset(ds, args.out)
     print(f"wrote {args.out}: N={ds.num_worlds} |E|={ds.graph.num_edges} "
           f"m={ds.num_paths} coverage={ds.provenance['train_coverage']:.3f} "
-          f"hash={dataset_hash(ds)[:12]}")
+          f"hash={digest[:12]}")
     return EXIT_OK
 
 

@@ -40,22 +40,34 @@ def segments_hit_disc(segments: np.ndarray, cx, cy, r) -> np.ndarray:
     return near_a | near_b | interior
 
 
+def cell_width(r):
+    """Side of a disc_cells cell for scaled radius r: the smallest multiple of
+    SCALE that is at least r, which keeps the table O(|E|) at any radius."""
+    return SCALE * np.maximum(1, -(-r // SCALE))
+
+
+def disc_cell(cx, cy, cols: int, r):
+    """The disc_cells row of a disc of scaled radius r centred at (cx, cy)."""
+    w = cell_width(r)
+    return cy // w * ((cols - 1) * SCALE // w + 1) + cx // w
+
+
 def disc_cells(segments: np.ndarray, rows: int, cols: int, r: int) -> np.ndarray:
-    """(rows * cols, C) candidate segments for a disc of scaled radius r
-    centred in [0, (cols - 1) S] x [0, (rows - 1) S] (S = SCALE): row
-    j * cols + i, for j = cy // S and i = cx // S, lists in ascending order
-    the segments whose bounding box grown by r meets the closed cell
-    [i S, (i + 1) S] x [j S, (j + 1) S].  A disc meets only segments whose
-    grown box holds its centre, so the row holds every segment it can hit.
+    """(cells, C) candidate segments for a disc of scaled radius r centred
+    in [0, (cols - 1) S] x [0, (rows - 1) S] (S = SCALE): row disc_cell(cx,
+    cy, cols, r) lists, ascending, the segments whose bounding box grown by r
+    meets the closed cell [i w, (i + 1) w] x [j w, (j + 1) w] holding the
+    centre (w = cell_width(r)), and so every segment the disc can hit.
     Shorter rows repeat their own entries up to C, the longest, so each
     entry is a real segment that the exact predicate decides."""
+    w = cell_width(r)
     lo = np.minimum(segments[:, :2], segments[:, 2:]) - r
     hi = np.maximum(segments[:, :2], segments[:, 2:]) + r
-    x, y = ((cell_lo[:, None] <= hi[:, a]) & (cell_lo[:, None] + SCALE >= lo[:, a])
-            for a, cell_lo in enumerate((np.arange(cols) * SCALE, np.arange(rows) * SCALE)))
-    cells = [np.flatnonzero(y[j] & x[i]) for j in range(rows) for i in range(cols)]
-    width = max(map(len, cells))
-    return np.array([np.resize(ids, width) for ids in cells])
+    cell_lo = [np.arange((n - 1) * SCALE // w + 1)[:, None] * w for n in (cols, rows)]
+    x, y = ((cell_lo[a] <= hi[:, a]) & (cell_lo[a] + w >= lo[:, a]) for a in range(2))
+    cells = [np.flatnonzero(yj & xi) for yj in y for xi in x]
+    longest = max(map(len, cells))
+    return np.array([np.resize(ids, longest) for ids in cells])
 
 
 def rect_constants(segments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

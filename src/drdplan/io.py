@@ -185,8 +185,10 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
-def save_dataset(ds: Dataset, path: str) -> None:
-    atomic_write_bytes(path, dataset_to_bytes(ds))
+def save_dataset(ds: Dataset, path: str) -> str:
+    """Write the dataset and return its dataset_hash, from the bytes written."""
+    atomic_write_bytes(path, data := dataset_to_bytes(ds))
+    return hashlib.sha256(data).hexdigest()
 
 
 def load_dataset(path: str) -> Dataset:

@@ -19,9 +19,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import rng as _rng
-from .geometry import (
-    SCALE, disc_cells, edge_segments, rect_constants, segments_hit_disc, segments_hit_rect,
-)
+from .geometry import (SCALE, disc_cell, disc_cells, edge_segments, rect_constants,
+                       segments_hit_disc, segments_hit_rect)
 from .graph import SQRT2, shortest_simple_paths
 from .model import Dataset, ExplicitGraph, Path, compute_membership, split_dataset
 
@@ -232,7 +231,7 @@ def sample_world(spec: ScenarioSpec, rngs: list[np.random.Generator], segments: 
     if cells is not None:  # one (worlds * discs, 1) column per parameter
         discs = np.array([w["discs"] for w in worlds], dtype=np.int64).reshape(-1, 3)
         cx, cy, r = discs.T[:, :, None]
-        ids = cells[(cy // SCALE * spec.cols + cx // SCALE)[:, 0]]
+        ids = cells[disc_cell(cx, cy, spec.cols, r)[:, 0]]
         disc, hit = np.nonzero(segments_hit_disc(segments[ids], cx, cy, r))
         blocked[disc // spec.n_discs, ids[disc, hit]] = True
     width = max(len(w["rects"]) for w in worlds)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -189,7 +190,11 @@ def test_unknown_split_rejected(ds, monkeypatch):
             run_policy("lazysp-set", ds, split)
 
 
-def test_pool_never_has_more_workers_than_worlds(ds, tree, monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of each pool run_policy opens, and CPUs to patch:
+    the fork context's Pool records its size and maps serially, so nothing
+    forks."""
     sizes = []
 
     class SerialPool:
@@ -208,15 +213,34 @@ def test_pool_never_has_more_workers_than_worlds(ds, tree, monkeypatch):
     class Fork:
         Pool = SerialPool
 
-    serial = run_policy("direct+bisect", ds, "test", tree, jobs=1)
+    def cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
     monkeypatch.setattr(bench.multiprocessing, "get_context", lambda method: Fork)
+    return sizes, cpus
+
+
+def test_pool_never_has_more_workers_than_worlds(ds, tree, pool_sizes):
+    sizes, cpus = pool_sizes
+    serial = run_policy("direct+bisect", ds, "test", tree, jobs=1)
     n = len(ds.test)
+    cpus(n + 100)
     for jobs, want in ((n + 30, [n]), (n, [n]), (2, [2])):
         sizes.clear()
         traces = run_policy("direct+bisect", ds, "test", tree, jobs=jobs)
         assert sizes == want
         assert [t.records for t in traces] == [t.records for t in serial]
         assert [t.terminal for t in traces] == [t.terminal for t in serial]
+
+
+def test_pool_never_has_more_workers_than_cpus(ds, tree, pool_sizes):
+    sizes, cpus = pool_sizes
+    serial = run_policy("direct+bisect", ds, "test", tree, jobs=1)
+    for n_cpus, want in ((3, [3]), (1, [])):
+        cpus(n_cpus)
+        sizes.clear()
+        assert run_policy("direct+bisect", ds, "test", tree, jobs=64) == serial
+        assert sizes == want
 
 
 # sha256 of the compiled tree and of every policy's canonical traces on the

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import drdplan
-from drdplan import bench, io, trees
+from drdplan import bench, io, scenarios, trees
 from drdplan.cli import (
     EXIT_CONTRACT,
     EXIT_DATA,
@@ -110,7 +110,7 @@ def test_sweep_sizes_must_strictly_increase(pipeline, tmp_path, capsys, monkeypa
     def never(*args, **kwargs):
         raise AssertionError("a tree was compiled")
 
-    monkeypatch.setattr(drdplan.trees, "compile_tree", never)
+    monkeypatch.setattr(trees, "compile_tree", never)
     for sizes in ("10,10", "20,10"):
         out = tmp_path / "s.csv"
         code = run(["sweep", "--dataset", pipeline["ds"], "--sizes", sizes, "--out", str(out)])
@@ -120,16 +120,16 @@ def test_sweep_sizes_must_strictly_increase(pipeline, tmp_path, capsys, monkeypa
 
 
 def test_sweep_needs_a_feasible_test_world(pipeline, tmp_path, capsys, monkeypatch):
-    ds = drdplan.io.load_dataset(pipeline["ds"])
+    ds = io.load_dataset(pipeline["ds"])
     ds.theta[ds.test] = 0
     ds.membership[ds.test] = 0
     path = str(tmp_path / "no-feasible-test.bin")
-    drdplan.io.save_dataset(ds, path)
+    io.save_dataset(ds, path)
 
     def never(*args, **kwargs):
         raise AssertionError("a tree was compiled")
 
-    monkeypatch.setattr(drdplan.trees, "compile_tree", never)
+    monkeypatch.setattr(trees, "compile_tree", never)
     out = tmp_path / "s.csv"
     code = run(["sweep", "--dataset", path, "--sizes", "10,30", "--out", str(out)])
     assert code == EXIT_CONTRACT
@@ -143,11 +143,11 @@ def test_sweep_needs_a_feasible_test_world(pipeline, tmp_path, capsys, monkeypat
 ])
 def test_bisect_over_an_empty_split_is_contract_error(pipeline, tmp_path, capsys, emptied, message):
     # The other split takes every world, so the dataset stays valid.
-    ds = drdplan.io.load_dataset(pipeline["ds"])
+    ds = io.load_dataset(pipeline["ds"])
     everything, nothing = np.arange(ds.num_worlds), np.arange(0)
     ds.train, ds.test = (everything, nothing) if emptied == "test" else (nothing, everything)
     path = str(tmp_path / f"no-{emptied}.bin")
-    drdplan.io.save_dataset(ds, path)
+    io.save_dataset(ds, path)
     out = tmp_path / "runs"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -237,7 +237,7 @@ def test_gen_checks_its_arguments_before_sampling_a_world(tmp_path, capsys, monk
     def never(*args, **kwargs):
         raise AssertionError("a world was sampled")
 
-    monkeypatch.setattr(drdplan.scenarios, "sample_world", never)
+    monkeypatch.setattr(scenarios, "sample_world", never)
     base = gen_args("bad.bin")
     for flag, value in (("--test-fraction", "0"), ("--k", "5")):
         argv = list(base)
@@ -300,7 +300,7 @@ def test_gen_out_of_memory_exits_5(tmp_path, capsys, monkeypatch, exc, message):
     def out_of_memory(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(drdplan.scenarios, "build_grid_graph", out_of_memory)
+    monkeypatch.setattr(scenarios, "build_grid_graph", out_of_memory)
     assert run(gen_args(str(tmp_path / "d.bin"))) == EXIT_RESOURCE
     assert capsys.readouterr().err == f"resource error: {message}\n"
     assert not (tmp_path / "d.bin").exists()
@@ -325,6 +325,17 @@ def test_gen_deterministic_bytes(tmp_path, capsys, monkeypatch):
     with open(tmp_path / "a" / "d.bin", "rb") as fa, \
             open(tmp_path / "b" / "d.bin", "rb") as fb:
         assert fa.read() == fb.read()
+
+
+def test_gen_serializes_once_and_prints_the_hash_of_its_bytes(tmp_path, capsys, monkeypatch):
+    calls = []
+    to_bytes = io.dataset_to_bytes
+    monkeypatch.setattr(io, "dataset_to_bytes", lambda ds: calls.append(1) or to_bytes(ds))
+    out = str(tmp_path / "d.bin")
+    assert run(gen_args(out)) == EXIT_OK
+    assert len(calls) == 1
+    printed = capsys.readouterr().out.split("hash=")[1].strip()
+    assert printed == dataset_hash(load_dataset(out))[:12]
 
 
 # An artifact records only the settings that shape its contents: no file
@@ -541,7 +552,7 @@ def test_bisect_alpha_outside_unit_interval_is_contract_error(
     def never(*args, **kwargs):
         raise AssertionError("a world ran")
 
-    monkeypatch.setattr(drdplan.bench, "_world_oracle", never)
+    monkeypatch.setattr(bench, "_world_oracle", never)
     for policy in ("bisect", "direct+bisect"):
         code = run([
             "run", "--dataset", pipeline["ds"], "--policy", policy, "--alpha", alpha,
@@ -588,7 +599,7 @@ def test_run_checks_out_before_any_world(pipeline, tmp_path, capsys, monkeypatch
     def never(*args, **kwargs):
         raise AssertionError("run_policy was called")
 
-    monkeypatch.setattr(drdplan.bench, "run_policy", never)
+    monkeypatch.setattr(bench, "run_policy", never)
     for out in (pipeline["ds"], os.path.join(pipeline["ds"], "runs")):
         argv = ["run", "--dataset", pipeline["ds"], "--policy", "lazysp-set", "--out", out]
         assert run(argv) == EXIT_DATA
@@ -658,6 +669,18 @@ def test_cli_import_leaves_networkx_out():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_importing_one_module_imports_no_other():
+    # The package re-exports nothing, so each name has one import path, its
+    # module's, and a module loads only what it imports itself.
+    src = os.path.dirname(os.path.dirname(drdplan.__file__))
+    code = "import sys, drdplan.rng; print(sorted(m for m in sys.modules if m.startswith('drdplan')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == str(["drdplan", "drdplan.rng"])
 
 
 def _set_graph(key, value):

@@ -158,8 +158,8 @@ def _per_world_theta(spec, n_worlds, seed, segments):
     ScenarioSpec(kind="onewall", rows=7, cols=7, seed=3, gap_col_lo=0, gap_col_hi=4),
     ScenarioSpec(kind="twowall", rows=7, cols=7, seed=3),
     ScenarioSpec(kind="baffle", rows=7, cols=7, seed=3),
-    # Wider than tall, with discs that reach across cells: 90 candidates per
-    # disc against 173 edges.
+    # Wider than tall, with discs that reach across cells two lattice steps
+    # wide: 115 candidates per disc against 173 edges.
     ScenarioSpec(kind="forest", rows=6, cols=9, seed=3, n_discs=3, disc_radius=1.6),
 ], ids=[*KINDS, "forest-6x9"])
 @pytest.mark.parametrize("block_elements", [None, 2_000])
@@ -213,6 +213,16 @@ def test_disc_cells_sampling_equals_all_edge_test(world_discs):
         got = scenarios.sample_world(spec, worlds, segments, rect_constants(segments), cells)
     want = [~np.any([segments_hit_disc(segments, *d) for d in discs], axis=0) for discs in worlds]
     assert np.array_equal(got, np.array(want, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("radius", [62, 0.7])
+def test_disc_cells_table_is_linear_in_edges(radius):
+    # Cells at least as wide as the disc radius keep the table linear in |E|
+    # at any radius: at radius 62 a disc spans the whole 31x31 grid, and one
+    # cell holds every edge.
+    g = build_grid_graph(31, 31)
+    cells = disc_cells(edge_segments(g.positions, g.endpoints), 31, 31, round(radius * SCALE))
+    assert cells.size <= 32 * g.num_edges
 
 
 def test_dataset_validates_for_all_kinds():
