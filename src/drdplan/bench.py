@@ -9,15 +9,17 @@ function that checks its inputs, builds what every world of the run shares
 ``episode(oracle, trace, status) -> RunTrace``.  run_policy builds what one
 world needs (its oracle, a fresh trace and an all-unknown edge status) and
 the episode extends the trace and status.  The last two ids require a
-compiled decision tree whose recorded dataset hash matches the dataset;
-direct+bisect builds each handoff bias at run time from the run's alpha.
-bisect, direct+bisect and lazysp-graph memoize their decisions per run (see
-bisect_policy, lazysp_graph); each forked --jobs worker fills its own copy.
+compiled decision tree whose recorded dataset hash and alpha match the
+dataset and the run's alpha.  bisect and every handoff of direct+bisect
+build their bias with trees.bias_vector from the training worlds
+consistent with the episode so far, so bisect is direct+bisect handing off
+at the root.  bisect, direct+bisect and lazysp-graph memoize their
+decisions per run (see bisect_policy, lazysp_graph); each forked --jobs
+worker fills its own copy.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 
 import numpy as np
@@ -55,9 +57,12 @@ def _surviving(train_theta: np.ndarray, status: np.ndarray) -> np.ndarray:
     return (train_theta[:, seen] == (status[seen] > 0)).all(axis=1)
 
 
-def _checked_tree(dataset: Dataset, tree: trees.DecisionTree | None, policy: str):
-    """The tree, once its recorded dataset hash matches the dataset and its
-    nodes fit it: every edge and region in range."""
+def _checked_tree(
+    dataset: Dataset, tree: trees.DecisionTree | None, policy: str, alpha: float, digest: str
+):
+    """The tree, once its recorded dataset hash and alpha match the
+    dataset's hash (digest) and the run's alpha and its nodes fit the
+    dataset: every edge and region in range."""
     if tree is None:
         raise ContractError(f"policy {policy} requires a compiled tree")
     want = tree.params.get("dataset_hash")
@@ -65,11 +70,15 @@ def _checked_tree(dataset: Dataset, tree: trees.DecisionTree | None, policy: str
         raise ContractError("tree records no dataset hash")
     if not isinstance(want, str):
         raise FormatError(f"tree dataset_hash {want!r} is not a string")
-    have = dataset_hash(dataset)
-    if want != have:
+    if want != digest:
         raise ContractError(
-            f"tree was compiled for dataset {want[:12]}..., got {have[:12]}..."
+            f"tree was compiled for dataset {want[:12]}..., got {digest[:12]}..."
         )
+    tree_alpha = tree.params.get("alpha")
+    if not isinstance(tree_alpha, float):
+        raise FormatError(f"tree alpha {tree_alpha!r} is not a number")
+    if tree_alpha != alpha:
+        raise ContractError(f"tree was compiled with alpha {tree_alpha}, the run has {alpha}")
     n_edges, n_paths = dataset.graph.num_edges, dataset.num_paths
     for i, node in enumerate(tree.nodes):
         if isinstance(node, trees.InternalNode) and node.edge >= n_edges:
@@ -84,12 +93,9 @@ def _checked_tree(dataset: Dataset, tree: trees.DecisionTree | None, policy: str
 
 # Each policy id maps to a per-run function of (dataset, tree, train_idx,
 # seed, alpha) that returns the episode, (oracle, trace, status) -> RunTrace.
+# The tree policies get their tree checked by run_policy (_checked_tree).
 # Episodes look up the functions they call through their modules at call
 # time, so that a wrapper installed on a module attribute sees every call.
-
-
-def _library(dataset: Dataset) -> Library:
-    return Library.build([p.edge_ids for p in dataset.paths], dataset.graph.num_edges)
 
 
 def _lazysp_graph(dataset, tree, train_idx, seed, alpha):
@@ -100,7 +106,7 @@ def _lazysp_graph(dataset, tree, train_idx, seed, alpha):
 
 
 def _lazysp_set(dataset, tree, train_idx, seed, alpha):
-    library = _library(dataset)
+    library = Library.of(dataset)
     order = baselines.shortest_first(library, dataset.graph)
     return lambda oracle, trace, status: baselines.lazysp_set(
         library, order, dataset.graph, oracle, trace, status
@@ -108,18 +114,20 @@ def _lazysp_set(dataset, tree, train_idx, seed, alpha):
 
 
 def _random(dataset, tree, train_idx, seed, alpha):
-    library = _library(dataset)
+    library = Library.of(dataset)
     return lambda oracle, trace, status: baselines.random_policy(
         library, dataset.graph, seed, oracle, trace, status
     )
 
 
 def _bisect(dataset, tree, train_idx, seed, alpha):
-    # Standalone baseline: training column means, clipped, as bias.
+    # Standalone baseline: the bias of a handoff at the root, where every
+    # training world is consistent with the (empty) observations.
     if len(train_idx) == 0:
         raise ValueError("dataset has no training split")
-    beta = bernoulli.clamp_bias(dataset.theta[train_idx].mean(axis=0), alpha)
-    library = _library(dataset)
+    n_edges = dataset.graph.num_edges
+    beta = trees.bias_vector(dataset.theta[train_idx], np.zeros(n_edges, np.int8), alpha)
+    library = Library.of(dataset)
     trie = {}  # one per run: every episode starts all unknown
     return lambda oracle, trace, status: bernoulli.bisect_policy(
         bernoulli.BernoulliBelief(beta, status), library, dataset.graph.eval_cost,
@@ -128,11 +136,10 @@ def _bisect(dataset, tree, train_idx, seed, alpha):
 
 
 def _direct_bisect(dataset, tree, train_idx, seed, alpha):
-    tree = _checked_tree(dataset, tree, "direct+bisect")
     if not 0.0 < alpha < 1.0:  # checked before any world: a run may never hand off
         raise ValueError("alpha must be in (0, 1)")
     train_theta = dataset.theta[train_idx]
-    library = _library(dataset)
+    library = Library.of(dataset)
     eval_cost = dataset.graph.eval_cost
     completions = {}  # status when BISECT takes over -> (bias, trie)
 
@@ -160,7 +167,6 @@ def _direct_bisect(dataset, tree, train_idx, seed, alpha):
 
 
 def _direct_only(dataset, tree, train_idx, seed, alpha):
-    tree = _checked_tree(dataset, tree, "direct-only")
     train_theta = dataset.theta[train_idx]
     train_memb = dataset.membership[train_idx]
     eval_cost = dataset.graph.eval_cost
@@ -196,6 +202,7 @@ POLICIES = {
     "direct-only": _direct_only,
 }
 POLICY_IDS = tuple(POLICIES)
+TREE_POLICIES = ("direct+bisect", "direct-only")
 
 # The per-world run in progress, inherited by forked pool workers.
 _POOL_WORLD = None
@@ -214,10 +221,12 @@ def run_policy(
     jobs: int = 1,
     alpha: float = 0.9,
     train_idx: np.ndarray | None = None,
+    digest: str | None = None,
 ) -> list[RunTrace]:
     """Run one policy over every world of the split: test, train or all.
     Each world gets its oracle, a fresh RunTrace and an all-unknown int8
-    edge status, which the policy's episode extends."""
+    edge status, which the policy's episode extends.  A tree policy checks
+    its tree against digest, the dataset's hash (computed when None)."""
     global _POOL_WORLD
     if policy not in POLICIES:
         raise ValueError(f"unknown policy id {policy!r}")
@@ -229,6 +238,9 @@ def run_policy(
         raise ValueError(f"the {split} split has no worlds")
     if train_idx is None:
         train_idx = dataset.train
+    if policy in TREE_POLICIES:
+        digest = dataset_hash(dataset) if digest is None else digest
+        tree = _checked_tree(dataset, tree, policy, alpha, digest)
     episode = POLICIES[policy](dataset, tree, train_idx, seed, alpha)
     n_edges = dataset.graph.num_edges
 
@@ -240,6 +252,8 @@ def run_policy(
     jobs = min(jobs, len(worlds), cpus)
     if jobs <= 1:
         return [world(int(h)) for h in worlds]
+
+    import multiprocessing  # only here: every command would pay for its import
 
     _POOL_WORLD = world
     try:
@@ -310,12 +324,12 @@ def sweep_training_size(
         sub = dataset.train[:size]
         problem = ec2.problem_from_dataset(dataset, sub)
         tree = trees.compile_tree(
-            problem, eta, max_nodes=max_nodes, params={"dataset_hash": ds_hash}
+            problem, eta, alpha=alpha, max_nodes=max_nodes, params={"dataset_hash": ds_hash}
         )
-        combined = run_policy(
-            "direct+bisect", dataset, "test", tree, jobs=jobs, alpha=alpha, train_idx=sub
-        )
-        tree_only = run_policy("direct-only", dataset, "test", tree, jobs=jobs, train_idx=sub)
+        combined = run_policy("direct+bisect", dataset, "test", tree, jobs=jobs, alpha=alpha,
+                              train_idx=sub, digest=ds_hash)
+        tree_only = run_policy("direct-only", dataset, "test", tree, jobs=jobs, alpha=alpha,
+                               train_idx=sub, digest=ds_hash)
         costs = np.array([t.total_cost for t in combined])[feasible]
         ok_combined = np.array([trace_success(t, dataset) for t in combined])[feasible]
         ok_tree = np.array([trace_success(t, dataset) for t in tree_only])[feasible]
@@ -344,14 +358,16 @@ def save_runs(
     traces: list[RunTrace],
     seed: int,
     params: dict | None = None,
+    digest: str | None = None,
 ) -> None:
+    """Write a run file; digest is the dataset's hash, computed when None."""
     feasible = {int(h): bool(dataset.membership[h].any()) for h in {t.world_index for t in traces}}
     scenario = dataset.provenance.get("scenario")
     label = scenario.get("kind") if isinstance(scenario, dict) else None
     doc = {
         "schema_version": RUNS_SCHEMA_VERSION,
         "policy": policy,
-        "dataset_hash": dataset_hash(dataset),
+        "dataset_hash": dataset_hash(dataset) if digest is None else digest,
         "dataset_label": label if isinstance(label, str) else "dataset",
         "seed": int(seed),
         "params": params or {},

@@ -64,16 +64,6 @@ class BernoulliBelief:
         self.status[edge] = 1 if outcome else -1
 
 
-def clamp_bias(beta: np.ndarray, alpha: float) -> np.ndarray:
-    """Clip a bias vector into [(1-alpha)/2, 1-(1-alpha)/2] so both outcome
-    branches of every edge keep positive probability.  alpha must lie in
-    (0, 1), as in trees.bias_vector."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    lo = (1.0 - alpha) / 2.0
-    return np.clip(np.asarray(beta, dtype=np.float64), lo, 1.0 - lo)
-
-
 def _state(belief: BernoulliBelief, library: Library, state=None, edge: int | None = None):
     """Per-region products used by the closed-form weight.
 

@@ -74,6 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--dataset", required=True)
     c.add_argument("--eta", type=float, default=0.05,
                    help="handoff threshold on the surviving training fraction (default 0.05)")
+    c.add_argument("--alpha", type=float, default=0.9,
+                   help="completion bias weight under which a node hands off to BISECT; "
+                   "recorded in the tree, whose runs must use the same --alpha (default 0.9)")
     c.add_argument("--max-nodes", type=_positive_int, default=200_000)
     c.add_argument("--out", required=True)
 
@@ -85,15 +88,17 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--jobs", type=_positive_int, default=1)
     r.add_argument("--alpha", type=float, default=0.9,
-                   help="bias mixture weight on the empirical fraction, and its clamp, "
-                   "for bisect and direct+bisect (default 0.9)")
+                   help="bias mixture weight on the empirical fraction for bisect and "
+                   "direct+bisect; a tree policy exits 4 unless it equals the tree's "
+                   "(default 0.9)")
     r.add_argument("--out", required=True, help="output directory for run files")
 
     s = sub.add_parser("sweep", help="training-size ablation", epilog=_EPILOG)
     s.add_argument("--dataset", required=True)
     s.add_argument("--sizes", required=True, type=_parse_sizes, help="e.g. 100,300,1000")
     s.add_argument("--eta", type=float, default=0.05)
-    s.add_argument("--alpha", type=float, default=0.9)
+    s.add_argument("--alpha", type=float, default=0.9,
+                   help="bias mixture weight, for compiling and running (default 0.9)")
     s.add_argument("--max-nodes", type=_positive_int, default=200_000)
     s.add_argument("--jobs", type=_positive_int, default=1)
     s.add_argument("--out", required=True, help="curve CSV output path")
@@ -131,7 +136,7 @@ def _cmd_compile_tree(args) -> int:
     ds = load_dataset(args.dataset)
     if len(ds.train) == 0:
         raise ContractError("dataset has no training split")
-    tree = trees.compile_from_dataset(ds, args.eta, max_nodes=args.max_nodes)
+    tree = trees.compile_from_dataset(ds, args.eta, alpha=args.alpha, max_nodes=args.max_nodes)
     trees.save_tree(tree, args.out)
     stats = tree.params["stats"]
     print(f"wrote {args.out}: nodes={len(tree.nodes)} depth={stats['depth']} "
@@ -153,13 +158,15 @@ def _cmd_run(args) -> int:
     _check_out_dir(args.out)
     ds = load_dataset(args.dataset)
     tree = trees.load_tree(args.tree) if args.tree else None
+    digest = dataset_hash(ds)
     traces = bench.run_policy(
-        args.policy, ds, args.split, tree, seed=args.seed, jobs=args.jobs, alpha=args.alpha
+        args.policy, ds, args.split, tree, seed=args.seed, jobs=args.jobs, alpha=args.alpha,
+        digest=digest,
     )
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{args.policy}.json")
     params = {"alpha": args.alpha, "split": args.split}
-    bench.save_runs(out_path, args.policy, ds, traces, args.seed, params=params)
+    bench.save_runs(out_path, args.policy, ds, traces, args.seed, params=params, digest=digest)
     costs = [t.total_cost for t in traces]
     print(f"wrote {out_path}: {len(traces)} worlds, mean cost {np.mean(costs):.2f}")
     return EXIT_OK

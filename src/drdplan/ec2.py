@@ -6,13 +6,13 @@ weight drives a Noisy-OR residual, and the greedy policy picks the test
 with the best expected residual reduction per unit cost.
 
 Weights are pairwise prior masses and are never renormalized as the
-version space shrinks.  The DIRECT step (select_test and the eta handoff
-of direct_step) reads them through the unit weights, DrdProblem.unit: the
-prior rescaled so that its largest entry is 1.0.  Every quantity it
-compares is a ratio of masses, so the scale changes nothing in real
-arithmetic; under a uniform prior every mass becomes an integer count,
-exact in any summation order, so restricting the sums to the active
-worlds moves no bit and equal scores tie exactly.
+version space shrinks.  The DIRECT step (select_test and the eta
+handoff of trees.direct_step) reads them through the unit weights,
+DrdProblem.unit: the prior rescaled so that its largest entry is 1.0.
+Every quantity it compares is a ratio of masses, so the scale changes
+nothing in real arithmetic; under a uniform prior every mass becomes an
+integer count, exact in any summation order, so restricting the sums to
+the active worlds moves no bit and equal scores tie exactly.
 
 No step reads a root weight: a score is a ratio of residuals, where it
 cancels, and a region weight only falls as the version space shrinks, so
@@ -41,7 +41,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .traces import AllRegionsDead, Handoff, RunTrace, Solved
+from .model import Library
+from .traces import AllRegionsDead, Solved
 
 # Scores at or below this are treated as "no useful test": a test that
 # neither splits nor prunes the active set reduces nothing, and floating
@@ -79,12 +80,17 @@ class VersionSpace:
 class DrdProblem:
     """Shared read-only matrices plus the unit weights (the prior over its
     largest entry).  Both 0/1 matrices stay uint8; the steps that need
-    floats cast one block of rows at a time."""
+    floats cast one block of rows at a time.
+
+    library is the path library whose paths the regions are, when they are
+    paths (problem_from_dataset); an abstract problem, with regions that
+    are only membership columns, has None."""
 
     membership: np.ndarray  # (N, m) 0/1
     outcomes: np.ndarray  # (N, E) 0/1
     eval_cost: np.ndarray  # (E,) positive
     prior: np.ndarray  # (N,) positive
+    library: Library | None = None
 
     def __post_init__(self) -> None:
         self.membership = np.ascontiguousarray(self.membership, dtype=np.uint8)
@@ -118,7 +124,8 @@ class DrdProblem:
 
 
 def problem_from_dataset(dataset, world_indices) -> DrdProblem:
-    """DrdProblem over a subset of dataset worlds, under the uniform prior."""
+    """DrdProblem over a subset of dataset worlds, under the uniform prior,
+    with the dataset's path library."""
     idx = np.asarray(world_indices, dtype=np.int64)
     n = len(idx)
     if n == 0:
@@ -128,6 +135,7 @@ def problem_from_dataset(dataset, world_indices) -> DrdProblem:
         outcomes=dataset.theta[idx],
         eval_cost=dataset.graph.eval_cost,
         prior=np.full(n, 1.0 / n),
+        library=Library.of(dataset),
     )
 
 
@@ -347,48 +355,3 @@ def is_solved(vs: VersionSpace, problem: DrdProblem):
     if not (counts > 0).any():
         return AllRegionsDead()
     return None
-
-
-def direct_step(vs: VersionSpace, problem: DrdProblem, eta: float, table=None):
-    """The DIRECT decision at a version space: Solved or AllRegionsDead
-    per is_solved; Handoff(active count) when the active weight is at or
-    below eta times the prior sum, both in unit weights (under a uniform
-    prior, at most eta * N active worlds, decided exactly), or no
-    unobserved test scores; else the edge id of the next test.  The
-    compiled tree's leaves are these verdicts.
-
-    table, when given, is a function of no arguments that returns the
-    split_table of the active worlds; it is called only when the step
-    scores tests."""
-    verdict = is_solved(vs, problem)
-    if verdict is not None:
-        return verdict
-    if problem.unit[vs.active].sum() > eta * problem.unit.sum():
-        candidates = np.flatnonzero(vs.status == 0)
-        sel = None
-        if candidates.size:
-            sel = select_test(vs, problem, candidates, None if table is None else table())
-        if sel is not None:
-            return sel[0]
-    return Handoff(vs.active_count)
-
-
-def direct_policy(
-    problem: DrdProblem, oracle, eta: float
-) -> tuple[RunTrace, VersionSpace]:
-    """Greedy explicit-database policy loop: direct_step until it returns
-    a terminal (Solved, AllRegionsDead or Handoff; the caller decides what
-    a handoff leads to).  Returns the trace and the final version space.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must be in [0, 1]")
-    vs = problem.root_version_space()
-    trace = RunTrace(policy="direct")
-    while True:
-        step = direct_step(vs, problem, eta)
-        if not isinstance(step, int):
-            trace.terminal = step
-            return trace, vs
-        outcome = int(oracle(step))
-        trace.record(step, outcome, float(problem.eval_cost[step]))
-        vs = observe(vs, problem, step, outcome)

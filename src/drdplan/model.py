@@ -151,6 +151,11 @@ class Library:
         index.setflags(write=False)
         return cls(paths, inR, index, through)
 
+    @classmethod
+    def of(cls, dataset: Dataset) -> Library:
+        """The library of a dataset's paths."""
+        return cls.build([p.edge_ids for p in dataset.paths], dataset.graph.num_edges)
+
     @property
     def num_edges(self) -> int:
         return self.inR.shape[1]

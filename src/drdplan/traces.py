@@ -9,7 +9,7 @@ leaf, the completion, a baseline's whole run) adds its evaluations through
 ``RunTrace.evaluate``.
 
 The verdicts are also the leaves of the compiled tree (drdplan.trees):
-ec2.direct_step returns Solved, AllRegionsDead or Handoff, and the tree
+trees.direct_step returns Solved, AllRegionsDead or Handoff, and the tree
 stores what it returned.
 
 traces_to_json and traces_from_json are the codec of the traces in a run

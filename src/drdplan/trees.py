@@ -1,13 +1,15 @@
 """Offline compilation of the explicit-database policy into a decision tree.
 
 The tree holds the DIRECT decisions alone.  Internal nodes name the edge to
-evaluate and branch on its outcome.  Leaves are the verdicts ec2.direct_step
+evaluate and branch on its outcome.  Leaves are the verdicts direct_step
 returns: Solved names a path that every surviving training world makes
 valid, AllRegionsDead certifies that no library path survives the training
 database, and Handoff passes control to the Bernoulli completion policy
 with the count of surviving training worlds.  The completion's bias is
 built at run time by bias_vector, from the training worlds consistent with
-the episode's observations and the run's alpha.
+the episode's observations and the run's alpha, which must be the alpha
+the tree was compiled with (params.alpha): direct_step hands off where
+BISECT's next test under that bias is worth as much as DIRECT's.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from functools import cache
 
 import numpy as np
 
-from . import ec2
+from . import bernoulli, ec2
 from .io import FormatError, atomic_write_bytes, is_index, read_json, reading, to_json_bytes
+from .model import LibraryStatus
 from .traces import AllRegionsDead, Handoff, RunTrace, Solved
 
-TREE_SCHEMA_VERSION = 2
+TREE_SCHEMA_VERSION = 3
 
 
 class TreeSizeExceeded(RuntimeError):
@@ -78,10 +81,84 @@ def bias_vector(rows: np.ndarray, status: np.ndarray, alpha: float) -> np.ndarra
     return alpha * np.where(status == 0, rows.mean(axis=0), status > 0) + (1.0 - alpha) * 0.5
 
 
+def direct_step(
+    vs: ec2.VersionSpace, problem: ec2.DrdProblem, eta: float, alpha: float = 0.9, table=None
+):
+    """The DIRECT decision at a version space: Solved or AllRegionsDead
+    per ec2.is_solved; else Handoff(active count) when the active weight is
+    at or below eta times the prior sum, both in unit weights (under a
+    uniform prior, at most eta * N active worlds, decided exactly), when no
+    candidate scores, or when BISECT's best score over the candidates is at
+    least DIRECT's; else the edge id of the next test.  The compiled tree's
+    leaves are these verdicts.
+
+    The candidates are the open edges of the problem's library
+    (model.LibraryStatus of vs.status): the unknown edges of paths with no
+    edge known invalid, the edges BISECT scores.  BISECT scores them under
+    bias_vector(the active worlds' outcomes, vs.status, alpha), the bias a
+    completion handed off here starts from.  Both scores are (1 - E[residual
+    ratio]) / cost.  An abstract problem, with no library, scores every
+    unobserved edge and has no BISECT to hand off to.
+
+    table, when given, is a function of no arguments that returns the
+    split_table of the active worlds; it is called only when the step
+    scores tests."""
+    verdict = ec2.is_solved(vs, problem)
+    if verdict is not None:
+        return verdict
+    if problem.unit[vs.active].sum() > eta * problem.unit.sum():
+        library = problem.library
+        if library is None:
+            candidates = np.flatnonzero(vs.status == 0)
+        else:
+            candidates = np.flatnonzero(LibraryStatus(library, vs.status).open)
+        sel = None
+        if candidates.size:
+            sel = ec2.select_test(vs, problem, candidates, None if table is None else table())
+        if sel is not None and (
+            library is None or _completion_score(vs, problem, alpha, candidates) < sel[1]
+        ):
+            return sel[0]
+    return Handoff(vs.active_count)
+
+
+def _completion_score(
+    vs: ec2.VersionSpace, problem: ec2.DrdProblem, alpha: float, candidates
+) -> float:
+    """BISECT's best score over the candidates under the bias a completion
+    handed off at vs starts from; 0 when nothing scores."""
+    beta = bias_vector(problem.outcomes[vs.active], vs.status, alpha)
+    belief = bernoulli.BernoulliBelief(beta, vs.status)
+    sel = bernoulli.select_test_bernoulli(belief, problem.library, problem.eval_cost, candidates)
+    return 0.0 if sel is None else sel[1]
+
+
+def direct_policy(
+    problem: ec2.DrdProblem, oracle, eta: float, alpha: float = 0.9
+) -> tuple[RunTrace, ec2.VersionSpace]:
+    """Greedy explicit-database policy loop: direct_step until it returns
+    a terminal (Solved, AllRegionsDead or Handoff; the caller decides what
+    a handoff leads to).  Returns the trace and the final version space.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must be in [0, 1]")
+    vs = problem.root_version_space()
+    trace = RunTrace(policy="direct")
+    while True:
+        step = direct_step(vs, problem, eta, alpha)
+        if not isinstance(step, int):
+            trace.terminal = step
+            return trace, vs
+        outcome = int(oracle(step))
+        trace.record(step, outcome, float(problem.eval_cost[step]))
+        vs = ec2.observe(vs, problem, step, outcome)
+
+
 def compile_tree(
     problem: ec2.DrdProblem,
     eta: float,
     *,
+    alpha: float = 0.9,
     max_nodes: int = 200_000,
     params: dict | None = None,
 ) -> DecisionTree:
@@ -91,7 +168,7 @@ def compile_tree(
     serialized bytes do not depend on how sibling subtrees are scheduled.
 
     Each node scores its tests from its split table (ec2.split_table),
-    built on first use, only when ec2.direct_step scores tests.  When every
+    built on first use, only when direct_step scores tests.  When every
     unit weight is an integer (the uniform training prior), the smaller
     child of a split builds its table from its own worlds and the larger
     one takes its parent's table minus the smaller sibling's, in place;
@@ -109,6 +186,8 @@ def compile_tree(
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must be in [0, 1]")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
     if problem.num_hypotheses == 0:
         raise ValueError("training set is empty")
 
@@ -151,7 +230,7 @@ def compile_tree(
         item = todo.pop()
         if isinstance(item, tuple):
             vs, table = item
-            item = ec2.direct_step(vs, problem, eta, table)
+            item = direct_step(vs, problem, eta, alpha, table)
             if isinstance(item, int):
                 children = [ec2.observe(vs, problem, item, outcome) for outcome in (0, 1)]
                 tables = child_tables(table(), children)
@@ -167,18 +246,21 @@ def compile_tree(
 
     (root,) = finished
     tree = DecisionTree(nodes=nodes, root=root, params=dict(params or {}))
-    tree.params.update({"eta": float(eta), "max_nodes": int(max_nodes)})
+    tree.params.update({"eta": float(eta), "alpha": float(alpha), "max_nodes": int(max_nodes)})
     tree.params["stats"] = {**tree.leaf_counts(), "depth": tree.depth()}
     return tree
 
 
-def compile_from_dataset(dataset, eta: float, *, max_nodes: int = 200_000) -> DecisionTree:
+def compile_from_dataset(
+    dataset, eta: float, *, alpha: float = 0.9, max_nodes: int = 200_000
+) -> DecisionTree:
     from .io import dataset_hash
 
     problem = ec2.problem_from_dataset(dataset, dataset.train)
     return compile_tree(
         problem,
         eta,
+        alpha=alpha,
         max_nodes=max_nodes,
         params={"dataset_hash": dataset_hash(dataset), "n_train": int(len(dataset.train))},
     )

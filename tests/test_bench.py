@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import tracemalloc
 from dataclasses import replace
@@ -216,7 +217,7 @@ def pool_sizes(monkeypatch):
     def cpus(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
-    monkeypatch.setattr(bench.multiprocessing, "get_context", lambda method: Fork)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Fork)
     return sizes, cpus
 
 
@@ -245,20 +246,23 @@ def test_pool_never_has_more_workers_than_cpus(ds, tree, pool_sizes):
 
 # sha256 of the compiled tree and of every policy's canonical traces on the
 # fixture above, and of the two tree policies' traces on a fixture whose tree
-# has 4 handoff leaves.  Refactors must leave these bytes alone.  The tree
-# was re-pinned at dataset schema 2, whose dataset hash it records.
+# has 5 handoff leaves.  Refactors must leave these bytes alone.  The tree
+# was re-pinned at dataset schema 2, whose dataset hash it records, and the
+# tree, bisect and both tree policies at tree schema 3, whose DIRECT tests
+# only open library edges and hands off when BISECT's next test is worth as
+# much, and whose bisect takes the bias of a handoff at the root.
 PINNED = {
-    "tree": "3af994a8a3a5f75707125a271fbc938dd8d289d54729dcd604e312ced0ed3d1c",
+    "tree": "373db2b9f636a4c92f36905d01bf1f8bceec75db4e60b40508acb2fad3b48de9",
     "lazysp-graph": "74c40618a9fe11503cc84f5b67f77f8363ba2da4d89648c7f9b9c9a6239ff806",
     "lazysp-set": "802e31005fa50aeb5819293094bc52559714342d9ee5cd0a0b6d7719c4a9d21d",
     "random": "2ca28a2881696ab9120215440db9db403b4d15b4872aafd7925aaa47059a3d76",
-    "bisect": "e5f19b30f123657ccb106ed9c13ebb5d42aac9f353340073c916b0e36124c5b6",
-    "direct+bisect": "d42e9d291f0178841986ae60e1e86d81148b2ae0371d9db77c61fb2ab5b26c27",
-    "direct-only": "100124745f443682d72e7a4e7374bc0592ca897571dfa2a0f269d652cd436a12",
+    "bisect": "40333540215db76f2e70e617a16b13ddb966a50bc18d1df6b04490413da9540e",
+    "direct+bisect": "3b2b99376e5e22138aad0eb56cf1e454070a69d5cb49ece79b809869780715ee",
+    "direct-only": "d7d6f9d4900ab9c0ada28e487f31196228b0b616c02dad924cd2fac6a48a0f30",
 }
 HANDOFF_PINNED = {
-    "direct+bisect": "990f2e4e7407303714dbbc5ef8607ab8ac4286e9282d482d6946a125afb42e82",
-    "direct-only": "44383ce63f63574dc5c5eaf6db56522c7239f1707857e20ac8837a1e48d844fd",
+    "direct+bisect": "30a45688f9904c16f3cc66c6bfba96e7684491eb9a2f7d35cbb492d01aea46bb",
+    "direct-only": "255f0003182024352271e0e73610d8cd255108939d44a9482b7a263f718f8945",
 }
 
 
@@ -274,16 +278,17 @@ def test_artifact_bytes_pinned(ds, tree):
     assert got == PINNED
     handoff_ds = make_ds(seed=2, n=80)
     handoff_tree = trees.compile_from_dataset(handoff_ds, 0.05)
-    assert handoff_tree.params["stats"]["handoff"] == 4
+    assert handoff_tree.params["stats"]["handoff"] == 5
     got = {policy: _traces_sha256(policy, handoff_ds, handoff_tree) for policy in HANDOFF_PINNED}
     assert got == HANDOFF_PINNED
 
 
 # sha256 of a whole run file, header and traces, of the fixture above; its
 # worlds end solved and dead.  Recorded before the run-file codec moved
-# into drdplan.traces and the canonical writer into drdplan.io, and
-# re-pinned at dataset schema 2 with the params that run writes.
-RUN_FILE_PINNED = "9af92f8cf7f9ae52ade286cc82fba859df69292a833756aee241012a0e16b309"
+# into drdplan.traces and the canonical writer into drdplan.io,
+# re-pinned at dataset schema 2 with the params that run writes, and again
+# at tree schema 3.
+RUN_FILE_PINNED = "48b2aa2f2a99901f8a4803711d8fe2b86e1a83794fbd4205788bea6d16cdd18e"
 
 
 def test_run_file_bytes_pinned(ds, tree, tmp_path):

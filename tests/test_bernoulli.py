@@ -7,7 +7,6 @@ from drdplan import bernoulli, ec2
 from drdplan.bernoulli import (
     BernoulliBelief,
     bisect_policy,
-    clamp_bias,
     conditional_region_weights,
     region_weights_bernoulli,
     select_test_bernoulli,
@@ -38,14 +37,6 @@ def test_belief_observe_and_theta_eff():
     assert b.observation_mass() == 0.3
     with pytest.raises(ValueError):
         b.observe(0, 0)
-
-
-def test_clamp_bias_bounds():
-    clamped = clamp_bias(np.array([0.0, 0.5, 1.0]), alpha=0.9)
-    assert np.allclose(clamped, [0.05, 0.5, 0.95])
-    for alpha in (np.nan, 0.0, 1.0, 2.0, -0.5):  # the range trees.bias_vector takes
-        with pytest.raises(ValueError):
-            clamp_bias(np.array([0.0, 0.5, 1.0]), alpha)
 
 
 def test_regions_matrix_rejects_empty_region():

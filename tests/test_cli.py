@@ -564,13 +564,14 @@ def test_bisect_alpha_outside_unit_interval_is_contract_error(
 
 
 def test_run_alpha_sets_the_direct_bisect_bias(tmp_path, capsys):
-    # A forest dataset whose tree has three handoff leaves.
-    ds, tree = str(tmp_path / "d.bin"), str(tmp_path / "t.json")
+    # A forest dataset whose trees have handoff leaves.  A run must use its
+    # tree's alpha, so each alpha compiles its own tree.
+    ds = str(tmp_path / "d.bin")
     assert run(gen_args(ds, scenario="forest", worlds=80)) == EXIT_OK
-    assert run(["compile-tree", "--dataset", ds, "--out", tree]) == EXIT_OK
     traces = {}
     for alpha in ("0.9", "0.5"):
-        out = tmp_path / alpha
+        tree, out = str(tmp_path / f"t{alpha}.json"), tmp_path / alpha
+        assert run(["compile-tree", "--dataset", ds, "--alpha", alpha, "--out", tree]) == EXIT_OK
         assert run([
             "run", "--dataset", ds, "--policy", "direct+bisect", "--alpha", alpha,
             "--tree", tree, "--out", str(out),
@@ -578,6 +579,40 @@ def test_run_alpha_sets_the_direct_bisect_bias(tmp_path, capsys):
         with open(out / "direct+bisect.json") as f:
             traces[alpha] = json.load(f)["traces"]
     assert traces["0.9"] != traces["0.5"]
+
+
+def test_run_alpha_other_than_the_trees_is_contract_error(pipeline, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a world ran")
+
+    monkeypatch.setattr(bench, "_world_oracle", never)
+    with open(pipeline["tree"]) as f:
+        assert json.load(f)["params"]["alpha"] == 0.9
+    for policy in ("direct+bisect", "direct-only"):
+        code = run([
+            "run", "--dataset", pipeline["ds"], "--policy", policy, "--alpha", "0.5",
+            "--tree", pipeline["tree"], "--out", str(tmp_path / "runs"),
+        ])
+        assert code == EXIT_CONTRACT
+        assert "alpha" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+
+def test_schema_2_tree_is_data_error(pipeline, tmp_path, capsys):
+    # Schema 2 trees were compiled by a DIRECT that tested any unknown edge
+    # and recorded no alpha: they are refused, not run.
+    with open(pipeline["tree"]) as f:
+        doc = json.load(f)
+    doc["schema_version"] = 2
+    del doc["params"]["alpha"]
+    tree = tmp_path / "t2.json"
+    tree.write_text(json.dumps(doc))
+    code = run([
+        "run", "--dataset", pipeline["ds"], "--policy", "direct+bisect",
+        "--tree", str(tree), "--out", str(tmp_path / "runs"),
+    ])
+    assert code == EXIT_DATA
+    assert "schema_version 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["runs-is-file", "runs-subdir", "out-is-file"])
@@ -681,6 +716,14 @@ def test_importing_one_module_imports_no_other():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == str(["drdplan", "drdplan.rng"])
+    # Only a run with more than one job imports multiprocessing, so no
+    # command pays for it at import.
+    code = "import sys, drdplan.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def _set_graph(key, value):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from drdplan import ec2
+from drdplan import ec2, trees
 from drdplan.traces import AllRegionsDead, Handoff, Solved
 
 from conftest import make_worked_problem, pairwise_weight_oracle
@@ -282,7 +282,7 @@ def test_is_solved_unsolved_and_dead():
 
 def test_direct_policy_eta_one_immediate_handoff():
     prob = make_worked_problem()
-    trace, vs = ec2.direct_policy(prob, lambda e: 1, eta=1.0)
+    trace, vs = trees.direct_policy(prob, lambda e: 1, eta=1.0)
     assert isinstance(trace.terminal, Handoff)
     assert trace.records == []
     assert vs.active_count == 3
@@ -291,7 +291,7 @@ def test_direct_policy_eta_one_immediate_handoff():
 def test_direct_policy_worked_world_h2():
     prob = make_worked_problem()
     oracle = lambda e: int(prob.outcomes[1, e])  # world = h2
-    trace, vs = ec2.direct_policy(prob, oracle, eta=0.0)
+    trace, vs = trees.direct_policy(prob, oracle, eta=0.0)
     assert len(trace.records) == 1 and trace.records[0][0] == 0
     assert trace.terminal == Solved(1)  # {h2, h3} lies inside region 2
 
@@ -307,7 +307,7 @@ def test_direct_policy_database_worlds_terminate():
             np.full(n, 1.0 / n),
         )
         h = int(rng.integers(n))
-        trace, vs = ec2.direct_policy(prob, lambda t: int(prob.outcomes[h, t]), eta=0.0)
+        trace, vs = trees.direct_policy(prob, lambda t: int(prob.outcomes[h, t]), eta=0.0)
         assert isinstance(trace.terminal, (Solved, AllRegionsDead, Handoff))
         # The true world is always consistent with every observation.
         assert vs.active[h]
@@ -434,7 +434,7 @@ def test_handoff_at_exactly_eta_times_n_active_worlds(n, eta, k):
         active = np.zeros(n, bool)
         active[n // 2 - count // 2: n // 2 - count // 2 + count] = True
         vs = ec2.VersionSpace(active, np.zeros(1, np.int8))
-        step = ec2.direct_step(vs, prob, eta)
+        step = trees.direct_step(vs, prob, eta)
         assert step == (0 if want_split else Handoff(count))
 
 

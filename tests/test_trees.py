@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from drdplan import ec2, trees
-from drdplan.io import FormatError, load_dataset, save_dataset
+from drdplan.bench import run_policy
+from drdplan.bernoulli import BernoulliBelief, select_test_bernoulli
+from drdplan.io import FormatError, load_dataset, save_dataset, to_json_bytes
+from drdplan.model import LibraryStatus
 from drdplan.scenarios import ScenarioSpec, generate_dataset
 from drdplan.trees import (
     DecisionTree,
@@ -22,7 +25,7 @@ from drdplan.trees import (
     tree_from_bytes,
     tree_to_bytes,
 )
-from drdplan.traces import AllRegionsDead, Handoff, RunTrace, Solved
+from drdplan.traces import AllRegionsDead, Handoff, RunTrace, Solved, traces_to_json
 
 from conftest import make_worked_problem, random_regions, regions_membership
 
@@ -57,6 +60,22 @@ def test_bias_vector_values():
     # Observed edges pin the mixture to the outcome.
     theta0 = bias_vector(outcomes[1:], status_of(3, {2: 0}), alpha=0.9)
     assert abs(theta0[2] - 0.05) <= 1e-12
+
+
+def test_bias_vector_bounds():
+    """Entries stay inside [(1 - alpha)/2, (1 + alpha)/2], the ends reached
+    by fractions 0 and 1 and by observed edges, so both outcomes of every
+    edge keep positive probability."""
+    rows = np.array([[0, 1, 0, 1, 1], [0, 1, 1, 1, 0]], dtype=np.uint8)
+    status = status_of(5, {3: 0, 4: 1})
+    for alpha in (0.1, 0.5, 0.9, 0.999):
+        theta = bias_vector(rows, status, alpha)
+        assert np.allclose(theta, [(1 - alpha) / 2, (1 + alpha) / 2, 0.5,
+                                   (1 - alpha) / 2, (1 + alpha) / 2])
+        BernoulliBelief(theta, status)  # strictly inside (0, 1)
+    for alpha in (np.nan, 0.0, 1.0, 2.0, -0.5):
+        with pytest.raises(ValueError):
+            bias_vector(rows, status, alpha)
 
 
 def test_bias_vector_rejects_bad_inputs():
@@ -151,16 +170,13 @@ def test_training_worlds_reach_consistent_leaves():
         elif isinstance(leaf, AllRegionsDead):
             assert ds.membership[h].sum() == 0
         else:
-            # eta = 0: a handoff can only come from NoUsefulTest on the
-            # surviving training worlds.
-            survivors = np.ones(len(ds.train), dtype=bool)
-            for e, o, _ in trace.records:
-                survivors &= ds.theta[ds.train][:, e] == o
-            assert survivors.any()
-            prob = ec2.problem_from_dataset(ds, ds.train[survivors])
-            vs = prob.root_version_space()
-            cand = [e for e in range(ds.graph.num_edges) if e not in {r[0] for r in trace.records}]
-            assert ec2.select_test(vs, prob, cand) is None
+            # eta = 0: a handoff comes from no open edge scoring on the
+            # surviving training worlds, or from BISECT's test scoring at
+            # least as much as DIRECT's.
+            status = status_of(ds.graph.num_edges, {e: o for e, o, _ in trace.records})
+            sel, rival, active = scores_at(ec2.problem_from_dataset(ds, ds.train), status, 0.9)
+            assert active >= 1
+            assert sel is None or (rival is not None and rival[1] >= sel[1])
 
 
 def test_compile_and_depth_leave_recursion_limit_alone():
@@ -241,7 +257,7 @@ def test_tree_format_errors():
         tree_from_bytes(b'{"schema_version": 42, "nodes": [], "root": 0, "params": {}}')
     with pytest.raises(FormatError, match="node type"):
         tree_from_bytes(
-            b'{"schema_version": 2, "nodes": [{"type": "mystery"}], "root": 0, "params": {}}'
+            b'{"schema_version": 3, "nodes": [{"type": "mystery"}], "root": 0, "params": {}}'
         )
     # Schema 1 stored a bias vector in every handoff leaf; it is not read.
     with pytest.raises(FormatError, match="schema_version"):
@@ -270,7 +286,7 @@ def test_direct_policy_matches_compiled_tree():
             tree = compile_tree(problem, eta)
             for h in range(n):
                 oracle = lambda edge, row=outcomes[h]: int(row[edge])
-                trace, _ = ec2.direct_policy(problem, oracle, eta)
+                trace, _ = trees.direct_policy(problem, oracle, eta)
                 leaf, tree_trace = run_tree(tree, oracle, problem.eval_cost)
                 assert trace.records == tree_trace.records
                 assert trace.terminal == leaf
@@ -300,12 +316,101 @@ def test_direct_policy_matches_compiled_tree_uniform_prior():
             tree = compile_tree(problem, eta)
             for h in range(n):
                 oracle = lambda edge, row=outcomes[h]: int(row[edge])
-                trace, _ = ec2.direct_policy(problem, oracle, eta)
+                trace, _ = trees.direct_policy(problem, oracle, eta)
                 leaf, tree_trace = run_tree(tree, oracle, problem.eval_cost)
                 assert trace.records == tree_trace.records
                 assert trace.terminal == leaf
                 episodes += 1
     assert episodes > 1000
+
+
+# --- DIRECT's candidates and its handoff to BISECT ---------------------------
+
+def rule_datasets():
+    """Forest datasets whose trees split, hand off for the cost-aware rule,
+    and end solved and dead."""
+    for seed, size, n in ((2, 6, 120), (3, 7, 120), (1, 6, 300), (2, 7, 300), (5, 8, 200),
+                          (3, 8, 300)):
+        spec = ScenarioSpec(kind="forest", rows=size, cols=size, seed=seed, n_discs=4)
+        yield generate_dataset(spec, n, 60, 12, test_fraction=0.2)
+
+
+def walk_with_status(tree, n_edges):
+    """Every node of the tree with the edge status on the way to it."""
+    todo = [(tree.root, np.zeros(n_edges, np.int8))]
+    while todo:
+        i, status = todo.pop()
+        node = tree.nodes[i]
+        yield node, status
+        if isinstance(node, InternalNode):
+            for outcome, child in ((-1, node.child0), (1, node.child1)):
+                branch = status.copy()
+                branch[node.edge] = outcome
+                todo.append((child, branch))
+
+
+def scores_at(problem, status, alpha):
+    """DIRECT's and BISECT's best (edge, score) over the open edges at a
+    status, each None when nothing scores."""
+    active = (problem.outcomes[:, status != 0] == (status[status != 0] > 0)).all(axis=1)
+    vs = ec2.VersionSpace(active, status)
+    cand = np.flatnonzero(LibraryStatus(problem.library, status).open)
+    beta = bias_vector(problem.outcomes[active], status, alpha)
+    rival = select_test_bernoulli(BernoulliBelief(beta, status), problem.library,
+                                  problem.eval_cost, cand)
+    return ec2.select_test(vs, problem, cand), rival, int(active.sum())
+
+
+def test_direct_tests_only_open_edges_and_hands_off_when_bisect_scores_as_much():
+    eta, alpha = 0.05, 0.9
+    splits = rule_handoffs = 0
+    for ds in rule_datasets():
+        problem = ec2.problem_from_dataset(ds, ds.train)
+        tree = compile_tree(problem, eta, alpha=alpha)
+        for node, status in walk_with_status(tree, ds.graph.num_edges):
+            if isinstance(node, InternalNode):
+                assert LibraryStatus(problem.library, status).open[node.edge]
+                sel, rival, _ = scores_at(problem, status, alpha)
+                assert sel[0] == node.edge
+                assert rival is None or rival[1] < sel[1]
+                splits += 1
+            elif isinstance(node, Handoff):
+                sel, rival, active = scores_at(problem, status, alpha)
+                assert active == node.active_count
+                if active > eta * len(ds.train) and sel is not None:
+                    # Neither the eta threshold nor a lack of useful tests:
+                    # the cost-aware rule handed off.
+                    assert rival is not None and rival[1] >= sel[1]
+                    rule_handoffs += 1
+    assert splits > 20 and rule_handoffs > 5
+
+
+def test_direct_policy_matches_compiled_tree_of_a_dataset():
+    """The online loop and the compiled tree take the same open-edge,
+    cost-aware steps on every training world."""
+    for ds in rule_datasets():
+        problem = ec2.problem_from_dataset(ds, ds.train)
+        tree = compile_tree(problem, 0.05)
+        for h in range(problem.num_hypotheses):
+            oracle = lambda edge, row=problem.outcomes[h]: int(row[edge])
+            trace, _ = trees.direct_policy(problem, oracle, 0.05)
+            leaf, tree_trace = run_tree(tree, oracle, problem.eval_cost)
+            assert trace.records == tree_trace.records
+            assert trace.terminal == leaf
+
+
+def test_root_handoff_makes_direct_bisect_equal_bisect():
+    """bisect takes the bias of a handoff at the root, so direct+bisect with
+    a one-leaf handoff tree writes bisect's traces, byte for byte but for
+    the policy name."""
+    for ds in rule_datasets():
+        tree = compile_from_dataset(ds, 1.0)
+        assert tree.nodes == [Handoff(len(ds.train))]
+        docs = {}
+        for policy in ("bisect", "direct+bisect"):
+            traces = traces_to_json(run_policy(policy, ds, "all", tree))
+            docs[policy] = to_json_bytes([{**t, "policy": None} for t in traces])
+        assert docs["bisect"] == docs["direct+bisect"]
 
 
 def test_load_and_problem_memory_per_world(tmp_path):
