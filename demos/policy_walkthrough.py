@@ -30,8 +30,8 @@ def part1_explicit_database() -> None:
     outcomes = np.array([[1], [0], [0]], dtype=np.uint8)
     prob = ec2.DrdProblem(membership, outcomes, np.ones(1), np.full(3, 1 / 3))
 
-    print(f"root region weights: {prob.root_weights}  (2/9 each)")
     vs = prob.root_version_space()
+    print(f"root region weights: {ec2.region_weights(vs, prob)}  (2/9 each)")
     edge, score = ec2.select_test(vs, prob, [0])
     print(f"greedy pick: edge {edge}, score {score}  (both outcomes resolve)")
 

@@ -10,10 +10,10 @@ function that checks its inputs, builds what every world of the run shares
 world needs (its oracle, a fresh trace and an all-unknown edge status) and
 the episode extends the trace and status.  The last two ids require a
 compiled decision tree whose recorded dataset hash and alpha match the
-dataset and the run's alpha.  bisect and every handoff of direct+bisect
-build their bias with trees.bias_vector from the training worlds
-consistent with the episode so far, so bisect is direct+bisect handing off
-at the root.  bisect, direct+bisect and lazysp-graph memoize their
+dataset and the run's alpha.  Every handoff of direct+bisect builds its
+bias with trees.bias_vector from the training worlds consistent with the
+episode so far, and bisect runs direct+bisect on a one-leaf tree that
+hands off at the root.  bisect, direct+bisect and lazysp-graph memoize their
 decisions per run (see bisect_policy, lazysp_graph); each forked --jobs
 worker fills its own copy.
 """
@@ -121,18 +121,12 @@ def _random(dataset, tree, train_idx, seed, alpha):
 
 
 def _bisect(dataset, tree, train_idx, seed, alpha):
-    # Standalone baseline: the bias of a handoff at the root, where every
-    # training world is consistent with the (empty) observations.
+    # Standalone baseline: direct+bisect on a one-leaf tree that hands off
+    # at the root, where every training world is consistent.
     if len(train_idx) == 0:
         raise ValueError("dataset has no training split")
-    n_edges = dataset.graph.num_edges
-    beta = trees.bias_vector(dataset.theta[train_idx], np.zeros(n_edges, np.int8), alpha)
-    library = Library.of(dataset)
-    trie = {}  # one per run: every episode starts all unknown
-    return lambda oracle, trace, status: bernoulli.bisect_policy(
-        bernoulli.BernoulliBelief(beta, status), library, dataset.graph.eval_cost,
-        oracle, trace, trie,
-    )
+    root = trees.DecisionTree([Handoff(len(train_idx))], 0)
+    return _direct_bisect(dataset, root, train_idx, seed, alpha)
 
 
 def _direct_bisect(dataset, tree, train_idx, seed, alpha):
@@ -380,7 +374,8 @@ def save_runs(
 def load_runs(path: str) -> dict:
     """A run file parsed once: its header keys as written, ``feasible``
     keyed by world index and ``traces`` as RunTraces.  FormatError for bad
-    JSON, a wrong schema, or anything build_report cannot read."""
+    JSON, a wrong schema, a feasible map that does not name exactly the
+    traced worlds, or anything build_report cannot read."""
     with open(path, "rb") as f:
         doc = read_json(f.read(), f"run file {path}", RUNS_SCHEMA_VERSION)
     for key, kind in (("policy", str), ("dataset_hash", str), ("dataset_label", str),
@@ -394,8 +389,11 @@ def load_runs(path: str) -> dict:
         if len(feasible) != len(doc["feasible"]):
             raise FormatError("feasible is not canonical world index: bool")
         doc["feasible"], doc["traces"] = feasible, traces_from_json(doc["traces"])
-    if len({t.world_index for t in doc["traces"]}) != len(doc["traces"]):
+    worlds = {t.world_index for t in doc["traces"]}
+    if len(worlds) != len(doc["traces"]):
         raise FormatError(f"bad run file {path}: two traces name one world_index")
+    if doc["feasible"].keys() != worlds:
+        raise FormatError(f"bad run file {path}: feasible does not name exactly the traced worlds")
     return doc
 
 

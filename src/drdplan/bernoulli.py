@@ -7,7 +7,10 @@ region admits a product closed form over the region's own edges, which
 makes every greedy step O(|open edges| m) instead of O(2^|E|): the
 per-region products come from one gather through the library's padded edge
 index (model.Library), and only the open edges, the unknown edges of
-regions that are still live, are scored.  The enumeration engine in
+regions that are still live, are scored.  region_posterior, from those
+products, is the one definition of a region's weight: select_test_bernoulli
+scores from it and region_weights_bernoulli derives from it.  The
+enumeration engine in
 :mod:`drdplan.ec2` run over the explicit 2^|E| world set with
 product-Bernoulli priors is the defining oracle for these formulas; the
 test suite pins them against it.
@@ -93,30 +96,23 @@ def _state(belief: BernoulliBelief, library: Library, state=None, edge: int | No
     return theta, p_r, pt2_r, ps_r, float(np.prod(theta * theta + (1.0 - theta) * (1.0 - theta)))
 
 
-def conditional_region_weights(belief: BernoulliBelief, library: Library) -> np.ndarray:
-    """Per-region weight with the squared observation mass divided out:
-    ec2.conditional_weight(p_r, S - S_r), an O(1) quantity however long
-    the observation history is.  Same zero set as the full weight."""
-    _, p_r, pt2_r, ps_r, S = _state(belief, library)
-    return conditional_weight(p_r, S - pt2_r * (S / ps_r))
+def region_posterior(state):
+    """(p_r, K_r) of every region from a _state: its posterior and its
+    complement's squared-mass share K_r = S - S_r, with S_r the in-region
+    share of the squared mass."""
+    _, p_r, pt2_r, ps_r, S = state
+    return p_r, S - pt2_r * (S / ps_r)
 
 
 def region_weights_bernoulli(belief: BernoulliBelief, library: Library) -> np.ndarray:
     """One-vs-all pairwise weight of every region over the implicit
-    product-Bernoulli hypothesis set, conditioned on the observations.
-
-    In conditional terms: w = mass^2 * ((1 - p_r^2 - (S - S_r)) / 2) with
-    S_r the in-region share of the squared mass.  Matches the enumeration
+    product-Bernoulli hypothesis set, conditioned on the observations:
+    mass^2 * ec2.conditional_weight of region_posterior, with mass the
+    prior probability of the observations.  Matches the enumeration
     engine's weight of the surviving explicit version space exactly.
     """
     mass = belief.observation_mass()
-    return mass * mass * conditional_region_weights(belief, library)
-
-
-def weight_bernoulli(belief: BernoulliBelief, edges) -> float:
-    """Scalar one-region weight (see region_weights_bernoulli)."""
-    library = Library.build([tuple(edges)], belief.num_edges)
-    return float(region_weights_bernoulli(belief, library)[0])
+    return mass * mass * conditional_weight(*region_posterior(_state(belief, library)))
 
 
 def select_test_bernoulli(
@@ -133,13 +129,13 @@ def select_test_bernoulli(
     candidates, which must be unobserved: O(|candidates| * m) per call on
     top of the region products.
 
-    The objective is the enumeration engine's, ec2.log_residual_ratio,
-    with K_r = S - S_r the complement's squared-mass share; only the
-    branch posteriors are this engine's own.  Under the independence
-    prior an off-region candidate leaves every surviving factor at
-    exactly 1, so it scores zero up to round-off, about 1e-16 / c.  The
-    SCORE_TOL cut removes that only while c is not tiny, so bisect_policy
-    passes the open edges alone: the unknown edges of live regions.
+    The objective is the enumeration engine's, ec2.log_residual_ratio, of
+    region_posterior; only the branch posteriors are this engine's own.
+    Under the independence prior an off-region candidate leaves every
+    surviving factor at exactly 1, so it scores zero up to round-off,
+    about 1e-16 / c.  The SCORE_TOL cut removes that only while c is not
+    tiny, so bisect_policy passes the open edges alone: the unknown edges
+    of live regions.
 
     state, when given, is the belief's _state, carried by the caller; None
     builds it from the belief.
@@ -147,12 +143,13 @@ def select_test_bernoulli(
     cand = np.sort(np.asarray(candidates, dtype=np.int64))
     if cand.size == 0:
         raise ValueError("candidates must be nonempty")
-    theta, p_r, pt2_r, ps_r, S = _state(belief, library) if state is None else state
+    state = _state(belief, library) if state is None else state
     if np.any(belief.status[cand] != 0):
         raise ValueError("candidates must be unobserved edges")
-    th_c = theta[cand]
+    th_c = state[0][cand]
 
-    mask, Km, wm = live_regions(p_r, S - pt2_r * (S / ps_r))
+    p_r, K_r = region_posterior(state)
+    mask, Km, wm = live_regions(p_r, K_r)
     if not mask.any():
         return None
     pm = p_r[mask]

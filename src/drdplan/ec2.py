@@ -14,9 +14,13 @@ nothing in real arithmetic; under a uniform prior every mass becomes an
 integer count, exact in any summation order, so restricting the sums to
 the active worlds moves no bit and equal scores tie exactly.
 
-No step reads a root weight: a score is a ratio of residuals, where it
-cancels, and a region weight only falls as the version space shrinks, so
-a region with weight at an unsolved node had weight at the root.
+region_posterior is the one definition of a region's weight: each
+region's posterior p and complement share K over the active worlds.
+select_test scores from it, region_weights is the squared active mass
+times conditional_weight(p, K), and residual is a ratio of region_weights.
+No greedy step reads a root weight: a score is a ratio of residuals, where
+it cancels, and a region weight only falls as the version space shrinks,
+so a region with weight at an unsolved node had weight at the root.
 
 select_test scores from a split table (split_table): every test's branch
 masses, in total and per region, over a set of worlds.  Each entry is a
@@ -27,17 +31,17 @@ why the uniform prior lets a tree node take its table from its parent's
 (drdplan.trees); under any other prior a table is built from its own
 worlds, where a branch that no world reaches is a sum of exact zeros.
 
-Both functions work over fixed blocks of rows, worlds or candidates, so
-their float64 scratch stays near BLOCK_ELEMENTS entries however many
-worlds a problem holds.  A split table is the sum of its blocks' tables,
-exact in integer unit weights; scores are computed row by row, so a
-block of candidates scores as it would among all of them.
+split_table, region_posterior and select_test work over fixed blocks of
+rows, worlds or candidates, so their float64 scratch stays near
+BLOCK_ELEMENTS entries however many worlds a problem holds.  A split
+table is the sum of its blocks' tables, exact in integer unit weights;
+scores are computed row by row, so a block of candidates scores as it
+would among all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -104,12 +108,6 @@ class DrdProblem:
         # any summation order (the uniform prior: all ones).
         self.integer_weights = bool(np.all(self.unit == np.round(self.unit)))
 
-    @cached_property
-    def root_weights(self) -> np.ndarray:
-        """Every region's weight over all worlds, for residual; no greedy
-        step reads it."""
-        return region_weights(np.ones(self.num_hypotheses, bool), self.prior, self.membership)
-
     @property
     def num_hypotheses(self) -> int:
         return self.outcomes.shape[0]
@@ -139,30 +137,44 @@ def problem_from_dataset(dataset, world_indices) -> DrdProblem:
     )
 
 
-def region_weights(active: np.ndarray, prior: np.ndarray, membership: np.ndarray) -> np.ndarray:
-    """One-vs-all pairwise weight of every region over the active set.
+def region_posterior(problem: DrdProblem, act: np.ndarray):
+    """(p, K, tot) over the active worlds act, a nonempty index array:
+    every region's posterior, its complement's squared-mass share and the
+    active mass, in unit weights, from membership rows read in blocks."""
+    w = problem.unit[act]
+    wsq = w * w
+    tot = w.sum()
+    m = problem.membership.shape[1]
+    a, b = np.zeros(m), np.zeros(m)  # w @ M and wsq @ M over the active rows
+    count = np.zeros(m)  # active worlds in each region: sums of 0/1, exact
+    for block in _blocks(act.size, m):
+        M = problem.membership[act[block]].astype(np.float64)
+        a += w[block] @ M
+        b += wsq[block] @ M
+        count += np.ones(len(M)) @ M
 
-    For region r with in-region mass a, out mass b and out squared mass
-    b_sq: w_r = ((a+b)^2 - a^2 - b_sq) / 2, the total pairwise mass between
-    hypotheses in different classes of the region-vs-singletons problem.
-    """
-    p = prior * active
-    psq = p * p
-    tot = p.sum()
-    a = p @ membership
-    bsq = psq.sum() - psq @ membership
-    return np.maximum(0.5 * (tot * tot - a * a - bsq), 0.0)
+    # A region holding every active world has weight 0, as in the Bernoulli
+    # engine (p = 1, K = 0), though float sums can leave it a round-off one.
+    full = count == act.size
+    K = np.where(full, 0.0, (wsq.sum() - b) / (tot * tot))
+    return np.where(full, 1.0, a / tot), K, tot
 
 
-def weight_ec(vs: VersionSpace, problem: DrdProblem, r: int) -> float:
-    """Weight of the r-th one-vs-all subproblem on the current version space."""
-    return float(region_weights(vs.active, problem.prior, problem.membership)[r])
+def region_weights(vs: VersionSpace, problem: DrdProblem) -> np.ndarray:
+    """One-vs-all pairwise weight of every region over the active set, in
+    prior units: the pairwise mass between hypotheses in different classes
+    of the region-vs-singletons problem."""
+    act = np.flatnonzero(vs.active)
+    if act.size == 0:  # an emptied version space holds no pair
+        return np.zeros(problem.membership.shape[1])
+    p, K, tot = region_posterior(problem, act)
+    return (tot * problem.prior.max()) ** 2 * conditional_weight(p, K)
 
 
 def residual(vs: VersionSpace, problem: DrdProblem) -> float:
     """Product of surviving weight fractions over regions with nonzero root
     weight; 1 means untouched, 0 means some subproblem is solved."""
-    w, root = region_weights(vs.active, problem.prior, problem.membership), problem.root_weights
+    w, root = region_weights(vs, problem), region_weights(problem.root_version_space(), problem)
     mask = root > 0
     return float(np.prod(w[mask] / root[mask])) if mask.any() else 0.0
 
@@ -254,7 +266,8 @@ def select_test(
     """Greedy test choice: argmax of the expected reduction of the
     completion residual per unit cost, ties to the lowest edge id.  None
     when nothing scores > 0.  Each outcome's residual ratio is
-    log_residual_ratio of the regions' posteriors in that branch.
+    log_residual_ratio of the regions' posteriors in that branch, with K
+    from region_posterior.
 
     The branch masses are read from table, split_table of the active
     worlds (built here when not given), at the candidates' rows and the
@@ -271,23 +284,8 @@ def select_test(
     act = np.flatnonzero(vs.active)
     if act.size == 0:
         return None
-    w = problem.unit[act]
-    wsq = w * w
-    tot = w.sum()
-    m = problem.membership.shape[1]
-    a, b = np.zeros(m), np.zeros(m)  # w @ M and wsq @ M over the active rows
-    count = np.zeros(m)  # active worlds in each region: sums of 0/1, exact
-    for block in _blocks(act.size, m):
-        M = problem.membership[act[block]].astype(np.float64)
-        a += w[block] @ M
-        b += wsq[block] @ M
-        count += np.ones(len(M)) @ M
-
-    # A region holding every active world has weight 0, as in the Bernoulli
-    # engine (p = 1, K = 0), though float sums can leave it a round-off one.
-    full = count == act.size
-    K = np.where(full, 0.0, (wsq.sum() - b) / (tot * tot))
-    mask, Km, wm = live_regions(np.where(full, 1.0, a / tot), K)
+    p, K, tot = region_posterior(problem, act)
+    mask, Km, wm = live_regions(p, K)
     if not mask.any():
         return None
     if table is None:

@@ -95,7 +95,7 @@ def test_criterion_1_weight_oracle():
         vs = ec2.VersionSpace(active=active, status=np.zeros(1, np.int8))
         for r in range(m):
             oracle = pairwise_weight_oracle(prior, active, membership[:, r].astype(bool))
-            assert abs(ec2.weight_ec(vs, prob, r) - oracle) <= 1e-12
+            assert abs(ec2.region_weights(vs, prob)[r] - oracle) <= 1e-12
     assert time.monotonic() - start < 10.0
 
 
@@ -104,8 +104,9 @@ def test_criterion_1_weight_oracle():
 @criterion(2, "worked DRD instance")
 def test_criterion_2_worked_instance():
     prob = make_worked_problem()
-    assert abs(prob.root_weights[0] - 2.0 / 9.0) <= 1e-12
-    assert abs(prob.root_weights[1] - 2.0 / 9.0) <= 1e-12
+    root = ec2.region_weights(prob.root_version_space(), prob)
+    assert abs(root[0] - 2.0 / 9.0) <= 1e-12
+    assert abs(root[1] - 2.0 / 9.0) <= 1e-12
     edge, score = ec2.select_test(prob.root_version_space(), prob, [0])
     assert edge == 0
     assert abs(score - 1.0) <= 1e-12
@@ -117,10 +118,10 @@ def test_criterion_2_worked_instance():
 def test_criterion_3_engine_equivalence():
     start = time.monotonic()
     # Hand-checked three-edge weight.
-    from drdplan.bernoulli import weight_bernoulli
+    from drdplan.bernoulli import region_weights_bernoulli
 
     belief = BernoulliBelief(beta=np.array([0.5, 0.5, 0.5]))
-    assert weight_bernoulli(belief, (0, 1)) == 0.421875
+    assert region_weights_bernoulli(belief, Library.build([(0, 1)], 3))[0] == 0.421875
 
     rng = np.random.default_rng(303)
     for _ in range(100):

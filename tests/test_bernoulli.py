@@ -7,10 +7,9 @@ from drdplan import bernoulli, ec2
 from drdplan.bernoulli import (
     BernoulliBelief,
     bisect_policy,
-    conditional_region_weights,
+    region_posterior,
     region_weights_bernoulli,
     select_test_bernoulli,
-    weight_bernoulli,
 )
 from drdplan.model import Library, LibraryStatus, regions_matrix
 from drdplan.traces import AllRegionsDead, RunTrace, Solved
@@ -49,18 +48,19 @@ def test_regions_matrix_rejects_empty_region():
 def test_weight_three_edge_hand_check():
     # 3 edges all theta = 0.5, region covering edges {0, 1}, nothing observed.
     b = BernoulliBelief(beta=np.array([0.5, 0.5, 0.5]))
-    assert weight_bernoulli(b, (0, 1)) == 0.421875
+    assert region_weights_bernoulli(b, Library.build([(0, 1)], 3))[0] == 0.421875
 
 
 def test_weight_zero_when_region_proven():
     b = BernoulliBelief(beta=np.array([0.5, 0.5, 0.5]))
     for e in range(3):
         b.observe(e, 1)
-    assert weight_bernoulli(b, (0, 1)) == 0.0
+    assert region_weights_bernoulli(b, Library.build([(0, 1)], 3))[0] == 0.0
 
 
 def test_weight_vanishes_as_region_absorbs_mass():
-    w = weight_bernoulli(BernoulliBelief(beta=np.array([1.0 - 1e-8])), (0,))
+    b = BernoulliBelief(beta=np.array([1.0 - 1e-8]))
+    w = region_weights_bernoulli(b, Library.build([(0,)], 1))[0]
     assert 0.0 <= w < 1e-7
 
 
@@ -74,10 +74,10 @@ def test_weight_matches_enumeration():
         belief = BernoulliBelief(beta=beta)
         library = Library.build(regions, e)
         # Root weights agree.
-        got = region_weights_bernoulli(belief, library)
-        assert np.allclose(got, prob.root_weights, atol=1e-12, rtol=0)
-        # And after a couple of observations.
         vs = prob.root_version_space()
+        got = region_weights_bernoulli(belief, library)
+        assert np.allclose(got, ec2.region_weights(vs, prob), atol=1e-12, rtol=0)
+        # And after a couple of observations.
         for _ in range(2):
             edge = int(rng.integers(e))
             if belief.status[edge] != 0:
@@ -86,22 +86,13 @@ def test_weight_matches_enumeration():
             belief.observe(edge, outcome)
             vs = ec2.observe(vs, prob, edge, outcome)
         got = region_weights_bernoulli(belief, library)
-        want = ec2.region_weights(vs.active, prob.prior, prob.membership)
+        want = ec2.region_weights(vs, prob)
         assert np.allclose(got, want, atol=1e-12, rtol=0)
 
 
-def test_conditional_weight_factorization():
-    rng = np.random.default_rng(9)
-    e = 6
-    beta = rng.uniform(0.2, 0.8, e)
-    belief = BernoulliBelief(beta=beta)
-    belief.observe(2, 1)
-    belief.observe(4, 0)
-    library = Library.build([(0, 1), (1, 3, 4)], e)
-    mass = belief.observation_mass()
-    full = region_weights_bernoulli(belief, library)
-    cond = conditional_region_weights(belief, library)
-    assert np.allclose(full, mass * mass * cond, atol=1e-15, rtol=0)
+def conditional_weights(belief, library):
+    """Every region's weight with the squared observation mass divided out."""
+    return ec2.conditional_weight(*region_posterior(bernoulli._state(belief, library)))
 
 
 def test_region_with_weight_had_weight_at_entry():
@@ -116,10 +107,10 @@ def test_region_with_weight_had_weight_at_entry():
         belief = BernoulliBelief(beta=rng.uniform(0.01, 0.99, n_edges))
         for e in rng.choice(n_edges, size=int(rng.integers(0, n_edges)), replace=False):
             belief.observe(int(e), int(rng.random() < 0.8))
-        at_entry = conditional_region_weights(belief, library) > 0
+        at_entry = conditional_weights(belief, library) > 0
         for e in rng.permutation(np.flatnonzero(belief.status == 0)).tolist():
             belief.observe(e, int(rng.random() < 0.8))
-            assert not (conditional_region_weights(belief, library) > 0)[~at_entry].any()
+            assert not (conditional_weights(belief, library) > 0)[~at_entry].any()
             nodes += 1
     assert nodes > 1000
 
@@ -327,7 +318,7 @@ def run_equivalence_instance(rng, n_edges, n_regions):
             return steps
         assert r_b is None and not dead_b
 
-        w_e = ec2.region_weights(vs.active, prob.prior, prob.membership)
+        w_e = ec2.region_weights(vs, prob)
         w_b = region_weights_bernoulli(belief, library)
         assert np.allclose(w_e, w_b, atol=1e-12, rtol=0)
 

@@ -505,15 +505,17 @@ def test_schema_version_must_be_an_exact_integer(pipeline, tmp_path, capsys, art
 
 
 @pytest.mark.parametrize("renamed", [False, True], ids=["added", "renamed"])
-@pytest.mark.parametrize("alias", ["leading-zero", "arabic-indic"])
+@pytest.mark.parametrize("alias", ["leading-zero", "arabic-indic", "negative"])
 def test_feasible_keys_must_be_canonical_world_indices(pipeline, tmp_path, capsys, alias, renamed):
-    """A run file names a world in feasible by its canonical ASCII decimal
-    index.  A key with a leading zero or in Arabic-Indic digits is a format
-    error (exit 3), whether it is added beside a feasible world's key (it
-    must not overwrite that world's flag) or renames it."""
+    """A run file names exactly its traced worlds in feasible, each by its
+    canonical ASCII decimal index.  A key with a leading zero, in
+    Arabic-Indic digits or negated is a format error (exit 3), whether it
+    is added beside a feasible world's key (it must not overwrite that
+    world's flag) or renames it (the world it named goes missing)."""
     def edit(doc):
         h = next(h for h, ok in doc["feasible"].items() if ok)
-        key = "0" + h if alias == "leading-zero" else "".join(chr(0x660 + int(c)) for c in h)
+        key = {"leading-zero": "0" + h, "negative": "-" + h,
+               "arabic-indic": "".join(chr(0x660 + int(c)) for c in h)}[alias]
         doc["feasible"][key] = doc["feasible"].pop(h) if renamed else False
 
     argv = _report_argv(pipeline, tmp_path, _edited_run_file(pipeline, edit))

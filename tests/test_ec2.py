@@ -1,5 +1,7 @@
 """Explicit-database engine: weights, residual, selection, policy loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,24 +20,24 @@ def uniform_problem(membership, outcomes, n):
     )
 
 
-# --- weight_ec -------------------------------------------------------------
+# --- region_weights --------------------------------------------------------
 
 def test_weight_all_active_inside_region_is_zero():
     prob = uniform_problem([[1]] * 4, [[0]] * 4, 4)
     vs = prob.root_version_space()
-    assert ec2.weight_ec(vs, prob, 0) == 0.0
+    assert ec2.region_weights(vs, prob)[0] == 0.0
 
 
 def test_weight_all_singletons():
     prob = uniform_problem([[0]] * 4, [[0]] * 4, 4)
     vs = prob.root_version_space()
-    assert abs(ec2.weight_ec(vs, prob, 0) - 0.375) <= 1e-12
+    assert abs(ec2.region_weights(vs, prob)[0] - 0.375) <= 1e-12
 
 
 def test_weight_two_in_two_out():
     prob = uniform_problem([[1], [1], [0], [0]], [[0]] * 4, 4)
     vs = prob.root_version_space()
-    assert abs(ec2.weight_ec(vs, prob, 0) - 0.3125) <= 1e-12
+    assert abs(ec2.region_weights(vs, prob)[0] - 0.3125) <= 1e-12
 
 
 def test_weight_matches_pairwise_oracle_random():
@@ -52,7 +54,7 @@ def test_weight_matches_pairwise_oracle_random():
         vs = ec2.VersionSpace(active=active, status=np.zeros(1, np.int8))
         for r in range(m):
             oracle = pairwise_weight_oracle(prior, active, membership[:, r].astype(bool))
-            assert abs(ec2.weight_ec(vs, prob, r) - oracle) <= 1e-12
+            assert abs(ec2.region_weights(vs, prob)[r] - oracle) <= 1e-12
 
 
 # --- residual --------------------------------------------------------------
@@ -70,13 +72,23 @@ def test_residual_zero_when_inside_region():
     assert ec2.residual(vs, prob) == 0.0
 
 
+def test_emptied_version_space_has_no_weight():
+    prob = make_worked_problem()
+    vs = ec2.VersionSpace(active=np.zeros(3, bool), status=np.zeros(1, np.int8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0/0 on the way
+        assert ec2.region_weights(vs, prob).tolist() == [0.0, 0.0]
+        assert ec2.residual(vs, prob) == 0.0
+
+
 def test_worked_instance_weights():
     prob = make_worked_problem()
-    assert np.allclose(prob.root_weights, [2.0 / 9.0, 2.0 / 9.0], atol=1e-12, rtol=0)
+    root = ec2.region_weights(prob.root_version_space(), prob)
+    assert np.allclose(root, [2.0 / 9.0, 2.0 / 9.0], atol=1e-12, rtol=0)
     vs = ec2.VersionSpace(
         active=np.array([False, True, True]), status=np.zeros(1, np.int8)
     )
-    w = ec2.region_weights(vs.active, prob.prior, prob.membership)
+    w = ec2.region_weights(vs, prob)
     assert abs(w[0] - 1.0 / 9.0) <= 1e-12
     assert w[1] == 0.0
 
@@ -87,7 +99,7 @@ def test_zero_root_weight_region_excluded():
     membership = np.array([[1, 1], [1, 0], [1, 0]], dtype=np.uint8)
     outcomes = np.array([[1], [0], [0]], dtype=np.uint8)
     prob = uniform_problem(membership, outcomes, 3)
-    assert prob.root_weights[0] == 0.0
+    assert ec2.region_weights(prob.root_version_space(), prob)[0] == 0.0
     assert ec2.residual(prob.root_version_space(), prob) == 1.0
 
 
@@ -140,15 +152,16 @@ def test_region_with_weight_had_root_weight(monkeypatch):
     nodes = 0
     for trial in range(200):
         prob = random_problem(rng, None if trial % 2 else (lambda n: rng.uniform(0.1, 1.0, n)))
+        root = ec2.region_weights(prob.root_version_space(), prob)
         world = prob.outcomes[rng.integers(prob.num_hypotheses)]
         vs = prob.root_version_space()
         for edge in rng.permutation(prob.num_tests).tolist():
             if ec2.is_solved(vs, prob) is None:
-                has_weight = ec2.region_weights(vs.active, prob.prior, prob.membership) > 0
-                assert (prob.root_weights[has_weight] > 0).all()
+                has_weight = ec2.region_weights(vs, prob) > 0
+                assert (root[has_weight] > 0).all()
                 masks.clear()
                 ec2.select_test(vs, prob, np.flatnonzero(vs.status == 0))
-                assert all((prob.root_weights[mask] > 0).all() for mask in masks)
+                assert all((root[mask] > 0).all() for mask in masks)
                 nodes += 1
             vs = ec2.observe(vs, prob, edge, int(world[edge]))
     assert nodes > 500

@@ -160,23 +160,27 @@ def test_compiled_tree_invariants():
 
 
 def test_training_worlds_reach_consistent_leaves():
-    ds = small_dataset()
-    tree = compile_from_dataset(ds, 0.0)
-    for h in ds.train:
-        oracle = lambda e: int(ds.theta[h, e])
-        leaf, trace = run_tree(tree, oracle, ds.graph.eval_cost)
-        if isinstance(leaf, Solved):
-            assert ds.membership[h, leaf.path_index] == 1
-        elif isinstance(leaf, AllRegionsDead):
-            assert ds.membership[h].sum() == 0
-        else:
-            # eta = 0: a handoff comes from no open edge scoring on the
-            # surviving training worlds, or from BISECT's test scoring at
-            # least as much as DIRECT's.
-            status = status_of(ds.graph.num_edges, {e: o for e, o, _ in trace.records})
-            sel, rival, active = scores_at(ec2.problem_from_dataset(ds, ds.train), status, 0.9)
-            assert active >= 1
-            assert sel is None or (rival is not None and rival[1] >= sel[1])
+    handoffs = 0
+    for ds in (small_dataset(), *rule_datasets()):
+        tree = compile_from_dataset(ds, 0.0)
+        problem = ec2.problem_from_dataset(ds, ds.train)
+        for h in ds.train:
+            oracle = lambda e: int(ds.theta[h, e])
+            leaf, trace = run_tree(tree, oracle, ds.graph.eval_cost)
+            if isinstance(leaf, Solved):
+                assert ds.membership[h, leaf.path_index] == 1
+            elif isinstance(leaf, AllRegionsDead):
+                assert ds.membership[h].sum() == 0
+            else:
+                # eta = 0: a handoff comes from no open edge scoring on the
+                # surviving training worlds, or from BISECT's test scoring
+                # at least as much as DIRECT's.
+                status = status_of(ds.graph.num_edges, {e: o for e, o, _ in trace.records})
+                sel, rival, active = scores_at(problem, status, 0.9)
+                assert active >= 1
+                assert sel is None or (rival is not None and rival[1] >= sel[1])
+                handoffs += 1
+    assert handoffs > 0  # the handoff branch ran
 
 
 def test_compile_and_depth_leave_recursion_limit_alone():
