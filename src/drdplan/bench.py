@@ -13,9 +13,10 @@ compiled decision tree whose recorded dataset hash and alpha match the
 dataset and the run's alpha.  Every handoff of direct+bisect builds its
 bias with trees.bias_vector from the training worlds consistent with the
 episode so far, and bisect runs direct+bisect on a one-leaf tree that
-hands off at the root.  bisect, direct+bisect and lazysp-graph memoize their
-decisions per run (see bisect_policy, lazysp_graph); each forked --jobs
-worker fills its own copy.
+hands off at the root.  bisect and direct+bisect fill their BISECT tries
+for all of the run's worlds before the first episode, in the parent of any
+--jobs fork (bernoulli.set_walk); lazysp-graph memoizes its searches per
+run (see lazysp_graph), and each forked --jobs worker fills its own copy.
 """
 
 from __future__ import annotations
@@ -92,20 +93,21 @@ def _checked_tree(
 
 
 # Each policy id maps to a per-run function of (dataset, tree, train_idx,
-# seed, alpha) that returns the episode, (oracle, trace, status) -> RunTrace.
-# The tree policies get their tree checked by run_policy (_checked_tree).
-# Episodes look up the functions they call through their modules at call
-# time, so that a wrapper installed on a module attribute sees every call.
+# seed, alpha, worlds) that returns the episode, (oracle, trace, status) ->
+# RunTrace; worlds are the run's world indices.  The tree policies get
+# their tree checked by run_policy (_checked_tree).  Episodes look up the
+# functions they call through their modules at call time, so that a
+# wrapper installed on a module attribute sees every call.
 
 
-def _lazysp_graph(dataset, tree, train_idx, seed, alpha):
+def _lazysp_graph(dataset, tree, train_idx, seed, alpha, worlds):
     paths = {}  # invalid edges -> optimistic shortest path
     return lambda oracle, trace, status: baselines.lazysp_graph(
         dataset.graph, oracle, trace, status, paths
     )
 
 
-def _lazysp_set(dataset, tree, train_idx, seed, alpha):
+def _lazysp_set(dataset, tree, train_idx, seed, alpha, worlds):
     library = Library.of(dataset)
     order = baselines.shortest_first(library, dataset.graph)
     return lambda oracle, trace, status: baselines.lazysp_set(
@@ -113,23 +115,28 @@ def _lazysp_set(dataset, tree, train_idx, seed, alpha):
     )
 
 
-def _random(dataset, tree, train_idx, seed, alpha):
+def _random(dataset, tree, train_idx, seed, alpha, worlds):
     library = Library.of(dataset)
     return lambda oracle, trace, status: baselines.random_policy(
         library, dataset.graph, seed, oracle, trace, status
     )
 
 
-def _bisect(dataset, tree, train_idx, seed, alpha):
+def _bisect(dataset, tree, train_idx, seed, alpha, worlds):
     # Standalone baseline: direct+bisect on a one-leaf tree that hands off
     # at the root, where every training world is consistent.
     if len(train_idx) == 0:
         raise ValueError("dataset has no training split")
     root = trees.DecisionTree([Handoff(len(train_idx))], 0)
-    return _direct_bisect(dataset, root, train_idx, seed, alpha)
+    return _direct_bisect(dataset, root, train_idx, seed, alpha, worlds)
 
 
-def _direct_bisect(dataset, tree, train_idx, seed, alpha):
+def _direct_bisect(dataset, tree, train_idx, seed, alpha, worlds):
+    """The tree, the check of a solved leaf, then BISECT.  Before the
+    first episode, every world of the run goes through the tree and the
+    check, and the worlds left to complete are grouped by their status
+    then; one bernoulli.set_walk fills every group's completion trie over
+    its worlds, so each episode's bisect_policy replays its trie."""
     if not 0.0 < alpha < 1.0:  # checked before any world: a run may never hand off
         raise ValueError("alpha must be in (0, 1)")
     train_theta = dataset.theta[train_idx]
@@ -137,7 +144,9 @@ def _direct_bisect(dataset, tree, train_idx, seed, alpha):
     eval_cost = dataset.graph.eval_cost
     completions = {}  # status when BISECT takes over -> (bias, trie)
 
-    def episode(oracle, trace: RunTrace, status: np.ndarray) -> RunTrace:
+    def tree_phase(oracle, trace: RunTrace, status: np.ndarray) -> bool:
+        """Run the tree and check a solved leaf's path; True when that
+        ends the episode."""
         leaf = trees.execute_tree(tree, oracle, eval_cost, trace, status)
         if isinstance(leaf, Solved):
             # Off-database safety: prove the named path against the live world.
@@ -145,7 +154,10 @@ def _direct_bisect(dataset, tree, train_idx, seed, alpha):
             if baselines.check_path(path, status, oracle, eval_cost, trace):
                 trace.terminal = leaf
                 trace.path_edges = path
-                return trace
+                return True
+        return False
+
+    def completion(status: np.ndarray):
         # A handoff, a refuted solved leaf, or a dead leaf whose verdict must
         # be witnessed on the live world: bias from the training worlds
         # consistent with what was seen (all of them if none is).
@@ -153,14 +165,30 @@ def _direct_bisect(dataset, tree, train_idx, seed, alpha):
             mask = _surviving(train_theta, status)
             rows = train_theta[mask] if mask.any() else train_theta
             completions[key] = (trees.bias_vector(rows, status, alpha), {})
-        beta, trie = completions[key]
+        return completions[key]
+
+    groups = {}  # status after the tree -> (status, worlds)
+    for h in worlds:
+        status = np.zeros(dataset.graph.num_edges, dtype=np.int8)
+        if not tree_phase(_world_oracle(dataset, h), RunTrace("fill", h), status):
+            groups.setdefault(status.tobytes(), (status, []))[1].append(h)
+    roots = []
+    for status, hs in groups.values():
+        beta, trie = completion(status)
+        roots.append((beta, status, np.array(hs), trie))
+    bernoulli.set_walk(library, eval_cost, dataset.theta, roots)
+
+    def episode(oracle, trace: RunTrace, status: np.ndarray) -> RunTrace:
+        if tree_phase(oracle, trace, status):
+            return trace
+        beta, trie = completion(status)
         belief = bernoulli.BernoulliBelief(beta, status)
         return bernoulli.bisect_policy(belief, library, eval_cost, oracle, trace, trie)
 
     return episode
 
 
-def _direct_only(dataset, tree, train_idx, seed, alpha):
+def _direct_only(dataset, tree, train_idx, seed, alpha, worlds):
     train_theta = dataset.theta[train_idx]
     train_memb = dataset.membership[train_idx]
     eval_cost = dataset.graph.eval_cost
@@ -235,7 +263,7 @@ def run_policy(
     if policy in TREE_POLICIES:
         digest = dataset_hash(dataset) if digest is None else digest
         tree = _checked_tree(dataset, tree, policy, alpha, digest)
-    episode = POLICIES[policy](dataset, tree, train_idx, seed, alpha)
+    episode = POLICIES[policy](dataset, tree, train_idx, seed, alpha, worlds)
     n_edges = dataset.graph.num_edges
 
     def world(h: int) -> RunTrace:
@@ -259,28 +287,34 @@ def run_policy(
 
 def normalized_cost(
     costs_alg, costs_ref, bootstrap_n: int = 10_000, seed: int = 0
-) -> tuple[float, float]:
+):
     """95% percentile-bootstrap CI of the mean paired ratio-minus-one.
 
     Statistic: mean over worlds of (cost_alg / cost_ref - 1); resampling is
     over worlds.  Pairs with cost_ref == 0 must be filtered by the caller.
+    costs_alg may also be a (P, n) stack of P policies' costs on the same
+    worlds: each block of resamples is drawn once and applied to every
+    row, and the result is the list of the P CIs, each the one its row
+    gets alone.
     """
     a = np.asarray(costs_alg, dtype=np.float64)
     r = np.asarray(costs_ref, dtype=np.float64)
-    if a.shape != r.shape or a.size < 2:
+    if a.shape[-1:] != r.shape or a.ndim > 2 or r.size < 2:
         raise ValueError("need paired cost vectors of equal length >= 2")
     if np.any(r == 0):
         raise ValueError("reference costs must be nonzero (filter zero pairs first)")
     if bootstrap_n < 1:
         raise ValueError("bootstrap_n must be at least 1")
-    ratios = a / r - 1.0
+    ratios = np.atleast_2d(a / r - 1.0)
     gen = _rng.substream(seed, _rng.STREAM_BOOTSTRAP)
-    means = np.empty(bootstrap_n)
+    means = np.empty((len(ratios), bootstrap_n))
     for start in range(0, bootstrap_n, BOOTSTRAP_BLOCK):
         rows = min(BOOTSTRAP_BLOCK, bootstrap_n - start)
-        idx = gen.integers(0, len(ratios), size=(rows, len(ratios)))
-        means[start:start + rows] = ratios[idx].mean(axis=1)
-    return float(np.percentile(means, 2.5)), float(np.percentile(means, 97.5))
+        idx = gen.integers(0, r.size, size=(rows, r.size))
+        for row, out in zip(ratios, means):
+            out[start:start + rows] = row[idx].mean(axis=1)
+    cis = [(float(np.percentile(m, 2.5)), float(np.percentile(m, 97.5))) for m in means]
+    return cis if a.ndim == 2 else cis[0]
 
 
 def trace_success(trace: RunTrace, dataset: Dataset) -> bool:
@@ -435,6 +469,7 @@ def build_report(
         ref_costs = {t.world_index: t.total_cost for t in ref_doc["traces"]}
         feasible = ref_doc["feasible"]
         entry = {"label": labels[key], "policies": {}}
+        paired = {}  # the worlds a policy pairs on -> its name and costs there
         for name, doc in sorted(policies.items()):
             costs = {t.world_index: t.total_cost for t in doc["traces"]}
             succ = {
@@ -457,10 +492,14 @@ def build_report(
                 "n_paired": len(common),
                 "n_excluded_zero_ref": len(excluded),
                 "infeasible_rate": float(np.mean([not feasible.get(t.world_index, False) for t in doc["traces"]])),
-                "ci": list(normalized_cost(
-                    [costs[h] for h in common], [ref_costs[h] for h in common], bootstrap_n, seed
-                )),
             }
+            paired.setdefault(tuple(common), []).append((name, [costs[h] for h in common]))
+        # Policies paired on the same worlds share each bootstrap draw.
+        for common, group in paired.items():
+            cis = normalized_cost([c for _, c in group], [ref_costs[h] for h in common],
+                                  bootstrap_n, seed)
+            for (name, _), ci in zip(group, cis):
+                entry["policies"][name]["ci"] = list(ci)
         report["datasets"][key] = entry
     return report
 

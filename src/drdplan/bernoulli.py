@@ -8,9 +8,15 @@ makes every greedy step O(|open edges| m) instead of O(2^|E|): the
 per-region products come from one gather through the library's padded edge
 index (model.Library), and only the open edges, the unknown edges of
 regions that are still live, are scored.  region_posterior, from those
-products, is the one definition of a region's weight: select_test_bernoulli
-scores from it and region_weights_bernoulli derives from it.  The
-enumeration engine in
+products, is the one definition of a region's weight: _select scores from
+it and region_weights_bernoulli derives from it.
+
+_select is the one greedy step, over a block of beliefs at once;
+select_test_bernoulli is its one-row case, and bisect_steps scores a block
+of decision-trie nodes with it.  set_walk uses bisect_steps to run BISECT
+for many worlds at once, one trie level per pass: a run fills its tries
+with it, and compile-tree sums BISECT's cost over training worlds with it
+to prune the tree (drdplan.trees).  The enumeration engine in
 :mod:`drdplan.ec2` run over the explicit 2^|E| world set with
 product-Bernoulli priors is the defining oracle for these formulas; the
 test suite pins them against it.
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ec2 import best_test, conditional_weight, live_regions, log_residual_ratio
+from .ec2 import _blocks, best_tests, conditional_weight, live_regions
 from .model import Library, LibraryStatus
 from .traces import AllRegionsDead, RunTrace, Solved
 
@@ -67,14 +73,41 @@ class BernoulliBelief:
         self.status[edge] = 1 if outcome else -1
 
 
+def _padded(theta: np.ndarray) -> np.ndarray:
+    """theta with a trailing 1.0 on its last axis, which the pad entries of
+    Library.index read."""
+    return np.concatenate((theta, np.ones(theta.shape[:-1] + (1,))), axis=-1)
+
+
+def _products(t: np.ndarray):
+    """(p, pt2, ps): the product of t, t^2 and t^2 + (1-t)^2 over the last
+    axis of t, gathered rows of a _padded theta through Library.index,
+    which it overwrites.
+    Every row multiplies its own edges in ascending id order and the pad
+    leaves the product unchanged, so a row gets the same bits in any
+    block."""
+    t2 = t * t
+    p, pt2 = t.prod(axis=-1), t2.prod(axis=-1)
+    np.subtract(1.0, t, out=t)  # t is a gather of its own: reuse it for (1-t)^2 + t^2
+    t *= t
+    t += t2
+    return p, pt2, t.prod(axis=-1)
+
+
+def _squared_mass(theta: np.ndarray):
+    """S = prod of theta^2 + (1-theta)^2 over theta's last axis."""
+    s = 1.0 - theta
+    s *= s
+    s += theta * theta
+    return s.prod(axis=-1)
+
+
 def _state(belief: BernoulliBelief, library: Library, state=None, edge: int | None = None):
     """Per-region products used by the closed-form weight.
 
     Returns (theta, p_r, prod_theta2_r, prod_s_r, S) where
-    s_e = theta_e^2 + (1-theta_e)^2 and S = prod of all s_e.  Each region
-    product is one gather through library.index, whose pad entries read a
-    trailing 1.0, so every row multiplies its own edges in ascending id
-    order and the pad leaves the product unchanged.
+    s_e = theta_e^2 + (1-theta_e)^2 and S = prod of all s_e (_products,
+    _squared_mass), each region product one gather through library.index.
 
     Built over every row when state is None.  Given the state from before
     the belief observed edge, updates it in place over the rows of the
@@ -83,23 +116,20 @@ def _state(belief: BernoulliBelief, library: Library, state=None, edge: int | No
     """
     if state is None:
         theta = belief.theta_eff
-        p_r, pt2_r, ps_r = np.empty((3, library.index.shape[0]))
-        rows = slice(None)
+        p_r, pt2_r, ps_r = _products(_padded(theta)[library.index])
     else:
         theta, p_r, pt2_r, ps_r, _ = state
         theta[edge] = belief.status[edge] > 0
         rows = library.through[edge]
-    t = np.append(theta, 1.0)[library.index[rows]]
-    t2 = t * t
-    p_r[rows], pt2_r[rows] = t.prod(axis=1), t2.prod(axis=1)
-    ps_r[rows] = (t2 + (1.0 - t) * (1.0 - t)).prod(axis=1)
-    return theta, p_r, pt2_r, ps_r, float(np.prod(theta * theta + (1.0 - theta) * (1.0 - theta)))
+        p_r[rows], pt2_r[rows], ps_r[rows] = _products(_padded(theta)[library.index[rows]])
+    return theta, p_r, pt2_r, ps_r, float(_squared_mass(theta))
 
 
 def region_posterior(state):
     """(p_r, K_r) of every region from a _state: its posterior and its
     complement's squared-mass share K_r = S - S_r, with S_r the in-region
-    share of the squared mass."""
+    share of the squared mass.  S may also be an array, each region's
+    own row's S."""
     _, p_r, pt2_r, ps_r, S = state
     return p_r, S - pt2_r * (S / ps_r)
 
@@ -115,6 +145,56 @@ def region_weights_bernoulli(belief: BernoulliBelief, library: Library) -> np.nd
     return mass * mass * conditional_weight(*region_posterior(_state(belief, library)))
 
 
+def _select(theta, regions, p, K, rows, cand, library: Library, eval_cost: np.ndarray):
+    """The greedy step over a block of B rows (beliefs): each row's best
+    candidate by ec2.best_tests, -1 where nothing scores or no region is
+    live.  theta holds the rows' (B, E) edge probabilities; regions =
+    (row, path) pairs, row-major, that hold every region with positive
+    posterior, and p and K their posteriors and K shares (region_posterior).
+    The candidate pairs (rows, cand) are unobserved edges, sorted by row,
+    then edge id, none repeated.
+
+    The objective is ec2.log_residual_ratio of region_posterior; only the
+    branch posteriors are this engine's own.  Outcome 1 divides the
+    candidate's theta out of the posterior of each live region through
+    it, and leaves every other region's factor at exactly 1: its term of
+    the log ratio is an exact zero.  So each candidate's outcome-1 sum
+    runs over the live regions through it alone, in ascending region
+    order (one np.bincount keyed by candidate pair); log_residual_ratio
+    would add the zeros too, in numpy's pairwise order, which can round
+    differently.  Outcome 0 kills the
+    live regions through the candidate and keeps the others at factor 1:
+    its log ratio is 0, or -inf when the candidate lies on every live
+    region, which resolves the instance outright.  Rows are independent,
+    so a block of any size gives every row the bits it gets alone.
+    """
+    n_rows, width = theta.shape[0], library.num_edges + 1
+    mask, Km, wm = live_regions(p, K)
+    live_row, live_path = regions[0][mask], regions[1][mask]
+    pair_of = np.full((n_rows, width), -1, dtype=np.int32)  # (row, edge) -> candidate pair
+    pair_of[rows, cand] = np.arange(cand.size)
+    # Each live region's edges: their candidate pairs, and each term of
+    # the outcome-1 log ratio, computed for every entry and kept where the
+    # entry is a candidate.  Row-major, so each pair's regions come in
+    # ascending order.
+    edges = (live_row[:, None], library.index[live_path])
+    pairs = pair_of[edges]
+    at = pairs >= 0
+    with np.errstate(divide="ignore"):
+        term = np.log(conditional_weight(p[mask][:, None] / _padded(theta)[edges], Km[:, None]))
+    term -= np.log(wm)[:, None]
+    pair = pairs[at]
+    l1 = np.bincount(pair, weights=term[at], minlength=cand.size)
+    n_live = np.bincount(live_row, minlength=n_rows)
+    l0 = np.where(np.bincount(pair, minlength=cand.size) < n_live[rows], 0.0, -np.inf)
+    th = theta[rows, cand]
+    with np.errstate(divide="ignore"):
+        log_expected = np.logaddexp(np.log(th) + l1, np.log(1.0 - th) + l0)
+    edge, score = best_tests(rows, cand, log_expected, eval_cost[cand], n_rows)
+    edge[n_live == 0] = -1
+    return edge, score
+
+
 def select_test_bernoulli(
     belief: BernoulliBelief,
     library: Library,
@@ -126,47 +206,109 @@ def select_test_bernoulli(
     expected reduction of the completion residual per unit cost,
     (1 - E[residual after] / residual now) / c, ties to the lowest edge
     id, None when nothing scores above zero.  Scores exactly the given
-    candidates, which must be unobserved: O(|candidates| * m) per call on
-    top of the region products.
+    candidates, which must be unobserved: _select over one row.
 
-    The objective is the enumeration engine's, ec2.log_residual_ratio, of
-    region_posterior; only the branch posteriors are this engine's own.
     Under the independence prior an off-region candidate leaves every
-    surviving factor at exactly 1, so it scores zero up to round-off,
-    about 1e-16 / c.  The SCORE_TOL cut removes that only while c is not
-    tiny, so bisect_policy passes the open edges alone: the unknown edges
-    of live regions.
+    surviving factor at exactly 1, so it scores zero up to the round-off
+    of log(theta) and log(1 - theta), about 1e-16 / c.  The SCORE_TOL cut
+    removes that only while c is not tiny, so bisect_policy passes the
+    open edges alone: the unknown edges of live regions.
 
     state, when given, is the belief's _state, carried by the caller; None
     builds it from the belief.
     """
     cand = np.sort(np.asarray(candidates, dtype=np.int64))
+    cand = cand[np.diff(cand, prepend=-1) > 0]  # not np.unique, which imports numpy.ma
     if cand.size == 0:
         raise ValueError("candidates must be nonempty")
     state = _state(belief, library) if state is None else state
     if np.any(belief.status[cand] != 0):
         raise ValueError("candidates must be unobserved edges")
-    th_c = state[0][cand]
-
     p_r, K_r = region_posterior(state)
-    mask, Km, wm = live_regions(p_r, K_r)
-    if not mask.any():
-        return None
-    pm = p_r[mask]
+    regions = (np.zeros(p_r.size, dtype=np.intp), np.arange(p_r.size))
+    rows = np.zeros(cand.size, dtype=np.intp)
+    edge, score = _select(state[0][None], regions, p_r, K_r, rows, cand, library, eval_cost)
+    return None if edge[0] < 0 else (int(edge[0]), float(score[0]))
 
-    Rt = library.inR[np.ix_(mask, cand)].T  # (C, live regions)
 
-    # Outcome 1: on-region posteriors divide out the candidate's theta;
-    # off-region factors are exactly 1.
-    l1 = log_residual_ratio(np.where(Rt, pm / th_c[:, None], pm), Km, wm)
-    # Outcome 0, log_residual_ratio in closed form (no log pass): on-region
-    # regions die and leave the product, the others keep factor 1, and a
-    # candidate covering every live region resolves the instance outright.
-    l0 = np.where((~Rt).any(axis=1), 0.0, -np.inf)
-    with np.errstate(divide="ignore"):
-        term1 = np.log(th_c) + l1
-        term0 = np.log(1.0 - th_c) + l0
-    return best_test(cand, np.logaddexp(term1, term0), eval_cost[cand])
+def bisect_steps(beta: np.ndarray, status: np.ndarray, library: Library, eval_cost: np.ndarray) -> list:
+    """BISECT's step at each row of a block: B beliefs, each a (B, E) row
+    of bias and of edge status.  A step is Solved(r) for the lowest path
+    whose edges are all known valid, else AllRegionsDead() when no path is
+    live, else the edge to test: _select's choice over the row's open
+    edges, or its first open edge when nothing scores (see bisect_policy).
+    Every row's step is the one bisect_policy computes for that belief
+    alone, bit for bit."""
+    paths = LibraryStatus(library, status)
+    proven = paths.remaining == 0
+    solved = np.where(proven.any(axis=1), proven.argmax(axis=1), -1)
+    steps = [Solved(int(r)) if r >= 0 else AllRegionsDead() for r in solved.tolist()]
+    todo = np.flatnonzero((solved < 0) & paths.live.any(axis=1))
+    if todo.size:
+        st = status[todo]
+        theta = np.where(st == 0, beta[todo], st > 0)
+        # Only the live paths can have positive posterior, so only their
+        # region products are built.
+        regions = np.nonzero(paths.live[todo])
+        t = _padded(theta)[regions[0][:, None], library.index[regions[1]]]
+        state = (theta, *_products(t), _squared_mass(theta)[regions[0]])
+        del t
+        p_r, K_r = region_posterior(state)
+        rows, cand = np.nonzero(paths.open[todo])
+        edge, _ = _select(theta, regions, p_r, K_r, rows, cand, library, eval_cost)
+        first = cand[np.searchsorted(rows, np.arange(todo.size))]
+        for i, e in zip(todo.tolist(), np.where(edge >= 0, edge, first).tolist()):
+            steps[i] = e
+    return steps
+
+
+def set_walk(library: Library, eval_cost: np.ndarray, outcomes: np.ndarray, roots) -> np.ndarray:
+    """BISECT from many entry beliefs at once, over the worlds that reach
+    each: fills each root's decision trie (see bisect_policy) along every
+    path its worlds take, and returns the (len(roots), E) count of each
+    root's evaluations of each edge, summed over its worlds.
+
+    roots holds (beta, status, worlds, trie) per entry: the (E,) bias and
+    int8 edge status BISECT enters with, the indices of its worlds, rows
+    of outcomes (known 0/1 outcome rows), and the trie's root node.  The
+    walk runs one trie level at a time: the nodes the worlds reach at that
+    level are scored in blocks of rows, each block one bisect_steps call;
+    then the worlds of each node that tests an edge split by their outcome
+    there into its children, the next level.  A block's (rows, E) and
+    (regions, Lmax) arrays hold at most half of ec2.BLOCK_ELEMENTS entries
+    each, since a step holds several of them at once."""
+    counts = np.zeros((len(roots), library.num_edges), dtype=np.int64)
+    betas = np.array([root[0] for root in roots], dtype=np.float64)
+    level = [i for i, root in enumerate(roots) if len(root[2])]
+    owner = np.array(level, dtype=np.intp)  # each node's root
+    status = np.array([roots[i][1] for i in level], dtype=np.int8).reshape(len(level), library.num_edges)
+    worlds = [np.asarray(roots[i][2], dtype=np.intp) for i in level]
+    tries = [roots[i][3] for i in level]
+    width = 2 * max(library.num_edges + 1, library.index.size)
+    while tries:
+        steps = []
+        for block in _blocks(len(tries), width):
+            steps += bisect_steps(betas[owner[block]], status[block], library, eval_cost)
+        for trie, step in zip(tries, steps):
+            trie["step"] = step
+        tests = [k for k, step in enumerate(steps) if isinstance(step, int)]
+        if not tests:
+            break
+        edge = np.array([steps[k] for k in tests], dtype=np.intp)
+        sizes = np.array([worlds[k].size for k in tests])
+        np.add.at(counts, (owner[tests], edge), sizes)
+        # Every tested world keyed by (its node, its outcome), in node order.
+        flat = np.concatenate([worlds[k] for k in tests])
+        key = 2 * np.repeat(np.arange(len(tests)), sizes) + outcomes[flat, np.repeat(edge, sizes)]
+        order = np.argsort(key, kind="stable")
+        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+        child, outcome = np.divmod(key[order][starts], 2)
+        worlds = np.split(flat[order], starts[1:])
+        parent = np.array(tests, dtype=np.intp)[child]
+        owner, status = owner[parent], status[parent]
+        status[np.arange(child.size), edge[child]] = np.where(outcome == 1, 1, -1)
+        tries = [tries[k].setdefault(o, {}) for k, o in zip(parent.tolist(), outcome.tolist())]
+    return counts
 
 
 def bisect_policy(
@@ -204,7 +346,9 @@ def bisect_policy(
     and each outcome, 0 or 1, to a child; the root is a node like any
     other.  A step depends only on that belief, the library, eval_cost and
     the outcomes on the way to its node, so each node's step is computed
-    once.
+    once.  A run fills its tries for all of its worlds with set_walk before
+    the first episode, so this policy replays them; it scores a node
+    itself, as one row, only where no fill reached.
     """
     if library.num_edges != belief.num_edges:
         raise ValueError("library and belief disagree on the number of edges")

@@ -311,18 +311,31 @@ def best_test(
 ) -> tuple[int, float] | None:
     """The greedy choice shared by both engines: argmax over the sorted
     candidates of (1 - E[residual after] / residual now) / cost, given the
-    log of that expectation; None when nothing scores above SCORE_TOL."""
+    log of that expectation; None when nothing scores above SCORE_TOL.
+    best_tests over one row."""
+    edge, score = best_tests(np.zeros(cand.size, np.intp), cand, log_expected, cost, 1)
+    return None if edge[0] < 0 else (int(edge[0]), float(score[0]))
+
+
+def best_tests(rows, cand, log_expected, cost, n_rows: int):
+    """best_test in each of n_rows rows at once: the candidate pairs
+    (rows, cand) come sorted by row, then edge id.  Returns each row's
+    chosen edge (-1 where nothing scores) and its score."""
     scores = (1.0 - np.exp(log_expected)) / cost
     scores = np.where(scores > SCORE_TOL, scores, 0.0)
-    if not np.any(scores > 0.0):
-        return None
     # Real-arithmetic argmax of (1 - E)/c: the float score saturates at 1/c
     # once E is tiny, so break float-score ties by the log-domain expected
-    # residual per cost, then by lowest edge id (cand is sorted and the
-    # sort is stable).
+    # residual per cost, then by lowest edge id.
     tie_key = log_expected + np.log(cost)
-    best = np.lexsort((tie_key, -scores))[0]
-    return int(cand[best]), float(scores[best])
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    top = np.maximum.reduceat(scores, starts)  # each row's best score
+    tied = np.repeat(top, np.diff(starts, append=rows.size))
+    at = np.flatnonzero((scores == tied) & (scores > 0.0))
+    order = at[np.lexsort((cand[at], tie_key[at], rows[at]))]
+    first = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]  # each row's choice
+    edge, score = np.full(n_rows, -1, np.int64), np.zeros(n_rows)
+    edge[rows[first]], score[rows[first]] = cand[first], scores[first]
+    return edge, score
 
 
 def observe(

@@ -176,16 +176,26 @@ class LibraryStatus:
 
     Every field is an integer count or a mask, so the state observe()
     reaches equals, bit for bit, the state built from scratch on the same
-    status.
+    status.  A (B, E) block of statuses gives each field a leading axis of
+    B rows, each the row's own status's (solved and observe read one
+    episode's).
     """
 
     def __init__(self, library: Library, status: np.ndarray) -> None:
         self.library = library
-        known = np.append(status, np.int8(1))[library.index]  # pads read valid
-        self.remaining = (known != 1).sum(axis=1)
-        self.live = ~(known == -1).any(axis=1)
-        self.cover = np.bincount(library.index[self.live].ravel(), minlength=library.num_edges + 1)
-        self.open = (self.cover[:-1] > 0) & (status == 0)
+        lead, width = status.shape[:-1], library.num_edges + 1
+        rows = status.reshape(-1, width - 1)
+        pads = np.ones((len(rows), 1), np.int8)  # pads read valid
+        known = np.concatenate((rows, pads), axis=1)[:, library.index]
+        m = library.index.shape[0]
+        self.remaining = (known != 1).sum(axis=2).reshape(lead + (m,))
+        self.live = ~(known == -1).any(axis=2).reshape(lead + (m,))
+        # Each row's edge ids offset into its own span of one bincount.
+        row, path = np.nonzero(self.live.reshape(len(rows), -1))
+        keys = library.index[path] + width * row[:, None]
+        cover = np.bincount(keys.ravel(), minlength=width * len(rows))
+        self.cover = cover.reshape(lead + (width,))
+        self.open = (self.cover[..., :-1] > 0) & (status == 0)
 
     @property
     def solved(self) -> int | None:

@@ -14,6 +14,7 @@ BISECT's next test under that bias is worth as much as DIRECT's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -162,6 +163,19 @@ def compile_tree(
     max_nodes: int = 200_000,
     params: dict | None = None,
 ) -> DecisionTree:
+    """The compiled DIRECT policy: expand_tree, then prune_tree."""
+    tree = expand_tree(problem, eta, alpha=alpha, max_nodes=max_nodes, params=params)
+    return prune_tree(tree, problem)
+
+
+def expand_tree(
+    problem: ec2.DrdProblem,
+    eta: float,
+    *,
+    alpha: float = 0.9,
+    max_nodes: int = 200_000,
+    params: dict | None = None,
+) -> DecisionTree:
     """Depth-first greedy expansion of the explicit-database policy.
 
     Node indices are assigned post-order (children before parents), so the
@@ -247,6 +261,113 @@ def compile_tree(
     (root,) = finished
     tree = DecisionTree(nodes=nodes, root=root, params=dict(params or {}))
     tree.params.update({"eta": float(eta), "alpha": float(alpha), "max_nodes": int(max_nodes)})
+    tree.params["stats"] = {**tree.leaf_counts(), "depth": tree.depth()}
+    return tree
+
+
+def _cost(counts: np.ndarray, eval_cost: np.ndarray) -> float:
+    """The total cost of evaluations counted per edge, by math.fsum: exact
+    up to one rounding, in any order of summation."""
+    return math.fsum(np.repeat(eval_cost, counts).tolist())
+
+
+def prune_tree(tree: DecisionTree, problem: ec2.DrdProblem) -> DecisionTree:
+    """Replace, top down, every subtree that costs more on the training
+    worlds than handing off to BISECT at its root.  An abstract problem,
+    with no library and so no BISECT, keeps its tree.
+
+    Costs are sums over the feasible training worlds (those in some
+    region) that reach a node v.  a_v is the cost of the subtree from v
+    on, as a run pays it: the tests at v and below, the check of the path
+    at a solved leaf (a feasible world there lies on that path, so every
+    unknown edge of it is evaluated) and BISECT's completion at a handoff
+    leaf (the dead leaves hold no feasible world).  b_v is BISECT's cost
+    from v, under bias_vector(the training worlds that reach v, the status
+    at v, the tree's alpha): the completion a Handoff at v would run.
+    Starting at the root, an internal node v becomes Handoff(the count of
+    training worlds at v) when b_v <= a_v; otherwise its internal children
+    are considered.  So on the training worlds the pruned tree costs no
+    more than the expansion, and no more than BISECT from the root.
+
+    The completions of all handoff leaves are one bernoulli.set_walk, and
+    so are the BISECT walks of each level of considered nodes.  Each cost
+    is one math.fsum over its evaluations, so the order of the walk cannot
+    decide a comparison.  The nodes stay in post-order, child0's subtree
+    first, so an unpruned tree keeps its bytes.
+    """
+    library = problem.library
+    if library is None:
+        return tree
+    alpha, nodes, eval_cost = tree.params["alpha"], tree.nodes, problem.eval_cost
+    feasible = problem.membership.any(axis=1)
+
+    # The training worlds reaching each node, and the status there.
+    reach = {tree.root: np.arange(problem.num_hypotheses)}
+    status = {tree.root: np.zeros(problem.num_tests, dtype=np.int8)}
+    for i in range(len(nodes) - 1, -1, -1):  # parents follow their children
+        node = nodes[i]
+        if isinstance(node, InternalNode):
+            valid = problem.outcomes[reach[i], node.edge] == 1
+            for outcome, child in ((0, node.child0), (1, node.child1)):
+                reach[child] = reach[i][valid if outcome else ~valid]
+                status[child] = status[i].copy()
+                status[child][node.edge] = 1 if outcome else -1
+    worlds = {i: r[feasible[r]] for i, r in reach.items()}
+
+    def walk(at: list) -> np.ndarray:
+        """BISECT's evaluation counts from each node in at, over its
+        feasible worlds: one set walk."""
+        roots = [(bias_vector(problem.outcomes[reach[i]], status[i], alpha), status[i],
+                  worlds[i], {}) for i in at]
+        return bernoulli.set_walk(library, eval_cost, problem.outcomes, roots)
+
+    # a_v from per-edge evaluation counts, children before parents.
+    handoffs = [i for i, node in enumerate(nodes) if isinstance(node, Handoff)]
+    counts = dict(zip(handoffs, walk(handoffs)))
+    a = {}
+    for i, node in enumerate(nodes):
+        n = np.zeros(problem.num_tests, dtype=np.int64)
+        if isinstance(node, InternalNode):
+            n += counts.pop(node.child0) + counts.pop(node.child1)
+            n[node.edge] += worlds[i].size
+            a[i] = _cost(n, eval_cost)
+        elif isinstance(node, Solved):
+            path = np.array(library.paths[node.path_index])
+            n[path[status[i][path] == 0]] = worlds[i].size
+        elif isinstance(node, Handoff):
+            n = counts[i]
+        counts[i] = n
+
+    pruned = {}
+    level = [tree.root] if isinstance(nodes[tree.root], InternalNode) else []
+    while level:
+        below = []
+        for i, n in zip(level, walk(level)):
+            if _cost(n, eval_cost) <= a[i]:
+                pruned[i] = Handoff(reach[i].size)
+            else:
+                below += [c for c in (nodes[i].child0, nodes[i].child1)
+                          if isinstance(nodes[c], InternalNode)]
+        level = below
+    if not pruned:
+        return tree
+
+    out: list = []
+    todo: list = [tree.root]  # node indices, or the edge of a split whose subtrees are done
+    finished: list[int] = []
+    while todo:
+        item = todo.pop()
+        if isinstance(item, tuple):
+            child1 = finished.pop()
+            out.append(InternalNode(item[0], finished.pop(), child1))
+        else:
+            node = pruned.get(item, nodes[item])
+            if isinstance(node, InternalNode):
+                todo += [(node.edge,), node.child1, node.child0]
+                continue
+            out.append(node)
+        finished.append(len(out) - 1)
+    tree = DecisionTree(nodes=out, root=len(out) - 1, params=dict(tree.params))
     tree.params["stats"] = {**tree.leaf_counts(), "depth": tree.depth()}
     return tree
 

@@ -23,6 +23,7 @@ from drdplan.bench import (
     sweep_training_size,
     trace_success,
 )
+from drdplan.io import dataset_hash
 from drdplan.scenarios import ScenarioSpec, generate_dataset
 from drdplan.traces import AllRegionsDead, RunTrace, Solved
 
@@ -118,7 +119,7 @@ def _fresh_memo_per_world(policy, case, tree):
     """The run's traces with a new per-run memo for every world."""
     out = []
     for h in range(case.num_worlds):
-        episode = bench.POLICIES[policy](case, tree, case.train, 0, 0.9)
+        episode = bench.POLICIES[policy](case, tree, case.train, 0, 0.9, [h])
         status = np.zeros(case.graph.num_edges, dtype=np.int8)
         out.append(episode(bench._world_oracle(case, h), RunTrace(policy, h), status))
     return out
@@ -147,11 +148,20 @@ def _spy(monkeypatch, module, name, key_of):
 @pytest.mark.parametrize("policy", ["bisect", "direct+bisect"])
 def test_bisect_selects_once_per_decision_state(memo_case, policy, monkeypatch):
     # A decision state is the bias BISECT entered with and the status now.
+    # The fill before the first episode scores each in exactly one row of
+    # one bisect_steps block; the episodes replay the tries and score none.
     case, tree = memo_case
-    keys = _spy(monkeypatch, bernoulli, "select_test_bernoulli",
-                lambda belief, *rest: (belief.beta.tobytes(), belief.status.tobytes()))
+    keys = []
+    steps = bernoulli.bisect_steps
+
+    def spy(beta, status, *rest):
+        keys.extend((b.tobytes(), s.tobytes()) for b, s in zip(beta, status))
+        return steps(beta, status, *rest)
+
+    monkeypatch.setattr(bernoulli, "bisect_steps", spy)
+    online = _spy(monkeypatch, bernoulli, "select_test_bernoulli", lambda *args: None)
     run_policy(policy, case, "all", tree)
-    assert len(keys) == len(set(keys))
+    assert online == [] and len(keys) == len(set(keys))
     shared = len(keys)
     keys.clear()
     _fresh_memo_per_world(policy, case, tree)
@@ -245,20 +255,23 @@ def test_pool_never_has_more_workers_than_cpus(ds, tree, pool_sizes):
 
 
 # sha256 of the compiled tree and of every policy's canonical traces on the
-# fixture above, and of the two tree policies' traces on a fixture whose tree
-# has 5 handoff leaves.  Refactors must leave these bytes alone.  The tree
-# was re-pinned at dataset schema 2, whose dataset hash it records, and the
-# tree, bisect and both tree policies at tree schema 3, whose DIRECT tests
-# only open library edges and hands off when BISECT's next test is worth as
-# much, and whose bisect takes the bias of a handoff at the root.
+# fixture above, and of the two tree policies' traces on a fixture whose
+# expanded tree has 5 handoff leaves.  Refactors must leave these bytes
+# alone.  The tree was re-pinned at dataset schema 2, whose dataset hash it
+# records, and the tree, bisect and both tree policies at tree schema 3,
+# whose DIRECT tests only open library edges and hands off when BISECT's
+# next test is worth as much, and whose bisect takes the bias of a handoff
+# at the root.  The tree and both tree policies were re-pinned again when
+# compile-tree began to prune by measured cost, which hands off at this
+# fixture's root; the handoff fixture's pins, on its expanded tree, held.
 PINNED = {
-    "tree": "373db2b9f636a4c92f36905d01bf1f8bceec75db4e60b40508acb2fad3b48de9",
+    "tree": "7f7e9c69180badb0725ffc2e7467bfbc85a009395e3072f3fd88f7123e7fef5b",
     "lazysp-graph": "74c40618a9fe11503cc84f5b67f77f8363ba2da4d89648c7f9b9c9a6239ff806",
     "lazysp-set": "802e31005fa50aeb5819293094bc52559714342d9ee5cd0a0b6d7719c4a9d21d",
     "random": "2ca28a2881696ab9120215440db9db403b4d15b4872aafd7925aaa47059a3d76",
     "bisect": "40333540215db76f2e70e617a16b13ddb966a50bc18d1df6b04490413da9540e",
-    "direct+bisect": "3b2b99376e5e22138aad0eb56cf1e454070a69d5cb49ece79b809869780715ee",
-    "direct-only": "d7d6f9d4900ab9c0ada28e487f31196228b0b616c02dad924cd2fac6a48a0f30",
+    "direct+bisect": "a900bcd185cdc60377299082ebb75999419f55f30889738fa4da1e296f01f648",
+    "direct-only": "323e967f41aa1df7c610cd865c91c812c29ac06bed7af9c256960d5e327f8a58",
 }
 HANDOFF_PINNED = {
     "direct+bisect": "30a45688f9904c16f3cc66c6bfba96e7684491eb9a2f7d35cbb492d01aea46bb",
@@ -277,7 +290,8 @@ def test_artifact_bytes_pinned(ds, tree):
     got.update({policy: _traces_sha256(policy, ds, tree) for policy in bench.POLICY_IDS})
     assert got == PINNED
     handoff_ds = make_ds(seed=2, n=80)
-    handoff_tree = trees.compile_from_dataset(handoff_ds, 0.05)
+    handoff_tree = trees.expand_tree(ec2.problem_from_dataset(handoff_ds, handoff_ds.train), 0.05,
+                                     params={"dataset_hash": dataset_hash(handoff_ds)})
     assert handoff_tree.params["stats"]["handoff"] == 5
     got = {policy: _traces_sha256(policy, handoff_ds, handoff_tree) for policy in HANDOFF_PINNED}
     assert got == HANDOFF_PINNED
@@ -286,9 +300,9 @@ def test_artifact_bytes_pinned(ds, tree):
 # sha256 of a whole run file, header and traces, of the fixture above; its
 # worlds end solved and dead.  Recorded before the run-file codec moved
 # into drdplan.traces and the canonical writer into drdplan.io,
-# re-pinned at dataset schema 2 with the params that run writes, and again
-# at tree schema 3.
-RUN_FILE_PINNED = "48b2aa2f2a99901f8a4803711d8fe2b86e1a83794fbd4205788bea6d16cdd18e"
+# re-pinned at dataset schema 2 with the params that run writes, again
+# at tree schema 3, and again when compile-tree began to prune.
+RUN_FILE_PINNED = "ba09623d132b561d3a49b309cf9e194dd16b1feff052b3a185b3b48e26323ff5"
 
 
 def test_run_file_bytes_pinned(ds, tree, tmp_path):

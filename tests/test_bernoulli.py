@@ -446,3 +446,64 @@ def test_bisect_never_evaluates_outside_live_regions_at_tiny_cost():
         )
         assert isinstance(trace.terminal, (Solved, AllRegionsDead))
         assert _outside_live_regions(trace, regions) == []
+
+
+# --- the set walk -------------------------------------------------------------
+
+def test_set_walk_equals_per_episode_bisect(monkeypatch):
+    # Entry beliefs with observed edges, worlds that kill every region,
+    # non-unit costs, and costs so large that every step falls back to the
+    # first open edge: the walk's tries, replayed, give each world the
+    # records and terminal of per-episode BISECT with a private trie, and
+    # its counts are those records' edges.
+    rng = np.random.default_rng(71)
+    fallbacks = dead = 0
+    for case in range(80):
+        n_edges = int(rng.integers(2, 12))
+        library = Library.build(random_regions(rng, n_edges, int(rng.integers(1, 6))), n_edges)
+        cost = np.full(n_edges, 1e13) if case % 8 == 0 else rng.integers(1, 4, n_edges) * 0.5
+        outcomes = (rng.random((int(rng.integers(1, 30)), n_edges))
+                    < rng.uniform(0.2, 0.9)).astype(np.uint8)
+        roots = []
+        for _ in range(int(rng.integers(1, 4))):
+            status = np.zeros(n_edges, np.int8)
+            seen = rng.choice(n_edges, size=int(rng.integers(0, n_edges)), replace=False)
+            status[seen] = np.where(rng.random(seen.size) < 0.7, 1, -1)
+            worlds = np.flatnonzero(rng.random(len(outcomes)) < 0.7)
+            roots.append((rng.uniform(0.05, 0.95, n_edges), status, worlds, {}))
+        counts = bernoulli.set_walk(library, cost, outcomes, roots)
+        with monkeypatch.context() as m:
+            for name in ("LibraryStatus", "select_test_bernoulli"):
+                m.setattr(bernoulli, name, lambda *args: pytest.fail("a filled step was recomputed"))
+            replays = [[bisect_policy(BernoulliBelief(beta, status.copy()), library, cost,
+                                      lambda e, w=w: int(outcomes[w, e]), RunTrace("bisect"), trie)
+                        for w in worlds] for beta, status, worlds, trie in roots]
+        for (beta, status, worlds, _), replay, n in zip(roots, replays, counts):
+            want = [bisect_policy(BernoulliBelief(beta, status.copy()), library, cost,
+                                  lambda e, w=w: int(outcomes[w, e]), RunTrace("bisect"))
+                    for w in worlds]
+            assert replay == want
+            edges = [e for t in want for e, _, _ in t.records]
+            assert n.tolist() == np.bincount(edges, minlength=n_edges).tolist()
+            fallbacks += case % 8 == 0 and len(edges)
+            dead += sum(isinstance(t.terminal, AllRegionsDead) for t in want)
+    assert fallbacks > 0 and dead > 0
+
+
+def test_select_test_bernoulli_is_one_row_of_the_block():
+    # bisect_steps over a block of beliefs gives each row the step
+    # bisect_policy takes for that belief alone.
+    rng = np.random.default_rng(73)
+    for _ in range(100):
+        n_edges = int(rng.integers(1, 40))
+        library = Library.build(random_regions(rng, n_edges, int(rng.integers(1, 20))), n_edges)
+        cost = rng.integers(1, 4, n_edges).astype(np.float64)
+        beta = rng.uniform(0.01, 0.99, (int(rng.integers(1, 9)), n_edges))
+        status = np.where(rng.random(beta.shape) < 0.3, np.where(rng.random(beta.shape) < 0.7, 1, -1), 0)
+        status = status.astype(np.int8)
+        steps = bernoulli.bisect_steps(beta, status, library, cost)
+        for b, s, step in zip(beta, status, steps):
+            trace = bisect_policy(BernoulliBelief(b, s.copy()), library, cost, lambda e: 1,
+                                  RunTrace("bisect"))
+            first = trace.records[0][0] if trace.records else trace.terminal
+            assert step == first

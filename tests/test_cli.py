@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import drdplan
-from drdplan import bench, io, scenarios, trees
+from drdplan import bench, ec2, io, scenarios, trees
 from drdplan.cli import (
     EXIT_CONTRACT,
     EXIT_DATA,
@@ -668,8 +668,8 @@ def _set_root(doc, root):
 
 
 # Tree files that parse as JSON but do not fit the 6x6 dataset (|E| = 110,
-# m = 10) or break the post-order layout; the fixture's tree is
-# [solved, solved, internal(child 0, child 1)].
+# m = 10) or break the post-order layout; each edits the fixture dataset's
+# expanded tree, [solved, solved, internal(child 0, child 1)].
 _BAD_TREES = {
     "edge": lambda d: d["nodes"][-1].__setitem__("edge", 99999),
     "negative-edge": lambda d: d["nodes"][-1].__setitem__("edge", -1),
@@ -681,10 +681,20 @@ _BAD_TREES = {
 }
 
 
+@pytest.fixture(scope="module")
+def expanded_tree(pipeline):
+    """The fixture dataset's tree before pruning, as JSON (pruning hands
+    off at its root)."""
+    ds = load_dataset(pipeline["ds"])
+    problem = ec2.problem_from_dataset(ds, ds.train)
+    tree = trees.expand_tree(problem, 0.05, params={"dataset_hash": dataset_hash(ds)})
+    return json.loads(trees.tree_to_bytes(tree))
+
+
 @pytest.mark.parametrize("bad", [*_BAD_TREES, "none"])
-def test_tree_faults_exit_3_without_traceback(pipeline, tmp_path, capsys, bad):
-    with open(pipeline["tree"]) as f:
-        doc = json.load(f)
+def test_tree_faults_exit_3_without_traceback(expanded_tree, pipeline, tmp_path, capsys, bad):
+    doc = json.loads(json.dumps(expanded_tree))
+    assert [node["type"] for node in doc["nodes"]] == ["solved", "solved", "internal"]
     if bad == "none":  # the control: a well-formed handoff leaf runs
         doc["nodes"][0] = {"type": "handoff", "active_count": 1}
     else:

@@ -1,16 +1,17 @@
 """Decision-tree compilation, execution and serialization."""
 
+import math
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from drdplan import ec2, trees
-from drdplan.bench import run_policy
-from drdplan.bernoulli import BernoulliBelief, select_test_bernoulli
-from drdplan.io import FormatError, load_dataset, save_dataset, to_json_bytes
-from drdplan.model import LibraryStatus
+from drdplan import bench, ec2, trees
+from drdplan.bench import POLICIES, run_policy
+from drdplan.bernoulli import BernoulliBelief, bisect_policy, select_test_bernoulli
+from drdplan.io import FormatError, dataset_hash, load_dataset, save_dataset, to_json_bytes
+from drdplan.model import Library, LibraryStatus
 from drdplan.scenarios import ScenarioSpec, generate_dataset
 from drdplan.trees import (
     DecisionTree,
@@ -20,7 +21,9 @@ from drdplan.trees import (
     compile_from_dataset,
     compile_tree,
     execute_tree,
+    expand_tree,
     load_tree,
+    prune_tree,
     save_tree,
     tree_from_bytes,
     tree_to_bytes,
@@ -160,10 +163,12 @@ def test_compiled_tree_invariants():
 
 
 def test_training_worlds_reach_consistent_leaves():
+    # The expansion's leaves are DIRECT's verdicts (pruning adds handoffs
+    # of its own, tested below).
     handoffs = 0
     for ds in (small_dataset(), *rule_datasets()):
-        tree = compile_from_dataset(ds, 0.0)
         problem = ec2.problem_from_dataset(ds, ds.train)
+        tree = expand_tree(problem, 0.0)
         for h in ds.train:
             oracle = lambda e: int(ds.theta[h, e])
             leaf, trace = run_tree(tree, oracle, ds.graph.eval_cost)
@@ -370,7 +375,7 @@ def test_direct_tests_only_open_edges_and_hands_off_when_bisect_scores_as_much()
     splits = rule_handoffs = 0
     for ds in rule_datasets():
         problem = ec2.problem_from_dataset(ds, ds.train)
-        tree = compile_tree(problem, eta, alpha=alpha)
+        tree = expand_tree(problem, eta, alpha=alpha)
         for node, status in walk_with_status(tree, ds.graph.num_edges):
             if isinstance(node, InternalNode):
                 assert LibraryStatus(problem.library, status).open[node.edge]
@@ -390,11 +395,11 @@ def test_direct_tests_only_open_edges_and_hands_off_when_bisect_scores_as_much()
 
 
 def test_direct_policy_matches_compiled_tree_of_a_dataset():
-    """The online loop and the compiled tree take the same open-edge,
+    """The online loop and the expanded tree take the same open-edge,
     cost-aware steps on every training world."""
     for ds in rule_datasets():
         problem = ec2.problem_from_dataset(ds, ds.train)
-        tree = compile_tree(problem, 0.05)
+        tree = expand_tree(problem, 0.05)
         for h in range(problem.num_hypotheses):
             oracle = lambda edge, row=problem.outcomes[h]: int(row[edge])
             trace, _ = trees.direct_policy(problem, oracle, 0.05)
@@ -403,18 +408,106 @@ def test_direct_policy_matches_compiled_tree_of_a_dataset():
             assert trace.terminal == leaf
 
 
+def bisect_reference(ds, rows, status, worlds, alpha=0.9):
+    """Per-episode BISECT from status under bias_vector(rows, status,
+    alpha), each world with a private, unfilled trie."""
+    library = Library.of(ds)
+    beta = bias_vector(rows, status, alpha)
+    return [bisect_policy(BernoulliBelief(beta, status.copy()), library, ds.graph.eval_cost,
+                          lambda e, row=ds.theta[h]: int(row[e]), RunTrace("bisect", int(h)))
+            for h in worlds]
+
+
 def test_root_handoff_makes_direct_bisect_equal_bisect():
-    """bisect takes the bias of a handoff at the root, so direct+bisect with
-    a one-leaf handoff tree writes bisect's traces, byte for byte but for
-    the policy name."""
+    """bisect hands off at the root: its run writes the traces of
+    per-episode BISECT under the bias of every training world, byte for
+    byte, so the filled tries decide as the online path does; and
+    direct+bisect on a one-leaf handoff tree writes them too."""
     for ds in rule_datasets():
+        zeros = np.zeros(ds.graph.num_edges, np.int8)
+        want = traces_to_json(bisect_reference(ds, ds.theta[ds.train], zeros,
+                                               range(ds.num_worlds)))
+        assert to_json_bytes(traces_to_json(run_policy("bisect", ds, "all"))) == to_json_bytes(want)
         tree = compile_from_dataset(ds, 1.0)
         assert tree.nodes == [Handoff(len(ds.train))]
-        docs = {}
-        for policy in ("bisect", "direct+bisect"):
-            traces = traces_to_json(run_policy(policy, ds, "all", tree))
-            docs[policy] = to_json_bytes([{**t, "policy": None} for t in traces])
-        assert docs["bisect"] == docs["direct+bisect"]
+        got = traces_to_json(run_policy("direct+bisect", ds, "all", tree))
+        assert to_json_bytes([{**t, "policy": "bisect"} for t in got]) == to_json_bytes(want)
+
+
+# --- pruning -----------------------------------------------------------------
+
+def feasible_cost(traces, ds):
+    """Total cost over the traces of feasible worlds."""
+    return math.fsum(c for t in traces if ds.membership[t.world_index].any()
+                     for _, _, c in t.records)
+
+
+def test_pruned_tree_costs_no_more_than_expansion_or_bisect():
+    pruned_any = False
+    for ds in rule_datasets():
+        problem = ec2.problem_from_dataset(ds, ds.train)
+        params = {"dataset_hash": dataset_hash(ds)}
+        expanded = expand_tree(problem, 0.05, params=params)
+        pruned = compile_tree(problem, 0.05, params=params)
+        pruned_any |= len(pruned.nodes) < len(expanded.nodes)
+        cost = {name: feasible_cost(run_policy(policy, ds, "train", tree), ds)
+                for name, policy, tree in (("expanded", "direct+bisect", expanded),
+                                           ("pruned", "direct+bisect", pruned),
+                                           ("bisect", "bisect", None))}
+        assert cost["pruned"] <= cost["expanded"] and cost["pruned"] <= cost["bisect"], cost
+    assert pruned_any
+
+
+def test_pruned_nodes_cost_no_less_by_handing_off():
+    """Top down from the root, every internal node of the expansion that
+    the pruned tree replaces by a handoff had b_v <= a_v, and every one it
+    keeps had b_v > a_v: b_v is per-episode BISECT from v, a_v the
+    expansion's direct+bisect episodes from v on, both over the feasible
+    training worlds at v."""
+    decided = {True: 0, False: 0}
+    for ds in rule_datasets():
+        problem = ec2.problem_from_dataset(ds, ds.train)
+        expanded = expand_tree(problem, 0.05)
+        pruned = prune_tree(expanded, problem)
+        train_theta = ds.theta[ds.train]
+        episode = POLICIES["direct+bisect"](ds, expanded, ds.train, 0, 0.9, [])
+        full = {}
+        for h in ds.train[ds.membership[ds.train].any(axis=1)]:
+            status = np.zeros(ds.graph.num_edges, np.int8)
+            full[int(h)] = episode(lambda e, row=ds.theta[h]: int(row[e]), RunTrace("d", h), status)
+        todo = [(expanded.root, pruned.root, np.zeros(ds.graph.num_edges, np.int8), 0)]
+        while todo:
+            i, j, status, depth = todo.pop()
+            node, kept = expanded.nodes[i], pruned.nodes[j]
+            if not isinstance(node, InternalNode):
+                continue
+            reach = bench._surviving(train_theta, status)
+            worlds = [h for h in ds.train[reach] if int(h) in full]
+            a = math.fsum(c for h in worlds for _, _, c in full[int(h)].records[depth:])
+            b = feasible_cost(bisect_reference(ds, train_theta[reach], status, worlds), ds)
+            if isinstance(kept, Handoff):
+                assert kept.active_count == reach.sum() and b <= a
+                decided[True] += 1
+                continue
+            assert kept.edge == node.edge and b > a
+            decided[False] += 1
+            for outcome, ci, cj in ((-1, node.child0, kept.child0), (1, node.child1, kept.child1)):
+                branch = status.copy()
+                branch[node.edge] = outcome
+                todo.append((ci, cj, branch, depth + 1))
+    assert decided[True] > 0 and decided[False] > 0
+
+
+def test_abstract_problem_trees_are_not_pruned():
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        n, e = int(rng.integers(2, 30)), int(rng.integers(1, 8))
+        outcomes = (rng.random((n, e)) < rng.uniform(0.2, 0.9)).astype(np.uint8)
+        problem = ec2.DrdProblem(regions_membership(outcomes, random_regions(rng, e, 4)),
+                                 outcomes, np.ones(e), np.full(n, 1.0 / n))
+        expanded = expand_tree(problem, 0.0)
+        assert prune_tree(expanded, problem) is expanded
+        assert tree_to_bytes(compile_tree(problem, 0.0)) == tree_to_bytes(expanded)
 
 
 def test_load_and_problem_memory_per_world(tmp_path):
