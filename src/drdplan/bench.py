@@ -63,7 +63,8 @@ def _checked_tree(
 ):
     """The tree, once its recorded dataset hash and alpha match the
     dataset's hash (digest) and the run's alpha and its nodes fit the
-    dataset: every edge and region in range."""
+    dataset: every edge and region in range, and no edge tested twice on
+    a root-to-leaf path."""
     if tree is None:
         raise ContractError(f"policy {policy} requires a compiled tree")
     want = tree.params.get("dataset_hash")
@@ -81,14 +82,19 @@ def _checked_tree(
     if tree_alpha != alpha:
         raise ContractError(f"tree was compiled with alpha {tree_alpha}, the run has {alpha}")
     n_edges, n_paths = dataset.graph.num_edges, dataset.num_paths
+    below = []  # per node, the edges tested in its subtree, as a bit set
     for i, node in enumerate(tree.nodes):
-        if isinstance(node, trees.InternalNode) and node.edge >= n_edges:
-            fault = f"names edge {node.edge} of {n_edges}"
+        tested = 0
+        if isinstance(node, trees.InternalNode):
+            tested = below[node.child0] | below[node.child1]
+            if node.edge >= n_edges:
+                raise FormatError(f"tree node {i} names edge {node.edge} of {n_edges}")
+            if tested >> node.edge & 1:
+                raise FormatError(f"tree node {i} tests edge {node.edge} again below it")
+            tested |= 1 << node.edge
         elif isinstance(node, Solved) and node.path_index >= n_paths:
-            fault = f"names path {node.path_index} of {n_paths}"
-        else:
-            continue
-        raise FormatError(f"tree node {i} {fault}")
+            raise FormatError(f"tree node {i} names path {node.path_index} of {n_paths}")
+        below.append(tested)
     return tree
 
 

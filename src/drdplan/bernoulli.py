@@ -4,19 +4,22 @@ edge outcomes.
 The hypothesis set is the implicit product of all 2^|E| outcome vectors
 weighted by a per-edge bias vector.  The one-vs-all pairwise weight of a
 region admits a product closed form over the region's own edges, which
-makes every greedy step O(|open edges| m) instead of O(2^|E|): the
-per-region products come from one gather through the library's padded edge
-index (model.Library), and only the open edges, the unknown edges of
-regions that are still live, are scored.  region_posterior, from those
-products, is the one definition of a region's weight: _select scores from
-it and region_weights_bernoulli derives from it.
+makes every greedy step O(|open edges| m) instead of O(2^|E|): each
+region's products come from one gather of its belief's row through the
+library's padded edge index (model.Library), and only the open edges, the
+unknown edges of regions that are still live, are scored.
+region_posterior builds those products for any set of (row, path) pairs
+and is the one definition of a region's weight: _select scores from it
+and region_weights_bernoulli derives from it.
 
-_select is the one greedy step, over a block of beliefs at once;
-select_test_bernoulli is its one-row case, and bisect_steps scores a block
-of decision-trie nodes with it.  set_walk uses bisect_steps to run BISECT
-for many worlds at once, one trie level per pass: a run fills its tries
-with it, and compile-tree sums BISECT's cost over training worlds with it
-to prune the tree (drdplan.trees).  The enumeration engine in
+bisect_steps is the one code that decides a BISECT step, for a block of
+beliefs at once: a verdict, _select's greedy choice, or the fallback edge.
+select_test_bernoulli is _select's one-row case over given candidates.
+set_walk uses bisect_steps to run BISECT for many worlds at once, one trie
+level per pass: a run fills its tries with it, and compile-tree sums
+BISECT's cost over training worlds with it to prune the tree
+(drdplan.trees).  bisect_policy replays one episode along a trie and asks
+bisect_steps for any step missing there.  The enumeration engine in
 :mod:`drdplan.ec2` run over the explicit 2^|E| world set with
 product-Bernoulli priors is the defining oracle for these formulas; the
 test suite pins them against it.
@@ -79,59 +82,39 @@ def _padded(theta: np.ndarray) -> np.ndarray:
     return np.concatenate((theta, np.ones(theta.shape[:-1] + (1,))), axis=-1)
 
 
-def _products(t: np.ndarray):
-    """(p, pt2, ps): the product of t, t^2 and t^2 + (1-t)^2 over the last
-    axis of t, gathered rows of a _padded theta through Library.index,
-    which it overwrites.
-    Every row multiplies its own edges in ascending id order and the pad
-    leaves the product unchanged, so a row gets the same bits in any
-    block."""
+def region_posterior(theta: np.ndarray, regions, library: Library):
+    """(p, K) of each (row, path) pair of regions, two index arrays: the
+    path's posterior under its row of the (B, E) edge probabilities theta,
+    and its complement's squared-mass share K = S - S_r, with S the product
+    of s = theta^2 + (1-theta)^2 over the row's edges and S_r the path's
+    own share of it.
+
+    The path products of theta, theta^2 and s run over one gather of the
+    row of a _padded theta through library.index: each multiplies the
+    path's own edges in ascending id order and the pad leaves the product
+    unchanged, so a pair gets the same bits among any other pairs."""
+    rows, paths = regions
+    t = _padded(theta)[rows[:, None], library.index[paths]]
     t2 = t * t
     p, pt2 = t.prod(axis=-1), t2.prod(axis=-1)
     np.subtract(1.0, t, out=t)  # t is a gather of its own: reuse it for (1-t)^2 + t^2
     t *= t
     t += t2
-    return p, pt2, t.prod(axis=-1)
-
-
-def _squared_mass(theta: np.ndarray):
-    """S = prod of theta^2 + (1-theta)^2 over theta's last axis."""
+    ps = t.prod(axis=-1)
     s = 1.0 - theta
     s *= s
     s += theta * theta
-    return s.prod(axis=-1)
+    S = s.prod(axis=-1)[rows]
+    return p, S - pt2 * (S / ps)
 
 
-def _state(belief: BernoulliBelief, library: Library, state=None, edge: int | None = None):
-    """Per-region products used by the closed-form weight.
-
-    Returns (theta, p_r, prod_theta2_r, prod_s_r, S) where
-    s_e = theta_e^2 + (1-theta_e)^2 and S = prod of all s_e (_products,
-    _squared_mass), each region product one gather through library.index.
-
-    Built over every row when state is None.  Given the state from before
-    the belief observed edge, updates it in place over the rows of the
-    paths through the edge, library.through[edge], multiplied in the same
-    order: every product keeps the bits a state from scratch gives it.
-    """
-    if state is None:
-        theta = belief.theta_eff
-        p_r, pt2_r, ps_r = _products(_padded(theta)[library.index])
-    else:
-        theta, p_r, pt2_r, ps_r, _ = state
-        theta[edge] = belief.status[edge] > 0
-        rows = library.through[edge]
-        p_r[rows], pt2_r[rows], ps_r[rows] = _products(_padded(theta)[library.index[rows]])
-    return theta, p_r, pt2_r, ps_r, float(_squared_mass(theta))
-
-
-def region_posterior(state):
-    """(p_r, K_r) of every region from a _state: its posterior and its
-    complement's squared-mass share K_r = S - S_r, with S_r the in-region
-    share of the squared mass.  S may also be an array, each region's
-    own row's S."""
-    _, p_r, pt2_r, ps_r, S = state
-    return p_r, S - pt2_r * (S / ps_r)
+def _one_row(belief: BernoulliBelief, library: Library):
+    """(theta, regions, p, K): the belief as one row of edge probabilities,
+    every path of it as a region, and their region_posterior."""
+    theta = belief.theta_eff[None]
+    m = library.index.shape[0]
+    regions = (np.zeros(m, dtype=np.intp), np.arange(m))
+    return theta, regions, *region_posterior(theta, regions, library)
 
 
 def region_weights_bernoulli(belief: BernoulliBelief, library: Library) -> np.ndarray:
@@ -142,7 +125,8 @@ def region_weights_bernoulli(belief: BernoulliBelief, library: Library) -> np.nd
     engine's weight of the surviving explicit version space exactly.
     """
     mass = belief.observation_mass()
-    return mass * mass * conditional_weight(*region_posterior(_state(belief, library)))
+    _, _, p, K = _one_row(belief, library)
+    return mass * mass * conditional_weight(p, K)
 
 
 def _select(theta, regions, p, K, rows, cand, library: Library, eval_cost: np.ndarray):
@@ -200,45 +184,45 @@ def select_test_bernoulli(
     library: Library,
     eval_cost: np.ndarray,
     candidates,
-    state=None,
 ) -> tuple[int, float] | None:
     """Same selection contract as the enumeration engine: argmax of the
     expected reduction of the completion residual per unit cost,
     (1 - E[residual after] / residual now) / c, ties to the lowest edge
     id, None when nothing scores above zero.  Scores exactly the given
     candidates, which must be unobserved: _select over one row.
-
-    Under the independence prior an off-region candidate leaves every
-    surviving factor at exactly 1, so it scores zero up to the round-off
-    of log(theta) and log(1 - theta), about 1e-16 / c.  The SCORE_TOL cut
-    removes that only while c is not tiny, so bisect_policy passes the
-    open edges alone: the unknown edges of live regions.
-
-    state, when given, is the belief's _state, carried by the caller; None
-    builds it from the belief.
     """
     cand = np.sort(np.asarray(candidates, dtype=np.int64))
     cand = cand[np.diff(cand, prepend=-1) > 0]  # not np.unique, which imports numpy.ma
     if cand.size == 0:
         raise ValueError("candidates must be nonempty")
-    state = _state(belief, library) if state is None else state
     if np.any(belief.status[cand] != 0):
         raise ValueError("candidates must be unobserved edges")
-    p_r, K_r = region_posterior(state)
-    regions = (np.zeros(p_r.size, dtype=np.intp), np.arange(p_r.size))
+    theta, regions, p, K = _one_row(belief, library)
     rows = np.zeros(cand.size, dtype=np.intp)
-    edge, score = _select(state[0][None], regions, p_r, K_r, rows, cand, library, eval_cost)
+    edge, score = _select(theta, regions, p, K, rows, cand, library, eval_cost)
     return None if edge[0] < 0 else (int(edge[0]), float(score[0]))
 
 
 def bisect_steps(beta: np.ndarray, status: np.ndarray, library: Library, eval_cost: np.ndarray) -> list:
     """BISECT's step at each row of a block: B beliefs, each a (B, E) row
-    of bias and of edge status.  A step is Solved(r) for the lowest path
-    whose edges are all known valid, else AllRegionsDead() when no path is
-    live, else the edge to test: _select's choice over the row's open
-    edges, or its first open edge when nothing scores (see bisect_policy).
-    Every row's step is the one bisect_policy computes for that belief
-    alone, bit for bit."""
+    of bias and of edge status.  This is the one code that decides a
+    BISECT step.  A step is Solved(r) for the lowest path whose edges are
+    all known valid, else AllRegionsDead() when no path is live, else the
+    edge to test: _select's choice over the row's open edges, or its first
+    open edge when nothing scores.
+
+    The open edges (model.LibraryStatus) are the unknown edges of live
+    paths.  Under the independence prior any other edge leaves every
+    surviving factor at exactly 1, so it scores zero up to the round-off
+    of log(theta) and log(1 - theta), about 1e-16 / c, which the
+    ec2.SCORE_TOL cut removes only while c is not tiny.  No open edge
+    scores above SCORE_TOL when a residual product underflows or the
+    evaluation costs are so large that every score rounds away; the first
+    open edge then keeps the termination bound, since every step tests an
+    unknown edge of a live path: at most |E| evaluations per episode.  No
+    root weight is read: a score is a ratio of residuals, and a region
+    with weight now had weight at entry.  Rows are independent, so a block of any size gives every row the step
+    it gets alone."""
     paths = LibraryStatus(library, status)
     proven = paths.remaining == 0
     solved = np.where(proven.any(axis=1), proven.argmax(axis=1), -1)
@@ -250,12 +234,9 @@ def bisect_steps(beta: np.ndarray, status: np.ndarray, library: Library, eval_co
         # Only the live paths can have positive posterior, so only their
         # region products are built.
         regions = np.nonzero(paths.live[todo])
-        t = _padded(theta)[regions[0][:, None], library.index[regions[1]]]
-        state = (theta, *_products(t), _squared_mass(theta)[regions[0]])
-        del t
-        p_r, K_r = region_posterior(state)
+        p, K = region_posterior(theta, regions, library)
         rows, cand = np.nonzero(paths.open[todo])
-        edge, _ = _select(theta, regions, p_r, K_r, rows, cand, library, eval_cost)
+        edge, _ = _select(theta, regions, p, K, rows, cand, library, eval_cost)
         first = cand[np.searchsorted(rows, np.arange(todo.size))]
         for i, e in zip(todo.tolist(), np.where(edge >= 0, edge, first).tolist()):
             steps[i] = e
@@ -319,26 +300,11 @@ def bisect_policy(
     trace: RunTrace,
     memo: dict | None = None,
 ) -> RunTrace:
-    """Select/query/observe until one region is proven valid or all are
-    refuted.  Extends the caller's trace and the belief's status (the
-    episode state of drdplan.traces) and returns the trace with its
-    terminal set; edges already observed there are never evaluated again.
-    At most |E| evaluations.
-
-    Each step scores the open edges of a model.LibraryStatus of the
-    belief's status: the unobserved edges of regions with no
-    observed-invalid edge; any other edge scores only round-off.  The
-    status and the region products (_state) are built at the episode's
-    first trie node with no step yet.  That node has no children, so every
-    later node of the episode is new too: after each evaluation the status
-    observes the edge and the products of the paths through it are
-    gathered again (_state given the state before), bit for bit the state
-    built from scratch.  No root weight is read: the score is a ratio of
-    residuals, and a region with weight now had weight at entry.  When no
-    candidate scores above ec2.SCORE_TOL (a residual product that
-    underflows, or evaluation costs so large that every score rounds
-    away), the policy falls back to the first open edge, which preserves
-    the termination bound.
+    """Query the oracle along BISECT's decision trie until one region is
+    proven valid or all are refuted.  Extends the caller's trace and the
+    belief's status (the episode state of drdplan.traces) and returns the
+    trace with its terminal set; edges already observed there are never
+    evaluated again.  At most |E| evaluations (see bisect_steps).
 
     memo is the root of a decision trie that the episodes entering with one
     belief (bias and status) share; None gives a private one.  A node maps
@@ -347,27 +313,16 @@ def bisect_policy(
     other.  A step depends only on that belief, the library, eval_cost and
     the outcomes on the way to its node, so each node's step is computed
     once.  A run fills its tries for all of its worlds with set_walk before
-    the first episode, so this policy replays them; it scores a node
-    itself, as one row, only where no fill reached.
+    the first episode, so this policy replays them.  At a node with no
+    step, it stores the step bisect_steps gives the belief as a block of
+    one row.
     """
     if library.num_edges != belief.num_edges:
         raise ValueError("library and belief disagree on the number of edges")
     node = {} if memo is None else memo
-    paths = state = None  # built at the first node with no step
     while True:
         if "step" not in node:
-            if paths is None:
-                paths = LibraryStatus(library, belief.status)
-                state = _state(belief, library)
-            r = paths.solved
-            if r is not None:
-                node["step"] = Solved(r)
-            elif not paths.live.any():
-                node["step"] = AllRegionsDead()
-            else:
-                cand = np.flatnonzero(paths.open)
-                sel = select_test_bernoulli(belief, library, eval_cost, cand, state)
-                node["step"] = sel[0] if sel is not None else int(cand[0])
+            node["step"] = bisect_steps(belief.beta[None], belief.status[None], library, eval_cost)[0]
         step = node["step"]
         if not isinstance(step, int):  # a verdict
             trace.terminal = step
@@ -375,7 +330,4 @@ def bisect_policy(
                 trace.path_edges = library.paths[step.path_index]
             return trace
         outcome = trace.evaluate(step, oracle, eval_cost, belief.status)
-        if paths is not None:
-            paths.observe(step, outcome)
-            state = _state(belief, library, state, step)
         node = node.setdefault(outcome, {})

@@ -120,7 +120,7 @@ class Library:
     """A path library in the forms its policies read, built once per run.
 
     paths:   each path's edge ids, in path order.
-    inR:     (m, E) boolean incidence matrix (see regions_matrix).
+    num_edges: E, the number of edges the paths are drawn from.
     index:   (m, Lmax) each path's distinct edge ids in ascending order,
              padded with E: a gather from a length-(E+1) vector whose last
              entry is 1.0 then multiplies each row in the same order as a
@@ -129,7 +129,7 @@ class Library:
     """
 
     paths: tuple[tuple[int, ...], ...]
-    inR: np.ndarray
+    num_edges: int
     index: np.ndarray
     through: tuple[np.ndarray, ...]
 
@@ -147,18 +147,13 @@ class Library:
         users.setflags(write=False)
         ends = np.cumsum(inR.sum(axis=0)).tolist()
         through = tuple(users[a:b] for a, b in zip([0] + ends[:-1], ends))
-        inR.setflags(write=False)
         index.setflags(write=False)
-        return cls(paths, inR, index, through)
+        return cls(paths, int(n_edges), index, through)
 
     @classmethod
     def of(cls, dataset: Dataset) -> Library:
         """The library of a dataset's paths."""
         return cls.build([p.edge_ids for p in dataset.paths], dataset.graph.num_edges)
-
-    @property
-    def num_edges(self) -> int:
-        return self.inR.shape[1]
 
 
 class LibraryStatus:

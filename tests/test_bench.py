@@ -149,19 +149,26 @@ def _spy(monkeypatch, module, name, key_of):
 def test_bisect_selects_once_per_decision_state(memo_case, policy, monkeypatch):
     # A decision state is the bias BISECT entered with and the status now.
     # The fill before the first episode scores each in exactly one row of
-    # one bisect_steps block; the episodes replay the tries and score none.
+    # one bisect_steps block; the episodes replay the tries and score none:
+    # no bisect_steps call comes after the fill.
     case, tree = memo_case
     keys = []
-    steps = bernoulli.bisect_steps
+    steps, walk = bernoulli.bisect_steps, bernoulli.set_walk
+    filled = []  # len(keys) when each set_walk returned
 
     def spy(beta, status, *rest):
         keys.extend((b.tobytes(), s.tobytes()) for b, s in zip(beta, status))
         return steps(beta, status, *rest)
 
+    def spy_walk(*args):
+        counts = walk(*args)
+        filled.append(len(keys))
+        return counts
+
     monkeypatch.setattr(bernoulli, "bisect_steps", spy)
-    online = _spy(monkeypatch, bernoulli, "select_test_bernoulli", lambda *args: None)
+    monkeypatch.setattr(bernoulli, "set_walk", spy_walk)
     run_policy(policy, case, "all", tree)
-    assert online == [] and len(keys) == len(set(keys))
+    assert filled == [len(keys)] and len(keys) == len(set(keys))
     shared = len(keys)
     keys.clear()
     _fresh_memo_per_world(policy, case, tree)

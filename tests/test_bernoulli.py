@@ -90,9 +90,15 @@ def test_weight_matches_enumeration():
         assert np.allclose(got, want, atol=1e-12, rtol=0)
 
 
+def every_path(library):
+    """Every path of one row, as region_posterior's (row, path) pairs."""
+    m = library.index.shape[0]
+    return np.zeros(m, dtype=np.intp), np.arange(m)
+
+
 def conditional_weights(belief, library):
     """Every region's weight with the squared observation mass divided out."""
-    return ec2.conditional_weight(*region_posterior(bernoulli._state(belief, library)))
+    return ec2.conditional_weight(*region_posterior(belief.theta_eff[None], every_path(library), library))
 
 
 def test_region_with_weight_had_weight_at_entry():
@@ -216,7 +222,7 @@ def test_bisect_exhaustive_termination_bound():
 def test_shared_trie_walks_like_a_private_one(monkeypatch):
     # Every world of an exhaustive enumeration walks one trie.  Each trace
     # equals a private trie's, and once the trie is built a second pass
-    # computes no step: neither LibraryStatus nor the selection runs.
+    # computes no step: bisect_steps never runs.
     rng = np.random.default_rng(29)
     for e in (3, 5, 8):
         beta = rng.uniform(0.2, 0.8, e)
@@ -232,8 +238,7 @@ def test_shared_trie_walks_like_a_private_one(monkeypatch):
         for world in worlds:
             assert run(world, trie) == run(world)
         with monkeypatch.context() as m:
-            for name in ("LibraryStatus", "select_test_bernoulli"):
-                m.setattr(bernoulli, name, lambda *args: pytest.fail("a step was recomputed"))
+            m.setattr(bernoulli, "bisect_steps", lambda *args: pytest.fail("a step was recomputed"))
             for world in worlds:
                 run(world, trie)
         # Every node, the root included, is keyed by outcome alone.
@@ -246,14 +251,15 @@ def test_shared_trie_walks_like_a_private_one(monkeypatch):
 def test_bisect_fallback_takes_first_open_edge(monkeypatch):
     # At an evaluation cost of 1e13 every score falls under SCORE_TOL, so
     # each step takes the fallback: the lowest-id unobserved edge of a
-    # region with no observed-invalid edge.
+    # region with no observed-invalid edge.  picks holds what the greedy
+    # step of bisect_steps chose at each step, -1 for nothing.
     picks = []
 
-    def spy(*args, select=bernoulli.select_test_bernoulli):
+    def spy(*args, select=bernoulli._select):
         picks.append(select(*args))
         return picks[-1]
 
-    monkeypatch.setattr(bernoulli, "select_test_bernoulli", spy)
+    monkeypatch.setattr(bernoulli, "_select", spy)
     world = [1, 0, 1, 1, 1]
     trace = bisect_policy(
         BernoulliBelief(np.full(5, 0.5)), Library.build([(0, 1), (2, 3), (1, 4)], 5),
@@ -262,7 +268,7 @@ def test_bisect_fallback_takes_first_open_edge(monkeypatch):
     assert [r[0] for r in trace.records] == [0, 1, 2, 3]
     assert trace.terminal == Solved(1)
     assert trace.path_edges == (2, 3)
-    assert picks == [None] * 4
+    assert [edge.tolist() for edge, _ in picks] == [[-1]] * 4
 
 
 def test_bisect_extends_the_callers_trace_and_status():
@@ -352,16 +358,17 @@ def test_closed_form_outcome_zero_is_the_shared_rule():
     seen = set()
     for _ in range(300):
         n_edges = int(rng.integers(1, 40))
-        library = Library.build(random_regions(rng, n_edges, int(rng.integers(1, 20))), n_edges)
+        regions = random_regions(rng, n_edges, int(rng.integers(1, 20)))
+        library = Library.build(regions, n_edges)
         belief = BernoulliBelief(beta=rng.uniform(0.05, 0.95, n_edges))
         for e in rng.choice(n_edges, size=int(rng.integers(0, n_edges)), replace=False):
             belief.observe(int(e), int(rng.random() < 0.8))
-        _, p_r, pt2_r, ps_r, S = bernoulli._state(belief, library)
-        mask, Km, wm = ec2.live_regions(p_r, S - pt2_r * (S / ps_r))
+        p_r, K_r = region_posterior(belief.theta_eff[None], every_path(library), library)
+        mask, Km, wm = ec2.live_regions(p_r, K_r)
         cand = np.flatnonzero(belief.status == 0)
         if not mask.any() or cand.size == 0:
             continue
-        Rt = library.inR[np.ix_(mask, cand)].T
+        Rt = regions_matrix(regions, n_edges)[np.ix_(mask, cand)].T
         closed = np.where((~Rt).any(axis=1), 0.0, -np.inf)
         general = ec2.log_residual_ratio(np.where(Rt, 0.0, p_r[mask]), Km, wm)
         assert closed.tobytes() == general.tobytes()
@@ -385,38 +392,18 @@ def test_state_products_bitwise_equal_per_row_prod():
         belief = BernoulliBelief(beta=rng.uniform(0.01, 0.99, n_edges))
         for e in rng.choice(n_edges, size=int(rng.integers(0, n_edges + 1)), replace=False):
             belief.observe(int(e), int(rng.integers(2)))
-        theta, p_r, pt2_r, ps_r, S = bernoulli._state(belief, library)
+        theta = belief.theta_eff
+        p_r, K_r = region_posterior(theta[None], every_path(library), library)
         s = theta * theta + (1.0 - theta) * (1.0 - theta)
         inR = regions_matrix(regions, n_edges)
+        pt2_r = np.array([np.prod((theta * theta)[row]) for row in inR])
+        ps_r = np.array([np.prod(s[row]) for row in inR])
+        S = float(np.prod(s))
         assert np.array_equal(p_r, np.array([np.prod(theta[row]) for row in inR]))
-        assert np.array_equal(pt2_r, np.array([np.prod((theta * theta)[row]) for row in inR]))
-        assert np.array_equal(ps_r, np.array([np.prod(s[row]) for row in inR]))
-        assert S == float(np.prod(s))
+        assert np.array_equal(K_r, S - pt2_r * (S / ps_r))
         assert [sorted(set(r)) for r in regions] == [
             [e for e in row if e < n_edges] for row in library.index.tolist()
         ]
-
-
-def test_carried_state_equals_state_from_scratch_after_every_observe():
-    # bisect_policy carries the region products through an episode; after
-    # every observation they are, bit for bit, the products _state builds
-    # from the belief.
-    rng = np.random.default_rng(43)
-    for _ in range(200):
-        n_edges = int(rng.integers(1, 120))
-        regions = [
-            tuple(rng.choice(n_edges, size=int(rng.integers(1, n_edges + 1)), replace=False))
-            for _ in range(int(rng.integers(1, 12)))
-        ]
-        library = Library.build(regions, n_edges)
-        belief = BernoulliBelief(beta=rng.uniform(0.01, 0.99, n_edges))
-        state = bernoulli._state(belief, library)
-        for e in rng.choice(n_edges, size=int(rng.integers(1, n_edges + 1)), replace=False):
-            belief.observe(int(e), int(rng.integers(2)))
-            state = bernoulli._state(belief, library, state, int(e))
-            want = bernoulli._state(belief, library)
-            for got, fresh in zip(state, want):
-                assert np.asarray(got).tobytes() == np.asarray(fresh).tobytes()
 
 
 def _outside_live_regions(trace, regions):
@@ -473,8 +460,7 @@ def test_set_walk_equals_per_episode_bisect(monkeypatch):
             roots.append((rng.uniform(0.05, 0.95, n_edges), status, worlds, {}))
         counts = bernoulli.set_walk(library, cost, outcomes, roots)
         with monkeypatch.context() as m:
-            for name in ("LibraryStatus", "select_test_bernoulli"):
-                m.setattr(bernoulli, name, lambda *args: pytest.fail("a filled step was recomputed"))
+            m.setattr(bernoulli, "bisect_steps", lambda *args: pytest.fail("a filled step was recomputed"))
             replays = [[bisect_policy(BernoulliBelief(beta, status.copy()), library, cost,
                                       lambda e, w=w: int(outcomes[w, e]), RunTrace("bisect"), trie)
                         for w in worlds] for beta, status, worlds, trie in roots]
@@ -491,8 +477,9 @@ def test_set_walk_equals_per_episode_bisect(monkeypatch):
 
 
 def test_select_test_bernoulli_is_one_row_of_the_block():
-    # bisect_steps over a block of beliefs gives each row the step
-    # bisect_policy takes for that belief alone.
+    # bisect_steps over a block of beliefs gives each row its own verdict
+    # from LibraryStatus or, failing that, select_test_bernoulli's choice
+    # over the row's open edges, the first open edge when nothing scores.
     rng = np.random.default_rng(73)
     for _ in range(100):
         n_edges = int(rng.integers(1, 40))
@@ -503,7 +490,12 @@ def test_select_test_bernoulli_is_one_row_of_the_block():
         status = status.astype(np.int8)
         steps = bernoulli.bisect_steps(beta, status, library, cost)
         for b, s, step in zip(beta, status, steps):
-            trace = bisect_policy(BernoulliBelief(b, s.copy()), library, cost, lambda e: 1,
-                                  RunTrace("bisect"))
-            first = trace.records[0][0] if trace.records else trace.terminal
-            assert step == first
+            paths = LibraryStatus(library, s)
+            if paths.solved is not None:
+                assert step == Solved(paths.solved)
+            elif not paths.live.any():
+                assert step == AllRegionsDead()
+            else:
+                cand = np.flatnonzero(paths.open)
+                sel = select_test_bernoulli(BernoulliBelief(b, s), library, cost, cand)
+                assert step == (int(cand[0]) if sel is None else sel[0])

@@ -667,8 +667,18 @@ def _set_root(doc, root):
     doc["root"] = root
 
 
+def _repeat_edge(doc):
+    # A copy of the root under the root, as its child 0: the root's edge is
+    # tested twice on the way to leaf 0.
+    leaf0, leaf1, root = doc["nodes"]
+    doc["nodes"] = [leaf0, leaf1, dict(root), leaf1, root]
+    root["child"] = [2, 3]
+    doc["root"] = 4
+
+
 # Tree files that parse as JSON but do not fit the 6x6 dataset (|E| = 110,
-# m = 10) or break the post-order layout; each edits the fixture dataset's
+# m = 10), break the post-order layout or test an edge twice on one path;
+# each edits the fixture dataset's
 # expanded tree, [solved, solved, internal(child 0, child 1)].
 _BAD_TREES = {
     "edge": lambda d: d["nodes"][-1].__setitem__("edge", 99999),
@@ -678,6 +688,7 @@ _BAD_TREES = {
     "child-order": lambda d: d["nodes"][-1].__setitem__("child", [0, 2]),
     "root": lambda d: _set_root(d, 0),
     "hash-type": lambda d: d["params"].__setitem__("dataset_hash", 12345),
+    "repeat-edge": _repeat_edge,
 }
 
 
