@@ -10,13 +10,14 @@ function that checks its inputs, builds what every world of the run shares
 world needs (its oracle, a fresh trace and an all-unknown edge status) and
 the episode extends the trace and status.  The last two ids require a
 compiled decision tree whose recorded dataset hash and alpha match the
-dataset and the run's alpha.  Every handoff of direct+bisect builds its
-bias with trees.bias_vector from the training worlds consistent with the
-episode so far, and bisect runs direct+bisect on a one-leaf tree that
-hands off at the root.  bisect and direct+bisect fill their BISECT tries
-for all of the run's worlds before the first episode, in the parent of any
---jobs fork (bernoulli.set_walk); lazysp-graph memoizes its searches per
-run (see lazysp_graph), and each forked --jobs worker fills its own copy.
+dataset and the run's alpha.  Every completion of direct+bisect takes its
+bias from its status alone (trees.bias_vector of the training outcomes,
+which reads the worlds consistent with the episode so far), and bisect
+runs direct+bisect on a one-leaf tree that hands off at the root.  bisect
+and direct+bisect fill their BISECT tries for all of the run's worlds
+before the first episode, in the parent of any --jobs fork
+(bernoulli.set_walk); lazysp-graph memoizes its searches per run (see
+lazysp_graph), and each forked --jobs worker fills its own copy.
 """
 
 from __future__ import annotations
@@ -49,13 +50,6 @@ def _world_oracle(dataset: Dataset, h: int):
         return int(row[edge])
 
     return oracle
-
-
-def _surviving(train_theta: np.ndarray, status: np.ndarray) -> np.ndarray:
-    """Mask over the training rows of worlds consistent with the edges
-    observed in an episode's status."""
-    seen = status != 0
-    return (train_theta[:, seen] == (status[seen] > 0)).all(axis=1)
 
 
 def _checked_tree(
@@ -165,12 +159,9 @@ def _direct_bisect(dataset, tree, train_idx, seed, alpha, worlds):
 
     def completion(status: np.ndarray):
         # A handoff, a refuted solved leaf, or a dead leaf whose verdict must
-        # be witnessed on the live world: bias from the training worlds
-        # consistent with what was seen (all of them if none is).
+        # be witnessed on the live world: its bias comes from the status.
         if (key := status.tobytes()) not in completions:
-            mask = _surviving(train_theta, status)
-            rows = train_theta[mask] if mask.any() else train_theta
-            completions[key] = (trees.bias_vector(rows, status, alpha), {})
+            completions[key] = (trees.bias_vector(train_theta, status, alpha), {})
         return completions[key]
 
     groups = {}  # status after the tree -> (status, worlds)
@@ -206,7 +197,7 @@ def _direct_only(dataset, tree, train_idx, seed, alpha, worlds):
         if isinstance(leaf, Solved):
             region = leaf.path_index
         elif isinstance(leaf, Handoff):
-            plausible = np.nonzero(train_memb[_surviving(train_theta, status)].any(axis=0))[0]
+            plausible = np.nonzero(train_memb[trees.consistent(train_theta, status)].any(axis=0))[0]
             region = int(plausible[0]) if plausible.size else None
         if region is None:
             trace.terminal = AllRegionsDead()

@@ -50,10 +50,11 @@ class Infeasible:
 
 @dataclass(frozen=True)
 class Handoff:
-    """The explicit-database policy stopped below its confidence threshold
-    or found no useful test, with ``active_count`` training worlds still
-    consistent.  The completion builds its bias from those worlds at run
-    time (see drdplan.bench)."""
+    """The explicit-database policy stopped below its confidence threshold,
+    found no useful test, found BISECT's best score at least DIRECT's, or
+    was pruned by measured cost, with ``active_count`` training worlds
+    still consistent.  The completion builds its bias from those worlds at
+    run time (see drdplan.bench)."""
 
     active_count: int
 

@@ -5,11 +5,11 @@ evaluate and branch on its outcome.  Leaves are the verdicts direct_step
 returns: Solved names a path that every surviving training world makes
 valid, AllRegionsDead certifies that no library path survives the training
 database, and Handoff passes control to the Bernoulli completion policy
-with the count of surviving training worlds.  The completion's bias is
-built at run time by bias_vector, from the training worlds consistent with
-the episode's observations and the run's alpha, which must be the alpha
-the tree was compiled with (params.alpha): direct_step hands off where
-BISECT's next test under that bias is worth as much as DIRECT's.
+with the count of surviving training worlds; prune_tree hands off at
+each subtree that costs the training worlds more.  The completion's bias
+is bias_vector of the episode's status alone and the run's alpha, which
+must be the tree's (params.alpha): direct_step hands off where BISECT's
+next test under that bias is worth as much as DIRECT's.
 """
 
 from __future__ import annotations
@@ -69,16 +69,26 @@ class DecisionTree:
         return counts
 
 
-def bias_vector(rows: np.ndarray, status: np.ndarray, alpha: float) -> np.ndarray:
+def consistent(outcomes: np.ndarray, status: np.ndarray) -> np.ndarray:
+    """Mask over the outcome rows of worlds consistent with the edges
+    observed in an episode's status."""
+    seen = status != 0
+    return (outcomes[:, seen] == (status[seen] > 0)).all(axis=1)
+
+
+def bias_vector(outcomes: np.ndarray, status: np.ndarray, alpha: float) -> np.ndarray:
     """Per-edge validity bias: alpha * empirical fraction over the outcome
-    rows + (1 - alpha) * 0.5; edges observed in status (the episode's
-    int8 edge status, see drdplan.traces) use their outcome instead of the
-    fraction.  Entries stay inside [(1-a)/2, (1+a)/2] (the upper end up to
-    one rounding when a < 0.5): both outcomes keep positive probability."""
+    rows consistent with status (the episode's int8 edge status, see
+    drdplan.traces), or over all rows when none is, + (1 - alpha) * 0.5;
+    edges observed in status use their outcome instead of the fraction.
+    Entries stay inside [(1-a)/2, (1+a)/2] (the upper end up to one
+    rounding when a < 0.5): both outcomes keep positive probability."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if len(rows) == 0:
+    if len(outcomes) == 0:
         raise ValueError("bias_vector needs at least one outcome row")
+    mask = consistent(outcomes, status)
+    rows = outcomes[mask] if mask.any() else outcomes
     return alpha * np.where(status == 0, rows.mean(axis=0), status > 0) + (1.0 - alpha) * 0.5
 
 
@@ -96,10 +106,11 @@ def direct_step(
     The candidates are the open edges of the problem's library
     (model.LibraryStatus of vs.status): the unknown edges of paths with no
     edge known invalid, the edges BISECT scores.  BISECT scores them under
-    bias_vector(the active worlds' outcomes, vs.status, alpha), the bias a
-    completion handed off here starts from.  Both scores are (1 - E[residual
-    ratio]) / cost.  An abstract problem, with no library, scores every
-    unobserved edge and has no BISECT to hand off to.
+    bias_vector(the training outcomes, vs.status, alpha), which reads the
+    active worlds' rows: the bias a completion handed off here starts
+    from.  Both scores are (1 - E[residual ratio]) / cost.  An abstract
+    problem, with no library, scores every unobserved edge and has no
+    BISECT to hand off to.
 
     table, when given, is a function of no arguments that returns the
     split_table of the active worlds; it is called only when the step
@@ -128,7 +139,7 @@ def _completion_score(
 ) -> float:
     """BISECT's best score over the candidates under the bias a completion
     handed off at vs starts from; 0 when nothing scores."""
-    beta = bias_vector(problem.outcomes[vs.active], vs.status, alpha)
+    beta = bias_vector(problem.outcomes, vs.status, alpha)
     belief = bernoulli.BernoulliBelief(beta, vs.status)
     sel = bernoulli.select_test_bernoulli(belief, problem.library, problem.eval_cost, candidates)
     return 0.0 if sel is None else sel[1]
@@ -277,49 +288,46 @@ def prune_tree(tree: DecisionTree, problem: ec2.DrdProblem) -> DecisionTree:
     with no library and so no BISECT, keeps its tree.
 
     Costs are sums over the feasible training worlds (those in some
-    region) that reach a node v.  a_v is the cost of the subtree from v
-    on, as a run pays it: the tests at v and below, the check of the path
-    at a solved leaf (a feasible world there lies on that path, so every
-    unknown edge of it is evaluated) and BISECT's completion at a handoff
-    leaf (the dead leaves hold no feasible world).  b_v is BISECT's cost
-    from v, under bias_vector(the training worlds that reach v, the status
-    at v, the tree's alpha): the completion a Handoff at v would run.
-    Starting at the root, an internal node v becomes Handoff(the count of
-    training worlds at v) when b_v <= a_v; otherwise its internal children
-    are considered.  So on the training worlds the pruned tree costs no
-    more than the expansion, and no more than BISECT from the root.
+    region) consistent with the status at a node v.  a_v is the cost of
+    the subtree from v on, as a run pays it: the tests at v and below, the
+    check of the path at a solved leaf (a feasible world there lies on
+    that path, so every unknown edge of it is evaluated) and BISECT's
+    completion at a handoff leaf (the dead leaves hold no feasible world).
+    b_v is BISECT's cost from v, under bias_vector(the training outcomes,
+    the status at v, the tree's alpha), as a Handoff at v runs it.  From
+    the root, an internal node v becomes Handoff(its consistent training
+    worlds' count) when b_v <= a_v; otherwise its internal children are
+    considered.  So on the training worlds the pruned tree costs no more
+    than the expansion, and no more than BISECT from the root.
 
     The completions of all handoff leaves are one bernoulli.set_walk, and
     so are the BISECT walks of each level of considered nodes.  Each cost
     is one math.fsum over its evaluations, so the order of the walk cannot
     decide a comparison.  The nodes stay in post-order, child0's subtree
-    first, so an unpruned tree keeps its bytes.
+    first, where a subtree is a run of nodes that ends at its root: pruning
+    cuts runs, so an unpruned tree keeps its bytes.
     """
     library = problem.library
     if library is None:
         return tree
     alpha, nodes, eval_cost = tree.params["alpha"], tree.nodes, problem.eval_cost
-    feasible = problem.membership.any(axis=1)
+    outcomes, feasible = problem.outcomes, problem.membership.any(axis=1)
 
-    # The training worlds reaching each node, and the status there.
-    reach = {tree.root: np.arange(problem.num_hypotheses)}
+    # The status at each node, and the feasible worlds consistent with it.
     status = {tree.root: np.zeros(problem.num_tests, dtype=np.int8)}
     for i in range(len(nodes) - 1, -1, -1):  # parents follow their children
         node = nodes[i]
         if isinstance(node, InternalNode):
-            valid = problem.outcomes[reach[i], node.edge] == 1
-            for outcome, child in ((0, node.child0), (1, node.child1)):
-                reach[child] = reach[i][valid if outcome else ~valid]
+            for outcome, child in ((-1, node.child0), (1, node.child1)):
                 status[child] = status[i].copy()
-                status[child][node.edge] = 1 if outcome else -1
-    worlds = {i: r[feasible[r]] for i, r in reach.items()}
+                status[child][node.edge] = outcome
+    worlds = {i: np.flatnonzero(consistent(outcomes, s) & feasible) for i, s in status.items()}
 
     def walk(at: list) -> np.ndarray:
         """BISECT's evaluation counts from each node in at, over its
         feasible worlds: one set walk."""
-        roots = [(bias_vector(problem.outcomes[reach[i]], status[i], alpha), status[i],
-                  worlds[i], {}) for i in at]
-        return bernoulli.set_walk(library, eval_cost, problem.outcomes, roots)
+        roots = [(bias_vector(outcomes, status[i], alpha), status[i], worlds[i], {}) for i in at]
+        return bernoulli.set_walk(library, eval_cost, outcomes, roots)
 
     # a_v from per-edge evaluation counts, children before parents.
     handoffs = [i for i, node in enumerate(nodes) if isinstance(node, Handoff)]
@@ -344,7 +352,7 @@ def prune_tree(tree: DecisionTree, problem: ec2.DrdProblem) -> DecisionTree:
         below = []
         for i, n in zip(level, walk(level)):
             if _cost(n, eval_cost) <= a[i]:
-                pruned[i] = Handoff(reach[i].size)
+                pruned[i] = Handoff(int(consistent(outcomes, status[i]).sum()))
             else:
                 below += [c for c in (nodes[i].child0, nodes[i].child1)
                           if isinstance(nodes[c], InternalNode)]
@@ -352,21 +360,15 @@ def prune_tree(tree: DecisionTree, problem: ec2.DrdProblem) -> DecisionTree:
     if not pruned:
         return tree
 
-    out: list = []
-    todo: list = [tree.root]  # node indices, or the edge of a split whose subtrees are done
-    finished: list[int] = []
-    while todo:
-        item = todo.pop()
-        if isinstance(item, tuple):
-            child1 = finished.pop()
-            out.append(InternalNode(item[0], finished.pop(), child1))
-        else:
-            node = pruned.get(item, nodes[item])
-            if isinstance(node, InternalNode):
-                todo += [(node.edge,), node.child1, node.child0]
-                continue
-            out.append(node)
-        finished.append(len(out) - 1)
+    first = []  # per node, the first node of its subtree's run
+    for i, node in enumerate(nodes):
+        first.append(first[node.child0] if isinstance(node, InternalNode) else i)
+    keep, out = np.ones(len(nodes), dtype=bool), list(nodes)
+    for i, leaf in pruned.items():
+        keep[first[i]:i], out[i] = False, leaf
+    new = (np.cumsum(keep) - 1).tolist()
+    out = [InternalNode(node.edge, new[node.child0], new[node.child1])
+           if isinstance(node, InternalNode) else node for node, k in zip(out, keep) if k]
     tree = DecisionTree(nodes=out, root=len(out) - 1, params=dict(tree.params))
     tree.params["stats"] = {**tree.leaf_counts(), "depth": tree.depth()}
     return tree
@@ -444,13 +446,17 @@ def _node_from_json(rec, i: int):
 
 def tree_from_bytes(data: bytes) -> DecisionTree:
     """Parse a tree file.  Its nodes must be in post-order: each child
-    precedes its parent and the root is the last node."""
+    precedes its parent, the root is the last node, and every other node
+    is the child of exactly one node."""
     doc = read_json(data, "tree file", TREE_SCHEMA_VERSION)
     with reading("bad tree file"):
         nodes = [_node_from_json(rec, i) for i, rec in enumerate(doc["nodes"])]
         root, params = doc["root"], doc["params"]
     if not is_index(root) or root != len(nodes) - 1:
         raise FormatError(f"tree root {root!r} is not its last node")
+    children = [c for n in nodes if isinstance(n, InternalNode) for c in (n.child0, n.child1)]
+    if sorted(children) != list(range(root)):
+        raise FormatError("a tree node other than the root is not the child of exactly one node")
     if not isinstance(params, dict):
         raise FormatError("tree params must be a JSON object")
     return DecisionTree(nodes=nodes, root=root, params=params)

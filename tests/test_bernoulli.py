@@ -480,7 +480,10 @@ def test_select_test_bernoulli_is_one_row_of_the_block():
     # bisect_steps over a block of beliefs gives each row its own verdict
     # from LibraryStatus or, failing that, select_test_bernoulli's choice
     # over the row's open edges, the first open edge when nothing scores.
+    # Each block runs again under costs so large that no edge scores, where
+    # every open row falls back.
     rng = np.random.default_rng(73)
+    fallbacks = 0
     for _ in range(100):
         n_edges = int(rng.integers(1, 40))
         library = Library.build(random_regions(rng, n_edges, int(rng.integers(1, 20))), n_edges)
@@ -488,14 +491,17 @@ def test_select_test_bernoulli_is_one_row_of_the_block():
         beta = rng.uniform(0.01, 0.99, (int(rng.integers(1, 9)), n_edges))
         status = np.where(rng.random(beta.shape) < 0.3, np.where(rng.random(beta.shape) < 0.7, 1, -1), 0)
         status = status.astype(np.int8)
-        steps = bernoulli.bisect_steps(beta, status, library, cost)
-        for b, s, step in zip(beta, status, steps):
-            paths = LibraryStatus(library, s)
-            if paths.solved is not None:
-                assert step == Solved(paths.solved)
-            elif not paths.live.any():
-                assert step == AllRegionsDead()
-            else:
-                cand = np.flatnonzero(paths.open)
-                sel = select_test_bernoulli(BernoulliBelief(b, s), library, cost, cand)
-                assert step == (int(cand[0]) if sel is None else sel[0])
+        for c in (cost, np.full(n_edges, 1e13)):
+            steps = bernoulli.bisect_steps(beta, status, library, c)
+            for b, s, step in zip(beta, status, steps):
+                paths = LibraryStatus(library, s)
+                if paths.solved is not None:
+                    assert step == Solved(paths.solved)
+                elif not paths.live.any():
+                    assert step == AllRegionsDead()
+                else:
+                    cand = np.flatnonzero(paths.open)
+                    sel = select_test_bernoulli(BernoulliBelief(b, s), library, c, cand)
+                    assert step == (int(cand[0]) if sel is None else sel[0])
+                    fallbacks += sel is None
+    assert fallbacks > 0

@@ -676,9 +676,16 @@ def _repeat_edge(doc):
     doc["root"] = 4
 
 
+def _shared_child(doc):
+    # Both outcomes of the root lead to one leaf: a test whose outcome
+    # decides nothing.
+    doc["nodes"] = [{"type": "handoff", "active_count": 1}, dict(doc["nodes"][-1], child=[0, 0])]
+    doc["root"] = 1
+
+
 # Tree files that parse as JSON but do not fit the 6x6 dataset (|E| = 110,
-# m = 10), break the post-order layout or test an edge twice on one path;
-# each edits the fixture dataset's
+# m = 10), break the post-order layout or the one-parent rule, or test an
+# edge twice on one path; each edits the fixture dataset's
 # expanded tree, [solved, solved, internal(child 0, child 1)].
 _BAD_TREES = {
     "edge": lambda d: d["nodes"][-1].__setitem__("edge", 99999),
@@ -689,6 +696,7 @@ _BAD_TREES = {
     "root": lambda d: _set_root(d, 0),
     "hash-type": lambda d: d["params"].__setitem__("dataset_hash", 12345),
     "repeat-edge": _repeat_edge,
+    "shared-child": _shared_child,
 }
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from drdplan import bench, ec2, trees
+from drdplan import ec2, trees
 from drdplan.bench import POLICIES, run_policy
 from drdplan.bernoulli import BernoulliBelief, bisect_policy, select_test_bernoulli
 from drdplan.io import FormatError, dataset_hash, load_dataset, save_dataset, to_json_bytes
@@ -79,6 +79,39 @@ def test_bias_vector_bounds():
     for alpha in (np.nan, 0.0, 1.0, 2.0, -0.5):
         with pytest.raises(ValueError):
             bias_vector(rows, status, alpha)
+
+
+def test_bias_vector_falls_back_to_all_rows():
+    """A status that no outcome row matches gives the fraction over all
+    rows."""
+    outcomes = np.array([[1, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1]], dtype=np.uint8)
+    status = status_of(4, {0: 0, 1: 1})
+    assert not trees.consistent(outcomes, status).any()
+    want = 0.9 * np.where(status == 0, outcomes.mean(axis=0), status > 0) + (1 - 0.9) * 0.5
+    assert bias_vector(outcomes, status, 0.9).tolist() == want.tolist()
+
+
+def test_bias_vector_reads_the_consistent_rows():
+    """For random statuses, bias_vector of all the outcomes equals the
+    mixture over the rows consistent with the status, bit for bit."""
+    rng = np.random.default_rng(41)
+    matched = 0
+    for _ in range(300):
+        n, e = int(rng.integers(1, 30)), int(rng.integers(1, 12))
+        outcomes = (rng.random((n, e)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+        seen = rng.random(e) < rng.uniform(0.0, 0.8)
+        # Observed outcomes from some row (so rows match) or drawn at random.
+        source = outcomes[rng.integers(n)] if rng.random() < 0.7 else rng.integers(0, 2, e)
+        status = np.where(seen, np.where(source == 1, 1, -1), 0).astype(np.int8)
+        alpha = float(rng.uniform(0.05, 0.95))
+        rows = np.array([row for row in outcomes
+                         if all(row[k] == (status[k] > 0) for k in np.flatnonzero(seen))])
+        assert trees.consistent(outcomes, status).sum() == len(rows)
+        if len(rows):
+            matched += 1
+            want = alpha * np.where(status == 0, rows.mean(axis=0), status > 0) + (1 - alpha) * 0.5
+            assert bias_vector(outcomes, status, alpha).tobytes() == want.tobytes()
+    assert matched > 200
 
 
 def test_bias_vector_rejects_bad_inputs():
@@ -481,7 +514,7 @@ def test_pruned_nodes_cost_no_less_by_handing_off():
             node, kept = expanded.nodes[i], pruned.nodes[j]
             if not isinstance(node, InternalNode):
                 continue
-            reach = bench._surviving(train_theta, status)
+            reach = trees.consistent(train_theta, status)
             worlds = [h for h in ds.train[reach] if int(h) in full]
             a = math.fsum(c for h in worlds for _, _, c in full[int(h)].records[depth:])
             b = feasible_cost(bisect_reference(ds, train_theta[reach], status, worlds), ds)
