@@ -22,14 +22,8 @@ No greedy step reads a root weight: a score is a ratio of residuals, where
 it cancels, and a region weight only falls as the version space shrinks,
 so a region with weight at an unsolved node had weight at the root.
 
-select_test scores from a split table (split_table): every test's branch
-masses, in total and per region, over a set of worlds.  Each entry is a
-sum over worlds, so the table of a set is the table of any superset minus
-the table of the rest -- exactly, when every unit weight is an integer (a
-sum of integers below 2**53 has no rounding error in any order).  That is
-why the uniform prior lets a tree node take its table from its parent's
-(drdplan.trees); under any other prior a table is built from its own
-worlds, where a branch that no world reaches is a sum of exact zeros.
+select_test scores from a split table (split_table): each candidate
+test's branch masses, in total and per region, over the active worlds.
 
 split_table, region_posterior and select_test work over fixed blocks of
 rows, worlds or candidates, so their float64 scratch stays near
@@ -104,9 +98,6 @@ class DrdProblem:
         if np.any(self.prior <= 0):
             raise ValueError("prior weights must be strictly positive")
         self.unit = self.prior / self.prior.max()
-        # Every branch and region mass is then an integer count, exact in
-        # any summation order (the uniform prior: all ones).
-        self.integer_weights = bool(np.all(self.unit == np.round(self.unit)))
 
     @property
     def num_hypotheses(self) -> int:
@@ -147,7 +138,8 @@ def region_posterior(problem: DrdProblem, act: np.ndarray):
     m = problem.membership.shape[1]
     a, b = np.zeros(m), np.zeros(m)  # w @ M and wsq @ M over the active rows
     count = np.zeros(m)  # active worlds in each region: sums of 0/1, exact
-    for block in _blocks(act.size, m):
+    # split_table's rows per block: a cast block holds no more rows than its.
+    for block in _blocks(act.size, max(problem.num_tests, m)):
         M = problem.membership[act[block]].astype(np.float64)
         a += w[block] @ M
         b += wsq[block] @ M
@@ -219,64 +211,57 @@ def log_residual_ratio(p_o: np.ndarray, Km: np.ndarray, wm: np.ndarray) -> np.nd
     return np.where(alive.any(axis=-1), lf.sum(axis=-1), -np.inf)
 
 
-def split_table(problem: DrdProblem, worlds) -> np.ndarray:
-    """The branch sums of every test over the given worlds, in unit
-    weights: table[o, e, 0] is the mass of the worlds where edge e has
-    outcome o, and table[o, e, 1 + r] is that branch's mass in region r.
-    Shape (2, E, 1 + m), regions on the last, contiguous axis.
+def split_table(problem: DrdProblem, worlds, tests) -> np.ndarray:
+    """The branch sums of the given tests over the given worlds, in unit
+    weights: table[o, i, 0] is the mass of the worlds where edge tests[i]
+    has outcome o, and table[o, i, 1 + r] is that branch's mass in region
+    r.  Shape (2, len(tests), 1 + m), regions on the last, contiguous axis.
 
-    The worlds are added up in blocks (see _blocks), each cast from the
-    uint8 outcomes on its own and multiplied into one reused partial, so
-    the scratch is a block and a table, whatever the number of worlds.
-    Under integer unit weights every block sum is an exact count, so the
-    table does not depend on the block size, and the invalid branch is the
-    worlds' total minus the valid one, exactly.  Under any other prior each
-    outcome of a block is one product over its worlds, so a branch that
-    no world reaches is a sum of exact zeros, an exact zero."""
+    The worlds are added up in blocks (see _blocks), each gathered from
+    the uint8 outcomes at the tests' columns, cast on its own and
+    multiplied into one reused partial, so the scratch is a block and a
+    table, whatever the number of worlds.  Each outcome of a block is one
+    product over its worlds, so a branch that no world reaches is a sum of
+    exact zeros, an exact zero; under the uniform prior every block sum is
+    an integer count, so the table does not depend on the block size."""
     idx = np.asarray(worlds, dtype=np.int64)
-    E, width = problem.num_tests, 1 + problem.membership.shape[1]
-    branches = (1,) if problem.integer_weights else (1, 0)
-    table = np.empty((2, E, width))
-    partial = np.empty((E, width))
-    total = np.zeros(width)
+    tests = np.asarray(tests, dtype=np.int64)
+    width = 1 + problem.membership.shape[1]
+    table = np.empty((2, tests.size, width))
+    partial = np.empty((tests.size, width))
     # No worlds make one empty block, whose products are zero tables.
-    for i, block in enumerate(_blocks(idx.size, max(E, width)) or [slice(0)]):
+    for i, block in enumerate(_blocks(idx.size, max(problem.num_tests, width)) or [slice(0)]):
         rows = idx[block]
         u = problem.unit[rows]
         X = np.empty((rows.size, width))
         X[:, 0] = u
         np.multiply(problem.membership[rows], u[:, None], out=X[:, 1:])
-        total += X.sum(axis=0)
-        th = problem.outcomes[rows].astype(np.float64)  # (block, E)
-        for o in branches:
+        th = problem.outcomes[rows[:, None], tests].astype(np.float64)  # (block, tests)
+        for o in (1, 0):
             if o == 0:
                 np.subtract(1.0, th, out=th)
             if i == 0:  # the first block writes the table, the others add
                 np.matmul(th.T, X, out=table[o])
             else:
                 table[o] += np.matmul(th.T, X, out=partial)
-    if problem.integer_weights:
-        np.subtract(total, table[1], out=table[0])
     return table
 
 
-def select_test(
-    vs: VersionSpace, problem: DrdProblem, candidates, table: np.ndarray | None = None
-) -> tuple[int, float] | None:
+def select_test(vs: VersionSpace, problem: DrdProblem, candidates) -> tuple[int, float] | None:
     """Greedy test choice: argmax of the expected reduction of the
     completion residual per unit cost, ties to the lowest edge id.  None
     when nothing scores > 0.  Each outcome's residual ratio is
     log_residual_ratio of the regions' posteriors in that branch, with K
     from region_posterior.
 
-    The branch masses are read from table, split_table of the active
-    worlds (built here when not given), at the candidates' rows and the
-    live regions' columns.  Masses are sums of the unit weights over the
-    active worlds only.  Under a uniform prior they are integer counts, so
-    the scores are those of a problem built from the active worlds alone,
-    bit for bit, and tests with equal counts tie exactly and go to the
-    lowest edge id.  The active rows of membership and the candidates'
-    rows of the table are read in blocks (see _blocks)."""
+    The branch masses are read from split_table of the active worlds and
+    the candidates, at the live regions' columns.  Masses are sums of the
+    unit weights over the active worlds only.  Under a uniform prior they
+    are integer counts, so the scores are those of a problem built from
+    the active worlds alone, bit for bit, and tests with equal counts tie
+    exactly and go to the lowest edge id.  The active rows of membership
+    and the candidates' rows of the table are read in blocks (see
+    _blocks)."""
     cand = np.sort(np.asarray(candidates, dtype=np.int64))
     if cand.size == 0:
         raise ValueError("candidates must be nonempty")
@@ -288,17 +273,15 @@ def select_test(
     mask, Km, wm = live_regions(p, K)
     if not mask.any():
         return None
-    if table is None:
-        table = split_table(problem, act)
+    table = split_table(problem, act, cand)
     cols = np.concatenate(([0], 1 + np.flatnonzero(mask)))
     log_expected = np.empty(cand.size)
     for block in _blocks(cand.size, table.shape[2]):
         terms = []
         for o in (1, 0):
-            T = table[o].take(cand[block], axis=0).take(cols, axis=1)  # (C, 1 + live)
+            T = table[o, block].take(cols, axis=1)  # (C, 1 + live)
             tot_o = T[:, 0]
-            # The row of a branch that no world reaches is all zeros (a sum
-            # of exact zeros, or a difference of equal integer counts): p_o = 0.
+            # The row of a branch that no world reaches is all zeros: p_o = 0.
             p_o = T[:, 1:] / np.where(tot_o > 0, tot_o, 1.0)[:, None]
             with np.errstate(divide="ignore"):
                 terms.append(np.log(tot_o / tot) + log_residual_ratio(p_o, Km, wm))

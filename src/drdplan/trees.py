@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -88,13 +87,16 @@ def bias_vector(outcomes: np.ndarray, status: np.ndarray, alpha: float) -> np.nd
     if len(outcomes) == 0:
         raise ValueError("bias_vector needs at least one outcome row")
     mask = consistent(outcomes, status)
-    rows = outcomes[mask] if mask.any() else outcomes
-    return alpha * np.where(status == 0, rows.mean(axis=0), status > 0) + (1.0 - alpha) * 0.5
+    rows = np.flatnonzero(mask) if mask.any() else np.arange(len(outcomes))
+    # Valid counts summed over blocks of rows (a block, not a copy of every
+    # row); an integer count over the row count is the mean, bit for bit.
+    count = np.zeros(outcomes.shape[1], dtype=np.int64)
+    for block in ec2._blocks(rows.size, outcomes.shape[1]):
+        count += outcomes[rows[block]].sum(axis=0, dtype=np.int64)
+    return alpha * np.where(status == 0, count / rows.size, status > 0) + (1.0 - alpha) * 0.5
 
 
-def direct_step(
-    vs: ec2.VersionSpace, problem: ec2.DrdProblem, eta: float, alpha: float = 0.9, table=None
-):
+def direct_step(vs: ec2.VersionSpace, problem: ec2.DrdProblem, eta: float, alpha: float = 0.9):
     """The DIRECT decision at a version space: Solved or AllRegionsDead
     per ec2.is_solved; else Handoff(active count) when the active weight is
     at or below eta times the prior sum, both in unit weights (under a
@@ -110,11 +112,7 @@ def direct_step(
     active worlds' rows: the bias a completion handed off here starts
     from.  Both scores are (1 - E[residual ratio]) / cost.  An abstract
     problem, with no library, scores every unobserved edge and has no
-    BISECT to hand off to.
-
-    table, when given, is a function of no arguments that returns the
-    split_table of the active worlds; it is called only when the step
-    scores tests."""
+    BISECT to hand off to."""
     verdict = ec2.is_solved(vs, problem)
     if verdict is not None:
         return verdict
@@ -126,7 +124,7 @@ def direct_step(
             candidates = np.flatnonzero(LibraryStatus(library, vs.status).open)
         sel = None
         if candidates.size:
-            sel = ec2.select_test(vs, problem, candidates, None if table is None else table())
+            sel = ec2.select_test(vs, problem, candidates)
         if sel is not None and (
             library is None or _completion_score(vs, problem, alpha, candidates) < sel[1]
         ):
@@ -192,22 +190,15 @@ def expand_tree(
     Node indices are assigned post-order (children before parents), so the
     serialized bytes do not depend on how sibling subtrees are scheduled.
 
-    Each node scores its tests from its split table (ec2.split_table),
-    built on first use, only when direct_step scores tests.  When every
-    unit weight is an integer (the uniform training prior), the smaller
-    child of a split builds its table from its own worlds and the larger
-    one takes its parent's table minus the smaller sibling's, in place;
-    the counts are integers, so the difference is the table of its own
-    worlds, bit for bit.  Under any other prior every table comes from its
-    own worlds.
-
-    Tables are built over fixed blocks of worlds and scored over fixed
-    blocks of candidates (ec2._blocks), so the working memory beside the
-    problem's own arrays is a block of ec2.BLOCK_ELEMENTS float64 entries
-    plus the (2, E, 1 + m) tables held along the path being expanded; it
-    does not grow with the number of worlds, except by the few bytes per
-    world of each active mask and index.  Block sums of integer counts are
-    exact, so the tree does not depend on the block size.
+    A node that scores tests builds the split table (ec2.split_table) of
+    its own active worlds and its candidates inside ec2.select_test, and
+    drops it once it has chosen.  Tables are built over fixed blocks of
+    worlds and scored over fixed blocks of candidates (ec2._blocks), so the
+    working memory beside the problem's own arrays is a block of
+    ec2.BLOCK_ELEMENTS float64 entries and one table; it does not grow with
+    the number of worlds, except by the few bytes per world of each active
+    mask and index.  Block sums of integer counts are exact, so the tree
+    does not depend on the block size.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must be in [0, 1]")
@@ -224,44 +215,21 @@ def expand_tree(
         nodes.append(node)
         return len(nodes) - 1
 
-    def own(vs) -> np.ndarray:
-        return ec2.split_table(problem, np.flatnonzero(vs.active))
-
-    def child_tables(parent: np.ndarray, children: list) -> list:
-        """The children's table functions, each built on its first call.
-        The larger child builds the smaller one's table again instead of
-        sharing it: a shared table would stay alive while its owner waits
-        on the stack.  It subtracts that table from its parent's in place:
-        the parent has scored its tests, and nothing else reads its
-        table."""
-        if not problem.integer_weights:
-            return [cache(lambda c=c: own(c)) for c in children]
-        small = int(children[1].active_count < children[0].active_count)
-        sibling = children[small]
-        tables = [
-            cache(lambda: own(sibling)),
-            cache(lambda: np.subtract(parent, own(sibling), out=parent)),
-        ]
-        return tables if small == 0 else tables[::-1]
-
     # An explicit stack in place of recursion.  Its items are a version space
-    # still to expand with its table function, a leaf (the verdict
-    # direct_step returned) to emit, or the edge of a split whose two
-    # subtrees are done; their indices are then the last two in `finished`.
-    start = problem.root_version_space()
-    todo: list = [(start, cache(lambda: own(start)))]
+    # still to expand, a leaf (the verdict direct_step returned) to emit, or
+    # the edge of a split whose two subtrees are done; their indices are then
+    # the last two in `finished`.
+    todo: list = [problem.root_version_space()]
     finished: list[int] = []
     while todo:
         item = todo.pop()
-        if isinstance(item, tuple):
-            vs, table = item
-            item = direct_step(vs, problem, eta, alpha, table)
+        if isinstance(item, ec2.VersionSpace):
+            vs = item
+            item = direct_step(vs, problem, eta, alpha)
             if isinstance(item, int):
-                children = [ec2.observe(vs, problem, item, outcome) for outcome in (0, 1)]
-                tables = child_tables(table(), children)
                 todo.append(item)
                 for outcome in (1, 0):  # reversed, so child0 is built first
-                    todo.append((children[outcome], tables[outcome]))
+                    todo.append(ec2.observe(vs, problem, item, outcome))
                 continue
         if isinstance(item, int):
             child1 = finished.pop()
@@ -313,7 +281,8 @@ def prune_tree(tree: DecisionTree, problem: ec2.DrdProblem) -> DecisionTree:
     alpha, nodes, eval_cost = tree.params["alpha"], tree.nodes, problem.eval_cost
     outcomes, feasible = problem.outcomes, problem.membership.any(axis=1)
 
-    # The status at each node, and the feasible worlds consistent with it.
+    # The status at each node.  Its worlds are found from it when read, so
+    # the world indices of every node are never held at once.
     status = {tree.root: np.zeros(problem.num_tests, dtype=np.int8)}
     for i in range(len(nodes) - 1, -1, -1):  # parents follow their children
         node = nodes[i]
@@ -321,12 +290,15 @@ def prune_tree(tree: DecisionTree, problem: ec2.DrdProblem) -> DecisionTree:
             for outcome, child in ((-1, node.child0), (1, node.child1)):
                 status[child] = status[i].copy()
                 status[child][node.edge] = outcome
-    worlds = {i: np.flatnonzero(consistent(outcomes, s) & feasible) for i, s in status.items()}
+
+    def worlds(i: int) -> np.ndarray:
+        """The feasible training worlds consistent with the status at node i."""
+        return np.flatnonzero(consistent(outcomes, status[i]) & feasible)
 
     def walk(at: list) -> np.ndarray:
         """BISECT's evaluation counts from each node in at, over its
         feasible worlds: one set walk."""
-        roots = [(bias_vector(outcomes, status[i], alpha), status[i], worlds[i], {}) for i in at]
+        roots = [(bias_vector(outcomes, status[i], alpha), status[i], worlds(i), {}) for i in at]
         return bernoulli.set_walk(library, eval_cost, outcomes, roots)
 
     # a_v from per-edge evaluation counts, children before parents.
@@ -337,11 +309,11 @@ def prune_tree(tree: DecisionTree, problem: ec2.DrdProblem) -> DecisionTree:
         n = np.zeros(problem.num_tests, dtype=np.int64)
         if isinstance(node, InternalNode):
             n += counts.pop(node.child0) + counts.pop(node.child1)
-            n[node.edge] += worlds[i].size
+            n[node.edge] += worlds(i).size
             a[i] = _cost(n, eval_cost)
         elif isinstance(node, Solved):
             path = np.array(library.paths[node.path_index])
-            n[path[status[i][path] == 0]] = worlds[i].size
+            n[path[status[i][path] == 0]] = worlds(i).size
         elif isinstance(node, Handoff):
             n = counts[i]
         counts[i] = n

@@ -337,11 +337,9 @@ def test_direct_policy_matches_compiled_tree():
 
 
 def test_direct_policy_matches_compiled_tree_uniform_prior():
-    """The twin of the test above under the uniform prior, where the
-    compiled tree carries each larger child's split table down as its
-    parent's minus its sibling's; direct_policy builds every table from
-    the active worlds, so equal traces show that the carried tables score
-    alike."""
+    """The twin of the test above under the uniform prior, where every
+    mass is an integer count and tests with equal counts tie exactly: the
+    compiled tree must break those ties as direct_policy does."""
     rng = np.random.default_rng(29)
     episodes = 0
     for _ in range(120):
@@ -569,28 +567,34 @@ def test_load_and_problem_memory_per_world(tmp_path):
 
 def test_compile_memory_does_not_grow_with_worlds():
     """The memory compile_tree allocates beside the problem's own arrays,
-    at N and 4N worlds of one 7x7 forest (|E| = 156, m = 20).  A split
-    table cast from all the worlds at once takes 8 bytes per world and
-    edge, 9 MB at 7,200 training worlds.  Built over blocks, the peak is a
-    block of float64 scratch (8 * BLOCK_ELEMENTS bytes, 1 MB) with its
-    uint8 gather and weighted regions, the 52 KB tables held along the
-    expanded path, and the tree's own objects: under three blocks at either
+    at N and 4N worlds of one 7x7 forest (|E| = 156, m = 20), in each of
+    its two passes.  A split table cast from all the worlds at once takes
+    8 bytes per world and edge, 9 MB at 7,200 training worlds.  Built over
+    blocks, expand_tree's peak is a block of float64 scratch
+    (8 * BLOCK_ELEMENTS bytes, 1 MB) with its uint8 gather and weighted
+    regions, one node's (2, candidates, 1 + m) table and the tree's own
+    objects; prune_tree's is a set walk's blocks and the world indices of
+    the nodes it walks at once.  Both stay under three blocks at either
     size.  What still grows is the active masks and indices, a few dozen
     bytes per world."""
     spec = ScenarioSpec(kind="forest", rows=7, cols=7, seed=3)
-    peaks = []
+    peaks = {"expand_tree": [], "prune_tree": []}
     for n in (2000, 8000):
         ds = generate_dataset(spec, n, 60, 20)
         problem = ec2.problem_from_dataset(ds, ds.train)
         tracemalloc.start()
         try:
-            compile_tree(problem, 0.05)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            tree = trees.expand_tree(problem, 0.05)
+            peaks["expand_tree"].append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            trees.prune_tree(tree, problem)  # compile_tree's second pass
+            peaks["prune_tree"].append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     block = 8 * ec2.BLOCK_ELEMENTS
-    assert max(peaks) < 3 * block
-    assert peaks[1] - peaks[0] < 80 * 6000  # bytes per added world
+    for name, (small, large) in peaks.items():
+        assert max(small, large) < 3 * block, name
+        assert large - small < 80 * 6000, name  # bytes per added world
 
 
 def test_compile_tree_bytes_do_not_depend_on_the_block(monkeypatch):
@@ -598,27 +602,3 @@ def test_compile_tree_bytes_do_not_depend_on_the_block(monkeypatch):
     want = tree_to_bytes(compile_from_dataset(ds, 0.0))
     monkeypatch.setattr(ec2, "BLOCK_ELEMENTS", 1)
     assert tree_to_bytes(compile_from_dataset(ds, 0.0)) == want
-
-
-def test_carried_tables_equal_tables_of_own_worlds(monkeypatch):
-    """Every table compile_tree hands to select_test under the uniform
-    prior is, bit for bit, the split table of the node's active worlds."""
-    select = ec2.select_test
-    seen = []
-
-    def spy(vs, problem, candidates, table=None):
-        assert np.array_equal(table, ec2.split_table(problem, np.flatnonzero(vs.active)))
-        seen.append(int(vs.active.sum()))
-        return select(vs, problem, candidates, table)
-
-    monkeypatch.setattr(ec2, "select_test", spy)
-    ds = small_dataset()
-    compile_from_dataset(ds, 0.0)
-    rng = np.random.default_rng(31)
-    for _ in range(100):
-        n, e = int(rng.integers(2, 40)), int(rng.integers(1, 8))
-        outcomes = (rng.random((n, e)) < rng.uniform(0.2, 0.9)).astype(np.uint8)
-        regions = random_regions(rng, e, int(rng.integers(1, 6)))
-        compile_tree(ec2.DrdProblem(regions_membership(outcomes, regions), outcomes,
-                                    np.ones(e), np.full(n, 1.0 / n)), 0.0)
-    assert len(seen) > 100 and len(set(seen)) > 10
