@@ -30,16 +30,16 @@ def part1_explicit_database() -> None:
     outcomes = np.array([[1], [0], [0]], dtype=np.uint8)
     prob = ec2.DrdProblem(membership, outcomes, np.ones(1), np.full(3, 1 / 3))
 
-    vs = prob.root_version_space()
-    print(f"root region weights: {ec2.region_weights(vs, prob)}  (2/9 each)")
-    edge, score = ec2.select_test(vs, prob, [0])
+    root = np.zeros(1, np.int8)  # the edge status: nothing observed yet
+    print(f"root region weights: {ec2.region_weights(root, prob)}  (2/9 each)")
+    edge, score = ec2.select_test(root, prob, [0])
     print(f"greedy pick: edge {edge}, score {score}  (both outcomes resolve)")
 
     for outcome in (0, 1):
-        after = ec2.observe(vs, prob, edge, outcome)
-        status = ec2.is_solved(after, prob)
+        after = ec2.observe(root, edge, outcome)
+        verdict = ec2.is_solved(after, prob)
         print(f"  outcome {outcome}: surviving worlds "
-              f"{np.nonzero(after.active)[0].tolist()} -> {status}")
+              f"{np.flatnonzero(ec2.consistent(prob.outcomes, after)).tolist()} -> {verdict}")
 
 
 def part2_bernoulli_vs_enumeration() -> None:
@@ -58,14 +58,13 @@ def part2_bernoulli_vs_enumeration() -> None:
 
     belief = BernoulliBelief(beta=beta)
     library = Library.build(regions, n_edges)
-    vs = prob.root_version_space()
 
     world = np.array([1, 1, 0, 1])  # ground truth: path 0 is valid
     print(f"true world: {world.tolist()}  regions: {regions}")
     while True:
         cand = [e for e in range(n_edges) if belief.status[e] == 0]
         sel_b = select_test_bernoulli(belief, library, np.ones(n_edges), cand)
-        sel_e = ec2.select_test(vs, prob, cand)
+        sel_e = ec2.select_test(belief.status, prob, cand)
         if sel_b is None:
             break
         assert sel_e[0] == sel_b[0] and abs(sel_e[1] - sel_b[1]) < 1e-9
@@ -74,10 +73,9 @@ def part2_bernoulli_vs_enumeration() -> None:
         print(f"  both engines pick edge {edge} "
               f"(score {sel_b[1]:.4f}); outcome {outcome}")
         belief.observe(edge, outcome)
-        vs = ec2.observe(vs, prob, edge, outcome)
-        status = ec2.is_solved(vs, prob)
-        if status is not None:
-            print(f"  -> {status}")
+        verdict = ec2.is_solved(belief.status, prob)
+        if verdict is not None:
+            print(f"  -> {verdict}")
             break
 
     # Full policy run on a fresh belief.

@@ -197,7 +197,7 @@ def _direct_only(dataset, tree, train_idx, seed, alpha, worlds):
         if isinstance(leaf, Solved):
             region = leaf.path_index
         elif isinstance(leaf, Handoff):
-            plausible = np.nonzero(train_memb[trees.consistent(train_theta, status)].any(axis=0))[0]
+            plausible = np.nonzero(train_memb[ec2.consistent(train_theta, status)].any(axis=0))[0]
             region = int(plausible[0]) if plausible.size else None
         if region is None:
             trace.terminal = AllRegionsDead()

@@ -1,9 +1,10 @@
 """Exact decision-region determination over an explicit world database.
 
 Hypotheses are database worlds; each candidate path defines a region (the
-worlds where all its edges are valid).  The region-vs-singletons pairwise
-weight drives a Noisy-OR residual, and the greedy policy picks the test
-with the best expected residual reduction per unit cost.
+worlds where all its edges are valid).  A node is an edge status
+(drdplan.traces), and its version space is consistent(outcomes, status).
+The region-vs-singletons pairwise weight drives a Noisy-OR residual, and
+the greedy test has the best expected residual reduction per unit cost.
 
 Weights are pairwise prior masses and are never renormalized as the
 version space shrinks.  The DIRECT step (select_test and the eta
@@ -60,25 +61,11 @@ def _blocks(n: int, width: int):
     return [slice(start, start + rows) for start in range(0, n, rows)]
 
 
-@dataclass(frozen=True)
-class VersionSpace:
-    """Surviving hypotheses, and the edge status (drdplan.traces) of the
-    tests observed on the way here; observe gives each child its own copy,
-    so sibling branches never share one."""
-
-    active: np.ndarray  # bool, one flag per hypothesis
-    status: np.ndarray  # int8, one entry per test
-
-    @property
-    def active_count(self) -> int:
-        return int(self.active.sum())
-
-
 @dataclass
 class DrdProblem:
     """Shared read-only matrices plus the unit weights (the prior over its
-    largest entry).  Both 0/1 matrices stay uint8; the steps that need
-    floats cast one block of rows at a time.
+    largest entry), read at every node's status.  Both 0/1 matrices stay
+    uint8; the steps that need floats cast one block of rows at a time.
 
     library is the path library whose paths the regions are, when they are
     paths (problem_from_dataset); an abstract problem, with regions that
@@ -107,10 +94,6 @@ class DrdProblem:
     def num_tests(self) -> int:
         return self.outcomes.shape[1]
 
-    def root_version_space(self) -> VersionSpace:
-        active = np.ones(self.num_hypotheses, dtype=bool)
-        return VersionSpace(active, np.zeros(self.num_tests, dtype=np.int8))
-
 
 def problem_from_dataset(dataset, world_indices) -> DrdProblem:
     """DrdProblem over a subset of dataset worlds, under the uniform prior,
@@ -126,6 +109,13 @@ def problem_from_dataset(dataset, world_indices) -> DrdProblem:
         prior=np.full(n, 1.0 / n),
         library=Library.of(dataset),
     )
+
+
+def consistent(outcomes: np.ndarray, status: np.ndarray) -> np.ndarray:
+    """Mask over the outcome rows of worlds consistent with the edges
+    observed in an episode's status."""
+    seen = status != 0
+    return (outcomes[:, seen] == (status[seen] > 0)).all(axis=1)
 
 
 def region_posterior(problem: DrdProblem, act: np.ndarray):
@@ -152,21 +142,21 @@ def region_posterior(problem: DrdProblem, act: np.ndarray):
     return np.where(full, 1.0, a / tot), K, tot
 
 
-def region_weights(vs: VersionSpace, problem: DrdProblem) -> np.ndarray:
-    """One-vs-all pairwise weight of every region over the active set, in
-    prior units: the pairwise mass between hypotheses in different classes
-    of the region-vs-singletons problem."""
-    act = np.flatnonzero(vs.active)
+def region_weights(status: np.ndarray, problem: DrdProblem) -> np.ndarray:
+    """One-vs-all pairwise weight of every region over the worlds
+    consistent with status, in prior units: the pairwise mass between
+    hypotheses in different classes of the region-vs-singletons problem."""
+    act = np.flatnonzero(consistent(problem.outcomes, status))
     if act.size == 0:  # an emptied version space holds no pair
         return np.zeros(problem.membership.shape[1])
     p, K, tot = region_posterior(problem, act)
     return (tot * problem.prior.max()) ** 2 * conditional_weight(p, K)
 
 
-def residual(vs: VersionSpace, problem: DrdProblem) -> float:
+def residual(status: np.ndarray, problem: DrdProblem) -> float:
     """Product of surviving weight fractions over regions with nonzero root
     weight; 1 means untouched, 0 means some subproblem is solved."""
-    w, root = region_weights(vs, problem), region_weights(problem.root_version_space(), problem)
+    w, root = region_weights(status, problem), region_weights(np.zeros_like(status), problem)
     mask = root > 0
     return float(np.prod(w[mask] / root[mask])) if mask.any() else 0.0
 
@@ -247,26 +237,26 @@ def split_table(problem: DrdProblem, worlds, tests) -> np.ndarray:
     return table
 
 
-def select_test(vs: VersionSpace, problem: DrdProblem, candidates) -> tuple[int, float] | None:
+def select_test(status: np.ndarray, problem: DrdProblem, candidates) -> tuple[int, float] | None:
     """Greedy test choice: argmax of the expected reduction of the
     completion residual per unit cost, ties to the lowest edge id.  None
     when nothing scores > 0.  Each outcome's residual ratio is
     log_residual_ratio of the regions' posteriors in that branch, with K
     from region_posterior.
 
-    The branch masses are read from split_table of the active worlds and
-    the candidates, at the live regions' columns.  Masses are sums of the
-    unit weights over the active worlds only.  Under a uniform prior they
-    are integer counts, so the scores are those of a problem built from
-    the active worlds alone, bit for bit, and tests with equal counts tie
-    exactly and go to the lowest edge id.  The active rows of membership
-    and the candidates' rows of the table are read in blocks (see
-    _blocks)."""
+    The branch masses are read from split_table of the active worlds (the
+    version space of status) and the candidates, at the live regions'
+    columns.  Masses are sums of the unit weights over the active worlds
+    only.  Under a uniform prior they are integer counts, so the scores
+    are those of a problem built from the active worlds alone, bit for
+    bit, and tests with equal counts tie exactly and go to the lowest edge
+    id.  The active rows of membership and the candidates' rows of the
+    table are read in blocks (see _blocks)."""
     cand = np.sort(np.asarray(candidates, dtype=np.int64))
     if cand.size == 0:
         raise ValueError("candidates must be nonempty")
 
-    act = np.flatnonzero(vs.active)
+    act = np.flatnonzero(consistent(problem.outcomes, status))
     if act.size == 0:
         return None
     p, K, tot = region_posterior(problem, act)
@@ -321,29 +311,27 @@ def best_tests(rows, cand, log_expected, cost, n_rows: int):
     return edge, score
 
 
-def observe(
-    vs: VersionSpace, problem: DrdProblem, edge: int, outcome: int
-) -> VersionSpace:
-    """Prune hypotheses inconsistent with the observed outcome; the
-    returned version space marks the edge in a copy of vs.status."""
-    if vs.status[edge] != 0:
+def observe(status: np.ndarray, edge: int, outcome: int) -> np.ndarray:
+    """A copy of status marking the edge with its outcome; ValueError if already marked."""
+    if status[edge] != 0:
         raise ValueError(f"edge {edge} was already observed")
-    status = vs.status.copy()
+    status = status.copy()
     status[edge] = 1 if outcome else -1
-    new_active = vs.active & (problem.outcomes[:, edge] == outcome)
-    return VersionSpace(active=new_active, status=status)
+    return status
 
 
-def is_solved(vs: VersionSpace, problem: DrdProblem):
-    """Solved(lowest region containing all active hypotheses),
-    AllRegionsDead when every region lost all active mass, else None while
-    uncertainty still spans several regions."""
-    act = vs.active
-    n_act = int(act.sum())
-    if n_act == 0:
+def is_solved(status: np.ndarray, problem: DrdProblem):
+    """Solved(lowest region holding the whole version space of status),
+    AllRegionsDead when no region holds any of it (off_database when it is
+    empty), else None while it spans several regions.  Region counts are
+    int64 sums of membership rows read in blocks (see _blocks)."""
+    act = np.flatnonzero(consistent(problem.outcomes, status))
+    if act.size == 0:
         return AllRegionsDead(off_database=True)
-    counts = problem.membership[act].sum(axis=0)
-    full = np.nonzero(counts >= n_act)[0]
+    counts = np.zeros(problem.membership.shape[1], dtype=np.int64)
+    for block in _blocks(act.size, max(problem.num_tests, counts.size)):
+        counts += problem.membership[act[block]].sum(axis=0, dtype=np.int64)
+    full = np.nonzero(counts >= act.size)[0]
     if full.size:
         return Solved(int(full[0]))
     if not (counts > 0).any():

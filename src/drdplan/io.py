@@ -193,4 +193,7 @@ def save_dataset(ds: Dataset, path: str) -> str:
 
 def load_dataset(path: str) -> Dataset:
     with open(path, "rb") as f:
-        return dataset_from_bytes(f.read())
+        ds = dataset_from_bytes(f.read())
+    if not ds.paths:  # every command looks for a path of the library
+        raise FormatError("dataset fails validation: dataset has no library paths")
+    return ds

@@ -38,7 +38,7 @@ class Solved:
 @dataclass(frozen=True)
 class AllRegionsDead:
     """Every candidate path holds an invalid edge.  ``off_database`` marks
-    the degenerate case of an emptied explicit version space."""
+    the case where no training world is consistent with the edge status."""
 
     off_database: bool = False
 

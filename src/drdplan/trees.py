@@ -68,13 +68,6 @@ class DecisionTree:
         return counts
 
 
-def consistent(outcomes: np.ndarray, status: np.ndarray) -> np.ndarray:
-    """Mask over the outcome rows of worlds consistent with the edges
-    observed in an episode's status."""
-    seen = status != 0
-    return (outcomes[:, seen] == (status[seen] > 0)).all(axis=1)
-
-
 def bias_vector(outcomes: np.ndarray, status: np.ndarray, alpha: float) -> np.ndarray:
     """Per-edge validity bias: alpha * empirical fraction over the outcome
     rows consistent with status (the episode's int8 edge status, see
@@ -86,7 +79,7 @@ def bias_vector(outcomes: np.ndarray, status: np.ndarray, alpha: float) -> np.nd
         raise ValueError("alpha must be in (0, 1)")
     if len(outcomes) == 0:
         raise ValueError("bias_vector needs at least one outcome row")
-    mask = consistent(outcomes, status)
+    mask = ec2.consistent(outcomes, status)
     rows = np.flatnonzero(mask) if mask.any() else np.arange(len(outcomes))
     # Valid counts summed over blocks of rows (a block, not a copy of every
     # row); an integer count over the row count is the mean, bit for bit.
@@ -96,72 +89,72 @@ def bias_vector(outcomes: np.ndarray, status: np.ndarray, alpha: float) -> np.nd
     return alpha * np.where(status == 0, count / rows.size, status > 0) + (1.0 - alpha) * 0.5
 
 
-def direct_step(vs: ec2.VersionSpace, problem: ec2.DrdProblem, eta: float, alpha: float = 0.9):
-    """The DIRECT decision at a version space: Solved or AllRegionsDead
-    per ec2.is_solved; else Handoff(active count) when the active weight is
-    at or below eta times the prior sum, both in unit weights (under a
-    uniform prior, at most eta * N active worlds, decided exactly), when no
-    candidate scores, or when BISECT's best score over the candidates is at
-    least DIRECT's; else the edge id of the next test.  The compiled tree's
-    leaves are these verdicts.
+def direct_step(status: np.ndarray, problem: ec2.DrdProblem, eta: float, alpha: float = 0.9):
+    """The DIRECT decision at an edge status: Solved or AllRegionsDead per
+    ec2.is_solved; else Handoff(active count) when the weight of the
+    active worlds, ec2.consistent(problem.outcomes, status), is at or
+    below eta times the prior sum, both in unit weights (under a uniform
+    prior, at most eta * N active worlds, decided exactly), when no
+    candidate scores, or when BISECT's best score over the candidates is
+    at least DIRECT's; else the edge id of the next test.  The compiled
+    tree's leaves are these verdicts.
 
     The candidates are the open edges of the problem's library
-    (model.LibraryStatus of vs.status): the unknown edges of paths with no
+    (model.LibraryStatus of status): the unknown edges of paths with no
     edge known invalid, the edges BISECT scores.  BISECT scores them under
-    bias_vector(the training outcomes, vs.status, alpha), which reads the
+    bias_vector(the training outcomes, status, alpha), which reads the
     active worlds' rows: the bias a completion handed off here starts
     from.  Both scores are (1 - E[residual ratio]) / cost.  An abstract
     problem, with no library, scores every unobserved edge and has no
     BISECT to hand off to."""
-    verdict = ec2.is_solved(vs, problem)
+    verdict = ec2.is_solved(status, problem)
     if verdict is not None:
         return verdict
-    if problem.unit[vs.active].sum() > eta * problem.unit.sum():
+    active = ec2.consistent(problem.outcomes, status)
+    if problem.unit[active].sum() > eta * problem.unit.sum():
         library = problem.library
         if library is None:
-            candidates = np.flatnonzero(vs.status == 0)
+            candidates = np.flatnonzero(status == 0)
         else:
-            candidates = np.flatnonzero(LibraryStatus(library, vs.status).open)
+            candidates = np.flatnonzero(LibraryStatus(library, status).open)
         sel = None
         if candidates.size:
-            sel = ec2.select_test(vs, problem, candidates)
+            sel = ec2.select_test(status, problem, candidates)
         if sel is not None and (
-            library is None or _completion_score(vs, problem, alpha, candidates) < sel[1]
+            library is None or _completion_score(status, problem, alpha, candidates) < sel[1]
         ):
             return sel[0]
-    return Handoff(vs.active_count)
+    return Handoff(int(active.sum()))
 
 
 def _completion_score(
-    vs: ec2.VersionSpace, problem: ec2.DrdProblem, alpha: float, candidates
+    status: np.ndarray, problem: ec2.DrdProblem, alpha: float, candidates
 ) -> float:
     """BISECT's best score over the candidates under the bias a completion
-    handed off at vs starts from; 0 when nothing scores."""
-    beta = bias_vector(problem.outcomes, vs.status, alpha)
-    belief = bernoulli.BernoulliBelief(beta, vs.status)
+    handed off at status starts from; 0 when nothing scores."""
+    beta = bias_vector(problem.outcomes, status, alpha)
+    belief = bernoulli.BernoulliBelief(beta, status)
     sel = bernoulli.select_test_bernoulli(belief, problem.library, problem.eval_cost, candidates)
     return 0.0 if sel is None else sel[1]
 
 
 def direct_policy(
     problem: ec2.DrdProblem, oracle, eta: float, alpha: float = 0.9
-) -> tuple[RunTrace, ec2.VersionSpace]:
+) -> tuple[RunTrace, np.ndarray]:
     """Greedy explicit-database policy loop: direct_step until it returns
     a terminal (Solved, AllRegionsDead or Handoff; the caller decides what
-    a handoff leads to).  Returns the trace and the final version space.
+    a handoff leads to).  Returns the trace and the final edge status.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must be in [0, 1]")
-    vs = problem.root_version_space()
+    status = np.zeros(problem.num_tests, dtype=np.int8)
     trace = RunTrace(policy="direct")
     while True:
-        step = direct_step(vs, problem, eta, alpha)
+        step = direct_step(status, problem, eta, alpha)
         if not isinstance(step, int):
             trace.terminal = step
-            return trace, vs
-        outcome = int(oracle(step))
-        trace.record(step, outcome, float(problem.eval_cost[step]))
-        vs = ec2.observe(vs, problem, step, outcome)
+            return trace, status
+        trace.evaluate(step, oracle, problem.eval_cost, status)
 
 
 def compile_tree(
@@ -196,9 +189,9 @@ def expand_tree(
     worlds and scored over fixed blocks of candidates (ec2._blocks), so the
     working memory beside the problem's own arrays is a block of
     ec2.BLOCK_ELEMENTS float64 entries and one table; it does not grow with
-    the number of worlds, except by the few bytes per world of each active
-    mask and index.  Block sums of integer counts are exact, so the tree
-    does not depend on the block size.
+    the number of worlds, except by the few bytes per world of the active
+    mask and index that a step builds and drops.  Block sums of integer
+    counts are exact, so the tree does not depend on the block size.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must be in [0, 1]")
@@ -215,21 +208,21 @@ def expand_tree(
         nodes.append(node)
         return len(nodes) - 1
 
-    # An explicit stack in place of recursion.  Its items are a version space
+    # An explicit stack in place of recursion.  Its items are an edge status
     # still to expand, a leaf (the verdict direct_step returned) to emit, or
     # the edge of a split whose two subtrees are done; their indices are then
     # the last two in `finished`.
-    todo: list = [problem.root_version_space()]
+    todo: list = [np.zeros(problem.num_tests, dtype=np.int8)]
     finished: list[int] = []
     while todo:
         item = todo.pop()
-        if isinstance(item, ec2.VersionSpace):
-            vs = item
-            item = direct_step(vs, problem, eta, alpha)
+        if isinstance(item, np.ndarray):
+            status = item
+            item = direct_step(status, problem, eta, alpha)
             if isinstance(item, int):
                 todo.append(item)
                 for outcome in (1, 0):  # reversed, so child0 is built first
-                    todo.append(ec2.observe(vs, problem, item, outcome))
+                    todo.append(ec2.observe(status, item, outcome))
                 continue
         if isinstance(item, int):
             child1 = finished.pop()
@@ -285,15 +278,13 @@ def prune_tree(tree: DecisionTree, problem: ec2.DrdProblem) -> DecisionTree:
     # the world indices of every node are never held at once.
     status = {tree.root: np.zeros(problem.num_tests, dtype=np.int8)}
     for i in range(len(nodes) - 1, -1, -1):  # parents follow their children
-        node = nodes[i]
-        if isinstance(node, InternalNode):
-            for outcome, child in ((-1, node.child0), (1, node.child1)):
-                status[child] = status[i].copy()
-                status[child][node.edge] = outcome
+        if isinstance(node := nodes[i], InternalNode):
+            for outcome, child in ((0, node.child0), (1, node.child1)):
+                status[child] = ec2.observe(status[i], node.edge, outcome)
 
     def worlds(i: int) -> np.ndarray:
         """The feasible training worlds consistent with the status at node i."""
-        return np.flatnonzero(consistent(outcomes, status[i]) & feasible)
+        return np.flatnonzero(ec2.consistent(outcomes, status[i]) & feasible)
 
     def walk(at: list) -> np.ndarray:
         """BISECT's evaluation counts from each node in at, over its
@@ -324,7 +315,7 @@ def prune_tree(tree: DecisionTree, problem: ec2.DrdProblem) -> DecisionTree:
         below = []
         for i, n in zip(level, walk(level)):
             if _cost(n, eval_cost) <= a[i]:
-                pruned[i] = Handoff(int(consistent(outcomes, status[i]).sum()))
+                pruned[i] = Handoff(int(ec2.consistent(outcomes, status[i]).sum()))
             else:
                 below += [c for c in (nodes[i].child0, nodes[i].child1)
                           if isinstance(nodes[c], InternalNode)]

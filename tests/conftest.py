@@ -27,6 +27,22 @@ def make_worked_problem() -> ec2.DrdProblem:
     )
 
 
+def root_status(problem: ec2.DrdProblem) -> np.ndarray:
+    """The edge status of the root: no test observed."""
+    return np.zeros(problem.num_tests, np.int8)
+
+
+def with_active(problem: ec2.DrdProblem, active) -> tuple[ec2.DrdProblem, np.ndarray]:
+    """The problem with one more test, valid in exactly the worlds of the
+    mask active, and the edge status that observes it valid: a node whose
+    version space (ec2.consistent) is any given set of worlds."""
+    outcomes = np.column_stack([problem.outcomes, np.asarray(active, dtype=np.uint8)])
+    status = np.zeros(outcomes.shape[1], np.int8)
+    status[-1] = 1
+    cost = np.append(problem.eval_cost, 1.0)
+    return ec2.DrdProblem(problem.membership, outcomes, cost, problem.prior), status
+
+
 @pytest.fixture
 def worked_problem() -> ec2.DrdProblem:
     return make_worked_problem()

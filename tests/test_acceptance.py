@@ -28,6 +28,8 @@ from conftest import (
     make_worked_problem,
     pairwise_weight_oracle,
     random_regions,
+    root_status,
+    with_active,
 )
 from test_bernoulli import run_equivalence_instance
 
@@ -92,10 +94,10 @@ def test_criterion_1_weight_oracle():
         if not active.any():
             active[int(rng.integers(n))] = True
         prob = ec2.DrdProblem(membership, np.zeros((n, 1), np.uint8), np.ones(1), prior)
-        vs = ec2.VersionSpace(active=active, status=np.zeros(1, np.int8))
+        prob, status = with_active(prob, active)
         for r in range(m):
             oracle = pairwise_weight_oracle(prior, active, membership[:, r].astype(bool))
-            assert abs(ec2.region_weights(vs, prob)[r] - oracle) <= 1e-12
+            assert abs(ec2.region_weights(status, prob)[r] - oracle) <= 1e-12
     assert time.monotonic() - start < 10.0
 
 
@@ -104,10 +106,10 @@ def test_criterion_1_weight_oracle():
 @criterion(2, "worked DRD instance")
 def test_criterion_2_worked_instance():
     prob = make_worked_problem()
-    root = ec2.region_weights(prob.root_version_space(), prob)
+    root = ec2.region_weights(root_status(prob), prob)
     assert abs(root[0] - 2.0 / 9.0) <= 1e-12
     assert abs(root[1] - 2.0 / 9.0) <= 1e-12
-    edge, score = ec2.select_test(prob.root_version_space(), prob, [0])
+    edge, score = ec2.select_test(root_status(prob), prob, [0])
     assert edge == 0
     assert abs(score - 1.0) <= 1e-12
 
@@ -149,11 +151,11 @@ def test_criterion_4_monotonicity_and_bound():
         )
         for _ in range(5):
             h = int(rng.integers(n))
-            vs = prob.root_version_space()
-            last = ec2.residual(vs, prob)
+            status = root_status(prob)
+            last = ec2.residual(status, prob)
             for edge in rng.permutation(e):
-                vs = ec2.observe(vs, prob, int(edge), int(prob.outcomes[h, edge]))
-                cur = ec2.residual(vs, prob)
+                status = ec2.observe(status, int(edge), int(prob.outcomes[h, edge]))
+                cur = ec2.residual(status, prob)
                 assert cur <= last + 1e-12
                 last = cur
             rollouts += 1

@@ -375,7 +375,7 @@ def test_surviving_mask_is_the_set_routed_to_each_leaf():
                 status_of.append(status)
             for h in range(n):
                 routed = np.array([leaf == leaf_of[h] for leaf in leaf_of])
-                assert np.array_equal(trees.consistent(outcomes, status_of[h]), routed)
+                assert np.array_equal(ec2.consistent(outcomes, status_of[h]), routed)
     assert handoffs >= 50
 
 

@@ -14,7 +14,7 @@ from drdplan.bernoulli import (
 from drdplan.model import Library, LibraryStatus, regions_matrix
 from drdplan.traces import AllRegionsDead, RunTrace, Solved
 
-from conftest import enumerate_worlds, enumeration_problem, random_regions
+from conftest import enumerate_worlds, enumeration_problem, random_regions, root_status
 
 
 # --- belief basics ---------------------------------------------------------
@@ -74,9 +74,8 @@ def test_weight_matches_enumeration():
         belief = BernoulliBelief(beta=beta)
         library = Library.build(regions, e)
         # Root weights agree.
-        vs = prob.root_version_space()
         got = region_weights_bernoulli(belief, library)
-        assert np.allclose(got, ec2.region_weights(vs, prob), atol=1e-12, rtol=0)
+        assert np.allclose(got, ec2.region_weights(root_status(prob), prob), atol=1e-12, rtol=0)
         # And after a couple of observations.
         for _ in range(2):
             edge = int(rng.integers(e))
@@ -84,9 +83,8 @@ def test_weight_matches_enumeration():
                 continue
             outcome = int(rng.integers(2))
             belief.observe(edge, outcome)
-            vs = ec2.observe(vs, prob, edge, outcome)
         got = region_weights_bernoulli(belief, library)
-        want = ec2.region_weights(vs, prob)
+        want = ec2.region_weights(belief.status, prob)
         assert np.allclose(got, want, atol=1e-12, rtol=0)
 
 
@@ -133,7 +131,7 @@ def test_on_path_edge_beats_off_path():
     assert sel is not None and sel[0] in (0, 1)
     # The enumeration engine agrees.
     prob = enumeration_problem(beta, regions)
-    sel_e = ec2.select_test(prob.root_version_space(), prob, [0, 1, 2])
+    sel_e = ec2.select_test(root_status(prob), prob, [0, 1, 2])
     assert sel_e[0] == sel[0]
     assert abs(sel_e[1] - sel[1]) <= 1e-9
 
@@ -308,12 +306,11 @@ def run_equivalence_instance(rng, n_edges, n_regions):
     prob = enumeration_problem(beta, regions)
     library = Library.build(regions, n_edges)
     belief = BernoulliBelief(beta=beta)
-    vs = prob.root_version_space()
     cost = np.ones(n_edges)
 
     steps = 0
     while True:
-        st_e = ec2.is_solved(vs, prob)
+        st_e = ec2.is_solved(belief.status, prob)
         paths = LibraryStatus(library, belief.status)
         r_b, dead_b = paths.solved, not paths.live.any()
         if isinstance(st_e, Solved):
@@ -324,12 +321,12 @@ def run_equivalence_instance(rng, n_edges, n_regions):
             return steps
         assert r_b is None and not dead_b
 
-        w_e = ec2.region_weights(vs, prob)
+        w_e = ec2.region_weights(belief.status, prob)
         w_b = region_weights_bernoulli(belief, library)
         assert np.allclose(w_e, w_b, atol=1e-12, rtol=0)
 
         cand = [t for t in range(n_edges) if belief.status[t] == 0]
-        sel_e = ec2.select_test(vs, prob, cand)
+        sel_e = ec2.select_test(belief.status, prob, cand)
         sel_b = select_test_bernoulli(belief, library, cost, cand)
         if sel_e is None or sel_b is None:
             assert sel_e is None and sel_b is None
@@ -338,7 +335,6 @@ def run_equivalence_instance(rng, n_edges, n_regions):
         assert abs(sel_e[1] - sel_b[1]) <= 1e-9
         edge = sel_e[0]
         outcome = int(world[edge])
-        vs = ec2.observe(vs, prob, edge, outcome)
         belief.observe(edge, outcome)
         steps += 1
 

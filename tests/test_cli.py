@@ -777,6 +777,7 @@ _BAD_HEADERS = {
     "length-nan": lambda h: h["graph"]["length"].__setitem__(0, float("nan")),
     "eval-cost-nan": lambda h: h["graph"]["eval_cost"].__setitem__(0, float("nan")),
     "eval-cost-inf": lambda h: h["graph"]["eval_cost"].__setitem__(0, float("inf")),
+    "no-paths": lambda h: h.__setitem__("paths", []),
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 from drdplan import ec2, trees
 from drdplan.traces import AllRegionsDead, Handoff, Solved
 
-from conftest import make_worked_problem, pairwise_weight_oracle
+from conftest import make_worked_problem, pairwise_weight_oracle, root_status, with_active
 
 
 def uniform_problem(membership, outcomes, n):
@@ -24,20 +24,17 @@ def uniform_problem(membership, outcomes, n):
 
 def test_weight_all_active_inside_region_is_zero():
     prob = uniform_problem([[1]] * 4, [[0]] * 4, 4)
-    vs = prob.root_version_space()
-    assert ec2.region_weights(vs, prob)[0] == 0.0
+    assert ec2.region_weights(root_status(prob), prob)[0] == 0.0
 
 
 def test_weight_all_singletons():
     prob = uniform_problem([[0]] * 4, [[0]] * 4, 4)
-    vs = prob.root_version_space()
-    assert abs(ec2.region_weights(vs, prob)[0] - 0.375) <= 1e-12
+    assert abs(ec2.region_weights(root_status(prob), prob)[0] - 0.375) <= 1e-12
 
 
 def test_weight_two_in_two_out():
     prob = uniform_problem([[1], [1], [0], [0]], [[0]] * 4, 4)
-    vs = prob.root_version_space()
-    assert abs(ec2.region_weights(vs, prob)[0] - 0.3125) <= 1e-12
+    assert abs(ec2.region_weights(root_status(prob), prob)[0] - 0.3125) <= 1e-12
 
 
 def test_weight_matches_pairwise_oracle_random():
@@ -51,44 +48,38 @@ def test_weight_matches_pairwise_oracle_random():
         if not active.any():
             active[0] = True
         prob = ec2.DrdProblem(membership, np.zeros((n, 1), np.uint8), np.ones(1), prior)
-        vs = ec2.VersionSpace(active=active, status=np.zeros(1, np.int8))
+        prob, status = with_active(prob, active)
         for r in range(m):
             oracle = pairwise_weight_oracle(prior, active, membership[:, r].astype(bool))
-            assert abs(ec2.region_weights(vs, prob)[r] - oracle) <= 1e-12
+            assert abs(ec2.region_weights(status, prob)[r] - oracle) <= 1e-12
 
 
 # --- residual --------------------------------------------------------------
 
 def test_residual_root_is_one():
     prob = make_worked_problem()
-    assert ec2.residual(prob.root_version_space(), prob) == 1.0
+    assert ec2.residual(root_status(prob), prob) == 1.0
 
 
 def test_residual_zero_when_inside_region():
-    prob = make_worked_problem()
-    vs = ec2.VersionSpace(
-        active=np.array([False, True, True]), status=np.zeros(1, np.int8)
-    )
-    assert ec2.residual(vs, prob) == 0.0
+    prob, status = with_active(make_worked_problem(), [False, True, True])
+    assert ec2.residual(status, prob) == 0.0
 
 
 def test_emptied_version_space_has_no_weight():
-    prob = make_worked_problem()
-    vs = ec2.VersionSpace(active=np.zeros(3, bool), status=np.zeros(1, np.int8))
+    prob, status = with_active(make_worked_problem(), np.zeros(3, bool))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no 0/0 on the way
-        assert ec2.region_weights(vs, prob).tolist() == [0.0, 0.0]
-        assert ec2.residual(vs, prob) == 0.0
+        assert ec2.region_weights(status, prob).tolist() == [0.0, 0.0]
+        assert ec2.residual(status, prob) == 0.0
 
 
 def test_worked_instance_weights():
     prob = make_worked_problem()
-    root = ec2.region_weights(prob.root_version_space(), prob)
+    root = ec2.region_weights(root_status(prob), prob)
     assert np.allclose(root, [2.0 / 9.0, 2.0 / 9.0], atol=1e-12, rtol=0)
-    vs = ec2.VersionSpace(
-        active=np.array([False, True, True]), status=np.zeros(1, np.int8)
-    )
-    w = ec2.region_weights(vs, prob)
+    prob, status = with_active(prob, [False, True, True])
+    w = ec2.region_weights(status, prob)
     assert abs(w[0] - 1.0 / 9.0) <= 1e-12
     assert w[1] == 0.0
 
@@ -99,8 +90,8 @@ def test_zero_root_weight_region_excluded():
     membership = np.array([[1, 1], [1, 0], [1, 0]], dtype=np.uint8)
     outcomes = np.array([[1], [0], [0]], dtype=np.uint8)
     prob = uniform_problem(membership, outcomes, 3)
-    assert ec2.region_weights(prob.root_version_space(), prob)[0] == 0.0
-    assert ec2.residual(prob.root_version_space(), prob) == 1.0
+    assert ec2.region_weights(root_status(prob), prob)[0] == 0.0
+    assert ec2.residual(root_status(prob), prob) == 1.0
 
 
 # --- the shared per-outcome objective --------------------------------------
@@ -152,18 +143,18 @@ def test_region_with_weight_had_root_weight(monkeypatch):
     nodes = 0
     for trial in range(200):
         prob = random_problem(rng, None if trial % 2 else (lambda n: rng.uniform(0.1, 1.0, n)))
-        root = ec2.region_weights(prob.root_version_space(), prob)
+        root = ec2.region_weights(root_status(prob), prob)
         world = prob.outcomes[rng.integers(prob.num_hypotheses)]
-        vs = prob.root_version_space()
+        status = root_status(prob)
         for edge in rng.permutation(prob.num_tests).tolist():
-            if ec2.is_solved(vs, prob) is None:
-                has_weight = ec2.region_weights(vs, prob) > 0
+            if ec2.is_solved(status, prob) is None:
+                has_weight = ec2.region_weights(status, prob) > 0
                 assert (root[has_weight] > 0).all()
                 masks.clear()
-                ec2.select_test(vs, prob, np.flatnonzero(vs.status == 0))
+                ec2.select_test(status, prob, np.flatnonzero(status == 0))
                 assert all((root[mask] > 0).all() for mask in masks)
                 nodes += 1
-            vs = ec2.observe(vs, prob, edge, int(world[edge]))
+            status = ec2.observe(status, edge, int(world[edge]))
     assert nodes > 500
 
 
@@ -185,15 +176,15 @@ def test_region_holding_every_active_world_is_not_live(monkeypatch):
     for _ in range(400):
         prob = random_problem(rng, lambda n: rng.uniform(0.1, 1.0, n))
         world = prob.outcomes[rng.integers(prob.num_hypotheses)]
-        vs = prob.root_version_space()
+        status = root_status(prob)
         for edge in rng.permutation(prob.num_tests).tolist():
-            if isinstance(ec2.is_solved(vs, prob), Solved):
-                full = prob.membership[vs.active].all(axis=0)
+            if isinstance(ec2.is_solved(status, prob), Solved):
+                full = prob.membership[ec2.consistent(prob.outcomes, status)].all(axis=0)
                 masks.clear()
-                ec2.select_test(vs, prob, np.flatnonzero(vs.status == 0))
+                ec2.select_test(status, prob, np.flatnonzero(status == 0))
                 assert not any((mask & full).any() for mask in masks)
                 nodes += 1
-            vs = ec2.observe(vs, prob, edge, int(world[edge]))
+            status = ec2.observe(status, edge, int(world[edge]))
     assert nodes > 500
 
 
@@ -201,31 +192,31 @@ def test_region_holding_every_active_world_is_not_live(monkeypatch):
 
 def test_worked_instance_selection():
     prob = make_worked_problem()
-    edge, score = ec2.select_test(prob.root_version_space(), prob, [0])
+    edge, score = ec2.select_test(root_status(prob), prob, [0])
     assert edge == 0
     assert score == 1.0
 
 
 def test_constant_column_scores_nothing():
     prob = uniform_problem([[1, 0], [1, 1], [0, 1]], [[1], [1], [1]], 3)
-    assert ec2.select_test(prob.root_version_space(), prob, [0]) is None
+    assert ec2.select_test(root_status(prob), prob, [0]) is None
 
 
 def test_tie_break_lowest_edge_id():
     membership = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.uint8)
     outcomes = np.array([[1, 1], [0, 0], [0, 0]], dtype=np.uint8)  # identical tests
     prob = uniform_problem(membership, outcomes, 3)
-    edge, score = ec2.select_test(prob.root_version_space(), prob, [0, 1])
+    edge, score = ec2.select_test(root_status(prob), prob, [0, 1])
     assert edge == 0 and score == 1.0
     # Restricting candidates to the higher id still works.
-    edge2, score2 = ec2.select_test(prob.root_version_space(), prob, [1])
+    edge2, score2 = ec2.select_test(root_status(prob), prob, [1])
     assert edge2 == 1 and score2 == score
 
 
 def test_select_requires_candidates():
     prob = make_worked_problem()
     with pytest.raises(ValueError):
-        ec2.select_test(prob.root_version_space(), prob, [])
+        ec2.select_test(root_status(prob), prob, [])
 
 
 def test_scores_nonnegative_random():
@@ -238,7 +229,7 @@ def test_scores_nonnegative_random():
             np.ones(e),
             rng.uniform(0.1, 1.0, n),
         )
-        sel = ec2.select_test(prob.root_version_space(), prob, range(e))
+        sel = ec2.select_test(root_status(prob), prob, range(e))
         if sel is not None:
             assert sel[1] > 0.0
 
@@ -247,64 +238,84 @@ def test_scores_nonnegative_random():
 
 def test_observe_prunes_and_records():
     prob = make_worked_problem()
-    vs = ec2.observe(prob.root_version_space(), prob, 0, 1)
-    assert vs.active.tolist() == [True, False, False]
-    assert vs.status.tolist() == [1]
+    status = ec2.observe(root_status(prob), 0, 1)
+    assert ec2.consistent(prob.outcomes, status).tolist() == [True, False, False]
+    assert status.tolist() == [1]
 
 
 def test_observe_leaves_the_parent_status_unchanged():
     prob = make_worked_problem()
-    root = prob.root_version_space()
+    root = root_status(prob)
     for outcome in (1, 0):
-        child = ec2.observe(root, prob, 0, outcome)
-        assert child.status.tolist() == [1 if outcome else -1]
-        assert root.status.tolist() == [0]
+        child = ec2.observe(root, 0, outcome)
+        assert child.tolist() == [1 if outcome else -1]
+        assert root.tolist() == [0]
 
 
 def test_observe_reobservation_is_error():
     prob = make_worked_problem()
-    vs = ec2.observe(prob.root_version_space(), prob, 0, 1)
+    status = ec2.observe(root_status(prob), 0, 1)
     with pytest.raises(ValueError):
-        ec2.observe(vs, prob, 0, 1)
+        ec2.observe(status, 0, 1)
 
 
 def test_observe_can_empty_the_space():
     prob = uniform_problem([[1]], [[1]], 1)
-    vs = ec2.observe(prob.root_version_space(), prob, 0, 0)
-    assert vs.active_count == 0
-    status = ec2.is_solved(vs, prob)
-    assert isinstance(status, AllRegionsDead) and status.off_database
+    status = ec2.observe(root_status(prob), 0, 0)
+    assert ec2.consistent(prob.outcomes, status).sum() == 0
+    verdict = ec2.is_solved(status, prob)
+    assert isinstance(verdict, AllRegionsDead) and verdict.off_database
+
+
+def test_consistent_is_the_chained_version_space():
+    # A node's worlds, found from its status alone, are the running
+    # conjunction of outcomes[:, e] == o over the observations on the way
+    # there, along random observation sequences.
+    rng = np.random.default_rng(43)
+    checked = nonempty = 0
+    for _ in range(200):
+        n, e = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        outcomes = (rng.random((n, e)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+        world = outcomes[rng.integers(n)]  # most outcomes follow one world
+        status, chained = np.zeros(e, np.int8), np.ones(n, bool)
+        for edge in rng.permutation(e)[: int(rng.integers(1, e + 1))].tolist():
+            outcome = int(world[edge]) if rng.random() < 0.8 else int(rng.integers(2))
+            status = ec2.observe(status, edge, outcome)
+            chained &= outcomes[:, edge] == outcome
+            assert np.array_equal(ec2.consistent(outcomes, status), chained)
+            checked += 1
+            nonempty += chained.any()
+    assert checked > 500 and nonempty > 300
 
 
 def test_is_solved_lowest_region():
     membership = np.array([[1, 0, 1, 1]], dtype=np.uint8)  # singleton in R0, R2, R3
     prob = uniform_problem(membership, [[1]], 1)
-    status = ec2.is_solved(prob.root_version_space(), prob)
-    assert status == Solved(0)
+    assert ec2.is_solved(root_status(prob), prob) == Solved(0)
 
 
 def test_is_solved_unsolved_and_dead():
     prob = make_worked_problem()
-    assert ec2.is_solved(prob.root_version_space(), prob) is None
+    assert ec2.is_solved(root_status(prob), prob) is None
     membership = np.array([[0], [0]], dtype=np.uint8)
     dead = uniform_problem(membership, [[0], [1]], 2)
-    assert isinstance(ec2.is_solved(dead.root_version_space(), dead), AllRegionsDead)
+    assert isinstance(ec2.is_solved(root_status(dead), dead), AllRegionsDead)
 
 
 # --- direct_policy ---------------------------------------------------------
 
 def test_direct_policy_eta_one_immediate_handoff():
     prob = make_worked_problem()
-    trace, vs = trees.direct_policy(prob, lambda e: 1, eta=1.0)
+    trace, status = trees.direct_policy(prob, lambda e: 1, eta=1.0)
     assert isinstance(trace.terminal, Handoff)
     assert trace.records == []
-    assert vs.active_count == 3
+    assert ec2.consistent(prob.outcomes, status).sum() == 3
 
 
 def test_direct_policy_worked_world_h2():
     prob = make_worked_problem()
     oracle = lambda e: int(prob.outcomes[1, e])  # world = h2
-    trace, vs = trees.direct_policy(prob, oracle, eta=0.0)
+    trace, _ = trees.direct_policy(prob, oracle, eta=0.0)
     assert len(trace.records) == 1 and trace.records[0][0] == 0
     assert trace.terminal == Solved(1)  # {h2, h3} lies inside region 2
 
@@ -320,10 +331,10 @@ def test_direct_policy_database_worlds_terminate():
             np.full(n, 1.0 / n),
         )
         h = int(rng.integers(n))
-        trace, vs = trees.direct_policy(prob, lambda t: int(prob.outcomes[h, t]), eta=0.0)
+        trace, status = trees.direct_policy(prob, lambda t: int(prob.outcomes[h, t]), eta=0.0)
         assert isinstance(trace.terminal, (Solved, AllRegionsDead, Handoff))
         # The true world is always consistent with every observation.
-        assert vs.active[h]
+        assert ec2.consistent(prob.outcomes, status)[h]
         if isinstance(trace.terminal, Solved):
             assert prob.membership[h, trace.terminal.path_index] == 1
         elif isinstance(trace.terminal, AllRegionsDead):
@@ -341,11 +352,11 @@ def test_residual_nonincreasing_along_rollouts():
             rng.uniform(0.1, 1.0, n),
         )
         h = int(rng.integers(n))
-        vs = prob.root_version_space()
-        last = ec2.residual(vs, prob)
+        status = root_status(prob)
+        last = ec2.residual(status, prob)
         for edge in rng.permutation(e):
-            vs = ec2.observe(vs, prob, int(edge), int(prob.outcomes[h, edge]))
-            cur = ec2.residual(vs, prob)
+            status = ec2.observe(status, int(edge), int(prob.outcomes[h, edge]))
+            cur = ec2.residual(status, prob)
             assert cur <= last + 1e-12
             last = cur
 
@@ -406,9 +417,9 @@ def test_exact_tie_goes_to_lowest_edge_id():
     outcomes[50, 0] = 0
     outcomes[96, 1] = 0
     prob = uniform_problem(membership, outcomes, n)
-    edge, score = ec2.select_test(prob.root_version_space(), prob, [0, 1])
+    edge, score = ec2.select_test(root_status(prob), prob, [0, 1])
     assert edge == 0
-    assert ec2.select_test(prob.root_version_space(), prob, [1]) == (1, score)
+    assert ec2.select_test(root_status(prob), prob, [1]) == (1, score)
 
 
 def test_select_on_active_worlds_equals_problem_of_those_worlds():
@@ -427,9 +438,9 @@ def test_select_on_active_worlds_equals_problem_of_those_worlds():
         full = ec2.DrdProblem(membership, outcomes, cost, np.full(n, 1.0 / n))
         k = int(active.sum())
         sub = ec2.DrdProblem(membership[active], outcomes[active], cost, np.full(k, 1.0 / k))
-        got = ec2.select_test(ec2.VersionSpace(active, status), full, cand)
-        want = ec2.select_test(
-            ec2.VersionSpace(np.ones(k, bool), status), sub, cand)
+        masked, node = with_active(full, active)
+        got = ec2.select_test(node, masked, cand)
+        want = ec2.select_test(root_status(sub), sub, cand)
         assert got == want
         chosen += got is not None
     assert chosen > 50
@@ -446,8 +457,8 @@ def test_handoff_at_exactly_eta_times_n_active_worlds(n, eta, k):
     for count, want_split in ((k, False), (k + 1, True)):
         active = np.zeros(n, bool)
         active[n // 2 - count // 2: n // 2 - count // 2 + count] = True
-        vs = ec2.VersionSpace(active, np.zeros(1, np.int8))
-        step = trees.direct_step(vs, prob, eta)
+        masked, status = with_active(prob, active)
+        step = trees.direct_step(status, masked, eta)
         assert step == (0 if want_split else Handoff(count))
 
 
@@ -547,11 +558,11 @@ def test_blocked_select_test_equals_one_block(monkeypatch):
         cand = np.flatnonzero(status == 0)
         if not active.any() or cand.size == 0:
             continue
-        vs = ec2.VersionSpace(active, status)
+        masked, node = with_active(prob, active)
         picks = []
         for budget in (2**40, 1):
             monkeypatch.setattr(ec2, "BLOCK_ELEMENTS", budget)
-            picks.append(ec2.select_test(vs, prob, cand))
+            picks.append(ec2.select_test(node, masked, cand))
         assert picks[0] == picks[1]
         chosen += picks[0] is not None
     assert chosen > 50

@@ -86,7 +86,7 @@ def test_bias_vector_falls_back_to_all_rows():
     rows."""
     outcomes = np.array([[1, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1]], dtype=np.uint8)
     status = status_of(4, {0: 0, 1: 1})
-    assert not trees.consistent(outcomes, status).any()
+    assert not ec2.consistent(outcomes, status).any()
     want = 0.9 * np.where(status == 0, outcomes.mean(axis=0), status > 0) + (1 - 0.9) * 0.5
     assert bias_vector(outcomes, status, 0.9).tolist() == want.tolist()
 
@@ -106,7 +106,7 @@ def test_bias_vector_reads_the_consistent_rows():
         alpha = float(rng.uniform(0.05, 0.95))
         rows = np.array([row for row in outcomes
                          if all(row[k] == (status[k] > 0) for k in np.flatnonzero(seen))])
-        assert trees.consistent(outcomes, status).sum() == len(rows)
+        assert ec2.consistent(outcomes, status).sum() == len(rows)
         if len(rows):
             matched += 1
             want = alpha * np.where(status == 0, rows.mean(axis=0), status > 0) + (1 - alpha) * 0.5
@@ -392,13 +392,12 @@ def walk_with_status(tree, n_edges):
 def scores_at(problem, status, alpha):
     """DIRECT's and BISECT's best (edge, score) over the open edges at a
     status, each None when nothing scores."""
-    active = (problem.outcomes[:, status != 0] == (status[status != 0] > 0)).all(axis=1)
-    vs = ec2.VersionSpace(active, status)
+    active = ec2.consistent(problem.outcomes, status)
     cand = np.flatnonzero(LibraryStatus(problem.library, status).open)
     beta = bias_vector(problem.outcomes[active], status, alpha)
     rival = select_test_bernoulli(BernoulliBelief(beta, status), problem.library,
                                   problem.eval_cost, cand)
-    return ec2.select_test(vs, problem, cand), rival, int(active.sum())
+    return ec2.select_test(status, problem, cand), rival, int(active.sum())
 
 
 def test_direct_tests_only_open_edges_and_hands_off_when_bisect_scores_as_much():
@@ -512,7 +511,7 @@ def test_pruned_nodes_cost_no_less_by_handing_off():
             node, kept = expanded.nodes[i], pruned.nodes[j]
             if not isinstance(node, InternalNode):
                 continue
-            reach = trees.consistent(train_theta, status)
+            reach = ec2.consistent(train_theta, status)
             worlds = [h for h in ds.train[reach] if int(h) in full]
             a = math.fsum(c for h in worlds for _, _, c in full[int(h)].records[depth:])
             b = feasible_cost(bisect_reference(ds, train_theta[reach], status, worlds), ds)
@@ -575,15 +574,22 @@ def test_compile_memory_does_not_grow_with_worlds():
     regions, one node's (2, candidates, 1 + m) table and the tree's own
     objects; prune_tree's is a set walk's blocks and the world indices of
     the nodes it walks at once.  Both stay under three blocks at either
-    size.  What still grows is the active masks and indices, a few dozen
-    bytes per world."""
+    size.  What still grows is the active mask and index that a step builds
+    and drops, a few dozen bytes per world (the stack holds an E-byte edge
+    status per pending node).  One root ec2.is_solved call, which sums
+    membership over blocks of the active rows, grows by its mask and index
+    alone, under 10 bytes per world."""
     spec = ScenarioSpec(kind="forest", rows=7, cols=7, seed=3)
-    peaks = {"expand_tree": [], "prune_tree": []}
+    peaks = {"is_solved": [], "expand_tree": [], "prune_tree": []}
     for n in (2000, 8000):
         ds = generate_dataset(spec, n, 60, 20)
         problem = ec2.problem_from_dataset(ds, ds.train)
+        root = np.zeros(problem.num_tests, np.int8)
         tracemalloc.start()
         try:
+            ec2.is_solved(root, problem)
+            peaks["is_solved"].append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
             tree = trees.expand_tree(problem, 0.05)
             peaks["expand_tree"].append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
@@ -595,6 +601,8 @@ def test_compile_memory_does_not_grow_with_worlds():
     for name, (small, large) in peaks.items():
         assert max(small, large) < 3 * block, name
         assert large - small < 80 * 6000, name  # bytes per added world
+    small, large = peaks["is_solved"]
+    assert large - small < 10 * 6000
 
 
 def test_compile_tree_bytes_do_not_depend_on_the_block(monkeypatch):
