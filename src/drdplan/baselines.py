@@ -71,25 +71,23 @@ def lazysp_set(
 
     It reads only the live paths (no known-invalid edge), so it keeps only
     the live mask of the model.LibraryStatus built at the start of the
-    episode.  After each refuted candidate, each invalid outcome that check
-    recorded kills the paths through its edge; valid outcomes never change
-    the mask.  So it is the mask a status built from scratch gives.  A
-    refuted candidate is dead, so the walk down the order never turns back:
-    the next candidate is the next live path in the order."""
+    episode.  A live candidate has no edge known invalid, so its check is
+    refuted only by evaluating one, its last record; that outcome kills
+    the paths through its edge, and valid outcomes never change the mask.
+    So it is the mask a status built from scratch gives.  A refuted
+    candidate is dead, so the walk down the order never turns back: the
+    next candidate is the next live path in the order."""
     if not library.paths:
         raise ValueError("library must be nonempty")
     live = LibraryStatus(library, status).live
     for r in order:
         if not live[r]:
             continue
-        seen = len(trace.records)
         if check_path(library.paths[r], status, oracle, graph.eval_cost, trace):
             trace.terminal = Solved(r)
             trace.path_edges = library.paths[r]
             return trace
-        for edge, outcome, _ in trace.records[seen:]:
-            if not outcome:
-                live[library.through[edge]] = False
+        live[library.through[trace.records[-1][0]]] = False
     trace.terminal = AllRegionsDead()
     return trace
 

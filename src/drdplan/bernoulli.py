@@ -144,7 +144,7 @@ def _select(theta, regions, p, K, rows, cand, library: Library, eval_cost: np.nd
     it, and leaves every other region's factor at exactly 1: its term of
     the log ratio is an exact zero.  So each candidate's outcome-1 sum
     runs over the live regions through it alone, in ascending region
-    order (one np.bincount keyed by candidate pair); log_residual_ratio
+    order (one np.bincount keyed by row and edge); log_residual_ratio
     would add the zeros too, in numpy's pairwise order, which can round
     differently.  Outcome 0 kills the
     live regions through the candidate and keeps the others at factor 1:
@@ -155,22 +155,19 @@ def _select(theta, regions, p, K, rows, cand, library: Library, eval_cost: np.nd
     n_rows, width = theta.shape[0], library.num_edges + 1
     mask, Km, wm = live_regions(p, K)
     live_row, live_path = regions[0][mask], regions[1][mask]
-    pair_of = np.full((n_rows, width), -1, dtype=np.int32)  # (row, edge) -> candidate pair
-    pair_of[rows, cand] = np.arange(cand.size)
-    # Each live region's edges: their candidate pairs, and each term of
-    # the outcome-1 log ratio, computed for every entry and kept where the
-    # entry is a candidate.  Row-major, so each pair's regions come in
-    # ascending order.
+    # Each live region's edges, keyed width * row + edge as in
+    # LibraryStatus.cover, and each term of the outcome-1 log ratio.
+    # Row-major, so each key's regions come in ascending order; a
+    # candidate reads its own key's sum and count.
     edges = (live_row[:, None], library.index[live_path])
-    pairs = pair_of[edges]
-    at = pairs >= 0
+    keys = (width * edges[0] + edges[1]).ravel()
     with np.errstate(divide="ignore"):
         term = np.log(conditional_weight(p[mask][:, None] / _padded(theta)[edges], Km[:, None]))
     term -= np.log(wm)[:, None]
-    pair = pairs[at]
-    l1 = np.bincount(pair, weights=term[at], minlength=cand.size)
+    at = width * rows + cand
+    l1 = np.bincount(keys, weights=term.ravel(), minlength=width * n_rows)[at]
     n_live = np.bincount(live_row, minlength=n_rows)
-    l0 = np.where(np.bincount(pair, minlength=cand.size) < n_live[rows], 0.0, -np.inf)
+    l0 = np.where(np.bincount(keys, minlength=width * n_rows)[at] < n_live[rows], 0.0, -np.inf)
     th = theta[rows, cand]
     with np.errstate(divide="ignore"):
         log_expected = np.logaddexp(np.log(th) + l1, np.log(1.0 - th) + l0)

@@ -82,6 +82,8 @@ class DrdProblem:
         self.outcomes = np.ascontiguousarray(self.outcomes, dtype=np.uint8)
         self.eval_cost = np.asarray(self.eval_cost, dtype=np.float64)
         self.prior = np.asarray(self.prior, dtype=np.float64)
+        if self.num_hypotheses == 0:
+            raise ValueError("a problem needs at least one world")
         if np.any(self.prior <= 0):
             raise ValueError("prior weights must be strictly positive")
         self.unit = self.prior / self.prior.max()

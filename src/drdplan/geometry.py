@@ -1,10 +1,12 @@
-"""Exact segment-obstacle intersection tests on scaled integer coordinates.
+"""Exact segment-obstacle intersection tests on integer coordinates.
 
-All coordinates are multiplied by SCALE (64) and kept as int64, so disc
-centers quantized to 1/64 grid units, half-integer rectangle bounds and
-lattice segment endpoints are all exact.  Every predicate below is a pure
-integer comparison; there is no floating-point boundary ambiguity.
-Obstacle regions are closed sets: touching counts as intersecting.
+Discs and segments are in scaled integers: coordinates multiplied by
+SCALE (64) and kept as int64, so disc centers quantized to 1/64 grid
+units and lattice segment endpoints are exact.  Walls are in grid cells,
+a row and a range of columns, and meet a lattice step iff its bounding
+box (cell_boxes) does.  Every predicate below is a pure integer
+comparison; there is no floating-point boundary ambiguity.  Obstacle
+regions are closed sets: touching counts as intersecting.
 """
 
 from __future__ import annotations
@@ -70,58 +72,33 @@ def disc_cells(segments: np.ndarray, rows: int, cols: int, r: int) -> np.ndarray
     return np.array([np.resize(ids, longest) for ids in cells])
 
 
-def rect_constants(segments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The world-independent part of segments_hit_rect: four (2, E) arrays,
-    one row per axis, computed once per segment set.
+def cell_boxes(segments: np.ndarray) -> np.ndarray:
+    """(4, E) int64 rows [x_lo, x_hi, y_lo, y_hi]: each segment's bounding
+    box in grid units, computed once per segment set for segments_hit_wall.
 
-    Raises ValueError unless every segment component delta is in
-    {0, +-SCALE}, which makes the clip parameters exact multiples of
-    1/SCALE.
+    Raises ValueError unless every segment is a unit lattice step: both
+    endpoints on lattice points, at most one grid unit apart on each axis.
     """
-    segments = np.asarray(segments, dtype=np.int64)
-    start = segments[:, :2].T
-    delta = segments[:, 2:].T - start
-    if not np.all((delta == 0) | (np.abs(delta) == SCALE)):
-        raise ValueError("segments_hit_rect requires unit lattice steps")
-    neg = delta < 0
-    mult = np.where(delta == 0, SCALE + 1, 1)
-    enter = mult * np.where(neg, start, -start)
-    return neg, mult, enter, enter + mult - 1
+    cells, off = np.divmod(np.asarray(segments, dtype=np.int64), SCALE)
+    lo = np.minimum(cells[:, :2], cells[:, 2:])
+    hi = np.maximum(cells[:, :2], cells[:, 2:])
+    if off.any() or np.any(hi - lo > 1):
+        raise ValueError("cell_boxes requires unit lattice steps")
+    return np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]])
 
 
-def segments_hit_rect(segments: np.ndarray, xlo, xhi, ylo, yhi, constants=None) -> np.ndarray:
-    """Boolean mask: segment meets the closed axis-aligned rectangle.
+def segments_hit_wall(boxes: np.ndarray, row, first, last) -> np.ndarray:
+    """Boolean mask: lattice step meets the wall covering the cells of
+    grid row ``row`` from column ``first`` to ``last``, the closed
+    rectangle [first - 1/2, last + 1/2] x [row - 1/2, row + 1/2].
 
-    Exact Liang-Barsky clip specialized to lattice steps; ``constants`` is
-    rect_constants(segments), computed here when not given.  With the clip
-    parameter t scaled to [0, S] (S = SCALE), a segment from a1 with step
-    delta on axis a stays in [alo, ahi] for t in [lo_a, hi_a]:
-
-      delta > 0:  [alo - a1, ahi - a1]
-      delta < 0:  [a1 - ahi, a1 - alo]
-      delta = 0:  [(S+1)(alo - a1), (S+1)(ahi - a1) + S]
-
-    The parallel row holds the clause pair alo <= a1 <= ahi: it contains
-    [0, S] when the pair holds and misses it otherwise.  The segment hits
-    iff max(lo_x, lo_y, 0) <= min(hi_x, hi_y, S).  Only the selected
-    bounds depend on the rectangle.  (E,) for scalar bounds, (k, E) for
-    (k, 1) arrays of k rectangles; an empty one (xlo > xhi or ylo > yhi)
-    hits none, since lo_a > hi_a on its axis.
+    boxes is cell_boxes(segments).  A step meets the rectangle iff its
+    bounding box does: a half-integer bound that does not exclude the box
+    lies half a step from each of its integer sides, so both axes'
+    overlaps hold the box's centre, the step's midpoint.  On integers
+    the box test is four comparisons.  (E,) for scalar walls, (k, E) for
+    (k, 1) arrays of k walls.  A wall with first > last + 1 is empty and
+    hits none; first = last + 1 is the line x = last + 1/2.
     """
-    neg, mult, enter_off, leave_off = rect_constants(segments) if constants is None else constants
-    bounds = []
-    for a, (alo, ahi) in enumerate(((xlo, xhi), (ylo, yhi))):
-        alo, ahi = np.asarray(alo, dtype=np.int64), np.asarray(ahi, dtype=np.int64)
-        enter = np.where(neg[a], -ahi, alo)
-        enter *= mult[a]
-        enter += enter_off[a]
-        leave = np.where(neg[a], -alo, ahi)
-        leave *= mult[a]
-        leave += leave_off[a]
-        bounds.append((enter, leave))
-    (lo, hi), (lo_y, hi_y) = bounds
-    np.maximum(lo, lo_y, out=lo)
-    np.maximum(lo, 0, out=lo)
-    np.minimum(hi, hi_y, out=hi)
-    np.minimum(hi, SCALE, out=hi)
-    return lo <= hi
+    x_lo, x_hi, y_lo, y_hi = boxes
+    return (x_lo <= last) & (x_hi >= first) & (y_lo <= row) & (y_hi >= row)

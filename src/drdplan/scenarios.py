@@ -19,8 +19,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import rng as _rng
-from .geometry import (SCALE, disc_cell, disc_cells, edge_segments, rect_constants,
-                       segments_hit_disc, segments_hit_rect)
+from .geometry import (SCALE, cell_boxes, disc_cell, disc_cells, edge_segments,
+                       segments_hit_disc, segments_hit_wall)
 from .graph import SQRT2, shortest_simple_paths
 from .model import Dataset, ExplicitGraph, Path, compute_membership, split_dataset
 
@@ -29,15 +29,16 @@ KINDS = ("forest", "onewall", "twowall", "baffle")
 # Neighbor offsets (drow, dcol) covering each undirected edge once.
 _OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
 
-# sample_world tests a block of worlds at once.  Its int64 temporaries,
+# sample_world tests a block of worlds at once.  Its temporaries, int64
 # (worlds x discs, C) for C candidate edges per disc (geometry.disc_cells;
-# the gathered segments take four such) or (worlds x rects, E), hold at
-# most about this many elements (64 KB; at least one world): a test keeps
-# about a dozen alive, which then stay near 1 MB and in cache.  A world
-# has at most _MAX_RECTS rects (twowall: two walls of two pieces).
+# the gathered segments take four such) or boolean (worlds x walls, E),
+# hold at most about this many elements (64 KB as int64; at least one
+# world): a test keeps about a dozen alive, which then stay near 1 MB and
+# in cache.  A world
+# has at most _MAX_WALLS walls (twowall: two walls of two pieces).
 _BLOCK_ELEMENTS = 1 << 13
-_MAX_RECTS = 4
-_EMPTY_RECT = (1, 0, 0, 0)  # xlo > xhi
+_MAX_WALLS = 4
+_EMPTY_WALL = (0, 2, 0)  # first > last + 1: meets no lattice step
 
 
 @dataclass
@@ -160,18 +161,14 @@ def build_grid_graph(rows: int, cols: int) -> ExplicitGraph:
 
 
 def _sample_obstacles(spec: ScenarioSpec, rng: np.random.Generator) -> dict:
-    """Draw one world's obstacle parameters (scaled-integer geometry)."""
+    """Draw one world's obstacles: discs as scaled-integer (cx, cy, r),
+    walls as the cells they cover, (row, first column, last column)."""
     rows, cols, gw = spec.rows, spec.cols, spec.gap_width_eff()
-    half = SCALE // 2
 
-    def wall_rects(row: int, gap_col: int) -> list[tuple[int, int, int, int]]:
-        ylo, yhi = row * SCALE - half, row * SCALE + half
-        rects = []
-        if gap_col > 0:
-            rects.append((-half, gap_col * SCALE - half, ylo, yhi))
-        if gap_col + gw - 1 < cols - 1:
-            rects.append(((gap_col + gw - 1) * SCALE + half, (cols - 1) * SCALE + half, ylo, yhi))
-        return rects
+    def wall(row: int, gap_col: int) -> list[tuple[int, int, int]]:
+        """The full-width wall at row, less the gap of gw cells from gap_col."""
+        pieces = [(row, 0, gap_col - 1), (row, gap_col + gw, cols - 1)]
+        return [p for p in pieces if p[1] <= p[2]]
 
     if spec.kind == "forest":
         r = int(round(spec.disc_radius * SCALE))
@@ -183,49 +180,44 @@ def _sample_obstacles(spec: ScenarioSpec, rng: np.random.Generator) -> dict:
             )
             for _ in range(spec.n_discs)
         ]
-        return {"discs": discs, "rects": []}
+        return {"discs": discs, "walls": []}
 
     rlo, rhi = spec.row_range()
     if spec.kind == "onewall":
         w = int(rng.integers(rlo, rhi + 1))
         glo, ghi = spec.gap_range()
         g = int(rng.integers(glo, ghi + 1))
-        return {"discs": [], "rects": wall_rects(w, g)}
+        return {"discs": [], "walls": wall(w, g)}
 
     # Two distinct rows for twowall / baffle.
     choices = np.arange(rlo, rhi + 1)
     pair = rng.choice(choices, size=2, replace=False)
     if spec.kind == "twowall":
         glo, ghi = spec.gap_range()
-        rects = []
+        walls = []
         for w in sorted(int(x) for x in pair):
-            rects += wall_rects(w, int(rng.integers(glo, ghi + 1)))
-        return {"discs": [], "rects": rects}
+            walls += wall(w, int(rng.integers(glo, ghi + 1)))
+        return {"discs": [], "walls": walls}
 
     # baffle: the left-attached wall (gap on the right end) sits at the
     # higher row, the right-attached wall (gap on the left end) at the
     # lower row, so the free corridor bends the start-goal diagonal rather
     # than blocking it outright.
     r_left, r_right = int(pair.max()), int(pair.min())
-    half_rects = [
-        (-half, (cols - 1 - gw) * SCALE + half,
-         r_left * SCALE - half, r_left * SCALE + half),
-        (gw * SCALE - half, (cols - 1) * SCALE + half,
-         r_right * SCALE - half, r_right * SCALE + half),
-    ]
-    return {"discs": [], "rects": half_rects}
+    return {"discs": [], "walls": [(r_left, 0, cols - 1 - gw), (r_right, gw, cols - 1)]}
 
 
 def sample_world(spec: ScenarioSpec, rngs: list[np.random.Generator], segments: np.ndarray,
-                 constants: tuple, cells: np.ndarray | None) -> np.ndarray:
+                 boxes: np.ndarray, cells: np.ndarray | None) -> np.ndarray:
     """Validity bits of a block of worlds, one row per generator: an edge is
     invalid iff its segment meets any obstacle region sampled from that
     world's generator.  Exact integer tests for the whole block, from
-    tables computed once per dataset: constants is rect_constants(segments)
-    and cells is a forest's disc_cells table (None for walls).  A disc is
-    tested only against its centre cell's row, which holds every edge it can
-    hit.  Rect lists are padded to the block's longest with the empty rect,
-    which hits nothing; every world of a spec has the same number of discs."""
+    tables computed once per dataset: boxes is cell_boxes(segments), which
+    every wall is tested against, and cells is a forest's disc_cells table
+    (None for walls).  A disc is tested only against its centre cell's row,
+    which holds every edge it can hit.  Wall lists are padded to the
+    block's longest with the empty wall, which hits nothing; every world of
+    a spec has the same number of discs."""
     worlds = [_sample_obstacles(spec, g) for g in rngs]
     blocked = np.zeros((len(worlds), segments.shape[0]), dtype=bool)
     if cells is not None:  # one (worlds * discs, 1) column per parameter
@@ -234,11 +226,11 @@ def sample_world(spec: ScenarioSpec, rngs: list[np.random.Generator], segments: 
         ids = cells[disc_cell(cx, cy, spec.cols, r)[:, 0]]
         disc, hit = np.nonzero(segments_hit_disc(segments[ids], cx, cy, r))
         blocked[disc // spec.n_discs, ids[disc, hit]] = True
-    width = max(len(w["rects"]) for w in worlds)
-    if width:  # one (worlds * rects, 1) column per bound
-        rects = [w["rects"] + [_EMPTY_RECT] * (width - len(w["rects"])) for w in worlds]
-        columns = np.array(rects, dtype=np.int64).reshape(-1, 4).T[:, :, None]
-        hits = segments_hit_rect(segments, *columns, constants=constants)
+    width = max(len(w["walls"]) for w in worlds)
+    if width:  # one (worlds * walls, 1) column per wall parameter
+        walls = [w["walls"] + [_EMPTY_WALL] * (width - len(w["walls"])) for w in worlds]
+        columns = np.array(walls, dtype=np.int64).reshape(-1, 3).T[:, :, None]
+        hits = segments_hit_wall(boxes, *columns)
         blocked |= hits.reshape(len(worlds), width, -1).any(axis=1)
     return (~blocked).astype(np.uint8)
 
@@ -307,15 +299,15 @@ def generate_dataset(
     ds = split_dataset(Dataset(graph, theta, [], membership=None), test_fraction, spec.seed)
     ds.paths, truncated = build_path_library(graph, k, m, spec.seed)
     segments = edge_segments(graph.positions, graph.endpoints)
-    constants = rect_constants(segments)
+    boxes = cell_boxes(segments)
     r = round(spec.disc_radius * SCALE)
     cells = disc_cells(segments, spec.rows, spec.cols, r) if spec.kind == "forest" else None
-    per_world = _MAX_RECTS * graph.num_edges if cells is None else spec.n_discs * cells.shape[1]
+    per_world = _MAX_WALLS * graph.num_edges if cells is None else spec.n_discs * cells.shape[1]
     block = max(1, _BLOCK_ELEMENTS // max(1, per_world))
     for lo in range(0, n_worlds, block):
         rngs = [_rng.substream(spec.seed, _rng.STREAM_WORLDS, i)
                 for i in range(lo, min(lo + block, n_worlds))]
-        theta[lo : lo + block] = sample_world(spec, rngs, segments, constants, cells)
+        theta[lo : lo + block] = sample_world(spec, rngs, segments, boxes, cells)
     ds.membership = compute_membership(theta, ds.paths)
     coverage = float(ds.membership[ds.train].any(axis=1).mean())
     ds.provenance = {

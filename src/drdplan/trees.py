@@ -197,8 +197,6 @@ def expand_tree(
         raise ValueError("eta must be in [0, 1]")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if problem.num_hypotheses == 0:
-        raise ValueError("training set is empty")
 
     nodes: list = []
 

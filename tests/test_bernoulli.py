@@ -151,6 +151,54 @@ def test_select_rejects_observed_candidates():
         select_test_bernoulli(belief, library, np.ones(2), [0, 1])
 
 
+def test_candidate_subset_scores_as_among_all_open_edges(monkeypatch):
+    # A candidate's score reads its own sums only: a random subset of the
+    # open edges scores bit for bit as those edges do among all of them
+    # (select_test_bernoulli), and so does each row of a bisect_steps
+    # block, whose rows share one key space.
+    scored = []
+
+    def spy(rows, cand, log_expected, cost, n_rows):
+        scored.append((rows.copy(), cand.copy(), log_expected.copy()))
+        return ec2.best_tests(rows, cand, log_expected, cost, n_rows)
+
+    monkeypatch.setattr(bernoulli, "best_tests", spy)
+    rng = np.random.default_rng(29)
+    checked = 0
+    for _ in range(60):
+        n_edges = int(rng.integers(2, 40))
+        library = Library.build(random_regions(rng, n_edges, int(rng.integers(1, 20))), n_edges)
+        cost = rng.integers(1, 4, n_edges).astype(np.float64)
+        beta = rng.uniform(0.01, 0.99, (4, n_edges))
+        status = np.where(rng.random(beta.shape) < 0.3, np.where(rng.random(beta.shape) < 0.7, 1, -1), 0)
+        status = status.astype(np.int8)
+        rows_alone = []
+        for b, s in zip(beta, status):
+            paths = LibraryStatus(library, s)
+            if paths.solved is not None or not paths.live.any():
+                continue
+            open_edges = np.flatnonzero(paths.open)
+            scored.clear()
+            select_test_bernoulli(BernoulliBelief(b, s), library, cost, open_edges)
+            (_, every, among_all), = scored
+            rows_alone.append(among_all)
+            if open_edges.size > 1:
+                subset = np.sort(rng.choice(open_edges, int(rng.integers(1, open_edges.size)), replace=False))
+                scored.clear()
+                select_test_bernoulli(BernoulliBelief(b, s), library, cost, subset)
+                (_, cand, alone), = scored
+                assert np.array_equal(cand, subset)
+                assert alone.tobytes() == among_all[np.searchsorted(every, subset)].tobytes()
+                checked += 1
+        scored.clear()
+        bernoulli.bisect_steps(beta, status, library, cost)
+        if rows_alone:
+            (rows, _, in_block), = scored
+            for i, alone in enumerate(rows_alone):
+                assert in_block[rows == i].tobytes() == alone.tobytes()
+    assert checked > 100
+
+
 # --- termination predicates ------------------------------------------------
 
 def belief_status(belief, regions):

@@ -20,6 +20,11 @@ def uniform_problem(membership, outcomes, n):
     )
 
 
+def test_problem_needs_a_world():
+    with pytest.raises(ValueError, match="a problem needs at least one world"):
+        ec2.DrdProblem(np.zeros((0, 2)), np.zeros((0, 3)), np.ones(3), np.ones(0))
+
+
 # --- region_weights --------------------------------------------------------
 
 def test_weight_all_active_inside_region_is_zero():

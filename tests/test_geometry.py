@@ -1,9 +1,11 @@
 """Exact integer segment-obstacle predicates."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from drdplan.geometry import SCALE, edge_segments, segments_hit_disc, segments_hit_rect
+from drdplan.geometry import SCALE, cell_boxes, edge_segments, segments_hit_disc, segments_hit_wall
 
 
 def seg(x1, y1, x2, y2):
@@ -42,52 +44,57 @@ def test_disc_far_away():
     assert not segments_hit_disc(s, 5 * SCALE, 5 * SCALE, SCALE)[0]
 
 
-def test_rect_crossing_vertical_edge():
-    # Wall slab of one cell thickness centered on y = 1.
-    half = SCALE // 2
-    s = seg(0, 0, 0, 1)
-    assert segments_hit_rect(s, -half, half, SCALE - half, SCALE + half)[0]
+def _clip_hits(segment, row, first, last) -> bool:
+    """Exact Liang-Barsky clip of a grid-unit segment (x1, y1, x2, y2)
+    against the closed rectangle [first - 1/2, last + 1/2] x [row - 1/2,
+    row + 1/2], in rationals."""
+    x1, y1, x2, y2 = (Fraction(v) for v in segment)
+    half = Fraction(1, 2)
+    lo, hi = Fraction(0), Fraction(1)
+    for a, d, alo, ahi in ((x1, x2 - x1, first - half, last + half),
+                           (y1, y2 - y1, row - half, row + half)):
+        if d == 0:
+            if not alo <= a <= ahi:
+                return False
+            continue
+        enter, leave = ((alo, ahi) if d > 0 else (ahi, alo))
+        lo, hi = max(lo, (enter - a) / d), min(hi, (leave - a) / d)
+    return lo <= hi
 
 
-def test_rect_miss():
-    half = SCALE // 2
-    s = seg(0, 0, 1, 0)
-    assert not segments_hit_rect(s, -half, 5 * SCALE, SCALE - half, SCALE + half)[0]
+def test_wall_equals_exact_clip():
+    # Every lattice step of a 5x6 grid against every wall with row in
+    # -1..5 and first, last in -1..6, empty ones (first > last) included.
+    segments = _lattice_segments(5, 6)
+    boxes = cell_boxes(segments)
+    walls = [(r, f, l) for r in range(-1, 6) for f in range(-1, 7) for l in range(-1, 7)]
+    for row, first, last in walls:
+        got = segments_hit_wall(boxes, row, first, last)
+        want = [_clip_hits(s // SCALE, row, first, last) for s in segments]
+        assert got.tolist() == want, (row, first, last)
 
 
-def test_rect_touching_boundary_counts():
-    # Horizontal segment along y = 0 touching a rect whose top edge is y = 0.
-    s = seg(0, 0, 1, 0)
-    assert segments_hit_rect(s, 0, SCALE, -SCALE, 0)[0]
-    assert not segments_hit_rect(s, 0, SCALE, -SCALE, -1)[0]
+def test_wall_corner_touch_counts():
+    # The diagonal (1,1)-(2,2) meets the wall at row 2 over columns 0..1
+    # only at the wall's corner (1.5, 1.5).
+    boxes = cell_boxes(seg(1, 1, 2, 2))
+    assert segments_hit_wall(boxes, 2, 0, 1)[0]
+    assert not segments_hit_wall(boxes, 2, 0, 0)[0]
+    assert not segments_hit_wall(boxes, 3, 0, 1)[0]
 
 
-def test_rect_degenerate_interval_is_empty():
-    s = seg(0, 0, 1, 0)
-    assert not segments_hit_rect(s, 10, 5, 0, 0)[0]
-
-
-def test_rect_requires_lattice_steps():
-    bad = np.array([[0, 0, 2 * SCALE, 0]], dtype=np.int64)
+def test_cell_boxes_require_unit_lattice_steps():
     with pytest.raises(ValueError):
-        segments_hit_rect(bad, 0, SCALE, 0, SCALE)
+        cell_boxes(seg(0, 0, 2, 0))
 
 
-def test_rect_diagonal_clip():
-    half = SCALE // 2
-    s = seg(0, 0, 1, 1)  # diagonal through the slab around y = 0.5
-    assert segments_hit_rect(s, -half, 2 * SCALE, half, half + 1)[0]
-    # Slab strictly above the segment's span.
-    assert not segments_hit_rect(s, -half, 2 * SCALE, 2 * SCALE, 3 * SCALE)[0]
-
-
-def _lattice_segments():
-    """Every edge of an 8-connected 5x5 lattice: all the segment shapes the
-    scenarios test."""
-    r, c = np.divmod(np.arange(25), 5)
+def _lattice_segments(rows=5, cols=5):
+    """Every edge of an 8-connected rows x cols lattice: all the segment
+    shapes the scenarios test."""
+    r, c = np.divmod(np.arange(rows * cols), cols)
     positions = np.stack([c, r], axis=1).astype(np.float64)
     endpoints = [
-        (i, j) for i in range(25) for j in range(i + 1, 25)
+        (i, j) for i in range(rows * cols) for j in range(i + 1, rows * cols)
         if max(abs(positions[i] - positions[j])) == 1
     ]
     return edge_segments(positions, np.array(endpoints))
@@ -111,21 +118,17 @@ def test_disc_columns_equal_stacked_scalar_calls():
     assert want.any() and not want.all()
 
 
-def test_rect_columns_equal_stacked_scalar_calls():
-    # Bounds on a grid of half-cells (touching everywhere), then arbitrary
-    # integers; many have xlo > xhi or ylo > yhi (empty).
-    segments = _lattice_segments()
+def test_wall_columns_equal_stacked_scalar_calls():
+    # Walls in and around a 5x5 grid, many with first > last; those with
+    # first > last + 1 are empty and hit nothing.
+    boxes = cell_boxes(_lattice_segments())
     rng = np.random.default_rng(1)
-    half = SCALE // 2
-    rects = np.concatenate([
-        rng.integers(-2, 11, size=(400, 4)) * half,
-        rng.integers(-64, 320, size=(400, 4)),
-    ])
-    want = np.stack([segments_hit_rect(segments, *map(int, b)) for b in rects])
-    got = segments_hit_rect(segments, *rects.T[:, :, None])
+    walls = rng.integers(-2, 7, size=(400, 3))
+    want = np.stack([segments_hit_wall(boxes, *map(int, w)) for w in walls])
+    got = segments_hit_wall(boxes, *walls.T[:, :, None])
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want)
-    empty = (rects[:, 0] > rects[:, 1]) | (rects[:, 2] > rects[:, 3])
+    empty = walls[:, 1] > walls[:, 2] + 1
     assert empty.sum() > 100 and not got[empty].any()
     assert got[~empty].any() and not got[~empty].all()
 
@@ -134,4 +137,4 @@ def test_no_obstacles_hit_nothing():
     segments = _lattice_segments()
     none = np.zeros((0, 1), dtype=np.int64)
     assert segments_hit_disc(segments, none, none, none).shape == (0, len(segments))
-    assert segments_hit_rect(segments, none, none, none, none).shape == (0, len(segments))
+    assert segments_hit_wall(cell_boxes(segments), none, none, none).shape == (0, len(segments))

@@ -23,7 +23,7 @@ from drdplan.scenarios import (
     generate_dataset,
 )
 from drdplan.geometry import (
-    SCALE, disc_cells, edge_segments, rect_constants, segments_hit_disc, segments_hit_rect,
+    SCALE, cell_boxes, disc_cells, edge_segments, segments_hit_disc, segments_hit_wall,
 )
 from drdplan.io import dataset_to_bytes
 from drdplan.rng import STREAM_WORLDS, substream
@@ -141,20 +141,21 @@ def _per_world_theta(spec, n_worlds, seed, segments):
     obstacle, on the world's own substream."""
     theta = np.ones((n_worlds, len(segments)), dtype=np.uint8)
     counts = set()
+    boxes = cell_boxes(segments)
     for i in range(n_worlds):
         obstacles = scenarios._sample_obstacles(spec, substream(seed, STREAM_WORLDS, i))
-        counts.add(len(obstacles["rects"]))
-        for hit, params in ((segments_hit_disc, obstacles["discs"]),
-                            (segments_hit_rect, obstacles["rects"])):
+        counts.add(len(obstacles["walls"]))
+        for hit, shapes, params in ((segments_hit_disc, segments, obstacles["discs"]),
+                                    (segments_hit_wall, boxes, obstacles["walls"])):
             for p in params:
-                theta[i][hit(segments, *p)] = 0
+                theta[i][hit(shapes, *p)] = 0
     return theta, counts
 
 
 @pytest.mark.parametrize("spec", [
     ScenarioSpec(kind="forest", rows=7, cols=7, seed=3, n_discs=4, disc_radius=0.9),
     # Gap columns 0..4 of a 7-wide grid: a gap at either border leaves one
-    # rect, so the worlds of a block have different rect counts.
+    # wall piece, so the worlds of a block have different wall counts.
     ScenarioSpec(kind="onewall", rows=7, cols=7, seed=3, gap_col_lo=0, gap_col_hi=4),
     ScenarioSpec(kind="twowall", rows=7, cols=7, seed=3),
     ScenarioSpec(kind="baffle", rows=7, cols=7, seed=3),
@@ -164,7 +165,7 @@ def _per_world_theta(spec, n_worlds, seed, segments):
 ], ids=[*KINDS, "forest-6x9"])
 @pytest.mark.parametrize("block_elements", [None, 2_000])
 def test_blocked_sampling_equals_per_world_calls(monkeypatch, spec, block_elements):
-    if block_elements is not None:  # blocks of 2-3 rect worlds, 7-16 disc worlds
+    if block_elements is not None:  # blocks of 2-3 wall worlds, 7-16 disc worlds
         monkeypatch.setattr(scenarios, "_BLOCK_ELEMENTS", block_elements)
     n_worlds = 61  # a multiple of no block size above
     ds = generate_dataset(spec, n_worlds, 20, 6, test_fraction=0.2)
@@ -209,8 +210,8 @@ def test_disc_cells_sampling_equals_all_edge_test(world_discs):
         assert cells.shape[1] == g.num_edges
     spec = ScenarioSpec(kind="forest", rows=rows, cols=cols, n_discs=len(worlds[0]))
     with pytest.MonkeyPatch.context() as mp:  # each world's generator is its discs
-        mp.setattr(scenarios, "_sample_obstacles", lambda spec, discs: {"discs": discs, "rects": []})
-        got = scenarios.sample_world(spec, worlds, segments, rect_constants(segments), cells)
+        mp.setattr(scenarios, "_sample_obstacles", lambda spec, discs: {"discs": discs, "walls": []})
+        got = scenarios.sample_world(spec, worlds, segments, cell_boxes(segments), cells)
     want = [~np.any([segments_hit_disc(segments, *d) for d in discs], axis=0) for discs in worlds]
     assert np.array_equal(got, np.array(want, dtype=np.uint8))
 
