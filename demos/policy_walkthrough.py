@@ -5,7 +5,9 @@ Run:  python3 demos/policy_walkthrough.py
 Part 1 uses the classic 3-hypothesis / 2-region instance where a single test
 resolves everything.  Part 2 runs the closed-form Bernoulli engine next to
 the explicit enumeration of all 2^|E| worlds to show they pick the same
-edges with the same scores.
+edges with the same scores.  Both engines read one edge status: the
+Bernoulli belief is the bias over it, the enumeration engine's version
+space the worlds consistent with it.
 """
 
 import itertools
@@ -13,11 +15,7 @@ import itertools
 import numpy as np
 
 from drdplan import ec2
-from drdplan.bernoulli import (
-    BernoulliBelief,
-    bisect_policy,
-    select_test_bernoulli,
-)
+from drdplan.bernoulli import bisect_policy, select_test_bernoulli
 from drdplan.model import Library
 from drdplan.traces import RunTrace
 
@@ -56,15 +54,15 @@ def part2_bernoulli_vs_enumeration() -> None:
     ).astype(np.uint8)
     prob = ec2.DrdProblem(membership, worlds, np.ones(n_edges), prior)
 
-    belief = BernoulliBelief(beta=beta)
+    status = np.zeros(n_edges, np.int8)  # one edge status for both engines
     library = Library.build(regions, n_edges)
 
     world = np.array([1, 1, 0, 1])  # ground truth: path 0 is valid
     print(f"true world: {world.tolist()}  regions: {regions}")
     while True:
-        cand = [e for e in range(n_edges) if belief.status[e] == 0]
-        sel_b = select_test_bernoulli(belief, library, np.ones(n_edges), cand)
-        sel_e = ec2.select_test(belief.status, prob, cand)
+        cand = [e for e in range(n_edges) if status[e] == 0]
+        sel_b = select_test_bernoulli(beta, status, library, np.ones(n_edges), cand)
+        sel_e = ec2.select_test(status, prob, cand)
         if sel_b is None:
             break
         assert sel_e[0] == sel_b[0] and abs(sel_e[1] - sel_b[1]) < 1e-9
@@ -72,15 +70,15 @@ def part2_bernoulli_vs_enumeration() -> None:
         outcome = int(world[edge])
         print(f"  both engines pick edge {edge} "
               f"(score {sel_b[1]:.4f}); outcome {outcome}")
-        belief.observe(edge, outcome)
-        verdict = ec2.is_solved(belief.status, prob)
+        status = ec2.observe(status, edge, outcome)
+        verdict = ec2.is_solved(status, prob)
         if verdict is not None:
             print(f"  -> {verdict}")
             break
 
-    # Full policy run on a fresh belief.
+    # Full policy run from a fresh, all-unknown status.
     trace = bisect_policy(
-        BernoulliBelief(beta=beta), library, np.ones(n_edges),
+        beta, np.zeros(n_edges, np.int8), library, np.ones(n_edges),
         lambda e: int(world[e]), RunTrace("bisect"),
     )
     print(f"bisect_policy trace: {[r[0] for r in trace.records]} "

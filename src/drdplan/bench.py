@@ -137,8 +137,6 @@ def _direct_bisect(dataset, tree, train_idx, seed, alpha, worlds):
     check, and the worlds left to complete are grouped by their status
     then; one bernoulli.set_walk fills every group's completion trie over
     its worlds, so each episode's bisect_policy replays its trie."""
-    if not 0.0 < alpha < 1.0:  # checked before any world: a run may never hand off
-        raise ValueError("alpha must be in (0, 1)")
     train_theta = dataset.theta[train_idx]
     library = Library.of(dataset)
     eval_cost = dataset.graph.eval_cost
@@ -179,8 +177,7 @@ def _direct_bisect(dataset, tree, train_idx, seed, alpha, worlds):
         if tree_phase(oracle, trace, status):
             return trace
         beta, trie = completion(status)
-        belief = bernoulli.BernoulliBelief(beta, status)
-        return bernoulli.bisect_policy(belief, library, eval_cost, oracle, trace, trie)
+        return bernoulli.bisect_policy(beta, status, library, eval_cost, oracle, trace, trie)
 
     return episode
 
@@ -244,11 +241,15 @@ def run_policy(
 ) -> list[RunTrace]:
     """Run one policy over every world of the split: test, train or all.
     Each world gets its oracle, a fresh RunTrace and an all-unknown int8
-    edge status, which the policy's episode extends.  A tree policy checks
-    its tree against digest, the dataset's hash (computed when None)."""
+    edge status, which the policy's episode extends.  alpha must lie in
+    (0, 1) for every policy, NaN refused, before any world runs.  A tree
+    policy checks its tree against digest, the dataset's hash (computed
+    when None)."""
     global _POOL_WORLD
     if policy not in POLICIES:
         raise ValueError(f"unknown policy id {policy!r}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
     splits = {"test": dataset.test, "train": dataset.train, "all": np.arange(dataset.num_worlds)}
     if split not in splits:
         raise ValueError(f"unknown split {split!r}: expected test, train or all")

@@ -2,12 +2,20 @@
 edge outcomes.
 
 The hypothesis set is the implicit product of all 2^|E| outcome vectors
-weighted by a per-edge bias vector.  The one-vs-all pairwise weight of a
-region admits a product closed form over the region's own edges, which
-makes every greedy step O(|open edges| m) instead of O(2^|E|): each
-region's products come from one gather of its belief's row through the
-library's padded edge index (model.Library), and only the open edges, the
-unknown edges of regions that are still live, are scored.
+weighted by a per-edge bias vector, conditioned on the outcomes seen so
+far.  So a belief is a bias row over the episode's edge status
+(drdplan.traces), and every entry point takes that pair: one (E,) beta
+and status for select_test_bernoulli, region_weights_bernoulli and
+bisect_policy, which check it, and (B, E) blocks of both for
+bisect_steps.  bisect_policy marks the caller's status through
+RunTrace.evaluate, as every policy does.
+
+The one-vs-all pairwise weight of a region admits a product closed form
+over the region's own edges, which makes every greedy step
+O(|open edges| m) instead of O(2^|E|): each region's products come from
+one gather of its belief's row through the library's padded edge index
+(model.Library), and only the open edges, the unknown edges of regions
+that are still live, are scored.
 region_posterior builds those products for any set of (row, path) pairs
 and is the one definition of a region's weight: _select scores from it
 and region_weights_bernoulli derives from it.
@@ -27,53 +35,11 @@ test suite pins them against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ec2 import _blocks, best_tests, conditional_weight, live_regions
 from .model import Library, LibraryStatus
 from .traces import AllRegionsDead, RunTrace, Solved
-
-
-@dataclass
-class BernoulliBelief:
-    """Per-edge validity probabilities over an episode's edge status.
-
-    beta holds the prior bias, strictly inside (0, 1).  status is the
-    episode's edge status (drdplan.traces), held without copying, so what
-    the caller evaluates into it the belief has observed; all unknown when
-    None.  theta_eff is beta for unknown edges, the outcome for the rest.
-    """
-
-    beta: np.ndarray
-    status: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.beta = np.asarray(self.beta, dtype=np.float64)
-        if not np.all((self.beta > 0) & (self.beta < 1)):
-            raise ValueError("bias entries must lie strictly in (0, 1)")
-        if self.status is None:
-            self.status = np.zeros(self.beta.shape[0], dtype=np.int8)
-
-    @property
-    def num_edges(self) -> int:
-        return self.beta.shape[0]
-
-    @property
-    def theta_eff(self) -> np.ndarray:
-        return np.where(self.status == 0, self.beta, self.status > 0)
-
-    def observation_mass(self) -> float:
-        """Prior probability of everything observed: np.prod over the
-        observed edges, gathered in ascending edge-id order."""
-        obs = self.status != 0
-        return float(np.prod(np.where(self.status[obs] > 0, self.beta[obs], 1.0 - self.beta[obs])))
-
-    def observe(self, edge: int, outcome: int) -> None:
-        if self.status[edge] != 0:
-            raise ValueError(f"edge {edge} was already observed")
-        self.status[edge] = 1 if outcome else -1
 
 
 def _padded(theta: np.ndarray) -> np.ndarray:
@@ -108,25 +74,33 @@ def region_posterior(theta: np.ndarray, regions, library: Library):
     return p, S - pt2 * (S / ps)
 
 
-def _one_row(belief: BernoulliBelief, library: Library):
-    """(theta, regions, p, K): the belief as one row of edge probabilities,
-    every path of it as a region, and their region_posterior."""
-    theta = belief.theta_eff[None]
+def _belief_row(beta: np.ndarray, status: np.ndarray, library: Library):
+    """(theta, regions): the belief (beta, status) as one (1, E) row of
+    edge probabilities, beta at the unknown edges of status and the
+    outcome at the rest, and every path of it as a region.  ValueError
+    unless every bias lies strictly inside (0, 1) and beta, status and the
+    library agree on |E|."""
+    if not np.all((beta > 0) & (beta < 1)):
+        raise ValueError("bias entries must lie strictly in (0, 1)")
+    if not np.shape(beta) == np.shape(status) == (library.num_edges,):
+        raise ValueError("bias, status and library disagree on the number of edges")
     m = library.index.shape[0]
-    regions = (np.zeros(m, dtype=np.intp), np.arange(m))
-    return theta, regions, *region_posterior(theta, regions, library)
+    return np.where(status == 0, beta, status > 0)[None], (np.zeros(m, dtype=np.intp), np.arange(m))
 
 
-def region_weights_bernoulli(belief: BernoulliBelief, library: Library) -> np.ndarray:
+def region_weights_bernoulli(beta: np.ndarray, status: np.ndarray, library: Library) -> np.ndarray:
     """One-vs-all pairwise weight of every region over the implicit
-    product-Bernoulli hypothesis set, conditioned on the observations:
-    mass^2 * ec2.conditional_weight of region_posterior, with mass the
-    prior probability of the observations.  Matches the enumeration
-    engine's weight of the surviving explicit version space exactly.
+    product-Bernoulli hypothesis set under bias beta, conditioned on the
+    outcomes in status: mass^2 * ec2.conditional_weight of
+    region_posterior, with mass the prior probability of those outcomes
+    (np.prod over the observed edges, in ascending edge id).  Matches the
+    enumeration engine's weight of the surviving explicit version space
+    exactly.
     """
-    mass = belief.observation_mass()
-    _, _, p, K = _one_row(belief, library)
-    return mass * mass * conditional_weight(p, K)
+    theta, regions = _belief_row(beta, status, library)
+    obs = status != 0
+    mass = float(np.prod(np.where(status[obs] > 0, beta[obs], 1.0 - beta[obs])))
+    return mass * mass * conditional_weight(*region_posterior(theta, regions, library))
 
 
 def _select(theta, regions, p, K, rows, cand, library: Library, eval_cost: np.ndarray):
@@ -177,7 +151,8 @@ def _select(theta, regions, p, K, rows, cand, library: Library, eval_cost: np.nd
 
 
 def select_test_bernoulli(
-    belief: BernoulliBelief,
+    beta: np.ndarray,
+    status: np.ndarray,
     library: Library,
     eval_cost: np.ndarray,
     candidates,
@@ -188,14 +163,15 @@ def select_test_bernoulli(
     id, None when nothing scores above zero.  Scores exactly the given
     candidates, which must be unobserved: _select over one row.
     """
+    theta, regions = _belief_row(beta, status, library)
     cand = np.sort(np.asarray(candidates, dtype=np.int64))
     cand = cand[np.diff(cand, prepend=-1) > 0]  # not np.unique, which imports numpy.ma
     if cand.size == 0:
         raise ValueError("candidates must be nonempty")
-    if np.any(belief.status[cand] != 0):
+    if np.any(status[cand] != 0):
         raise ValueError("candidates must be unobserved edges")
-    theta, regions, p, K = _one_row(belief, library)
     rows = np.zeros(cand.size, dtype=np.intp)
+    p, K = region_posterior(theta, regions, library)
     edge, score = _select(theta, regions, p, K, rows, cand, library, eval_cost)
     return None if edge[0] < 0 else (int(edge[0]), float(score[0]))
 
@@ -290,7 +266,8 @@ def set_walk(library: Library, eval_cost: np.ndarray, outcomes: np.ndarray, root
 
 
 def bisect_policy(
-    belief: BernoulliBelief,
+    beta: np.ndarray,
+    status: np.ndarray,
     library: Library,
     eval_cost: np.ndarray,
     oracle,
@@ -298,33 +275,34 @@ def bisect_policy(
     memo: dict | None = None,
 ) -> RunTrace:
     """Query the oracle along BISECT's decision trie until one region is
-    proven valid or all are refuted.  Extends the caller's trace and the
-    belief's status (the episode state of drdplan.traces) and returns the
-    trace with its terminal set; edges already observed there are never
-    evaluated again.  At most |E| evaluations (see bisect_steps).
+    proven valid or all are refuted.  The belief is the bias beta over the
+    episode's edge status (drdplan.traces), which the caller owns: each
+    evaluation extends the caller's trace and marks status in place.
+    Returns the trace with its terminal set; edges already observed in
+    status are never evaluated again.  At most |E| evaluations (see
+    bisect_steps).
 
-    memo is the root of a decision trie that the episodes entering with one
-    belief (bias and status) share; None gives a private one.  A node maps
+    memo is the root of a decision trie shared by the episodes entering
+    with one bias and status; None gives a private one.  A node maps
     "step" to its step once computed (Solved, AllRegionsDead or an edge id)
     and each outcome, 0 or 1, to a child; the root is a node like any
-    other.  A step depends only on that belief, the library, eval_cost and
+    other.  A step depends only on that entry, the library, eval_cost and
     the outcomes on the way to its node, so each node's step is computed
     once.  A run fills its tries for all of its worlds with set_walk before
     the first episode, so this policy replays them.  At a node with no
-    step, it stores the step bisect_steps gives the belief as a block of
-    one row.
+    step, it stores the step bisect_steps gives (beta, status) as a block
+    of one row.
     """
-    if library.num_edges != belief.num_edges:
-        raise ValueError("library and belief disagree on the number of edges")
+    _belief_row(beta, status, library)  # for its checks: bisect_steps builds the row
     node = {} if memo is None else memo
     while True:
         if "step" not in node:
-            node["step"] = bisect_steps(belief.beta[None], belief.status[None], library, eval_cost)[0]
+            node["step"] = bisect_steps(beta[None], status[None], library, eval_cost)[0]
         step = node["step"]
         if not isinstance(step, int):  # a verdict
             trace.terminal = step
             if isinstance(step, Solved):
                 trace.path_edges = library.paths[step.path_index]
             return trace
-        outcome = trace.evaluate(step, oracle, eval_cost, belief.status)
+        outcome = trace.evaluate(step, oracle, eval_cost, status)
         node = node.setdefault(outcome, {})

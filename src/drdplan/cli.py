@@ -89,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--jobs", type=_positive_int, default=1)
     r.add_argument("--alpha", type=float, default=0.9,
                    help="bias mixture weight on the empirical fraction for bisect and "
-                   "direct+bisect; a tree policy exits 4 unless it equals the tree's "
-                   "(default 0.9)")
+                   "direct+bisect; every policy exits 4 unless it lies in (0, 1), and a "
+                   "tree policy unless it equals the tree's (default 0.9)")
     r.add_argument("--out", required=True, help="output directory for run files")
 
     s = sub.add_parser("sweep", help="training-size ablation", epilog=_EPILOG)

@@ -47,8 +47,9 @@ def is_index(x) -> bool:
 
 def to_json_bytes(doc) -> bytes:
     """The canonical serialization: sorted keys, no spaces, ASCII, one line
-    ending in a newline."""
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+    ending in a newline.  ValueError on NaN or an infinity, which JSON
+    does not have."""
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n").encode("ascii")
 
 
 @contextmanager
@@ -62,12 +63,18 @@ def reading(what: str):
         raise FormatError(f"{what}: {exc if isinstance(exc, FormatError) else repr(exc)}") from exc
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def read_json(data: bytes | str, what: str, version: int) -> dict:
     """A JSON object decoded from ASCII whose schema_version is the JSON
-    integer version; FormatError naming what otherwise."""
+    integer version; FormatError naming what otherwise, and for NaN,
+    Infinity or -Infinity, which Python's json module would accept."""
     try:
-        doc = json.loads(data.decode("ascii") if isinstance(data, bytes) else data)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        doc = json.loads(data.decode("ascii") if isinstance(data, bytes) else data,
+                         parse_constant=_refuse_constant)
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
         raise FormatError(f"bad {what}: {exc}") from exc
     got = doc.get("schema_version") if isinstance(doc, dict) else None
     if type(got) is not int or got != version:

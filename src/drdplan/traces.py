@@ -6,7 +6,9 @@ evaluated valid and -1 for one evaluated invalid.  ``bench.run_policy``
 creates both for each world, with the world's oracle, and every policy
 extends them: each phase of an episode (the tree, the check of a solved
 leaf, the completion, a baseline's whole run) adds its evaluations through
-``RunTrace.evaluate``.
+``RunTrace.evaluate``.  BISECT's belief is a bias row over this same
+status: the completion passes its bias and the episode's status to
+bernoulli.bisect_policy, which keeps no belief of its own.
 
 The verdicts are also the leaves of the compiled tree (drdplan.trees):
 trees.direct_step returns Solved, AllRegionsDead or Handoff, and the tree

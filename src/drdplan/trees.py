@@ -120,22 +120,16 @@ def direct_step(status: np.ndarray, problem: ec2.DrdProblem, eta: float, alpha: 
         sel = None
         if candidates.size:
             sel = ec2.select_test(status, problem, candidates)
-        if sel is not None and (
-            library is None or _completion_score(status, problem, alpha, candidates) < sel[1]
-        ):
+        if sel is not None and library is not None:
+            # BISECT's best score here, under the bias a completion handed
+            # off at status starts from.
+            beta = bias_vector(problem.outcomes, status, alpha)
+            rival = bernoulli.select_test_bernoulli(beta, status, library, problem.eval_cost, candidates)
+            if rival is not None and rival[1] >= sel[1]:
+                sel = None
+        if sel is not None:
             return sel[0]
     return Handoff(int(active.sum()))
-
-
-def _completion_score(
-    status: np.ndarray, problem: ec2.DrdProblem, alpha: float, candidates
-) -> float:
-    """BISECT's best score over the candidates under the bias a completion
-    handed off at status starts from; 0 when nothing scores."""
-    beta = bias_vector(problem.outcomes, status, alpha)
-    belief = bernoulli.BernoulliBelief(beta, status)
-    sel = bernoulli.select_test_bernoulli(belief, problem.library, problem.eval_cost, candidates)
-    return 0.0 if sel is None else sel[1]
 
 
 def direct_policy(

@@ -17,7 +17,7 @@ import pytest
 
 from drdplan import bench, ec2, trees
 from drdplan.bench import normalized_cost, run_policy, sweep_training_size, trace_success
-from drdplan.bernoulli import BernoulliBelief, bisect_policy
+from drdplan.bernoulli import bisect_policy
 from drdplan.cli import main as cli_main
 from drdplan.model import Library
 from drdplan.scenarios import KINDS, ScenarioSpec, generate_dataset
@@ -122,8 +122,8 @@ def test_criterion_3_engine_equivalence():
     # Hand-checked three-edge weight.
     from drdplan.bernoulli import region_weights_bernoulli
 
-    belief = BernoulliBelief(beta=np.array([0.5, 0.5, 0.5]))
-    assert region_weights_bernoulli(belief, Library.build([(0, 1)], 3))[0] == 0.421875
+    beta, status = np.array([0.5, 0.5, 0.5]), np.zeros(3, dtype=np.int8)
+    assert region_weights_bernoulli(beta, status, Library.build([(0, 1)], 3))[0] == 0.421875
 
     rng = np.random.default_rng(303)
     for _ in range(100):
@@ -166,9 +166,9 @@ def test_criterion_4_monotonicity_and_bound():
         beta = rng.uniform(0.2, 0.8, e)
         regions = random_regions(rng, e, min(4, e))
         for world in enumerate_worlds(e):
-            belief = BernoulliBelief(beta=beta.copy())
             trace = bisect_policy(
-                belief, Library.build(regions, e), np.ones(e), lambda t: int(world[t]), RunTrace("bisect")
+                beta, np.zeros(e, dtype=np.int8), Library.build(regions, e), np.ones(e),
+                lambda t: int(world[t]), RunTrace("bisect"),
             )
             assert len(trace.records) <= e
             assert isinstance(trace.terminal, (Solved, AllRegionsDead))

@@ -5,7 +5,6 @@ import pytest
 
 from drdplan import bernoulli, ec2
 from drdplan.bernoulli import (
-    BernoulliBelief,
     bisect_policy,
     region_posterior,
     region_weights_bernoulli,
@@ -17,25 +16,54 @@ from drdplan.traces import AllRegionsDead, RunTrace, Solved
 from conftest import enumerate_worlds, enumeration_problem, random_regions, root_status
 
 
-# --- belief basics ---------------------------------------------------------
+# --- beliefs ---------------------------------------------------------------
+
+def unknown(n_edges):
+    """An all-unknown edge status."""
+    return np.zeros(n_edges, dtype=np.int8)
+
+
+def theta_row(beta, status):
+    """A belief's edge probabilities: beta at the unknown edges of status,
+    the outcome at the rest."""
+    return np.where(status == 0, beta, status > 0)
+
+
+# Each one-row entry point, called on a belief (beta, status) over a library.
+ENTRY_POINTS = (
+    region_weights_bernoulli,
+    lambda beta, status, library: select_test_bernoulli(
+        beta, status, library, np.ones(library.num_edges), [0]),
+    lambda beta, status, library: bisect_policy(
+        beta, status, library, np.ones(library.num_edges), lambda e: 1, RunTrace("bisect")),
+)
+
 
 def test_belief_rejects_degenerate_bias():
-    with pytest.raises(ValueError):
-        BernoulliBelief(beta=np.array([0.5, 0.0]))
-    with pytest.raises(ValueError):
-        BernoulliBelief(beta=np.array([1.0]))
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError):
-            BernoulliBelief(beta=np.array([0.5, bad]))
+    # Every one-row entry point checks the bias, strictly inside (0, 1),
+    # and that bias, status and library agree on |E|.
+    library = Library.build([(0, 1)], 2)
+    for call in ENTRY_POINTS:
+        for bad in (0.0, 1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="strictly"):
+                call(np.array([0.5, bad]), unknown(2), library)
+        for beta, status in ((np.full(3, 0.5), unknown(2)), (np.full(2, 0.5), unknown(3)),
+                             (np.full(3, 0.5), unknown(3))):
+            with pytest.raises(ValueError, match="number of edges"):
+                call(beta, status, library)
+        call(np.full(2, 0.5), unknown(2), library)  # the control
 
 
-def test_belief_observe_and_theta_eff():
-    b = BernoulliBelief(beta=np.array([0.3, 0.7]))
-    b.observe(0, 1)
-    assert b.theta_eff.tolist() == [1.0, 0.7]
-    assert b.observation_mass() == 0.3
-    with pytest.raises(ValueError):
-        b.observe(0, 0)
+def test_weight_scales_by_observation_mass():
+    # A valid outcome on an edge of bias 0.3: the weight is the squared
+    # mass 0.3^2 times the conditional weight of the row that reads the
+    # edge as valid.
+    beta, status = np.array([0.3, 0.7]), np.array([1, 0], dtype=np.int8)
+    library = Library.build([(0, 1), (1,)], 2)
+    conditional = ec2.conditional_weight(*region_posterior(np.array([[1.0, 0.7]]), every_path(library), library))
+    assert conditional.all()
+    got = region_weights_bernoulli(beta, status, library)
+    assert got.tobytes() == (0.3 * 0.3 * conditional).tobytes()
 
 
 def test_regions_matrix_rejects_empty_region():
@@ -47,20 +75,17 @@ def test_regions_matrix_rejects_empty_region():
 
 def test_weight_three_edge_hand_check():
     # 3 edges all theta = 0.5, region covering edges {0, 1}, nothing observed.
-    b = BernoulliBelief(beta=np.array([0.5, 0.5, 0.5]))
-    assert region_weights_bernoulli(b, Library.build([(0, 1)], 3))[0] == 0.421875
+    beta = np.array([0.5, 0.5, 0.5])
+    assert region_weights_bernoulli(beta, unknown(3), Library.build([(0, 1)], 3))[0] == 0.421875
 
 
 def test_weight_zero_when_region_proven():
-    b = BernoulliBelief(beta=np.array([0.5, 0.5, 0.5]))
-    for e in range(3):
-        b.observe(e, 1)
-    assert region_weights_bernoulli(b, Library.build([(0, 1)], 3))[0] == 0.0
+    beta, status = np.array([0.5, 0.5, 0.5]), np.ones(3, dtype=np.int8)
+    assert region_weights_bernoulli(beta, status, Library.build([(0, 1)], 3))[0] == 0.0
 
 
 def test_weight_vanishes_as_region_absorbs_mass():
-    b = BernoulliBelief(beta=np.array([1.0 - 1e-8]))
-    w = region_weights_bernoulli(b, Library.build([(0,)], 1))[0]
+    w = region_weights_bernoulli(np.array([1.0 - 1e-8]), unknown(1), Library.build([(0,)], 1))[0]
     assert 0.0 <= w < 1e-7
 
 
@@ -71,20 +96,20 @@ def test_weight_matches_enumeration():
         beta = rng.uniform(0.2, 0.8, e)
         regions = random_regions(rng, e, int(rng.integers(1, 4)))
         prob = enumeration_problem(beta, regions)
-        belief = BernoulliBelief(beta=beta)
+        status = unknown(e)
         library = Library.build(regions, e)
         # Root weights agree.
-        got = region_weights_bernoulli(belief, library)
+        got = region_weights_bernoulli(beta, status, library)
         assert np.allclose(got, ec2.region_weights(root_status(prob), prob), atol=1e-12, rtol=0)
         # And after a couple of observations.
         for _ in range(2):
             edge = int(rng.integers(e))
-            if belief.status[edge] != 0:
+            if status[edge] != 0:
                 continue
             outcome = int(rng.integers(2))
-            belief.observe(edge, outcome)
-        got = region_weights_bernoulli(belief, library)
-        want = ec2.region_weights(belief.status, prob)
+            status = ec2.observe(status, edge, outcome)
+        got = region_weights_bernoulli(beta, status, library)
+        want = ec2.region_weights(status, prob)
         assert np.allclose(got, want, atol=1e-12, rtol=0)
 
 
@@ -94,9 +119,9 @@ def every_path(library):
     return np.zeros(m, dtype=np.intp), np.arange(m)
 
 
-def conditional_weights(belief, library):
+def conditional_weights(beta, status, library):
     """Every region's weight with the squared observation mass divided out."""
-    return ec2.conditional_weight(*region_posterior(belief.theta_eff[None], every_path(library), library))
+    return ec2.conditional_weight(*region_posterior(theta_row(beta, status)[None], every_path(library), library))
 
 
 def test_region_with_weight_had_weight_at_entry():
@@ -108,13 +133,13 @@ def test_region_with_weight_had_weight_at_entry():
     for _ in range(300):
         n_edges = int(rng.integers(1, 40))
         library = Library.build(random_regions(rng, n_edges, int(rng.integers(1, 20))), n_edges)
-        belief = BernoulliBelief(beta=rng.uniform(0.01, 0.99, n_edges))
+        beta, status = rng.uniform(0.01, 0.99, n_edges), unknown(n_edges)
         for e in rng.choice(n_edges, size=int(rng.integers(0, n_edges)), replace=False):
-            belief.observe(int(e), int(rng.random() < 0.8))
-        at_entry = conditional_weights(belief, library) > 0
-        for e in rng.permutation(np.flatnonzero(belief.status == 0)).tolist():
-            belief.observe(e, int(rng.random() < 0.8))
-            assert not (conditional_weights(belief, library) > 0)[~at_entry].any()
+            status = ec2.observe(status, int(e), int(rng.random() < 0.8))
+        at_entry = conditional_weights(beta, status, library) > 0
+        for e in rng.permutation(np.flatnonzero(status == 0)).tolist():
+            status = ec2.observe(status, e, int(rng.random() < 0.8))
+            assert not (conditional_weights(beta, status, library) > 0)[~at_entry].any()
             nodes += 1
     assert nodes > 1000
 
@@ -126,8 +151,7 @@ def test_on_path_edge_beats_off_path():
     beta = np.array([0.5, 0.5, 0.5])
     regions = [(0, 1)]
     library = Library.build(regions, 3)
-    belief = BernoulliBelief(beta=beta)
-    sel = select_test_bernoulli(belief, library, np.ones(3), [0, 1, 2])
+    sel = select_test_bernoulli(beta, unknown(3), library, np.ones(3), [0, 1, 2])
     assert sel is not None and sel[0] in (0, 1)
     # The enumeration engine agrees.
     prob = enumeration_problem(beta, regions)
@@ -139,16 +163,14 @@ def test_on_path_edge_beats_off_path():
 def test_off_path_candidates_score_nothing():
     beta = np.array([0.5, 0.5, 0.5])
     library = Library.build([(0,)], 3)
-    belief = BernoulliBelief(beta=beta)
-    assert select_test_bernoulli(belief, library, np.ones(3), [1, 2]) is None
+    assert select_test_bernoulli(beta, unknown(3), library, np.ones(3), [1, 2]) is None
 
 
 def test_select_rejects_observed_candidates():
-    belief = BernoulliBelief(beta=np.array([0.5, 0.5]))
-    belief.observe(0, 1)
+    beta, status = np.array([0.5, 0.5]), np.array([1, 0], dtype=np.int8)
     library = Library.build([(0, 1)], 2)
-    with pytest.raises(ValueError):
-        select_test_bernoulli(belief, library, np.ones(2), [0, 1])
+    with pytest.raises(ValueError, match="unobserved"):
+        select_test_bernoulli(beta, status, library, np.ones(2), [0, 1])
 
 
 def test_candidate_subset_scores_as_among_all_open_edges(monkeypatch):
@@ -179,13 +201,13 @@ def test_candidate_subset_scores_as_among_all_open_edges(monkeypatch):
                 continue
             open_edges = np.flatnonzero(paths.open)
             scored.clear()
-            select_test_bernoulli(BernoulliBelief(b, s), library, cost, open_edges)
+            select_test_bernoulli(b, s, library, cost, open_edges)
             (_, every, among_all), = scored
             rows_alone.append(among_all)
             if open_edges.size > 1:
                 subset = np.sort(rng.choice(open_edges, int(rng.integers(1, open_edges.size)), replace=False))
                 scored.clear()
-                select_test_bernoulli(BernoulliBelief(b, s), library, cost, subset)
+                select_test_bernoulli(b, s, library, cost, subset)
                 (_, cand, alone), = scored
                 assert np.array_equal(cand, subset)
                 assert alone.tobytes() == among_all[np.searchsorted(every, subset)].tobytes()
@@ -201,23 +223,17 @@ def test_candidate_subset_scores_as_among_all_open_edges(monkeypatch):
 
 # --- termination predicates ------------------------------------------------
 
-def belief_status(belief, regions):
-    return LibraryStatus(Library.build(regions, belief.num_edges), belief.status)
-
-
 def test_solved_region_lowest_index():
-    belief = BernoulliBelief(beta=np.full(3, 0.5))
-    belief.observe(0, 1)
-    belief.observe(1, 1)
-    assert belief_status(belief, [(2,), (0,), (0, 1)]).solved == 1
+    status = np.array([1, 1, 0], dtype=np.int8)
+    assert LibraryStatus(Library.build([(2,), (0,), (0, 1)], 3), status).solved == 1
 
 
 def test_all_regions_dead_predicate():
-    belief = BernoulliBelief(beta=np.full(3, 0.5))
-    belief.observe(0, 0)
-    assert belief_status(belief, [(0,), (1, 2)]).live.any()
-    belief.observe(2, 0)
-    assert not belief_status(belief, [(0,), (1, 2)]).live.any()
+    library = Library.build([(0,), (1, 2)], 3)
+    status = np.array([-1, 0, 0], dtype=np.int8)
+    assert LibraryStatus(library, status).live.any()
+    status[2] = -1
+    assert not LibraryStatus(library, status).live.any()
 
 
 # --- bisect_policy ---------------------------------------------------------
@@ -225,8 +241,7 @@ def test_all_regions_dead_predicate():
 def test_bisect_all_valid_single_region_evaluates_path_only():
     beta = np.full(5, 0.5)
     regions = [(1, 3)]
-    belief = BernoulliBelief(beta=beta)
-    trace = bisect_policy(belief, Library.build(regions, 5), np.ones(5), lambda e: 1, RunTrace("bisect"))
+    trace = bisect_policy(beta, unknown(5), Library.build(regions, 5), np.ones(5), lambda e: 1, RunTrace("bisect"))
     assert trace.terminal == Solved(0)
     assert sorted(t[0] for t in trace.records) == [1, 3]
 
@@ -234,8 +249,7 @@ def test_bisect_all_valid_single_region_evaluates_path_only():
 def test_bisect_dead_world_witnesses_every_region():
     beta = np.full(4, 0.5)
     regions = [(0, 1), (2,), (1, 3)]
-    belief = BernoulliBelief(beta=beta)
-    trace = bisect_policy(belief, Library.build(regions, 4), np.ones(4), lambda e: 0, RunTrace("bisect"))
+    trace = bisect_policy(beta, unknown(4), Library.build(regions, 4), np.ones(4), lambda e: 0, RunTrace("bisect"))
     assert isinstance(trace.terminal, AllRegionsDead)
     evaluated = {e: o for e, o, _ in trace.records}
     for region in regions:
@@ -249,9 +263,9 @@ def test_bisect_exhaustive_termination_bound():
         regions = random_regions(rng, e, min(3, e))
         worlds = enumerate_worlds(e)
         for world in worlds:
-            belief = BernoulliBelief(beta=beta.copy())
+            status = unknown(e)
             trace = bisect_policy(
-                belief, Library.build(regions, e), np.ones(e), lambda t: int(world[t]), RunTrace("bisect")
+                beta, status, Library.build(regions, e), np.ones(e), lambda t: int(world[t]), RunTrace("bisect")
             )
             assert len(trace.records) <= e
             assert len({r[0] for r in trace.records}) == len(trace.records)
@@ -260,7 +274,7 @@ def test_bisect_exhaustive_termination_bound():
                 assert all(world[t] == 1 for t in regions[trace.terminal.path_index])
             else:
                 assert all(
-                    any(world[t] == 0 and belief.status[t] != 0 for t in reg)
+                    any(world[t] == 0 and status[t] != 0 for t in reg)
                     for reg in regions
                 )
 
@@ -278,7 +292,7 @@ def test_shared_trie_walks_like_a_private_one(monkeypatch):
         worlds = enumerate_worlds(e)
 
         def run(world, memo=None):
-            return bisect_policy(BernoulliBelief(beta), library, cost,
+            return bisect_policy(beta, unknown(e), library, cost,
                                  lambda t: int(world[t]), RunTrace("bisect"), memo)
 
         for world in worlds:
@@ -308,7 +322,7 @@ def test_bisect_fallback_takes_first_open_edge(monkeypatch):
     monkeypatch.setattr(bernoulli, "_select", spy)
     world = [1, 0, 1, 1, 1]
     trace = bisect_policy(
-        BernoulliBelief(np.full(5, 0.5)), Library.build([(0, 1), (2, 3), (1, 4)], 5),
+        np.full(5, 0.5), unknown(5), Library.build([(0, 1), (2, 3), (1, 4)], 5),
         np.full(5, 1e13), lambda e: world[e], RunTrace("bisect"),
     )
     assert [r[0] for r in trace.records] == [0, 1, 2, 3]
@@ -319,8 +333,10 @@ def test_bisect_fallback_takes_first_open_edge(monkeypatch):
 
 def test_bisect_extends_the_callers_trace_and_status():
     # A trace and status that already hold earlier evaluations, as after
-    # the tree: bisect_policy appends to that same trace object and never
-    # queries an edge the status already holds.
+    # the tree: bisect_policy appends to that same trace object, never
+    # queries an edge the status already holds, and marks each outcome it
+    # records in that same status array, not a copy, and nothing else
+    # there (bench's episode reads the completion's evaluations from it).
     rng = np.random.default_rng(17)
     for _ in range(200):
         n_edges = int(rng.integers(2, 9))
@@ -336,13 +352,16 @@ def test_bisect_extends_the_callers_trace_and_status():
             assert t not in seen, f"edge {t} evaluated again"
             return int(world[t])
 
-        belief = BernoulliBelief(rng.uniform(0.2, 0.8, n_edges), status)
-        out = bisect_policy(belief, Library.build(regions, n_edges), np.ones(n_edges), oracle, trace)
-        assert out is trace and belief.status is status
+        beta = rng.uniform(0.2, 0.8, n_edges)
+        out = bisect_policy(beta, status, Library.build(regions, n_edges), np.ones(n_edges), oracle, trace)
+        assert out is trace
         assert trace.records[: len(before)] == before
         assert len({r[0] for r in trace.records}) == len(trace.records)
         assert isinstance(trace.terminal, (Solved, AllRegionsDead))
-        assert np.array_equal(np.flatnonzero(status), sorted(r[0] for r in trace.records))
+        want = unknown(n_edges)
+        for e, o, _ in trace.records:
+            want[e] = 1 if o else -1
+        assert status.tobytes() == want.tobytes()
 
 
 # --- oracle equivalence (small sample; the full suite is in acceptance) ----
@@ -353,13 +372,13 @@ def run_equivalence_instance(rng, n_edges, n_regions):
     world = rng.integers(0, 2, n_edges)
     prob = enumeration_problem(beta, regions)
     library = Library.build(regions, n_edges)
-    belief = BernoulliBelief(beta=beta)
+    status = unknown(n_edges)
     cost = np.ones(n_edges)
 
     steps = 0
     while True:
-        st_e = ec2.is_solved(belief.status, prob)
-        paths = LibraryStatus(library, belief.status)
+        st_e = ec2.is_solved(status, prob)
+        paths = LibraryStatus(library, status)
         r_b, dead_b = paths.solved, not paths.live.any()
         if isinstance(st_e, Solved):
             assert r_b == st_e.path_index
@@ -369,13 +388,13 @@ def run_equivalence_instance(rng, n_edges, n_regions):
             return steps
         assert r_b is None and not dead_b
 
-        w_e = ec2.region_weights(belief.status, prob)
-        w_b = region_weights_bernoulli(belief, library)
+        w_e = ec2.region_weights(status, prob)
+        w_b = region_weights_bernoulli(beta, status, library)
         assert np.allclose(w_e, w_b, atol=1e-12, rtol=0)
 
-        cand = [t for t in range(n_edges) if belief.status[t] == 0]
-        sel_e = ec2.select_test(belief.status, prob, cand)
-        sel_b = select_test_bernoulli(belief, library, cost, cand)
+        cand = [t for t in range(n_edges) if status[t] == 0]
+        sel_e = ec2.select_test(status, prob, cand)
+        sel_b = select_test_bernoulli(beta, status, library, cost, cand)
         if sel_e is None or sel_b is None:
             assert sel_e is None and sel_b is None
             return steps
@@ -383,7 +402,7 @@ def run_equivalence_instance(rng, n_edges, n_regions):
         assert abs(sel_e[1] - sel_b[1]) <= 1e-9
         edge = sel_e[0]
         outcome = int(world[edge])
-        belief.observe(edge, outcome)
+        status = ec2.observe(status, edge, outcome)
         steps += 1
 
 
@@ -404,12 +423,12 @@ def test_closed_form_outcome_zero_is_the_shared_rule():
         n_edges = int(rng.integers(1, 40))
         regions = random_regions(rng, n_edges, int(rng.integers(1, 20)))
         library = Library.build(regions, n_edges)
-        belief = BernoulliBelief(beta=rng.uniform(0.05, 0.95, n_edges))
+        beta, status = rng.uniform(0.05, 0.95, n_edges), unknown(n_edges)
         for e in rng.choice(n_edges, size=int(rng.integers(0, n_edges)), replace=False):
-            belief.observe(int(e), int(rng.random() < 0.8))
-        p_r, K_r = region_posterior(belief.theta_eff[None], every_path(library), library)
+            status = ec2.observe(status, int(e), int(rng.random() < 0.8))
+        p_r, K_r = region_posterior(theta_row(beta, status)[None], every_path(library), library)
         mask, Km, wm = ec2.live_regions(p_r, K_r)
-        cand = np.flatnonzero(belief.status == 0)
+        cand = np.flatnonzero(status == 0)
         if not mask.any() or cand.size == 0:
             continue
         Rt = regions_matrix(regions, n_edges)[np.ix_(mask, cand)].T
@@ -433,10 +452,10 @@ def test_state_products_bitwise_equal_per_row_prod():
             for _ in range(m)
         ]
         library = Library.build(regions, n_edges)
-        belief = BernoulliBelief(beta=rng.uniform(0.01, 0.99, n_edges))
+        beta, status = rng.uniform(0.01, 0.99, n_edges), unknown(n_edges)
         for e in rng.choice(n_edges, size=int(rng.integers(0, n_edges + 1)), replace=False):
-            belief.observe(int(e), int(rng.integers(2)))
-        theta = belief.theta_eff
+            status = ec2.observe(status, int(e), int(rng.integers(2)))
+        theta = theta_row(beta, status)
         p_r, K_r = region_posterior(theta[None], every_path(library), library)
         s = theta * theta + (1.0 - theta) * (1.0 - theta)
         inR = regions_matrix(regions, n_edges)
@@ -472,7 +491,7 @@ def test_bisect_never_evaluates_outside_live_regions_at_tiny_cost():
         beta = np.concatenate([np.full(16, 0.05), rng.uniform(0.05, 0.95, 4)])
         world = rng.integers(0, 2, 20)
         trace = bisect_policy(
-            BernoulliBelief(beta=beta), library, np.full(20, 1e-8), lambda t: int(world[t]),
+            beta, unknown(20), library, np.full(20, 1e-8), lambda t: int(world[t]),
             RunTrace("bisect"),
         )
         assert isinstance(trace.terminal, (Solved, AllRegionsDead))
@@ -505,11 +524,11 @@ def test_set_walk_equals_per_episode_bisect(monkeypatch):
         counts = bernoulli.set_walk(library, cost, outcomes, roots)
         with monkeypatch.context() as m:
             m.setattr(bernoulli, "bisect_steps", lambda *args: pytest.fail("a filled step was recomputed"))
-            replays = [[bisect_policy(BernoulliBelief(beta, status.copy()), library, cost,
+            replays = [[bisect_policy(beta, status.copy(), library, cost,
                                       lambda e, w=w: int(outcomes[w, e]), RunTrace("bisect"), trie)
                         for w in worlds] for beta, status, worlds, trie in roots]
         for (beta, status, worlds, _), replay, n in zip(roots, replays, counts):
-            want = [bisect_policy(BernoulliBelief(beta, status.copy()), library, cost,
+            want = [bisect_policy(beta, status.copy(), library, cost,
                                   lambda e, w=w: int(outcomes[w, e]), RunTrace("bisect"))
                     for w in worlds]
             assert replay == want
@@ -545,7 +564,7 @@ def test_select_test_bernoulli_is_one_row_of_the_block():
                     assert step == AllRegionsDead()
                 else:
                     cand = np.flatnonzero(paths.open)
-                    sel = select_test_bernoulli(BernoulliBelief(b, s), library, c, cand)
+                    sel = select_test_bernoulli(b, s, library, c, cand)
                     assert step == (int(cand[0]) if sel is None else sel[0])
                     fallbacks += sel is None
     assert fallbacks > 0

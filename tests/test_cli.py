@@ -405,7 +405,8 @@ def _solved_trace(doc):
                 if t["terminal"]["kind"] == "solved" and t["path_edges"] and t["records"])
 
 
-# Run files that parse but that the report cannot read.
+# Run files that Python's json module parses but that the report cannot
+# read (NaN is no JSON number).
 _BAD_RUNS = {
     "runs": lambda p: "not json",
     "runs-keys": lambda p: '{"schema_version":1,"policy":"x"}',
@@ -423,6 +424,8 @@ _BAD_RUNS = {
         p, lambda d: _solved_trace(d)["records"][0].__setitem__(1, -1)),
     "runs-cost-nan": lambda p: _edited_run_file(
         p, lambda d: _solved_trace(d)["records"][0].__setitem__(2, float("nan"))),
+    "runs-params-nan": lambda p: _edited_run_file(
+        p, lambda d: d["params"].__setitem__("alpha", float("nan"))),
     "runs-cost-zero": lambda p: _edited_run_file(
         p, lambda d: _solved_trace(d)["records"][0].__setitem__(2, 0.0)),
     "runs-world-range": lambda p: _edited_run_file(
@@ -547,15 +550,17 @@ def test_count_flags_must_be_positive(pipeline, tmp_path, capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("alpha", ["nan", "0", "1", "2"])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "0", "1", "2"])
 def test_bisect_alpha_outside_unit_interval_is_contract_error(
     pipeline, tmp_path, capsys, monkeypatch, alpha
 ):
+    # Every policy refuses it before any world runs, not only the two that
+    # build a bias from it: otherwise a run file would record it.
     def never(*args, **kwargs):
         raise AssertionError("a world ran")
 
     monkeypatch.setattr(bench, "_world_oracle", never)
-    for policy in ("bisect", "direct+bisect"):
+    for policy in bench.POLICY_IDS:
         code = run([
             "run", "--dataset", pipeline["ds"], "--policy", policy, "--alpha", alpha,
             "--tree", pipeline["tree"], "--out", str(tmp_path / "runs"),
@@ -683,9 +688,10 @@ def _shared_child(doc):
     doc["root"] = 1
 
 
-# Tree files that parse as JSON but do not fit the 6x6 dataset (|E| = 110,
-# m = 10), break the post-order layout or the one-parent rule, or test an
-# edge twice on one path; each edits the fixture dataset's
+# Tree files that Python's json module parses but that do not fit the 6x6
+# dataset (|E| = 110, m = 10), break the post-order layout or the
+# one-parent rule, test an edge twice on one path, or hold a number JSON
+# does not have; each edits the fixture dataset's
 # expanded tree, [solved, solved, internal(child 0, child 1)].
 _BAD_TREES = {
     "edge": lambda d: d["nodes"][-1].__setitem__("edge", 99999),
@@ -695,6 +701,8 @@ _BAD_TREES = {
     "child-order": lambda d: d["nodes"][-1].__setitem__("child", [0, 2]),
     "root": lambda d: _set_root(d, 0),
     "hash-type": lambda d: d["params"].__setitem__("dataset_hash", 12345),
+    "eta-inf": lambda d: d["params"].__setitem__("eta", float("inf")),
+    "alpha-nan": lambda d: d["params"].__setitem__("alpha", float("nan")),
     "repeat-edge": _repeat_edge,
     "shared-child": _shared_child,
 }

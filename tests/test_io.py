@@ -23,7 +23,9 @@ from drdplan.io import (
     dataset_hash,
     dataset_to_bytes,
     load_dataset,
+    read_json,
     save_dataset,
+    to_json_bytes,
 )
 from drdplan.model import compute_membership
 from drdplan.scenarios import ScenarioSpec, generate_dataset
@@ -123,6 +125,16 @@ def test_wrong_schema_version_rejected():
     lines[0] = json.dumps(header)
     with pytest.raises(FormatError, match="schema_version"):
         dataset_from_bytes("\n".join(lines).encode())
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_numbers_are_not_json(constant):
+    # Python's json module writes a non-finite float as one of these
+    # constants and reads it back; the artifact codec does neither.
+    with pytest.raises(ValueError):
+        to_json_bytes({"x": float(constant)})
+    with pytest.raises(FormatError, match=constant):
+        read_json('{"schema_version": 1, "x": [%s]}' % constant, "doc", 1)
 
 
 def test_bad_base64_rejected():

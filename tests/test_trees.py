@@ -9,7 +9,7 @@ import pytest
 
 from drdplan import ec2, trees
 from drdplan.bench import POLICIES, run_policy
-from drdplan.bernoulli import BernoulliBelief, bisect_policy, select_test_bernoulli
+from drdplan.bernoulli import bisect_policy, select_test_bernoulli
 from drdplan.io import FormatError, dataset_hash, load_dataset, save_dataset, to_json_bytes
 from drdplan.model import Library, LibraryStatus
 from drdplan.scenarios import ScenarioSpec, generate_dataset
@@ -75,7 +75,7 @@ def test_bias_vector_bounds():
         theta = bias_vector(rows, status, alpha)
         assert np.allclose(theta, [(1 - alpha) / 2, (1 + alpha) / 2, 0.5,
                                    (1 - alpha) / 2, (1 + alpha) / 2])
-        BernoulliBelief(theta, status)  # strictly inside (0, 1)
+        assert np.all((theta > 0) & (theta < 1))
     for alpha in (np.nan, 0.0, 1.0, 2.0, -0.5):
         with pytest.raises(ValueError):
             bias_vector(rows, status, alpha)
@@ -395,8 +395,7 @@ def scores_at(problem, status, alpha):
     active = ec2.consistent(problem.outcomes, status)
     cand = np.flatnonzero(LibraryStatus(problem.library, status).open)
     beta = bias_vector(problem.outcomes[active], status, alpha)
-    rival = select_test_bernoulli(BernoulliBelief(beta, status), problem.library,
-                                  problem.eval_cost, cand)
+    rival = select_test_bernoulli(beta, status, problem.library, problem.eval_cost, cand)
     return ec2.select_test(status, problem, cand), rival, int(active.sum())
 
 
@@ -443,7 +442,7 @@ def bisect_reference(ds, rows, status, worlds, alpha=0.9):
     alpha), each world with a private, unfilled trie."""
     library = Library.of(ds)
     beta = bias_vector(rows, status, alpha)
-    return [bisect_policy(BernoulliBelief(beta, status.copy()), library, ds.graph.eval_cost,
+    return [bisect_policy(beta, status.copy(), library, ds.graph.eval_cost,
                           lambda e, row=ds.theta[h]: int(row[e]), RunTrace("bisect", int(h)))
             for h in worlds]
 
