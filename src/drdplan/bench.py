@@ -127,20 +127,18 @@ def _bisect(dataset, tree, train_idx, seed, alpha, worlds):
     # at the root, where every training world is consistent.
     if len(train_idx) == 0:
         raise ValueError("dataset has no training split")
-    root = trees.DecisionTree([Handoff(len(train_idx))], 0)
+    root = trees.DecisionTree([Handoff(len(train_idx))])
     return _direct_bisect(dataset, root, train_idx, seed, alpha, worlds)
 
 
 def _direct_bisect(dataset, tree, train_idx, seed, alpha, worlds):
-    """The tree, the check of a solved leaf, then BISECT.  Before the
-    first episode, every world of the run goes through the tree and the
-    check, and the worlds left to complete are grouped by their status
-    then; one bernoulli.set_walk fills every group's completion trie over
-    its worlds, so each episode's bisect_policy replays its trie."""
+    """The tree, the check of a solved leaf, then BISECT.  Before the first
+    episode the run routes every world through both, and roots maps each
+    status left to complete to its one completion (bias, status, worlds,
+    trie); one bernoulli.set_walk fills every trie for the episodes."""
     train_theta = dataset.theta[train_idx]
     library = Library.of(dataset)
     eval_cost = dataset.graph.eval_cost
-    completions = {}  # status when BISECT takes over -> (bias, trie)
 
     def tree_phase(oracle, trace: RunTrace, status: np.ndarray) -> bool:
         """Run the tree and check a solved leaf's path; True when that
@@ -155,28 +153,21 @@ def _direct_bisect(dataset, tree, train_idx, seed, alpha, worlds):
                 return True
         return False
 
-    def completion(status: np.ndarray):
-        # A handoff, a refuted solved leaf, or a dead leaf whose verdict must
-        # be witnessed on the live world: its bias comes from the status.
-        if (key := status.tobytes()) not in completions:
-            completions[key] = (trees.bias_vector(train_theta, status, alpha), {})
-        return completions[key]
-
-    groups = {}  # status after the tree -> (status, worlds)
+    # Left to complete: a handoff, a refuted solved leaf, or a dead leaf
+    # whose verdict must be witnessed on the live world.
+    roots = {}
     for h in worlds:
         status = np.zeros(dataset.graph.num_edges, dtype=np.int8)
         if not tree_phase(_world_oracle(dataset, h), RunTrace("fill", h), status):
-            groups.setdefault(status.tobytes(), (status, []))[1].append(h)
-    roots = []
-    for status, hs in groups.values():
-        beta, trie = completion(status)
-        roots.append((beta, status, np.array(hs), trie))
-    bernoulli.set_walk(library, eval_cost, dataset.theta, roots)
+            if (key := status.tobytes()) not in roots:
+                roots[key] = (trees.bias_vector(train_theta, status, alpha), status, [], {})
+            roots[key][2].append(h)
+    bernoulli.set_walk(library, eval_cost, dataset.theta, list(roots.values()))
 
     def episode(oracle, trace: RunTrace, status: np.ndarray) -> RunTrace:
         if tree_phase(oracle, trace, status):
             return trace
-        beta, trie = completion(status)
+        beta, _, _, trie = roots[status.tobytes()]
         return bernoulli.bisect_policy(beta, status, library, eval_cost, oracle, trace, trie)
 
     return episode

@@ -103,12 +103,12 @@ def region_weights_bernoulli(beta: np.ndarray, status: np.ndarray, library: Libr
     return mass * mass * conditional_weight(*region_posterior(theta, regions, library))
 
 
-def _select(theta, regions, p, K, rows, cand, library: Library, eval_cost: np.ndarray):
+def _select(theta, regions, rows, cand, library: Library, eval_cost: np.ndarray):
     """The greedy step over a block of B rows (beliefs): each row's best
     candidate by ec2.best_tests, -1 where nothing scores or no region is
-    live.  theta holds the rows' (B, E) edge probabilities; regions =
+    live.  theta holds the rows' (B, E) edge probabilities and regions =
     (row, path) pairs, row-major, that hold every region with positive
-    posterior, and p and K their posteriors and K shares (region_posterior).
+    posterior, whose region_posterior is scored.
     The candidate pairs (rows, cand) are unobserved edges, sorted by row,
     then edge id, none repeated.
 
@@ -127,6 +127,7 @@ def _select(theta, regions, p, K, rows, cand, library: Library, eval_cost: np.nd
     so a block of any size gives every row the bits it gets alone.
     """
     n_rows, width = theta.shape[0], library.num_edges + 1
+    p, K = region_posterior(theta, regions, library)
     mask, Km, wm = live_regions(p, K)
     live_row, live_path = regions[0][mask], regions[1][mask]
     # Each live region's edges, keyed width * row + edge as in
@@ -171,8 +172,7 @@ def select_test_bernoulli(
     if np.any(status[cand] != 0):
         raise ValueError("candidates must be unobserved edges")
     rows = np.zeros(cand.size, dtype=np.intp)
-    p, K = region_posterior(theta, regions, library)
-    edge, score = _select(theta, regions, p, K, rows, cand, library, eval_cost)
+    edge, score = _select(theta, regions, rows, cand, library, eval_cost)
     return None if edge[0] < 0 else (int(edge[0]), float(score[0]))
 
 
@@ -207,9 +207,8 @@ def bisect_steps(beta: np.ndarray, status: np.ndarray, library: Library, eval_co
         # Only the live paths can have positive posterior, so only their
         # region products are built.
         regions = np.nonzero(paths.live[todo])
-        p, K = region_posterior(theta, regions, library)
         rows, cand = np.nonzero(paths.open[todo])
-        edge, _ = _select(theta, regions, p, K, rows, cand, library, eval_cost)
+        edge, _ = _select(theta, regions, rows, cand, library, eval_cost)
         first = cand[np.searchsorted(rows, np.arange(todo.size))]
         for i, e in zip(todo.tolist(), np.where(edge >= 0, edge, first).tolist()):
             steps[i] = e

@@ -213,16 +213,16 @@ def split_table(problem: DrdProblem, worlds, tests) -> np.ndarray:
     the uint8 outcomes at the tests' columns, cast on its own and
     multiplied into one reused partial, so the scratch is a block and a
     table, whatever the number of worlds.  Each outcome of a block is one
-    product over its worlds, so a branch that no world reaches is a sum of
-    exact zeros, an exact zero; under the uniform prior every block sum is
-    an integer count, so the table does not depend on the block size."""
+    product over its worlds, added into a table of zeros, so a branch that
+    no world reaches is an exact zero; under the uniform prior every block
+    sum is an integer count, so the table does not depend on the block
+    size."""
     idx = np.asarray(worlds, dtype=np.int64)
     tests = np.asarray(tests, dtype=np.int64)
     width = 1 + problem.membership.shape[1]
-    table = np.empty((2, tests.size, width))
+    table = np.zeros((2, tests.size, width))
     partial = np.empty((tests.size, width))
-    # No worlds make one empty block, whose products are zero tables.
-    for i, block in enumerate(_blocks(idx.size, max(problem.num_tests, width)) or [slice(0)]):
+    for block in _blocks(idx.size, max(problem.num_tests, width)):
         rows = idx[block]
         u = problem.unit[rows]
         X = np.empty((rows.size, width))
@@ -232,10 +232,7 @@ def split_table(problem: DrdProblem, worlds, tests) -> np.ndarray:
         for o in (1, 0):
             if o == 0:
                 np.subtract(1.0, th, out=th)
-            if i == 0:  # the first block writes the table, the others add
-                np.matmul(th.T, X, out=table[o])
-            else:
-                table[o] += np.matmul(th.T, X, out=partial)
+            table[o] += np.matmul(th.T, X, out=partial)
     return table
 
 

@@ -55,26 +55,34 @@ def to_json_bytes(doc) -> bytes:
 @contextmanager
 def reading(what: str):
     """Raise what goes wrong while reading `what` as a FormatError that
-    names it: a missing key, a value of the wrong type or out of range, or
-    a FormatError from within."""
+    names it: a missing key, a value of the wrong type or out of range (an
+    integer too large for a float too), or a FormatError from within."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{what}: {exc if isinstance(exc, FormatError) else repr(exc)}") from exc
 
 
-def _refuse_constant(name: str):
-    raise ValueError(f"{name} is not a JSON number")
+_INF = float("inf")
+
+
+def _finite_float(text: str) -> float:
+    # float() of a constant (NaN, Infinity, -Infinity) or of a number too
+    # large for a float (1e400) is not finite.
+    if -_INF < (x := float(text)) < _INF:
+        return x
+    raise ValueError(f"{text} is not a finite number")
 
 
 def read_json(data: bytes | str, what: str, version: int) -> dict:
     """A JSON object decoded from ASCII whose schema_version is the JSON
-    integer version; FormatError naming what otherwise, and for NaN,
-    Infinity or -Infinity, which Python's json module would accept."""
+    integer version; FormatError naming what otherwise: for a number that
+    Python's json module would read as no finite float (NaN, Infinity,
+    1e400) and for nesting too deep for its recursion limit."""
     try:
         doc = json.loads(data.decode("ascii") if isinstance(data, bytes) else data,
-                         parse_constant=_refuse_constant)
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
+                         parse_constant=_finite_float, parse_float=_finite_float)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError too
         raise FormatError(f"bad {what}: {exc}") from exc
     got = doc.get("schema_version") if isinstance(doc, dict) else None
     if type(got) is not int or got != version:

@@ -10,6 +10,10 @@ each subtree that costs the training worlds more.  The completion's bias
 is bias_vector of the episode's status alone and the run's alpha, which
 must be the tree's (params.alpha): direct_step hands off where BISECT's
 next test under that bias is worth as much as DIRECT's.
+
+A DecisionTree is its params and its nodes in post-order, each child
+before its parent, so the root is the last node; stats() counts the
+nodes by kind and finds the depth in one pass over them.
 """
 
 from __future__ import annotations
@@ -41,31 +45,25 @@ class InternalNode:
 @dataclass
 class DecisionTree:
     nodes: list
-    root: int
     params: dict = field(default_factory=dict)
 
-    def depth(self) -> int:
-        # Post-order: both children of a node come before it in the list.
+    def stats(self) -> dict:
+        """Node counts by kind and the root's depth, in one pass."""
+        stats = {"internal": 0, "solved": 0, "dead": 0, "handoff": 0}
         depths: list[int] = []
         for node in self.nodes:
+            depth = 0
             if isinstance(node, InternalNode):
-                depths.append(1 + max(depths[node.child0], depths[node.child1]))
-            else:
-                depths.append(0)
-        return depths[self.root]
-
-    def leaf_counts(self) -> dict:
-        counts = {"internal": 0, "solved": 0, "dead": 0, "handoff": 0}
-        for node in self.nodes:
-            if isinstance(node, InternalNode):
-                counts["internal"] += 1
+                stats["internal"] += 1
+                depth = 1 + max(depths[node.child0], depths[node.child1])
             elif isinstance(node, Solved):
-                counts["solved"] += 1
+                stats["solved"] += 1
             elif isinstance(node, AllRegionsDead):
-                counts["dead"] += 1
+                stats["dead"] += 1
             else:
-                counts["handoff"] += 1
-        return counts
+                stats["handoff"] += 1
+            depths.append(depth)
+        return {**stats, "depth": depths[-1]}
 
 
 def bias_vector(outcomes: np.ndarray, status: np.ndarray, alpha: float) -> np.ndarray:
@@ -222,10 +220,10 @@ def expand_tree(
         else:
             finished.append(emit(item))
 
-    (root,) = finished
-    tree = DecisionTree(nodes=nodes, root=root, params=dict(params or {}))
+    (_,) = finished  # one subtree, the whole tree, its root the last node
+    tree = DecisionTree(nodes=nodes, params=dict(params or {}))
     tree.params.update({"eta": float(eta), "alpha": float(alpha), "max_nodes": int(max_nodes)})
-    tree.params["stats"] = {**tree.leaf_counts(), "depth": tree.depth()}
+    tree.params["stats"] = tree.stats()
     return tree
 
 
@@ -268,7 +266,8 @@ def prune_tree(tree: DecisionTree, problem: ec2.DrdProblem) -> DecisionTree:
 
     # The status at each node.  Its worlds are found from it when read, so
     # the world indices of every node are never held at once.
-    status = {tree.root: np.zeros(problem.num_tests, dtype=np.int8)}
+    root = len(nodes) - 1
+    status = {root: np.zeros(problem.num_tests, dtype=np.int8)}
     for i in range(len(nodes) - 1, -1, -1):  # parents follow their children
         if isinstance(node := nodes[i], InternalNode):
             for outcome, child in ((0, node.child0), (1, node.child1)):
@@ -302,7 +301,7 @@ def prune_tree(tree: DecisionTree, problem: ec2.DrdProblem) -> DecisionTree:
         counts[i] = n
 
     pruned = {}
-    level = [tree.root] if isinstance(nodes[tree.root], InternalNode) else []
+    level = [root] if isinstance(nodes[root], InternalNode) else []
     while level:
         below = []
         for i, n in zip(level, walk(level)):
@@ -324,8 +323,8 @@ def prune_tree(tree: DecisionTree, problem: ec2.DrdProblem) -> DecisionTree:
     new = (np.cumsum(keep) - 1).tolist()
     out = [InternalNode(node.edge, new[node.child0], new[node.child1])
            if isinstance(node, InternalNode) else node for node, k in zip(out, keep) if k]
-    tree = DecisionTree(nodes=out, root=len(out) - 1, params=dict(tree.params))
-    tree.params["stats"] = {**tree.leaf_counts(), "depth": tree.depth()}
+    tree = DecisionTree(nodes=out, params=dict(tree.params))
+    tree.params["stats"] = tree.stats()
     return tree
 
 
@@ -350,7 +349,7 @@ def execute_tree(
     """Follow branches by querying the oracle, recording each test in the
     caller's trace and marking it in status (the episode state of
     drdplan.traces); returns the leaf reached."""
-    node = tree.nodes[tree.root]
+    node = tree.nodes[-1]
     while isinstance(node, InternalNode):
         outcome = trace.evaluate(node.edge, oracle, eval_cost, status)
         node = tree.nodes[node.child1 if outcome else node.child0]
@@ -374,7 +373,7 @@ def tree_to_bytes(tree: DecisionTree) -> bytes:
     doc = {
         "schema_version": TREE_SCHEMA_VERSION,
         "params": tree.params,
-        "root": tree.root,
+        "root": len(tree.nodes) - 1,
         "nodes": records,
     }
     return to_json_bytes(doc)
@@ -414,7 +413,7 @@ def tree_from_bytes(data: bytes) -> DecisionTree:
         raise FormatError("a tree node other than the root is not the child of exactly one node")
     if not isinstance(params, dict):
         raise FormatError("tree params must be a JSON object")
-    return DecisionTree(nodes=nodes, root=root, params=params)
+    return DecisionTree(nodes=nodes, params=params)
 
 
 def save_tree(tree: DecisionTree, path: str) -> None:

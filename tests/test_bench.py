@@ -132,6 +132,18 @@ def test_shared_memo_traces_equal_fresh_memo_traces(memo_case, policy):
     assert shared == _fresh_memo_per_world(policy, case, tree)
 
 
+@pytest.mark.parametrize("policy", ["bisect", "direct+bisect"])
+def test_completion_the_run_never_routed_raises(ds, tree, policy):
+    # Each completion is made while the run routes its worlds through the
+    # tree.  A world with no feasible path always needs one, so its episode
+    # raises in a run that routed no world, and builds no trie of its own.
+    h = int(np.flatnonzero(~ds.membership.any(axis=1))[0])
+    episode = bench.POLICIES[policy](ds, tree, ds.train, 0, 0.9, [])
+    status = np.zeros(ds.graph.num_edges, dtype=np.int8)
+    with pytest.raises(KeyError):
+        episode(bench._world_oracle(ds, h), RunTrace(policy, h), status)
+
+
 def _spy(monkeypatch, module, name, key_of):
     """Record key_of(args) of every call of module.name."""
     keys = []
@@ -364,7 +376,7 @@ def test_surviving_mask_is_the_set_routed_to_each_leaf():
         )
         for eta in (0.0, 0.3, 0.6):
             tree = trees.compile_tree(problem, eta)
-            handoffs += tree.leaf_counts()["handoff"]
+            handoffs += tree.stats()["handoff"]
             leaf_of, status_of = [], []
             for h in range(n):
                 status = np.zeros(e, np.int8)

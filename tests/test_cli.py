@@ -381,13 +381,26 @@ def test_hashless_tree_is_contract_error(pipeline, tmp_path, capsys):
     assert code == EXIT_CONTRACT
 
 
+# JSON text that json.dumps does not write, put in place of these strings:
+# a number too large for a float, and arrays nested deeper than Python's
+# json module reads.
+_RAW = {'"@1e400"': "1e400", '"@nested"': "[" * 100_000 + "]" * 100_000}
+
+
+def _json_text(doc) -> str:
+    text = json.dumps(doc)
+    for marker, raw in _RAW.items():
+        text = text.replace(marker, raw)
+    return text
+
+
 def _edit_header(src, dst, edit):
     """Copy a dataset file with its JSON header changed by edit(header)."""
     with open(src) as f:
         lines = f.read().splitlines()
     header = json.loads(lines[0])
     edit(header)
-    dst.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    dst.write_text("\n".join([_json_text(header)] + lines[1:]) + "\n")
     return str(dst)
 
 
@@ -396,7 +409,7 @@ def _edited_run_file(pipeline, edit):
     with open(os.path.join(pipeline["runs"], "random.json")) as f:
         doc = json.load(f)
     edit(doc)
-    return json.dumps(doc)
+    return _json_text(doc)
 
 
 def _solved_trace(doc):
@@ -426,6 +439,9 @@ _BAD_RUNS = {
         p, lambda d: _solved_trace(d)["records"][0].__setitem__(2, float("nan"))),
     "runs-params-nan": lambda p: _edited_run_file(
         p, lambda d: d["params"].__setitem__("alpha", float("nan"))),
+    "runs-params-overflow": lambda p: _edited_run_file(
+        p, lambda d: d["params"].__setitem__("alpha", "@1e400")),
+    "runs-nested": lambda p: _edited_run_file(p, lambda d: d["params"].__setitem__("x", "@nested")),
     "runs-cost-zero": lambda p: _edited_run_file(
         p, lambda d: _solved_trace(d)["records"][0].__setitem__(2, 0.0)),
     "runs-world-range": lambda p: _edited_run_file(
@@ -703,6 +719,8 @@ _BAD_TREES = {
     "hash-type": lambda d: d["params"].__setitem__("dataset_hash", 12345),
     "eta-inf": lambda d: d["params"].__setitem__("eta", float("inf")),
     "alpha-nan": lambda d: d["params"].__setitem__("alpha", float("nan")),
+    "alpha-overflow": lambda d: d["params"].__setitem__("alpha", "@1e400"),
+    "nested": lambda d: d["params"].__setitem__("x", "@nested"),
     "repeat-edge": _repeat_edge,
     "shared-child": _shared_child,
 }
@@ -727,7 +745,7 @@ def test_tree_faults_exit_3_without_traceback(expanded_tree, pipeline, tmp_path,
     else:
         _BAD_TREES[bad](doc)
     tree = tmp_path / "t.json"
-    tree.write_text(json.dumps(doc))
+    tree.write_text(_json_text(doc))
     code = run([
         "run", "--dataset", pipeline["ds"], "--policy", "direct+bisect",
         "--tree", str(tree), "--out", str(tmp_path / "runs"),
@@ -785,6 +803,9 @@ _BAD_HEADERS = {
     "length-nan": lambda h: h["graph"]["length"].__setitem__(0, float("nan")),
     "eval-cost-nan": lambda h: h["graph"]["eval_cost"].__setitem__(0, float("nan")),
     "eval-cost-inf": lambda h: h["graph"]["eval_cost"].__setitem__(0, float("inf")),
+    "position-overflow": lambda h: h["graph"]["positions"][0].__setitem__(0, "@1e400"),
+    "position-int-overflow": lambda h: h["graph"]["positions"][0].__setitem__(0, 10**400),
+    "nested": lambda h: h["provenance"].__setitem__("x", "@nested"),
     "no-paths": lambda h: h.__setitem__("paths", []),
 }
 

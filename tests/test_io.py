@@ -137,6 +137,18 @@ def test_non_finite_numbers_are_not_json(constant):
         read_json('{"schema_version": 1, "x": [%s]}' % constant, "doc", 1)
 
 
+@pytest.mark.parametrize("value, message", [
+    ("1e400", "1e400 is not a finite number"), ("-1e400", "-1e400 is not a finite number"),
+    ("[" * 100_000 + "]" * 100_000, "recursion"),
+], ids=["1e400", "-1e400", "nested"])
+def test_unreadable_numbers_and_nesting_are_format_errors(value, message):
+    # Python's float reads 1e400 as an infinity, and Python's json module
+    # raises RecursionError at about 1,000 levels of nesting.
+    with pytest.raises(FormatError, match=message):
+        read_json('{"schema_version": 1, "x": %s}' % value, "doc", 1)
+    assert read_json('{"schema_version": 1, "x": 1e308}', "doc", 1)["x"] == 1e308
+
+
 def test_bad_base64_rejected():
     data = dataset_to_bytes(make_ds()).decode()
     lines = data.splitlines()

@@ -128,7 +128,7 @@ def test_eta_one_single_handoff_leaf():
     prob = make_worked_problem()
     tree = compile_tree(prob, eta=1.0)
     assert len(tree.nodes) == 1
-    leaf = tree.nodes[tree.root]
+    leaf = tree.nodes[-1]
     assert leaf == Handoff(3)
 
 
@@ -138,14 +138,14 @@ def test_single_region_everything_solved_leaf():
     prob = ec2.DrdProblem(membership, outcomes, np.ones(3), np.full(4, 0.25))
     tree = compile_tree(prob, eta=0.05)
     assert len(tree.nodes) == 1
-    assert tree.nodes[tree.root] == Solved(0)
+    assert tree.nodes[-1] == Solved(0)
 
 
 def test_worked_instance_tree_shape():
     prob = make_worked_problem()
     tree = compile_tree(prob, eta=0.0)
     assert len(tree.nodes) == 3
-    root = tree.nodes[tree.root]
+    root = tree.nodes[-1]
     assert isinstance(root, InternalNode) and root.edge == 0
     assert tree.nodes[root.child0] == Solved(1)  # outcome 0 leaves {h2, h3}
     assert tree.nodes[root.child1] == Solved(0)  # outcome 1 isolates h1
@@ -192,7 +192,7 @@ def test_compiled_tree_invariants():
         elif isinstance(node, Handoff):
             assert node.active_count >= 1
 
-    walk(tree.root, set())
+    walk(len(tree.nodes) - 1, set())
 
 
 def test_training_worlds_reach_consistent_leaves():
@@ -227,13 +227,13 @@ def test_compile_and_depth_leave_recursion_limit_alone():
     sys.setrecursionlimit(1000)
     try:
         tree = compile_from_dataset(ds, 0.0)
-        assert tree.depth() == tree.params["stats"]["depth"]
+        assert tree.stats() == tree.params["stats"]
         # A chain deeper than the recursion limit: depth is one pass over
         # the post-order node list.
         nodes = [AllRegionsDead()]
         for i in range(3000):
             nodes += [AllRegionsDead(), InternalNode(0, 2 * i, 2 * i + 1)]
-        assert DecisionTree(nodes=nodes, root=len(nodes) - 1).depth() == 3000
+        assert DecisionTree(nodes=nodes).stats()["depth"] == 3000
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(saved)
@@ -242,7 +242,7 @@ def test_compile_and_depth_leave_recursion_limit_alone():
 # --- execute_tree ----------------------------------------------------------
 
 def test_execute_single_leaf_no_evaluations():
-    tree = DecisionTree(nodes=[Solved(2)], root=0)
+    tree = DecisionTree(nodes=[Solved(2)])
     leaf, trace = run_tree(tree, lambda e: 1, np.ones(3))
     assert leaf == Solved(2)
     assert trace.records == [] and trace.total_cost == 0.0
@@ -288,7 +288,6 @@ def test_tree_roundtrip(tmp_path):
     save_tree(tree, path)
     back = load_tree(path)
     assert back.nodes == tree.nodes
-    assert back.root == tree.root
     assert tree_to_bytes(back) == tree_to_bytes(tree)
 
 
@@ -377,7 +376,7 @@ def rule_datasets():
 
 def walk_with_status(tree, n_edges):
     """Every node of the tree with the edge status on the way to it."""
-    todo = [(tree.root, np.zeros(n_edges, np.int8))]
+    todo = [(len(tree.nodes) - 1, np.zeros(n_edges, np.int8))]
     while todo:
         i, status = todo.pop()
         node = tree.nodes[i]
@@ -499,12 +498,14 @@ def test_pruned_nodes_cost_no_less_by_handing_off():
         expanded = expand_tree(problem, 0.05)
         pruned = prune_tree(expanded, problem)
         train_theta = ds.theta[ds.train]
-        episode = POLICIES["direct+bisect"](ds, expanded, ds.train, 0, 0.9, [])
+        feasible = ds.train[ds.membership[ds.train].any(axis=1)]
+        episode = POLICIES["direct+bisect"](ds, expanded, ds.train, 0, 0.9, feasible)
         full = {}
-        for h in ds.train[ds.membership[ds.train].any(axis=1)]:
+        for h in feasible:
             status = np.zeros(ds.graph.num_edges, np.int8)
             full[int(h)] = episode(lambda e, row=ds.theta[h]: int(row[e]), RunTrace("d", h), status)
-        todo = [(expanded.root, pruned.root, np.zeros(ds.graph.num_edges, np.int8), 0)]
+        roots = (len(expanded.nodes) - 1, len(pruned.nodes) - 1)
+        todo = [(*roots, np.zeros(ds.graph.num_edges, np.int8), 0)]
         while todo:
             i, j, status, depth = todo.pop()
             node, kept = expanded.nodes[i], pruned.nodes[j]
