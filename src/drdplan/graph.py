@@ -1,23 +1,24 @@
-"""Exact path lengths and every search over an explicit graph: the exact
-Dijkstra that LazySP re-plans with, and the Yen k-shortest-paths port
-behind the path library.
+"""Exact path lengths and every search over an explicit graph: one exact
+Dijkstra, A* when given a heuristic, for the distance tables and LazySP's
+re-plans, and the Yen k-shortest-paths port behind the path library.
 
 Exactness contract: an edge length is an integer or an integer multiple
 of sqrt(2); exact_lengths rejects any other (dataset validation reports
 it, so such a file exits 3).  Path lengths are integer pairs (a, b),
 value a + b*sqrt(2), and _lt compares them exactly, so no round-off
 decides a shortest path or a tie between paths.  Two readers keep
-floats.  The Yen port sums networkx's float lengths; its spur bound reads
-goal_distances as floats with a 1e-9 margin, so round-off never decides
-a cut.  drdplan.scenarios.build_path_library sorts the library by float
-length sums, so round-off can order two paths of one exact length.
+floats.  The Yen port sums networkx's float lengths; it keys each
+deferred spur search by a lower bound on its candidate's length, read
+from exact_distances as floats less a 1e-9 margin, so round-off never
+runs a search after its candidate could have been yielded.
+drdplan.scenarios.build_path_library sorts the library by float length
+sums, so round-off can order two paths of one exact length.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from heapq import heappop, heappush
-from itertools import count
+from heapq import heappop, heappush, heapreplace
+from itertools import count, islice
 from math import inf, isfinite
 from typing import TYPE_CHECKING
 
@@ -62,30 +63,48 @@ def _lt(x: tuple[int, int], y: tuple[int, int]) -> bool:
     return da * da > 2 * db * db  # da < 0, db > 0
 
 
-def goal_distances(graph: ExplicitGraph, usable: list) -> list:
-    """Exact distance (a, b), value a + b*sqrt(2), from each vertex to the
-    goal over the usable edges (a list of bools by edge id), or None where
-    the goal is out of reach: one Dijkstra from the goal."""
+def exact_distances(graph: ExplicitGraph, source: int, usable: list,
+                    heuristic: list | None = None, stop: int | None = None) -> list:
+    """Exact distance (a, b), value a + b*sqrt(2), from source to each
+    vertex over the usable edges (a list of bools by edge id), or None
+    where out of reach: one Dijkstra from source.
+
+    Given heuristic, each vertex's exact distance to stop over all edges
+    (None where there is none), and stop, it is A* toward stop.  That
+    heuristic is consistent, so every settled distance is exact, and the
+    search ends when it would settle a vertex whose exact distance plus
+    heuristic exceeds D, stop's.  By then every vertex whose exact distance
+    plus heuristic is at most D is settled: the first unsettled vertex on
+    a shortest path to it is queued with no more.  Any other vertex may
+    keep a longer distance, or None."""
     w = graph.exact_length
     adj = graph.adjacency
+    h = [(0, 0)] * graph.num_vertices if heuristic is None else heuristic
     dist: list = [None] * graph.num_vertices
-    dist[graph.goal] = (0, 0)
-    counter = 0
-    heap = [(0.0, counter, graph.goal)]
+    dist[source] = (0, 0)
     done = [False] * graph.num_vertices
+    bound = None  # stop's exact distance plus heuristic, once settled
+    counter = 0
+    heap = [(0.0, counter, source)]
     while heap:
         _, _, u = heappop(heap)
         if done[u]:
             continue
+        du, hu = dist[u], h[u]
+        if bound is not None and _lt(bound, (du[0] + hu[0], du[1] + hu[1])):
+            break
         done[u] = True
+        if u == stop:
+            bound = (du[0] + hu[0], du[1] + hu[1])
         for v, e in adj[u]:
-            if not usable[e] or done[v]:
+            hv = h[v]
+            if not usable[e] or done[v] or hv is None:
                 continue
-            nd = (dist[u][0] + w[e][0], dist[u][1] + w[e][1])
+            nd = (du[0] + w[e][0], du[1] + w[e][1])
             if dist[v] is None or _lt(nd, dist[v]):
                 dist[v] = nd
                 counter += 1
-                heappush(heap, (nd[0] + nd[1] * SQRT2, counter, v))
+                heappush(heap, (nd[0] + hv[0] + (nd[1] + hv[1]) * SQRT2, counter, v))
     return dist
 
 
@@ -93,13 +112,20 @@ def shortest_path_edges(graph: ExplicitGraph, usable: np.ndarray) -> list[int] |
     """Lexicographically-smallest-edge-id shortest start-goal path over the
     usable edges, or None when disconnected.
 
-    goal_distances gives every vertex's exact distance to the goal; the
-    walk from the start then takes, at each vertex, the lowest-id usable
-    edge that stays on a shortest path."""
+    One A* from the goal toward the start (exact_distances, with the
+    graph's cached start_distance as heuristic) leaves an exact distance
+    on every vertex whose distance plus heuristic is at most the start's
+    distance D.  The walk from the start then takes, at each vertex, the
+    lowest-id usable edge that stays on a shortest path, and it needs no
+    other distance.  A vertex on a shortest path has distance plus
+    heuristic at most D: each step lowers the distance by the edge's
+    length and raises the heuristic by at most that.  A stored distance is
+    never below the exact one, so one that passes the walk's test at u is
+    exact.  So the path is the one a full Dijkstra's distances give."""
     w = graph.exact_length
     adj = graph.adjacency
     usable = np.asarray(usable, dtype=bool).tolist()
-    dist = goal_distances(graph, usable)
+    dist = exact_distances(graph, graph.goal, usable, graph.start_distance, graph.start)
     if dist[graph.start] is None:
         return None
 
@@ -199,36 +225,40 @@ def shortest_simple_paths(graph: ExplicitGraph, edge_id: dict, k: int):
     length (Yen).
 
     A port of weighted ``networkx.shortest_simple_paths`` (3.6.1) on a
-    simple graph that yields the same first k paths, repeats included: the
-    candidate buffer drops a path only while an equal one is pending and
-    forgets it once popped, and a spur's cost is root length + spur length.
-    The scan of every accepted path for one sharing the spur root becomes a
-    trie of the accepted paths keyed by edge id, and the ignored vertices
-    and edges become flag arrays.
+    simple graph that yields the same first k paths: the candidate buffer
+    drops a path while an equal one is pending, and a spur's cost is root
+    length + spur length.  A yielded path is never found again, since each
+    spur search ignores the first edges of the accepted paths through its
+    root.  The scan of every accepted path for one sharing the spur root
+    becomes a trie of the accepted paths keyed by edge id, and the ignored
+    vertices and edges become flag arrays.
 
     A spur search is skipped, exactly, while its trie node has as many
     children as at its last search.  The search depends only on the root
     prefix and those children (edges ignored at earlier roots all touch an
     ignored prefix vertex), and children only grow, so it would find the
-    same candidate.  That candidate was pending after the last search and
-    leaves the buffer only when popped, which adds its first spur edge
-    (excluded from that search) as a new child.  So it is still pending and
-    networkx would find it only to drop it (Lawler 1972), or it was cut by
-    the bound below, which cuts it again.
+    same candidate.  That candidate leaves the buffer only when popped,
+    which adds its first spur edge (excluded from that search) as a new
+    child.  So it is still pending, and networkx would find it only to
+    drop it (Lawler 1972).
 
-    A spur search is also cut when its candidate cannot be among the first
-    k.  With ``need`` paths still to yield, let U be the need-th smallest
-    pending length (inf when fewer are pending).  A candidate longer than U
-    sorts after need pending entries, whatever its counter.  U never rises:
-    a pop removes the smallest entry and lowers need by one, a push can
-    only lower it, and nothing else leaves the buffer.  So such a
-    candidate, and any later duplicate of it, is never yielded.  The
-    search is skipped when root length + min over the spur vertex's usable
-    edges (v, w) of len(v, w) + dist(w, goal) exceeds U, with dist from
-    goal_distances on the whole graph (see the module docstring).
-    A search that runs may still find a candidate longer than U.  It is
-    pushed and, by the same argument, never yielded; it leaves the need-th
-    smallest pending length as it was.
+    A spur search is deferred until its candidate could be next.  Where
+    networkx searches, the port pushes a deferred entry keyed root length
+    + bound - 1e-9, with a counter taken then, so ties keep networkx's
+    order.  bound is the minimum over the spur vertex's usable edges
+    (v, w) of len(v, w) + dist(w, goal), with dist from exact_distances on
+    the whole graph (see the module docstring), so the key is below every
+    cost the search can find; where bound is inf the search would find
+    nothing, and no entry is pushed.  When a deferred entry reaches the
+    top, the search runs and its candidate, if any, goes back in under the
+    same counter.  A found entry at the top then sorts before the
+    candidate of every search still deferred, as networkx's does.  A path
+    found by two searches has one exact length, so the one with the larger
+    counter reaches the top only after the other has run; it is dropped
+    when it does, as networkx drops it when found.  A deferred entry keeps
+    the popped path, the root index, the trie node and its child count
+    then, which rebuild the search: the node's children keep their
+    insertion order.
     """
     weight = graph.length.tolist()
     adj = [tuple((w, weight[e], e) for w, e in nbrs) for nbrs in graph.adjacency]
@@ -239,18 +269,36 @@ def shortest_simple_paths(graph: ExplicitGraph, edge_id: dict, k: int):
     if found is None:
         raise ValueError("start and goal are not connected")
     to_goal = [inf if d is None else d[0] + d[1] * SQRT2
-               for d in goal_distances(graph, [True] * graph.num_edges)]
+               for d in exact_distances(graph, target, [True] * graph.num_edges)]
     heap: list = [(found[0], 0, found[1])]
-    pending = {tuple(found[1])}
-    lengths = [found[0]]  # the pending candidates' lengths, ascending
+    first = {tuple(found[1]): 0}  # pending path -> smallest counter that found it
     counter = count(1)
     accepted: dict = {}  # trie: edge id -> subtrie of the accepted paths
     searched: dict = {}  # id(trie node) -> its child count at its last spur search
     need = k
-    while heap and need:
-        _, _, path = heappop(heap)
-        pending.remove(tuple(path))
-        del lengths[0]  # the popped entry is a shortest one
+    while heap:
+        if len(heap[0]) > 3:  # a deferred spur search
+            _, c, path, i, node, children, root_length = heap[0]
+            ignore_nodes, ignore_edges = bytearray(n), bytearray(graph.num_edges)
+            for v in path[: i - 1]:
+                ignore_nodes[v] = 1
+            for e in islice(node, children):  # edges leaving this root on an accepted path
+                ignore_edges[e] = 1
+            spur = _bidirectional_dijkstra(adj, path[i - 1], target, ignore_nodes, ignore_edges)
+            if spur is None:
+                heappop(heap)
+                continue
+            candidate = path[: i - 1] + spur[1]
+            key = tuple(candidate)
+            if first.get(key, c) >= c:
+                first[key] = c
+            heapreplace(heap, (root_length + spur[0], c, candidate))
+            continue
+        _, c, path = heappop(heap)
+        key = tuple(path)
+        if first.get(key) != c:
+            continue  # found first by a search with a smaller counter
+        del first[key]
         yield path
         need -= 1
         if not need:
@@ -264,27 +312,17 @@ def shortest_simple_paths(graph: ExplicitGraph, edge_id: dict, k: int):
         for i in range(1, len(path)):
             if searched.get(id(node)) != len(node):
                 searched[id(node)] = len(node)
-                # sum() as networkx calls it: CPython 3.12+ compensates float sums
-                root_length = sum([weight[e] for e in edges[: i - 1]])
                 for e in node:  # edges leaving this root on an accepted path
                     ignore_edges[e] = 1
-                v = path[i - 1]
-                cutoff = (lengths[need - 1] if len(lengths) >= need else inf) + 1e-9 - root_length
                 bound = min(
-                    (length + to_goal[w] for w, length, e in adj[v]
+                    (length + to_goal[w] for w, length, e in adj[path[i - 1]]
                      if not ignore_nodes[w] and not ignore_edges[e]),
                     default=inf,
                 )
-                spur = None if bound > cutoff else _bidirectional_dijkstra(
-                    adj, v, target, ignore_nodes, ignore_edges
-                )
-                if spur is not None:
-                    candidate = path[: i - 1] + spur[1]
-                    key = tuple(candidate)
-                    if key not in pending:
-                        cost = root_length + spur[0]
-                        heappush(heap, (cost, next(counter), candidate))
-                        insort(lengths, cost)
-                        pending.add(key)
+                if bound < inf:
+                    # sum() as networkx calls it: CPython 3.12+ compensates float sums
+                    root_length = sum([weight[e] for e in edges[: i - 1]])
+                    heappush(heap, (root_length + bound - 1e-9, next(counter), path, i,
+                                    node, len(node), root_length))
             ignore_nodes[path[i - 1]] = 1
             node = node[edges[i - 1]]

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import exact_lengths, path_is_connected
+from .graph import exact_distances, exact_lengths, path_is_connected
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,13 @@ class ExplicitGraph:
     def exact_length(self) -> tuple[tuple[int, int], ...]:
         """Each edge's exact length (graph.exact_lengths), cached."""
         return exact_lengths(self.length)
+
+    @cached_property
+    def start_distance(self) -> list:
+        """Each vertex's exact distance from the start over all edges
+        (graph.exact_distances), None where out of reach, cached: the
+        heuristic of every LazySP re-plan on this graph."""
+        return exact_distances(self, self.start, [True] * self.num_edges)
 
 
 @dataclass(frozen=True)

@@ -324,9 +324,19 @@ def test_yen_port_matches_networkx_11x11_k2000(nx_paths_11x11):
 
 @pytest.mark.parametrize("k", [1, 2, 100, 200, 1000, 1999])
 def test_yen_port_matches_networkx_11x11_prefix(nx_paths_11x11, k):
-    # Which spur searches the port cuts depends on k, so each k is its own
+    # Which spur searches the port runs depends on k, so each k is its own
     # run; networkx's first k paths are a prefix of its first 2000.
     assert _port_paths(build_grid_graph(11, 11), k) == nx_paths_11x11[:k]
+
+
+def test_yen_port_matches_networkx_21x21_k200():
+    # The 21x21 workloads' library input, where deferral runs 295 of the
+    # 1,955 spur searches the pending rule leaves (see below); smaller k
+    # defer differently, and networkx's first k paths are a prefix.
+    g = build_grid_graph(21, 21)
+    want = _nx_paths(g, 200)
+    for k in (1, 37, 199, 200):
+        assert _port_paths(g, k) == want[:k]
 
 
 @pytest.mark.parametrize("seed", [42, 5, 7])
@@ -398,12 +408,13 @@ def _spur_searches(monkeypatch, rows, k):
 
 def test_spur_searches_skipped_while_candidate_pending(monkeypatch):
     # Of networkx's 23,877 searches at 11x11, k=2000, the pending rule drops
-    # those that would find a pending path (9,166 are left), and the bound
-    # those whose candidate cannot be among the first k.  The tests above
-    # pin the paths; this pins how many searches it takes to find them.
-    assert _spur_searches(monkeypatch, 11, 2000) == 4417
+    # those that would find a pending path (9,166 are left), and deferral
+    # those whose entry never reaches the heap top before the k-th path is
+    # yielded.  The tests above pin the paths; this pins how many searches
+    # it takes to find them.
+    assert _spur_searches(monkeypatch, 11, 2000) == 2832
 
 
-def test_spur_searches_cut_by_bound_21x21_k200(monkeypatch):
-    # 1,955 searches without the bound.
-    assert _spur_searches(monkeypatch, 21, 200) == 860
+def test_spur_searches_deferred_21x21_k200(monkeypatch):
+    # 1,955 searches are left by the pending rule; deferral runs 295 of them.
+    assert _spur_searches(monkeypatch, 21, 200) == 295
