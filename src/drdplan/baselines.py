@@ -2,17 +2,16 @@
 the path library, and a seeded random-edge sanity floor.  Each extends the
 caller's trace and edge status (the episode state of drdplan.traces) and
 returns the trace with its terminal set.  Path lengths, and every
-comparison between them, are exact (see drdplan.graph).
+comparison between them, are exact (see drdplan.graph); lazysp_set
+walks the library in its checked shortest-first order.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
-
 import numpy as np
 
 from . import rng as _rng
-from .graph import _lt, shortest_path_edges
+from .graph import shortest_path_edges
 from .model import ExplicitGraph, Library, LibraryStatus
 from .traces import AllRegionsDead, Infeasible, RunTrace, Solved
 
@@ -53,21 +52,13 @@ def lazysp_graph(
             return trace
 
 
-def shortest_first(library: Library, graph: ExplicitGraph) -> list[int]:
-    """The library's path indices by exact length, shortest first, ties to
-    the lowest index (sorted is stable): lazysp_set's candidate order."""
-    w = graph.exact_length
-    length = [(sum(w[e][0] for e in p), sum(w[e][1] for e in p)) for p in library.paths]
-    by_length = cmp_to_key(lambda r, s: _lt(length[s], length[r]) - _lt(length[r], length[s]))
-    return sorted(range(len(length)), key=by_length)
-
-
 def lazysp_set(
-    library: Library, order, graph: ExplicitGraph, oracle, trace: RunTrace, status: np.ndarray
+    library: Library, graph: ExplicitGraph, oracle, trace: RunTrace, status: np.ndarray
 ) -> RunTrace:
-    """LazySP restricted to the library: candidate is the shortest surviving
-    library path (ties to the lowest index).  order is the library's
-    shortest_first, computed once per run.
+    """LazySP restricted to the library: candidate is the lowest-index
+    surviving library path.  A dataset's library comes shortest first by
+    exact length (model.validate_dataset checks it at load), so that is
+    the shortest, ties to the lowest index.
 
     It reads only the live paths (no known-invalid edge), so it keeps only
     the live mask of the model.LibraryStatus built at the start of the
@@ -75,17 +66,17 @@ def lazysp_set(
     refuted only by evaluating one, its last record; that outcome kills
     the paths through its edge, and valid outcomes never change the mask.
     So it is the mask a status built from scratch gives.  A refuted
-    candidate is dead, so the walk down the order never turns back: the
-    next candidate is the next live path in the order."""
+    candidate is dead, so the walk down the library never turns back: the
+    next candidate is the next live path."""
     if not library.paths:
         raise ValueError("library must be nonempty")
     live = LibraryStatus(library, status).live
-    for r in order:
+    for r, path in enumerate(library.paths):
         if not live[r]:
             continue
-        if check_path(library.paths[r], status, oracle, graph.eval_cost, trace):
+        if check_path(path, status, oracle, graph.eval_cost, trace):
             trace.terminal = Solved(r)
-            trace.path_edges = library.paths[r]
+            trace.path_edges = path
             return trace
         live[library.through[trace.records[-1][0]]] = False
     trace.terminal = AllRegionsDead()

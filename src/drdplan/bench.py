@@ -109,9 +109,8 @@ def _lazysp_graph(dataset, tree, train_idx, seed, alpha, worlds):
 
 def _lazysp_set(dataset, tree, train_idx, seed, alpha, worlds):
     library = Library.of(dataset)
-    order = baselines.shortest_first(library, dataset.graph)
     return lambda oracle, trace, status: baselines.lazysp_set(
-        library, order, dataset.graph, oracle, trace, status
+        library, dataset.graph, oracle, trace, status
     )
 
 

@@ -180,9 +180,10 @@ def bisect_steps(beta: np.ndarray, status: np.ndarray, library: Library, eval_co
     """BISECT's step at each row of a block: B beliefs, each a (B, E) row
     of bias and of edge status.  This is the one code that decides a
     BISECT step.  A step is Solved(r) for the lowest path whose edges are
-    all known valid, else AllRegionsDead() when no path is live, else the
-    edge to test: _select's choice over the row's open edges, or its first
-    open edge when nothing scores.
+    all known valid (the shortest, by model.validate_dataset), else
+    AllRegionsDead() when no path is live, else the edge to test:
+    _select's choice over the row's open edges, or its first open edge
+    when nothing scores.
 
     The open edges (model.LibraryStatus) are the unknown edges of live
     paths.  Under the independence prior any other edge leaves every

@@ -275,24 +275,17 @@ def select_test(status: np.ndarray, problem: DrdProblem, candidates) -> tuple[in
             with np.errstate(divide="ignore"):
                 terms.append(np.log(tot_o / tot) + log_residual_ratio(p_o, Km, wm))
         np.logaddexp(*terms, out=log_expected[block])
-    return best_test(cand, log_expected, problem.eval_cost[cand])
-
-
-def best_test(
-    cand: np.ndarray, log_expected: np.ndarray, cost: np.ndarray
-) -> tuple[int, float] | None:
-    """The greedy choice shared by both engines: argmax over the sorted
-    candidates of (1 - E[residual after] / residual now) / cost, given the
-    log of that expectation; None when nothing scores above SCORE_TOL.
-    best_tests over one row."""
-    edge, score = best_tests(np.zeros(cand.size, np.intp), cand, log_expected, cost, 1)
+    rows = np.zeros(cand.size, dtype=np.intp)
+    edge, score = best_tests(rows, cand, log_expected, problem.eval_cost[cand], 1)
     return None if edge[0] < 0 else (int(edge[0]), float(score[0]))
 
 
 def best_tests(rows, cand, log_expected, cost, n_rows: int):
-    """best_test in each of n_rows rows at once: the candidate pairs
-    (rows, cand) come sorted by row, then edge id.  Returns each row's
-    chosen edge (-1 where nothing scores) and its score."""
+    """The greedy choice shared by both engines, in each of n_rows rows:
+    argmax of (1 - E[residual after] / residual now) / cost, given the log
+    of that expectation, over the candidate pairs (rows, cand), sorted by
+    row, then edge id.  Returns each row's chosen edge (-1 where nothing
+    scores above SCORE_TOL) and its score."""
     scores = (1.0 - np.exp(log_expected)) / cost
     scores = np.where(scores > SCORE_TOL, scores, 0.0)
     # Real-arithmetic argmax of (1 - E)/c: the float score saturates at 1/c
@@ -322,8 +315,9 @@ def observe(status: np.ndarray, edge: int, outcome: int) -> np.ndarray:
 def is_solved(status: np.ndarray, problem: DrdProblem):
     """Solved(lowest region holding the whole version space of status),
     AllRegionsDead when no region holds any of it (off_database when it is
-    empty), else None while it spans several regions.  Region counts are
-    int64 sums of membership rows read in blocks (see _blocks)."""
+    empty), else None while it spans several regions; the lowest is the
+    shortest (model.validate_dataset).  Region counts are int64 sums of
+    membership rows read in blocks (see _blocks)."""
     act = np.flatnonzero(consistent(problem.outcomes, status))
     if act.size == 0:
         return AllRegionsDead(off_database=True)

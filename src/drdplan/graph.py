@@ -6,13 +6,14 @@ Exactness contract: an edge length is an integer or an integer multiple
 of sqrt(2); exact_lengths rejects any other (dataset validation reports
 it, so such a file exits 3).  Path lengths are integer pairs (a, b),
 value a + b*sqrt(2), and _lt compares them exactly, so no round-off
-decides a shortest path or a tie between paths.  Two readers keep
-floats.  The Yen port sums networkx's float lengths; it keys each
-deferred spur search by a lower bound on its candidate's length, read
-from exact_distances as floats less a 1e-9 margin, so round-off never
-runs a search after its candidate could have been yielded.
-drdplan.scenarios.build_path_library sorts the library by float length
-sums, so round-off can order two paths of one exact length.
+decides a shortest path or a tie between paths.  A dataset's library
+comes shortest first by exact length, ties in any order (validation
+reports paths_out_of_order).  Two readers keep floats.  The Yen port
+sums networkx's float lengths; it keys each deferred spur search by a
+lower bound on its candidate's length, read from exact_distances as
+floats less a 1e-9 margin, so round-off never runs a search after its
+candidate could have been yielded.  build_path_library sorts the
+library by float length sums, whose round-off orders exact ties either way.
 """
 
 from __future__ import annotations
@@ -61,6 +62,13 @@ def _lt(x: tuple[int, int], y: tuple[int, int]) -> bool:
     if da > 0:  # db < 0: da vs -db*sqrt2
         return da * da < 2 * db * db
     return da * da > 2 * db * db  # da < 0, db > 0
+
+
+def paths_out_of_order(lengths, paths) -> list[int]:
+    """The indices r whose path is exactly shorter than path r - 1, given
+    exact_lengths: [] when the paths come shortest first, ties in any order."""
+    total = [(sum(lengths[e][0] for e in p), sum(lengths[e][1] for e in p)) for p in paths]
+    return [r for r in range(1, len(total)) if _lt(total[r], total[r - 1])]
 
 
 def exact_distances(graph: ExplicitGraph, source: int, usable: list,

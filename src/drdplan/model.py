@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import exact_distances, exact_lengths, path_is_connected
+from .graph import exact_distances, exact_lengths, path_is_connected, paths_out_of_order
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,8 @@ class LibraryStatus:
 
     @property
     def solved(self) -> int | None:
-        """The lowest path whose edges are all known valid, or None."""
+        """The lowest path whose edges are all known valid, or None: the
+        shortest such, as a library comes shortest first (validate_dataset)."""
         if self.remaining.size:
             r = int(self.remaining.argmin())  # the first of the lowest counts
             if self.remaining[r] == 0:
@@ -227,10 +228,12 @@ class LibraryStatus:
 
 def validate_dataset(ds: Dataset) -> list[str]:
     """All invariant violations as human-readable strings; [] when clean.
-    Edge lengths must be exact (see drdplan.graph)."""
+    Edge lengths must be exact, and once they and the paths pass, the
+    library must be shortest first by exact length (see drdplan.graph)."""
     out: list[str] = []
     g = ds.graph
     E, V = g.num_edges, g.num_vertices
+    lengths = None
 
     if g.endpoints.size and (g.endpoints.min() < 0 or g.endpoints.max() >= V):
         out.append("edge endpoints reference nonexistent vertices")
@@ -248,7 +251,7 @@ def validate_dataset(ds: Dataset) -> list[str]:
         out.append("negative edge length")
     else:
         try:
-            exact_lengths(g.length)
+            lengths = g.exact_length  # cached for the graph's later readers
         except ValueError:
             out.append("edge length not an integer or an integer multiple of sqrt(2)")
     seen = set()
@@ -260,11 +263,15 @@ def validate_dataset(ds: Dataset) -> list[str]:
     if ds.theta.shape[1] != E:
         out.append(f"world matrix has {ds.theta.shape[1]} columns, expected {E}")
 
+    checked = len(out)
     for r, p in enumerate(ds.paths):
         if p.edge_ids and (min(p.edge_ids) < 0 or max(p.edge_ids) >= E):
             out.append(f"path {r} references edge id out of range")
         elif not path_is_connected(g, p):
             out.append(f"path {r} is not a connected start-goal edge sequence")
+    if lengths is not None and len(out) == checked:
+        for r in paths_out_of_order(lengths, [p.edge_ids for p in ds.paths]):
+            out.append(f"path {r} is shorter than path {r - 1}")
 
     split = np.concatenate([ds.train, ds.test])
     train = np.sort(ds.train)  # not np.intersect1d, whose np.unique imports numpy.ma

@@ -252,11 +252,10 @@ def build_path_library(
     if not k >= m >= 1:
         raise ValueError("need k >= m >= 1")
     edge_id = {(u, v): e for u, nbrs in enumerate(graph.adjacency) for v, e in nbrs}
-    distinct = dict.fromkeys(  # the enumeration can repeat a path
-        tuple(edge_id[u, v] for u, v in zip(vp, vp[1:]))
+    candidates = [  # distinct: the enumeration never repeats a path
+        Path(tuple(edge_id[u, v] for u, v in zip(vp, vp[1:])))
         for vp in shortest_simple_paths(graph, edge_id, k)
-    )
-    candidates = [Path(ids) for ids in distinct]
+    ]
 
     truncated = len(candidates) < m
     if truncated:

@@ -13,7 +13,6 @@ from drdplan.baselines import (
     lazysp_graph,
     lazysp_set,
     random_policy,
-    shortest_first,
 )
 from drdplan.graph import _lt, path_is_connected, shortest_path_edges
 from drdplan.model import ExplicitGraph, Library, Path
@@ -48,10 +47,6 @@ def test_exact_metric_comparisons():
     assert _lt((0, 2), (3, 0))  # 2.828 < 3
     assert _lt((1, 1), (0, 2))  # 2.414 < 2.828
     assert not _lt((3, 0), (0, 2))
-    # Paths sort by exact length, and equality is exact pair equality: paths
-    # 1 and 2 are both 2 + sqrt(2) and keep their index order, path 0 is
-    # 1 + 2*sqrt(2).
-    assert shortest_first(Library.build([[1, 0, 1], [0, 1, 0], [0, 0, 1]], 2), graph) == [1, 2, 0]
     with pytest.raises(ValueError):
         replace(graph, length=np.array([1.0, 0.5])).exact_length
 
@@ -181,7 +176,7 @@ def test_lazysp_graph_detour():
 def test_lazysp_set_all_valid_uses_path_zero():
     graph, paths = grid_and_library()
     library = lib(paths, graph)
-    trace = lazysp_set(library, shortest_first(library, graph), graph, lambda e: 1, *fresh(graph))
+    trace = lazysp_set(library, graph, lambda e: 1, *fresh(graph))
     assert trace.terminal == Solved(0)
     assert [r[0] for r in trace.records] == list(paths[0].edge_ids)
 
@@ -192,8 +187,7 @@ def test_lazysp_set_moves_on_after_first_invalid():
     world = np.ones(graph.num_edges, dtype=np.uint8)
     world[dead] = 0
     library = lib(paths, graph)
-    order = shortest_first(library, graph)
-    trace = lazysp_set(library, order, graph, lambda e: int(world[e]), *fresh(graph))
+    trace = lazysp_set(library, graph, lambda e: int(world[e]), *fresh(graph))
     assert trace.records[0] == (dead, 0, 1.0)
     assert isinstance(trace.terminal, Solved) and trace.terminal.path_index != 0
     assert all(world[e] == 1 for e in trace.path_edges)
@@ -202,7 +196,7 @@ def test_lazysp_set_moves_on_after_first_invalid():
 def test_lazysp_set_all_dead():
     graph, paths = grid_and_library()
     library = lib(paths, graph)
-    trace = lazysp_set(library, shortest_first(library, graph), graph, lambda e: 0, *fresh(graph))
+    trace = lazysp_set(library, graph, lambda e: 0, *fresh(graph))
     assert isinstance(trace.terminal, AllRegionsDead)
     evaluated = {e: o for e, o, _ in trace.records}
     for p in paths:
@@ -309,8 +303,7 @@ def test_lazysp_set_builds_one_status_per_episode(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(baselines, "LibraryStatus", Spy)
-    order = shortest_first(library, graph)
-    got = [lazysp_set(library, order, graph, lambda e, w=w: int(w[e]), *fresh(graph))
+    got = [lazysp_set(library, graph, lambda e, w=w: int(w[e]), *fresh(graph))
            for w in worlds]
     assert len(built) == len(worlds)
     assert [t.records for t in got] == [t.records for t in want]

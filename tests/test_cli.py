@@ -456,7 +456,7 @@ _BAD_RUNS = {
 }
 
 
-@pytest.mark.parametrize("bad", ["tree", "dataset", *_BAD_RUNS])
+@pytest.mark.parametrize("bad", ["tree", "dataset", "dataset-order", *_BAD_RUNS])
 def test_parse_faults_exit_3_without_traceback(pipeline, tmp_path, capsys, bad):
     ds, tree, runs = pipeline["ds"], pipeline["tree"], tmp_path / "runs"
     runs.mkdir()
@@ -466,6 +466,9 @@ def test_parse_faults_exit_3_without_traceback(pipeline, tmp_path, capsys, bad):
         tree.write_text('{"schema_version":1}')
     elif bad == "dataset":
         ds = _edit_header(ds, tmp_path / "d.bin", lambda h: h.pop("n_worlds"))
+    elif bad == "dataset-order":  # the first and last library paths swapped
+        ds = _edit_header(ds, tmp_path / "d.bin", lambda h: h.update(
+            paths=h["paths"][-1:] + h["paths"][1:-1] + h["paths"][:1]))
     else:
         (runs / "r.json").write_text(_BAD_RUNS[bad](pipeline))
         argv = ["report", "--runs", str(runs), "--out", str(tmp_path / "t.csv")]

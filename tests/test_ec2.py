@@ -377,6 +377,12 @@ def _min_key_choice(cand, log_expected, cost):
     return int(cand[best]), float(scores[best])
 
 
+def _one_row(cand, log_expected, cost):
+    """ec2.best_tests over one row, as select_test calls it."""
+    edge, score = ec2.best_tests(np.zeros(len(cand), np.intp), cand, log_expected, cost, 1)
+    return None if edge[0] < 0 else (int(edge[0]), float(score[0]))
+
+
 def test_best_test_matches_min_key_on_ties():
     cand = np.arange(10, 16)
     cases = [
@@ -396,10 +402,10 @@ def test_best_test_matches_min_key_on_ties():
         (np.log(np.full(6, 0.5)), np.full(6, 1e13)),
     ]
     for le, cost in cases:
-        assert ec2.best_test(cand, le, cost) == _min_key_choice(cand, le, cost)
-    assert ec2.best_test(cand, np.zeros(6), np.ones(6)) is None
-    assert ec2.best_test(cand, *cases[0])[0] == 11
-    assert ec2.best_test(cand, *cases[2])[0] == 10
+        assert _one_row(cand, le, cost) == _min_key_choice(cand, le, cost)
+    assert _one_row(cand, np.zeros(6), np.ones(6)) is None
+    assert _one_row(cand, *cases[0])[0] == 11
+    assert _one_row(cand, *cases[2])[0] == 10
     rng = np.random.default_rng(3)
     for _ in range(300):
         n = int(rng.integers(1, 12))
@@ -407,7 +413,7 @@ def test_best_test_matches_min_key_on_ties():
         le = rng.choice([-np.inf, -900.0, -800.0, -2.0, -0.5, 0.0], size=n)
         cost = rng.choice([0.5, 1.0, 2.0], size=n)
         cand = np.sort(rng.choice(50, size=n, replace=False))
-        assert ec2.best_test(cand, le, cost) == _min_key_choice(cand, le, cost)
+        assert _one_row(cand, le, cost) == _min_key_choice(cand, le, cost)
 
 
 # --- unit weights ----------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from drdplan.graph import SQRT2, path_is_connected
 from drdplan.model import (
     Dataset,
+    ExplicitGraph,
     Library,
     LibraryStatus,
     Path,
@@ -93,6 +94,46 @@ def test_validate_catches_disconnected_path():
     ds.membership = compute_membership(ds.theta, ds.paths)
     violations = validate_dataset(ds)
     assert any("path 0" in v for v in violations)
+
+
+def _routes_dataset(paths, length=None):
+    """Four routes from vertex 0 to vertex 1: A of three unit edges (3), B
+    of two diagonals (2*sqrt(2)), and X and Y of one unit edge and three
+    diagonals in opposite orders (1 + 3*sqrt(2) each, though their float
+    sums differ in the last bit).  paths name routes by letter or give
+    edge ids."""
+    hops = {"A": [1, 1, 1], "B": [SQRT2] * 2, "X": [1] + [SQRT2] * 3, "Y": [SQRT2] * 3 + [1]}
+    endpoints, lengths, routes, v = [], [], {}, 2
+    for name, steps in hops.items():
+        stops = [0, *range(v, v + len(steps) - 1), 1]
+        v += len(steps) - 1
+        routes[name] = tuple(range(len(endpoints), len(endpoints) + len(steps)))
+        endpoints += zip(stops, stops[1:])
+        lengths += steps
+    graph = ExplicitGraph(
+        positions=np.zeros((v, 2)), endpoints=np.array(endpoints), eval_cost=np.ones(len(lengths)),
+        length=np.array(lengths if length is None else length), start=0, goal=1,
+    )
+    assert sum(hops["X"]) != sum(hops["Y"])
+    paths = [Path(routes[p] if isinstance(p, str) else p) for p in paths]
+    return Dataset(graph, np.ones((2, len(lengths)), np.uint8), paths, None,
+                   train=np.array([0]), test=np.array([1]))
+
+
+def test_validate_checks_library_order_exactly():
+    # Equal exact lengths pass in either order, float sums regardless.
+    assert validate_dataset(_routes_dataset("BAXY")) == []
+    assert validate_dataset(_routes_dataset("BAYX")) == []
+    # 3 against 2*sqrt(2), decided exactly: a longer path first is reported.
+    assert validate_dataset(_routes_dataset("ABXY")) == ["path 1 is shorter than path 0"]
+    assert validate_dataset(_routes_dataset("BXAY")) == ["path 2 is shorter than path 1"]
+    # A malformed path or a non-exact length reports only its own violation.
+    assert validate_dataset(_routes_dataset(["A", "B", (0, 0)])) == [
+        "path 2 is not a connected start-goal edge sequence"]
+    assert validate_dataset(_routes_dataset(["A", "B", (99,)])) == [
+        "path 2 references edge id out of range"]
+    assert validate_dataset(_routes_dataset("AB", length=[0.5] * 13)) == [
+        "edge length not an integer or an integer multiple of sqrt(2)"]
 
 
 def test_validate_catches_broken_split():

@@ -233,6 +233,20 @@ def test_dataset_validates_for_all_kinds():
         assert validate_dataset(ds) == [], kind
 
 
+@pytest.mark.parametrize("seed,kind", enumerate(KINDS))
+def test_generated_library_passes_the_exact_order_check(seed, kind):
+    # At 11x11 with k=200 and m=100, gen's float sort decides the order of
+    # two paths of one exact length whose float sums differ; validation
+    # takes them in either order.
+    ds = generate_dataset(ScenarioSpec(kind=kind, rows=11, cols=11, seed=seed), 10, 200, 100)
+    assert validate_dataset(ds) == []
+    w, lengths = ds.graph.exact_length, ds.graph.length
+    exact = [tuple(map(sum, zip(*(w[e] for e in p.edge_ids)))) for p in ds.paths]
+    floats = [float(lengths[list(p.edge_ids)].sum()) for p in ds.paths]
+    assert any(exact[r] == exact[r - 1] and floats[r] != floats[r - 1]
+               for r in range(1, len(exact)))
+
+
 def test_dataset_deterministic_bytes():
     spec = ScenarioSpec(kind="twowall", rows=7, cols=7, seed=9)
     a = generate_dataset(spec, 15, 20, 6, test_fraction=0.2)
@@ -320,6 +334,8 @@ def test_yen_port_matches_networkx(rows, cols, k):
 
 def test_yen_port_matches_networkx_11x11_k2000(nx_paths_11x11):
     assert _port_paths(build_grid_graph(11, 11), 2000) == nx_paths_11x11
+    # The library keeps every path it is given: none repeats.
+    assert len(set(map(tuple, nx_paths_11x11))) == 2000
 
 
 @pytest.mark.parametrize("k", [1, 2, 100, 200, 1000, 1999])
@@ -388,6 +404,7 @@ def test_yen_port_matches_networkx_on_random_graphs(seed):
     want = _nx_paths(g, 150)
     for k in (1, 2, 3, 5, 10, 40, 149, 150):
         assert _port_paths(g, k) == want[:k]
+    assert len(set(map(tuple, want))) == len(want)  # ties everywhere, no repeat
 
 
 def test_random_graphs_cut_and_exhausted():
