@@ -44,12 +44,9 @@ def lazysp_graph(
             memo[invalid] = shortest_path_edges(graph, status >= 0)
         path = memo[invalid]
         if path is None:
-            trace.terminal = Infeasible()
-            return trace
+            return trace.end(Infeasible())
         if check_path(path, status, oracle, graph.eval_cost, trace):
-            trace.terminal = Solved(None)
-            trace.path_edges = tuple(path)
-            return trace
+            return trace.end(Solved(None), path)
 
 
 def lazysp_set(
@@ -75,12 +72,9 @@ def lazysp_set(
         if not live[r]:
             continue
         if check_path(path, status, oracle, graph.eval_cost, trace):
-            trace.terminal = Solved(r)
-            trace.path_edges = path
-            return trace
+            return trace.end(Solved(r), path)
         live[library.through[trace.records[-1][0]]] = False
-    trace.terminal = AllRegionsDead()
-    return trace
+    return trace.end(AllRegionsDead())
 
 
 def random_policy(
@@ -105,13 +99,10 @@ def random_policy(
     paths = LibraryStatus(library, status)
     while True:
         if not paths.live.any():
-            trace.terminal = AllRegionsDead()
-            return trace
+            return trace.end(AllRegionsDead())
         solved = paths.solved
         if solved is not None:
-            trace.terminal = Solved(solved)
-            trace.path_edges = library.paths[solved]
-            return trace
+            return trace.end(Solved(solved), library.paths[solved])
         pool = paths.open.nonzero()[0]
         edge = int(pool[gen.integers(len(pool))])
         paths.observe(edge, trace.evaluate(edge, oracle, graph.eval_cost, status))

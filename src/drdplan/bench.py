@@ -27,9 +27,10 @@ import os
 import numpy as np
 
 from . import baselines, bernoulli, ec2, rng as _rng, trees
-from .io import FormatError, atomic_write_bytes, dataset_hash, read_json, reading, to_json_bytes
+from .io import (FormatError, atomic_write_bytes, dataset_hash, is_index, read_json, reading,
+                 to_json_bytes)
 from .model import Dataset, Library
-from .traces import AllRegionsDead, Handoff, RunTrace, Solved, traces_from_json, traces_to_json
+from .traces import AllRegionsDead, Handoff, Infeasible, RunTrace, Solved
 
 RUNS_SCHEMA_VERSION = 1
 
@@ -147,8 +148,7 @@ def _direct_bisect(dataset, tree, train_idx, seed, alpha, worlds):
             # Off-database safety: prove the named path against the live world.
             path = library.paths[leaf.path_index]
             if baselines.check_path(path, status, oracle, eval_cost, trace):
-                trace.terminal = leaf
-                trace.path_edges = path
+                trace.end(leaf, path)
                 return True
         return False
 
@@ -187,14 +187,11 @@ def _direct_only(dataset, tree, train_idx, seed, alpha, worlds):
             plausible = np.nonzero(train_memb[ec2.consistent(train_theta, status)].any(axis=0))[0]
             region = int(plausible[0]) if plausible.size else None
         if region is None:
-            trace.terminal = AllRegionsDead()
             trace.verified = not dataset.membership[h].any()
-            return trace
+            return trace.end(AllRegionsDead())
         path = dataset.paths[region].edge_ids
-        trace.terminal = Solved(region)
-        trace.path_edges = tuple(path)
         trace.verified = bool(dataset.theta[h][list(path)].all())
-        return trace
+        return trace.end(Solved(region), path)
 
     return episode
 
@@ -367,6 +364,62 @@ def sweep_training_size(
 # Run-file persistence and report assembly
 
 
+def _terminal_to_json(t) -> dict:
+    if isinstance(t, Solved):
+        return {"kind": "solved", "path_index": t.path_index}
+    if isinstance(t, AllRegionsDead):
+        return {"kind": "dead", "off_database": t.off_database}
+    if isinstance(t, Infeasible):
+        return {"kind": "infeasible"}
+    raise TypeError(f"cannot serialize terminal {t!r}")
+
+
+def _terminal_from_json(d: dict):
+    kind = d["kind"]
+    if kind == "solved" and (d["path_index"] is None or is_index(d["path_index"])):
+        return Solved(d["path_index"])
+    if kind == "dead" and type(off := d["off_database"]) is bool:
+        return AllRegionsDead(off)
+    if kind == "infeasible":
+        return Infeasible()
+    raise ValueError(f"bad terminal {d!r}")
+
+
+def traces_to_json(traces: list[RunTrace]) -> list[dict]:
+    """The traces as run-file JSON values.  Each holds its trace's own
+    records and path_edges, which JSON writes as arrays."""
+    return [
+        {
+            "policy": t.policy,
+            "world_index": t.world_index,
+            "records": t.records,
+            "terminal": _terminal_to_json(t.terminal),
+            "path_edges": t.path_edges,
+            "verified": t.verified,
+        }
+        for t in traces
+    ]
+
+
+def _trace_from_json(d: dict, file_policy: str) -> RunTrace:
+    """One trace of a run file of file_policy; every key is required."""
+    policy, h, verified = d["policy"], d["world_index"], d["verified"]
+    records = [(e, o, c) for e, o, c in d["records"]
+               if is_index(e) and type(o) is int and o in (0, 1) and type(c) is float and c > 0]
+    path_edges = tuple(d["path_edges"])
+    if not (isinstance(policy, str) and is_index(h) and type(verified) is bool):
+        raise ValueError("policy, world_index or verified has the wrong type or range")
+    if policy != file_policy:
+        raise ValueError(f"policy {policy!r} is not the run file's {file_policy!r}")
+    if len(records) != len(d["records"]):
+        raise ValueError("records are not [edge >= 0, outcome 0 or 1, cost > 0]")
+    if not all(is_index(e) for e in path_edges):
+        raise ValueError("path_edges are not edge ids >= 0")
+    return RunTrace(policy=policy, world_index=h, records=records,
+                    terminal=_terminal_from_json(d["terminal"]),
+                    path_edges=path_edges, verified=verified)
+
+
 def save_runs(
     path: str,
     policy: str,
@@ -397,7 +450,8 @@ def load_runs(path: str) -> dict:
     """A run file parsed once: its header keys as written, ``feasible``
     keyed by world index and ``traces`` as RunTraces.  FormatError for bad
     JSON, a wrong schema, a feasible map that does not name exactly the
-    traced worlds, or anything build_report cannot read."""
+    traced worlds, or anything build_report cannot read, such as a trace
+    of another policy; it names the first bad trace."""
     with open(path, "rb") as f:
         doc = read_json(f.read(), f"run file {path}", RUNS_SCHEMA_VERSION)
     for key, kind in (("policy", str), ("dataset_hash", str), ("dataset_label", str),
@@ -410,7 +464,11 @@ def load_runs(path: str) -> dict:
                     if str(int(h)) == h and type(ok) is bool}
         if len(feasible) != len(doc["feasible"]):
             raise FormatError("feasible is not canonical world index: bool")
-        doc["feasible"], doc["traces"] = feasible, traces_from_json(doc["traces"])
+    traces = []
+    for i, d in enumerate(doc["traces"]):
+        with reading(f"bad run file {path}: trace {i}"):
+            traces.append(_trace_from_json(d, doc["policy"]))
+    doc["feasible"], doc["traces"] = feasible, traces
     worlds = {t.world_index for t in doc["traces"]}
     if len(worlds) != len(doc["traces"]):
         raise FormatError(f"bad run file {path}: two traces name one world_index")
@@ -466,9 +524,9 @@ def build_report(
             }
             common = sorted(
                 h for h in costs
-                if h in ref_costs and feasible.get(h, False) and ref_costs[h] > 0
+                if h in ref_costs and feasible[h] and ref_costs[h] > 0
             )
-            excluded = sorted(h for h in costs if h in ref_costs and feasible.get(h, False) and ref_costs[h] == 0)
+            excluded = sorted(h for h in costs if h in ref_costs and feasible[h] and ref_costs[h] == 0)
             if len(common) < 2:
                 raise ContractError(
                     f"dataset {labels[key]}: policy {name!r} pairs with the reference on "
@@ -479,7 +537,7 @@ def build_report(
                 "success_rate": float(np.mean([succ[h] for h in common])),
                 "n_paired": len(common),
                 "n_excluded_zero_ref": len(excluded),
-                "infeasible_rate": float(np.mean([not feasible.get(t.world_index, False) for t in doc["traces"]])),
+                "infeasible_rate": float(np.mean([not ok for ok in doc["feasible"].values()])),
             }
             paired.setdefault(tuple(common), []).append((name, [costs[h] for h in common]))
         # Policies paired on the same worlds share each bootstrap draw.

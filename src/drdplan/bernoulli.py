@@ -300,9 +300,7 @@ def bisect_policy(
             node["step"] = bisect_steps(beta[None], status[None], library, eval_cost)[0]
         step = node["step"]
         if not isinstance(step, int):  # a verdict
-            trace.terminal = step
-            if isinstance(step, Solved):
-                trace.path_edges = library.paths[step.path_index]
-            return trace
+            path = library.paths[step.path_index] if isinstance(step, Solved) else ()
+            return trace.end(step, path)
         outcome = trace.evaluate(step, oracle, eval_cost, status)
         node = node.setdefault(outcome, {})

@@ -14,8 +14,9 @@ The verdicts are also the leaves of the compiled tree (drdplan.trees):
 trees.direct_step returns Solved, AllRegionsDead or Handoff, and the tree
 stores what it returned.
 
-traces_to_json and traces_from_json are the codec of the traces in a run
-file (drdplan.bench writes and reads the file's header).
+A policy writes a trace only through ``RunTrace.evaluate`` (one record)
+and ``RunTrace.end`` (its verdict).  The run file that holds the traces,
+and its codec, belong to drdplan.bench.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .io import is_index, reading
 
 
 @dataclass(frozen=True)
@@ -82,77 +81,18 @@ class RunTrace:
     def total_cost(self) -> float:
         return float(sum(c for _, _, c in self.records))
 
-    def record(self, edge: int, outcome: int, cost: float) -> None:
-        self.records.append((int(edge), int(outcome), float(cost)))
-
     def evaluate(self, edge: int, oracle, eval_cost, status: np.ndarray) -> int:
         """Query the oracle on one edge, record (edge, outcome, cost) and
         mark the edge in status; returns the outcome."""
         outcome = int(oracle(edge))
-        self.record(edge, outcome, eval_cost[edge])
+        self.records.append((int(edge), outcome, float(eval_cost[edge])))
         status[edge] = 1 if outcome else -1
         return outcome
 
-
-def _terminal_to_json(t) -> dict:
-    if isinstance(t, Solved):
-        return {"kind": "solved", "path_index": t.path_index}
-    if isinstance(t, AllRegionsDead):
-        return {"kind": "dead", "off_database": t.off_database}
-    if isinstance(t, Infeasible):
-        return {"kind": "infeasible"}
-    raise TypeError(f"cannot serialize terminal {t!r}")
-
-
-def _terminal_from_json(d: dict):
-    kind = d["kind"]
-    if kind == "solved" and (d["path_index"] is None or is_index(d["path_index"])):
-        return Solved(d["path_index"])
-    if kind == "dead" and type(off := d.get("off_database", False)) is bool:
-        return AllRegionsDead(off)
-    if kind == "infeasible":
-        return Infeasible()
-    raise ValueError(f"bad terminal {d!r}")
-
-
-def traces_to_json(traces: list[RunTrace]) -> list[dict]:
-    """The traces as run-file JSON values.  Each holds its trace's own
-    records and path_edges, which JSON writes as arrays."""
-    return [
-        {
-            "policy": t.policy,
-            "world_index": t.world_index,
-            "records": t.records,
-            "terminal": _terminal_to_json(t.terminal),
-            "path_edges": t.path_edges,
-            "verified": t.verified,
-        }
-        for t in traces
-    ]
-
-
-def _trace_from_json(d: dict) -> RunTrace:
-    policy, h, verified = d["policy"], d["world_index"], d.get("verified", True)
-    records = [(e, o, c) for e, o, c in d["records"]
-               if is_index(e) and type(o) is int and o in (0, 1) and type(c) is float and c > 0]
-    path_edges = tuple(d["path_edges"])
-    if not (isinstance(policy, str) and is_index(h) and type(verified) is bool):
-        raise ValueError("policy, world_index or verified has the wrong type or range")
-    if len(records) != len(d["records"]):
-        raise ValueError("records are not [edge >= 0, outcome 0 or 1, cost > 0]")
-    if not all(is_index(e) for e in path_edges):
-        raise ValueError("path_edges are not edge ids >= 0")
-    return RunTrace(policy=policy, world_index=h, records=records,
-                    terminal=_terminal_from_json(d["terminal"]),
-                    path_edges=path_edges, verified=verified)
-
-
-def traces_from_json(docs: list[dict]) -> list[RunTrace]:
-    """The traces of a run file, checked strictly: FormatError names the
-    first trace with a missing key or a value of the wrong type or out of
-    range.  Every float is finite: io.read_json refuses any other."""
-    out = []
-    for i, d in enumerate(docs):
-        with reading(f"trace {i}"):
-            out.append(_trace_from_json(d))
-    return out
+    def end(self, terminal, path_edges=()) -> RunTrace:
+        """Set the verdict and, for a Solved one, the edge ids of its path;
+        returns the trace."""
+        self.terminal = terminal
+        if isinstance(terminal, Solved):
+            self.path_edges = tuple(path_edges)
+        return self

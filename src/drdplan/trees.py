@@ -144,8 +144,7 @@ def direct_policy(
     while True:
         step = direct_step(status, problem, eta, alpha)
         if not isinstance(step, int):
-            trace.terminal = step
-            return trace, status
+            return trace.end(step), status
         trace.evaluate(step, oracle, problem.eval_cost, status)
 
 

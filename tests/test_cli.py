@@ -175,6 +175,24 @@ def test_report_refuses_two_run_files_of_one_policy(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_infeasible_rate_reads_each_run_file(pipeline, tmp_path):
+    # random runs on every world and pairs with the reference on the test
+    # split; its infeasible rate counts its own worlds by its own file.
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    shutil.copy(os.path.join(pipeline["runs"], "direct+bisect.json"), runs)
+    assert run(["run", "--dataset", pipeline["ds"], "--policy", "random", "--split", "all",
+                "--out", str(runs)]) == EXIT_OK
+    report = tmp_path / "report.json"
+    assert run(["report", "--runs", str(runs), "--bootstrap", "50", "--out", str(tmp_path / "t.csv"),
+                "--json", str(report)]) == EXIT_OK
+    (entry,) = json.loads(report.read_text())["datasets"].values()
+    feasible = json.loads((runs / "random.json").read_text())["feasible"]
+    assert len(feasible) == 40 and all(feasible.values())
+    assert entry["policies"]["random"]["infeasible_rate"] == 0.0
+    assert entry["policies"]["random"]["n_paired"] == entry["policies"]["direct+bisect"]["n_paired"] == 10
+
+
 def test_report_refuses_a_table_with_no_ci(tmp_path, capsys):
     # A 12-world dataset with a one-world test split: no policy pairs with
     # the reference on the two worlds a CI needs.
@@ -404,9 +422,9 @@ def _edit_header(src, dst, edit):
     return str(dst)
 
 
-def _edited_run_file(pipeline, edit):
+def _edited_run_file(pipeline, edit, name="random.json"):
     """A valid run file's JSON text after edit(doc)."""
-    with open(os.path.join(pipeline["runs"], "random.json")) as f:
+    with open(os.path.join(pipeline["runs"], name)) as f:
         doc = json.load(f)
     edit(doc)
     return _json_text(doc)
@@ -431,6 +449,13 @@ _BAD_RUNS = {
     "runs-terminal": lambda p: _edited_run_file(p, lambda d: d["traces"][0].pop("terminal")),
     "runs-verified": lambda p: _edited_run_file(
         p, lambda d: d["traces"][0].__setitem__("verified", "yes")),
+    # save_runs writes every key of a trace and of its terminal, and only
+    # traces of the file's policy.
+    "runs-verified-missing": lambda p: _edited_run_file(p, lambda d: d["traces"][0].pop("verified")),
+    "runs-off-database-missing": lambda p: _edited_run_file(
+        p, lambda d: d["traces"][0].__setitem__("terminal", {"kind": "dead"})),
+    "runs-trace-policy": lambda p: _edited_run_file(
+        p, lambda d: d["traces"][0].__setitem__("policy", "lazysp-set")),
     "runs-edge-range": lambda p: _edited_run_file(
         p, lambda d: _solved_trace(d)["records"][0].__setitem__(0, -1)),
     "runs-outcome-range": lambda p: _edited_run_file(
@@ -452,7 +477,7 @@ _BAD_RUNS = {
         p, lambda d: _solved_trace(d)["terminal"].__setitem__("path_index", -1)),
     # The reference alone, so that only the repeated world can fail the report.
     "runs-repeat": lambda p: _edited_run_file(
-        p, lambda d: d.update(policy="direct+bisect", traces=d["traces"] + d["traces"][:1])),
+        p, lambda d: d["traces"].append(d["traces"][0]), "direct+bisect.json"),
 }
 
 
@@ -768,14 +793,16 @@ def test_cli_import_leaves_networkx_out():
 
 def test_importing_one_module_imports_no_other():
     # The package re-exports nothing, so each name has one import path, its
-    # module's, and a module loads only what it imports itself.
+    # module's, and a module loads only what it imports itself.  An
+    # episode's state stands alone: the run file's codec is drdplan.bench's.
     src = os.path.dirname(os.path.dirname(drdplan.__file__))
-    code = "import sys, drdplan.rng; print(sorted(m for m in sys.modules if m.startswith('drdplan')))"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == str(["drdplan", "drdplan.rng"])
+    for module in ("drdplan.rng", "drdplan.traces"):
+        code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('drdplan')))"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == str(["drdplan", module])
     # Only a run with more than one job imports multiprocessing, so no
     # command pays for it at import.
     code = "import sys, drdplan.cli; print('multiprocessing' in sys.modules)"
@@ -810,6 +837,14 @@ _BAD_HEADERS = {
     "position-int-overflow": lambda h: h["graph"]["positions"][0].__setitem__(0, 10**400),
     "nested": lambda h: h["provenance"].__setitem__("x", "@nested"),
     "no-paths": lambda h: h.__setitem__("paths", []),
+    "eval-cost-zero": lambda h: h["graph"]["eval_cost"].__setitem__(0, 0),
+    "eval-cost-negative": lambda h: h["graph"]["eval_cost"].__setitem__(0, -1),
+    "length-negative": lambda h: h["graph"]["length"].__setitem__(0, -1),
+    "goal-start": lambda h: h["graph"].__setitem__("goal", h["graph"]["start"]),
+    "edge-duplicate": lambda h: h["graph"]["endpoints"].__setitem__(
+        1, h["graph"]["endpoints"][0][::-1]),
+    # 111 columns pack into the 14 bytes a row of 110 edges takes.
+    "n-edges-plus-one": lambda h: h.__setitem__("n_edges", h["n_edges"] + 1),
 }
 
 

@@ -136,6 +136,31 @@ def test_validate_checks_library_order_exactly():
         "edge length not an integer or an integer multiple of sqrt(2)"]
 
 
+def _with_graph(ds, **fields):
+    return replace(ds, graph=replace(ds.graph, **fields))
+
+
+@pytest.mark.parametrize("edit, violation", [
+    (lambda ds, g: _with_graph(ds, eval_cost=np.r_[0.0, g.eval_cost[1:]]),
+     "eval_cost not finite and positive"),
+    (lambda ds, g: _with_graph(ds, eval_cost=np.r_[-1.0, g.eval_cost[1:]]),
+     "eval_cost not finite and positive"),
+    (lambda ds, g: _with_graph(ds, length=np.r_[-1.0, g.length[1:]]), "negative edge length"),
+    (lambda ds, g: _with_graph(ds, goal=g.start), "start equals goal"),
+    (lambda ds, g: _with_graph(ds, endpoints=np.r_[g.endpoints[:1], g.endpoints[:1, ::-1],
+                                                  g.endpoints[2:]]),
+     "duplicate edge between vertices 0 and 1"),
+    (lambda ds, g: replace(ds, theta=np.c_[ds.theta, ds.theta[:, :1]]),
+     "world matrix has 21 columns, expected 20"),
+], ids=["eval-cost-zero", "eval-cost-negative", "length-negative", "goal-start",
+        "edge-duplicate", "theta-wide"])
+def test_validate_reports_each_rule(edit, violation):
+    # Each edit breaks one rule, whose violation is reported first (a path
+    # through a moved goal or edge may be reported after it).
+    ds = small_dataset()
+    assert validate_dataset(edit(ds, ds.graph))[0] == violation
+
+
 def test_validate_catches_broken_split():
     ds = small_dataset()
     ds.test = ds.train[:1].copy()

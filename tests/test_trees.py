@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from drdplan import ec2, trees
-from drdplan.bench import POLICIES, run_policy
+from drdplan.bench import POLICIES, run_policy, traces_to_json
 from drdplan.bernoulli import bisect_policy, select_test_bernoulli
 from drdplan.io import FormatError, dataset_hash, load_dataset, save_dataset, to_json_bytes
 from drdplan.model import Library, LibraryStatus
@@ -28,7 +28,7 @@ from drdplan.trees import (
     tree_from_bytes,
     tree_to_bytes,
 )
-from drdplan.traces import AllRegionsDead, Handoff, RunTrace, Solved, traces_to_json
+from drdplan.traces import AllRegionsDead, Handoff, RunTrace, Solved
 
 from conftest import make_worked_problem, random_regions, regions_membership
 
